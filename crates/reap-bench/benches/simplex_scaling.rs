@@ -1,8 +1,8 @@
 //! Criterion bench for the Sec. 3.3 timing claim: the REAP solver takes
 //! 1.5 ms at 5 design points and only 8 ms at 100 on the 47 MHz MCU —
 //! i.e. runtime grows mildly with N. We verify that *shape* on the host
-//! and compare the simplex against the closed-form solver (an ablation
-//! this reproduction adds) and Bland's pivot rule.
+//! and compare the simplex against the precomputed frontier (the fast
+//! path this reproduction adds).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reap_bench::synthetic_problem;
@@ -17,9 +17,6 @@ fn bench_simplex_scaling(c: &mut Criterion) {
         let problem = synthetic_problem(n);
         group.bench_with_input(BenchmarkId::new("simplex", n), &problem, |b, p| {
             b.iter(|| black_box(p.solve(black_box(budget)).expect("solvable")));
-        });
-        group.bench_with_input(BenchmarkId::new("closed_form", n), &problem, |b, p| {
-            b.iter(|| black_box(p.solve_closed_form(black_box(budget)).expect("solvable")));
         });
         // The cached-frontier path the runtime controller and sweeps use:
         // build once, then O(log K) per solve.

@@ -20,8 +20,8 @@
 //!
 //! The achievable set is the convex hull of `{(0,0)} ∪ {(m_i, w_i)}`, so
 //! the optimum is the **upper concave hull** of those points evaluated at
-//! `x`. Hull vertices are exactly the closed-form solver's vertex
-//! schedules: "run one point for the whole period" (or stay off), and
+//! `x`. Hull vertices are the LP's vertex schedules: "run one point for
+//! the whole period" (or stay off), and
 //! every budget between two adjacent breakpoints mixes the two bracketing
 //! vertices — which is why the LP optimum never activates more than two
 //! points. Beyond the last vertex (the best-weight point) extra energy
@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use reap_units::{Energy, Power, TimeSpan};
 
-use crate::schedule::Allocation;
+use crate::schedule::{Allocation, DROP_S};
 use crate::{OperatingPoint, ReapError, ReapProblem, Schedule};
 
 /// One vertex of the concave frontier: a breakpoint budget together with
@@ -282,8 +282,9 @@ pub struct PlanShare {
 
 /// A complete single-user allocation decision from a cached frontier:
 /// the plan aggregates plus the blend of (at most two) operating points
-/// realizing them. Produced by [`FrontierTable::decide`]; `Copy` and
-/// heap-free so serving it costs one table walk and nothing else.
+/// realizing them. Produced by [`decide_vertices`] (and
+/// [`FrontierTable::decide`]); `Copy` and heap-free so serving it costs
+/// one table walk and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The plan aggregates, bit-identical to [`FrontierTable::eval`].
@@ -302,31 +303,180 @@ impl Decision {
     }
 }
 
+/// One breakpoint of a [`FrontierTable`]: the budget at which a vertex
+/// schedule is the exact optimum, and the point that runs the whole
+/// period there.
+///
+/// Plain data in one 32-byte record, so batched callers can pack many
+/// cohorts' frontiers into one contiguous arena and evaluate them with
+/// [`decide_vertices`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Vertex {
+    /// Breakpoint budget in joules.
+    pub budget_j: f64,
+    /// Accuracy of the point (0 for the all-off vertex).
+    pub accuracy: f64,
+    /// Power draw of the point in watts (0 for the all-off vertex).
+    pub power_w: f64,
+    /// Id of the point (0 for the all-off vertex).
+    pub id: u8,
+    /// Whether a point runs here (`false` = the all-off vertex).
+    pub has_point: bool,
+}
+
+/// The optimal plan at `budget_j` over a frontier's `vertices` (ascending
+/// budgets, the all-off vertex at the floor first), for a period of
+/// `period_s` seconds with off-state power `off_w`: the plan aggregates
+/// plus the (at most two) per-point time shares, without allocating.
+///
+/// The result is bit-identical to building the schedule with
+/// [`PlanFrontier::solve`] and reading its aggregates: the same
+/// interpolation, the [`DROP_S`] rule of `Schedule`, and sums in
+/// ascending point-id order. Sub-floor (and NaN) budgets clamp up to the
+/// floor, like the controller's entry clamp.
+///
+/// # Panics
+///
+/// Panics on an empty vertex slice.
+#[inline]
+#[must_use]
+pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j: f64) -> Decision {
+    let tp = period_s;
+    // `f64::max` maps NaN to the floor too, matching `Energy::max`.
+    let b = budget_j.max(vertices[0].budget_j);
+    // The first segment (the off vertex blending into the cheapest
+    // point) absorbs most interior budgets, so it skips the general walk
+    // below; the arithmetic is the walk's for that segment, term for
+    // term.
+    if vertices.len() >= 2
+        && b < vertices[1].budget_j
+        && !vertices[0].has_point
+        && vertices[1].has_point
+    {
+        let lo_b = vertices[0].budget_j;
+        let lambda = ((b - lo_b) / (vertices[1].budget_j - lo_b)).clamp(0.0, 1.0);
+        let t = lambda * tp;
+        let off_s = (tp - t).max(0.0);
+        let mut decision = Decision {
+            eval: PlanEval {
+                accuracy: 0.0,
+                active_s: 0.0,
+                energy_j: off_w * off_s,
+            },
+            off_s,
+            shares: [PlanShare::default(); 2],
+            n_shares: 0,
+        };
+        if lambda > 0.0 && t > DROP_S {
+            let v = &vertices[1];
+            decision.eval = PlanEval {
+                accuracy: v.accuracy * (t / tp),
+                active_s: t,
+                energy_j: v.power_w * t + off_w * off_s,
+            };
+            decision.shares[0] = PlanShare {
+                id: v.id,
+                seconds: t,
+            };
+            decision.n_shares = 1;
+        }
+        return decision;
+    }
+
+    let last = vertices.len() - 1;
+    let (k, lambda) = if last == 0 {
+        (0, 0.0)
+    } else if b >= vertices[last].budget_j {
+        (last - 1, 1.0)
+    } else {
+        // First vertex with budget > b (`PlanFrontier`'s
+        // `partition_point(..).max(1)`), counted over the ascending
+        // budgets without a data-dependent branch.
+        let mut hi = 1;
+        for v in &vertices[1..last] {
+            hi += usize::from(v.budget_j <= b);
+        }
+        let lo_b = vertices[hi - 1].budget_j;
+        (
+            hi - 1,
+            ((b - lo_b) / (vertices[hi].budget_j - lo_b)).clamp(0.0, 1.0),
+        )
+    };
+    let hi_idx = (k + 1).min(last);
+
+    // Durations exactly as `PlanFrontier::solve` pushes them; the off
+    // time complements the *raw* active time (drops below come after).
+    let mut n = 0usize;
+    let mut run = [vertices[k]; 2];
+    let mut dur = [0.0f64; 2];
+    let mut active_raw = 0.0;
+    if vertices[k].has_point {
+        let t = (1.0 - lambda) * tp;
+        active_raw += t;
+        dur[0] = t;
+        n = 1;
+    }
+    if lambda > 0.0 && vertices[hi_idx].has_point {
+        let t = lambda * tp;
+        active_raw += t;
+        run[n] = vertices[hi_idx];
+        dur[n] = t;
+        n += 1;
+    }
+    let off_s = (tp - active_raw).max(0.0);
+
+    // `Schedule` sorts by point id and drops allocations of at most
+    // `DROP_S`; the sums below run in the same (id) order.
+    if n == 2 && run[1].id < run[0].id {
+        run.swap(0, 1);
+        dur.swap(0, 1);
+    }
+    let mut accuracy = 0.0;
+    let mut active_s = 0.0;
+    let mut active_e = 0.0;
+    let mut shares = [PlanShare::default(); 2];
+    let mut m = 0usize;
+    for (v, &t) in run.iter().zip(&dur).take(n) {
+        if t > DROP_S {
+            accuracy += v.accuracy * (t / tp);
+            active_s += t;
+            active_e += v.power_w * t;
+            shares[m] = PlanShare {
+                id: v.id,
+                seconds: t,
+            };
+            m += 1;
+        }
+    }
+    Decision {
+        eval: PlanEval {
+            accuracy,
+            active_s,
+            energy_j: active_e + off_w * off_s,
+        },
+        off_s,
+        shares,
+        n_shares: m as u8,
+    }
+}
+
 /// Flat, pointer-free image of a [`PlanFrontier`] for batched scalar
-/// evaluation: per-vertex `f64` columns instead of `Arc<OperatingPoint>`
-/// references, so a hot loop evaluating thousands of cached frontiers
-/// touches only contiguous memory.
+/// evaluation: one [`Vertex`] record per breakpoint instead of
+/// `Arc<OperatingPoint>` references, so a hot loop evaluating thousands
+/// of cached frontiers touches only contiguous memory.
 ///
 /// Built once per `(points, alpha)` cohort with [`PlanFrontier::table`];
-/// each [`FrontierTable::eval`] afterwards is a short linear scan over the
-/// `K <= N + 1` breakpoints (frontiers are tiny — a handful of vertices —
-/// so the scan beats binary search) followed by the same interpolation
+/// each [`FrontierTable::eval`] afterwards is a short scan over the
+/// `K <= N + 1` breakpoints (frontiers are tiny — a handful of vertices
+/// — so the scan beats binary search) followed by the same interpolation
 /// [`PlanFrontier::solve`] performs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierTable {
-    /// Breakpoint budgets, ascending (`budgets[0]` is the floor).
-    budgets: Vec<f64>,
-    /// Vertex point accuracy (0 for the all-off vertex).
-    acc: Vec<f64>,
-    /// Vertex point power draw in watts (0 for the all-off vertex).
-    power_w: Vec<f64>,
-    /// Vertex point id (0 for the all-off vertex).
-    id: Vec<u8>,
-    /// Whether the vertex runs a point (`false` = the all-off vertex).
-    has_point: Vec<bool>,
+    /// Breakpoints, ascending by budget (`vertices[0]` is the all-off
+    /// vertex at the floor).
+    vertices: Vec<Vertex>,
     tp_s: f64,
     off_w: f64,
-    min_budget_j: f64,
 }
 
 impl PlanFrontier {
@@ -334,35 +484,31 @@ impl PlanFrontier {
     /// pointer-free evaluation.
     #[must_use]
     pub fn table(&self) -> FrontierTable {
-        let n = self.vertices.len();
-        let mut t = FrontierTable {
-            budgets: Vec::with_capacity(n),
-            acc: Vec::with_capacity(n),
-            power_w: Vec::with_capacity(n),
-            id: Vec::with_capacity(n),
-            has_point: Vec::with_capacity(n),
+        let vertices = self
+            .vertices
+            .iter()
+            .map(|v| match &v.point {
+                Some(p) => Vertex {
+                    budget_j: v.budget_j,
+                    accuracy: p.accuracy(),
+                    power_w: p.power().watts(),
+                    id: p.id(),
+                    has_point: true,
+                },
+                None => Vertex {
+                    budget_j: v.budget_j,
+                    accuracy: 0.0,
+                    power_w: 0.0,
+                    id: 0,
+                    has_point: false,
+                },
+            })
+            .collect();
+        FrontierTable {
+            vertices,
             tp_s: self.period.seconds(),
             off_w: self.off_power.watts(),
-            min_budget_j: self.min_budget_j,
-        };
-        for v in &self.vertices {
-            t.budgets.push(v.budget_j);
-            match &v.point {
-                Some(p) => {
-                    t.acc.push(p.accuracy());
-                    t.power_w.push(p.power().watts());
-                    t.id.push(p.id());
-                    t.has_point.push(true);
-                }
-                None => {
-                    t.acc.push(0.0);
-                    t.power_w.push(0.0);
-                    t.id.push(0);
-                    t.has_point.push(false);
-                }
-            }
         }
-        t
     }
 }
 
@@ -370,52 +516,34 @@ impl FrontierTable {
     /// The budget floor `P_off * TP` in joules (the first breakpoint).
     #[must_use]
     pub fn min_budget_j(&self) -> f64 {
-        self.min_budget_j
+        self.vertices[0].budget_j
     }
 
     /// The saturation budget (the last breakpoint) in joules: every
     /// budget at or above it buys the same plan, so callers may cache
     /// `eval(max_budget_j())` and reuse it for any richer budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty table (never produced by [`PlanFrontier::table`],
-    /// which always retains the off vertex).
     #[must_use]
     pub fn max_budget_j(&self) -> f64 {
-        *self.budgets.last().expect("tables retain the off vertex")
+        self.vertices[self.vertices.len() - 1].budget_j
     }
 
     /// Number of frontier breakpoints.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.budgets.len()
+        self.vertices.len()
     }
 
-    /// The `k`-th breakpoint as
-    /// `(budget_j, accuracy, power_w, id, has_point)` — the raw columns,
-    /// exported so batched callers can re-pack many cohorts' tables into
-    /// one contiguous arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k >= len()`.
-    #[must_use]
-    pub fn vertex(&self, k: usize) -> (f64, f64, f64, u8, bool) {
-        (
-            self.budgets[k],
-            self.acc[k],
-            self.power_w[k],
-            self.id[k],
-            self.has_point[k],
-        )
-    }
-
-    /// `true` when the table has no breakpoints (never happens for tables
-    /// built from a valid frontier, which always retains the off vertex).
+    /// Always `false`: a table retains at least the all-off vertex.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.budgets.is_empty()
+        self.vertices.is_empty()
+    }
+
+    /// The breakpoints, ascending by budget — exported so batched callers
+    /// can re-pack many cohorts' tables into one contiguous arena.
+    #[must_use]
+    pub fn vertices(&self) -> &[Vertex] {
+        &self.vertices
     }
 
     /// Evaluates the optimal plan at `budget_j`, returning the schedule
@@ -434,116 +562,15 @@ impl FrontierTable {
     }
 
     /// Single-user decide: the plan aggregates **plus** the (at most two)
-    /// per-point time shares of the optimal blend, without allocating —
-    /// the serving hot path, where a resident daemon answers
-    /// `Decide {user}` from a cached cohort frontier and needs the full
-    /// allocation (which points, for how long) rather than only the
-    /// aggregates.
-    ///
-    /// The aggregate arithmetic is shared with [`FrontierTable::eval`]
-    /// (which delegates here), so `decide(b).eval == eval(b)` bit for
-    /// bit, and the shares are exactly the allocations
-    /// [`PlanFrontier::solve`] would return after its sub-microsecond
-    /// drop rule, in ascending point-id order.
+    /// per-point time shares of the optimal blend, without allocating
+    /// ([`decide_vertices`] over this table) — the serving hot path,
+    /// where a resident daemon answers `Decide {user}` from a cached
+    /// cohort frontier. `decide(b).eval == eval(b)` bit for bit, and the
+    /// shares are exactly the allocations [`PlanFrontier::solve`] would
+    /// return, in ascending point-id order.
     #[must_use]
     pub fn decide(&self, budget_j: f64) -> Decision {
-        // `f64::max` maps NaN to the floor too, matching `Energy::max`.
-        let b = budget_j.max(self.min_budget_j);
-        let last = self.budgets.len() - 1;
-        let (k, lambda) = if last == 0 {
-            (0, 0.0)
-        } else if b >= self.budgets[last] {
-            (last - 1, 1.0)
-        } else {
-            // First vertex with budget > b; the scan mirrors `locate`'s
-            // `partition_point(..).max(1)`.
-            let mut hi = 1;
-            while hi < last && self.budgets[hi] <= b {
-                hi += 1;
-            }
-            let lo_b = self.budgets[hi - 1];
-            (
-                hi - 1,
-                ((b - lo_b) / (self.budgets[hi] - lo_b)).clamp(0.0, 1.0),
-            )
-        };
-        let hi_idx = (k + 1).min(last);
-        let tp = self.tp_s;
-
-        // Durations exactly as `PlanFrontier::solve` pushes them; the off
-        // time complements the *raw* active time (drops below come after).
-        let mut n = 0usize;
-        let mut dur = [0.0f64; 2];
-        let mut acc = [0.0f64; 2];
-        let mut pow = [0.0f64; 2];
-        let mut ids = [0u8; 2];
-        let mut active_raw = 0.0;
-        if self.has_point[k] {
-            let t = (1.0 - lambda) * tp;
-            active_raw += t;
-            dur[n] = t;
-            acc[n] = self.acc[k];
-            pow[n] = self.power_w[k];
-            ids[n] = self.id[k];
-            n = 1;
-        }
-        if lambda > 0.0 && self.has_point[hi_idx] {
-            let t = lambda * tp;
-            active_raw += t;
-            dur[n] = t;
-            acc[n] = self.acc[hi_idx];
-            pow[n] = self.power_w[hi_idx];
-            ids[n] = self.id[hi_idx];
-            n += 1;
-        }
-        let off_s = (tp - active_raw).max(0.0);
-
-        // `Schedule::new` sorts by point id and drops sub-microsecond
-        // allocations; the sums below run in the same (id) order.
-        if n == 2 && ids[1] < ids[0] {
-            dur.swap(0, 1);
-            acc.swap(0, 1);
-            pow.swap(0, 1);
-            ids.swap(0, 1);
-        }
-        let mut accuracy = 0.0;
-        let mut active_s = 0.0;
-        let mut active_e = 0.0;
-        let mut shares = [PlanShare {
-            id: 0,
-            seconds: 0.0,
-        }; 2];
-        let mut m = 0usize;
-        for j in 0..n {
-            if dur[j] > 1e-6 {
-                accuracy += acc[j] * (dur[j] / tp);
-                active_s += dur[j];
-                active_e += pow[j] * dur[j];
-                shares[m] = PlanShare {
-                    id: ids[j],
-                    seconds: dur[j],
-                };
-                m += 1;
-            }
-        }
-        Decision {
-            eval: PlanEval {
-                accuracy,
-                active_s,
-                energy_j: active_e + self.off_w * off_s,
-            },
-            off_s,
-            shares,
-            n_shares: m as u8,
-        }
-    }
-
-    /// Batched [`FrontierTable::eval`]: evaluates every budget in
-    /// `budgets_j` against the one cached frontier — the vectorized
-    /// `solve_many`-style entry point for cohort-deduplicated fleets.
-    #[must_use]
-    pub fn eval_many(&self, budgets_j: &[f64]) -> Vec<PlanEval> {
-        budgets_j.iter().map(|&b| self.eval(b)).collect()
+        decide_vertices(&self.vertices, self.tp_s, self.off_w, budget_j)
     }
 }
 
@@ -753,14 +780,13 @@ mod tests {
     }
 
     #[test]
-    fn table_eval_many_matches_eval() {
+    fn vertex_records_pack_into_32_bytes() {
+        // The fleet arena sizes its footprint off this record.
+        assert_eq!(std::mem::size_of::<Vertex>(), 32);
         let t = paper_problem(1.0).frontier().table();
-        let budgets = [0.18, 2.5, 5.0, 12.0];
-        let batch = t.eval_many(&budgets);
-        assert_eq!(batch.len(), budgets.len());
-        for (&b, e) in budgets.iter().zip(&batch) {
-            assert_eq!(*e, t.eval(b));
-        }
+        assert_eq!(t.vertices().len(), t.len());
+        assert_eq!(t.vertices()[0].budget_j, t.min_budget_j());
+        assert!(!t.vertices()[0].has_point);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! Two solvers are provided and cross-checked against each other:
 //!
 //! * [`ReapProblem::solve`] — the paper's Algorithm 1, a tableau simplex
-//!   (via the `reap-lp` crate);
-//! * [`ReapProblem::solve_closed_form`] — an exact `O(N^2)` vertex search
-//!   exploiting the fact that with two constraints an optimal basic
-//!   solution mixes at most **two** design points.
+//!   (via the `reap-lp` crate), kept as the test oracle;
+//! * [`PlanFrontier`] — the precomputed budget→schedule frontier, the
+//!   fast path: with two constraints an optimal basic solution mixes at
+//!   most **two** design points, so the optimum is an interpolation
+//!   between adjacent vertices of a concave hull.
 //!
 //! # Examples
 //!
@@ -79,13 +80,15 @@ mod sweep;
 pub use controller::{ReapController, SolverKind};
 pub use error::ReapError;
 pub use explain::{explain, BindingConstraint, Explanation};
-pub use frontier::{Decision, FrontierTable, PlanEval, PlanFrontier, PlanShare};
+pub use frontier::{
+    decide_vertices, Decision, FrontierTable, PlanEval, PlanFrontier, PlanShare, Vertex,
+};
 pub use horizon::{plan_horizon, HorizonPlan};
 pub use mpc::RecedingHorizonController;
 pub use operating_point::OperatingPoint;
 pub use problem::{ReapProblem, ReapProblemBuilder};
 pub use regions::{detect_regions, Region, RegionMap};
-pub use schedule::{Allocation, Schedule};
+pub use schedule::{Allocation, Schedule, DROP_S};
 pub use static_policy::static_schedule;
 pub use sweep::{
     alpha_sweep, energy_shadow_price, energy_sweep, linspace, AlphaSweepPoint, SweepPoint,

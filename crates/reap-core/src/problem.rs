@@ -229,17 +229,6 @@ impl ReapProblem {
         solver::solve_simplex(self, budget)
     }
 
-    /// Solves the problem exactly with the closed-form two-point vertex
-    /// search (see crate docs). Used to cross-check the simplex and as a
-    /// fast path for small `N`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReapError::BudgetTooSmall`] when `budget < P_off * TP`.
-    pub fn solve_closed_form(&self, budget: Energy) -> Result<Schedule, ReapError> {
-        solver::solve_closed_form(self, budget)
-    }
-
     /// Precomputes the full budget→schedule frontier for this problem's
     /// `(points, alpha)`, after which every solve is an `O(log K)` lookup
     /// (see [`PlanFrontier`]).

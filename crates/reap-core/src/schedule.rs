@@ -7,6 +7,10 @@ use reap_units::{Energy, Power, TimeSpan};
 
 use crate::OperatingPoint;
 
+/// Allocations of at most this many seconds are numerical noise: every
+/// plan (schedules, frontier tables, the fleet kernels) drops them.
+pub const DROP_S: f64 = 1e-6;
+
 /// Time allocated to one operating point within an activity period.
 ///
 /// The point is held behind an [`Arc`] shared with the owning
@@ -36,7 +40,7 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Assembles a schedule. Allocations with durations below 1 µs are
+    /// Assembles a schedule. Allocations of at most [`DROP_S`] are
     /// dropped as numerical noise.
     pub(crate) fn new(
         mut allocations: Vec<Allocation>,
@@ -44,7 +48,7 @@ impl Schedule {
         period: TimeSpan,
         off_power: Power,
     ) -> Schedule {
-        allocations.retain(|a| a.duration.seconds() > 1e-6);
+        allocations.retain(|a| a.duration.seconds() > DROP_S);
         allocations.sort_by_key(|a| a.point.id());
         Schedule {
             allocations,

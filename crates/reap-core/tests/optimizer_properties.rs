@@ -65,19 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn simplex_and_closed_form_agree((problem, budget) in arb_instance()) {
-        let alpha = problem.alpha();
-        let simplex = problem.solve(budget).expect("solvable");
-        let closed = problem.solve_closed_form(budget).expect("solvable");
-        prop_assert!(
-            (simplex.objective(alpha) - closed.objective(alpha)).abs()
-                <= 1e-9 * (1.0 + simplex.objective(alpha).abs()),
-            "simplex {} vs closed-form {}",
-            simplex.objective(alpha), closed.objective(alpha)
-        );
-    }
-
-    #[test]
     fn frontier_matches_simplex_at_random_budgets_breakpoints_and_floor(
         (problem, budget) in arb_instance()
     ) {

@@ -9,6 +9,7 @@
 use reap_units::Energy;
 
 use crate::forecast::DiurnalEwma;
+use crate::step::{self, BATTERY_GAIN, EWMA_ALPHA, GREEDY_GAIN};
 use crate::Battery;
 
 /// A policy that decides each period's energy budget from the harvesting
@@ -30,8 +31,8 @@ pub trait BudgetAllocator {
 }
 
 /// Spend-as-you-go: budget = last hour's harvest plus a battery-level
-/// correction toward a half-full target. Reactive and simple; serves as
-/// the weakest baseline.
+/// correction toward a half-full target ([`GREEDY_GAIN`]). Reactive and
+/// simple; serves as the weakest baseline.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyAllocator;
 
@@ -42,9 +43,7 @@ impl BudgetAllocator for GreedyAllocator {
         harvested_last_hour: Energy,
         battery: &Battery,
     ) -> Energy {
-        let target = battery.capacity() * 0.5;
-        let correction = (battery.level() - target) * 0.25;
-        (harvested_last_hour + correction).max(Energy::ZERO)
+        propose(harvested_last_hour.joules(), battery, GREEDY_GAIN)
     }
 
     fn name(&self) -> &'static str {
@@ -68,23 +67,18 @@ pub struct EwmaAllocator {
     /// Shared per-slot diurnal estimator (also used by
     /// [`EwmaForecaster`](crate::EwmaForecaster)).
     ewma: DiurnalEwma,
-    /// Fraction of the battery's divergence from target spent per hour.
-    battery_gain: f64,
     /// `false` until the first call: its `harvested_last_hour` describes
     /// an hour that never ran and must not seed any slot.
     first_call_done: bool,
 }
 
 impl EwmaAllocator {
-    /// Creates an allocator with the conventional smoothing factor 0.5
-    /// (as in Kansal et al.) and a gentle battery gain.
+    /// Creates an allocator with the conventional smoothing factor
+    /// [`EWMA_ALPHA`] (as in Kansal et al.) and the gentle
+    /// [`BATTERY_GAIN`].
     #[must_use]
     pub fn new() -> EwmaAllocator {
-        EwmaAllocator {
-            ewma: DiurnalEwma::new(0.5),
-            battery_gain: 0.1,
-            first_call_done: false,
-        }
+        EwmaAllocator::from_parts(DiurnalEwma::new(EWMA_ALPHA), false)
     }
 
     /// Overrides the smoothing factor (clamped to `(0, 1]`).
@@ -100,13 +94,6 @@ impl EwmaAllocator {
     #[must_use]
     pub fn estimate(&self, hour_of_day: u32) -> Energy {
         Energy::from_joules(self.ewma.expected(hour_of_day))
-    }
-
-    /// The battery-correction gain (fraction of the battery's divergence
-    /// from the half-full target budgeted per hour).
-    #[must_use]
-    pub fn battery_gain(&self) -> f64 {
-        self.battery_gain
     }
 
     /// The underlying diurnal estimator, for state extraction
@@ -131,7 +118,6 @@ impl EwmaAllocator {
     pub fn from_parts(ewma: DiurnalEwma, first_call_done: bool) -> EwmaAllocator {
         EwmaAllocator {
             ewma,
-            battery_gain: 0.1,
             first_call_done,
         }
     }
@@ -160,10 +146,7 @@ impl BudgetAllocator for EwmaAllocator {
         } else {
             self.first_call_done = true;
         }
-        let expected = self.ewma.expected(hour_of_day);
-        let target = battery.capacity() * 0.5;
-        let correction = (battery.level() - target).joules() * self.battery_gain;
-        Energy::from_joules((expected + correction).max(0.0))
+        propose(self.ewma.expected(hour_of_day), battery, BATTERY_GAIN)
     }
 
     fn name(&self) -> &'static str {
@@ -177,9 +160,9 @@ impl BudgetAllocator for EwmaAllocator {
 #[derive(Debug, Clone)]
 pub struct UniformDailyAllocator {
     window: [f64; 24],
-    cursor: usize,
+    /// Next window slot to fill, in `0..24`.
+    cursor: u8,
     filled: bool,
-    battery_gain: f64,
 }
 
 impl UniformDailyAllocator {
@@ -190,7 +173,6 @@ impl UniformDailyAllocator {
             window: [0.0; 24],
             cursor: 0,
             filled: false,
-            battery_gain: 0.1,
         }
     }
 }
@@ -208,7 +190,7 @@ impl BudgetAllocator for UniformDailyAllocator {
         harvested_last_hour: Energy,
         battery: &Battery,
     ) -> Energy {
-        self.window[self.cursor] = harvested_last_hour.joules();
+        self.window[usize::from(self.cursor)] = harvested_last_hour.joules();
         self.cursor = (self.cursor + 1) % 24;
         if self.cursor == 0 {
             self.filled = true;
@@ -216,19 +198,25 @@ impl BudgetAllocator for UniformDailyAllocator {
         let divisor = if self.filled {
             24.0
         } else {
-            // reap-lint: allow(unsafe:float-cast) -- cursor counts absorbed hours, far below 2^53; exact
-            self.cursor.max(1) as f64
+            f64::from(self.cursor.max(1))
         };
         let daily: f64 = self.window.iter().sum();
-        let per_hour = daily / divisor;
-        let target = battery.capacity() * 0.5;
-        let correction = (battery.level() - target).joules() * self.battery_gain;
-        Energy::from_joules((per_hour + correction).max(0.0))
+        propose(daily / divisor, battery, BATTERY_GAIN)
     }
 
     fn name(&self) -> &'static str {
         "uniform-daily"
     }
+}
+
+/// [`step::propose`] against `battery`.
+fn propose(expected_j: f64, battery: &Battery, gain: f64) -> Energy {
+    Energy::from_joules(step::propose(
+        expected_j,
+        battery.level().joules(),
+        battery.capacity().joules(),
+        gain,
+    ))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use reap_units::Energy;
 
-use crate::HarvestError;
+use crate::{step, HarvestError};
 
 /// A small energy buffer with charge/discharge efficiencies.
 ///
@@ -110,13 +110,18 @@ impl Battery {
     /// Panics if `energy` is negative.
     pub fn charge(&mut self, energy: Energy) -> Energy {
         assert!(!energy.is_negative(), "cannot charge negative energy");
-        let storable = energy * self.charge_efficiency;
-        let headroom = self.capacity - self.level;
-        let stored = storable.min(headroom);
-        self.level += stored;
+        let stored = step::charge(
+            self.level.joules(),
+            self.capacity.joules(),
+            self.charge_efficiency,
+            energy.joules(),
+        );
+        self.level += Energy::from_joules(stored);
         // Spill reported at the input side (before efficiency) for the
         // part that did not fit.
-        (storable - stored) / self.charge_efficiency
+        Energy::from_joules(
+            (energy.joules() * self.charge_efficiency - stored) / self.charge_efficiency,
+        )
     }
 
     /// Draws up to `energy` from the battery. Returns the energy actually
@@ -128,10 +133,30 @@ impl Battery {
     /// Panics if `energy` is negative.
     pub fn discharge(&mut self, energy: Energy) -> Energy {
         assert!(!energy.is_negative(), "cannot discharge negative energy");
-        let needed_internally = energy / self.discharge_efficiency;
-        let drawn = needed_internally.min(self.level);
-        self.level -= drawn;
-        drawn * self.discharge_efficiency
+        let drawn = step::discharge(
+            self.level.joules(),
+            self.discharge_efficiency,
+            energy.joules(),
+        );
+        self.level -= Energy::from_joules(drawn);
+        Energy::from_joules(drawn * self.discharge_efficiency)
+    }
+
+    /// Runs one step of a plan needing `needed` against this battery
+    /// with `harvested` arriving during the step ([`step::execute`]):
+    /// harvest first, then the battery, browning out proportionally when
+    /// both fall short. Returns the realized fraction of `needed`.
+    pub fn execute(&mut self, harvested: Energy, needed: Energy) -> f64 {
+        let (level, fraction) = step::execute(
+            self.level.joules(),
+            self.capacity.joules(),
+            self.charge_efficiency,
+            self.discharge_efficiency,
+            harvested.joules(),
+            needed.joules(),
+        );
+        self.level = Energy::from_joules(level);
+        fraction
     }
 
     /// How much energy a load could draw right now (post-efficiency).

@@ -17,6 +17,8 @@
 
 use reap_units::Energy;
 
+use crate::step;
+
 /// A source of per-hour harvest forecasts over a lookahead window.
 ///
 /// The simulation loop drives implementations with the same cadence as
@@ -78,7 +80,7 @@ impl DiurnalEwma {
     pub fn observe(&mut self, hour_of_day: u32, joules: f64) {
         let slot = (hour_of_day % 24) as usize;
         if self.seen[slot] {
-            self.estimates[slot] = (1.0 - self.alpha) * self.estimates[slot] + self.alpha * joules;
+            self.estimates[slot] = step::blend(self.estimates[slot], joules, self.alpha);
         } else {
             self.estimates[slot] = joules;
             self.seen[slot] = true;
@@ -174,10 +176,11 @@ pub struct EwmaForecaster {
 }
 
 impl EwmaForecaster {
-    /// Creates a forecaster with the conventional smoothing factor 0.5.
+    /// Creates a forecaster with the conventional smoothing factor
+    /// [`EWMA_ALPHA`](step::EWMA_ALPHA).
     #[must_use]
     pub fn new() -> EwmaForecaster {
-        EwmaForecaster::with_alpha(0.5)
+        EwmaForecaster::with_alpha(step::EWMA_ALPHA)
     }
 
     /// Creates a forecaster with an explicit smoothing factor (clamped to

@@ -28,7 +28,8 @@
 //! each is calibrated so its useful hours land inside the paper's
 //! 0.18–10 J evaluation regime. [`Battery`] and [`BudgetAllocator`]
 //! implementations turn harvests into per-period energy budgets
-//! (Kansal-style EWMA, greedy, and uniform-daily policies), and
+//! (Kansal-style EWMA, greedy, and uniform-daily policies) through the
+//! shared hour-step arithmetic in [`step`], and
 //! [`HarvestForecaster`] implementations produce the multi-hour
 //! forecast windows lookahead (receding-horizon) policies consume —
 //! a causal per-slot EWMA projection and a seeded noisy oracle.
@@ -67,6 +68,7 @@ mod panel;
 mod perturb;
 mod solar;
 mod source;
+pub mod step;
 mod thermoelectric;
 mod trace;
 

@@ -11,9 +11,10 @@
 //!
 //! Users sharing `(operating points, alpha)` form a cohort and resolve
 //! decisions through one cached [`FrontierTable`] — the same
-//! deduplication the SoA simulation core performs, keyed on the exact
-//! bit patterns of `(alpha, per-point id/accuracy/power)`. A `Decide`
-//! request is therefore a table walk, not an LP solve.
+//! [`CohortIndex`] deduplication the SoA simulation core performs. A
+//! `Decide` request is therefore a table walk, not an LP solve. Every
+//! budget goes through the shared hour-step functions
+//! ([`reap_harvest::step`]), exactly as in the simulation engines.
 //!
 //! Concurrency: users are striped over `S` shards (`user % S`), each
 //! behind its own rank-ordered mutex ([`OrderedLock`], class
@@ -27,18 +28,14 @@
 use crate::locks::{rank, OrderedLock};
 
 use reap_core::{Decision, FrontierTable, ReapProblem};
-use reap_harvest::{Battery, BudgetAllocator, EwmaAllocator};
-use reap_sim::Fleet;
-use reap_units::{Energy, Power};
+use reap_harvest::{step, Battery, BudgetAllocator, EwmaAllocator};
+use reap_sim::{CohortIndex, Fleet};
+use reap_units::Energy;
 
 use crate::protocol::{ErrorCode, FleetStats, ProtocolError};
 
 /// Sentinel for "no observation absorbed yet" in [`UserState::last_hour`].
 pub(crate) const NO_HOUR: u32 = u32::MAX;
-
-/// The off-state power every fleet device idles at (matches the SoA core
-/// and the scalar engine: 50 µW).
-const OFF_POWER_UW: f64 = 50.0;
 
 /// One user's live policy state.
 #[derive(Debug, Clone)]
@@ -120,40 +117,28 @@ impl FleetState {
         let mut fp = Fnv::new();
         fp.write_u64(u64::from(users));
 
-        // Cohort dedup: exact bit patterns of (alpha, per-point
-        // id/accuracy/power) — the same key the SoA simulation core uses,
-        // so a fleet reports the same cohort count served or simulated.
-        let mut cohort_keys: Vec<Vec<u64>> = Vec::new();
+        // Cohort dedup: the same index the SoA simulation core uses, so
+        // a fleet reports the same cohort count served or simulated.
+        let mut index = CohortIndex::default();
         let mut tables: Vec<FrontierTable> = Vec::new();
         let mut shard_users: Vec<Vec<UserState>> = vec![Vec::new(); shards];
 
         for u in 0..users {
             let params = fleet.user_params(u)?;
-            let mut key = Vec::with_capacity(1 + 3 * params.points.len());
-            key.push(params.alpha.to_bits());
-            for p in &params.points {
-                key.push(u64::from(p.id()));
-                key.push(p.accuracy().to_bits());
-                key.push(p.power().watts().to_bits());
-            }
+            let key = params.cohort_key();
             for &w in &key {
                 fp.write_u64(w);
             }
             fp.write_bytes(fleet.user_source(u).label().as_bytes());
 
-            let cohort = match cohort_keys.iter().position(|k| *k == key) {
-                Some(idx) => idx as u32,
-                None => {
-                    let problem = ReapProblem::builder()
-                        .alpha(params.alpha)
-                        .off_power(Power::from_microwatts(OFF_POWER_UW))
-                        .points(params.points.clone())
-                        .build()?;
-                    cohort_keys.push(key);
-                    tables.push(problem.frontier().table());
-                    (tables.len() - 1) as u32
-                }
-            };
+            let (cohort, new) = index.assign(key);
+            if new {
+                let problem = ReapProblem::builder()
+                    .alpha(params.alpha)
+                    .points(params.points)
+                    .build()?;
+                tables.push(problem.frontier().table());
+            }
 
             // reap-lint: allow(panic:index) -- `u % shards` is < shards == shard_users.len()
             shard_users[u as usize % shards].push(UserState {
@@ -309,11 +294,12 @@ impl FleetState {
                 }
             }
             // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
-            let floor = Energy::from_joules(tables[state.cohort as usize].min_budget_j());
+            let floor = tables[state.cohort as usize].min_budget_j();
             let harvested = Energy::from_joules(harvest_j);
             let proposed = state.alloc.allocate(hour, state.last_harvest, &state.vbat);
             let supply = state.vbat.deliverable() + harvested;
-            let budget = proposed.min(supply).max(floor.min(supply));
+            let budget =
+                Energy::from_joules(step::grant(proposed.joules(), floor, supply.joules()));
             state.vbat.charge(harvested);
             state.vbat.discharge(budget);
             state.last_harvest = harvested;
@@ -345,7 +331,6 @@ impl FleetState {
         self.with_user(user, |state, tables| {
             // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
             let table = &tables[state.cohort as usize];
-            let floor = Energy::from_joules(table.min_budget_j());
             let next_hour = if state.last_hour == NO_HOUR {
                 0
             } else {
@@ -355,11 +340,14 @@ impl FleetState {
                 .alloc
                 .clone()
                 .allocate(next_hour, state.last_harvest, &state.vbat);
-            let supply = state.vbat.deliverable();
-            let budget = proposed.min(supply).max(floor.min(supply));
+            let budget_j = step::grant(
+                proposed.joules(),
+                table.min_budget_j(),
+                state.vbat.deliverable().joules(),
+            );
             DecideOutcome {
-                budget_j: budget.joules(),
-                decision: table.decide(budget.joules()),
+                budget_j,
+                decision: table.decide(budget_j),
             }
         })
     }
@@ -473,6 +461,23 @@ mod tests {
         // what a fleet run reports.
         let report = fleet.run().unwrap();
         assert_eq!(state.cohorts(), report.cohorts());
+    }
+
+    #[test]
+    fn uniform_fleet_is_one_cohort_served_and_simulated() {
+        // No accuracy spread and a pinned alpha: every user shares one
+        // frontier, in the daemon and in the SoA core alike.
+        let fleet = Fleet::builder(reap_device::paper_table2_operating_points())
+            .users(12)
+            .days(1)
+            .accuracy_spread(0.0)
+            .alpha_range(1.0, 1.0)
+            .build()
+            .unwrap();
+        let state = FleetState::new(&fleet, 3).unwrap();
+        assert_eq!(state.cohorts(), 1);
+        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 1);
+        assert_eq!(fleet.run().unwrap().cohorts(), 1);
     }
 
     #[test]

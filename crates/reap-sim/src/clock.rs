@@ -1,32 +1,24 @@
-//! The event-driven, variable-dt simulation core.
+//! The event-driven core of batteryless (intermittent) operation.
 //!
-//! The scalar engine (`crate::engine`) advances one fixed hour at a
-//! time. This module generalizes that tick: the simulation advances on a
-//! binary heap of timestamped events — harvest edges (the hour-granular
-//! trace is resampled to the execution epoch `dt`), scheduled decisions,
-//! capacitor threshold crossings (wake-ups), forced power failures and
-//! restores — and executes in epochs of `dt` seconds (`dt` divides an
-//! hour evenly; `dt = 3600` is the scalar engine's granularity).
+//! Battery scenarios never come here: at any `dt` dividing the hour, the
+//! engine's hour loop (`crate::engine`) plans each trace hour once and
+//! executes it in `3600 / dt` equal steps, which needs no event queue.
+//! [`Scenario::run_event_driven`](crate::Scenario::run_event_driven) on a
+//! battery scenario returns that loop's report with [`ClockStats`] that
+//! count only the executed steps and the harvest offered.
 //!
-//! Two storage modes share the core:
-//!
-//! * **Battery mode** (no [`IntermittentConfig`]): the scenario's
-//!   [`Battery`] executes each epoch through the *same* `execute_step`
-//!   helper as the scalar engine, and planning goes through the same
-//!   `HourPlanner` (both private to the crate). At `dt = 3600` the two
-//!   engines therefore run identical arithmetic and produce bit-for-bit
-//!   identical reports — the differential harness in
-//!   `tests/dt_equivalence.rs` pins that.
-//! * **Intermittent mode** ([`IntermittentConfig`]): a capacitor-scale
-//!   store replaces the battery. The node lives in charge bursts:
-//!   **off → charging → on → brownout → off**. While off, charging is
-//!   advanced in closed form (piecewise-linear within each trace hour)
-//!   and the turn-on threshold crossing is computed analytically — one
-//!   event per off-hour instead of thousands of idle ticks. On turn-on
-//!   the node pays a calibrated restore tax; every completed epoch pays
-//!   a checkpoint tax and *commits* its work; a brownout mid-epoch
-//!   loses the uncommitted (volatile) epoch and kills the node until
-//!   the store recharges past the turn-on threshold.
+//! With an [`IntermittentConfig`] a capacitor-scale store replaces the
+//! battery, and the simulation advances on a binary heap of timestamped
+//! events — harvest edges, capacitor threshold crossings (wake-ups),
+//! execution epochs of `dt` seconds, forced power failures and restores.
+//! The node lives in charge bursts: **off → charging → on → brownout →
+//! off**. While off, charging is advanced in closed form
+//! (piecewise-linear within each trace hour) and the turn-on threshold
+//! crossing is computed analytically — one event per off-hour instead of
+//! thousands of idle ticks. On turn-on the node pays a calibrated restore
+//! tax; every completed epoch pays a checkpoint tax and *commits* its
+//! work; a brownout mid-epoch loses the uncommitted (volatile) epoch and
+//! kills the node until the store recharges past the turn-on threshold.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,7 +27,7 @@ use reap_core::{static_schedule, Schedule};
 use reap_harvest::{Battery, Capacitor};
 use reap_units::Energy;
 
-use crate::engine::{execute_step, HourPlanner, Policy};
+use crate::engine::{HourPlanner, Policy};
 use crate::report::{HourRecord, SimReport};
 use crate::{Scenario, SimError};
 
@@ -170,8 +162,8 @@ impl IntermittentConfig {
 pub struct EventRecord {
     /// Simulation time of the event, in seconds from trace start.
     pub at_s: u64,
-    /// Event tag: `"harvest-edge"`, `"decision"`, `"epoch"`, `"wake"`,
-    /// `"failure"`, `"restore"`, or `"end"`.
+    /// Event tag: `"harvest-edge"`, `"epoch"`, `"wake"`, `"failure"`,
+    /// `"restore"`, or `"end"`.
     pub kind: &'static str,
 }
 
@@ -179,7 +171,9 @@ pub struct EventRecord {
 ///
 /// The ledger fields record every mutation of the energy store in
 /// intermittent mode, so conservation is checkable to float rounding:
-/// [`ClockStats::ledger_drift`] must stay within `1e-9` J.
+/// [`ClockStats::ledger_drift`] must stay within `1e-9` J. A battery
+/// run fills in only [`ClockStats::epochs_committed`] (its executed
+/// steps) and [`ClockStats::harvest_offered_j`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClockStats {
     /// Events popped from the heap.
@@ -241,13 +235,13 @@ impl ClockStats {
 }
 
 /// An event-core run: the hour-by-hour [`SimReport`] (same shape the
-/// scalar engine produces), the core's [`ClockStats`], and — when
+/// hour loop produces), the core's [`ClockStats`], and — when
 /// [`ScenarioBuilder::trace_events`](crate::ScenarioBuilder::trace_events)
 /// is set — the processed event log.
 #[derive(Debug, Clone)]
 pub struct VdtRun {
-    /// The hour-by-hour report (bit-identical to the scalar engine's at
-    /// `dt = 3600` in battery mode).
+    /// The hour-by-hour report (on a battery scenario, exactly what
+    /// [`Scenario::run`](crate::Scenario::run) returns).
     pub report: SimReport,
     /// Event counters and the energy ledger.
     pub stats: ClockStats,
@@ -257,9 +251,9 @@ pub struct VdtRun {
 
 /// Event kinds, with the tie-break priority at equal timestamps encoded
 /// separately (restores come back before the world changes, harvest
-/// edges before decisions, decisions before epochs, failures *before*
-/// the epoch at the same timestamp so a kill at an epoch boundary
-/// pre-empts that epoch).
+/// edges before wake-ups and epochs, failures *before* the epoch at the
+/// same timestamp so a kill at an epoch boundary pre-empts that
+/// epoch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A forced outage ends.
@@ -270,8 +264,6 @@ enum EventKind {
     Failure,
     /// The store crossed (or may have crossed) the turn-on threshold.
     Wake,
-    /// Plan trace hour `h` (battery mode).
-    Decision(u32),
     /// Execute the epoch starting at this timestamp.
     Epoch,
     /// Trace end.
@@ -285,9 +277,8 @@ impl EventKind {
             EventKind::HarvestEdge(_) => 1,
             EventKind::Failure => 2,
             EventKind::Wake => 3,
-            EventKind::Decision(_) => 4,
-            EventKind::Epoch => 5,
-            EventKind::End => 6,
+            EventKind::Epoch => 4,
+            EventKind::End => 5,
         }
     }
 
@@ -297,7 +288,6 @@ impl EventKind {
             EventKind::HarvestEdge(_) => "harvest-edge",
             EventKind::Failure => "failure",
             EventKind::Wake => "wake",
-            EventKind::Decision(_) => "decision",
             EventKind::Epoch => "epoch",
             EventKind::End => "end",
         }
@@ -345,185 +335,34 @@ impl EventHeap {
     }
 }
 
-/// Runs `scenario` on the event core under `policy`, optionally reusing
-/// a precomputed open-loop budget sequence (battery mode only; the
-/// capacitor's budget layer is driven live).
+/// Runs `scenario` under `policy`, returning the report with the
+/// event core's statistics: the event core itself on a batteryless
+/// scenario, the engine's hour loop otherwise (no events; see
+/// [`ClockStats`]).
 ///
 /// # Errors
 ///
-/// Everything [`Scenario::run`] can return, plus
-/// [`SimError::InvalidParameter`] for [`Policy::Intermittent`] on a
-/// scenario without an [`IntermittentConfig`].
-pub(crate) fn run_event_driven_with_budgets(
-    scenario: &Scenario,
-    policy: Policy,
-    shared_budgets: Option<&[Energy]>,
-) -> Result<VdtRun, SimError> {
-    // Fail fast on unknown static ids, like the scalar engine.
-    if let Policy::Static(id) = policy {
-        scenario.problem.point(id)?;
+/// Everything [`Scenario::run`](crate::Scenario::run) can return,
+/// including [`SimError::InvalidParameter`] for [`Policy::Intermittent`]
+/// on a scenario without an [`IntermittentConfig`].
+pub(crate) fn run_event_driven(scenario: &Scenario, policy: Policy) -> Result<VdtRun, SimError> {
+    if let Some(config) = &scenario.intermittent {
+        return run_intermittent_mode(scenario, policy, config);
     }
-    if policy == Policy::Intermittent && scenario.intermittent.is_none() {
-        return Err(SimError::InvalidParameter(
-            "Policy::Intermittent requires a scenario with an IntermittentConfig \
-             (Scenario::builder().intermittent(..))"
-                .to_owned(),
-        ));
-    }
-    match &scenario.intermittent {
-        None => run_battery_mode(scenario, policy, shared_budgets),
-        Some(config) => run_intermittent_mode(scenario, policy, config),
-    }
-}
-
-/// Battery mode: the scalar engine's semantics on the event core. Each
-/// hour splits into `3600 / dt` epochs; the hour's harvest and planned
-/// energy are spread uniformly across them and each epoch executes
-/// through [`execute_step`]. At `dt = 3600` this is one call per hour
-/// with the *original* hour values — bit-identical to the scalar loop.
-fn run_battery_mode(
-    scenario: &Scenario,
-    policy: Policy,
-    shared_budgets: Option<&[Energy]>,
-) -> Result<VdtRun, SimError> {
-    let dt = u64::from(scenario.dt_seconds);
-    let steps_per_hour = HOUR_S / dt;
-    let frac = 1.0 / to_f64(steps_per_hour);
-    let harvest: Vec<Energy> = scenario.trace.iter().collect();
-    let total_hours = harvest.len();
-    let end_s = total_hours as u64 * HOUR_S;
-
-    let mut planner = HourPlanner::new(scenario, policy, shared_budgets)?;
-    let mut battery = scenario.battery.clone();
-    let mut stats = ClockStats::default();
-    let mut events = Vec::new();
-    let mut hours = Vec::with_capacity(total_hours);
-
-    let mut heap = EventHeap::new();
-    for h in 0..total_hours {
-        let at = h as u64 * HOUR_S;
-        heap.push(at, EventKind::HarvestEdge(h as u32));
-        heap.push(at, EventKind::Decision(h as u32));
-    }
-    heap.push(end_s, EventKind::End);
-    heap.push(0, EventKind::Epoch);
-
-    // Per-hour scratch state.
-    let mut hour_harvest = Energy::ZERO;
-    let mut current_plan: Option<(Energy, Schedule)> = None;
-    // Exactly one of these carries the hour's realized fraction: at
-    // dt = 3600 the single step's fraction is taken verbatim (bitwise
-    // identical to the scalar engine); at sub-hour dt the supplied
-    // joules accumulate and the ratio is formed at the hour edge.
-    let mut hour_fraction = 1.0;
-    let mut hour_supplied = 0.0f64;
-
-    let finalize_hour = |h: usize,
-                         hours: &mut Vec<HourRecord>,
-                         planner: &mut HourPlanner<'_>,
-                         battery: &Battery,
-                         hour_harvest: Energy,
-                         current_plan: &Option<(Energy, Schedule)>,
-                         hour_fraction: f64,
-                         hour_supplied: f64| {
-        let (budget, planned) = current_plan
-            .clone()
-            .expect("a Decision event planned this hour before any epoch ran");
-        let realized_fraction = if steps_per_hour == 1 {
-            hour_fraction
-        } else {
-            let needed = planned.energy().joules();
-            if needed > 0.0 {
-                (hour_supplied / needed).clamp(0.0, 1.0)
-            } else {
-                1.0
-            }
-        };
-        hours.push(HourRecord {
-            day: (h / 24) as u32,
-            hour: (h % 24) as u32,
-            harvested: hour_harvest,
-            budget,
-            planned,
-            realized_fraction,
-            battery_level: battery.level(),
-        });
-        planner.end_hour(h, hour_harvest);
+    let report = crate::engine::run(scenario, policy)?;
+    let steps_per_hour = u64::from(3600 / scenario.dt_seconds);
+    let stats = ClockStats {
+        epochs_committed: report.hours().len() as u64 * steps_per_hour,
+        harvest_offered_j: report
+            .hours()
+            .iter()
+            .fold(0.0, |sum, h| sum + h.harvested.joules()),
+        ..ClockStats::default()
     };
-
-    while let Some(ev) = heap.pop() {
-        stats.events += 1;
-        if scenario.trace_events {
-            events.push(EventRecord {
-                at_s: ev.at,
-                kind: ev.kind.tag(),
-            });
-        }
-        match ev.kind {
-            EventKind::HarvestEdge(h) => {
-                let h = h as usize;
-                if h > 0 {
-                    finalize_hour(
-                        h - 1,
-                        &mut hours,
-                        &mut planner,
-                        &battery,
-                        hour_harvest,
-                        &current_plan,
-                        hour_fraction,
-                        hour_supplied,
-                    );
-                }
-                hour_harvest = harvest[h];
-                stats.harvest_offered_j += hour_harvest.joules();
-                hour_fraction = 1.0;
-                hour_supplied = 0.0;
-            }
-            EventKind::Decision(h) => {
-                let (budget, planned) = planner.plan_hour(h as usize, hour_harvest, &battery)?;
-                current_plan = Some((budget, planned));
-            }
-            EventKind::Epoch => {
-                let (_, planned) = current_plan
-                    .as_ref()
-                    .expect("a Decision event precedes the first epoch of every hour");
-                if steps_per_hour == 1 {
-                    hour_fraction = execute_step(&mut battery, hour_harvest, planned.energy());
-                } else {
-                    let step_needed = planned.energy() * frac;
-                    let step_harvest = hour_harvest * frac;
-                    let sf = execute_step(&mut battery, step_harvest, step_needed);
-                    hour_supplied += step_needed.joules() * sf;
-                }
-                stats.epochs_committed += 1;
-                if ev.at + dt < end_s {
-                    heap.push(ev.at + dt, EventKind::Epoch);
-                }
-            }
-            EventKind::End => {
-                finalize_hour(
-                    total_hours - 1,
-                    &mut hours,
-                    &mut planner,
-                    &battery,
-                    hour_harvest,
-                    &current_plan,
-                    hour_fraction,
-                    hour_supplied,
-                );
-                break;
-            }
-            EventKind::Restore | EventKind::Failure | EventKind::Wake => {
-                unreachable!("battery mode schedules no intermittency events")
-            }
-        }
-    }
-
-    let energy_layer = planner.energy_layer();
     Ok(VdtRun {
-        report: SimReport::new(policy, energy_layer, scenario.problem.alpha(), hours),
+        report,
         stats,
-        events,
+        events: Vec::new(),
     })
 }
 
@@ -896,11 +735,15 @@ fn current_hour(t: u64, end_s: u64) -> usize {
 
 /// Intermittent mode: the capacitor store with power-failure and
 /// checkpoint/restore semantics.
-fn run_intermittent_mode(
+pub(crate) fn run_intermittent_mode(
     scenario: &Scenario,
     policy: Policy,
     config: &IntermittentConfig,
 ) -> Result<VdtRun, SimError> {
+    // Fail fast on unknown static ids, even if the node never boots.
+    if let Policy::Static(id) = policy {
+        scenario.problem.point(id)?;
+    }
     // The open-loop protocol precomputes budgets against the scenario
     // *battery*, which does not exist here: on a capacitor the hourly
     // budget layer always runs closed-loop against the live store.
@@ -1039,9 +882,6 @@ fn run_intermittent_mode(
                 core.advance_off(to_f64(ev.at));
                 core.finalize_hour(total_hours - 1);
                 break;
-            }
-            EventKind::Decision(_) => {
-                unreachable!("intermittent mode plans inside epochs, not via Decision events")
             }
         }
     }

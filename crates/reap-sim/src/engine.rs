@@ -4,6 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule, SolverKind};
+use reap_harvest::step;
 use reap_units::Energy;
 
 use crate::report::{HourRecord, SimReport};
@@ -72,21 +73,19 @@ impl fmt::Display for Policy {
 pub(crate) fn open_loop_budgets(scenario: &Scenario) -> Vec<Energy> {
     let mut allocator = scenario.allocator.instantiate();
     let mut virtual_battery = scenario.battery.clone();
-    let floor = scenario.problem.min_budget();
+    let floor = scenario.problem.min_budget().joules();
     let mut budgets = Vec::with_capacity(scenario.trace.len_hours());
     let mut harvested_last_hour = Energy::ZERO;
     for (i, harvested) in scenario.trace.iter().enumerate() {
         let hour = (i % 24) as u32;
         let proposed = allocator.allocate(hour, harvested_last_hour, &virtual_battery);
-        // Grant no more than the virtual supply could actually deliver.
-        // The floor clamp counts the hour's own harvest, exactly like the
-        // grant cap above: execution banks the incoming harvest before
-        // (virtually) spending the budget, so the monitoring floor is
-        // reachable whenever battery *plus* same-hour harvest covers it —
-        // a dark battery must not deny the floor in a bright hour.
-        let budget = proposed
-            .min(virtual_battery.deliverable() + harvested)
-            .max(floor.min(virtual_battery.deliverable() + harvested));
+        // Grant no more than the virtual supply could actually deliver,
+        // and count the hour's own harvest toward the floor: execution
+        // banks the incoming harvest before (virtually) spending the
+        // budget, so a dark battery must not deny the floor in a bright
+        // hour.
+        let supply = virtual_battery.deliverable() + harvested;
+        let budget = Energy::from_joules(step::grant(proposed.joules(), floor, supply.joules()));
         // Virtual accounting: the whole budget is spent, the harvest is
         // banked.
         virtual_battery.charge(harvested);
@@ -97,16 +96,13 @@ pub(crate) fn open_loop_budgets(scenario: &Scenario) -> Vec<Energy> {
     budgets
 }
 
-/// The per-hour planning pipeline, extracted so the scalar hourly loop
-/// below and the event-driven core ([`crate::clock`]) run *the same*
-/// arithmetic: budget proposal (precomputed open-loop sequence or live
-/// allocator), floor clamp, and policy planning (frontier / static
-/// duty-cycle / receding-horizon MPC).
-///
-/// Bit-for-bit equivalence between the two engines at dt = 1 h rests on
-/// both calling [`HourPlanner::plan_hour`] then [`HourPlanner::end_hour`]
-/// exactly once per hour, in order — the differential harness in
-/// `tests/dt_equivalence.rs` pins that property.
+/// The per-hour planning pipeline: budget proposal (precomputed
+/// open-loop sequence or live allocator), floor clamp, and policy
+/// planning (frontier / static duty-cycle / receding-horizon MPC). The
+/// battery loop below and the event core's intermittent mode
+/// ([`crate::clock`]) both plan through it, calling
+/// [`HourPlanner::plan_hour`] then [`HourPlanner::end_hour`] once per
+/// hour, in order.
 pub(crate) struct HourPlanner<'s> {
     scenario: &'s Scenario,
     policy: Policy,
@@ -210,7 +206,11 @@ impl<'s> HourPlanner<'s> {
                         let proposed =
                             self.allocator
                                 .allocate(hour, self.harvested_last_hour, battery);
-                        proposed.max(self.floor.min(battery.deliverable() + harvested))
+                        Energy::from_joules(step::floor_clamp(
+                            proposed.joules(),
+                            self.floor.joules(),
+                            (battery.deliverable() + harvested).joules(),
+                        ))
                     }
                 };
                 let planned = match self.policy {
@@ -249,51 +249,24 @@ impl<'s> HourPlanner<'s> {
     }
 }
 
-/// Executes one step against a battery: draw from the incoming harvest
-/// first, then the battery; brown out proportionally if supply falls
-/// short. Returns the realized fraction of `needed` in `[0, 1]`.
-///
-/// Shared verbatim between the scalar hourly loop and the event core's
-/// battery mode — the arithmetic here *is* the execution semantics both
-/// engines are pinned to.
-pub(crate) fn execute_step(
-    battery: &mut reap_harvest::Battery,
-    harvested: Energy,
-    needed: Energy,
-) -> f64 {
-    let mut realized_fraction = 1.0;
-    if harvested >= needed {
-        battery.charge(harvested - needed);
-    } else {
-        let deficit = needed - harvested;
-        let delivered = battery.discharge(deficit);
-        if delivered.joules() + 1e-12 < deficit.joules() {
-            let supplied = harvested + delivered;
-            realized_fraction = if needed.joules() > 0.0 {
-                (supplied / needed).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-        }
-    }
-    realized_fraction
-}
-
 /// Runs `scenario` under `policy`, optionally against an open-loop budget
 /// sequence the caller already computed (`None` derives budgets from the
-/// scenario's own mode, exactly as before).
+/// scenario's own mode).
 ///
-/// Scenarios configured for the event core (sub-hour `dt_seconds` or an
-/// [`IntermittentConfig`](crate::IntermittentConfig)) are routed to
-/// [`crate::clock`]; everything else takes the scalar hourly loop below.
+/// Batteryless scenarios (an [`IntermittentConfig`](crate::IntermittentConfig))
+/// take the event core in [`crate::clock`]. Everything else runs the hour
+/// loop: each trace hour is planned once, then executed in `3600 / dt`
+/// equal steps, each spreading the hour's harvest and planned energy
+/// evenly and going through [`Battery::execute`](reap_harvest::Battery::execute).
+/// At one step per hour the step's realized fraction is the hour's; at
+/// sub-hour steps the hour realizes the supplied share of its plan.
 pub(crate) fn run_with_budgets(
     scenario: &Scenario,
     policy: Policy,
     shared_budgets: Option<&[Energy]>,
 ) -> Result<SimReport, SimError> {
-    if scenario.uses_event_core() {
-        return crate::clock::run_event_driven_with_budgets(scenario, policy, shared_budgets)
-            .map(|run| run.report);
+    if let Some(config) = &scenario.intermittent {
+        return crate::clock::run_intermittent_mode(scenario, policy, config).map(|run| run.report);
     }
     // Fail fast on unknown static ids.
     if let Policy::Static(id) = policy {
@@ -301,18 +274,30 @@ pub(crate) fn run_with_budgets(
     }
     let mut planner = HourPlanner::new(scenario, policy, shared_budgets)?;
     let mut battery = scenario.battery.clone();
-    let total_hours = scenario.trace.len_hours();
-    let mut hours = Vec::with_capacity(total_hours);
+    let steps = 3600 / scenario.dt_seconds;
+    let step_frac = 1.0 / f64::from(steps);
+    let mut hours = Vec::with_capacity(scenario.trace.len_hours());
 
     for (i, harvested) in scenario.trace.iter().enumerate() {
-        let day = (i / 24) as u32;
-        let hour = (i % 24) as u32;
         let (budget, planned) = planner.plan_hour(i, harvested, &battery)?;
         let needed = planned.energy();
-        let realized_fraction = execute_step(&mut battery, harvested, needed);
+        let realized_fraction = if steps == 1 {
+            battery.execute(harvested, needed)
+        } else {
+            let (step_harvest, step_needed) = (harvested * step_frac, needed * step_frac);
+            let mut supplied = 0.0;
+            for _ in 0..steps {
+                supplied += step_needed.joules() * battery.execute(step_harvest, step_needed);
+            }
+            if needed.joules() > 0.0 {
+                (supplied / needed.joules()).clamp(0.0, 1.0)
+            } else {
+                1.0
+            }
+        };
         hours.push(HourRecord {
-            day,
-            hour,
+            day: (i / 24) as u32,
+            hour: (i % 24) as u32,
             harvested,
             budget,
             planned,

@@ -19,6 +19,8 @@
 //! count**, because parallelism only changes which core runs a user,
 //! never the arithmetic or the aggregation order.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, OnceLock};
@@ -114,6 +116,49 @@ pub struct UserParams {
     /// The user's harvest-trace perturbation (gain + phase over the
     /// shared base trace).
     pub perturbation: TracePerturbation,
+}
+
+impl UserParams {
+    /// The user's cohort key: the exact bits of `alpha` and of every
+    /// point's id, accuracy and power. Users with equal keys share every
+    /// input of a frontier build, so one cached frontier serves them all.
+    #[must_use]
+    pub fn cohort_key(&self) -> Vec<u64> {
+        let mut key = Vec::with_capacity(1 + 3 * self.points.len());
+        key.push(self.alpha.to_bits());
+        for p in &self.points {
+            key.push(u64::from(p.id()));
+            key.push(p.accuracy().to_bits());
+            key.push(p.power().watts().to_bits());
+        }
+        key
+    }
+}
+
+/// Cohort deduplication: numbers distinct [`UserParams::cohort_key`]s
+/// in first-seen order, in `O(log cohorts)` per user. The SoA core and
+/// the resident serving state both group users through it, so a fleet
+/// reports the same cohorts simulated or served.
+#[derive(Debug, Clone, Default)]
+pub struct CohortIndex {
+    ids: BTreeMap<Vec<u64>, u32>,
+}
+
+impl CohortIndex {
+    /// The cohort of `key`, and whether this call created it.
+    pub fn assign(&mut self, key: Vec<u64>) -> (u32, bool) {
+        let next = self.cohorts();
+        match self.ids.entry(key) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => (*e.insert(next), true),
+        }
+    }
+
+    /// Distinct cohorts seen so far.
+    #[must_use]
+    pub fn cohorts(&self) -> u32 {
+        self.ids.len() as u32
+    }
 }
 
 /// Builder for [`Fleet`]; see [`Fleet::builder`].

@@ -55,7 +55,9 @@ pub use clock::{ClockStats, EventRecord, IntermittentConfig, VdtRun};
 pub use engine::Policy;
 pub use error::SimError;
 pub use fidelity::{execute_schedule, ExecutionOutcome, PointOutcome};
-pub use fleet::{Fleet, FleetBuilder, FleetReport, Percentiles, SourceSlice, UserParams};
+pub use fleet::{
+    CohortIndex, Fleet, FleetBuilder, FleetReport, Percentiles, SourceSlice, UserParams,
+};
 pub use matrix::{run_matrix, run_matrix_with_threads};
 pub use recognition::{sample_hour, sample_report, HourRecognitions};
 pub use report::{HourRecord, SimReport};

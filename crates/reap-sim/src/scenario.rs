@@ -92,9 +92,8 @@ pub struct Scenario {
     pub(crate) allocator: AllocatorKind,
     pub(crate) budget_mode: BudgetMode,
     pub(crate) forecaster: ForecasterKind,
-    /// Execution-epoch length of the event core, in seconds. 3600 (the
-    /// default) with no [`IntermittentConfig`] keeps the scalar hourly
-    /// engine; anything else routes through [`crate::clock`].
+    /// Execution step length in seconds (3600, the default, is one step
+    /// per hour): the hour loop's step and the event core's epoch.
     pub(crate) dt_seconds: u32,
     /// Capacitor-scale intermittent operation, when configured.
     pub(crate) intermittent: Option<IntermittentConfig>,
@@ -108,7 +107,8 @@ pub struct ScenarioBuilder {
     trace: HarvestTrace,
     points: Vec<OperatingPoint>,
     alpha: f64,
-    off_power: Power,
+    /// `None` keeps [`ReapProblem`]'s default off power.
+    off_power: Option<Power>,
     battery: Battery,
     allocator: AllocatorKind,
     budget_mode: BudgetMode,
@@ -150,7 +150,7 @@ impl Scenario {
             trace,
             points: Vec::new(),
             alpha: 1.0,
-            off_power: Power::from_microwatts(50.0),
+            off_power: None,
             battery: Battery::small_wearable(),
             allocator: AllocatorKind::default(),
             budget_mode: BudgetMode::default(),
@@ -188,24 +188,23 @@ impl Scenario {
     }
 
     /// `true` when running this scenario takes the event-driven core
-    /// ([`crate::clock`]) instead of the scalar hourly loop: a sub-hour
-    /// `dt` or an [`IntermittentConfig`] is set.
+    /// ([`crate::clock`]) instead of the hour loop: an
+    /// [`IntermittentConfig`] is set.
     #[must_use]
     pub fn uses_event_core(&self) -> bool {
-        self.dt_seconds != 3600 || self.intermittent.is_some()
+        self.intermittent.is_some()
     }
 
-    /// Runs the scenario on the event-driven core regardless of
-    /// configuration, returning the report *plus* the core's event
-    /// statistics and energy ledger ([`crate::ClockStats`]).
+    /// Runs the scenario like [`Scenario::run`], returning the report
+    /// *plus* the event core's statistics and energy ledger
+    /// ([`crate::ClockStats`]). A battery scenario takes the hour loop,
+    /// whose statistics count only its steps and the harvest offered.
     ///
     /// # Errors
     ///
-    /// Same as [`Scenario::run`], plus rejection of
-    /// [`Policy::Intermittent`] on scenarios without an
-    /// [`IntermittentConfig`].
+    /// Same as [`Scenario::run`].
     pub fn run_event_driven(&self, policy: Policy) -> Result<crate::VdtRun, SimError> {
-        crate::clock::run_event_driven_with_budgets(self, policy, None)
+        crate::clock::run_event_driven(self, policy)
     }
 
     /// Runs the scenario under a policy, returning the hour-by-hour
@@ -256,10 +255,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the off-state power (default 50 µW).
+    /// Sets the off-state power (default: [`ReapProblem`]'s, 50 µW).
     #[must_use]
     pub fn off_power(mut self, off_power: Power) -> Self {
-        self.off_power = off_power;
+        self.off_power = Some(off_power);
         self
     }
 
@@ -292,9 +291,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the event core's execution-epoch length in seconds (default
-    /// 3600 = one hour). Must divide an hour evenly. Any value other
-    /// than 3600 routes the scenario through the event-driven core.
+    /// Sets the execution step length in seconds (default 3600 = one
+    /// hour). Must divide an hour evenly. The hour loop then executes
+    /// each hour's plan in `3600 / dt` equal steps; a batteryless
+    /// scenario's event core runs epochs of this length.
     #[must_use]
     pub fn dt_seconds(mut self, dt_seconds: u32) -> Self {
         self.dt_seconds = dt_seconds;
@@ -341,11 +341,11 @@ impl ScenarioBuilder {
                 self.dt_seconds
             )));
         }
-        let problem = ReapProblem::builder()
-            .alpha(self.alpha)
-            .off_power(self.off_power)
-            .points(self.points)
-            .build()?;
+        let mut problem = ReapProblem::builder().alpha(self.alpha).points(self.points);
+        if let Some(off_power) = self.off_power {
+            problem = problem.off_power(off_power);
+        }
+        let problem = problem.build()?;
         Ok(Scenario {
             trace: self.trace,
             problem,

@@ -9,11 +9,11 @@
 //! * fleet state lives in flat arrays (battery joules, EWMA slots,
 //!   accumulators as `Vec<f64>`; cohort ids as `Vec<u32>`), stepped by
 //!   tight per-hour kernels that allocate nothing per user;
-//! * users sharing `(operating points, alpha)` form a *cohort* and
-//!   resolve through one cached [`FrontierTable`](reap_core::FrontierTable)
-//!   — the frontier build is
-//!   shared and each hourly budget lookup is a pointer-free linear
-//!   interpolation ([`reap_core::FrontierTable::eval`]);
+//! * users sharing `(operating points, alpha)` form a *cohort*
+//!   ([`CohortIndex`]) and resolve through one cached frontier: the
+//!   frontier build is shared, and each hourly budget lookup is
+//!   [`reap_core::decide_vertices`] over the cohort's run of
+//!   [`Vertex`] records in one contiguous arena;
 //! * users on the same harvest source share one base trace and store
 //!   only their [`TracePerturbation`](reap_harvest::TracePerturbation)
 //!   (16 bytes) instead of a materialized month;
@@ -23,37 +23,26 @@
 //!   hours before the next shard starts, so the working set stays
 //!   cache-resident, and shards parallelize across worker threads.
 //!
-//! Every per-user arithmetic step replicates the scalar engine's
-//! operations in the same order on the same values, so per-user outcomes
-//! are bit-identical to [`Fleet::user_scenario`] replay — a property the
-//! `soa_equivalence` tests pin (to 1e-12, though in practice exact).
-//! [`Policy::Horizon`] is the exception: its joint LP keeps genuinely
-//! per-user state, so the fleet falls back to the scalar engine for it.
+//! Every per-user step calls the same hour-step functions as the scalar
+//! engine ([`reap_harvest::step`] for allocation and execution,
+//! [`reap_core::decide_vertices`] for planning) on the same values, so
+//! per-user outcomes are bit-identical to [`Fleet::user_scenario`]
+//! replay — a property the `soa_equivalence` tests pin (to 1e-12, though
+//! in practice exact). [`Policy::Horizon`] is the exception: its joint
+//! LP keeps genuinely per-user state, so the fleet falls back to the
+//! scalar engine for it.
 
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use reap_core::{OperatingPoint, ReapProblem};
+use reap_core::{OperatingPoint, PlanEval, ReapProblem, Vertex, DROP_S};
+use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA, GREEDY_GAIN};
 use reap_harvest::{Battery, SourceKind};
-use reap_units::Power;
 
 use crate::engine::Policy;
-use crate::fleet::Fleet;
+use crate::fleet::{CohortIndex, Fleet};
 use crate::{AllocatorKind, SimError};
-
-/// The EWMA allocator's smoothing factor (`EwmaAllocator::new`).
-const EWMA_ALPHA: f64 = 0.5;
-/// The EWMA / uniform-daily allocators' battery gain.
-const BATTERY_GAIN: f64 = 0.1;
-/// The greedy allocator's battery gain.
-const GREEDY_GAIN: f64 = 0.25;
-/// The engine's brownout tolerance: a delivery within 1e-12 J of the
-/// deficit still counts as a fully realized hour.
-const BROWNOUT_EPS_J: f64 = 1e-12;
-/// `Schedule::new` drops allocations at or below this duration.
-const DROP_S: f64 = 1e-6;
 
 /// Per-user final scalars of one fleet run — exactly what
 /// [`FleetReport`](crate::FleetReport) aggregates.
@@ -77,33 +66,6 @@ struct StaticPoint {
     marginal_w: f64,
 }
 
-/// A cohort's plan in one of the two constant regimes of its frontier:
-/// at the budget floor (every sub-floor budget clamps up to it) or at
-/// saturation (every budget at or above the last breakpoint buys the
-/// same plan). Most simulated hours land in one of the two — dark hours
-/// pin the budget to the floor, bright hours overshoot the frontier — so
-/// the plan pass resolves them from this cache without touching the
-/// frontier arena.
-#[derive(Debug, Clone, Copy)]
-struct CachedPlan {
-    acc: f64,
-    act_s: f64,
-    pen_j: f64,
-}
-
-/// One frontier breakpoint in the cohort vertex arena:
-/// [`reap_core::FrontierTable`]'s per-vertex columns interleaved, so one
-/// budget eval touches a single contiguous ~200-byte run instead of five
-/// heap arrays behind a table pointer.
-#[derive(Debug, Clone, Copy)]
-struct Vert {
-    budget: f64,
-    acc: f64,
-    pow_w: f64,
-    id: u8,
-    has: bool,
-}
-
 /// A contiguous run of permuted users sharing `(base trace, phase)`, so
 /// the hour kernel hoists the base-trace lookup out of the user loop.
 #[derive(Debug, Clone, Copy)]
@@ -121,6 +83,29 @@ enum PlanKernel {
     Reap,
     Static(Vec<StaticPoint>),
     Scalar,
+}
+
+/// The battery every fleet user starts from, as plain scalars.
+#[derive(Debug, Clone, Copy)]
+struct Store {
+    cap_j: f64,
+    eff_c: f64,
+    eff_d: f64,
+}
+
+impl Store {
+    /// One user's open-loop allocation step (`open_loop_budgets`): the
+    /// allocator proposal against the virtual battery at `v`, the grant
+    /// against the supply (`v`'s deliverable energy plus the hour's
+    /// harvest `h`), then the virtual charge and spend. Returns the
+    /// granted budget and the virtual level after the hour.
+    #[inline(always)]
+    fn open_loop(self, v: f64, h: f64, expected: f64, gain: f64, floor_j: f64) -> (f64, f64) {
+        let proposed = step::propose(expected, v, self.cap_j, gain);
+        let budget = step::grant(proposed, floor_j, v * self.eff_d + h);
+        let v = v + step::charge(v, self.cap_j, self.eff_c, h);
+        (budget, v - step::discharge(v, self.eff_d, budget))
+    }
 }
 
 /// A fleet flattened into struct-of-arrays form, ready to step every
@@ -145,10 +130,8 @@ pub struct SoaFleet {
     tp_s: f64,
     off_w: f64,
     // Battery constants (every fleet user starts from the same battery).
-    cap_j: f64,
+    store: Store,
     init_j: f64,
-    eff_c: f64,
-    eff_d: f64,
     /// Shared base traces in joules, one per distinct source kind used.
     traces: Vec<Vec<f64>>,
     /// Permuted position -> original user index.
@@ -162,14 +145,14 @@ pub struct SoaFleet {
     /// Frontier vertices of every REAP cohort, one interleaved arena.
     /// Cohorts are numbered in permuted first-use order, so the hour
     /// kernel reads this in ascending offsets across a shard.
-    verts: Vec<Vert>,
+    verts: Vec<Vertex>,
     /// Per cohort: its vertex run is `verts[vert_off[c]..vert_off[c+1]]`
     /// (`cohorts + 1` entries; empty unless the kernel is REAP).
     vert_off: Vec<u32>,
     /// Per cohort: the plan at the budget floor.
-    floor_plan: Vec<CachedPlan>,
+    floor_plan: Vec<PlanEval>,
     /// Per cohort: the plan at frontier saturation.
-    sat_plan: Vec<CachedPlan>,
+    sat_plan: Vec<PlanEval>,
     /// Per cohort: the saturation budget (`f64::INFINITY` disables the
     /// fast path, e.g. for static plans whose cap is rounding-sensitive).
     sat_budget: Vec<f64>,
@@ -211,13 +194,11 @@ impl SoaFleet {
             traces.push(base.iter().map(|e| e.joules()).collect());
         }
 
-        // Per-user parameters and cohort deduplication. The cohort key is
-        // the exact bit pattern of (alpha, per-point id/accuracy/power):
-        // cohort mates share every input of the frontier build.
+        // Per-user parameters and cohort deduplication.
         let wants_tables = matches!(fleet.policy, Policy::Reap | Policy::Static(_))
             && fleet.intermittent.is_none()
             && fleet.dt_seconds == 3600;
-        let mut cohort_map: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
+        let mut index = CohortIndex::default();
         let mut cohort_params: Vec<(f64, Vec<OperatingPoint>)> = Vec::new();
         let mut gain_user = vec![0.0f64; users];
         let mut phase_user = vec![0u32; users];
@@ -226,24 +207,13 @@ impl SoaFleet {
             let params = fleet.user_params(u as u32)?;
             gain_user[u] = params.perturbation.gain();
             phase_user[u] = params.perturbation.phase_hours();
-            let mut key = Vec::with_capacity(1 + 3 * params.points.len());
-            key.push(params.alpha.to_bits());
-            for p in &params.points {
-                key.push(u64::from(p.id()));
-                key.push(p.accuracy().to_bits());
-                key.push(p.power().watts().to_bits());
+            let (id, new) = index.assign(params.cohort_key());
+            if new {
+                cohort_params.push((params.alpha, params.points));
             }
-            cohort_user[u] = match cohort_map.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = cohort_map.len() as u32;
-                    cohort_params.push((params.alpha, params.points));
-                    cohort_map.insert(key, id);
-                    id
-                }
-            };
+            cohort_user[u] = id;
         }
-        let cohorts = cohort_map.len() as u32;
+        let cohorts = index.cohorts();
 
         // Permute users so same-(source, phase) runs are contiguous: the
         // kernel then reads one base-trace hour per run instead of per
@@ -288,33 +258,28 @@ impl SoaFleet {
         }
 
         let battery = Battery::small_wearable();
-        let eff_d = battery.discharge_efficiency();
 
         // Build every cohort's plan data in renumbered order: the shared
-        // frontier vertex arena plus the two constant plan regimes (see
-        // [`CachedPlan`]). The cached plans are plain `FrontierTable`
-        // eval results, so resolving an hour from them is bit-identical
-        // to evaluating the table at any budget in the regime.
-        let mut floor_j = Power::from_microwatts(50.0).watts() * 3600.0;
-        let mut tp_s = 3600.0;
-        let mut off_w = Power::from_microwatts(50.0).watts();
-        let mut verts: Vec<Vert> = Vec::new();
+        // frontier vertex arena plus the two constant plan regimes. Most
+        // simulated hours land in one of those regimes — dark hours pin
+        // the budget to the floor, bright hours overshoot the frontier —
+        // so the plan pass resolves them from the cached evals without
+        // touching the arena; resolving an hour from them is
+        // bit-identical to evaluating the frontier at any budget in the
+        // regime. The problem constants come from the cohort problems
+        // (built with `ReapProblem`'s default period and off power).
+        let (mut floor_j, mut tp_s, mut off_w) = (0.0, 0.0, 0.0);
+        let mut verts: Vec<Vertex> = Vec::new();
         let mut vert_off: Vec<u32> = Vec::new();
         let mut statics: Vec<StaticPoint> = Vec::new();
         let mut floor_plan = Vec::with_capacity(cohorts as usize);
         let mut sat_plan = Vec::with_capacity(cohorts as usize);
         let mut sat_budget = Vec::with_capacity(cohorts as usize);
-        let cache = |pe: reap_core::PlanEval| CachedPlan {
-            acc: pe.accuracy,
-            act_s: pe.active_s,
-            pen_j: pe.energy_j,
-        };
         if wants_tables {
             for &oc in &order {
                 let (alpha, points) = &cohort_params[oc as usize];
                 let problem = ReapProblem::builder()
                     .alpha(*alpha)
-                    .off_power(Power::from_microwatts(50.0))
                     .points(points.clone())
                     .build()?;
                 floor_j = problem.min_budget().joules();
@@ -324,19 +289,15 @@ impl SoaFleet {
                     Policy::Reap => {
                         let t = problem.frontier().table();
                         vert_off.push(verts.len() as u32);
-                        for k in 0..t.len() {
-                            let (budget, acc, pow_w, id, has) = t.vertex(k);
-                            verts.push(Vert {
-                                budget,
-                                acc,
-                                pow_w,
-                                id,
-                                has,
-                            });
+                        // One push per vertex: the arena grows by plain
+                        // doubling, which peaks a few MB lower over a
+                        // large fleet than reserving per-cohort runs.
+                        for &v in t.vertices() {
+                            verts.push(v);
                         }
-                        floor_plan.push(cache(t.eval(floor_j)));
+                        floor_plan.push(t.eval(floor_j));
                         let sb = t.max_budget_j();
-                        sat_plan.push(cache(t.eval(sb)));
+                        sat_plan.push(t.eval(sb));
                         sat_budget.push(sb);
                     }
                     Policy::Static(pid) => {
@@ -350,10 +311,10 @@ impl SoaFleet {
                         // zero, so the schedule drops the point and only
                         // the off power burns: the same scalars the
                         // inline formula produces.
-                        let plan = CachedPlan {
-                            acc: 0.0,
-                            act_s: 0.0,
-                            pen_j: off_w * tp_s,
+                        let plan = PlanEval {
+                            accuracy: 0.0,
+                            active_s: 0.0,
+                            energy_j: off_w * tp_s,
                         };
                         floor_plan.push(plan);
                         sat_plan.push(plan);
@@ -385,10 +346,12 @@ impl SoaFleet {
             floor_j,
             tp_s,
             off_w,
-            cap_j: battery.capacity().joules(),
+            store: Store {
+                cap_j: battery.capacity().joules(),
+                eff_c: battery.charge_efficiency(),
+                eff_d: battery.discharge_efficiency(),
+            },
             init_j: battery.level().joules(),
-            eff_c: battery.charge_efficiency(),
-            eff_d,
             traces,
             perm,
             gain,
@@ -447,14 +410,15 @@ impl SoaFleet {
         shared += self.groups.len() * std::mem::size_of::<Group>();
         match &self.kernel {
             PlanKernel::Reap => {
-                shared += self.verts.len() * std::mem::size_of::<Vert>() + self.vert_off.len() * 4;
+                shared +=
+                    self.verts.len() * std::mem::size_of::<Vertex>() + self.vert_off.len() * 4;
             }
             PlanKernel::Static(statics) => {
                 shared += statics.len() * std::mem::size_of::<StaticPoint>();
             }
             PlanKernel::Scalar => {}
         }
-        shared += (self.floor_plan.len() + self.sat_plan.len()) * std::mem::size_of::<CachedPlan>()
+        shared += (self.floor_plan.len() + self.sat_plan.len()) * std::mem::size_of::<PlanEval>()
             + self.sat_budget.len() * f;
         let total = per_user * self.users + shared;
         total.div_ceil(self.users).min(u32::MAX as usize) as u32
@@ -573,8 +537,7 @@ impl SoaFleet {
             _ => Vec::new(),
         };
 
-        let (cap_j, eff_c, eff_d) = (self.cap_j, self.eff_c, self.eff_d);
-        let vtarget_j = cap_j * 0.5;
+        let store = self.store;
         let floor_j = self.floor_j;
         let tp = self.tp_s;
         let off_w = self.off_w;
@@ -582,9 +545,9 @@ impl SoaFleet {
         // Per-hour stage temporaries: budgets out of the allocator pass,
         // plan scalars out of the plan pass. Splitting the hour into
         // array passes keeps the allocator and execute loops free of
-        // data-dependent branches (each engine conditional merges: its
-        // untaken side contributes exactly zero, see the stage comments),
-        // which lets them vectorize; only the plan pass stays scalar.
+        // data-dependent branches (the step functions merge each engine
+        // conditional: its untaken side contributes exactly zero), which
+        // lets them vectorize; only the plan pass stays scalar.
         let mut budget_t = vec![0.0f64; nu];
         let mut pacc_t = vec![0.0f64; nu];
         let mut pact_t = vec![0.0f64; nu];
@@ -603,7 +566,7 @@ impl SoaFleet {
                 let est_prev = &mut est[prev * nu..prev * nu + nu];
                 if i >= 25 {
                     for (e, &h) in est_prev.iter_mut().zip(&last_h) {
-                        *e = (1.0 - EWMA_ALPHA) * *e + EWMA_ALPHA * h;
+                        *e = step::blend(*e, h, EWMA_ALPHA);
                     }
                 } else {
                     for ((e, s), &h) in est_prev.iter_mut().zip(&mut est_sum).zip(&last_h) {
@@ -614,48 +577,34 @@ impl SoaFleet {
             }
 
             // Stage 1: allocator proposal against the *virtual* battery,
-            // open-loop clamp and virtual charge/spend
-            // (`open_loop_budgets`), one branch-free loop per
-            // `(trace, phase)` group and allocator regime. The engine's
-            // conditionals merge bit-exactly: a zero-harvest charge
-            // stores exactly `+0.0`, and a floor budget divides to
-            // exactly `floor_j / eff_d`, so the unconditional forms
-            // change no bit.
-            macro_rules! step1 {
-                ($u:expr, $base_e:expr, $expected:expr, $cg:expr) => {{
-                    let u = $u;
-                    let h = $base_e * gain[u];
-                    let correction = (vbat[u] - vtarget_j) * $cg;
-                    let proposed = ($expected + correction).max(0.0);
-                    let avail = vbat[u] * eff_d + h;
-                    let budget = proposed.min(avail).max(floor_j.min(avail));
-                    vbat[u] += (h * eff_c).min(cap_j - vbat[u]);
-                    let vdrawn = (budget / eff_d).min(vbat[u]);
-                    vbat[u] -= vdrawn;
-                    last_h[u] = h;
-                    budget_t[u] = budget;
-                }};
-            }
-            // Index loops, not zipped iterators: `step1!` writes six
+            // open-loop grant and virtual charge/spend
+            // (`Store::open_loop`), one branch-free loop per
+            // `(trace, phase)` group and allocator regime.
+            // Index loops, not zipped iterators: each user writes three
             // columns at `u` and per-regime inputs read one more.
             #[allow(clippy::needless_range_loop)]
             for g in &groups {
                 let src = (hod as u32 + g.phase) % 24;
                 let base_e = self.traces[g.trace as usize][day * 24 + src as usize];
                 let (lo, hi) = (g.start, g.end);
+                let mut stage1 = |u: usize, expected: f64, cg: f64| {
+                    let h = base_e * gain[u];
+                    (budget_t[u], vbat[u]) = store.open_loop(vbat[u], h, expected, cg, floor_j);
+                    h
+                };
                 match self.allocator {
                     AllocatorKind::Ewma if i >= 24 => {
                         // This hour's slot estimates, hoisted: the slot
                         // index is fixed across the shard all hour.
                         let est_cur = &est[hod * nu..hod * nu + nu];
                         for u in lo..hi {
-                            step1!(u, base_e, est_cur[u], BATTERY_GAIN);
+                            last_h[u] = stage1(u, est_cur[u], BATTERY_GAIN);
                         }
                     }
                     AllocatorKind::Ewma if i == 0 => {
                         // The discarded first call expects nothing.
                         for u in lo..hi {
-                            step1!(u, base_e, 0.0, BATTERY_GAIN);
+                            last_h[u] = stage1(u, 0.0, BATTERY_GAIN);
                         }
                     }
                     AllocatorKind::Ewma => {
@@ -663,12 +612,12 @@ impl SoaFleet {
                         // accumulates in ascending slot order).
                         let i_f = i as f64;
                         for u in lo..hi {
-                            step1!(u, base_e, est_sum[u] / i_f, BATTERY_GAIN);
+                            last_h[u] = stage1(u, est_sum[u] / i_f, BATTERY_GAIN);
                         }
                     }
                     AllocatorKind::Greedy => {
                         for u in lo..hi {
-                            step1!(u, base_e, last_h[u], GREEDY_GAIN);
+                            last_h[u] = stage1(u, last_h[u], GREEDY_GAIN);
                         }
                     }
                     AllocatorKind::UniformDaily => {
@@ -677,7 +626,7 @@ impl SoaFleet {
                             let w = &mut win[u * 24..u * 24 + 24];
                             w[hod] = last_h[u];
                             let daily: f64 = w.iter().sum();
-                            step1!(u, base_e, daily / divisor, BATTERY_GAIN);
+                            last_h[u] = stage1(u, daily / divisor, BATTERY_GAIN);
                         }
                     }
                 }
@@ -693,50 +642,18 @@ impl SoaFleet {
                     for u in 0..nu {
                         let c = cohort[u] as usize;
                         let budget = budget_t[u];
-                        let (pacc, pact, pen) = if budget <= floor_j {
-                            let p = self.floor_plan[c];
-                            (p.acc, p.act_s, p.pen_j)
+                        let plan = if budget <= floor_j {
+                            self.floor_plan[c]
                         } else if budget >= self.sat_budget[c] {
-                            let p = self.sat_plan[c];
-                            (p.acc, p.act_s, p.pen_j)
+                            self.sat_plan[c]
                         } else {
-                            let lo = self.vert_off[c] as usize;
-                            let hi = self.vert_off[c + 1] as usize;
-                            let verts = &self.verts[lo..hi];
-                            // The first frontier segment — an off vertex
-                            // at the floor blending into the cheapest
-                            // point — absorbs nearly every interior
-                            // budget (~94% in the bench fleet), so it
-                            // gets a straight-line transliteration of
-                            // [`eval_verts`] for exactly that vertex
-                            // shape; everything else takes the general
-                            // walk.
-                            let seg0 = verts.len() >= 2
-                                && budget < verts[1].budget
-                                && !verts[0].has
-                                && verts[1].has;
-                            if seg0 {
-                                let lo_b = verts[0].budget;
-                                let lambda =
-                                    ((budget - lo_b) / (verts[1].budget - lo_b)).clamp(0.0, 1.0);
-                                let t = lambda * tp;
-                                let off_s = (tp - t).max(0.0);
-                                if lambda > 0.0 && t > DROP_S {
-                                    (
-                                        verts[1].acc * (t / tp),
-                                        t,
-                                        verts[1].pow_w * t + off_w * off_s,
-                                    )
-                                } else {
-                                    (0.0, 0.0, off_w * off_s)
-                                }
-                            } else {
-                                eval_verts(verts, floor_j, tp, off_w, budget)
-                            }
+                            let verts = &self.verts
+                                [self.vert_off[c] as usize..self.vert_off[c + 1] as usize];
+                            reap_core::decide_vertices(verts, tp, off_w, budget).eval
                         };
-                        pacc_t[u] = pacc;
-                        pact_t[u] = pact;
-                        pen_t[u] = pen;
+                        pacc_t[u] = plan.accuracy;
+                        pact_t[u] = plan.active_s;
+                        pen_t[u] = plan.energy_j;
                     }
                 }
                 PlanKernel::Static(statics) => {
@@ -764,29 +681,13 @@ impl SoaFleet {
             }
 
             // Stage 3: execute — harvest first, then the real battery,
-            // browning out proportionally (`run_with_budgets`). The
-            // engine's charge/deficit branches merge: on a charging hour
-            // the deficit is exactly zero (so the discharge is a no-op)
-            // and vice versa, making the loop branch-free and the
-            // arithmetic bit-identical either way.
+            // browning out proportionally (`step::execute`, the engine's
+            // hour loop at one step per hour).
             for u in 0..nu {
                 let h = last_h[u];
-                let pen = pen_t[u];
-                let stored = ((h - pen).max(0.0) * eff_c).min(cap_j - bat[u]);
-                bat[u] += stored;
-                let deficit = (pen - h).max(0.0);
-                let drawn = (deficit / eff_d).min(bat[u]);
-                bat[u] -= drawn;
-                let delivered = drawn * eff_d;
-                let rf = if delivered + BROWNOUT_EPS_J < deficit {
-                    if pen > 0.0 {
-                        ((h + delivered) / pen).clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    }
-                } else {
-                    1.0
-                };
+                let (level, rf) =
+                    step::execute(bat[u], store.cap_j, store.eff_c, store.eff_d, h, pen_t[u]);
+                bat[u] = level;
                 acc_sum[u] += pacc_t[u] * rf;
                 act_sum[u] += pact_t[u] * rf;
                 brow[u] += u32::from(rf < 1.0);
@@ -807,95 +708,10 @@ impl SoaFleet {
     }
 }
 
-/// Evaluates a cohort's frontier at `budget_j` from its arena slice:
-/// [`reap_core::FrontierTable::eval`] transliterated onto the interleaved
-/// vertices, returning the same `(accuracy, active_s, energy_j)` bit for
-/// bit (the `soa_equivalence` proptests pin this against the scalar
-/// engine, which plans through the original frontier).
-#[inline]
-fn eval_verts(
-    verts: &[Vert],
-    min_budget_j: f64,
-    tp: f64,
-    off_w: f64,
-    budget_j: f64,
-) -> (f64, f64, f64) {
-    // `f64::max` maps NaN to the floor too, matching `Energy::max`.
-    let b = budget_j.max(min_budget_j);
-    let last = verts.len() - 1;
-    let (k, lambda) = if last == 0 {
-        (0, 0.0)
-    } else if b >= verts[last].budget {
-        (last - 1, 1.0)
-    } else {
-        // First vertex with budget > b. The table walks a data-dependent
-        // `while`; counting over the ascending budgets lands on the same
-        // index without the unpredictable branch.
-        let mut cnt = 0usize;
-        for v in &verts[1..last] {
-            cnt += usize::from(v.budget <= b);
-        }
-        let hi = 1 + cnt;
-        let lo_b = verts[hi - 1].budget;
-        (
-            hi - 1,
-            ((b - lo_b) / (verts[hi].budget - lo_b)).clamp(0.0, 1.0),
-        )
-    };
-    let hi_idx = (k + 1).min(last);
-
-    // Durations exactly as `PlanFrontier::solve` pushes them; the off
-    // time complements the *raw* active time (drops below come after).
-    let mut n = 0usize;
-    let mut dur = [0.0f64; 2];
-    let mut acc = [0.0f64; 2];
-    let mut pow = [0.0f64; 2];
-    let mut ids = [0u8; 2];
-    let mut active_raw = 0.0;
-    if verts[k].has {
-        let t = (1.0 - lambda) * tp;
-        active_raw += t;
-        dur[n] = t;
-        acc[n] = verts[k].acc;
-        pow[n] = verts[k].pow_w;
-        ids[n] = verts[k].id;
-        n = 1;
-    }
-    if lambda > 0.0 && verts[hi_idx].has {
-        let t = lambda * tp;
-        active_raw += t;
-        dur[n] = t;
-        acc[n] = verts[hi_idx].acc;
-        pow[n] = verts[hi_idx].pow_w;
-        ids[n] = verts[hi_idx].id;
-        n += 1;
-    }
-    let off_s = (tp - active_raw).max(0.0);
-
-    // `Schedule::new` sorts by point id and drops sub-microsecond
-    // allocations; the sums below run in the same (id) order.
-    if n == 2 && ids[1] < ids[0] {
-        dur.swap(0, 1);
-        acc.swap(0, 1);
-        pow.swap(0, 1);
-    }
-    let mut accuracy = 0.0;
-    let mut active_s = 0.0;
-    let mut active_e = 0.0;
-    for j in 0..n {
-        if dur[j] > DROP_S {
-            accuracy += acc[j] * (dur[j] / tp);
-            active_s += dur[j];
-            active_e += pow[j] * dur[j];
-        }
-    }
-    (accuracy, active_s, active_e + off_w * off_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reap_core::OperatingPoint;
+    use reap_units::Power;
 
     fn base_points() -> Vec<OperatingPoint> {
         vec![

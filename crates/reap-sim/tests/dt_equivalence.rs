@@ -1,22 +1,14 @@
-//! Variable-dt-vs-scalar equivalence: the event-driven core
-//! ([`Scenario::run_event_driven`]) at `dt = 3600` with intermittency
-//! disabled must reproduce the scalar hourly engine ([`Scenario::run`])
-//! **bit for bit on every policy** — the same pin the SoA fleet core
-//! carries. Both engines route through the same extracted hour planner
-//! and execution step, so at one step per hour the event core performs
-//! literally the same arithmetic in the same order; these tests keep it
-//! that way.
-//!
-//! Random scenarios cover all four [`SourceKind`]s, every allocator,
-//! both budget modes, and every scalar-capable policy (REAP, all five
-//! statics, receding-horizon MPC at several lookaheads). A second,
-//! seeded suite checks the sub-hour battery mode against the scalar
-//! run's open-loop budgets.
+//! Sub-hour steps against the hourly run: the hour loop executes each
+//! hour's plan in `3600 / dt` equal steps, so at `dt < 3600` budgets stay
+//! those of the hourly run and execution converges on it. The `dt = 3600`
+//! case needs no differential test — both entry points
+//! ([`Scenario::run`] and [`Scenario::run_event_driven`]) run the same
+//! loop — and `tests/engine_golden.rs` pins its output at both step
+//! widths.
 
-use proptest::prelude::*;
 use reap_core::OperatingPoint;
 use reap_harvest::SourceKind;
-use reap_sim::{AllocatorKind, BudgetMode, ForecasterKind, Policy, Scenario};
+use reap_sim::{Policy, Scenario};
 use reap_units::Power;
 
 fn paper_points() -> Vec<OperatingPoint> {
@@ -35,123 +27,13 @@ fn paper_points() -> Vec<OperatingPoint> {
         .collect()
 }
 
-#[derive(Debug, Clone)]
-struct Setup {
-    source: SourceKind,
-    seed: u64,
-    days: u32,
-    alpha: f64,
-    allocator: AllocatorKind,
-    budget_mode: BudgetMode,
-    policy: Policy,
-}
-
-fn arb_policy() -> impl Strategy<Value = Policy> {
-    prop_oneof![
-        Just(Policy::Reap),
-        (1u8..=5).prop_map(Policy::Static),
-        prop_oneof![Just(1usize), Just(4), Just(24)]
-            .prop_map(|lookahead| Policy::Horizon { lookahead }),
-    ]
-}
-
-fn arb_setup() -> impl Strategy<Value = Setup> {
-    (
-        proptest::sample::select(SourceKind::ALL.to_vec()),
-        0u64..=u64::MAX,
-        1u32..=4,
-        prop_oneof![Just(0.5), Just(1.0), Just(2.0)],
-        prop_oneof![
-            Just(AllocatorKind::Ewma),
-            Just(AllocatorKind::Greedy),
-            Just(AllocatorKind::UniformDaily),
-        ],
-        prop_oneof![Just(BudgetMode::OpenLoop), Just(BudgetMode::ClosedLoop)],
-        arb_policy(),
-    )
-        .prop_map(
-            |(source, seed, days, alpha, allocator, budget_mode, policy)| Setup {
-                source,
-                seed,
-                days,
-                alpha,
-                allocator,
-                budget_mode,
-                policy,
-            },
-        )
-}
-
-fn scenario(setup: &Setup) -> Scenario {
-    let trace = setup
-        .source
-        .instantiate(setup.seed)
-        .generate(244, setup.days)
-        .expect("bundled sources generate");
-    Scenario::builder(trace)
-        .points(paper_points())
-        .alpha(setup.alpha)
-        .allocator(setup.allocator)
-        .budget_mode(setup.budget_mode)
-        .forecaster(ForecasterKind::Ewma)
-        .build()
-        .expect("valid scenario")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn event_core_at_one_hour_dt_is_bit_identical_to_the_scalar_engine(
-        setup in arb_setup()
-    ) {
-        let scenario = scenario(&setup);
-        prop_assert!(!scenario.uses_event_core(), "default dt is the hour");
-        let scalar = scenario.run(setup.policy).expect("scalar engine runs");
-        let event = scenario
-            .run_event_driven(setup.policy)
-            .expect("event core runs");
-        // Bit-for-bit: every hour record — budget, plan, realized
-        // fraction, battery level — compares exactly equal, not within
-        // a tolerance.
-        prop_assert_eq!(&event.report, &scalar, "{} diverged", setup.policy);
-        // Battery mode commits exactly one epoch per trace hour.
-        let hours = u64::from(setup.days) * 24;
-        prop_assert_eq!(event.stats.epochs_committed, hours);
-    }
-}
-
-#[test]
-fn every_policy_is_bit_identical_on_one_seeded_month() {
-    // The proptest samples the policy space; this pins one full-length
-    // trace per source against every policy deterministically, so a
-    // divergence names the policy in the failure message.
-    let policies: Vec<Policy> = [Policy::Reap, Policy::Horizon { lookahead: 12 }]
-        .into_iter()
-        .chain((1u8..=5).map(Policy::Static))
-        .collect();
-    for source in SourceKind::ALL {
-        let trace = source.instantiate(2019).generate(244, 7).unwrap();
-        let scenario = Scenario::builder(trace)
-            .points(paper_points())
-            .alpha(1.0)
-            .build()
-            .unwrap();
-        for &policy in &policies {
-            let scalar = scenario.run(policy).unwrap();
-            let event = scenario.run_event_driven(policy).unwrap();
-            assert_eq!(event.report, scalar, "{source:?} under {policy} diverged");
-        }
-    }
-}
-
 #[test]
 fn sub_hour_dt_keeps_open_loop_budgets_and_converges_on_the_scalar_run() {
-    // At dt < 3600 the battery-mode core splits each hour's plan into
-    // equal steps. Open-loop budgets depend only on the trace, so they
-    // must stay bitwise equal to the scalar engine's; execution differs
-    // only by when within the hour the battery clamps, which is float
-    // noise whenever the store never pins — so levels track to 1e-9 J.
+    // At dt < 3600 the hour loop splits each hour's plan into equal
+    // steps. Open-loop budgets depend only on the trace, so they must
+    // stay bitwise equal to the hourly run's; execution differs only by
+    // when within the hour the battery clamps, which is float noise
+    // whenever the store never pins — so levels track to 1e-9 J.
     for dt in [1800u32, 900, 600, 60] {
         for source in SourceKind::ALL {
             let trace = source.instantiate(7).generate(244, 3).unwrap();
@@ -167,9 +49,16 @@ fn sub_hour_dt_keeps_open_loop_budgets_and_converges_on_the_scalar_run() {
                 .dt_seconds(dt)
                 .build()
                 .unwrap();
-            assert!(sub.uses_event_core());
-            // `Scenario::run` itself dispatches to the event core here.
+            // Battery scenarios take the hour loop at every step width.
+            assert!(!sub.uses_event_core());
             let run = sub.run(Policy::Reap).unwrap();
+            let event = sub.run_event_driven(Policy::Reap).unwrap();
+            assert_eq!(event.report, run, "{source:?} dt={dt}");
+            assert_eq!(event.stats.events, 0);
+            assert_eq!(
+                event.stats.epochs_committed,
+                u64::from(3 * 24 * (3600 / dt))
+            );
             assert_eq!(run.hours().len(), scalar.hours().len());
             for (e, s) in run.hours().iter().zip(scalar.hours()) {
                 assert_eq!(e.harvested, s.harvested, "{source:?} dt={dt}");
