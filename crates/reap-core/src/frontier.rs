@@ -477,6 +477,9 @@ pub struct FrontierTable {
     vertices: Vec<Vertex>,
     tp_s: f64,
     off_w: f64,
+    /// `vertices[0].budget_j`, kept inline: a per-user floor lookup over
+    /// many cohorts then never touches the vertex heap.
+    min_budget_j: f64,
 }
 
 impl PlanFrontier {
@@ -508,6 +511,7 @@ impl PlanFrontier {
             vertices,
             tp_s: self.period.seconds(),
             off_w: self.off_power.watts(),
+            min_budget_j: self.min_budget_j,
         }
     }
 }
@@ -516,7 +520,7 @@ impl FrontierTable {
     /// The budget floor `P_off * TP` in joules (the first breakpoint).
     #[must_use]
     pub fn min_budget_j(&self) -> f64 {
-        self.vertices[0].budget_j
+        self.min_budget_j
     }
 
     /// The saturation budget (the last breakpoint) in joules: every

@@ -89,7 +89,7 @@ pub use operating_point::OperatingPoint;
 pub use problem::{ReapProblem, ReapProblemBuilder};
 pub use regions::{detect_regions, Region, RegionMap};
 pub use schedule::{Allocation, Schedule, DROP_S};
-pub use static_policy::static_schedule;
+pub use static_policy::{static_on_time, static_schedule};
 pub use sweep::{
     alpha_sweep, energy_shadow_price, energy_sweep, linspace, AlphaSweepPoint, SweepPoint,
 };

@@ -39,7 +39,7 @@ pub fn static_schedule(
     let tp = problem.period().seconds();
     let marginal = point.power().watts() - problem.off_power().watts();
     debug_assert!(marginal > 0.0, "validated at problem build time");
-    let t_on = ((budget.joules() - minimum.joules()) / marginal).clamp(0.0, tp);
+    let t_on = static_on_time(budget.joules(), minimum.joules(), marginal, tp);
     Ok(Schedule::new(
         vec![Allocation {
             point,
@@ -49,6 +49,17 @@ pub fn static_schedule(
         problem.period(),
         problem.off_power(),
     ))
+}
+
+/// The on-time in seconds of a static duty cycle at `budget_j`:
+/// `(Eb - P_off*TP) / (P_i - P_off)` from the floor `min_budget_j` and
+/// the point's `marginal_w` = `P_i - P_off`, clamped to
+/// `[0, period_s]`. [`static_schedule`] and the fleet's batched static
+/// plan both compute it here.
+#[inline]
+#[must_use]
+pub fn static_on_time(budget_j: f64, min_budget_j: f64, marginal_w: f64, period_s: f64) -> f64 {
+    ((budget_j - min_budget_j) / marginal_w).clamp(0.0, period_s)
 }
 
 #[cfg(test)]

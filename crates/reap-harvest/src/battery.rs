@@ -142,6 +142,25 @@ impl Battery {
         Energy::from_joules(drawn * self.discharge_efficiency)
     }
 
+    /// Grants `proposed` against this battery as a virtual store
+    /// ([`step::open_loop`]): capped at what it and the step's
+    /// `harvested` energy can deliver and floor-clamped, after which the
+    /// battery banks the harvest and pays the whole grant. Returns the
+    /// grant.
+    pub fn open_loop(&mut self, proposed: Energy, floor: Energy, harvested: Energy) -> Energy {
+        let (budget, level) = step::open_loop(
+            self.level.joules(),
+            self.capacity.joules(),
+            self.charge_efficiency,
+            self.discharge_efficiency,
+            proposed.joules(),
+            floor.joules(),
+            harvested.joules(),
+        );
+        self.level = Energy::from_joules(level);
+        Energy::from_joules(budget)
+    }
+
     /// Runs one step of a plan needing `needed` against this battery
     /// with `harvested` arriving during the step ([`step::execute`]):
     /// harvest first, then the battery, browning out proportionally when

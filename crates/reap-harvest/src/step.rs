@@ -67,6 +67,27 @@ pub fn grant(proposed_j: f64, floor_j: f64, supply_j: f64) -> f64 {
     floor_clamp(proposed_j.min(supply_j), floor_j, supply_j)
 }
 
+/// One open-loop allocation step against a *virtual* store: the
+/// proposal is granted against the supply (the store's deliverable
+/// energy plus the step's harvest, see [`grant`]), then the store banks
+/// the harvest and pays the whole grant. Returns the grant and the
+/// store's new level.
+#[inline]
+#[must_use]
+pub fn open_loop(
+    level_j: f64,
+    capacity_j: f64,
+    charge_eff: f64,
+    discharge_eff: f64,
+    proposed_j: f64,
+    floor_j: f64,
+    harvested_j: f64,
+) -> (f64, f64) {
+    let budget = grant(proposed_j, floor_j, level_j * discharge_eff + harvested_j);
+    let level = level_j + charge(level_j, capacity_j, charge_eff, harvested_j);
+    (budget, level - discharge(level, discharge_eff, budget))
+}
+
 /// Energy a store at `level_j` keeps when charged with `input_j`
 /// (before `efficiency`), capped by the headroom to `capacity_j`. Add it
 /// to the level.
@@ -140,6 +161,14 @@ mod tests {
         assert_eq!(floor_clamp(0.0, 0.18, 2.0), 0.18);
         // …and only as far as the supply reaches otherwise.
         assert_eq!(grant(0.0, 0.18, 0.1), 0.1);
+    }
+
+    #[test]
+    fn open_loop_banks_the_harvest_and_pays_the_grant() {
+        // 5 J proposed, 10 J stored + 2 J harvest: granted in full.
+        assert_eq!(open_loop(10.0, 60.0, 1.0, 1.0, 5.0, 0.18, 2.0), (5.0, 7.0));
+        // An empty store grants only the hour's harvest.
+        assert_eq!(open_loop(0.0, 60.0, 1.0, 1.0, 5.0, 0.18, 2.0), (2.0, 0.0));
     }
 
     #[test]

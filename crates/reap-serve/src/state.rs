@@ -294,14 +294,10 @@ impl FleetState {
                 }
             }
             // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
-            let floor = tables[state.cohort as usize].min_budget_j();
+            let floor = Energy::from_joules(tables[state.cohort as usize].min_budget_j());
             let harvested = Energy::from_joules(harvest_j);
             let proposed = state.alloc.allocate(hour, state.last_harvest, &state.vbat);
-            let supply = state.vbat.deliverable() + harvested;
-            let budget =
-                Energy::from_joules(step::grant(proposed.joules(), floor, supply.joules()));
-            state.vbat.charge(harvested);
-            state.vbat.discharge(budget);
+            let budget = state.vbat.open_loop(proposed, floor, harvested);
             state.last_harvest = harvested;
             state.last_hour = hour;
             state.observations += 1;

@@ -73,23 +73,17 @@ impl fmt::Display for Policy {
 pub(crate) fn open_loop_budgets(scenario: &Scenario) -> Vec<Energy> {
     let mut allocator = scenario.allocator.instantiate();
     let mut virtual_battery = scenario.battery.clone();
-    let floor = scenario.problem.min_budget().joules();
+    let floor = scenario.problem.min_budget();
     let mut budgets = Vec::with_capacity(scenario.trace.len_hours());
     let mut harvested_last_hour = Energy::ZERO;
     for (i, harvested) in scenario.trace.iter().enumerate() {
         let hour = (i % 24) as u32;
         let proposed = allocator.allocate(hour, harvested_last_hour, &virtual_battery);
-        // Grant no more than the virtual supply could actually deliver,
-        // and count the hour's own harvest toward the floor: execution
-        // banks the incoming harvest before (virtually) spending the
-        // budget, so a dark battery must not deny the floor in a bright
-        // hour.
-        let supply = virtual_battery.deliverable() + harvested;
-        let budget = Energy::from_joules(step::grant(proposed.joules(), floor, supply.joules()));
-        // Virtual accounting: the whole budget is spent, the harvest is
-        // banked.
-        virtual_battery.charge(harvested);
-        virtual_battery.discharge(budget);
+        // The grant counts the hour's own harvest toward the floor:
+        // execution banks the incoming harvest before (virtually)
+        // spending the budget, so a dark battery must not deny the floor
+        // in a bright hour.
+        let budget = virtual_battery.open_loop(proposed, floor, harvested);
         budgets.push(budget);
         harvested_last_hour = harvested;
     }

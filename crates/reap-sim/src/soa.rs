@@ -85,29 +85,6 @@ enum PlanKernel {
     Scalar,
 }
 
-/// The battery every fleet user starts from, as plain scalars.
-#[derive(Debug, Clone, Copy)]
-struct Store {
-    cap_j: f64,
-    eff_c: f64,
-    eff_d: f64,
-}
-
-impl Store {
-    /// One user's open-loop allocation step (`open_loop_budgets`): the
-    /// allocator proposal against the virtual battery at `v`, the grant
-    /// against the supply (`v`'s deliverable energy plus the hour's
-    /// harvest `h`), then the virtual charge and spend. Returns the
-    /// granted budget and the virtual level after the hour.
-    #[inline(always)]
-    fn open_loop(self, v: f64, h: f64, expected: f64, gain: f64, floor_j: f64) -> (f64, f64) {
-        let proposed = step::propose(expected, v, self.cap_j, gain);
-        let budget = step::grant(proposed, floor_j, v * self.eff_d + h);
-        let v = v + step::charge(v, self.cap_j, self.eff_c, h);
-        (budget, v - step::discharge(v, self.eff_d, budget))
-    }
-}
-
 /// A fleet flattened into struct-of-arrays form, ready to step every
 /// user through each simulated hour.
 ///
@@ -130,8 +107,10 @@ pub struct SoaFleet {
     tp_s: f64,
     off_w: f64,
     // Battery constants (every fleet user starts from the same battery).
-    store: Store,
+    cap_j: f64,
     init_j: f64,
+    eff_c: f64,
+    eff_d: f64,
     /// Shared base traces in joules, one per distinct source kind used.
     traces: Vec<Vec<f64>>,
     /// Permuted position -> original user index.
@@ -346,12 +325,10 @@ impl SoaFleet {
             floor_j,
             tp_s,
             off_w,
-            store: Store {
-                cap_j: battery.capacity().joules(),
-                eff_c: battery.charge_efficiency(),
-                eff_d: battery.discharge_efficiency(),
-            },
+            cap_j: battery.capacity().joules(),
             init_j: battery.level().joules(),
+            eff_c: battery.charge_efficiency(),
+            eff_d: battery.discharge_efficiency(),
             traces,
             perm,
             gain,
@@ -537,7 +514,7 @@ impl SoaFleet {
             _ => Vec::new(),
         };
 
-        let store = self.store;
+        let (cap_j, eff_c, eff_d) = (self.cap_j, self.eff_c, self.eff_d);
         let floor_j = self.floor_j;
         let tp = self.tp_s;
         let off_w = self.off_w;
@@ -578,7 +555,7 @@ impl SoaFleet {
 
             // Stage 1: allocator proposal against the *virtual* battery,
             // open-loop grant and virtual charge/spend
-            // (`Store::open_loop`), one branch-free loop per
+            // (`step::open_loop`), one branch-free loop per
             // `(trace, phase)` group and allocator regime.
             // Index loops, not zipped iterators: each user writes three
             // columns at `u` and per-regime inputs read one more.
@@ -589,7 +566,9 @@ impl SoaFleet {
                 let (lo, hi) = (g.start, g.end);
                 let mut stage1 = |u: usize, expected: f64, cg: f64| {
                     let h = base_e * gain[u];
-                    (budget_t[u], vbat[u]) = store.open_loop(vbat[u], h, expected, cg, floor_j);
+                    let proposed = step::propose(expected, vbat[u], cap_j, cg);
+                    (budget_t[u], vbat[u]) =
+                        step::open_loop(vbat[u], cap_j, eff_c, eff_d, proposed, floor_j, h);
                     h
                 };
                 match self.allocator {
@@ -661,7 +640,7 @@ impl SoaFleet {
                         let c = cohort[u] as usize;
                         let sp = statics[c];
                         let eff = budget_t[u].max(floor_j);
-                        let t_on = ((eff - floor_j) / sp.marginal_w).clamp(0.0, tp);
+                        let t_on = reap_core::static_on_time(eff, floor_j, sp.marginal_w, tp);
                         let off_s = tp - t_on;
                         let (pacc, pact, pen) = if t_on > DROP_S {
                             (
@@ -685,8 +664,7 @@ impl SoaFleet {
             // hour loop at one step per hour).
             for u in 0..nu {
                 let h = last_h[u];
-                let (level, rf) =
-                    step::execute(bat[u], store.cap_j, store.eff_c, store.eff_d, h, pen_t[u]);
+                let (level, rf) = step::execute(bat[u], cap_j, eff_c, eff_d, h, pen_t[u]);
                 bat[u] = level;
                 acc_sum[u] += pacc_t[u] * rf;
                 act_sum[u] += pact_t[u] * rf;
