@@ -77,6 +77,22 @@ fn bench_horizon_planning(c: &mut Criterion) {
             )
         });
     });
+    // A dark window with an empty battery cannot pay the off-state
+    // floor: the planner answers it in closed form, without the LP.
+    let dark = vec![Energy::ZERO; 24];
+    group.bench_function("starved_24h", |b| {
+        b.iter(|| {
+            black_box(
+                plan_horizon(
+                    &problem,
+                    black_box(&dark),
+                    Energy::ZERO,
+                    Energy::from_joules(60.0),
+                )
+                .expect_err("starved"),
+            )
+        });
+    });
     group.bench_function("myopic_24h", |b| {
         b.iter(|| {
             for &e in &forecast {

@@ -64,6 +64,12 @@ impl HorizonPlan {
     }
 }
 
+/// How far (J) the highest reachable battery path must fall below zero
+/// before [`plan_horizon`] calls a window starved without solving it:
+/// 10x the simplex's 1e-7 phase-1 infeasibility tolerance, so the
+/// closed-form exit only answers windows the LP rejects as well.
+const STARVED_MARGIN_J: f64 = 1e-6;
+
 /// Jointly plans `forecast.len()` periods with full knowledge of the
 /// forecast and the battery.
 ///
@@ -82,6 +88,21 @@ pub fn plan_horizon(
     battery_level: Energy,
     battery_capacity: Energy,
 ) -> Result<HorizonPlan, ReapError> {
+    validate_window(forecast, battery_level, battery_capacity)?;
+    if starves(problem, forecast, battery_level, battery_capacity) {
+        return Err(ReapError::InfeasibleHorizon);
+    }
+    solve_joint_lp(problem, forecast, battery_level, battery_capacity)
+}
+
+/// Checks a planning window: a non-empty forecast of finite,
+/// non-negative energies and a battery level in `[0, capacity]` with a
+/// positive, finite capacity.
+pub(crate) fn validate_window(
+    forecast: &[Energy],
+    battery_level: Energy,
+    battery_capacity: Energy,
+) -> Result<(), ReapError> {
     if forecast.is_empty() {
         return Err(ReapError::InvalidParameter("empty forecast".into()));
     }
@@ -99,7 +120,42 @@ pub fn plan_horizon(
             "battery state {battery_level} / {battery_capacity} is invalid"
         )));
     }
+    Ok(())
+}
 
+/// `true` when no plan can pay every period's off-state floor.
+///
+/// The problem builder rejects operating points that draw no more than
+/// `P_off`, so every period consumes at least `P_off * TP`. The highest
+/// battery path any plan can reach therefore spends exactly that floor
+/// each period and clamps at capacity; once it falls more than
+/// [`STARVED_MARGIN_J`] below zero, the joint LP is infeasible too.
+fn starves(
+    problem: &ReapProblem,
+    forecast: &[Energy],
+    battery_level: Energy,
+    battery_capacity: Energy,
+) -> bool {
+    let floor = problem.min_budget().joules();
+    let capacity = battery_capacity.joules();
+    let mut level = battery_level.joules();
+    for e in forecast {
+        level += e.joules() - floor;
+        if level < -STARVED_MARGIN_J {
+            return true;
+        }
+        level = level.min(capacity);
+    }
+    false
+}
+
+/// Builds and solves the joint LP over a validated window.
+fn solve_joint_lp(
+    problem: &ReapProblem,
+    forecast: &[Energy],
+    battery_level: Energy,
+    battery_capacity: Energy,
+) -> Result<HorizonPlan, ReapError> {
     let horizon = forecast.len();
     let n = problem.points().len();
     let tp = problem.period().seconds();
@@ -162,9 +218,9 @@ pub fn plan_horizon(
     let solution = lp.solve()?;
     match solution.status() {
         LpStatus::Optimal => {}
-        // Every period owes the off-state floor `P_off * TP`, so a dark
-        // window with a dead battery is genuinely infeasible (a starved
-        // device, not a solver bug) — report it as such.
+        // A window starved by less than `STARVED_MARGIN_J` gets past the
+        // closed-form check; when the LP rejects it, that is a starved
+        // device, not a solver bug — report it as such.
         LpStatus::Infeasible => return Err(ReapError::InfeasibleHorizon),
         status => {
             // The objective is bounded by full-time top-point operation,
@@ -209,6 +265,7 @@ pub fn plan_horizon(
 mod tests {
     use super::*;
     use crate::OperatingPoint;
+    use proptest::prelude::*;
     use reap_units::Power;
 
     fn paper_problem(alpha: f64) -> ReapProblem {
@@ -353,5 +410,70 @@ mod tests {
             plan.total_objective(2.0),
             uniform_total
         );
+    }
+
+    #[test]
+    fn starved_exit_leaves_windows_inside_the_margin_to_the_lp() {
+        let p = paper_problem(1.0);
+        let dark = [Energy::ZERO];
+        let floor = p.min_budget().joules();
+        // 0.5 uJ short of the floor: the closed form stays out of it and
+        // the LP rejects the window itself.
+        let near = joules(floor - 5e-7);
+        assert!(!starves(&p, &dark, near, joules(1.0)));
+        assert_eq!(
+            plan_horizon(&p, &dark, near, joules(1.0)),
+            Err(ReapError::InfeasibleHorizon)
+        );
+        // 2 uJ short: the closed form answers.
+        assert!(starves(&p, &dark, joules(floor - 2e-6), joules(1.0)));
+    }
+
+    /// A zero-heavy window of 1 to 8 periods (each dark or a trickle of
+    /// up to about two off-state floors) and a small battery at any level.
+    fn arb_window() -> impl Strategy<Value = (Vec<Energy>, Energy, Energy)> {
+        let hour = prop_oneof![Just(0.0), Just(0.0), 0.0..0.4f64];
+        (
+            proptest::collection::vec(hour, 1..=8),
+            0.05..2.0f64,
+            0.0..=1.0f64,
+        )
+            .prop_map(|(forecast, cap, fill)| {
+                (
+                    forecast.into_iter().map(joules).collect(),
+                    joules(cap * fill),
+                    joules(cap),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn starved_exit_agrees_with_the_lp((forecast, level, cap) in arb_window()) {
+            let p = paper_problem(1.0);
+            let fired = starves(&p, &forecast, level, cap);
+            let lp = solve_joint_lp(&p, &forecast, level, cap);
+            if fired {
+                prop_assert_eq!(&lp, &Err(ReapError::InfeasibleHorizon));
+            }
+            // Infeasible by more than the margin: still infeasible with
+            // the margin added to every period's harvest.
+            let padded: Vec<Energy> = forecast
+                .iter()
+                .map(|&e| e + joules(STARVED_MARGIN_J))
+                .collect();
+            if solve_joint_lp(&p, &padded, level, cap) == Err(ReapError::InfeasibleHorizon) {
+                prop_assert!(fired, "LP starved beyond the margin but the exit did not fire");
+            }
+            // Everything else is the LP's answer, bit for bit.
+            let expected = if fired { Err(ReapError::InfeasibleHorizon) } else { lp };
+            prop_assert_eq!(
+                format!("{:?}", plan_horizon(&p, &forecast, level, cap)),
+                format!("{expected:?}")
+            );
+        }
     }
 }

@@ -15,22 +15,25 @@
 //!   solved against and the predicted battery trajectory. When the next
 //!   call brings *no new information* — the window shrank by exactly the
 //!   executed period (the shrinking-horizon endgame near the end of a
-//!   trace), the remaining forecast is unchanged, and the battery landed
-//!   where the plan predicted — the cached tail is provably still
-//!   optimal and is executed without re-solving. Any deviation (new
-//!   forecast entries, forecast revisions, brownouts) triggers a fresh
-//!   solve.
+//!   trace), the remaining forecast is unchanged, the battery landed
+//!   where the plan predicted and its capacity is the one planned for —
+//!   the cached tail is provably still optimal and is executed without
+//!   re-solving. Any deviation (new forecast entries, forecast revisions,
+//!   brownouts) triggers a fresh solve. Inputs are validated before the
+//!   cache is consulted, so a reused tail answers only valid calls.
 //! * **Starvation fallback.** The joint LP forces every period to pay the
 //!   off-state floor `P_off * TP`; a dark window with a dead battery
-//!   makes it infeasible. A real device cannot throw an error at
-//!   midnight, so the controller falls back to the all-off schedule (the
-//!   engine's brownout accounting then records the shortfall honestly).
+//!   makes it infeasible. [`plan_horizon`] spots such a window before it
+//!   builds the LP, by walking the highest battery path any plan can
+//!   reach. A real device cannot throw an error at midnight, so the
+//!   controller falls back to the all-off schedule (the engine's brownout
+//!   accounting then records the shortfall honestly).
 
 use std::collections::VecDeque;
 
 use reap_units::Energy;
 
-use crate::horizon::plan_horizon;
+use crate::horizon::{plan_horizon, validate_window};
 use crate::schedule::Schedule;
 use crate::{ReapError, ReapProblem};
 
@@ -40,13 +43,15 @@ use crate::{ReapError, ReapProblem};
 const REUSE_TOLERANCE_J: f64 = 1e-9;
 
 /// The cached remainder of the last solve: schedules not yet executed,
-/// the forecast entries they were solved against, and the battery level
-/// each of them expects to start from.
+/// the forecast entries they were solved against, the battery level
+/// each of them expects to start from, and the battery capacity they
+/// were planned for.
 #[derive(Debug, Clone, PartialEq)]
 struct PendingPlan {
     schedules: VecDeque<Schedule>,
     forecast_tail: Vec<Energy>,
     start_levels: VecDeque<Energy>,
+    battery_capacity: Energy,
 }
 
 /// Receding-horizon runtime controller (see module docs).
@@ -154,12 +159,10 @@ impl RecedingHorizonController {
         battery_level: Energy,
         battery_capacity: Energy,
     ) -> Result<Schedule, ReapError> {
-        if forecast.is_empty() {
-            return Err(ReapError::InvalidParameter("empty forecast".into()));
-        }
         let window = &forecast[..forecast.len().min(self.lookahead)];
+        validate_window(window, battery_level, battery_capacity)?;
 
-        if let Some(schedule) = self.try_reuse(window, battery_level) {
+        if let Some(schedule) = self.try_reuse(window, battery_level, battery_capacity) {
             self.reuses += 1;
             return Ok(schedule);
         }
@@ -178,6 +181,7 @@ impl RecedingHorizonController {
                     schedules,
                     forecast_tail: window[1..].to_vec(),
                     start_levels,
+                    battery_capacity,
                 });
                 Ok(first)
             }
@@ -198,9 +202,15 @@ impl RecedingHorizonController {
 
     /// Pops the cached tail if — and only if — the new window carries no
     /// information the cached plan did not already account for.
-    fn try_reuse(&mut self, window: &[Energy], battery_level: Energy) -> Option<Schedule> {
+    fn try_reuse(
+        &mut self,
+        window: &[Energy],
+        battery_level: Energy,
+        battery_capacity: Energy,
+    ) -> Option<Schedule> {
         let pending = self.pending.as_mut()?;
         let matches = !pending.schedules.is_empty()
+            && battery_capacity == pending.battery_capacity
             && window.len() == pending.forecast_tail.len()
             && window
                 .iter()
@@ -314,6 +324,27 @@ mod tests {
         // The battery did NOT land where the plan predicted (brownout,
         // efficiency losses, surprise clouds...): the tail is stale.
         let _ = c.plan(&forecast[1..], joules(0.3), cap).unwrap();
+        assert_eq!(c.solves(), 2);
+        assert_eq!(c.reuses(), 0);
+    }
+
+    #[test]
+    fn reuse_validates_inputs_and_requires_the_planned_capacity() {
+        let mut c = RecedingHorizonController::new(paper_problem(), 8).unwrap();
+        let forecast: Vec<Energy> = vec![3.0, 1.0, 0.5, 0.0].into_iter().map(joules).collect();
+        let cap = joules(60.0);
+        let joint = plan_horizon(&paper_problem(), &forecast, joules(5.0), cap).unwrap();
+        let _ = c.plan(&forecast, joules(5.0), cap).unwrap();
+        // The battery landed where the plan said, but above the capacity
+        // this call reports: invalid, cached tail or not.
+        let level = joint.battery_trajectory[0];
+        let below_level = joules(level.joules() / 2.0);
+        assert!(matches!(
+            c.plan(&forecast[1..], level, below_level),
+            Err(ReapError::InvalidParameter(_))
+        ));
+        // A valid but different capacity is new information: re-solve.
+        let _ = c.plan(&forecast[1..], level, joules(50.0)).unwrap();
         assert_eq!(c.solves(), 2);
         assert_eq!(c.reuses(), 0);
     }

@@ -6,10 +6,6 @@
 //! the minimum ratio test, pivots, and stops when the cost row has no
 //! positive entry.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
-
 use crate::error::LpError;
 use crate::problem::{Direction, LpProblem, Relation};
 use crate::solution::LpSolution;
@@ -54,17 +50,22 @@ impl Default for SimplexOptions {
     }
 }
 
-/// Dense simplex tableau.
+/// Dense simplex tableau, stored row-major in one buffer.
 ///
-/// Column layout: `[structural | slack/surplus | artificial]`, with the
-/// right-hand side stored as the final entry of each row. The cost row is
-/// kept separately in `obj` with the convention `obj[j] = c_j - z_j`
-/// (reduced cost) and `obj[rhs] = -z` (negated objective value).
+/// Each row holds `width` entries: the columns `[structural |
+/// slack/surplus | artificial]`, then the right-hand side. The first
+/// `basis.len()` rows are the constraint rows; the last row is the cost
+/// row, with `c_j - z_j` (reduced cost) in column `j` and `-z` (negated
+/// objective value) in the right-hand-side slot.
+///
+/// A pivot updates every entry on its own (`x /= piv`, then
+/// `x -= f * p`) in the same order as a textbook tableau would, and
+/// rustc never contracts `x - f * p` into a fused multiply-add, so the
+/// vectorized slice loops below produce the same bits as scalar ones.
 struct Tableau {
-    rows: Vec<Vec<f64>>,
-    obj: Vec<f64>,
+    cells: Vec<f64>,
     basis: Vec<usize>,
-    n_total: usize,
+    width: usize,
 }
 
 enum PivotOutcome {
@@ -75,44 +76,57 @@ enum PivotOutcome {
 
 impl Tableau {
     fn rhs_index(&self) -> usize {
-        self.n_total
+        self.width - 1
     }
 
-    /// Rebuilds the cost row for the cost vector `cost` (length `n_total`),
-    /// pricing out the current basis so all basic columns have zero reduced
-    /// cost.
+    /// Constraint row `i`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The constraint rows, in order.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.cells[..self.basis.len() * self.width].chunks_exact(self.width)
+    }
+
+    /// The cost row.
+    fn obj(&self) -> &[f64] {
+        &self.cells[self.basis.len() * self.width..]
+    }
+
+    /// Rebuilds the cost row for the cost vector `cost` (length
+    /// `width - 1`), pricing out the current basis so all basic columns
+    /// have zero reduced cost.
     fn price_out(&mut self, cost: &[f64]) {
-        let rhs = self.rhs_index();
-        self.obj = cost.to_vec();
-        self.obj.push(0.0);
-        for (i, row) in self.rows.iter().enumerate() {
-            let cb = cost[self.basis[i]];
+        let (rows, obj) = self.cells.split_at_mut(self.basis.len() * self.width);
+        let (reduced, rhs) = obj.split_at_mut(cost.len());
+        reduced.copy_from_slice(cost);
+        rhs[0] = 0.0;
+        for (row, &b) in rows.chunks_exact(self.width).zip(&self.basis) {
+            let cb = cost[b];
             if cb != 0.0 {
-                for j in 0..=rhs {
-                    self.obj[j] -= cb * row[j];
+                for (o, &a) in obj.iter_mut().zip(row) {
+                    *o -= cb * a;
                 }
             }
         }
     }
 
-    /// Selects the entering column among `allowed`, or `None` at optimality.
+    /// Selects the entering column below `banned_from`, or `None` at
+    /// optimality.
     fn entering_column(&self, rule: PivotRule, tol: f64, banned_from: usize) -> Option<usize> {
+        let candidates = &self.obj()[..self.rhs_index().min(banned_from)];
         match rule {
             PivotRule::Dantzig => {
                 let mut best: Option<(usize, f64)> = None;
-                for (j, &r) in self.obj[..self.n_total].iter().enumerate() {
-                    if j >= banned_from {
-                        break;
-                    }
+                for (j, &r) in candidates.iter().enumerate() {
                     if r > tol && best.is_none_or(|(_, br)| r > br) {
                         best = Some((j, r));
                     }
                 }
                 best.map(|(j, _)| j)
             }
-            PivotRule::Bland => self.obj[..self.n_total.min(banned_from)]
-                .iter()
-                .position(|&r| r > tol),
+            PivotRule::Bland => candidates.iter().position(|&r| r > tol),
         }
     }
 
@@ -122,7 +136,7 @@ impl Tableau {
     fn leaving_row(&self, q: usize, tol: f64) -> Option<usize> {
         let rhs = self.rhs_index();
         let mut best: Option<(usize, f64)> = None;
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, row) in self.rows().enumerate() {
             let a = row[q];
             if a > tol {
                 let ratio = row[rhs] / a;
@@ -142,34 +156,27 @@ impl Tableau {
     }
 
     /// Performs the pivot on `(p, q)`: normalizes row `p`, eliminates column
-    /// `q` from every other row and from the cost row.
+    /// `q` from every other row, the cost row included.
     fn pivot(&mut self, p: usize, q: usize) {
-        let rhs = self.rhs_index();
-        let piv = self.rows[p][q];
+        let (before, rest) = self.cells.split_at_mut(p * self.width);
+        let (pivot_row, after) = rest.split_at_mut(self.width);
+        let piv = pivot_row[q];
         debug_assert!(piv.abs() > 0.0, "pivot on zero element");
-        for j in 0..=rhs {
-            self.rows[p][j] /= piv;
+        for x in pivot_row.iter_mut() {
+            *x /= piv;
         }
-        // Snapshot the pivot row to satisfy the borrow checker cheaply.
-        let pivot_row = self.rows[p].clone();
-        for (i, row) in self.rows.iter_mut().enumerate() {
-            if i == p {
-                continue;
-            }
+        let pivot_row: &[f64] = pivot_row;
+        for row in before
+            .chunks_exact_mut(self.width)
+            .chain(after.chunks_exact_mut(self.width))
+        {
             let factor = row[q];
             if factor != 0.0 {
-                for j in 0..=rhs {
-                    row[j] -= factor * pivot_row[j];
+                for (x, &pv) in row.iter_mut().zip(pivot_row) {
+                    *x -= factor * pv;
                 }
                 row[q] = 0.0; // kill round-off in the eliminated column
             }
-        }
-        let factor = self.obj[q];
-        if factor != 0.0 {
-            for j in 0..=rhs {
-                self.obj[j] -= factor * pivot_row[j];
-            }
-            self.obj[q] = 0.0;
         }
         self.basis[p] = q;
     }
@@ -182,7 +189,7 @@ impl Tableau {
         let Some(p) = self.leaving_row(q, tol) else {
             return PivotOutcome::Unbounded;
         };
-        let degenerate = self.rows[p][self.rhs_index()].abs() <= tol;
+        let degenerate = self.row(p)[self.rhs_index()].abs() <= tol;
         self.pivot(p, q);
         PivotOutcome::Pivoted { degenerate }
     }
@@ -230,47 +237,43 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
     let n = problem.num_vars();
     let m = problem.num_constraints();
 
-    // --- Normalize rows: rhs >= 0, count slack/surplus/artificial columns.
-    struct NormRow {
-        coeffs: Vec<f64>,
-        relation: Relation,
-        rhs: f64,
-    }
-    let norm: Vec<NormRow> = problem
-        .constraints
-        .iter()
-        .map(|c| {
-            if c.rhs < 0.0 {
-                NormRow {
-                    coeffs: c.coeffs.iter().map(|a| -a).collect(),
-                    relation: c.relation.flipped(),
-                    rhs: -c.rhs,
-                }
-            } else {
-                NormRow {
-                    coeffs: c.coeffs.clone(),
-                    relation: c.relation,
-                    rhs: c.rhs,
-                }
-            }
-        })
-        .collect();
-
-    let n_slack = norm.iter().filter(|r| r.relation != Relation::Eq).count();
-    let n_art = norm.iter().filter(|r| r.relation != Relation::Le).count();
+    // --- Normalize rows to rhs >= 0 (negating a row flips its relation)
+    // and count the slack/surplus and artificial columns.
+    let relation = |i: usize| {
+        let c = &problem.constraints[i];
+        if c.rhs < 0.0 {
+            c.relation.flipped()
+        } else {
+            c.relation
+        }
+    };
+    let n_slack = (0..m).filter(|&i| relation(i) != Relation::Eq).count();
+    let n_art = (0..m).filter(|&i| relation(i) != Relation::Le).count();
     let artificial_start = n + n_slack;
     let n_total = n + n_slack + n_art;
 
-    // --- Build the tableau.
-    let mut rows = Vec::with_capacity(m);
+    // --- Build the tableau straight from the problem's rows; the cost
+    // row stays zero until the first `price_out`.
+    let width = n_total + 1;
+    let mut cells = vec![0.0; (m + 1) * width];
     let mut basis = Vec::with_capacity(m);
     let mut slack_cursor = n;
     let mut art_cursor = artificial_start;
-    for r in &norm {
-        let mut row = vec![0.0; n_total + 1];
-        row[..n].copy_from_slice(&r.coeffs);
-        row[n_total] = r.rhs;
-        match r.relation {
+    for (i, (row, c)) in cells
+        .chunks_exact_mut(width)
+        .zip(&problem.constraints)
+        .enumerate()
+    {
+        if c.rhs < 0.0 {
+            for (x, &a) in row.iter_mut().zip(&c.coeffs) {
+                *x = -a;
+            }
+            row[n_total] = -c.rhs;
+        } else {
+            row[..n].copy_from_slice(&c.coeffs);
+            row[n_total] = c.rhs;
+        }
+        match relation(i) {
             Relation::Le => {
                 row[slack_cursor] = 1.0;
                 basis.push(slack_cursor);
@@ -289,14 +292,12 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
                 art_cursor += 1;
             }
         }
-        rows.push(row);
     }
 
     let mut tab = Tableau {
-        rows,
-        obj: Vec::new(),
+        cells,
         basis,
-        n_total,
+        width,
     };
 
     let mut iterations = 0usize;
@@ -304,13 +305,11 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
     // --- Phase 1: drive artificials to zero (maximize -sum of artificials).
     if n_art > 0 {
         let mut phase1_cost = vec![0.0; n_total];
-        for c in phase1_cost.iter_mut().skip(artificial_start) {
-            *c = -1.0;
-        }
+        phase1_cost[artificial_start..].fill(-1.0);
         tab.price_out(&phase1_cost);
         let finished = run_phase(&mut tab, options, n_total, &mut iterations)?;
         debug_assert!(finished, "phase-1 objective is bounded by construction");
-        let z1 = -tab.obj[tab.rhs_index()];
+        let z1 = -tab.obj()[tab.rhs_index()];
         if z1 < -options.tol.max(1e-7) {
             return Ok(LpSolution::infeasible(iterations));
         }
@@ -318,10 +317,11 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         // basis so phase 2 cannot be polluted by them. If a row has no
         // eligible pivot it is redundant; the artificial stays basic at 0,
         // which is harmless because artificial columns are banned below.
-        for i in 0..tab.rows.len() {
+        for i in 0..m {
             if tab.basis[i] >= artificial_start {
-                let pivot_col =
-                    (0..artificial_start).find(|&j| tab.rows[i][j].abs() > options.tol.max(1e-8));
+                let pivot_col = tab.row(i)[..artificial_start]
+                    .iter()
+                    .position(|a| a.abs() > options.tol.max(1e-8));
                 if let Some(q) = pivot_col {
                     tab.pivot(i, q);
                     iterations += 1;
@@ -336,8 +336,8 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         Direction::Minimize => -1.0,
     };
     let mut phase2_cost = vec![0.0; n_total];
-    for (j, &c) in problem.objective.iter().enumerate() {
-        phase2_cost[j] = sign * c;
+    for (c, &o) in phase2_cost.iter_mut().zip(&problem.objective) {
+        *c = sign * o;
     }
     tab.price_out(&phase2_cost);
     let finished = run_phase(&mut tab, options, artificial_start, &mut iterations)?;
@@ -348,9 +348,9 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
     // --- Extract the solution.
     let mut x = vec![0.0; n];
     let rhs = tab.rhs_index();
-    for (i, &b) in tab.basis.iter().enumerate() {
+    for (row, &b) in tab.rows().zip(&tab.basis) {
         if b < n {
-            x[b] = tab.rows[i][rhs];
+            x[b] = row[rhs];
         }
     }
     // Clean tiny negative round-off so downstream consumers see x >= 0.
@@ -359,7 +359,7 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
             *v = 0.0;
         }
     }
-    let objective = sign * -tab.obj[rhs];
+    let objective = sign * -tab.obj()[rhs];
     Ok(LpSolution::optimal(objective, x, iterations))
 }
 
