@@ -16,8 +16,10 @@
 //! instead of silently dropping out. Explicit pairs remain for local use.
 //!
 //! Each pair must share a known bench schema (`reap-bench/planner-v1`,
-//! `reap-bench/fleet-v2`, `reap-bench/mpc-v1`, `reap-bench/serve-v2`);
-//! the tracked throughput metrics per schema live in
+//! `reap-bench/fleet-v2`, `reap-bench/mpc-v1`, `reap-bench/serve-v2`, ...)
+//! and agree on that schema's workload fields (users, days, ...), so a
+//! quick run is never gated against a full one; the workload fields and
+//! tracked throughput metrics per schema live in
 //! [`reap_bench::regression`]. The default threshold tolerates a 25%
 //! slowdown — wide enough for shared-runner noise, tight enough to catch
 //! a hot path falling off a cliff.

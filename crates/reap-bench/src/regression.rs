@@ -1,14 +1,18 @@
 //! Bench-baseline regression checking.
 //!
-//! The repo commits machine-readable perf baselines (`BENCH_planner.json`,
-//! `BENCH_fleet.json`, `BENCH_mpc.json`). CI regenerates each on every
-//! commit; this module compares the fresh numbers against the committed
-//! baseline and flags throughput regressions beyond a threshold — the
-//! logic behind the `bench_check` binary.
+//! The repo commits machine-readable perf baselines (`BENCH_*.json`).
+//! CI regenerates each on every commit; this module compares the fresh
+//! numbers against the committed baseline and flags throughput
+//! regressions beyond a threshold — the logic behind the `bench_check`
+//! binary.
 //!
-//! The bench JSON is hand-written (the workspace is offline and carries
-//! no serde), so extraction is a deliberately small scanner over unique
-//! top-level keys rather than a JSON parser.
+//! Both documents are read with the workspace's JSON codec
+//! ([`reap_serve::json`]). A pair is comparable only when it shares a
+//! schema and agrees on every workload field of that schema (users,
+//! days, ...): a quick run gated against a full one would pass or fail
+//! on the workload, not on the code.
+
+use reap_serve::json::{self, Value};
 
 /// Direction of a throughput metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,58 +26,84 @@ pub enum Direction {
 /// One tracked throughput metric of a bench schema.
 #[derive(Debug, Clone, Copy)]
 pub struct Metric {
-    /// The unique JSON key holding the metric.
+    /// Where the metric sits: a top-level key, or a dotted path into a
+    /// nested object (`month_sim.matrix_ms`).
     pub key: &'static str,
     /// Which way is faster.
     pub direction: Direction,
 }
 
-/// The throughput metrics tracked for a bench schema, or `None` for an
-/// unknown schema.
+/// What `bench_check` reads from one bench schema.
+#[derive(Debug)]
+pub struct Schema {
+    /// The fields (keys or dotted paths) that describe the workload; a
+    /// baseline and a fresh run must agree on every one.
+    pub workload: &'static [&'static str],
+    /// The tracked throughput metrics.
+    pub metrics: &'static [Metric],
+}
+
+const fn higher(key: &'static str) -> Metric {
+    Metric {
+        key,
+        direction: Direction::HigherIsBetter,
+    }
+}
+
+const fn lower(key: &'static str) -> Metric {
+    Metric {
+        key,
+        direction: Direction::LowerIsBetter,
+    }
+}
+
+static PLANNER_SCHEMA: Schema = Schema {
+    workload: &["budget_j", "month_sim.hours", "month_sim.matrix_policies"],
+    metrics: &[lower("month_sim.reap_run_ms"), lower("month_sim.matrix_ms")],
+};
+
+static FLEET_SCHEMA: Schema = Schema {
+    workload: &["users", "days"],
+    metrics: &[higher("users_per_s")],
+};
+
+static MPC_SCHEMA: Schema = Schema {
+    workload: &["days", "rel_error"],
+    metrics: &[higher("hours_per_s")],
+};
+
+// The intermittent bench also records burst-completion statistics
+// (epochs/burst, commit ratio), but only event-core throughput is gated:
+// the completion numbers are pinned exactly by the committed baseline
+// diff, not a fuzzy perf threshold.
+static INTERMITTENT_SCHEMA: Schema = Schema {
+    workload: &["users", "days", "dt_seconds", "blackout_fraction"],
+    metrics: &[higher("events_per_s")],
+};
+
+// The serve bench also records decide round-trip p50/p99, but only
+// throughput is gated: loopback tail latency on shared CI runners is too
+// noisy for a hard quantile gate.
+static SERVE_SCHEMA: Schema = Schema {
+    workload: &["users", "client_threads", "decisions"],
+    metrics: &[higher("decisions_per_s")],
+};
+
+/// The workload fields and tracked metrics of a bench schema, or `None`
+/// for an unknown schema.
 #[must_use]
-pub fn metrics_for_schema(schema: &str) -> Option<&'static [Metric]> {
-    match schema {
-        "reap-bench/planner-v1" => Some(&[
-            Metric {
-                key: "reap_run_ms",
-                direction: Direction::LowerIsBetter,
-            },
-            Metric {
-                key: "matrix_ms",
-                direction: Direction::LowerIsBetter,
-            },
-        ]),
+pub fn schema(name: &str) -> Option<&'static Schema> {
+    match name {
+        "reap-bench/planner-v1" => Some(&PLANNER_SCHEMA),
         // fleet-v2 (the SoA core) added `cohorts` and `soa_bytes_per_user`
-        // alongside the same throughput metric; the v1 entry stays so a
-        // stale committed baseline produces a clear schema-mismatch error
-        // instead of an unknown-schema one.
-        "reap-bench/fleet-v1" | "reap-bench/fleet-v2" => Some(&[Metric {
-            key: "users_per_s",
-            direction: Direction::HigherIsBetter,
-        }]),
-        "reap-bench/mpc-v1" => Some(&[Metric {
-            key: "hours_per_s",
-            direction: Direction::HigherIsBetter,
-        }]),
-        // The intermittent bench also records burst-completion statistics
-        // (epochs/burst, commit ratio), but only event-core throughput is
-        // gated: the completion numbers are pinned exactly by the
-        // committed baseline diff, not a fuzzy perf threshold.
-        "reap-bench/intermittent-v1" => Some(&[Metric {
-            key: "events_per_s",
-            direction: Direction::HigherIsBetter,
-        }]),
-        // The serve bench also records decide round-trip p50/p99, but only
-        // throughput is gated: loopback tail latency on shared CI runners
-        // is too noisy for a hard quantile gate. serve-v2 (the RetryClient
-        // workload) added retry/reconnect/eviction/shed counters alongside
-        // the same throughput metric; the v1 entry stays so a stale
-        // committed baseline produces a clear schema-mismatch error
-        // instead of an unknown-schema one.
-        "reap-bench/serve-v1" | "reap-bench/serve-v2" => Some(&[Metric {
-            key: "decisions_per_s",
-            direction: Direction::HigherIsBetter,
-        }]),
+        // and serve-v2 (the RetryClient workload) the resilience counters,
+        // each alongside the same throughput metric. The v1 entries stay
+        // so a stale committed baseline produces a clear schema-mismatch
+        // error instead of an unknown-schema one.
+        "reap-bench/fleet-v1" | "reap-bench/fleet-v2" => Some(&FLEET_SCHEMA),
+        "reap-bench/mpc-v1" => Some(&MPC_SCHEMA),
+        "reap-bench/intermittent-v1" => Some(&INTERMITTENT_SCHEMA),
+        "reap-bench/serve-v1" | "reap-bench/serve-v2" => Some(&SERVE_SCHEMA),
         _ => None,
     }
 }
@@ -126,30 +156,10 @@ pub fn discover_pairs(
     Ok(pairs)
 }
 
-/// Extracts the first number stored under `"key":` in `json`.
-#[must_use]
-pub fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let rest = extract_raw(json, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the first string stored under `"key":` in `json`.
-#[must_use]
-pub fn extract_string<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let rest = extract_raw(json, key)?.strip_prefix('"')?;
-    rest.split('"').next()
-}
-
-fn extract_raw<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let start = json.find(&needle)? + needle.len();
-    json[start..]
-        .trim_start()
-        .strip_prefix(':')
-        .map(str::trim_start)
+/// The value at `path` in `doc`: a top-level key, or a dotted path
+/// into nested objects. Never a key found anywhere else in the document.
+fn lookup<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(doc, |v, key| v.get(key))
 }
 
 /// Outcome of comparing one metric between baseline and fresh runs.
@@ -175,29 +185,50 @@ pub struct Comparison {
 ///
 /// # Errors
 ///
-/// Returns a message when either document lacks a known `schema`, the
-/// schemas disagree, or a tracked metric is missing or non-positive.
+/// Returns a message when either document is not JSON or lacks a known
+/// `schema`, the schemas disagree, the workload fields differ or are
+/// missing, or a tracked metric is missing or non-positive.
 pub fn compare(
     baseline_json: &str,
     fresh_json: &str,
     threshold: f64,
 ) -> Result<Vec<Comparison>, String> {
-    let schema = extract_string(baseline_json, "schema")
-        .ok_or_else(|| "baseline has no schema field".to_string())?;
-    let fresh_schema = extract_string(fresh_json, "schema")
-        .ok_or_else(|| "fresh run has no schema field".to_string())?;
-    if schema != fresh_schema {
+    let baseline =
+        json::parse(baseline_json).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    let fresh = json::parse(fresh_json).map_err(|e| format!("fresh run is not valid JSON: {e}"))?;
+    let name = lookup(&baseline, "schema")
+        .and_then(Value::as_str)
+        .ok_or("baseline has no schema field")?;
+    let fresh_name = lookup(&fresh, "schema")
+        .and_then(Value::as_str)
+        .ok_or("fresh run has no schema field")?;
+    if name != fresh_name {
         return Err(format!(
-            "schema mismatch: baseline {schema} vs fresh {fresh_schema}"
+            "schema mismatch: baseline {name} vs fresh {fresh_name}"
         ));
     }
-    let metrics =
-        metrics_for_schema(schema).ok_or_else(|| format!("unknown bench schema {schema}"))?;
-    let mut out = Vec::with_capacity(metrics.len());
-    for metric in metrics {
-        let baseline = extract_number(baseline_json, metric.key)
+    let schema = schema(name).ok_or_else(|| format!("unknown bench schema {name}"))?;
+    for key in schema.workload {
+        let Some(want) = lookup(&baseline, key) else {
+            return Err(format!("baseline lacks workload field {key}"));
+        };
+        let Some(got) = lookup(&fresh, key) else {
+            return Err(format!("fresh run lacks workload field {key}"));
+        };
+        if want != got {
+            return Err(format!(
+                "workload mismatch: {key} is {} in the baseline but {} in the fresh run",
+                want.encode(),
+                got.encode()
+            ));
+        }
+    }
+    let number = |doc: &Value, key: &str| lookup(doc, key).and_then(Value::as_f64);
+    let mut out = Vec::with_capacity(schema.metrics.len());
+    for metric in schema.metrics {
+        let baseline = number(&baseline, metric.key)
             .ok_or_else(|| format!("baseline lacks metric {}", metric.key))?;
-        let fresh = extract_number(fresh_json, metric.key)
+        let fresh = number(&fresh, metric.key)
             .ok_or_else(|| format!("fresh run lacks metric {}", metric.key))?;
         if baseline <= 0.0 || fresh <= 0.0 {
             return Err(format!(
@@ -227,35 +258,96 @@ mod tests {
     const FLEET: &str = r#"{
   "schema": "reap-bench/fleet-v1",
   "users": 2000,
+  "days": 30,
   "users_per_s": 6000
 }"#;
 
     #[test]
     fn extracts_numbers_and_strings() {
-        assert_eq!(extract_string(FLEET, "schema"), Some("reap-bench/fleet-v1"));
-        assert_eq!(extract_number(FLEET, "users_per_s"), Some(6000.0));
-        assert_eq!(extract_number(FLEET, "users"), Some(2000.0));
-        assert_eq!(extract_number(FLEET, "absent"), None);
-        assert_eq!(extract_number("{\"x\": -3.5e2}", "x"), Some(-350.0));
+        let doc = json::parse(FLEET).unwrap();
+        let text = |key| lookup(&doc, key).and_then(Value::as_str);
+        let number = |key| lookup(&doc, key).and_then(Value::as_f64);
+        assert_eq!(text("schema"), Some("reap-bench/fleet-v1"));
+        assert_eq!(number("users_per_s"), Some(6000.0));
+        assert_eq!(number("users"), Some(2000.0));
+        assert_eq!(number("absent"), None);
+        let doc = json::parse(r#"{"x": -3.5e2, "month_sim": {"hours": 720}}"#).unwrap();
+        assert_eq!(lookup(&doc, "x").and_then(Value::as_f64), Some(-350.0));
+        assert_eq!(
+            lookup(&doc, "month_sim.hours").and_then(Value::as_f64),
+            Some(720.0)
+        );
+        // Only the named path counts, never the key found elsewhere.
+        assert_eq!(lookup(&doc, "hours"), None);
     }
 
     #[test]
     fn schemas_map_to_metrics() {
-        assert_eq!(
-            metrics_for_schema("reap-bench/planner-v1").unwrap().len(),
-            2
-        );
-        assert_eq!(metrics_for_schema("reap-bench/fleet-v1").unwrap().len(), 1);
-        assert_eq!(metrics_for_schema("reap-bench/mpc-v1").unwrap().len(), 1);
-        assert!(metrics_for_schema("nope").is_none());
-        let intermittent = metrics_for_schema("reap-bench/intermittent-v1").unwrap();
+        assert_eq!(schema("reap-bench/planner-v1").unwrap().metrics.len(), 2);
+        assert_eq!(schema("reap-bench/fleet-v1").unwrap().metrics.len(), 1);
+        assert_eq!(schema("reap-bench/mpc-v1").unwrap().metrics.len(), 1);
+        assert!(schema("nope").is_none());
+        let intermittent = schema("reap-bench/intermittent-v1").unwrap().metrics;
         assert_eq!(intermittent.len(), 1);
         assert_eq!(intermittent[0].key, "events_per_s");
         assert_eq!(intermittent[0].direction, Direction::HigherIsBetter);
-        let serve = metrics_for_schema("reap-bench/serve-v1").unwrap();
-        assert_eq!(serve.len(), 1);
-        assert_eq!(serve[0].key, "decisions_per_s");
-        assert_eq!(serve[0].direction, Direction::HigherIsBetter);
+        let serve = schema("reap-bench/serve-v1").unwrap();
+        assert_eq!(serve.metrics.len(), 1);
+        assert_eq!(serve.metrics[0].key, "decisions_per_s");
+        assert_eq!(serve.metrics[0].direction, Direction::HigherIsBetter);
+        assert_eq!(serve.workload, ["users", "client_threads", "decisions"]);
+    }
+
+    #[test]
+    fn committed_baselines_carry_their_workload_and_metrics() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut baselines = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            if !name.starts_with("BENCH_") || !name.ends_with(".json") || name.ends_with(".ci.json")
+            {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let cmp = compare(&text, &text, 0.25).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!cmp.is_empty(), "{name}");
+            baselines += 1;
+        }
+        assert_eq!(baselines, 5);
+    }
+
+    #[test]
+    fn quick_serve_run_is_not_compared_with_a_full_one() {
+        let quick = r#"{"schema": "reap-bench/serve-v2", "users": 64, "client_threads": 8,
+            "decisions": 4000, "decisions_per_s": 50987}"#;
+        let full = r#"{"schema": "reap-bench/serve-v2", "users": 2000, "client_threads": 8,
+            "decisions": 200000, "decisions_per_s": 133000}"#;
+        let err = compare(quick, full, 0.25).unwrap_err();
+        assert!(err.contains("workload mismatch"), "got: {err}");
+        assert!(err.contains("users") && err.contains("64") && err.contains("2000"));
+        // A workload block without one of its fields is refused too.
+        let partial = full.replace("\"client_threads\": 8,", "");
+        let err = compare(full, &partial, 0.25).unwrap_err();
+        assert!(
+            err.contains("lacks workload field client_threads"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn metrics_are_read_at_their_path_only() {
+        // A metric that appears only inside a nested object is missing,
+        // not silently taken from wherever the key first occurs.
+        let base = r#"{"schema": "reap-bench/serve-v2", "users": 2000, "client_threads": 8,
+            "decisions": 200000, "decisions_per_s": 133000}"#;
+        let nested = r#"{"schema": "reap-bench/serve-v2", "users": 2000, "client_threads": 8,
+            "decisions": 200000, "rounds": [{"decisions_per_s": 133000}]}"#;
+        let err = compare(base, nested, 0.25).unwrap_err();
+        assert!(
+            err.contains("fresh run lacks metric decisions_per_s"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -316,9 +408,14 @@ mod tests {
 
     #[test]
     fn lower_is_better_direction() {
-        let base = r#"{"schema": "reap-bench/planner-v1", "reap_run_ms": 10.0, "matrix_ms": 20.0}"#;
-        let fast = r#"{"schema": "reap-bench/planner-v1", "reap_run_ms": 9.0, "matrix_ms": 30.0}"#;
-        let cmp = compare(base, fast, 0.25).unwrap();
+        let planner = |reap_run_ms, matrix_ms| {
+            format!(
+                r#"{{"schema": "reap-bench/planner-v1", "budget_j": 5.0, "month_sim": {{"hours": 720,
+                "reap_run_ms": {reap_run_ms}, "matrix_policies": 6, "matrix_ms": {matrix_ms}}}}}"#
+            )
+        };
+        let (base, fast) = (planner(10.0, 20.0), planner(9.0, 30.0));
+        let cmp = compare(&base, &fast, 0.25).unwrap();
         assert!(!cmp[0].regressed, "faster run must pass");
         assert!(cmp[1].regressed, "50% slower matrix must fail");
     }
@@ -339,6 +436,7 @@ mod tests {
         let fresh_v2 = r#"{
   "schema": "reap-bench/fleet-v2",
   "users": 2000,
+  "days": 30,
   "users_per_s": 150000,
   "cohorts": 2000,
   "soa_bytes_per_user": 300
@@ -350,7 +448,7 @@ mod tests {
         );
         assert!(err.contains("fleet-v1") && err.contains("fleet-v2"));
         // Both schema generations resolve to tracked metrics on their own.
-        assert!(metrics_for_schema("reap-bench/fleet-v2").is_some());
+        assert!(schema("reap-bench/fleet-v2").is_some());
         let cmp = compare(fresh_v2, fresh_v2, 0.25).unwrap();
         assert!(!cmp[0].regressed);
     }
@@ -367,6 +465,8 @@ mod tests {
 }"#;
         let fresh_v2 = r#"{
   "schema": "reap-bench/serve-v2",
+  "users": 2000,
+  "client_threads": 8,
   "decisions": 200000,
   "decisions_per_s": 90000,
   "retries": 0,

@@ -8,6 +8,7 @@
 //! decision, never a drive-by.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::diag::Diagnostic;
@@ -38,7 +39,7 @@ impl Budget {
     ///
     /// Malformed JSON or a non-numeric budget entry.
     pub fn parse(text: &str) -> Result<Budget, String> {
-        let v = json::parse(text)?;
+        let v = json::parse(text).map_err(|e| e.to_string())?;
         let budgets = v.get("budgets").ok_or("missing budgets object")?;
         let Value::Obj(map) = budgets else {
             return Err("budgets must be an object".into());
@@ -90,28 +91,16 @@ impl Budget {
     /// `--write-budget` ratchet).
     #[must_use]
     pub fn render(tally: &BTreeMap<String, usize>) -> String {
-        let budgets: BTreeMap<String, Value> = tally
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::num(*v as f64)))
-            .collect();
-        let doc = Value::obj(vec![
-            ("version", Value::num(1.0)),
-            ("budgets", Value::Obj(budgets)),
-        ]);
         // Pretty-ish: one budget per line so diffs review cleanly.
         let mut out = String::from("{\n  \"version\": 1,\n  \"budgets\": {\n");
-        let inner = doc.get("budgets");
-        if let Some(Value::Obj(map)) = inner {
-            for (i, (k, v)) in map.iter().enumerate() {
-                out.push_str("    ");
-                out.push_str(&Value::str(k.clone()).encode());
-                out.push_str(": ");
-                out.push_str(&v.encode());
-                if i + 1 < map.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+        for (i, (rule, ceiling)) in tally.iter().enumerate() {
+            out.push_str("    ");
+            json::write_str(&mut out, rule);
+            let _ = write!(out, ": {ceiling}");
+            if i + 1 < tally.len() {
+                out.push(',');
             }
+            out.push('\n');
         }
         out.push_str("  }\n}\n");
         out

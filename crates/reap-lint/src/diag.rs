@@ -31,20 +31,21 @@ impl Diagnostic {
     /// The diagnostic's JSON form (one element of the report arrays).
     #[must_use]
     pub fn to_json(&self) -> Value {
+        // Keys in sorted order, like every object in the report.
         Value::obj(vec![
-            ("rule", Value::str(self.rule)),
-            ("check", Value::str(self.check)),
-            ("file", Value::str(self.file.clone())),
-            ("line", Value::num(self.line as f64)),
-            ("message", Value::str(self.message.clone())),
-            ("snippet", Value::str(self.snippet.clone())),
             (
                 "allowed",
                 match &self.allowed {
-                    Some(j) => Value::str(j.clone()),
+                    Some(j) => Value::Str(j.clone()),
                     None => Value::Null,
                 },
             ),
+            ("check", Value::Str(self.check.into())),
+            ("file", Value::Str(self.file.clone())),
+            ("line", Value::Num(self.line as f64)),
+            ("message", Value::Str(self.message.clone())),
+            ("rule", Value::Str(self.rule.into())),
+            ("snippet", Value::Str(self.snippet.clone())),
         ])
     }
 

@@ -36,6 +36,9 @@
 
 mod budget;
 mod diag;
+// The workspace's one JSON codec, compiled from its home in reap-serve
+// so the linter keeps no dependencies.
+#[path = "../../reap-serve/src/json.rs"]
 pub mod json;
 pub mod rules;
 pub mod source;
@@ -84,13 +87,8 @@ impl Report {
     #[must_use]
     pub fn to_json(&self, budget_failures: &[String]) -> Value {
         let tally = Budget::tally(&self.diagnostics);
+        // Keys in sorted order, like every object in the report.
         Value::obj(vec![
-            ("version", Value::num(1.0)),
-            ("files_scanned", Value::num(self.files_scanned as f64)),
-            (
-                "violations",
-                Value::Arr(self.violations().iter().map(|d| d.to_json()).collect()),
-            ),
             (
                 "allowed",
                 Value::Arr(self.allowed().iter().map(|d| d.to_json()).collect()),
@@ -100,7 +98,7 @@ impl Report {
                 Value::Obj(
                     tally
                         .iter()
-                        .map(|(k, v)| (k.clone(), Value::num(*v as f64)))
+                        .map(|(k, v)| (k.clone(), Value::Num(*v as f64)))
                         .collect(),
                 ),
             ),
@@ -109,13 +107,19 @@ impl Report {
                 Value::Arr(
                     budget_failures
                         .iter()
-                        .map(|m| Value::str(m.clone()))
+                        .map(|m| Value::Str(m.clone()))
                         .collect(),
                 ),
             ),
+            ("files_scanned", Value::Num(self.files_scanned as f64)),
             (
                 "ok",
                 Value::Bool(self.violations().is_empty() && budget_failures.is_empty()),
+            ),
+            ("version", Value::Num(1.0)),
+            (
+                "violations",
+                Value::Arr(self.violations().iter().map(|d| d.to_json()).collect()),
             ),
         ])
     }

@@ -66,6 +66,7 @@
 
 mod client;
 pub mod fault;
+pub mod json;
 pub mod locks;
 mod metrics;
 pub mod protocol;

@@ -1,11 +1,12 @@
 //! The wire protocol: newline-delimited JSON frames over TCP.
 //!
 //! Every frame is one line of UTF-8 JSON terminated by `\n`, at most
-//! [`MAX_LINE_BYTES`] long, with a `"type"` tag naming the variant. The
-//! encoder and decoder are hand-rolled (the workspace is offline-vendored
-//! and carries no serde): a ~150-line recursive-descent JSON parser feeds
-//! typed extractors, and encoding is direct string building. `f64` fields
-//! are formatted with Rust's shortest-round-trip `Display`, so a value
+//! [`MAX_LINE_BYTES`] long, with a `"type"` tag naming the variant.
+//! Decoding runs the workspace's one JSON codec ([`crate::json`], no
+//! serde: the workspace is offline-vendored), whose nesting cap bounds
+//! the parser's recursion, then typed extractors; encoding is direct
+//! string building through the codec's writers. `f64` fields are
+//! formatted with Rust's shortest-round-trip `Display`, so a value
 //! decodes back to the exact same bits — the property the round-trip
 //! proptests pin.
 //!
@@ -18,7 +19,9 @@
 //! frame and the session continues (only oversized lines close the
 //! connection, because the frame boundary itself is no longer trusted).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+use crate::json::{self, Value};
 
 /// Protocol version spoken by this build; bumped on any wire change
 /// (v2 added the `observe` sequence number for idempotent retries, the
@@ -323,373 +326,60 @@ impl From<ProtocolError> for Response {
     }
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (the subset the protocol needs; no nested-depth
-/// limit is required because frames are line-bounded).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// A [`ErrorCode::Malformed`] error.
+fn malformed(message: impl Into<String>) -> ProtocolError {
+    ProtocolError::new(ErrorCode::Malformed, message)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> ProtocolError {
-        ProtocolError::new(ErrorCode::Malformed, format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), ProtocolError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ProtocolError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ProtocolError> {
-        // reap-lint: allow(panic:index) -- parser invariant: pos <= bytes.len(), so the range slice is in-bounds
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ProtocolError> {
-        self.expect_byte(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ProtocolError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ProtocolError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("dangling escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by \uDC00..DFFF.
-                            if (0xD800..0xDC00).contains(&cp) {
-                                // reap-lint: allow(panic:index) -- parser invariant: pos <= bytes.len()
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                out.push(
-                                    char::from_u32(c)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?,
-                                );
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(self.err("lone low surrogate"));
-                            } else {
-                                out.push(
-                                    char::from_u32(cp)
-                                        .ok_or_else(|| self.err("invalid codepoint"))?,
-                                );
-                            }
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                0x00..=0x1F => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-scan the full UTF-8 sequence starting here. The
-                    // input is a &str, so sequences are always valid.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    self.pos = start + len;
-                    // reap-lint: allow(panic:index) -- input is a &str, so the UTF-8 sequence at `start` is complete and in-bounds
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ProtocolError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        // reap-lint: allow(panic:index) -- length checked on the line above
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(cp)
-    }
-
-    fn number(&mut self) -> Result<Json, ProtocolError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        // reap-lint: allow(panic:index) -- parser invariant: start <= pos <= bytes.len()
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let v: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
-        if !v.is_finite() {
-            return Err(self.err("number out of range"));
-        }
-        Ok(Json::Num(v))
-    }
-}
-
-/// Byte length of the UTF-8 sequence starting with `b` (1 for ASCII and,
-/// defensively, for continuation bytes — unreachable from a `&str`).
-fn utf8_len(b: u8) -> usize {
-    match b {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
-    }
-}
-
-fn parse_json(line: &str) -> Result<Json, ProtocolError> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing bytes after JSON value"));
-    }
+/// Parses one frame line; a frame is always an object.
+fn parse_frame(line: &str) -> Result<Value, ProtocolError> {
+    let v = json::parse(line).map_err(|e| malformed(e.to_string()))?;
+    object(&v)?;
     Ok(v)
 }
 
-// ---------------------------------------------------------------------
-// Typed extraction
-// ---------------------------------------------------------------------
-
-fn as_obj(v: &Json) -> Result<&[(String, Json)], ProtocolError> {
+fn object(v: &Value) -> Result<&Value, ProtocolError> {
     match v {
-        Json::Obj(members) => Ok(members),
-        _ => Err(ProtocolError::new(
-            ErrorCode::Malformed,
-            "frame is not a JSON object",
-        )),
+        Value::Obj(_) => Ok(v),
+        _ => Err(malformed("frame is not a JSON object")),
     }
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+fn need<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, ProtocolError> {
+    obj.get(key)
+        .ok_or_else(|| malformed(format!("missing field {key:?}")))
 }
 
-fn need<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, ProtocolError> {
-    get(obj, key)
-        .ok_or_else(|| ProtocolError::new(ErrorCode::Malformed, format!("missing field {key:?}")))
+fn need_f64(obj: &Value, key: &str) -> Result<f64, ProtocolError> {
+    need(obj, key)?
+        .as_f64()
+        .ok_or_else(|| malformed(format!("field {key:?} is not a number")))
 }
 
-fn need_f64(obj: &[(String, Json)], key: &str) -> Result<f64, ProtocolError> {
-    match need(obj, key)? {
-        Json::Num(v) => Ok(*v),
-        _ => Err(ProtocolError::new(
-            ErrorCode::Malformed,
-            format!("field {key:?} is not a number"),
-        )),
-    }
-}
-
-fn need_u32(obj: &[(String, Json)], key: &str) -> Result<u32, ProtocolError> {
+fn need_u32(obj: &Value, key: &str) -> Result<u32, ProtocolError> {
     let v = need_f64(obj, key)?;
     if v.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&v) {
-        return Err(ProtocolError::new(
-            ErrorCode::Malformed,
-            format!("field {key:?} is not a u32"),
-        ));
+        return Err(malformed(format!("field {key:?} is not a u32")));
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Ok(v as u32)
 }
 
-fn need_u64(obj: &[(String, Json)], key: &str) -> Result<u64, ProtocolError> {
+fn need_u64(obj: &Value, key: &str) -> Result<u64, ProtocolError> {
     let v = need_f64(obj, key)?;
     if v.fract() != 0.0 || !(0.0..=9.007_199_254_740_992e15).contains(&v) {
-        return Err(ProtocolError::new(
-            ErrorCode::Malformed,
-            format!("field {key:?} is not an exactly-representable u64"),
-        ));
+        return Err(malformed(format!(
+            "field {key:?} is not an exactly-representable u64"
+        )));
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Ok(v as u64)
 }
 
-fn need_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, ProtocolError> {
-    match need(obj, key)? {
-        Json::Str(s) => Ok(s),
-        _ => Err(ProtocolError::new(
-            ErrorCode::Malformed,
-            format!("field {key:?} is not a string"),
-        )),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-/// Appends `s` JSON-escaped (quoted) to `out`.
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends an `f64` in shortest-round-trip form. Only finite values reach
-/// the wire (validation upstream), but map the impossible defensively.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
+fn need_str<'a>(obj: &'a Value, key: &str) -> Result<&'a str, ProtocolError> {
+    need(obj, key)?
+        .as_str()
+        .ok_or_else(|| malformed(format!("field {key:?} is not a string")))
 }
 
 impl Request {
@@ -700,7 +390,7 @@ impl Request {
         let mut s = String::with_capacity(64);
         match self {
             Request::Hello { version } => {
-                s.push_str(&format!("{{\"type\":\"hello\",\"version\":{version}}}"));
+                let _ = write!(s, "{{\"type\":\"hello\",\"version\":{version}}}");
             }
             Request::Observe {
                 user,
@@ -709,31 +399,32 @@ impl Request {
                 activity,
                 seq,
             } => {
-                s.push_str(&format!(
+                let _ = write!(
+                    s,
                     "{{\"type\":\"observe\",\"user\":{user},\"hour\":{hour},\"harvest_j\":"
-                ));
-                push_f64(&mut s, *harvest_j);
+                );
+                json::write_f64(&mut s, *harvest_j);
                 if let Some(a) = activity {
                     s.push_str(",\"activity\":");
-                    push_f64(&mut s, *a);
+                    json::write_f64(&mut s, *a);
                 }
                 if let Some(n) = seq {
-                    s.push_str(&format!(",\"seq\":{n}"));
+                    let _ = write!(s, ",\"seq\":{n}");
                 }
                 s.push('}');
             }
             Request::Decide { user } => {
-                s.push_str(&format!("{{\"type\":\"decide\",\"user\":{user}}}"));
+                let _ = write!(s, "{{\"type\":\"decide\",\"user\":{user}}}");
             }
             Request::Stats => s.push_str("{\"type\":\"stats\"}"),
             Request::Checkpoint { path } => {
                 s.push_str("{\"type\":\"checkpoint\",\"path\":");
-                push_escaped(&mut s, path);
+                json::write_str(&mut s, path);
                 s.push('}');
             }
             Request::Restore { path } => {
                 s.push_str("{\"type\":\"restore\",\"path\":");
-                push_escaped(&mut s, path);
+                json::write_str(&mut s, path);
                 s.push('}');
             }
             Request::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
@@ -748,25 +439,19 @@ impl Request {
     /// [`ProtocolError`] with [`ErrorCode::Malformed`] on anything that
     /// is not a well-formed known request frame.
     pub fn decode(line: &str) -> Result<Request, ProtocolError> {
-        let v = parse_json(line)?;
-        let obj = as_obj(&v)?;
+        let obj = &parse_frame(line)?;
         match need_str(obj, "type")? {
             "hello" => Ok(Request::Hello {
                 version: need_u32(obj, "version")?,
             }),
             "observe" => {
-                let activity = match get(obj, "activity") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Num(a)) => Some(*a),
-                    Some(_) => {
-                        return Err(ProtocolError::new(
-                            ErrorCode::Malformed,
-                            "field \"activity\" is not a number",
-                        ))
-                    }
+                let activity = match obj.get("activity") {
+                    None | Some(Value::Null) => None,
+                    Some(Value::Num(a)) => Some(*a),
+                    Some(_) => return Err(malformed("field \"activity\" is not a number")),
                 };
-                let seq = match get(obj, "seq") {
-                    None | Some(Json::Null) => None,
+                let seq = match obj.get("seq") {
+                    None | Some(Value::Null) => None,
                     Some(_) => Some(need_u64(obj, "seq")?),
                 };
                 Ok(Request::Observe {
@@ -788,10 +473,7 @@ impl Request {
                 path: need_str(obj, "path")?.to_string(),
             }),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtocolError::new(
-                ErrorCode::Malformed,
-                format!("unknown request type {other:?}"),
-            )),
+            other => Err(malformed(format!("unknown request type {other:?}"))),
         }
     }
 }
@@ -804,19 +486,21 @@ impl Response {
         let mut s = String::with_capacity(96);
         match self {
             Response::Welcome { version, users } => {
-                s.push_str(&format!(
+                let _ = write!(
+                    s,
                     "{{\"type\":\"welcome\",\"version\":{version},\"users\":{users}}}"
-                ));
+                );
             }
             Response::Observed {
                 user,
                 hour,
                 budget_j,
             } => {
-                s.push_str(&format!(
+                let _ = write!(
+                    s,
                     "{{\"type\":\"observed\",\"user\":{user},\"hour\":{hour},\"budget_j\":"
-                ));
-                push_f64(&mut s, *budget_j);
+                );
+                json::write_f64(&mut s, *budget_j);
                 s.push('}');
             }
             Response::Decision {
@@ -828,7 +512,7 @@ impl Response {
                 off_s,
                 shares,
             } => {
-                s.push_str(&format!("{{\"type\":\"decision\",\"user\":{user}"));
+                let _ = write!(s, "{{\"type\":\"decision\",\"user\":{user}");
                 for (key, v) in [
                     ("budget_j", budget_j),
                     ("accuracy", accuracy),
@@ -836,16 +520,16 @@ impl Response {
                     ("energy_j", energy_j),
                     ("off_s", off_s),
                 ] {
-                    s.push_str(&format!(",\"{key}\":"));
-                    push_f64(&mut s, *v);
+                    let _ = write!(s, ",\"{key}\":");
+                    json::write_f64(&mut s, *v);
                 }
                 s.push_str(",\"shares\":[");
                 for (i, share) in shares.iter().enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push_str(&format!("{{\"id\":{},\"seconds\":", share.id));
-                    push_f64(&mut s, share.seconds);
+                    let _ = write!(s, "{{\"id\":{},\"seconds\":", share.id);
+                    json::write_f64(&mut s, share.seconds);
                     s.push('}');
                 }
                 s.push_str("]}");
@@ -859,20 +543,18 @@ impl Response {
             }
             Response::CheckpointDone { path, bytes } => {
                 s.push_str("{\"type\":\"checkpoint_done\",\"path\":");
-                push_escaped(&mut s, path);
-                s.push_str(&format!(",\"bytes\":{bytes}}}"));
+                json::write_str(&mut s, path);
+                let _ = write!(s, ",\"bytes\":{bytes}}}");
             }
             Response::RestoreDone { path, users } => {
                 s.push_str("{\"type\":\"restore_done\",\"path\":");
-                push_escaped(&mut s, path);
-                s.push_str(&format!(",\"users\":{users}}}"));
+                json::write_str(&mut s, path);
+                let _ = write!(s, ",\"users\":{users}}}");
             }
             Response::ShuttingDown => s.push_str("{\"type\":\"shutting_down\"}"),
             Response::Error { code, message } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"error\",\"code\":\"{code}\",\"message\":"
-                ));
-                push_escaped(&mut s, message);
+                let _ = write!(s, "{{\"type\":\"error\",\"code\":\"{code}\",\"message\":");
+                json::write_str(&mut s, message);
                 s.push('}');
             }
         }
@@ -886,8 +568,7 @@ impl Response {
     /// [`ProtocolError`] with [`ErrorCode::Malformed`] on anything that
     /// is not a well-formed known response frame.
     pub fn decode(line: &str) -> Result<Response, ProtocolError> {
-        let v = parse_json(line)?;
-        let obj = as_obj(&v)?;
+        let obj = &parse_frame(line)?;
         match need_str(obj, "type")? {
             "welcome" => Ok(Response::Welcome {
                 version: need_u32(obj, "version")?,
@@ -899,28 +580,20 @@ impl Response {
                 budget_j: need_f64(obj, "budget_j")?,
             }),
             "decision" => {
-                let shares = match need(obj, "shares")? {
-                    Json::Arr(items) => items
-                        .iter()
-                        .map(|item| {
-                            let share = as_obj(item)?;
-                            let id = need_u32(share, "id")?;
-                            let id = u8::try_from(id).map_err(|_| {
-                                ProtocolError::new(ErrorCode::Malformed, "share id overflows u8")
-                            })?;
-                            Ok(WireShare {
-                                id,
-                                seconds: need_f64(share, "seconds")?,
-                            })
+                let shares = need(obj, "shares")?
+                    .as_arr()
+                    .ok_or_else(|| malformed("field \"shares\" is not an array"))?
+                    .iter()
+                    .map(|item| {
+                        let share = object(item)?;
+                        let id = u8::try_from(need_u32(share, "id")?)
+                            .map_err(|_| malformed("share id overflows u8"))?;
+                        Ok(WireShare {
+                            id,
+                            seconds: need_f64(share, "seconds")?,
                         })
-                        .collect::<Result<Vec<_>, ProtocolError>>()?,
-                    _ => {
-                        return Err(ProtocolError::new(
-                            ErrorCode::Malformed,
-                            "field \"shares\" is not an array",
-                        ))
-                    }
-                };
+                    })
+                    .collect::<Result<Vec<_>, ProtocolError>>()?;
                 Ok(Response::Decision {
                     user: need_u32(obj, "user")?,
                     budget_j: need_f64(obj, "budget_j")?,
@@ -932,8 +605,8 @@ impl Response {
                 })
             }
             "stats" => Ok(Response::Stats {
-                fleet: FleetStats::decode_obj(as_obj(need(obj, "fleet")?)?)?,
-                server: ServerStats::decode_obj(as_obj(need(obj, "server")?)?)?,
+                fleet: FleetStats::decode_obj(object(need(obj, "fleet")?)?)?,
+                server: ServerStats::decode_obj(object(need(obj, "server")?)?)?,
             }),
             "checkpoint_done" => Ok(Response::CheckpointDone {
                 path: need_str(obj, "path")?.to_string(),
@@ -946,21 +619,14 @@ impl Response {
             "shutting_down" => Ok(Response::ShuttingDown),
             "error" => {
                 let code_str = need_str(obj, "code")?;
-                let code = ErrorCode::parse(code_str).ok_or_else(|| {
-                    ProtocolError::new(
-                        ErrorCode::Malformed,
-                        format!("unknown error code {code_str:?}"),
-                    )
-                })?;
+                let code = ErrorCode::parse(code_str)
+                    .ok_or_else(|| malformed(format!("unknown error code {code_str:?}")))?;
                 Ok(Response::Error {
                     code,
                     message: need_str(obj, "message")?.to_string(),
                 })
             }
-            other => Err(ProtocolError::new(
-                ErrorCode::Malformed,
-                format!("unknown response type {other:?}"),
-            )),
+            other => Err(malformed(format!("unknown response type {other:?}"))),
         }
     }
 }
@@ -973,29 +639,27 @@ impl FleetStats {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(160);
-        s.push_str(&format!(
-            "{{\"users\":{},\"cohorts\":{},\"observations\":{},\"harvested_j\":",
+        let _ = write!(
+            s,
+            "{{\"users\":{},\"cohorts\":{},\"observations\":{}",
             self.users, self.cohorts, self.observations
-        ));
-        push_f64(&mut s, self.harvested_j);
-        s.push_str(",\"budget_j\":");
-        push_f64(&mut s, self.budget_j);
-        s.push_str(",\"battery_j\":");
-        push_f64(&mut s, self.battery_j);
-        s.push_str(",\"activity\":");
-        push_f64(&mut s, self.activity);
-        s.push_str(&format!(
-            ",\"state_digest\":\"{:016x}\"}}",
-            self.state_digest
-        ));
+        );
+        for (key, v) in [
+            ("harvested_j", self.harvested_j),
+            ("budget_j", self.budget_j),
+            ("battery_j", self.battery_j),
+            ("activity", self.activity),
+        ] {
+            let _ = write!(s, ",\"{key}\":");
+            json::write_f64(&mut s, v);
+        }
+        let _ = write!(s, ",\"state_digest\":\"{:016x}\"}}", self.state_digest);
         s
     }
 
-    fn decode_obj(obj: &[(String, Json)]) -> Result<FleetStats, ProtocolError> {
-        let digest_hex = need_str(obj, "state_digest")?;
-        let state_digest = u64::from_str_radix(digest_hex, 16).map_err(|_| {
-            ProtocolError::new(ErrorCode::Malformed, "state_digest is not a hex u64")
-        })?;
+    fn decode_obj(obj: &Value) -> Result<FleetStats, ProtocolError> {
+        let state_digest = u64::from_str_radix(need_str(obj, "state_digest")?, 16)
+            .map_err(|_| malformed("state_digest is not a hex u64"))?;
         Ok(FleetStats {
             users: need_u32(obj, "users")?,
             cohorts: need_u32(obj, "cohorts")?,
@@ -1014,7 +678,8 @@ impl ServerStats {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(224);
-        s.push_str(&format!(
+        let _ = write!(
+            s,
             "{{\"connections\":{},\"requests\":{},\"errors\":{},\"observes\":{},\
              \"decides\":{},\"checkpoints\":{},\"restores\":{},\"evicted\":{},\"shed\":{}",
             self.connections,
@@ -1026,21 +691,21 @@ impl ServerStats {
             self.restores,
             self.evicted,
             self.shed
-        ));
+        );
         for (key, v) in [
             ("observe_p50_us", self.observe_p50_us),
             ("observe_p99_us", self.observe_p99_us),
             ("decide_p50_us", self.decide_p50_us),
             ("decide_p99_us", self.decide_p99_us),
         ] {
-            s.push_str(&format!(",\"{key}\":"));
-            push_f64(&mut s, v);
+            let _ = write!(s, ",\"{key}\":");
+            json::write_f64(&mut s, v);
         }
         s.push('}');
         s
     }
 
-    fn decode_obj(obj: &[(String, Json)]) -> Result<ServerStats, ProtocolError> {
+    fn decode_obj(obj: &Value) -> Result<ServerStats, ProtocolError> {
         Ok(ServerStats {
             connections: need_u64(obj, "connections")?,
             requests: need_u64(obj, "requests")?,

@@ -2,9 +2,12 @@
 //! arbitrary requests and responses (exact f64 bits preserved), malformed
 //! input always answered with a structured error rather than a panic, and
 //! the framing invariants (single line, bounded size) the server relies
-//! on.
+//! on. The JSON codec underneath gets the same treatment on arbitrary
+//! trees: bit-exact round trips up to the nesting cap, errors (never
+//! panics) on junk and truncations, and the cap itself.
 
 use proptest::prelude::*;
+use reap_serve::json::{self, Value, MAX_DEPTH};
 use reap_serve::{
     ErrorCode, FleetStats, Request, Response, ServerStats, WireShare, MAX_LINE_BYTES,
 };
@@ -179,8 +182,151 @@ fn arb_junk() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Numbers for codec trees: the frame mix plus signed zero, the extremes
+/// and a subnormal.
+fn arb_num() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        arb_f64(),
+        Just(-0.0f64),
+        Just(f64::MAX),
+        Just(-f64::MIN_POSITIVE),
+        Just(5e-324),
+    ]
+}
+
+/// Text drawn from characters the codec treats specially: quotes,
+/// backslashes, control characters, JSON structure, non-ASCII.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        proptest::sample::select(vec![
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+            '\u{7f}', '{', ']', ':', ',', 'é', '\u{2028}', '日', '🙂',
+        ]),
+        0..12,
+    )
+    .prop_map(|chars| chars.into_iter().collect())
+}
+
+fn arb_leaf() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+        arb_num().prop_map(Value::Num),
+        arb_text().prop_map(Value::Str),
+    ]
+}
+
+/// A tree exactly `1..=max_depth` containers deep: a spine of arrays and
+/// objects, each level holding a few leaf siblings around the next level
+/// down.
+fn arb_tree(max_depth: usize) -> impl Strategy<Value = Value> {
+    let level = || {
+        (
+            0u8..2,
+            proptest::collection::vec((arb_text(), arb_leaf()), 0..3),
+            0usize..3,
+        )
+    };
+    (1..=max_depth)
+        .prop_flat_map(move |depth| proptest::collection::vec(level(), depth))
+        .prop_map(|levels| {
+            let mut inner: Option<Value> = None;
+            for (kind, mut members, at) in levels {
+                if let Some(v) = inner.take() {
+                    members.insert(at.min(members.len()), ("inner".to_string(), v));
+                }
+                inner = Some(if kind == 1 {
+                    Value::Obj(members)
+                } else {
+                    Value::Arr(members.into_iter().map(|(_, v)| v).collect())
+                });
+            }
+            inner.expect("at least one level")
+        })
+}
+
+/// Structural equality with numbers compared bit for bit.
+fn bits_equal(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+        (Value::Arr(xs), Value::Arr(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| bits_equal(x, y))
+        }
+        (Value::Obj(xs), Value::Obj(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && bits_equal(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// `depth` nested containers (array or object per `kinds`) around `0`.
+fn nested(kinds: &[u8]) -> String {
+    let mut text = String::new();
+    for kind in kinds {
+        text.push_str(if *kind == 1 { "{\"k\":" } else { "[" });
+    }
+    text.push('0');
+    for kind in kinds.iter().rev() {
+        text.push(if *kind == 1 { '}' } else { ']' });
+    }
+    text
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn codec_trees_round_trip_bit_exactly(tree in arb_tree(MAX_DEPTH)) {
+        let text = tree.encode();
+        prop_assert!(!text.contains('\n'), "document spans lines: {text}");
+        let back = match json::parse(&text) {
+            Ok(v) => v,
+            Err(e) => panic!("parse failed on {text}: {e}"),
+        };
+        prop_assert!(bits_equal(&back, &tree), "tree changed through {}", text);
+        prop_assert_eq!(back.encode(), text);
+    }
+
+    #[test]
+    fn codec_junk_and_truncations_are_errors_not_panics(
+        junk in arb_text(),
+        tree in arb_tree(6),
+    ) {
+        // Arbitrary text may or may not be JSON; either way the parser
+        // answers, and an error points inside the input.
+        if let Err(e) = json::parse(&junk) {
+            prop_assert!(e.offset <= junk.len(), "offset {} past {junk:?}", e.offset);
+        }
+        // Every strict prefix of a container document is incomplete.
+        let text = tree.encode();
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            prop_assert!(json::parse(&text[..cut]).is_err(), "accepted prefix {:?}", &text[..cut]);
+        }
+        // So is a complete document with anything but whitespace after it.
+        let trailing = format!("{text}{junk}");
+        if !junk.trim_start_matches([' ', '\n', '\t']).is_empty() {
+            prop_assert!(json::parse(&trailing).is_err(), "accepted {trailing:?}");
+        }
+    }
+
+    #[test]
+    fn codec_nesting_cap_is_exact(kinds in proptest::collection::vec(0u8..2, MAX_DEPTH + 1)) {
+        let at_cap = nested(&kinds[..MAX_DEPTH]);
+        prop_assert!(json::parse(&at_cap).is_ok(), "rejected {at_cap}");
+        let over = nested(&kinds);
+        match json::parse(&over) {
+            Err(e) => {
+                // Rejected at the opening bracket one level past the cap.
+                let opening = over.match_indices(['[', '{']).nth(MAX_DEPTH).map(|(i, _)| i);
+                prop_assert_eq!(Some(e.offset), opening);
+            }
+            Ok(_) => panic!("accepted {} levels", MAX_DEPTH + 1),
+        }
+    }
 
     #[test]
     fn requests_round_trip_bit_exactly(req in arb_request()) {

@@ -580,3 +580,29 @@ fn seq_stamped_observes_deduplicate_over_the_wire() {
     srv.handle.shutdown();
     srv.thread.join().unwrap().unwrap();
 }
+
+#[test]
+fn deeply_nested_frame_is_malformed_and_the_daemon_survives() {
+    // One line of `[` just under the frame cap. The parser recurses once
+    // per container, so only its nesting cap keeps this line from
+    // overflowing the connection thread's stack and aborting the process.
+    let srv = start(2, 1, ServerConfig::default());
+    let mut s = TcpStream::connect(srv.addr).expect("connect");
+    let mut frame = vec![b'['; MAX_LINE_BYTES - 1];
+    frame.push(b'\n');
+    s.write_all(&frame).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Response::decode(line.trim_end()).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+
+    // The daemon still greets new sessions.
+    let client = Client::connect(srv.addr).expect("connect after the nested frame");
+    assert_eq!(client.users(), 2);
+
+    srv.handle.shutdown();
+    srv.thread.join().unwrap().unwrap();
+}
