@@ -10,7 +10,8 @@
 //! ([`reap_serve::json`]). A pair is comparable only when it shares a
 //! schema and agrees on every workload field of that schema (users,
 //! days, ...): a quick run gated against a full one would pass or fail
-//! on the workload, not on the code.
+//! on the workload, not on the code. Deterministic outcome fields must
+//! match exactly: a run that moved them changed the simulation.
 
 use reap_serve::json::{self, Value};
 
@@ -39,6 +40,8 @@ pub struct Schema {
     /// The fields (keys or dotted paths) that describe the workload; a
     /// baseline and a fresh run must agree on every one.
     pub workload: &'static [&'static str],
+    /// Deterministic outcome fields a fresh run must reproduce exactly.
+    pub outcome: &'static [&'static str],
     /// The tracked throughput metrics.
     pub metrics: &'static [Metric],
 }
@@ -59,25 +62,42 @@ const fn lower(key: &'static str) -> Metric {
 
 static PLANNER_SCHEMA: Schema = Schema {
     workload: &["budget_j", "month_sim.hours", "month_sim.matrix_policies"],
+    outcome: &[],
     metrics: &[lower("month_sim.reap_run_ms"), lower("month_sim.matrix_ms")],
 };
 
 static FLEET_SCHEMA: Schema = Schema {
     workload: &["users", "days"],
+    outcome: &[],
     metrics: &[higher("users_per_s")],
 };
 
 static MPC_SCHEMA: Schema = Schema {
     workload: &["days", "rel_error"],
+    outcome: &[],
     metrics: &[higher("hours_per_s")],
 };
 
-// The intermittent bench also records burst-completion statistics
-// (epochs/burst, commit ratio), but only event-core throughput is gated:
-// the completion numbers are pinned exactly by the committed baseline
-// diff, not a fuzzy perf threshold.
+// Event-core throughput is gated with the threshold; the completion
+// counts and the energy ledger are gated exactly, since the event core
+// is deterministic and a speedup must not move them.
 static INTERMITTENT_SCHEMA: Schema = Schema {
     workload: &["users", "days", "dt_seconds", "blackout_fraction"],
+    outcome: &[
+        "events",
+        "bursts",
+        "epochs_committed",
+        "epochs_lost",
+        "brownouts",
+        "sleeps",
+        "committed_objective",
+        "harvest_offered_j",
+        "consumed_j",
+        "spilled_j",
+        "leaked_j",
+        "checkpoint_j",
+        "restore_j",
+    ],
     metrics: &[higher("events_per_s")],
 };
 
@@ -86,6 +106,7 @@ static INTERMITTENT_SCHEMA: Schema = Schema {
 // noisy for a hard quantile gate.
 static SERVE_SCHEMA: Schema = Schema {
     workload: &["users", "client_threads", "decisions"],
+    outcome: &[],
     metrics: &[higher("decisions_per_s")],
 };
 
@@ -186,8 +207,8 @@ pub struct Comparison {
 /// # Errors
 ///
 /// Returns a message when either document is not JSON or lacks a known
-/// `schema`, the schemas disagree, the workload fields differ or are
-/// missing, or a tracked metric is missing or non-positive.
+/// `schema`, the schemas disagree, the workload or outcome fields differ
+/// or are missing, or a tracked metric is missing or non-positive.
 pub fn compare(
     baseline_json: &str,
     fresh_json: &str,
@@ -208,19 +229,21 @@ pub fn compare(
         ));
     }
     let schema = schema(name).ok_or_else(|| format!("unknown bench schema {name}"))?;
-    for key in schema.workload {
-        let Some(want) = lookup(&baseline, key) else {
-            return Err(format!("baseline lacks workload field {key}"));
-        };
-        let Some(got) = lookup(&fresh, key) else {
-            return Err(format!("fresh run lacks workload field {key}"));
-        };
-        if want != got {
-            return Err(format!(
-                "workload mismatch: {key} is {} in the baseline but {} in the fresh run",
-                want.encode(),
-                got.encode()
-            ));
+    for (what, keys) in [("workload", schema.workload), ("outcome", schema.outcome)] {
+        for key in keys {
+            let Some(want) = lookup(&baseline, key) else {
+                return Err(format!("baseline lacks {what} field {key}"));
+            };
+            let Some(got) = lookup(&fresh, key) else {
+                return Err(format!("fresh run lacks {what} field {key}"));
+            };
+            if want != got {
+                return Err(format!(
+                    "{what} mismatch: {key} is {} in the baseline but {} in the fresh run",
+                    want.encode(),
+                    got.encode()
+                ));
+            }
         }
     }
     let number = |doc: &Value, key: &str| lookup(doc, key).and_then(Value::as_f64);
@@ -315,6 +338,27 @@ mod tests {
             baselines += 1;
         }
         assert_eq!(baselines, 5);
+    }
+
+    #[test]
+    fn intermittent_outcome_must_match_exactly() {
+        let base = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_intermittent.json"),
+        )
+        .unwrap();
+        let doc = json::parse(&base).unwrap();
+        let bursts = lookup(&doc, "bursts").and_then(Value::as_f64).unwrap();
+        let fresh = base.replace(
+            &format!("\"bursts\": {bursts}"),
+            &format!("\"bursts\": {}", bursts + 1.0),
+        );
+        assert_ne!(fresh, base, "the fixture must change bursts");
+        let err = compare(&base, &fresh, 0.25).unwrap_err();
+        assert!(err.contains("outcome mismatch"), "got: {err}");
+        assert!(err.contains("bursts"), "got: {err}");
+        // The throughput metric alone may move.
+        let faster = base.replace("\"events_per_s\": ", "\"events_per_s\": 9");
+        assert!(compare(&base, &faster, 0.25).is_ok());
     }
 
     #[test]

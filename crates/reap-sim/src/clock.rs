@@ -366,6 +366,28 @@ pub(crate) fn run_event_driven(scenario: &Scenario, policy: Policy) -> Result<Vd
     })
 }
 
+/// One row of a run's plan table: a schedule and its budget, with the
+/// energy, objective and active time an epoch charges computed once.
+struct Plan {
+    budget: Energy,
+    schedule: Schedule,
+    energy_j: f64,
+    objective: f64,
+    active_s: f64,
+}
+
+impl Plan {
+    fn new(budget: Energy, schedule: Schedule, alpha: f64) -> Plan {
+        Plan {
+            budget,
+            energy_j: schedule.energy().joules(),
+            objective: schedule.objective(alpha),
+            active_s: schedule.active_time().seconds(),
+            schedule,
+        }
+    }
+}
+
 /// The intermittent node's full state machine:
 /// off → charging → (turn-on, restore tax) → on → epochs commit work
 /// (checkpoint tax each) → brownout / forced failure / voluntary sleep
@@ -381,9 +403,9 @@ struct IntermittentCore<'s> {
     dt: u64,
     end_s: u64,
     harvest: Vec<Energy>,
-    /// Cached full-power schedule + full-hour budget per operating
-    /// point, in problem order (the burst policy's candidates).
-    full_schedules: Vec<(Energy, Schedule)>,
+    /// The plan table: INT's burst candidates (each point flat out for a
+    /// full period, in problem order), or else the current hour's plan.
+    plans: Vec<Plan>,
     /// The all-off schedule recorded for hours the node never ran.
     off_plan: Schedule,
 
@@ -405,14 +427,15 @@ struct IntermittentCore<'s> {
     /// Which trace hour the current non-burst plan was made for (the
     /// hourly budget layer must run at most once per hour).
     planned_hour: Option<usize>,
-    current_plan: Option<(Energy, Schedule)>,
+    /// Row of the plan the node executes now.
+    current_plan: Option<usize>,
 
     hour_harvest: Energy,
     /// Committed fraction of the current hour (each committed epoch
     /// adds `dt / 3600`).
     hour_committed: f64,
-    /// The last plan decided during the current hour, for the record.
-    hour_last_plan: Option<(Energy, Schedule)>,
+    /// Row of the current hour's last plan, for the record.
+    hour_last_plan: Option<usize>,
 
     stats: ClockStats,
     hours: Vec<HourRecord>,
@@ -541,24 +564,18 @@ impl<'s> IntermittentCore<'s> {
         let h = current_hour(t, self.end_s);
         if self.policy == Policy::Intermittent {
             self.current_plan = self.choose_burst_plan(t);
-            if let Some(plan) = &self.current_plan {
-                self.hour_last_plan = Some(plan.clone());
-            }
-            return Ok(());
-        }
-        if self.planned_hour != Some(h) {
+        } else if self.planned_hour != Some(h) {
             let view = self.cap_as_battery();
             let planner = self
                 .planner
                 .as_mut()
                 .expect("non-burst policies plan hourly");
-            let plan = planner.plan_hour(h, self.hour_harvest, &view)?;
+            let (budget, schedule) = planner.plan_hour(h, self.hour_harvest, &view)?;
             self.planned_hour = Some(h);
-            self.current_plan = Some(plan.clone());
-            self.hour_last_plan = Some(plan);
-        } else if let Some(plan) = &self.current_plan {
-            self.hour_last_plan = Some(plan.clone());
+            self.plans = vec![Plan::new(budget, schedule, self.scenario.problem.alpha())];
+            self.current_plan = Some(0);
         }
+        self.hour_last_plan = self.current_plan.or(self.hour_last_plan);
         Ok(())
     }
 
@@ -579,31 +596,29 @@ impl<'s> IntermittentCore<'s> {
     /// threshold then bounds how many epochs complete before the burst
     /// ends. Returns `None` when no point completes even one epoch —
     /// the node voluntarily sleeps and banks the energy instead.
-    fn choose_burst_plan(&self, t: u64) -> Option<(Energy, Schedule)> {
+    fn choose_burst_plan(&self, t: u64) -> Option<usize> {
         let frac = to_f64(self.dt) / 3600.0;
-        let alpha = self.scenario.problem.alpha();
         let margin = self.cap.energy().joules() - self.e_off();
         let epoch_in =
             self.cap.charge_efficiency() * self.hour_harvest.joules() / 3600.0 * to_f64(self.dt);
         let leak_epoch = self.cap.leakage().watts() * to_f64(self.dt);
         let ckpt = self.config.checkpoint_cost.joules();
         let remaining = to_f64((self.end_s - t) / self.dt);
-        let mut best: Option<(f64, &(Energy, Schedule))> = None;
-        for candidate in &self.full_schedules {
-            let (_, sched) = candidate;
-            let epoch_cost = sched.energy().joules() * frac + ckpt + leak_epoch;
+        let mut best: Option<(f64, usize)> = None;
+        for (row, plan) in self.plans.iter().enumerate() {
+            let epoch_cost = plan.energy_j * frac + ckpt + leak_epoch;
             let net = epoch_cost - epoch_in;
             let epochs = if net <= 0.0 {
                 remaining
             } else {
                 (margin / net).floor().min(remaining)
             };
-            let value = epochs * sched.objective(alpha) * frac;
-            if value > best.as_ref().map_or(0.0, |(v, _)| *v) {
-                best = Some((value, candidate));
+            let value = epochs * plan.objective * frac;
+            if value > best.map_or(0.0, |(v, _)| v) {
+                best = Some((value, row));
             }
         }
-        best.map(|(_, plan)| plan.clone())
+        best.map(|(_, row)| row)
     }
 
     /// Executes the epoch `[t, t + dt)` while on. All harvest charges
@@ -614,13 +629,14 @@ impl<'s> IntermittentCore<'s> {
     fn run_epoch(&mut self, t: u64, heap: &mut EventHeap) -> Result<bool, SimError> {
         let frac = to_f64(self.dt) / 3600.0;
         self.ensure_plan(t)?;
-        let Some((_, planned)) = self.current_plan.clone() else {
+        let Some(row) = self.current_plan else {
             // Voluntary sleep: no point completes an epoch. Wake checks
             // resume at the next harvest edge.
             self.power_down_voluntarily(t);
             return Ok(false);
         };
-        let needed = planned.energy().joules() * frac;
+        let plan = &self.plans[row];
+        let (needed, objective, active_s) = (plan.energy_j * frac, plan.objective, plan.active_s);
         let gain = self.cap.charge_efficiency() * self.hour_harvest.joules() * frac;
         let leak = self.cap.leakage().watts() * to_f64(self.dt);
         let e = self.cap.energy().joules();
@@ -661,9 +677,8 @@ impl<'s> IntermittentCore<'s> {
                 .set_energy(Energy::from_joules(e_final))
                 .expect("post-checkpoint level is within range");
             self.stats.epochs_committed += 1;
-            self.stats.committed_objective +=
-                planned.objective(self.scenario.problem.alpha()) * frac;
-            self.stats.committed_active_s += planned.active_time().seconds() * frac;
+            self.stats.committed_objective += objective * frac;
+            self.stats.committed_active_s += active_s * frac;
             self.hour_committed += frac;
             self.on_until = t + self.dt;
             if t + 2 * self.dt <= self.end_s {
@@ -700,7 +715,7 @@ impl<'s> IntermittentCore<'s> {
     /// with the power failure.
     fn finalize_hour(&mut self, h: usize) {
         let (budget, planned) = match self.hour_last_plan.take() {
-            Some((budget, planned)) => (budget, planned),
+            Some(row) => (self.plans[row].budget, self.plans[row].schedule.clone()),
             None => (Energy::ZERO, self.off_plan.clone()),
         };
         self.hours.push(HourRecord {
@@ -762,13 +777,14 @@ pub(crate) fn run_intermittent_mode(
         Some(HourPlanner::new(scenario, policy, None)?)
     };
     // The burst policy's candidates: each point running flat out for a
-    // full period, computed once.
-    let full_schedules: Vec<(Energy, Schedule)> = problem
+    // full period, computed once (INT only; the others plan hourly).
+    let plans: Vec<Plan> = problem
         .points()
         .iter()
+        .filter(|_| planner.is_none())
         .map(|p| {
             let budget = p.power() * problem.period();
-            static_schedule(problem, p.id(), budget).map(|sched| (budget, sched))
+            static_schedule(problem, p.id(), budget).map(|s| Plan::new(budget, s, problem.alpha()))
         })
         .collect::<Result<_, _>>()?;
     let off_plan = static_schedule(problem, problem.points()[0].id(), problem.min_budget())?;
@@ -782,7 +798,7 @@ pub(crate) fn run_intermittent_mode(
         dt,
         end_s,
         harvest,
-        full_schedules,
+        plans,
         off_plan,
         on: false,
         forced_out: false,
@@ -801,10 +817,9 @@ pub(crate) fn run_intermittent_mode(
     core.stats.initial_store_j = core.cap.energy().joules();
 
     let mut events = Vec::new();
+    // Harvest edges are pushed one at a time, as the previous one pops.
     let mut heap = EventHeap::new();
-    for h in 0..total_hours {
-        heap.push(h as u64 * HOUR_S, EventKind::HarvestEdge(h as u32));
-    }
+    heap.push(0, EventKind::HarvestEdge(0));
     heap.push(end_s, EventKind::End);
     for &(start, end) in &config.failures {
         if start < end_s {
@@ -823,6 +838,9 @@ pub(crate) fn run_intermittent_mode(
         }
         match ev.kind {
             EventKind::HarvestEdge(h) => {
+                if h as usize + 1 < total_hours {
+                    heap.push(ev.at + HOUR_S, EventKind::HarvestEdge(h + 1));
+                }
                 let h = h as usize;
                 core.advance_off(to_f64(ev.at));
                 if h > 0 {

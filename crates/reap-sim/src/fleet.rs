@@ -10,14 +10,13 @@
 //! cross-validation measures), and their own energy/accuracy preference
 //! `alpha` — all derived deterministically from one master seed.
 //!
-//! Users are sharded over the [`run_matrix_with_threads`] scoped executor
-//! and reduced to per-user scalars as each shard completes, so memory
-//! stays `O(users)` instead of `O(users × hours)`: no per-user
-//! [`SimReport`] survives the run. The resulting [`FleetReport`] carries
-//! population percentiles (p5/p50/p95) of accuracy and active time, plus
-//! per-source means — and is **bit-identical for every worker-thread
-//! count**, because parallelism only changes which core runs a user,
-//! never the arithmetic or the aggregation order.
+//! Users run in parallel and are reduced to per-user scalars as they
+//! finish, so memory stays `O(users)` instead of `O(users × hours)`: no
+//! per-user [`SimReport`] survives the run. The resulting [`FleetReport`]
+//! carries population percentiles (p5/p50/p95) of accuracy and active
+//! time, plus per-source means — and is **bit-identical for every
+//! worker-thread count**, because parallelism only changes which core
+//! runs a user, never the arithmetic or the aggregation order.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -31,8 +30,8 @@ use reap_core::OperatingPoint;
 use reap_harvest::{HarvestTrace, SourceKind, TracePerturbation};
 
 use crate::engine::Policy;
-use crate::matrix::run_matrix_with_threads;
-use crate::soa::SoaFleet;
+use crate::matrix::parallel_map;
+use crate::soa::{SoaFleet, UserOutcome};
 use crate::{AllocatorKind, ForecasterKind, Scenario, SimError, SimReport};
 
 /// Default users per shard: large enough to amortize per-shard setup,
@@ -270,9 +269,15 @@ impl Fleet {
             "user {user} >= fleet size {}",
             self.users
         );
-        let base = self.base_trace(self.user_source(user))?;
+        self.scenario_over(user, &self.base_trace(self.user_source(user))?)
+    }
+
+    /// Builds user `user`'s scenario over `base`, the shared base trace
+    /// of their source: the one constructor behind both
+    /// [`Fleet::user_scenario`] and the scalar fallback of [`Fleet::run`].
+    fn scenario_over(&self, user: u32, base: &HarvestTrace) -> Result<Scenario, SimError> {
         let params = self.user_params(user)?;
-        let trace = params.perturbation.apply(&base)?;
+        let trace = params.perturbation.apply(base)?;
         let mut builder = Scenario::builder(trace)
             .points(params.points)
             .alpha(params.alpha)
@@ -364,7 +369,7 @@ impl Fleet {
     }
 
     /// Simulates the whole fleet under the configured policy
-    /// ([`Policy::Reap`] by default), sharding users over all available
+    /// ([`Policy::Reap`] by default), spreading users over all available
     /// cores.
     ///
     /// The myopic policies ([`Policy::Reap`], [`Policy::Static`]) run on
@@ -373,8 +378,8 @@ impl Fleet {
     /// frontiers and copy-on-perturb traces, orders of magnitude faster
     /// than per-user scalar simulation and agreeing with it to within
     /// 1e-12 on every per-user scalar (pinned by property tests).
-    /// [`Policy::Horizon`] keeps the scalar engine — its joint LP has
-    /// genuinely per-user state each hour.
+    /// [`Policy::Horizon`] (per-user LP state), batteryless and sub-hour
+    /// fleets take the scalar engine, one user per worker at a time.
     ///
     /// # Errors
     ///
@@ -409,23 +414,19 @@ impl Fleet {
                 acc.absorb_outcome(user as u32, outcome);
             }
         } else {
-            // Scalar fallback (Horizon): shard users over the matrix
-            // executor exactly as before the SoA core existed.
-            let policies = [self.policy];
-            let shard = self.shard_users.get().min(u32::MAX as usize) as u64;
-            let mut user = 0u32;
-            while user < self.users {
-                let shard_end = (u64::from(user) + shard).min(u64::from(self.users)) as u32;
-                let scenarios = (user..shard_end)
-                    .map(|u| self.user_scenario(u))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let rows = run_matrix_with_threads(&scenarios, &policies, max_threads)?;
-                for (offset, row) in rows.iter().enumerate() {
-                    acc.absorb(user + offset as u32, &row[0]);
-                }
-                // `rows` (and the shard's hour-by-hour reports) drop
-                // here: only the per-user scalars inside `acc` survive.
-                user = shard_end;
+            // Scalar fallback: workers build, run and reduce one user at a
+            // time; outcomes are absorbed in user order.
+            let bases = self
+                .sources
+                .iter()
+                .map(|&kind| self.base_trace(kind))
+                .collect::<Result<Vec<_>, _>>()?;
+            let outcomes = parallel_map(self.users as usize, max_threads, |u| {
+                let scenario = self.scenario_over(u as u32, &bases[u % bases.len()])?;
+                Ok::<_, SimError>(reduce(&scenario.run(self.policy)?, self.days))
+            });
+            for (user, outcome) in outcomes.into_iter().enumerate() {
+                acc.absorb_outcome(user as u32, &outcome?);
             }
         }
         let mut report = acc.finish();
@@ -517,12 +518,12 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets how many users each shard batches (default 256). Shards are
-    /// the unit of parallelism *and* of cache residency for the SoA core
-    /// — one shard's state walks all simulated hours before the next
-    /// shard starts. Per-user results do not depend on shard boundaries,
-    /// so any size (odd, one, larger than the fleet) produces a
-    /// bit-identical [`FleetReport`]; tune it for throughput only.
+    /// Sets how many users each SoA shard batches (default 256). Shards
+    /// are the SoA core's unit of parallelism and cache residency only:
+    /// the scalar fallback streams one user per worker and keeps no
+    /// [`SimReport`] past its reduction. Results do not depend on shard
+    /// boundaries, so any size (odd, one, larger than the fleet) yields
+    /// a bit-identical [`FleetReport`]; tune it for throughput only.
     #[must_use]
     pub fn shard_users(mut self, shard_users: NonZeroUsize) -> Self {
         self.fleet.shard_users = shard_users;
@@ -812,7 +813,18 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// Streaming reducer from per-user [`SimReport`]s to the [`FleetReport`]
+/// Reduces a scalar-engine [`SimReport`] of a `days`-long trace to the
+/// per-user scalars the SoA core computes inline.
+fn reduce(report: &SimReport, days: u32) -> UserOutcome {
+    UserOutcome {
+        accuracy: report.mean_accuracy(),
+        active_fraction: report.total_active_time().hours() / (f64::from(days) * 24.0),
+        brownout_hours: report.brownout_hours() as u32,
+        harvested_j: report.total_harvested().joules(),
+    }
+}
+
+/// Streaming reducer from per-user [`UserOutcome`]s to the [`FleetReport`]
 /// aggregates. Users are absorbed in index order whatever the thread
 /// count, so the output is deterministic.
 struct FleetAccumulator {
@@ -837,22 +849,7 @@ impl FleetAccumulator {
         }
     }
 
-    /// Reduces a scalar-engine [`SimReport`] to per-user scalars and
-    /// absorbs them — the same reduction the SoA core performs inline.
-    fn absorb(&mut self, user: u32, report: &SimReport) {
-        let trace_hours = f64::from(self.days) * 24.0;
-        self.absorb_outcome(
-            user,
-            &crate::soa::UserOutcome {
-                accuracy: report.mean_accuracy(),
-                active_fraction: report.total_active_time().hours() / trace_hours,
-                brownout_hours: report.brownout_hours() as u32,
-                harvested_j: report.total_harvested().joules(),
-            },
-        );
-    }
-
-    fn absorb_outcome(&mut self, user: u32, outcome: &crate::soa::UserOutcome) {
+    fn absorb_outcome(&mut self, user: u32, outcome: &UserOutcome) {
         self.accuracies.push(outcome.accuracy);
         self.active_fractions.push(outcome.active_fraction);
         self.brownout_hours += u64::from(outcome.brownout_hours);
@@ -1092,7 +1089,7 @@ mod tests {
         for shard in [1usize, 3, 7, 13, 1000] {
             assert_eq!(with_shard(shard), baseline, "shard size {shard} diverged");
         }
-        // The scalar-fallback policy honors the same invariant.
+        // The scalar fallback, which ignores shards, agrees at any size.
         let horizon = |shard: usize| {
             Fleet::builder(base_points())
                 .users(5)

@@ -9,10 +9,12 @@
 //! pool. Results are returned in deterministic (scenario-major, policy
 //! order) layout and are bit-identical to sequential [`Scenario::run`]
 //! calls: parallelism changes only which core runs a pair, never the
-//! arithmetic inside it.
+//! arithmetic inside it. The pool, [`parallel_map`], is the crate's only
+//! one: fleets run on it too.
 
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use reap_units::Energy;
 
@@ -52,7 +54,7 @@ pub fn run_matrix(
 pub fn run_matrix_with_threads(
     scenarios: &[Scenario],
     policies: &[Policy],
-    max_threads: Option<std::num::NonZeroUsize>,
+    max_threads: Option<NonZeroUsize>,
 ) -> Result<Vec<Vec<SimReport>>, SimError> {
     if scenarios.is_empty() || policies.is_empty() {
         return Ok(scenarios.iter().map(|_| Vec::new()).collect());
@@ -79,37 +81,11 @@ pub fn run_matrix_with_threads(
         .collect();
 
     let jobs = scenarios.len() * policies.len();
-    let next_job = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<SimReport, SimError>>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
-    let workers = max_threads
-        .or_else(|| std::thread::available_parallelism().ok())
-        .map_or(1, std::num::NonZero::get)
-        .min(jobs);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let job = next_job.fetch_add(1, Ordering::Relaxed);
-                if job >= jobs {
-                    break;
-                }
-                let (s, p) = (job / policies.len(), job % policies.len());
-                let result = engine::run_with_budgets(
-                    &scenarios[s],
-                    policies[p],
-                    shared_budgets[s].as_deref(),
-                );
-                *slots[job].lock().expect("no panics hold this lock") = Some(result);
-            });
-        }
+    let results = parallel_map(jobs, max_threads, |job| {
+        let (s, p) = (job / policies.len(), job % policies.len());
+        engine::run_with_budgets(&scenarios[s], policies[p], shared_budgets[s].as_deref())
     });
-
-    let mut flat = slots.into_iter().map(|slot| {
-        slot.into_inner()
-            .expect("worker panics propagate out of the scope")
-            .expect("every job index was claimed exactly once")
-    });
+    let mut flat = results.into_iter();
     let mut reports = Vec::with_capacity(scenarios.len());
     for _ in scenarios {
         reports.push(
@@ -119,6 +95,39 @@ pub fn run_matrix_with_threads(
         );
     }
     Ok(reports)
+}
+
+/// Maps `f` over `0..items` on a scoped pool of up to `max_threads`
+/// workers (`None` = the machine's available parallelism; never more
+/// than `items`) and returns the results in index order. Workers claim
+/// indices from a shared counter, so uneven items balance. The calling
+/// thread is one of the workers: with one, nothing is spawned.
+pub(crate) fn parallel_map<T: Send>(
+    items: usize,
+    max_threads: Option<NonZeroUsize>,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = max_threads
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get)
+        .min(items);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .take_while(|&i| i < items)
+            .map(|i| (i, f(i)))
+            .collect::<Vec<_>>()
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|e| resume_unwind(e)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -197,6 +206,32 @@ mod tests {
     fn matrix_propagates_unknown_point_errors() {
         let err = run_matrix(&[scenario(14, 1.0)], &[Policy::Reap, Policy::Static(99)]);
         assert!(matches!(err, Err(SimError::Core(_))));
+    }
+
+    #[test]
+    fn parallel_map_returns_results_in_index_order() {
+        let squares =
+            |items, threads| parallel_map(items, NonZeroUsize::new(threads), |i| i * i + 1);
+        let expected: Vec<usize> = (0..23).map(|i| i * i + 1).collect();
+        for threads in [1, 2, 7] {
+            assert!(squares(0, threads).is_empty(), "{threads} threads");
+            assert_eq!(squares(1, threads), [1], "{threads} threads");
+            // More items than workers: each worker claims several.
+            assert_eq!(squares(23, threads), expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn parallel_map_runs_one_worker_inline() {
+        let caller = std::thread::current().id();
+        let on = |items, threads| {
+            parallel_map(items, NonZeroUsize::new(threads), |_| {
+                std::thread::current().id()
+            })
+        };
+        assert_eq!(on(5, 1), vec![caller; 5]);
+        // One item is one worker, whatever the cap.
+        assert_eq!(on(1, 4), vec![caller]);
     }
 
     #[test]

@@ -33,8 +33,6 @@
 //! scalar engine for it.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use reap_core::{OperatingPoint, PlanEval, ReapProblem, Vertex, DROP_S};
 use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA, GREEDY_GAIN};
@@ -42,6 +40,7 @@ use reap_harvest::{Battery, SourceKind};
 
 use crate::engine::Policy;
 use crate::fleet::{CohortIndex, Fleet};
+use crate::matrix::parallel_map;
 use crate::{AllocatorKind, SimError};
 
 /// Per-user final scalars of one fleet run — exactly what
@@ -418,56 +417,16 @@ impl SoaFleet {
             "SoA kernels do not cover this policy; use the scalar engine"
         );
         let shard = self.shard_users;
-        let shards: Vec<(usize, usize)> = (0..self.users)
-            .step_by(shard)
-            .map(|a| (a, (a + shard).min(self.users)))
-            .collect();
-        let threads = max_threads
-            .map(NonZeroUsize::get)
-            .or_else(|| {
-                std::thread::available_parallelism()
-                    .ok()
-                    .map(NonZeroUsize::get)
-            })
-            .unwrap_or(1)
-            .min(shards.len());
-
+        let runs = parallel_map(self.users.div_ceil(shard), max_threads, |s| {
+            self.run_shard(s * shard, (s * shard + shard).min(self.users))
+        });
+        // Shard outputs in order are the permuted positions in order;
+        // write them back to original user indices.
         let mut out = vec![UserOutcome::default(); self.users];
-        if threads <= 1 {
-            for &(a, b) in &shards {
-                self.scatter(&mut out, a, self.run_shard(a, b));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Vec<UserOutcome>>>> =
-                shards.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(a, b)) = shards.get(s) else { break };
-                        let shard_out = self.run_shard(a, b);
-                        *slots[s].lock().expect("shard slot poisoned") = Some(shard_out);
-                    });
-                }
-            });
-            for (&(a, _), slot) in shards.iter().zip(slots) {
-                let shard_out = slot
-                    .into_inner()
-                    .expect("shard slot poisoned")
-                    .expect("every shard index was claimed by a worker");
-                self.scatter(&mut out, a, shard_out);
-            }
+        for (&user, outcome) in self.perm.iter().zip(runs.into_iter().flatten()) {
+            out[user as usize] = outcome;
         }
         out
-    }
-
-    /// Writes a shard's outcomes (permuted positions `a..`) back to
-    /// original user indices.
-    fn scatter(&self, out: &mut [UserOutcome], a: usize, shard_out: Vec<UserOutcome>) {
-        for (j, o) in shard_out.into_iter().enumerate() {
-            out[self.perm[a + j] as usize] = o;
-        }
     }
 
     /// Steps permuted positions `[a, b)` through every hour. All state is
