@@ -66,15 +66,27 @@ static PLANNER_SCHEMA: Schema = Schema {
     metrics: &[lower("month_sim.reap_run_ms"), lower("month_sim.matrix_ms")],
 };
 
+// The fleet and MPC simulations are deterministic too: the population
+// statistics and every policy's outcome are gated exactly, throughput
+// with the threshold.
 static FLEET_SCHEMA: Schema = Schema {
     workload: &["users", "days"],
-    outcome: &[],
+    outcome: &[
+        "cohorts",
+        "soa_bytes_per_user",
+        "accuracy",
+        "active_fraction",
+        "mean_accuracy",
+        "mean_active_fraction",
+        "brownout_hours",
+        "per_source",
+    ],
     metrics: &[higher("users_per_s")],
 };
 
 static MPC_SCHEMA: Schema = Schema {
     workload: &["days", "rel_error"],
-    outcome: &[],
+    outcome: &["sources"],
     metrics: &[higher("hours_per_s")],
 };
 
@@ -183,6 +195,32 @@ fn lookup<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     path.split('.').try_fold(doc, |v, key| v.get(key))
 }
 
+/// The first place where `want` and `got` differ, as its path below
+/// `path` (`sources[0].runs[3].objective`) with both values there;
+/// `None` when they are equal. Arrays of equal length and objects with
+/// the same keys in the same order are compared member by member.
+fn first_difference<'a>(
+    path: &str,
+    want: &'a Value,
+    got: &'a Value,
+) -> Option<(String, &'a Value, &'a Value)> {
+    match (want, got) {
+        (Value::Arr(w), Value::Arr(g)) if w.len() == g.len() => w
+            .iter()
+            .zip(g)
+            .enumerate()
+            .find_map(|(i, (w, g))| first_difference(&format!("{path}[{i}]"), w, g)),
+        (Value::Obj(w), Value::Obj(g))
+            if w.len() == g.len() && w.iter().zip(g).all(|((a, _), (b, _))| a == b) =>
+        {
+            w.iter()
+                .zip(g)
+                .find_map(|((key, w), (_, g))| first_difference(&format!("{path}.{key}"), w, g))
+        }
+        _ => (want != got).then(|| (path.to_string(), want, got)),
+    }
+}
+
 /// Outcome of comparing one metric between baseline and fresh runs.
 #[derive(Debug, Clone)]
 pub struct Comparison {
@@ -237,9 +275,9 @@ pub fn compare(
             let Some(got) = lookup(&fresh, key) else {
                 return Err(format!("fresh run lacks {what} field {key}"));
             };
-            if want != got {
+            if let Some((at, want, got)) = first_difference(key, want, got) {
                 return Err(format!(
-                    "{what} mismatch: {key} is {} in the baseline but {} in the fresh run",
+                    "{what} mismatch: {at} is {} in the baseline but {} in the fresh run",
                     want.encode(),
                     got.encode()
                 ));
@@ -282,6 +320,14 @@ mod tests {
   "schema": "reap-bench/fleet-v1",
   "users": 2000,
   "days": 30,
+  "cohorts": 2000,
+  "soa_bytes_per_user": 300,
+  "accuracy": {"p5": 0.0055, "p50": 0.0733, "p95": 0.2579},
+  "active_fraction": {"p5": 0.0069, "p50": 0.0945, "p95": 0.3129},
+  "mean_accuracy": 0.0995,
+  "mean_active_fraction": 0.1239,
+  "brownout_hours": 0,
+  "per_source": [],
   "users_per_s": 6000
 }"#;
 
@@ -340,12 +386,15 @@ mod tests {
         assert_eq!(baselines, 5);
     }
 
+    /// A committed baseline at the repository root.
+    fn committed(name: &str) -> String {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        std::fs::read_to_string(root.join(name)).unwrap()
+    }
+
     #[test]
     fn intermittent_outcome_must_match_exactly() {
-        let base = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_intermittent.json"),
-        )
-        .unwrap();
+        let base = committed("BENCH_intermittent.json");
         let doc = json::parse(&base).unwrap();
         let bursts = lookup(&doc, "bursts").and_then(Value::as_f64).unwrap();
         let fresh = base.replace(
@@ -358,6 +407,40 @@ mod tests {
         assert!(err.contains("bursts"), "got: {err}");
         // The throughput metric alone may move.
         let faster = base.replace("\"events_per_s\": ", "\"events_per_s\": 9");
+        assert!(compare(&base, &faster, 0.25).is_ok());
+    }
+
+    #[test]
+    fn mpc_outcome_must_match_exactly() {
+        let base = committed("BENCH_mpc.json");
+        // One run's objective moves (MPC24 on the first source).
+        let fresh = base.replacen("\"objective\": 114.33", "\"objective\": 114.34", 1);
+        assert_ne!(fresh, base, "the fixture must change one objective");
+        let err = compare(&base, &fresh, 0.25).unwrap_err();
+        assert!(err.contains("outcome mismatch"), "got: {err}");
+        assert!(
+            err.contains("sources[0].runs[3].objective is 114.33"),
+            "got: {err}"
+        );
+        // The throughput metric alone may move.
+        let faster = base.replace("\"hours_per_s\": ", "\"hours_per_s\": 9");
+        assert!(compare(&base, &faster, 0.25).is_ok());
+    }
+
+    #[test]
+    fn fleet_outcome_must_match_exactly() {
+        let base = committed("BENCH_fleet.json");
+        // One source's mean accuracy moves.
+        let fresh = base.replacen("\"mean_accuracy\": 0.0844", "\"mean_accuracy\": 0.0845", 1);
+        assert_ne!(fresh, base, "the fixture must change one per-source mean");
+        let err = compare(&base, &fresh, 0.25).unwrap_err();
+        assert!(err.contains("outcome mismatch"), "got: {err}");
+        assert!(
+            err.contains("per_source[1].mean_accuracy is 0.0844"),
+            "got: {err}"
+        );
+        // The throughput metric alone may move.
+        let faster = base.replace("\"users_per_s\": ", "\"users_per_s\": 9");
         assert!(compare(&base, &faster, 0.25).is_ok());
     }
 
@@ -483,7 +566,13 @@ mod tests {
   "days": 30,
   "users_per_s": 150000,
   "cohorts": 2000,
-  "soa_bytes_per_user": 300
+  "soa_bytes_per_user": 300,
+  "accuracy": {"p5": 0.0055, "p50": 0.0733, "p95": 0.2579},
+  "active_fraction": {"p5": 0.0069, "p50": 0.0945, "p95": 0.3129},
+  "mean_accuracy": 0.0995,
+  "mean_active_fraction": 0.1239,
+  "brownout_hours": 0,
+  "per_source": []
 }"#;
         let err = compare(FLEET, fresh_v2, 0.25).unwrap_err();
         assert!(

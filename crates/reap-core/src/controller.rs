@@ -6,19 +6,6 @@ use crate::frontier::PlanFrontier;
 use crate::schedule::Schedule;
 use crate::{ReapError, ReapProblem};
 
-/// Which solver the controller invokes each period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// The paper's Algorithm 1 (tableau simplex).
-    #[default]
-    Simplex,
-    /// The precomputed budget→schedule frontier ([`PlanFrontier`]): the
-    /// frontier is built lazily on the first plan, cached inside the
-    /// controller, and every solve afterwards is an `O(log K)` lookup.
-    /// Invalidated by [`ReapController::set_alpha`].
-    Frontier,
-}
-
 /// Runtime REAP controller.
 ///
 /// Once per activity period the energy-allocation layer hands the
@@ -27,6 +14,11 @@ pub enum SolverKind {
 /// because "the importance given to accuracy versus active time may change
 /// due to user preferences" (Sec. 3.3).
 ///
+/// Plans come from the problem's [`PlanFrontier`]: built lazily on the
+/// first plan, cached inside the controller, and rebuilt after
+/// [`ReapController::set_alpha`]. [`ReapProblem::solve`], the paper's
+/// simplex, stays the test oracle.
+///
 /// Unlike [`ReapProblem::solve`], `plan` is **total** over non-negative
 /// budgets: a budget below the off-state floor returns the all-off
 /// schedule (the device browns out; it cannot do better), so a simulation
@@ -34,10 +26,9 @@ pub enum SolverKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReapController {
     problem: ReapProblem,
-    solver: SolverKind,
     plans: u64,
-    /// Lazily built cache for [`SolverKind::Frontier`]; dropped whenever
-    /// `alpha` changes (the frontier is specific to one weight vector).
+    /// Lazily built frontier; dropped whenever `alpha` changes (the
+    /// frontier is specific to one weight vector).
     frontier: Option<PlanFrontier>,
     /// How many times the frontier cache has been (re)built — the
     /// observable that lets tests prove plans reuse the cache (a rebuilt
@@ -46,18 +37,11 @@ pub struct ReapController {
 }
 
 impl ReapController {
-    /// Creates a controller with the default (simplex) solver.
+    /// Creates a controller for `problem`.
     #[must_use]
     pub fn new(problem: ReapProblem) -> ReapController {
-        ReapController::with_solver(problem, SolverKind::default())
-    }
-
-    /// Creates a controller with an explicit solver choice.
-    #[must_use]
-    pub fn with_solver(problem: ReapProblem, solver: SolverKind) -> ReapController {
         ReapController {
             problem,
-            solver,
             plans: 0,
             frontier: None,
             frontier_builds: 0,
@@ -97,12 +81,11 @@ impl ReapController {
     /// Plans one activity period under `budget`.
     ///
     /// Budgets below `P_off * TP` yield the all-off schedule; everything
-    /// else is delegated to the configured solver.
+    /// else is the frontier's optimum.
     ///
     /// # Errors
     ///
-    /// Only solver failures ([`ReapError::Lp`],
-    /// [`ReapError::SolverInconsistency`]) or a non-finite budget; never
+    /// [`ReapError::InvalidParameter`] for a non-finite budget; never
     /// budget starvation.
     pub fn plan(&mut self, budget: Energy) -> Result<Schedule, ReapError> {
         if !budget.is_finite() {
@@ -112,19 +95,14 @@ impl ReapController {
         }
         self.plans += 1;
         let effective = budget.max(self.problem.min_budget());
-        match self.solver {
-            SolverKind::Simplex => self.problem.solve(effective),
-            SolverKind::Frontier => {
-                let problem = &self.problem;
-                let builds = &mut self.frontier_builds;
-                self.frontier
-                    .get_or_insert_with(|| {
-                        *builds += 1;
-                        problem.frontier()
-                    })
-                    .solve(effective)
-            }
-        }
+        let problem = &self.problem;
+        let builds = &mut self.frontier_builds;
+        self.frontier
+            .get_or_insert_with(|| {
+                *builds += 1;
+                problem.frontier()
+            })
+            .solve(effective)
     }
 }
 
@@ -148,10 +126,11 @@ mod tests {
     fn plan_is_total_over_starved_budgets() {
         let mut c = ReapController::new(problem());
         let s = c.plan(Energy::from_joules(0.01)).unwrap();
-        assert!(s.allocations().is_empty());
+        assert!(s.shares().is_empty());
         assert!((s.off_time().seconds() - 3600.0).abs() < 1e-6);
         let zero = c.plan(Energy::ZERO).unwrap();
-        assert!(zero.allocations().is_empty());
+        assert!(zero.shares().is_empty());
+        assert!(c.plan(Energy::from_joules(f64::NAN)).is_err());
     }
 
     #[test]
@@ -164,15 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn solver_kinds_agree() {
-        let mut simplex = ReapController::with_solver(problem(), SolverKind::Simplex);
-        let mut frontier = ReapController::with_solver(problem(), SolverKind::Frontier);
+    fn frontier_plans_match_the_simplex_oracle() {
+        let mut c = ReapController::new(problem());
         for b in [0.5, 2.0, 5.0, 8.0, 12.0] {
             let budget = Energy::from_joules(b);
-            let a = simplex.plan(budget).unwrap();
-            let f = frontier.plan(budget).unwrap();
+            let oracle = c.problem().solve(budget).unwrap();
+            let f = c.plan(budget).unwrap();
             assert!(
-                (a.objective(1.0) - f.objective(1.0)).abs() < 1e-9,
+                (oracle.objective(1.0) - f.objective(1.0)).abs() < 1e-9,
                 "budget {b}: simplex vs frontier"
             );
         }
@@ -180,7 +158,7 @@ mod tests {
 
     #[test]
     fn frontier_cache_survives_plans_and_resets_on_alpha_change() {
-        let mut c = ReapController::with_solver(problem(), SolverKind::Frontier);
+        let mut c = ReapController::new(problem());
         assert!(c.frontier.is_none());
         assert_eq!(c.frontier_builds, 0);
         let _ = c.plan(Energy::from_joules(3.0)).unwrap();

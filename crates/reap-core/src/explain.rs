@@ -84,7 +84,7 @@ pub fn explain(
         (true, false) => BindingConstraint::Time,
         _ => BindingConstraint::Energy,
     };
-    let shadow_price = energy_shadow_price(problem, budget.max(problem.min_budget() * 1.01))?;
+    let shadow_price = energy_shadow_price(problem, budget)?;
     Ok(Explanation {
         binding,
         value_per_watt_ranking: ranking,
@@ -160,6 +160,34 @@ mod tests {
         assert_eq!(e.value_per_watt_ranking.len(), 5);
         for w in e.value_per_watt_ranking.windows(2) {
             assert!(w[0].1 >= w[1].1);
+        }
+    }
+
+    #[test]
+    fn budgets_at_a_low_floor_are_explained() {
+        // A 1 uW off state puts the floor at 3.6 mJ, within the 1 mJ
+        // probe step of every budget below 4.6 mJ: the low probe stops
+        // at the floor instead of failing below it.
+        let p = ReapProblem::builder()
+            .off_power(Power::from_microwatts(1.0))
+            .points(paper_problem().points().to_vec())
+            .build()
+            .unwrap();
+        assert!((p.min_budget().millijoules() - 3.6).abs() < 1e-12);
+        // Both probes stay on the first segment, where DP5 buys its
+        // weight per marginal joule.
+        let dp5 = p.point(5).unwrap();
+        let slope = dp5.weight(1.0) / ((dp5.power() - p.off_power()) * p.period()).joules();
+        for mj in [3.6, 4.0] {
+            let budget = Energy::from_millijoules(mj);
+            let s = p.solve(budget).unwrap();
+            let e = explain(&p, budget, &s).unwrap();
+            assert_eq!(e.binding, BindingConstraint::Energy);
+            assert!(
+                (e.shadow_price - slope).abs() < 1e-9,
+                "{mj} mJ: shadow price {} vs slope {slope}",
+                e.shadow_price
+            );
         }
     }
 

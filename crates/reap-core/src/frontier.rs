@@ -27,44 +27,28 @@
 //! points. Beyond the last vertex (the best-weight point) extra energy
 //! buys nothing and the objective saturates.
 
-use std::sync::Arc;
+use reap_units::Energy;
 
-use reap_units::{Energy, Power, TimeSpan};
-
-use crate::schedule::{Allocation, DROP_S};
+use crate::schedule::Run;
 use crate::{OperatingPoint, ReapError, ReapProblem, Schedule};
-
-/// One vertex of the concave frontier: a breakpoint budget together with
-/// the full-period schedule that is optimal exactly there.
-#[derive(Debug, Clone, PartialEq)]
-struct FrontierVertex {
-    /// Budget at which this vertex is the exact optimum (joules).
-    budget_j: f64,
-    /// Objective `J` at this vertex (`w_i`, or 0 for the off vertex).
-    objective: f64,
-    /// The point running the whole period here; `None` is the all-off
-    /// vertex at the budget floor.
-    point: Option<Arc<OperatingPoint>>,
-}
 
 /// Precomputed concave budget→schedule frontier for one `(points, alpha)`.
 ///
-/// Construction is `O(N log N)` (sort + monotone hull scan); each
-/// [`PlanFrontier::solve`] afterwards is `O(log K)` over the `K <= N + 1`
-/// retained vertices and allocates nothing beyond the returned schedule's
-/// one or two [`Allocation`]s. Equivalence with the tableau simplex is
-/// enforced by unit and property tests (`|Δ objective| < 1e-9`).
+/// Construction is `O(N log N)` (sort + monotone hull scan). The frontier
+/// is a [`FrontierTable`] plus what the table lacks: the `alpha` its
+/// weights were built for, which [`PlanFrontier::objective_at`] needs,
+/// and the budget checks [`PlanFrontier::solve`] reports. Each solve
+/// afterwards is one [`decide_vertices`] walk over the `K <= N + 1`
+/// retained vertices. Equivalence with the tableau simplex is enforced by
+/// unit and property tests (`|Δ objective| < 1e-9`).
 ///
 /// The frontier is valid for the exact `(points, alpha, period, P_off)` it
 /// was built from; [`ReapController`](crate::ReapController) caches one
 /// and invalidates it when `set_alpha` changes the weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanFrontier {
-    vertices: Vec<FrontierVertex>,
-    period: TimeSpan,
-    off_power: Power,
+    table: FrontierTable,
     alpha: f64,
-    min_budget_j: f64,
 }
 
 impl PlanFrontier {
@@ -80,7 +64,7 @@ impl PlanFrontier {
         // Candidates in (marginal power, weight) space, plus the off state
         // at the origin. Marginal powers are positive by construction
         // (problem validation rejects P_i <= P_off).
-        let mut candidates: Vec<(f64, f64, Option<&Arc<OperatingPoint>>)> = problem
+        let mut candidates: Vec<(f64, f64, Option<&OperatingPoint>)> = problem
             .points()
             .iter()
             .map(|p| (p.power().watts() - p_off, p.weight(alpha), Some(p)))
@@ -95,7 +79,8 @@ impl PlanFrontier {
         // Upper concave hull, monotone-scan style. Dominated points (no
         // weight gain for the extra power) never enter; interior points of
         // a segment are popped when the incoming slope stops decreasing.
-        let mut hull: Vec<(f64, f64, Option<&Arc<OperatingPoint>>)> = Vec::new();
+        let mut hull: Vec<(f64, f64, Option<&OperatingPoint>)> =
+            Vec::with_capacity(candidates.len());
         for cand in candidates {
             if let Some(last) = hull.last() {
                 // Strictly more power for no strictly better weight.
@@ -116,20 +101,26 @@ impl PlanFrontier {
             hull.push(cand);
         }
 
+        // Each hull vertex runs its point (or nothing) for the whole
+        // period, which is optimal exactly at its breakpoint budget.
         let vertices = hull
             .into_iter()
-            .map(|(m, w, p)| FrontierVertex {
+            .map(|(m, _, p)| Vertex {
                 budget_j: min_budget_j + m * tp,
-                objective: w,
-                point: p.cloned(),
+                accuracy: p.map_or(0.0, OperatingPoint::accuracy),
+                power_w: p.map_or(0.0, |p| p.power().watts()),
+                id: p.map_or(0, OperatingPoint::id),
+                has_point: p.is_some(),
             })
             .collect();
         PlanFrontier {
-            vertices,
-            period: problem.period(),
-            off_power: problem.off_power(),
+            table: FrontierTable {
+                vertices,
+                tp_s: tp,
+                off_w: p_off,
+                min_budget_j,
+            },
             alpha,
-            min_budget_j,
         }
     }
 
@@ -145,7 +136,8 @@ impl PlanFrontier {
     /// basis is fixed and the schedule interpolates linearly.
     #[must_use]
     pub fn breakpoints(&self) -> Vec<Energy> {
-        self.vertices
+        self.table
+            .vertices
             .iter()
             .map(|v| Energy::from_joules(v.budget_j))
             .collect()
@@ -154,14 +146,27 @@ impl PlanFrontier {
     /// Number of frontier segments (breakpoints minus one).
     #[must_use]
     pub fn segments(&self) -> usize {
-        self.vertices.len().saturating_sub(1)
+        self.table.vertices.len().saturating_sub(1)
     }
 
-    /// Validates the budget and maps it to `(segment index, lambda)`:
-    /// the optimum mixes `vertices[k]` (fraction `1 - lambda`) and
-    /// `vertices[k + 1]` (fraction `lambda`). Saturated budgets clamp to
-    /// the last vertex.
-    fn locate(&self, budget: Energy) -> Result<(usize, f64), ReapError> {
+    /// Exact optimal objective `J` at `budget`: the objective of the
+    /// schedule [`PlanFrontier::solve`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PlanFrontier::solve`].
+    pub fn objective_at(&self, budget: Energy) -> Result<f64, ReapError> {
+        self.solve(budget).map(|s| s.objective(self.alpha))
+    }
+
+    /// Exact optimal schedule at `budget`: the segment that brackets the
+    /// budget, interpolated between its two vertex schedules.
+    ///
+    /// # Errors
+    ///
+    /// * [`ReapError::BudgetTooSmall`] below the `P_off * TP` floor.
+    /// * [`ReapError::InvalidParameter`] for a non-finite budget.
+    pub fn solve(&self, budget: Energy) -> Result<Schedule, ReapError> {
         if !budget.is_finite() {
             return Err(ReapError::InvalidParameter(format!(
                 "budget {budget} is not finite"
@@ -169,137 +174,22 @@ impl PlanFrontier {
         }
         // Same float-dust tolerance as the other solvers: the paper
         // sweeps from exactly the 0.18 J floor.
-        if budget.joules() < self.min_budget_j * (1.0 - 1e-12) {
+        let minimum = self.table.min_budget_j;
+        if budget.joules() < minimum * (1.0 - 1e-12) {
             return Err(ReapError::BudgetTooSmall {
                 budget,
-                minimum: Energy::from_joules(self.min_budget_j),
+                minimum: Energy::from_joules(minimum),
             });
         }
-        let b = budget.joules();
-        let last = self.vertices.len() - 1;
-        if last == 0 {
-            // Degenerate frontier (every weight is zero): all-off is
-            // optimal at every feasible budget.
-            return Ok((0, 0.0));
-        }
-        if b >= self.vertices[last].budget_j {
-            // Saturated: the last vertex runs the whole period.
-            return Ok((last - 1, 1.0));
-        }
-        // First vertex with budget_j > b ends the bracketing segment.
-        let hi_idx = self.vertices.partition_point(|v| v.budget_j <= b).max(1);
-        let lo = &self.vertices[hi_idx - 1];
-        let hi = &self.vertices[hi_idx];
-        let lambda = ((b - lo.budget_j) / (hi.budget_j - lo.budget_j)).clamp(0.0, 1.0);
-        Ok((hi_idx - 1, lambda))
+        Ok(self.table.decide(budget.joules()))
     }
 
-    /// Exact optimal objective `J` at `budget`, without materializing a
-    /// schedule — the fast path for shadow-price probes and sweeps that
-    /// only need the value function.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlanFrontier::solve`].
-    pub fn objective_at(&self, budget: Energy) -> Result<f64, ReapError> {
-        let (k, lambda) = self.locate(budget)?;
-        let lo = &self.vertices[k];
-        let hi = &self.vertices[(k + 1).min(self.vertices.len() - 1)];
-        Ok(lo.objective + lambda * (hi.objective - lo.objective))
-    }
-
-    /// Exact optimal schedule at `budget`: binary search for the segment,
-    /// then linear interpolation between its two cached vertex schedules.
-    ///
-    /// # Errors
-    ///
-    /// * [`ReapError::BudgetTooSmall`] below the `P_off * TP` floor.
-    /// * [`ReapError::InvalidParameter`] for a non-finite budget.
-    pub fn solve(&self, budget: Energy) -> Result<Schedule, ReapError> {
-        let (k, lambda) = self.locate(budget)?;
-        let tp = self.period.seconds();
-        let lo = &self.vertices[k];
-        let hi = &self.vertices[(k + 1).min(self.vertices.len() - 1)];
-
-        let mut allocations = Vec::with_capacity(2);
-        let mut active = 0.0;
-        if let Some(point) = &lo.point {
-            let t = (1.0 - lambda) * tp;
-            active += t;
-            allocations.push(Allocation {
-                point: Arc::clone(point),
-                duration: TimeSpan::from_seconds(t),
-            });
-        }
-        if lambda > 0.0 {
-            if let Some(point) = &hi.point {
-                let t = lambda * tp;
-                active += t;
-                allocations.push(Allocation {
-                    point: Arc::clone(point),
-                    duration: TimeSpan::from_seconds(t),
-                });
-            }
-        }
-        Ok(Schedule::new(
-            allocations,
-            TimeSpan::from_seconds((tp - active).max(0.0)),
-            self.period,
-            self.off_power,
-        ))
-    }
-}
-
-/// Scalar outcome of one frontier evaluation: exactly the aggregates the
-/// corresponding [`Schedule`] would report, without materializing the
-/// schedule (no allocations, no `Arc` clones).
-///
-/// Produced by [`FrontierTable::eval`]; the field arithmetic replicates
-/// [`Schedule::expected_accuracy`], [`Schedule::active_time`], and
-/// [`Schedule::energy`] term for term (including the sub-microsecond
-/// allocation drop rule), so fleet engines that only need per-hour scalars
-/// can skip schedule construction entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PlanEval {
-    /// Expected accuracy of the optimal schedule over the period.
-    pub accuracy: f64,
-    /// Active time of the optimal schedule, in seconds.
-    pub active_s: f64,
-    /// Total energy the optimal schedule consumes (active + off-state),
-    /// in joules.
-    pub energy_j: f64,
-}
-
-/// One operating point's share of a decided plan: run point `id` for
-/// `seconds` of the period.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PlanShare {
-    /// The operating point's id.
-    pub id: u8,
-    /// Seconds of the period spent at this point.
-    pub seconds: f64,
-}
-
-/// A complete single-user allocation decision from a cached frontier:
-/// the plan aggregates plus the blend of (at most two) operating points
-/// realizing them. Produced by [`decide_vertices`] (and
-/// [`FrontierTable::decide`]); `Copy` and heap-free so serving it costs
-/// one table walk and nothing else.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Decision {
-    /// The plan aggregates, bit-identical to [`FrontierTable::eval`].
-    pub eval: PlanEval,
-    /// Seconds of the period spent in the off state.
-    pub off_s: f64,
-    shares: [PlanShare; 2],
-    n_shares: u8,
-}
-
-impl Decision {
-    /// The point shares of the blend (ascending point id, length 0–2).
+    /// The frontier's [`FrontierTable`], for batched pointer-free
+    /// evaluation. Consumes the frontier, so the table is built once and
+    /// never copied.
     #[must_use]
-    pub fn shares(&self) -> &[PlanShare] {
-        &self.shares[..usize::from(self.n_shares)]
+    pub fn table(self) -> FrontierTable {
+        self.table
     }
 }
 
@@ -324,23 +214,35 @@ pub struct Vertex {
     pub has_point: bool,
 }
 
+impl Vertex {
+    /// This vertex's point running for `seconds` (`None` for the all-off
+    /// vertex).
+    #[inline]
+    fn run(&self, seconds: f64) -> Option<Run> {
+        self.has_point.then_some(Run {
+            id: self.id,
+            accuracy: self.accuracy,
+            power_w: self.power_w,
+            seconds,
+        })
+    }
+}
+
 /// The optimal plan at `budget_j` over a frontier's `vertices` (ascending
 /// budgets, the all-off vertex at the floor first), for a period of
-/// `period_s` seconds with off-state power `off_w`: the plan aggregates
-/// plus the (at most two) per-point time shares, without allocating.
+/// `period_s` seconds with off-state power `off_w`, without allocating.
 ///
-/// The result is bit-identical to building the schedule with
-/// [`PlanFrontier::solve`] and reading its aggregates: the same
-/// interpolation, the [`DROP_S`] rule of `Schedule`, and sums in
-/// ascending point-id order. Sub-floor (and NaN) budgets clamp up to the
-/// floor, like the controller's entry clamp.
+/// The budget's bracketing segment mixes its two vertex schedules
+/// linearly; the off time complements the mixed active time.
+/// Sub-floor (and NaN) budgets clamp up to the floor, like the
+/// controller's entry clamp.
 ///
 /// # Panics
 ///
 /// Panics on an empty vertex slice.
 #[inline]
 #[must_use]
-pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j: f64) -> Decision {
+pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j: f64) -> Schedule {
     let tp = period_s;
     // `f64::max` maps NaN to the floor too, matching `Energy::max`.
     let b = budget_j.max(vertices[0].budget_j);
@@ -356,31 +258,12 @@ pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j:
         let lo_b = vertices[0].budget_j;
         let lambda = ((b - lo_b) / (vertices[1].budget_j - lo_b)).clamp(0.0, 1.0);
         let t = lambda * tp;
-        let off_s = (tp - t).max(0.0);
-        let mut decision = Decision {
-            eval: PlanEval {
-                accuracy: 0.0,
-                active_s: 0.0,
-                energy_j: off_w * off_s,
-            },
-            off_s,
-            shares: [PlanShare::default(); 2],
-            n_shares: 0,
+        let run = if lambda > 0.0 {
+            vertices[1].run(t)
+        } else {
+            None
         };
-        if lambda > 0.0 && t > DROP_S {
-            let v = &vertices[1];
-            decision.eval = PlanEval {
-                accuracy: v.accuracy * (t / tp),
-                active_s: t,
-                energy_j: v.power_w * t + off_w * off_s,
-            };
-            decision.shares[0] = PlanShare {
-                id: v.id,
-                seconds: t,
-            };
-            decision.n_shares = 1;
-        }
-        return decision;
+        return Schedule::new([run, None], tp - t, tp, off_w);
     }
 
     let last = vertices.len() - 1;
@@ -389,8 +272,7 @@ pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j:
     } else if b >= vertices[last].budget_j {
         (last - 1, 1.0)
     } else {
-        // First vertex with budget > b (`PlanFrontier`'s
-        // `partition_point(..).max(1)`), counted over the ascending
+        // First vertex with budget > b, counted over the ascending
         // budgets without a data-dependent branch.
         let mut hi = 1;
         for v in &vertices[1..last] {
@@ -402,74 +284,26 @@ pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j:
             ((b - lo_b) / (vertices[hi].budget_j - lo_b)).clamp(0.0, 1.0),
         )
     };
-    let hi_idx = (k + 1).min(last);
-
-    // Durations exactly as `PlanFrontier::solve` pushes them; the off
-    // time complements the *raw* active time (drops below come after).
-    let mut n = 0usize;
-    let mut run = [vertices[k]; 2];
-    let mut dur = [0.0f64; 2];
-    let mut active_raw = 0.0;
-    if vertices[k].has_point {
-        let t = (1.0 - lambda) * tp;
-        active_raw += t;
-        dur[0] = t;
-        n = 1;
-    }
-    if lambda > 0.0 && vertices[hi_idx].has_point {
-        let t = lambda * tp;
-        active_raw += t;
-        run[n] = vertices[hi_idx];
-        dur[n] = t;
-        n += 1;
-    }
-    let off_s = (tp - active_raw).max(0.0);
-
-    // `Schedule` sorts by point id and drops allocations of at most
-    // `DROP_S`; the sums below run in the same (id) order.
-    if n == 2 && run[1].id < run[0].id {
-        run.swap(0, 1);
-        dur.swap(0, 1);
-    }
-    let mut accuracy = 0.0;
-    let mut active_s = 0.0;
-    let mut active_e = 0.0;
-    let mut shares = [PlanShare::default(); 2];
-    let mut m = 0usize;
-    for (v, &t) in run.iter().zip(&dur).take(n) {
-        if t > DROP_S {
-            accuracy += v.accuracy * (t / tp);
-            active_s += t;
-            active_e += v.power_w * t;
-            shares[m] = PlanShare {
-                id: v.id,
-                seconds: t,
-            };
-            m += 1;
-        }
-    }
-    Decision {
-        eval: PlanEval {
-            accuracy,
-            active_s,
-            energy_j: active_e + off_w * off_s,
-        },
-        off_s,
-        shares,
-        n_shares: m as u8,
-    }
+    let lo = vertices[k].run((1.0 - lambda) * tp);
+    let hi = if lambda > 0.0 {
+        vertices[(k + 1).min(last)].run(lambda * tp)
+    } else {
+        None
+    };
+    // The off time complements the *raw* active time: the drop rule
+    // applies after.
+    let active = lo.map_or(0.0, |r| r.seconds) + hi.map_or(0.0, |r| r.seconds);
+    Schedule::new([lo, hi], tp - active, tp, off_w)
 }
 
-/// Flat, pointer-free image of a [`PlanFrontier`] for batched scalar
-/// evaluation: one [`Vertex`] record per breakpoint instead of
-/// `Arc<OperatingPoint>` references, so a hot loop evaluating thousands
-/// of cached frontiers touches only contiguous memory.
+/// Flat, pointer-free form of a [`PlanFrontier`] for batched evaluation:
+/// one [`Vertex`] record per breakpoint, so a hot loop evaluating
+/// thousands of cached frontiers touches only contiguous memory.
 ///
 /// Built once per `(points, alpha)` cohort with [`PlanFrontier::table`];
-/// each [`FrontierTable::eval`] afterwards is a short scan over the
+/// each [`FrontierTable::decide`] afterwards is a short scan over the
 /// `K <= N + 1` breakpoints (frontiers are tiny — a handful of vertices
-/// — so the scan beats binary search) followed by the same interpolation
-/// [`PlanFrontier::solve`] performs.
+/// — so the scan beats binary search) followed by the interpolation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierTable {
     /// Breakpoints, ascending by budget (`vertices[0]` is the all-off
@@ -482,40 +316,6 @@ pub struct FrontierTable {
     min_budget_j: f64,
 }
 
-impl PlanFrontier {
-    /// Flattens the frontier into a [`FrontierTable`] for batched
-    /// pointer-free evaluation.
-    #[must_use]
-    pub fn table(&self) -> FrontierTable {
-        let vertices = self
-            .vertices
-            .iter()
-            .map(|v| match &v.point {
-                Some(p) => Vertex {
-                    budget_j: v.budget_j,
-                    accuracy: p.accuracy(),
-                    power_w: p.power().watts(),
-                    id: p.id(),
-                    has_point: true,
-                },
-                None => Vertex {
-                    budget_j: v.budget_j,
-                    accuracy: 0.0,
-                    power_w: 0.0,
-                    id: 0,
-                    has_point: false,
-                },
-            })
-            .collect();
-        FrontierTable {
-            vertices,
-            tp_s: self.period.seconds(),
-            off_w: self.off_power.watts(),
-            min_budget_j: self.min_budget_j,
-        }
-    }
-}
-
 impl FrontierTable {
     /// The budget floor `P_off * TP` in joules (the first breakpoint).
     #[must_use]
@@ -525,7 +325,7 @@ impl FrontierTable {
 
     /// The saturation budget (the last breakpoint) in joules: every
     /// budget at or above it buys the same plan, so callers may cache
-    /// `eval(max_budget_j())` and reuse it for any richer budget.
+    /// `decide(max_budget_j())` and reuse it for any richer budget.
     #[must_use]
     pub fn max_budget_j(&self) -> f64 {
         self.vertices[self.vertices.len() - 1].budget_j
@@ -550,10 +350,12 @@ impl FrontierTable {
         &self.vertices
     }
 
-    /// Evaluates the optimal plan at `budget_j`, returning the schedule
-    /// aggregates bit-for-bit equal to running
-    /// [`ReapController::plan`](crate::ReapController::plan) and reading
-    /// them off the returned [`Schedule`].
+    /// The optimal plan at `budget_j` ([`decide_vertices`] over this
+    /// table) — the serving hot path, where a resident daemon answers
+    /// `Decide {user}` from a cached cohort frontier. It is the schedule
+    /// [`PlanFrontier::solve`] and
+    /// [`ReapController::plan`](crate::ReapController::plan) return, bit
+    /// for bit.
     ///
     /// Sub-floor (and non-finite) budgets clamp up to the floor, exactly
     /// like the controller's `budget.max(min_budget())` entry clamp —
@@ -561,19 +363,7 @@ impl FrontierTable {
     /// not: the controller never lets an out-of-domain budget reach the
     /// frontier.
     #[must_use]
-    pub fn eval(&self, budget_j: f64) -> PlanEval {
-        self.decide(budget_j).eval
-    }
-
-    /// Single-user decide: the plan aggregates **plus** the (at most two)
-    /// per-point time shares of the optimal blend, without allocating
-    /// ([`decide_vertices`] over this table) — the serving hot path,
-    /// where a resident daemon answers `Decide {user}` from a cached
-    /// cohort frontier. `decide(b).eval == eval(b)` bit for bit, and the
-    /// shares are exactly the allocations [`PlanFrontier::solve`] would
-    /// return, in ascending point-id order.
-    #[must_use]
-    pub fn decide(&self, budget_j: f64) -> Decision {
+    pub fn decide(&self, budget_j: f64) -> Schedule {
         decide_vertices(&self.vertices, self.tp_s, self.off_w, budget_j)
     }
 }
@@ -581,6 +371,7 @@ impl FrontierTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reap_units::Power;
 
     fn point(id: u8, acc: f64, mw: f64) -> OperatingPoint {
         OperatingPoint::new(id, format!("DP{id}"), acc, Power::from_milliwatts(mw)).unwrap()
@@ -653,12 +444,12 @@ mod tests {
         let f = p.frontier();
         // Region 1: DP5 alone, duty-cycled.
         let s3 = f.solve(Energy::from_joules(3.0)).unwrap();
-        assert_eq!(s3.allocations().len(), 1);
-        assert_eq!(s3.allocations()[0].point.id(), 5);
+        assert_eq!(s3.shares().len(), 1);
+        assert_eq!(s3.shares()[0].id, 5);
         assert!(s3.off_time().seconds() > 0.0);
         // Region 2: the paper's 5 J checkpoint mixes DP4/DP5 42%/58%.
         let s5 = f.solve(Energy::from_joules(5.0)).unwrap();
-        assert_eq!(s5.allocations().len(), 2);
+        assert_eq!(s5.shares().len(), 2);
         assert!((s5.fraction_for(4) - 0.42).abs() < 0.02);
         assert!((s5.fraction_for(5) - 0.58).abs() < 0.02);
         // Saturation: DP1 all period, and more budget changes nothing.
@@ -709,7 +500,7 @@ mod tests {
             .unwrap();
         let f = p.frontier();
         let s = f.solve(Energy::from_joules(5.0)).unwrap();
-        assert!(s.allocations().is_empty());
+        assert!(s.shares().is_empty());
         assert_eq!(f.objective_at(Energy::from_joules(5.0)).unwrap(), 0.0);
         assert_eq!(
             s.objective(2.0),
@@ -719,19 +510,18 @@ mod tests {
 
     #[test]
     fn table_eval_matches_solve_bit_for_bit() {
-        // The table is the fleet hot path: its scalars must equal reading
-        // the aggregates off the controller's schedule exactly — same
-        // ops, same order — across alphas, budgets, breakpoints, the
+        // The table is the fleet hot path: its plan must equal the
+        // controller's exactly across alphas, budgets, breakpoints, the
         // saturated tail, and the sub-floor clamp.
         for alpha in [0.0, 0.5, 1.0, 2.0, 4.0] {
             let p = paper_problem(alpha);
-            let f = p.frontier();
-            let t = f.table();
-            assert_eq!(t.len(), f.breakpoints().len());
+            let breakpoints = p.frontier().breakpoints();
+            let t = p.frontier().table();
+            assert_eq!(t.len(), breakpoints.len());
             assert!(!t.is_empty());
             assert_eq!(t.min_budget_j(), p.min_budget().joules());
             let mut budgets: Vec<f64> = vec![0.18, 0.19, 1.0, 3.7, 5.0, 9.936, 20.0];
-            for b in f.breakpoints() {
+            for b in &breakpoints {
                 for d in [-1e-9, 0.0, 1e-9] {
                     budgets.push(b.joules() + d);
                 }
@@ -740,27 +530,22 @@ mod tests {
             budgets.push(0.0);
             budgets.push(0.05);
             for b in budgets {
-                let mut controller =
-                    crate::ReapController::with_solver(p.clone(), crate::SolverKind::Frontier);
+                let mut controller = crate::ReapController::new(p.clone());
                 let s = controller.plan(Energy::from_joules(b)).unwrap();
-                let e = t.eval(b);
-                assert_eq!(e.accuracy, s.expected_accuracy(), "accuracy at {b} J");
-                assert_eq!(e.active_s, s.active_time().seconds(), "active at {b} J");
-                assert_eq!(e.energy_j, s.energy().joules(), "energy at {b} J");
+                assert_eq!(t.decide(b), s, "plan at {b} J");
             }
         }
     }
 
     #[test]
     fn table_decide_shares_match_solve_allocations() {
-        // The decide path must serve exactly the schedule `solve` would
-        // build: same point ids, same durations (post drop rule,
-        // ascending id), same off time — and its aggregates are the
-        // `eval` scalars by construction (eval delegates to decide).
+        // The decide path must serve exactly the schedule `solve` builds
+        // for every valid budget: same shares (post drop rule, ascending
+        // id), same off time, same aggregates.
         for alpha in [0.5, 1.0, 2.0] {
             let p = paper_problem(alpha);
             let f = p.frontier();
-            let t = f.table();
+            let t = f.clone().table();
             let mut budgets: Vec<f64> = vec![0.18, 1.0, 3.0, 5.0, 9.936, 20.0];
             for b in f.breakpoints() {
                 budgets.push(b.joules());
@@ -768,17 +553,11 @@ mod tests {
             }
             for b in budgets {
                 let d = t.decide(b);
-                assert_eq!(d.eval, t.eval(b), "aggregates diverged at {b} J");
+                assert!(d.shares().len() <= 2);
                 let s = f
                     .solve(Energy::from_joules(b.max(t.min_budget_j())))
                     .unwrap();
-                let allocs = s.allocations();
-                assert_eq!(d.shares().len(), allocs.len(), "share count at {b} J");
-                for (share, alloc) in d.shares().iter().zip(allocs) {
-                    assert_eq!(share.id, alloc.point.id(), "point id at {b} J");
-                    assert_eq!(share.seconds, alloc.duration.seconds(), "duration at {b} J");
-                }
-                assert_eq!(d.off_s, s.off_time().seconds(), "off time at {b} J");
+                assert_eq!(d, s, "plan at {b} J");
             }
         }
     }
@@ -803,13 +582,13 @@ mod tests {
             .build()
             .unwrap();
         let t = p.frontier().table();
-        let e = t.eval(5.0);
+        let e = t.decide(5.0).eval;
         assert_eq!(e.accuracy, 0.0);
         assert_eq!(e.active_s, 0.0);
         let s = p.frontier().solve(Energy::from_joules(5.0)).unwrap();
         assert_eq!(e.energy_j, s.energy().joules());
         // NaN budgets clamp to the floor, matching `Energy::max`.
-        assert_eq!(t.eval(f64::NAN), t.eval(t.min_budget_j()));
+        assert_eq!(t.decide(f64::NAN), t.decide(t.min_budget_j()));
     }
 
     #[test]
@@ -827,8 +606,8 @@ mod tests {
         let f = p.frontier();
         for b in [0.5, 2.0, 4.0, 6.0] {
             let s = f.solve(Energy::from_joules(b)).unwrap();
-            for a in s.allocations() {
-                assert_eq!(a.point.id(), 1, "dominated point ran at {b} J");
+            for share in s.shares() {
+                assert_eq!(share.id, 1, "dominated point ran at {b} J");
             }
             let simplex = p.solve(Energy::from_joules(b)).unwrap();
             assert!((s.objective(1.0) - simplex.objective(1.0)).abs() < 1e-9);

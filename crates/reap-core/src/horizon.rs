@@ -32,7 +32,6 @@
 use reap_lp::{LpProblem, LpStatus, Relation};
 use reap_units::{Energy, TimeSpan};
 
-use crate::schedule::Allocation;
 use crate::{ReapError, ReapProblem, Schedule};
 
 /// The output of [`plan_horizon`]: one schedule per forecast period plus
@@ -81,7 +80,9 @@ const STARVED_MARGIN_J: f64 = 1e-6;
 ///   cannot pay every period's off-state floor `P_off * TP` (a starved
 ///   window).
 /// * [`ReapError::Lp`] / [`ReapError::SolverInconsistency`] if the solver
-///   fails numerically (pathological inputs only).
+///   fails numerically (pathological inputs only). A period running more
+///   than two points is such an inconsistency: each period's time
+///   variables appear in only two rows, so a basic optimum never does.
 pub fn plan_horizon(
     problem: &ReapProblem,
     forecast: &[Energy],
@@ -236,21 +237,13 @@ fn solve_joint_lp(
     let mut battery_trajectory = Vec::with_capacity(horizon);
     let mut spills = Vec::with_capacity(horizon);
     for h in 0..horizon {
-        let allocations = problem
-            .points()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Allocation {
-                point: p.clone(),
-                duration: TimeSpan::from_seconds(values[h * stride + i]),
-            })
-            .collect();
-        schedules.push(Schedule::new(
-            allocations,
-            TimeSpan::from_seconds(values[t_off_at(h)]),
-            problem.period(),
-            problem.off_power(),
-        ));
+        schedules.push(Schedule::from_lp(
+            problem.points(),
+            &values[h * stride..h * stride + n],
+            values[t_off_at(h)],
+            tp,
+            p_off,
+        )?);
         battery_trajectory.push(Energy::from_joules(values[b_at(h)].max(0.0)));
         spills.push(Energy::from_joules(values[s_at(h)].max(0.0)));
     }
@@ -445,6 +438,49 @@ mod tests {
                     joules(cap),
                 )
             })
+    }
+
+    /// An alpha from the regimes the figures use, and a window of 1 to 24
+    /// periods (dark hours, or harvests up to about two saturation
+    /// budgets) with a battery of any capacity at any level.
+    fn arb_horizon() -> impl Strategy<Value = (f64, Vec<Energy>, Energy, Energy)> {
+        let hour = prop_oneof![Just(0.0), 0.0..20.0f64];
+        (
+            proptest::sample::select(vec![0.0, 0.5, 1.0, 2.0, 4.0]),
+            proptest::collection::vec(hour, 1..=24),
+            0.05..100.0f64,
+            0.0..=1.0f64,
+        )
+            .prop_map(|(alpha, forecast, cap, fill)| {
+                (
+                    alpha,
+                    forecast.into_iter().map(joules).collect(),
+                    joules(cap * fill),
+                    joules(cap),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn horizon_periods_run_at_most_two_points((alpha, forecast, level, cap) in arb_horizon()) {
+            // Each period's time variables appear only in that period's
+            // time and battery rows, so a basic optimum runs at most two
+            // points per period: the LP path never reports a third as an
+            // inconsistency. Starved windows are refused.
+            let p = paper_problem(alpha);
+            let starved = starves(&p, &forecast, level, cap);
+            match plan_horizon(&p, &forecast, level, cap) {
+                Ok(plan) => {
+                    prop_assert!(!starved, "a starved window was planned");
+                    prop_assert_eq!(plan.schedules.len(), forecast.len());
+                }
+                Err(e) => prop_assert_eq!(e, ReapError::InfeasibleHorizon),
+            }
+        }
     }
 
     proptest! {

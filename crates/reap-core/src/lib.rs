@@ -26,6 +26,9 @@
 //!   most **two** design points, so the optimum is an interpolation
 //!   between adjacent vertices of a concave hull.
 //!
+//! Every planner returns the same plan record, a `Copy` [`Schedule`] of
+//! at most two [`PlanShare`]s with its [`PlanEval`] aggregates.
+//!
 //! # Examples
 //!
 //! ```
@@ -77,19 +80,17 @@ mod solver;
 mod static_policy;
 mod sweep;
 
-pub use controller::{ReapController, SolverKind};
+pub use controller::ReapController;
 pub use error::ReapError;
 pub use explain::{explain, BindingConstraint, Explanation};
-pub use frontier::{
-    decide_vertices, Decision, FrontierTable, PlanEval, PlanFrontier, PlanShare, Vertex,
-};
+pub use frontier::{decide_vertices, FrontierTable, PlanFrontier, Vertex};
 pub use horizon::{plan_horizon, HorizonPlan};
 pub use mpc::RecedingHorizonController;
 pub use operating_point::OperatingPoint;
 pub use problem::{ReapProblem, ReapProblemBuilder};
 pub use regions::{detect_regions, Region, RegionMap};
-pub use schedule::{Allocation, Schedule, DROP_S};
-pub use static_policy::{static_on_time, static_schedule};
+pub use schedule::{PlanEval, PlanShare, Schedule, DROP_S};
+pub use static_policy::{static_plan, static_schedule};
 pub use sweep::{
     alpha_sweep, energy_shadow_price, energy_sweep, linspace, AlphaSweepPoint, SweepPoint,
 };

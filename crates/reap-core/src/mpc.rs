@@ -27,7 +27,9 @@
 //!   builds the LP, by walking the highest battery path any plan can
 //!   reach. A real device cannot throw an error at midnight, so the
 //!   controller falls back to the all-off schedule (the engine's brownout
-//!   accounting then records the shortfall honestly).
+//!   accounting then records the shortfall honestly). That schedule is a
+//!   constant of the problem — the simplex's optimum at the floor — so it
+//!   is solved once, when the controller is built.
 
 use std::collections::VecDeque;
 
@@ -78,6 +80,8 @@ struct PendingPlan {
 pub struct RecedingHorizonController {
     problem: ReapProblem,
     lookahead: usize,
+    /// The all-off plan served for starved windows.
+    fallback: Schedule,
     pending: Option<PendingPlan>,
     solves: u64,
     reuses: u64,
@@ -89,7 +93,10 @@ impl RecedingHorizonController {
     ///
     /// # Errors
     ///
-    /// [`ReapError::InvalidParameter`] when `lookahead` is zero.
+    /// [`ReapError::InvalidParameter`] when `lookahead` is zero;
+    /// [`ReapError::Lp`] / [`ReapError::SolverInconsistency`] if the
+    /// simplex fails on the all-off plan at the floor (pathological
+    /// inputs only).
     pub fn new(
         problem: ReapProblem,
         lookahead: usize,
@@ -99,9 +106,11 @@ impl RecedingHorizonController {
                 "lookahead must be at least one period".into(),
             ));
         }
+        let fallback = problem.solve(problem.min_budget())?;
         Ok(RecedingHorizonController {
             problem,
             lookahead,
+            fallback,
             pending: None,
             solves: 0,
             reuses: 0,
@@ -191,7 +200,7 @@ impl RecedingHorizonController {
                 // re-plan next period with whatever has been harvested.
                 self.fallbacks += 1;
                 self.pending = None;
-                self.problem.solve(self.problem.min_budget())
+                Ok(self.fallback)
             }
             // Invalid inputs are caller bugs and anything else is
             // genuine numerical trouble; both must surface, not be
@@ -378,7 +387,7 @@ mod tests {
         let s = c
             .plan(&[Energy::ZERO; 4], Energy::ZERO, joules(60.0))
             .unwrap();
-        assert!(s.allocations().iter().all(|a| a.duration.seconds() == 0.0));
+        assert!(s.shares().is_empty());
         assert!((s.off_time().seconds() - 3600.0).abs() < 1e-6);
         assert_eq!(c.fallbacks(), 1);
         assert_eq!(c.solves(), 0);
@@ -388,6 +397,25 @@ mod tests {
             .unwrap();
         assert!(s.active_time().seconds() > 0.0);
         assert_eq!(c.solves(), 1);
+    }
+
+    #[test]
+    fn starved_plan_is_the_simplex_optimum_at_the_floor() {
+        // The fallback is solved once, at construction, and served as
+        // is: bit for bit the simplex's answer at the floor.
+        let p = paper_problem();
+        let expected = p.solve(p.min_budget()).unwrap();
+        let mut c = RecedingHorizonController::new(p, 4).unwrap();
+        for _ in 0..3 {
+            let s = c
+                .plan(&[Energy::ZERO; 4], Energy::ZERO, joules(60.0))
+                .unwrap();
+            assert_eq!(s, expected);
+            assert_eq!(s.off_s.to_bits(), expected.off_s.to_bits());
+            assert_eq!(s.eval.energy_j.to_bits(), expected.eval.energy_j.to_bits());
+        }
+        assert_eq!(c.fallbacks(), 3);
+        assert_eq!(c.solves(), 0);
     }
 
     #[test]

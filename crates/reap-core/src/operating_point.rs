@@ -81,11 +81,17 @@ impl OperatingPoint {
     /// pure active time for every point.
     #[must_use]
     pub fn weight(&self, alpha: f64) -> f64 {
-        if alpha == 0.0 {
-            1.0
-        } else {
-            self.accuracy.powf(alpha)
-        }
+        weight(self.accuracy, alpha)
+    }
+}
+
+/// The objective weight `a^alpha` of a point with `accuracy`, with
+/// `0^0 = 1` (see [`OperatingPoint::weight`]).
+pub(crate) fn weight(accuracy: f64, alpha: f64) -> f64 {
+    if alpha == 0.0 {
+        1.0
+    } else {
+        accuracy.powf(alpha)
     }
 }
 

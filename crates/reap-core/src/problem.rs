@@ -1,7 +1,5 @@
 //! The REAP optimization problem.
 
-use std::sync::Arc;
-
 use reap_units::{Energy, Power, TimeSpan};
 
 use crate::frontier::PlanFrontier;
@@ -15,13 +13,9 @@ use crate::{OperatingPoint, ReapError, Schedule};
 /// The *energy budget* `Eb` is deliberately **not** part of the problem: it
 /// changes every period as harvesting conditions change, and is passed to
 /// [`ReapProblem::solve`] at runtime — exactly the paper's usage model.
-///
-/// Points are stored behind [`Arc`] so that schedules (which reference the
-/// point they allocate time to) and problem clones (`with_alpha`, the sim
-/// engine) share them instead of deep-copying labels on the hot path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReapProblem {
-    points: Vec<Arc<OperatingPoint>>,
+    points: Vec<OperatingPoint>,
     period: TimeSpan,
     off_power: Power,
     alpha: f64,
@@ -137,7 +131,7 @@ impl ReapProblemBuilder {
             }
         }
         Ok(ReapProblem {
-            points: self.points.into_iter().map(Arc::new).collect(),
+            points: self.points,
             period: self.period,
             off_power: self.off_power,
             alpha: self.alpha,
@@ -152,9 +146,9 @@ impl ReapProblem {
         ReapProblemBuilder::default()
     }
 
-    /// The operating points (shared handles; deref to [`OperatingPoint`]).
+    /// The operating points.
     #[must_use]
-    pub fn points(&self) -> &[Arc<OperatingPoint>] {
+    pub fn points(&self) -> &[OperatingPoint] {
         &self.points
     }
 
@@ -163,7 +157,7 @@ impl ReapProblem {
     /// # Errors
     ///
     /// [`ReapError::UnknownPoint`] when no point has this id.
-    pub fn point(&self, id: u8) -> Result<&Arc<OperatingPoint>, ReapError> {
+    pub fn point(&self, id: u8) -> Result<&OperatingPoint, ReapError> {
         self.points
             .iter()
             .find(|p| p.id() == id)

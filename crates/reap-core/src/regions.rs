@@ -112,11 +112,7 @@ pub fn detect_regions(problem: &ReapProblem, resolution: usize) -> Result<Region
     let mut current: Option<(Vec<u8>, bool)> = None;
 
     for (budget, schedule) in budgets.into_iter().zip(schedules) {
-        let ids: Vec<u8> = schedule
-            .allocations()
-            .iter()
-            .map(|a| a.point.id())
-            .collect();
+        let ids: Vec<u8> = schedule.shares().iter().map(|s| s.id).collect();
         let fully_active = schedule.active_fraction() > 1.0 - 1e-6;
         match &mut current {
             Some((cur_ids, cur_full)) if *cur_ids == ids && *cur_full == fully_active => {}

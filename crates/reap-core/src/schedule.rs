@@ -1,138 +1,222 @@
 //! Schedules: the optimizer's output.
 
 use std::fmt;
-use std::sync::Arc;
 
 use reap_units::{Energy, Power, TimeSpan};
 
-use crate::OperatingPoint;
+use crate::operating_point::weight;
+use crate::{OperatingPoint, ReapError};
 
 /// Allocations of at most this many seconds are numerical noise: every
 /// plan (schedules, frontier tables, the fleet kernels) drops them.
 pub const DROP_S: f64 = 1e-6;
 
-/// Time allocated to one operating point within an activity period.
-///
-/// The point is held behind an [`Arc`] shared with the owning
-/// [`ReapProblem`](crate::ReapProblem), so building a schedule never deep-
-/// copies point labels — planning loops construct thousands of schedules
-/// per simulated month.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Allocation {
-    /// The operating point being used.
-    pub point: Arc<OperatingPoint>,
-    /// How long it runs during the period.
-    pub duration: TimeSpan,
+/// The aggregates of a plan: its expected accuracy, active time and
+/// energy, computed once when the [`Schedule`] is built.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PlanEval {
+    /// Expected accuracy over the period: `(1/TP) sum_i a_i t_i`
+    /// (Sec. 3.2 of the paper). Off time contributes zero.
+    pub accuracy: f64,
+    /// Active time `sum_i t_i`, in seconds.
+    pub active_s: f64,
+    /// Total energy (active plus off-state), in joules.
+    pub energy_j: f64,
+}
+
+/// One operating point's share of a plan: run point `id`, of accuracy
+/// `accuracy`, for `seconds` of the period.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PlanShare {
+    /// The operating point's id.
+    pub id: u8,
+    /// The operating point's accuracy.
+    pub accuracy: f64,
+    /// Seconds of the period spent at this point.
+    pub seconds: f64,
+}
+
+/// One point's run in a plan under construction: the point's id,
+/// accuracy and power draw, and the seconds it runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) id: u8,
+    pub(crate) accuracy: f64,
+    pub(crate) power_w: f64,
+    pub(crate) seconds: f64,
 }
 
 /// A complete plan for one activity period `TP`: how long to run each
 /// operating point and how long to stay off.
 ///
-/// Produced by [`ReapProblem::solve`](crate::ReapProblem::solve) (the REAP
-/// policy) or [`static_schedule`](crate::static_schedule) (the single-DP
-/// duty-cycling baselines).
-#[derive(Debug, Clone, PartialEq)]
+/// The REAP LP has two constraints (Eqs. 2–3), so an optimal plan runs
+/// at most two points; a static duty cycle runs one. A schedule is
+/// therefore a plain `Copy` value: at most two [`PlanShare`]s in
+/// ascending point id, the off time, the period and the off power, plus
+/// its [`PlanEval`] aggregates. Every planner builds it the same way —
+/// [`ReapProblem::solve`](crate::ReapProblem::solve) and
+/// [`plan_horizon`](crate::plan_horizon) from LP values,
+/// [`decide_vertices`](crate::decide_vertices) (behind
+/// [`PlanFrontier`](crate::PlanFrontier) and
+/// [`ReapController`](crate::ReapController)) from a frontier, and
+/// [`static_plan`](crate::static_plan) for the single-DP duty-cycling
+/// baselines.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Schedule {
-    allocations: Vec<Allocation>,
-    off_time: TimeSpan,
-    period: TimeSpan,
-    off_power: Power,
+    /// The aggregates: expected accuracy, active seconds and energy.
+    pub eval: PlanEval,
+    /// Seconds of the period spent in the off state.
+    pub off_s: f64,
+    shares: [PlanShare; 2],
+    n_shares: u8,
+    period_s: f64,
+    off_w: f64,
 }
 
 impl Schedule {
-    /// Assembles a schedule. Allocations of at most [`DROP_S`] are
-    /// dropped as numerical noise.
-    pub(crate) fn new(
-        mut allocations: Vec<Allocation>,
-        off_time: TimeSpan,
-        period: TimeSpan,
-        off_power: Power,
-    ) -> Schedule {
-        allocations.retain(|a| a.duration.seconds() > DROP_S);
-        allocations.sort_by_key(|a| a.point.id());
+    /// The one way to build a plan. Runs of at most [`DROP_S`] are
+    /// dropped as numerical noise, the rest are ordered by point id, and
+    /// the aggregates are summed from zero in that order:
+    /// `sum a (t / TP)`, `sum t` and `sum P t + P_off t_off`. A negative
+    /// off time clamps to zero.
+    #[inline]
+    pub(crate) fn new(runs: [Option<Run>; 2], off_s: f64, period_s: f64, off_w: f64) -> Schedule {
+        let [a, b] = runs.map(|r| r.filter(|r| r.seconds > DROP_S));
+        let (first, second) = match (a, b) {
+            (Some(a), Some(b)) if b.id < a.id => (Some(b), Some(a)),
+            (None, b) => (b, None),
+            kept => kept,
+        };
+        let off_s = off_s.max(0.0);
+        let (mut accuracy, mut active_s, mut active_j) = (0.0, 0.0, 0.0);
+        for run in [first, second].into_iter().flatten() {
+            accuracy += run.accuracy * (run.seconds / period_s);
+            active_s += run.seconds;
+            active_j += run.power_w * run.seconds;
+        }
+        let share = |r: Option<Run>| {
+            r.map_or(PlanShare::default(), |r| PlanShare {
+                id: r.id,
+                accuracy: r.accuracy,
+                seconds: r.seconds,
+            })
+        };
         Schedule {
-            allocations,
-            off_time: TimeSpan::from_seconds(off_time.seconds().max(0.0)),
-            period,
-            off_power,
+            eval: PlanEval {
+                accuracy,
+                active_s,
+                energy_j: active_j + off_w * off_s,
+            },
+            off_s,
+            shares: [share(first), share(second)],
+            n_shares: u8::from(first.is_some()) + u8::from(second.is_some()),
+            period_s,
+            off_w,
         }
     }
 
-    /// The non-zero allocations, sorted by operating-point id.
+    /// Builds a plan from an LP optimum: `times[i]` seconds at
+    /// `points[i]` and `off_s` seconds off.
+    ///
+    /// # Errors
+    ///
+    /// [`ReapError::SolverInconsistency`] when more than two points run
+    /// longer than [`DROP_S`]: a period's time variables appear in only
+    /// two rows, so a basic optimum never runs three.
+    pub(crate) fn from_lp(
+        points: &[OperatingPoint],
+        times: &[f64],
+        off_s: f64,
+        period_s: f64,
+        off_w: f64,
+    ) -> Result<Schedule, ReapError> {
+        let mut runs = [None; 2];
+        let mut n = 0;
+        for (p, &seconds) in points.iter().zip(times) {
+            if seconds > DROP_S {
+                let slot = runs.get_mut(n).ok_or_else(|| {
+                    ReapError::SolverInconsistency(
+                        "lp optimum runs more than two points in one period".into(),
+                    )
+                })?;
+                *slot = Some(Run {
+                    id: p.id(),
+                    accuracy: p.accuracy(),
+                    power_w: p.power().watts(),
+                    seconds,
+                });
+                n += 1;
+            }
+        }
+        Ok(Schedule::new(runs, off_s, period_s, off_w))
+    }
+
+    /// The point shares (ascending point id, 0–2 of them).
     #[must_use]
-    pub fn allocations(&self) -> &[Allocation] {
-        &self.allocations
+    pub fn shares(&self) -> &[PlanShare] {
+        &self.shares[..usize::from(self.n_shares)]
     }
 
     /// Time spent in the off state.
     #[must_use]
     pub fn off_time(&self) -> TimeSpan {
-        self.off_time
+        TimeSpan::from_seconds(self.off_s)
     }
 
     /// The activity period `TP` this schedule plans.
     #[must_use]
     pub fn period(&self) -> TimeSpan {
-        self.period
+        TimeSpan::from_seconds(self.period_s)
+    }
+
+    /// The off-state power `P_off` the schedule's energy includes.
+    #[must_use]
+    pub fn off_power(&self) -> Power {
+        Power::from_watts(self.off_w)
     }
 
     /// Total active time `sum_i t_i`.
     #[must_use]
     pub fn active_time(&self) -> TimeSpan {
-        self.allocations.iter().map(|a| a.duration).sum()
+        TimeSpan::from_seconds(self.eval.active_s)
     }
 
     /// Active time as a fraction of the period, in `[0, 1]`.
     #[must_use]
     pub fn active_fraction(&self) -> f64 {
-        self.active_time() / self.period
+        self.eval.active_s / self.period_s
     }
 
     /// Expected accuracy over the period: `(1/TP) sum_i a_i t_i`
     /// (Sec. 3.2 of the paper). Off time contributes zero.
     #[must_use]
     pub fn expected_accuracy(&self) -> f64 {
-        // `+ 0.0` normalizes the -0.0 that summing an empty iterator
-        // produces.
-        self.allocations
-            .iter()
-            .map(|a| a.point.accuracy() * (a.duration / self.period))
-            .sum::<f64>()
-            + 0.0
+        self.eval.accuracy
     }
 
     /// The generalized objective `J(t) = (1/TP) sum_i a_i^alpha t_i`
     /// (Eq. 1).
     #[must_use]
     pub fn objective(&self, alpha: f64) -> f64 {
-        self.allocations
-            .iter()
-            .map(|a| a.point.weight(alpha) * (a.duration / self.period))
-            .sum::<f64>()
-            + 0.0
+        self.shares().iter().fold(0.0, |sum, s| {
+            sum + weight(s.accuracy, alpha) * (s.seconds / self.period_s)
+        })
     }
 
     /// Total energy the schedule consumes, including the off-state power.
     #[must_use]
     pub fn energy(&self) -> Energy {
-        let active: Energy = self
-            .allocations
-            .iter()
-            .map(|a| a.point.power() * a.duration)
-            .sum();
-        active + self.off_power * self.off_time
+        Energy::from_joules(self.eval.energy_j)
     }
 
     /// Fraction of the period allocated to the point with `id` (0 when the
     /// point is unused).
     #[must_use]
     pub fn fraction_for(&self, id: u8) -> f64 {
-        self.allocations
+        self.shares()
             .iter()
-            .filter(|a| a.point.id() == id)
-            .map(|a| a.duration / self.period)
-            .sum::<f64>()
-            + 0.0
+            .find(|s| s.id == id)
+            .map_or(0.0, |s| s.seconds / self.period_s)
     }
 
     /// `true` when time accounting is consistent (allocations plus off time
@@ -140,33 +224,35 @@ impl Schedule {
     /// tolerance `tol_seconds` / `tol` relative energy.
     #[must_use]
     pub fn is_feasible(&self, budget: Energy, tol: f64) -> bool {
-        let total_time = self.active_time() + self.off_time;
-        let time_ok = (total_time.seconds() - self.period.seconds()).abs()
-            <= tol * self.period.seconds().max(1.0);
-        let energy_ok = self.energy().joules() <= budget.joules() * (1.0 + tol) + tol;
+        let total_time = self.eval.active_s + self.off_s;
+        let time_ok = (total_time - self.period_s).abs() <= tol * self.period_s.max(1.0);
+        let energy_ok = self.eval.energy_j <= budget.joules() * (1.0 + tol) + tol;
         time_ok && energy_ok
     }
 }
 
+/// Points print as `DP{id}`, the label of every point the repository
+/// prints; a caller wanting another label resolves the id with
+/// [`ReapProblem::point`](crate::ReapProblem::point).
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
             "schedule over {} (expected accuracy {:.1}%, active {:.1}%):",
-            self.period,
+            self.period(),
             self.expected_accuracy() * 100.0,
             self.active_fraction() * 100.0
         )?;
-        for a in &self.allocations {
+        for s in self.shares() {
             writeln!(
                 f,
                 "  {:<18} {:>10}  ({:.1}% of period)",
-                a.point.label(),
-                a.duration.to_string(),
-                (a.duration / self.period) * 100.0
+                format!("DP{}", s.id),
+                TimeSpan::from_seconds(s.seconds).to_string(),
+                (s.seconds / self.period_s) * 100.0
             )?;
         }
-        write!(f, "  {:<18} {:>10}", "off", self.off_time.to_string())
+        write!(f, "  {:<18} {:>10}", "off", self.off_time().to_string())
     }
 }
 
@@ -174,35 +260,24 @@ impl fmt::Display for Schedule {
 mod tests {
     use super::*;
 
-    fn point(id: u8, acc: f64, mw: f64) -> Arc<OperatingPoint> {
-        Arc::new(
-            OperatingPoint::new(id, format!("DP{id}"), acc, Power::from_milliwatts(mw)).unwrap(),
-        )
+    fn run(id: u8, acc: f64, mw: f64, seconds: f64) -> Option<Run> {
+        Some(Run {
+            id,
+            accuracy: acc,
+            power_w: mw * 1e-3,
+            seconds,
+        })
     }
 
-    fn hour() -> TimeSpan {
-        TimeSpan::from_hours(1.0)
-    }
-
-    fn p_off() -> Power {
-        Power::from_microwatts(50.0)
-    }
+    const HOUR: f64 = 3600.0;
+    const P_OFF_W: f64 = 50e-6;
 
     fn example() -> Schedule {
         Schedule::new(
-            vec![
-                Allocation {
-                    point: point(4, 0.90, 1.64),
-                    duration: TimeSpan::from_seconds(1512.0),
-                },
-                Allocation {
-                    point: point(5, 0.76, 1.20),
-                    duration: TimeSpan::from_seconds(2088.0),
-                },
-            ],
-            TimeSpan::ZERO,
-            hour(),
-            p_off(),
+            [run(5, 0.76, 1.20, 2088.0), run(4, 0.90, 1.64, 1512.0)],
+            0.0,
+            HOUR,
+            P_OFF_W,
         )
     }
 
@@ -217,36 +292,25 @@ mod tests {
         assert!((s.objective(0.0) - 1.0).abs() < 1e-12);
         // alpha = 1 objective is the expected accuracy.
         assert!((s.objective(1.0) - expected_acc).abs() < 1e-12);
+        // Shares come out in ascending point id.
+        let ids: Vec<u8> = s.shares().iter().map(|s| s.id).collect();
+        assert_eq!(ids, [4, 5]);
     }
 
     #[test]
     fn energy_includes_off_state() {
-        let s = Schedule::new(
-            vec![Allocation {
-                point: point(1, 0.94, 2.76),
-                duration: TimeSpan::from_seconds(1800.0),
-            }],
-            TimeSpan::from_seconds(1800.0),
-            hour(),
-            p_off(),
-        );
+        let s = Schedule::new([run(1, 0.94, 2.76, 1800.0), None], 1800.0, HOUR, P_OFF_W);
         let expect = 2.76e-3 * 1800.0 + 50e-6 * 1800.0;
         assert!((s.energy().joules() - expect).abs() < 1e-9);
+        assert_eq!(s.off_power(), Power::from_watts(P_OFF_W));
     }
 
     #[test]
     fn tiny_allocations_are_dropped() {
-        let s = Schedule::new(
-            vec![Allocation {
-                point: point(1, 0.9, 1.0),
-                duration: TimeSpan::from_seconds(1e-9),
-            }],
-            hour(),
-            hour(),
-            p_off(),
-        );
-        assert!(s.allocations().is_empty());
+        let s = Schedule::new([run(1, 0.9, 1.0, 1e-9), None], HOUR, HOUR, P_OFF_W);
+        assert!(s.shares().is_empty());
         assert_eq!(s.fraction_for(1), 0.0);
+        assert_eq!(s.energy().joules(), P_OFF_W * HOUR);
     }
 
     #[test]
@@ -273,16 +337,34 @@ mod tests {
 
     #[test]
     fn negative_off_time_is_clamped() {
-        let s = Schedule::new(vec![], TimeSpan::from_seconds(-1e-9), hour(), p_off());
+        let s = Schedule::new([None, None], -1e-9, HOUR, P_OFF_W);
         assert!(s.off_time().seconds() >= 0.0);
     }
 
     #[test]
     fn empty_schedule_metrics_are_positive_zero() {
-        let s = Schedule::new(vec![], hour(), hour(), p_off());
+        let s = Schedule::new([None, None], HOUR, HOUR, P_OFF_W);
         assert!(s.expected_accuracy().is_sign_positive());
         assert_eq!(s.expected_accuracy(), 0.0);
         assert!(s.objective(1.0).is_sign_positive());
         assert!(s.fraction_for(1).is_sign_positive());
+    }
+
+    #[test]
+    fn lp_values_with_a_third_point_are_an_inconsistency() {
+        let points: Vec<OperatingPoint> = [(1u8, 0.94, 2.76), (2, 0.93, 2.30), (3, 0.92, 1.82)]
+            .iter()
+            .map(|&(id, a, mw)| {
+                OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
+            })
+            .collect();
+        // Two runs (and one below the drop rule) make a plan.
+        let s = Schedule::from_lp(&points, &[1000.0, 1e-9, 2600.0], 0.0, HOUR, P_OFF_W).unwrap();
+        assert_eq!(s.shares().len(), 2);
+        // A third run cannot come from a basic optimum.
+        assert!(matches!(
+            Schedule::from_lp(&points, &[1000.0, 1000.0, 1600.0], 0.0, HOUR, P_OFF_W),
+            Err(ReapError::SolverInconsistency(_))
+        ));
     }
 }

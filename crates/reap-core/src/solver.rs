@@ -5,9 +5,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use reap_lp::{LpProblem, LpStatus, Relation};
-use reap_units::{Energy, TimeSpan};
+use reap_units::Energy;
 
-use crate::schedule::Allocation;
 use crate::{ReapError, ReapProblem, Schedule};
 
 /// Checks the budget floor.
@@ -70,21 +69,13 @@ pub(crate) fn solve_simplex(problem: &ReapProblem, budget: Energy) -> Result<Sch
     }
 
     let values = solution.values();
-    let allocations = problem
-        .points()
-        .iter()
-        .zip(values)
-        .map(|(p, &t)| Allocation {
-            point: p.clone(),
-            duration: TimeSpan::from_seconds(t),
-        })
-        .collect();
-    Ok(Schedule::new(
-        allocations,
-        TimeSpan::from_seconds(values[n]),
-        problem.period(),
-        problem.off_power(),
-    ))
+    Schedule::from_lp(
+        problem.points(),
+        &values[..n],
+        values[n],
+        tp,
+        problem.off_power().watts(),
+    )
 }
 
 #[cfg(test)]
@@ -118,7 +109,7 @@ mod tests {
         assert!(matches!(err, ReapError::BudgetTooSmall { .. }));
         // Exactly at the floor: a valid all-off schedule.
         let s = p.solve(Energy::from_joules(0.18)).unwrap();
-        assert!(s.allocations().is_empty());
+        assert!(s.shares().is_empty());
         assert!((s.off_time().seconds() - 3600.0).abs() < 1e-6);
     }
 
@@ -160,8 +151,8 @@ mod tests {
         // 2.3x active-time advantage over DP1 (Fig. 5b).
         let p = paper_problem(1.0);
         let s = p.solve(Energy::from_joules(3.0)).unwrap();
-        assert_eq!(s.allocations().len(), 1);
-        assert_eq!(s.allocations()[0].point.id(), 5);
+        assert_eq!(s.shares().len(), 1);
+        assert_eq!(s.shares()[0].id, 5);
         let expected_active = (3.0 - 0.18) / (1.20e-3 - 50e-6);
         assert!((s.active_time().seconds() - expected_active).abs() < 1.0);
     }
@@ -172,8 +163,8 @@ mod tests {
         // and REAP matches it by running DP4 alone.
         let p = paper_problem(2.0);
         let s = p.solve(Energy::from_joules(5.0)).unwrap();
-        assert_eq!(s.allocations().len(), 1);
-        assert_eq!(s.allocations()[0].point.id(), 4);
+        assert_eq!(s.shares().len(), 1);
+        assert_eq!(s.shares()[0].id, 4);
     }
 
     #[test]
@@ -182,7 +173,7 @@ mod tests {
         // and active time is maximized.
         let p = paper_problem(0.0);
         let s = p.solve(Energy::from_joules(3.0)).unwrap();
-        assert_eq!(s.allocations()[0].point.id(), 5);
+        assert_eq!(s.shares()[0].id, 5);
         let s_rich = p.solve(Energy::from_joules(6.0)).unwrap();
         assert!((s_rich.active_fraction() - 1.0).abs() < 1e-9);
     }

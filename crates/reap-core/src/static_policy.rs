@@ -5,28 +5,26 @@
 //! period's energy budget is respected. This module computes that optimal
 //! duty cycle, which is the strongest possible version of the baseline.
 
-use reap_units::{Energy, TimeSpan};
+use reap_units::Energy;
 
-use crate::schedule::Allocation;
+use crate::schedule::Run;
 use crate::{ReapError, ReapProblem, Schedule};
 
 /// The schedule a *static* policy produces: run the point with `point_id`
 /// for as long as the budget allows (up to the whole period), then turn
-/// off.
-///
-/// The on-time solves `P_i*t + P_off*(TP - t) = Eb`, i.e.
-/// `t = (Eb - P_off*TP) / (P_i - P_off)`, clamped to `[0, TP]`.
+/// off — [`static_plan`] for a validated budget.
 ///
 /// # Errors
 ///
 /// * [`ReapError::UnknownPoint`] if `point_id` is not in the problem.
 /// * [`ReapError::BudgetTooSmall`] when `budget < P_off * TP`.
+/// * [`ReapError::InvalidParameter`] for a non-finite budget.
 pub fn static_schedule(
     problem: &ReapProblem,
     point_id: u8,
     budget: Energy,
 ) -> Result<Schedule, ReapError> {
-    let point = problem.point(point_id)?.clone();
+    let point = problem.point(point_id)?;
     if !budget.is_finite() {
         return Err(ReapError::InvalidParameter(format!(
             "budget {budget} is not finite"
@@ -36,30 +34,47 @@ pub fn static_schedule(
     if budget.joules() < minimum.joules() * (1.0 - 1e-12) {
         return Err(ReapError::BudgetTooSmall { budget, minimum });
     }
-    let tp = problem.period().seconds();
-    let marginal = point.power().watts() - problem.off_power().watts();
-    debug_assert!(marginal > 0.0, "validated at problem build time");
-    let t_on = static_on_time(budget.joules(), minimum.joules(), marginal, tp);
-    Ok(Schedule::new(
-        vec![Allocation {
-            point,
-            duration: TimeSpan::from_seconds(t_on),
-        }],
-        TimeSpan::from_seconds(tp - t_on),
-        problem.period(),
-        problem.off_power(),
+    Ok(static_plan(
+        point.id(),
+        point.accuracy(),
+        point.power().watts(),
+        problem.period().seconds(),
+        problem.off_power().watts(),
+        budget.joules(),
     ))
 }
 
-/// The on-time in seconds of a static duty cycle at `budget_j`:
-/// `(Eb - P_off*TP) / (P_i - P_off)` from the floor `min_budget_j` and
-/// the point's `marginal_w` = `P_i - P_off`, clamped to
-/// `[0, period_s]`. [`static_schedule`] and the fleet's batched static
-/// plan both compute it here.
+/// The static duty-cycle plan, without allocating: run the point `id`
+/// (of `accuracy`, drawing `power_w`) for as long as `budget_j` allows
+/// over a period of `period_s` seconds with off-state power `off_w`,
+/// then turn off.
+///
+/// The on-time solves `P_i*t + P_off*(TP - t) = Eb`, i.e.
+/// `t = (Eb - P_off*TP) / (P_i - P_off)`, clamped to `[0, TP]`.
+/// Sub-floor (and NaN) budgets clamp up to the floor `P_off * TP`, like
+/// [`decide_vertices`](crate::decide_vertices). The point must draw more
+/// than `off_w`, as every [`ReapProblem`] point does. [`static_schedule`]
+/// and the fleet's batched static plan both build through it.
 #[inline]
 #[must_use]
-pub fn static_on_time(budget_j: f64, min_budget_j: f64, marginal_w: f64, period_s: f64) -> f64 {
-    ((budget_j - min_budget_j) / marginal_w).clamp(0.0, period_s)
+pub fn static_plan(
+    id: u8,
+    accuracy: f64,
+    power_w: f64,
+    period_s: f64,
+    off_w: f64,
+    budget_j: f64,
+) -> Schedule {
+    debug_assert!(power_w > off_w, "points draw more than the off power");
+    let floor_j = off_w * period_s;
+    let t_on = ((budget_j.max(floor_j) - floor_j) / (power_w - off_w)).clamp(0.0, period_s);
+    let run = Run {
+        id,
+        accuracy,
+        power_w,
+        seconds: t_on,
+    };
+    Schedule::new([Some(run), None], period_s - t_on, period_s, off_w)
 }
 
 #[cfg(test)]
@@ -118,6 +133,24 @@ mod tests {
         let at_knee = static_schedule(&p, 5, Energy::from_joules(4.32)).unwrap();
         assert!(just_below.active_fraction() < 1.0);
         assert!((at_knee.active_fraction() - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn static_plan_is_the_validated_schedule_and_clamps_sub_floor_budgets() {
+        let p = paper_problem();
+        let dp4 = p.point(4).unwrap();
+        let (tp, off_w) = (p.period().seconds(), p.off_power().watts());
+        let plan = |b: f64| static_plan(4, dp4.accuracy(), dp4.power().watts(), tp, off_w, b);
+        for b in [0.18, 2.0, 5.0, 9.0] {
+            assert_eq!(
+                plan(b),
+                static_schedule(&p, 4, Energy::from_joules(b)).unwrap()
+            );
+        }
+        let floor = plan(p.min_budget().joules());
+        assert!(floor.shares().is_empty());
+        assert_eq!(plan(0.0), floor);
+        assert_eq!(plan(f64::NAN), floor);
     }
 
     #[test]

@@ -102,22 +102,27 @@ pub fn energy_sweep(
 /// shadow price is non-increasing: large when the device is starved
 /// (every joule buys active time at the best accuracy-per-joule point),
 /// zero beyond the saturation budget. Useful for deciding whether to
-/// spend battery now or bank it.
+/// spend battery now or bank it. Near the floor the low probe stops at
+/// [`ReapProblem::min_budget`], and the difference spans the probed
+/// width only.
 ///
 /// # Errors
 ///
 /// Propagates solver errors; the budget must be at least
-/// [`ReapProblem::min_budget`] plus the probe step.
+/// [`ReapProblem::min_budget`].
 pub fn energy_shadow_price(problem: &ReapProblem, budget: Energy) -> Result<f64, ReapError> {
     let h = Energy::from_millijoules(
         (budget.millijoules() * 1e-4).max(1.0), // >= 1 mJ probe
     );
-    // One frontier serves both probes, and `objective_at` skips schedule
-    // construction entirely.
+    // The low probe never goes below the floor, nor below a budget that
+    // is already there (a sub-floor budget then fails as itself).
+    let lo_budget = (budget - h).max(budget.min(problem.min_budget()));
+    let hi_budget = budget + h;
+    // One frontier serves both probes.
     let frontier = problem.frontier();
-    let lo = frontier.objective_at(budget - h)?;
-    let hi = frontier.objective_at(budget + h)?;
-    Ok((hi - lo) / (2.0 * h.joules()))
+    let lo = frontier.objective_at(lo_budget)?;
+    let hi = frontier.objective_at(hi_budget)?;
+    Ok((hi - lo) / (hi_budget - lo_budget).joules())
 }
 
 /// Solves REAP at each `alpha` for a fixed budget (statics are computed

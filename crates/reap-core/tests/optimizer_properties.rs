@@ -85,7 +85,7 @@ proptest! {
                 simplex.objective(alpha), fast.objective(alpha)
             );
             prop_assert!(fast.is_feasible(b, 1e-6), "frontier infeasible at {b}: {fast}");
-            prop_assert!(fast.allocations().len() <= 2);
+            prop_assert!(fast.shares().len() <= 2);
             let total = fast.active_time() + fast.off_time();
             prop_assert!((total.seconds() - problem.period().seconds()).abs() < 1e-3);
         }
@@ -104,8 +104,8 @@ proptest! {
     fn optimum_mixes_at_most_two_points((problem, budget) in arb_instance()) {
         let reap = problem.solve(budget).expect("solvable");
         prop_assert!(
-            reap.allocations().len() <= 2,
-            "{} active points", reap.allocations().len()
+            reap.shares().len() <= 2,
+            "{} active points", reap.shares().len()
         );
     }
 

@@ -27,7 +27,7 @@
 
 use crate::locks::{rank, OrderedLock};
 
-use reap_core::{Decision, FrontierTable, ReapProblem};
+use reap_core::{FrontierTable, ReapProblem, Schedule};
 use reap_harvest::{step, Battery, BudgetAllocator, EwmaAllocator};
 use reap_sim::{CohortIndex, Fleet};
 use reap_units::Energy;
@@ -75,7 +75,7 @@ pub struct DecideOutcome {
     /// The budget the cohort frontier was evaluated at, joules.
     pub budget_j: f64,
     /// The plan: aggregates plus the (at most two) point shares.
-    pub decision: Decision,
+    pub decision: Schedule,
 }
 
 /// A stripe of the population: users `u` with `u % shards == index`.

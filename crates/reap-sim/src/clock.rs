@@ -367,22 +367,19 @@ pub(crate) fn run_event_driven(scenario: &Scenario, policy: Policy) -> Result<Vd
 }
 
 /// One row of a run's plan table: a schedule and its budget, with the
-/// energy, objective and active time an epoch charges computed once.
+/// objective an epoch credits computed once (the schedule carries its
+/// energy and active time).
 struct Plan {
     budget: Energy,
     schedule: Schedule,
-    energy_j: f64,
     objective: f64,
-    active_s: f64,
 }
 
 impl Plan {
     fn new(budget: Energy, schedule: Schedule, alpha: f64) -> Plan {
         Plan {
             budget,
-            energy_j: schedule.energy().joules(),
             objective: schedule.objective(alpha),
-            active_s: schedule.active_time().seconds(),
             schedule,
         }
     }
@@ -572,7 +569,9 @@ impl<'s> IntermittentCore<'s> {
                 .expect("non-burst policies plan hourly");
             let (budget, schedule) = planner.plan_hour(h, self.hour_harvest, &view)?;
             self.planned_hour = Some(h);
-            self.plans = vec![Plan::new(budget, schedule, self.scenario.problem.alpha())];
+            self.plans.clear();
+            self.plans
+                .push(Plan::new(budget, schedule, self.scenario.problem.alpha()));
             self.current_plan = Some(0);
         }
         self.hour_last_plan = self.current_plan.or(self.hour_last_plan);
@@ -606,7 +605,7 @@ impl<'s> IntermittentCore<'s> {
         let remaining = to_f64((self.end_s - t) / self.dt);
         let mut best: Option<(f64, usize)> = None;
         for (row, plan) in self.plans.iter().enumerate() {
-            let epoch_cost = plan.energy_j * frac + ckpt + leak_epoch;
+            let epoch_cost = plan.schedule.eval.energy_j * frac + ckpt + leak_epoch;
             let net = epoch_cost - epoch_in;
             let epochs = if net <= 0.0 {
                 remaining
@@ -636,7 +635,8 @@ impl<'s> IntermittentCore<'s> {
             return Ok(false);
         };
         let plan = &self.plans[row];
-        let (needed, objective, active_s) = (plan.energy_j * frac, plan.objective, plan.active_s);
+        let eval = plan.schedule.eval;
+        let (needed, objective, active_s) = (eval.energy_j * frac, plan.objective, eval.active_s);
         let gain = self.cap.charge_efficiency() * self.hour_harvest.joules() * frac;
         let leak = self.cap.leakage().watts() * to_f64(self.dt);
         let e = self.cap.energy().joules();
@@ -715,8 +715,8 @@ impl<'s> IntermittentCore<'s> {
     /// with the power failure.
     fn finalize_hour(&mut self, h: usize) {
         let (budget, planned) = match self.hour_last_plan.take() {
-            Some(row) => (self.plans[row].budget, self.plans[row].schedule.clone()),
-            None => (Energy::ZERO, self.off_plan.clone()),
+            Some(row) => (self.plans[row].budget, self.plans[row].schedule),
+            None => (Energy::ZERO, self.off_plan),
         };
         self.hours.push(HourRecord {
             day: (h / 24) as u32,

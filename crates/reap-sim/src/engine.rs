@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule, SolverKind};
+use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule};
 use reap_harvest::step;
 use reap_units::Energy;
 
@@ -129,10 +129,9 @@ impl<'s> HourPlanner<'s> {
                     .to_owned(),
             ));
         }
-        // The frontier solver: one precomputed frontier serves all 720
-        // hourly plans of a month-long trace.
-        let controller =
-            ReapController::with_solver(scenario.problem.clone(), SolverKind::Frontier);
+        // One precomputed frontier serves all 720 hourly plans of a
+        // month-long trace.
+        let controller = ReapController::new(scenario.problem.clone());
         let allocator = scenario.allocator.instantiate();
         let floor = scenario.problem.min_budget();
         // The MPC policy replaces the budget layer entirely: a forecaster

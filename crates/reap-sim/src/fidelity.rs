@@ -89,9 +89,9 @@ pub fn execute_schedule(
     }
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407));
     let window_s = reap_data::WINDOW_SECONDS;
-    let mut per_point = Vec::with_capacity(schedule.allocations().len());
-    for allocation in schedule.allocations() {
-        let id = allocation.point.id();
+    let mut per_point = Vec::with_capacity(schedule.shares().len());
+    for share in schedule.shares() {
+        let id = share.id;
         let classifier = classifiers
             .iter()
             .find(|(cid, _)| *cid == id)
@@ -99,7 +99,7 @@ pub fn execute_schedule(
             .ok_or_else(|| {
                 HarError::InvalidConfig(format!("no classifier for scheduled point {id}"))
             })?;
-        let windows = (allocation.duration.seconds() / window_s).floor() as u64;
+        let windows = (share.seconds / window_s).floor() as u64;
         let mut outcome = PointOutcome {
             point_id: id,
             classified: 0,
@@ -167,8 +167,8 @@ mod tests {
         let acc = outcome.accuracy().expect("device ran");
         assert!(acc > 0.5, "realized accuracy {acc}");
         // Per-point stats exist for each scheduled point.
-        for a in s.allocations() {
-            assert!(outcome.point_accuracy(a.point.id()).is_some());
+        for share in s.shares() {
+            assert!(outcome.point_accuracy(share.id).is_some());
         }
     }
 

@@ -42,13 +42,12 @@ pub fn sample_hour<R: Rng + ?Sized>(record: &HourRecord, rng: &mut R) -> HourRec
     let window_s = reap_data::WINDOW_SECONDS;
     let mut classified = 0u64;
     let mut correct = 0u64;
-    for allocation in record.planned.allocations() {
-        let realized_seconds = allocation.duration.seconds() * record.realized_fraction;
+    for share in record.planned.shares() {
+        let realized_seconds = share.seconds * record.realized_fraction;
         let windows = (realized_seconds / window_s).floor() as u64;
-        let accuracy = allocation.point.accuracy();
         for _ in 0..windows {
             classified += 1;
-            if rng.gen::<f64>() < accuracy {
+            if rng.gen::<f64>() < share.accuracy {
                 correct += 1;
             }
         }
@@ -112,9 +111,9 @@ mod tests {
         let mut num = 0.0;
         let mut den = 0.0;
         for h in r.hours() {
-            for a in h.planned.allocations() {
-                let t = a.duration.seconds() * h.realized_fraction;
-                num += a.point.accuracy() * t;
+            for s in h.planned.shares() {
+                let t = s.seconds * h.realized_fraction;
+                num += s.accuracy * t;
                 den += t;
             }
         }
@@ -131,7 +130,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         for h in r.hours() {
             let rec = sample_hour(h, &mut rng);
-            if h.planned.allocations().is_empty() {
+            if h.planned.shares().is_empty() {
                 assert_eq!(rec.classified, 0);
                 assert_eq!(rec.accuracy(), None);
             } else {

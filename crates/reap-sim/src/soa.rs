@@ -25,7 +25,8 @@
 //!
 //! Every per-user step calls the same hour-step functions as the scalar
 //! engine ([`reap_harvest::step`] for allocation and execution,
-//! [`reap_core::decide_vertices`] for planning) on the same values, so
+//! [`reap_core::decide_vertices`] and [`reap_core::static_plan`] for
+//! planning) on the same values, so
 //! per-user outcomes are bit-identical to [`Fleet::user_scenario`]
 //! replay — a property the `soa_equivalence` tests pin (to 1e-12, though
 //! in practice exact). [`Policy::Horizon`] is the exception: its joint
@@ -34,7 +35,7 @@
 
 use std::num::NonZeroUsize;
 
-use reap_core::{OperatingPoint, PlanEval, ReapProblem, Vertex, DROP_S};
+use reap_core::{OperatingPoint, PlanEval, ReapProblem, Vertex};
 use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA, GREEDY_GAIN};
 use reap_harvest::{Battery, SourceKind};
 
@@ -60,9 +61,9 @@ pub struct UserOutcome {
 /// The per-cohort scalars a [`Policy::Static`] plan needs.
 #[derive(Debug, Clone, Copy)]
 struct StaticPoint {
+    id: u8,
     acc: f64,
     power_w: f64,
-    marginal_w: f64,
 }
 
 /// A contiguous run of permuted users sharing `(base trace, phase)`, so
@@ -273,32 +274,27 @@ impl SoaFleet {
                         for &v in t.vertices() {
                             verts.push(v);
                         }
-                        floor_plan.push(t.eval(floor_j));
+                        floor_plan.push(t.decide(floor_j).eval);
                         let sb = t.max_budget_j();
-                        sat_plan.push(t.eval(sb));
+                        sat_plan.push(t.decide(sb).eval);
                         sat_budget.push(sb);
                     }
                     Policy::Static(pid) => {
                         let p = problem.point(pid)?;
-                        statics.push(StaticPoint {
+                        let sp = StaticPoint {
+                            id: p.id(),
                             acc: p.accuracy(),
                             power_w: p.power().watts(),
-                            marginal_w: p.power().watts() - off_w,
-                        });
-                        // At the floor the clamped on-time is exactly
-                        // zero, so the schedule drops the point and only
-                        // the off power burns: the same scalars the
-                        // inline formula produces.
-                        let plan = PlanEval {
-                            accuracy: 0.0,
-                            active_s: 0.0,
-                            energy_j: off_w * tp_s,
                         };
+                        statics.push(sp);
+                        let plan =
+                            reap_core::static_plan(sp.id, sp.acc, sp.power_w, tp_s, off_w, floor_j)
+                                .eval;
                         floor_plan.push(plan);
                         sat_plan.push(plan);
                         // The static saturation threshold depends on
-                        // division rounding; stay on the exact inline
-                        // formula instead.
+                        // division rounding; every hour takes
+                        // `static_plan` instead.
                         sat_budget.push(f64::INFINITY);
                     }
                     Policy::Horizon { .. } | Policy::Intermittent => {
@@ -572,8 +568,8 @@ impl SoaFleet {
 
             // Stage 2: plan. Most hours land in a constant frontier
             // regime (floor or saturation) and resolve from the cohort
-            // cache; the rest take the full frontier eval (REAP) or the
-            // static duty-cycle formula. All three produce the scalar
+            // cache; the rest take the full frontier walk (REAP) or the
+            // static duty-cycle plan. All three produce the scalar
             // engine's schedule scalars bit for bit.
             match &self.kernel {
                 PlanKernel::Reap => {
@@ -596,23 +592,19 @@ impl SoaFleet {
                 }
                 PlanKernel::Static(statics) => {
                     for u in 0..nu {
-                        let c = cohort[u] as usize;
-                        let sp = statics[c];
-                        let eff = budget_t[u].max(floor_j);
-                        let t_on = reap_core::static_on_time(eff, floor_j, sp.marginal_w, tp);
-                        let off_s = tp - t_on;
-                        let (pacc, pact, pen) = if t_on > DROP_S {
-                            (
-                                sp.acc * (t_on / tp),
-                                t_on,
-                                sp.power_w * t_on + off_w * off_s,
-                            )
-                        } else {
-                            (0.0, 0.0, off_w * off_s)
-                        };
-                        pacc_t[u] = pacc;
-                        pact_t[u] = pact;
-                        pen_t[u] = pen;
+                        let sp = statics[cohort[u] as usize];
+                        let plan = reap_core::static_plan(
+                            sp.id,
+                            sp.acc,
+                            sp.power_w,
+                            tp,
+                            off_w,
+                            budget_t[u],
+                        )
+                        .eval;
+                        pacc_t[u] = plan.accuracy;
+                        pact_t[u] = plan.active_s;
+                        pen_t[u] = plan.energy_j;
                     }
                 }
                 PlanKernel::Scalar => unreachable!("checked in run()"),

@@ -4,9 +4,11 @@
 //! the burst policy (INT) re-chooses its operating point every epoch,
 //! and the hourly policies (REAP, a static point, MPC) plan once per
 //! trace hour against the live store. This suite pins the core's output
-//! bit for bit. Each case digests the `{:?}` formatting of one
-//! [`VdtRun`] with FNV-1a: the hour-by-hour report, the counters and
-//! energy ledger, and the full event log (`trace_events(true)`). A
+//! bit for bit. Each case digests one [`VdtRun`] with FNV-1a: the
+//! hour-by-hour report in a canonical byte encoding
+//! (`canonical::encode_report`: its values alone, independent of how the
+//! report types print), then the `{:?}` formatting of the counters and
+//! energy ledger and of the full event log (`trace_events(true)`). A
 //! second table pins the [`FleetReport`]s of fleets that run per user on
 //! the scalar fallback, at one and at two worker threads.
 //!
@@ -17,8 +19,11 @@
 //! regenerate one by copying the table the failing test prints, and only
 //! when a change is meant to alter the simulation's output.
 
+mod canonical;
+
 use std::num::NonZeroUsize;
 
+use canonical::{encode_report, fnv1a};
 use reap_harvest::SourceKind;
 use reap_sim::{Fleet, IntermittentConfig, Policy, Scenario, VdtRun};
 
@@ -30,43 +35,6 @@ const SEED: u64 = 2019;
 /// running past the end of the trace.
 const FAILURES: [(u64, u64); 3] = [(7_200, 10_800), (40_000, 50_000), (250_000, 300_000)];
 
-/// `(case, digest)` for every run case, in the order [`run_cases`]
-/// yields them.
-const RUN_GOLDEN: [(&str, u64); 32] = [
-    ("300/body-heat-teg/clean/INT", 0x2e80_e223_bd58_42b8),
-    ("300/body-heat-teg/clean/REAP", 0xb356_7e51_3310_dbd1),
-    ("300/body-heat-teg/clean/DP5", 0x29a1_f902_df13_1096),
-    ("300/body-heat-teg/clean/MPC4", 0xdf82_a571_efb2_507d),
-    ("300/body-heat-teg/failures/INT", 0x79c0_a1af_b14f_a237),
-    ("300/body-heat-teg/failures/REAP", 0x1aaf_28a1_619d_ec2a),
-    ("300/body-heat-teg/failures/DP5", 0x1b90_e471_71b9_e8dc),
-    ("300/body-heat-teg/failures/MPC4", 0x6772_96f3_8dbb_5830),
-    ("300/kinetic/clean/INT", 0xc7b0_52dd_7eb8_b061),
-    ("300/kinetic/clean/REAP", 0xf115_5f7c_1f3c_c7af),
-    ("300/kinetic/clean/DP5", 0xd9fb_eca1_18ba_54fa),
-    ("300/kinetic/clean/MPC4", 0xd0c0_47b2_c692_36bd),
-    ("300/kinetic/failures/INT", 0x7a10_d6b9_114b_8eff),
-    ("300/kinetic/failures/REAP", 0xbd5a_b434_89a0_a51b),
-    ("300/kinetic/failures/DP5", 0x92ab_8c74_42ab_61c2),
-    ("300/kinetic/failures/MPC4", 0xaa75_778b_a059_377d),
-    ("900/body-heat-teg/clean/INT", 0x292f_7234_d2b2_b09b),
-    ("900/body-heat-teg/clean/REAP", 0x7680_957d_f1c6_cd10),
-    ("900/body-heat-teg/clean/DP5", 0x3f15_1883_1ae3_94d1),
-    ("900/body-heat-teg/clean/MPC4", 0xf041_ef69_f928_21b1),
-    ("900/body-heat-teg/failures/INT", 0x8783_3238_f90f_f9ad),
-    ("900/body-heat-teg/failures/REAP", 0xab33_d487_30ff_f001),
-    ("900/body-heat-teg/failures/DP5", 0xcee0_7e8a_effe_5044),
-    ("900/body-heat-teg/failures/MPC4", 0x9c16_a5a0_554a_819d),
-    ("900/kinetic/clean/INT", 0xbf94_d040_8cdf_875b),
-    ("900/kinetic/clean/REAP", 0xb489_4a17_534b_b969),
-    ("900/kinetic/clean/DP5", 0x1ee8_fb72_33f5_f01d),
-    ("900/kinetic/clean/MPC4", 0x79eb_836a_f983_5dd3),
-    ("900/kinetic/failures/INT", 0xd7c4_d43e_36df_985a),
-    ("900/kinetic/failures/REAP", 0x37c6_2b4b_46a0_dfcc),
-    ("900/kinetic/failures/DP5", 0xc5ad_0414_8711_d0fe),
-    ("900/kinetic/failures/MPC4", 0x8116_4cca_5461_7fc5),
-];
-
 /// `(fleet, digest)` for every fleet case, in the order [`fleets`]
 /// yields them; each must match at one and at two worker threads.
 const FLEET_GOLDEN: [(&str, u64); 3] = [
@@ -75,11 +43,42 @@ const FLEET_GOLDEN: [(&str, u64); 3] = [
     ("reap/dt-900", 0xb28b_8d0a_5e44_0e8a),
 ];
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
+/// `(case, digest)` over the canonical encoding of every run case, in
+/// the order [`run_cases`] yields them.
+const RUN_CANONICAL: [(&str, u64); 32] = [
+    ("300/body-heat-teg/clean/INT", 0xf0ea_4b69_cc97_cbca),
+    ("300/body-heat-teg/clean/REAP", 0xbf09_0896_32fb_438d),
+    ("300/body-heat-teg/clean/DP5", 0x6a3b_428c_cfc5_a133),
+    ("300/body-heat-teg/clean/MPC4", 0xbc03_fb61_ff8f_6dee),
+    ("300/body-heat-teg/failures/INT", 0x2d10_1c93_23d7_4c3e),
+    ("300/body-heat-teg/failures/REAP", 0x2751_f199_1720_0241),
+    ("300/body-heat-teg/failures/DP5", 0x7a99_803b_283d_0b99),
+    ("300/body-heat-teg/failures/MPC4", 0xd552_3e6a_e50f_d0ad),
+    ("300/kinetic/clean/INT", 0xcf18_48d8_a1fe_b907),
+    ("300/kinetic/clean/REAP", 0x18ac_066a_05a4_f5f8),
+    ("300/kinetic/clean/DP5", 0xf971_fb81_c2de_6858),
+    ("300/kinetic/clean/MPC4", 0x0b8d_76ef_b9c3_f09f),
+    ("300/kinetic/failures/INT", 0x074e_260e_8ed8_37c5),
+    ("300/kinetic/failures/REAP", 0x018d_3b16_ecde_2424),
+    ("300/kinetic/failures/DP5", 0xc769_9313_e783_7246),
+    ("300/kinetic/failures/MPC4", 0xbce6_b2b6_b6e9_5bd2),
+    ("900/body-heat-teg/clean/INT", 0x648c_cc63_e4a4_2c07),
+    ("900/body-heat-teg/clean/REAP", 0xd761_cb9e_262d_6da9),
+    ("900/body-heat-teg/clean/DP5", 0x2ffe_052a_021d_3514),
+    ("900/body-heat-teg/clean/MPC4", 0x9235_ac5d_ae2d_e990),
+    ("900/body-heat-teg/failures/INT", 0xaf7b_9e51_cb73_1075),
+    ("900/body-heat-teg/failures/REAP", 0x93a0_526c_04c2_ea1e),
+    ("900/body-heat-teg/failures/DP5", 0xedfb_d46c_d372_f05f),
+    ("900/body-heat-teg/failures/MPC4", 0x6b65_305f_f53c_42e2),
+    ("900/kinetic/clean/INT", 0x127d_09f2_e287_e5a9),
+    ("900/kinetic/clean/REAP", 0x8d00_e388_96bd_49a7),
+    ("900/kinetic/clean/DP5", 0x1f92_0a80_fe35_024e),
+    ("900/kinetic/clean/MPC4", 0x5591_059b_47f8_c43b),
+    ("900/kinetic/failures/INT", 0x0a48_0381_975b_22e2),
+    ("900/kinetic/failures/REAP", 0x9a06_8625_8bea_b44a),
+    ("900/kinetic/failures/DP5", 0x0d39_270d_8957_afb6),
+    ("900/kinetic/failures/MPC4", 0x9087_8497_53f2_f558),
+];
 
 fn scenario(source: SourceKind, dt: u32, failures: bool) -> Scenario {
     let trace = source
@@ -180,13 +179,23 @@ fn check(what: &str, computed: &[(String, u64)], golden: &[(&str, u64)]) {
     }
 }
 
+/// The canonical bytes of one run: its report's canonical encoding,
+/// then the `{:?}` text of its counters and of its event log.
+fn encode_run(run: &VdtRun) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_report(&mut bytes, &run.report);
+    bytes.extend_from_slice(format!("{:?}", run.stats).as_bytes());
+    bytes.extend_from_slice(format!("{:?}", run.events).as_bytes());
+    bytes
+}
+
 fn check_runs(dt: u32) {
     let computed: Vec<(String, u64)> = run_cases(dt)
         .into_iter()
-        .map(|(name, run)| (name, fnv1a(format!("{run:?}").as_bytes())))
+        .map(|(name, run)| (name, fnv1a(&encode_run(&run))))
         .collect();
     let prefix = format!("{dt}/");
-    let golden: Vec<(&str, u64)> = RUN_GOLDEN
+    let golden: Vec<(&str, u64)> = RUN_CANONICAL
         .iter()
         .copied()
         .filter(|(name, _)| name.starts_with(&prefix))

@@ -2,9 +2,11 @@
 //!
 //! Every hourly policy runs through one loop: allocate, floor clamp,
 //! plan, then execute in `3600 / dt` steps with proportional brownout.
-//! This suite pins that loop's output bit for bit. Each case digests the
-//! `{:?}` formatting of its [`SimReport`]s with FNV-1a, the same digest
-//! the perfbench goldens use, and compares it with the committed value.
+//! This suite pins that loop's output bit for bit. Each case digests a
+//! canonical byte encoding of its [`SimReport`]s
+//! (`canonical::encode_report`: their values alone, independent of how
+//! the report types print) with FNV-1a, the same digest the perfbench
+//! goldens use, and compares it with the committed value.
 //!
 //! The matrix covers every bundled source, every allocator, both budget
 //! modes, REAP and two static points, and 12-hour MPC, each at one step
@@ -13,6 +15,9 @@
 //! by copying the table the failing test prints, and only when a change
 //! is meant to alter the simulation's output.
 
+mod canonical;
+
+use canonical::{encode_report, fnv1a};
 use reap_harvest::SourceKind;
 use reap_sim::{AllocatorKind, BudgetMode, Policy, Scenario, SimReport};
 
@@ -21,47 +26,42 @@ const DAYS: u32 = 4;
 /// Weather seed of every source.
 const SEED: u64 = 2019;
 
-/// `(case, digest)` for every case, in the order [`cases`] yields them.
-const GOLDEN: [(&str, u64); 32] = [
-    ("3600/outdoor-solar/ewma", 0xd7b6_fff2_0281_2206),
-    ("3600/outdoor-solar/greedy", 0x0ac9_ffb8_2a0e_768d),
-    ("3600/outdoor-solar/uniform-daily", 0xc931_a32e_b6f0_69af),
-    ("3600/outdoor-solar/mpc12", 0xcf15_c94b_4e72_e274),
-    ("3600/indoor-pv/ewma", 0xf7a9_bbfb_9594_cdd4),
-    ("3600/indoor-pv/greedy", 0x8cf1_57ba_ec3d_00b9),
-    ("3600/indoor-pv/uniform-daily", 0x2177_6ea1_e48c_a427),
-    ("3600/indoor-pv/mpc12", 0xa417_b691_8b06_1de9),
-    ("3600/body-heat-teg/ewma", 0x7c00_94f5_3618_e443),
-    ("3600/body-heat-teg/greedy", 0x66a1_8629_4805_b7c8),
-    ("3600/body-heat-teg/uniform-daily", 0x260d_23e0_f18f_871b),
-    ("3600/body-heat-teg/mpc12", 0xc5aa_ef83_af60_b174),
-    ("3600/kinetic/ewma", 0x94c7_2b58_74a9_abc0),
-    ("3600/kinetic/greedy", 0xc0e2_fa17_43db_c1b6),
-    ("3600/kinetic/uniform-daily", 0x19d4_42a2_6d0f_dd35),
-    ("3600/kinetic/mpc12", 0x98e9_ee78_9999_4bab),
-    ("900/outdoor-solar/ewma", 0x8f1c_292f_0faf_3766),
-    ("900/outdoor-solar/greedy", 0x8191_0182_9134_4a0d),
-    ("900/outdoor-solar/uniform-daily", 0x710f_3bc7_c5cd_2599),
-    ("900/outdoor-solar/mpc12", 0xe7c2_1ce3_1e3f_8243),
-    ("900/indoor-pv/ewma", 0x7aaf_132f_0360_b5cc),
-    ("900/indoor-pv/greedy", 0x11ab_0ac9_9717_168e),
-    ("900/indoor-pv/uniform-daily", 0x61b3_2365_25a1_c81b),
-    ("900/indoor-pv/mpc12", 0xb440_e890_3088_5077),
-    ("900/body-heat-teg/ewma", 0x82a7_8011_95ff_df07),
-    ("900/body-heat-teg/greedy", 0x73bf_faa2_1c1f_b711),
-    ("900/body-heat-teg/uniform-daily", 0x0b70_da6b_cf96_d4e6),
-    ("900/body-heat-teg/mpc12", 0x5839_fde2_1ca6_76f4),
-    ("900/kinetic/ewma", 0xe253_8f90_dd3f_b402),
-    ("900/kinetic/greedy", 0x59e7_2b73_d407_7234),
-    ("900/kinetic/uniform-daily", 0xc2be_63b4_9155_adbb),
-    ("900/kinetic/mpc12", 0x08db_8c9d_ff59_776f),
+/// `(case, digest)` over the canonical encoding of every case's
+/// reports, in the order [`cases`] yields them.
+const CANONICAL: [(&str, u64); 32] = [
+    ("3600/outdoor-solar/ewma", 0x2c7d_59c6_da9a_f071),
+    ("3600/outdoor-solar/greedy", 0xe5ac_275b_8a56_6fbe),
+    ("3600/outdoor-solar/uniform-daily", 0x472d_beef_edd8_34b7),
+    ("3600/outdoor-solar/mpc12", 0xe0be_7c38_024e_a7df),
+    ("3600/indoor-pv/ewma", 0x2b02_a513_dbf1_6ff0),
+    ("3600/indoor-pv/greedy", 0x3929_976b_8528_0559),
+    ("3600/indoor-pv/uniform-daily", 0x392c_8797_2bdb_26c0),
+    ("3600/indoor-pv/mpc12", 0xcfe2_3cd2_7ef1_3e50),
+    ("3600/body-heat-teg/ewma", 0x2183_8856_5ca3_e70e),
+    ("3600/body-heat-teg/greedy", 0xcc73_878b_387d_aaca),
+    ("3600/body-heat-teg/uniform-daily", 0x7ee2_8df2_e86a_f779),
+    ("3600/body-heat-teg/mpc12", 0xd0e7_0b40_48c7_9c7e),
+    ("3600/kinetic/ewma", 0x0917_2002_ff80_1142),
+    ("3600/kinetic/greedy", 0x90c7_a7fb_36c7_0cac),
+    ("3600/kinetic/uniform-daily", 0x2887_25a8_fe4b_eddc),
+    ("3600/kinetic/mpc12", 0xfba9_92ec_8001_f94b),
+    ("900/outdoor-solar/ewma", 0xbfd1_99db_51b6_107f),
+    ("900/outdoor-solar/greedy", 0x0ab7_dda3_c747_662f),
+    ("900/outdoor-solar/uniform-daily", 0xf51a_9727_dfe1_24b5),
+    ("900/outdoor-solar/mpc12", 0x4787_77cb_1ba0_7f3f),
+    ("900/indoor-pv/ewma", 0xf765_0a29_72b8_84b6),
+    ("900/indoor-pv/greedy", 0x5922_6e4a_41fd_9a15),
+    ("900/indoor-pv/uniform-daily", 0xf0ee_55f1_c5c5_6011),
+    ("900/indoor-pv/mpc12", 0x4261_f753_bee2_3c19),
+    ("900/body-heat-teg/ewma", 0x75ff_df98_3f37_b190),
+    ("900/body-heat-teg/greedy", 0xfb7e_7a90_fbab_312f),
+    ("900/body-heat-teg/uniform-daily", 0xbc12_1e06_825b_1fdb),
+    ("900/body-heat-teg/mpc12", 0x09c0_8c23_0afe_925c),
+    ("900/kinetic/ewma", 0x158c_f1af_9e8c_4f8c),
+    ("900/kinetic/greedy", 0xa551_d838_bbc2_764a),
+    ("900/kinetic/uniform-daily", 0x66f6_f0c2_23dd_36cd),
+    ("900/kinetic/mpc12", 0x7eb9_32a7_0615_9be1),
 ];
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 fn scenario(source: SourceKind, dt: u32, allocator: AllocatorKind, mode: BudgetMode) -> Scenario {
     let trace = source
@@ -112,15 +112,15 @@ fn cases(dt: u32) -> Vec<(String, Vec<SimReport>)> {
     out
 }
 
-fn check(dt: u32) {
-    let computed: Vec<(String, u64)> = cases(dt)
-        .into_iter()
-        .map(|(name, reports)| (name, fnv1a(format!("{reports:?}").as_bytes())))
-        .collect();
-    let expected: Vec<(&str, u64)> = GOLDEN
+/// Compares the `computed` digests of step width `dt` with the
+/// `golden` table's rows for that width, printing the computed table on
+/// any mismatch.
+fn compare(what: &str, dt: u32, computed: &[(String, u64)], golden: &[(&str, u64)]) {
+    let prefix = format!("{dt}/");
+    let expected: Vec<(&str, u64)> = golden
         .iter()
         .copied()
-        .filter(|(name, _)| name.starts_with(&format!("{dt}/")))
+        .filter(|(name, _)| name.starts_with(&prefix))
         .collect();
     let matches = computed.len() == expected.len()
         && computed
@@ -128,11 +128,25 @@ fn check(dt: u32) {
             .zip(&expected)
             .all(|((name, d), (golden_name, golden))| name == golden_name && d == golden);
     if !matches {
-        for (name, d) in &computed {
+        for (name, d) in computed {
             eprintln!("    (\"{name}\", 0x{d:016x}),");
         }
-        panic!("dt = {dt}: engine reports differ from the golden digests (computed table above)");
+        panic!("dt = {dt}: engine reports differ from the {what} digests (computed table above)");
     }
+}
+
+fn check(dt: u32) {
+    let computed: Vec<(String, u64)> = cases(dt)
+        .into_iter()
+        .map(|(name, reports)| {
+            let mut bytes = Vec::new();
+            for report in &reports {
+                encode_report(&mut bytes, report);
+            }
+            (name, fnv1a(&bytes))
+        })
+        .collect();
+    compare("canonical", dt, &computed, &CANONICAL);
 }
 
 #[test]

@@ -32,13 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (h, schedule) in plan.schedules.iter().enumerate() {
         let mix: Vec<String> = schedule
-            .allocations()
+            .shares()
             .iter()
-            .map(|a| {
+            .map(|s| {
                 format!(
-                    "{}:{:.0}%",
-                    a.point.label(),
-                    (a.duration / schedule.period()) * 100.0
+                    "DP{}:{:.0}%",
+                    s.id,
+                    (s.seconds / schedule.period().seconds()) * 100.0
                 )
             })
             .collect();

@@ -51,13 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
 fn report(label: &str, joules: f64, schedule: &reap::core::Schedule) {
     let mix: Vec<String> = schedule
-        .allocations()
+        .shares()
         .iter()
-        .map(|a| {
+        .map(|s| {
             format!(
-                "{} {:.0}%",
-                a.point.label(),
-                (a.duration / schedule.period()) * 100.0
+                "DP{} {:.0}%",
+                s.id,
+                (s.seconds / schedule.period().seconds()) * 100.0
             )
         })
         .collect();

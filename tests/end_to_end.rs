@@ -51,12 +51,12 @@ fn pipeline_from_waveforms_to_schedule() {
     let mut rng = StdRng::seed_from_u64(123);
     let mut correct = 0usize;
     let mut total = 0usize;
-    for allocation in schedule.allocations() {
-        let windows = (allocation.duration.seconds() / 1.6) as usize;
+    for share in schedule.shares() {
+        let windows = (share.seconds / 1.6) as usize;
         // Sample a manageable number of windows proportional to the
         // allocation.
         let sample = (windows / 20).clamp(1, 60);
-        let classifier = if allocation.point.id() == 1 {
+        let classifier = if share.id == 1 {
             &dp1_trained
         } else {
             &dp5_trained
@@ -113,7 +113,7 @@ fn trained_points_preserve_optimizer_invariants() {
     for j in [0.5, 2.0, 4.0, 6.0, 9.0] {
         let budget = Energy::from_joules(j);
         let reap = problem.solve(budget).expect("solvable");
-        assert!(reap.allocations().len() <= 2);
+        assert!(reap.shares().len() <= 2);
         assert!(reap.is_feasible(budget, 1e-6));
         for p in problem.points() {
             let stat = reap::core::static_schedule(&problem, p.id(), budget).expect("solvable");
