@@ -84,7 +84,7 @@ fn main() {
     // The aggregate report goes through the fleet layer (and must stay
     // thread-count deterministic), but the gated throughput metric times
     // the event core itself: every user's scenario stepped front to back,
-    // measured as heap events retired per second. Prebuilt scenarios keep
+    // measured as events retired per second. Prebuilt scenarios keep
     // trace synthesis out of the timed region.
     let report = fleet.run().expect("fleet runs");
     let single = fleet

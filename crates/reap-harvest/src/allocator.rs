@@ -81,13 +81,6 @@ impl EwmaAllocator {
         EwmaAllocator::from_parts(DiurnalEwma::new(EWMA_ALPHA), false)
     }
 
-    /// Overrides the smoothing factor (clamped to `(0, 1]`).
-    #[must_use]
-    pub fn with_alpha(mut self, alpha: f64) -> EwmaAllocator {
-        self.ewma = DiurnalEwma::new(alpha);
-        self
-    }
-
     /// Current expectation for a slot (J), for inspection: the slot's
     /// estimate, or the observed-slot mean while the slot is still
     /// unseeded.

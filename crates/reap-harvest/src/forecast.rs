@@ -180,15 +180,8 @@ impl EwmaForecaster {
     /// [`EWMA_ALPHA`](step::EWMA_ALPHA).
     #[must_use]
     pub fn new() -> EwmaForecaster {
-        EwmaForecaster::with_alpha(step::EWMA_ALPHA)
-    }
-
-    /// Creates a forecaster with an explicit smoothing factor (clamped to
-    /// `[1e-3, 1]`).
-    #[must_use]
-    pub fn with_alpha(alpha: f64) -> EwmaForecaster {
         EwmaForecaster {
-            ewma: DiurnalEwma::new(alpha),
+            ewma: DiurnalEwma::new(step::EWMA_ALPHA),
         }
     }
 

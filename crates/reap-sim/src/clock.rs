@@ -1,16 +1,10 @@
 //! The event-driven core of batteryless (intermittent) operation.
 //!
-//! Battery scenarios never come here: at any `dt` dividing the hour, the
-//! engine's hour loop (`crate::engine`) plans each trace hour once and
-//! executes it in `3600 / dt` equal steps, which needs no event queue.
-//! [`Scenario::run_event_driven`](crate::Scenario::run_event_driven) on a
-//! battery scenario returns that loop's report with [`ClockStats`] that
-//! count only the executed steps and the harvest offered.
-//!
 //! With an [`IntermittentConfig`] a capacitor-scale store replaces the
-//! battery, and the simulation advances on a binary heap of timestamped
-//! events — harvest edges, capacitor threshold crossings (wake-ups),
-//! execution epochs of `dt` seconds, forced power failures and restores.
+//! battery, and the simulation walks the trace hours on a fixed
+//! timeline: each hour's harvest edge, then the trace end, and between
+//! two edges the capacitor threshold crossings (wake-ups), execution
+//! epochs of `dt` seconds, forced power failures and restores.
 //! The node lives in charge bursts: **off → charging → on → brownout →
 //! off**. While off, charging is advanced in closed form
 //! (piecewise-linear within each trace hour) and the turn-on threshold
@@ -19,9 +13,6 @@
 //! tax; every completed epoch pays a checkpoint tax and *commits* its
 //! work; a brownout mid-epoch loses the uncommitted (volatile) epoch and
 //! kills the node until the store recharges past the turn-on threshold.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use reap_core::{static_schedule, Schedule};
 use reap_harvest::{Battery, Capacitor};
@@ -169,14 +160,14 @@ pub struct EventRecord {
 
 /// Counters and the exact energy ledger of one event-core run.
 ///
-/// The ledger fields record every mutation of the energy store in
-/// intermittent mode, so conservation is checkable to float rounding:
-/// [`ClockStats::ledger_drift`] must stay within `1e-9` J. A battery
-/// run fills in only [`ClockStats::epochs_committed`] (its executed
-/// steps) and [`ClockStats::harvest_offered_j`].
+/// The ledger fields record every mutation of the energy store, so
+/// conservation is checkable to float rounding:
+/// [`ClockStats::ledger_drift`] must stay within `1e-9` J.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClockStats {
-    /// Events popped from the heap.
+    /// Events processed: harvest edges, the trace end, and every wake,
+    /// epoch, failure and restore the timeline yields (skipped ones
+    /// included).
     pub events: u64,
     /// Execution epochs whose work was committed (checkpoint completed).
     pub epochs_committed: u64,
@@ -240,7 +231,7 @@ impl ClockStats {
 /// is set — the processed event log.
 #[derive(Debug, Clone)]
 pub struct VdtRun {
-    /// The hour-by-hour report (on a battery scenario, exactly what
+    /// The hour-by-hour report (exactly what
     /// [`Scenario::run`](crate::Scenario::run) returns).
     pub report: SimReport,
     /// Event counters and the energy ledger.
@@ -249,121 +240,110 @@ pub struct VdtRun {
     pub events: Vec<EventRecord>,
 }
 
-/// Event kinds, with the tie-break priority at equal timestamps encoded
-/// separately (restores come back before the world changes, harvest
-/// edges before wake-ups and epochs, failures *before* the epoch at the
-/// same timestamp so a kill at an epoch boundary pre-empts that
-/// epoch).
+/// The events the [`Timeline`] yields, declared in their tie order at
+/// one timestamp: a restore brings the node back before the world
+/// changes, a failure pre-empts the wake and the epoch at its own
+/// timestamp, and a wake turns the node on before the epoch it arms.
+/// The hour loop handles harvest edges and the trace end itself; an
+/// edge sorts after a restore and before a failure at its timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A forced outage ends.
     Restore,
-    /// Trace hour `h` begins (and hour `h - 1` is finalized).
-    HarvestEdge(u32),
     /// A forced outage begins.
     Failure,
     /// The store crossed (or may have crossed) the turn-on threshold.
     Wake,
     /// Execute the epoch starting at this timestamp.
     Epoch,
-    /// Trace end.
-    End,
 }
 
 impl EventKind {
-    fn priority(self) -> u8 {
-        match self {
-            EventKind::Restore => 0,
-            EventKind::HarvestEdge(_) => 1,
-            EventKind::Failure => 2,
-            EventKind::Wake => 3,
-            EventKind::Epoch => 4,
-            EventKind::End => 5,
-        }
-    }
-
     fn tag(self) -> &'static str {
         match self {
             EventKind::Restore => "restore",
-            EventKind::HarvestEdge(_) => "harvest-edge",
             EventKind::Failure => "failure",
             EventKind::Wake => "wake",
             EventKind::Epoch => "epoch",
-            EventKind::End => "end",
         }
     }
 }
 
-/// Heap entry: ordered by `(time, kind priority, sequence)` so
-/// same-timestamp events process deterministically and insertion order
-/// breaks any remaining tie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Ev {
-    at: u64,
-    prio: u8,
-    seq: u64,
-    kind: EventKind,
+/// The events due between two harvest edges, in three fixed slots.
+struct Timeline<'s> {
+    /// The armed epoch. A turn-on re-arms it in place; a failure leaves
+    /// it armed, so the stale epoch still pops and is skipped while the
+    /// node is off.
+    epoch: Option<u64>,
+    /// Pending wake-ups, latest first. Duplicates stay: an hour edge
+    /// forgets `pending_wake` and may re-arm a wake that is already
+    /// queued, and both copies pop.
+    wakes: Vec<u64>,
+    /// The forced outage windows not yet over that start before the
+    /// trace end.
+    outages: &'s [(u64, u64)],
+    /// Whether the first window's failure has popped (its restore is
+    /// next).
+    out: bool,
+    end_s: u64,
 }
 
-/// A deterministic min-heap of events.
-struct EventHeap {
-    heap: BinaryHeap<Reverse<Ev>>,
-    seq: u64,
-}
-
-impl EventHeap {
-    fn new() -> EventHeap {
-        EventHeap {
-            heap: BinaryHeap::new(),
-            seq: 0,
+impl<'s> Timeline<'s> {
+    fn new(failures: &'s [(u64, u64)], end_s: u64) -> Timeline<'s> {
+        let live = failures.partition_point(|&(start, _)| start < end_s);
+        Timeline {
+            epoch: None,
+            wakes: Vec::new(),
+            outages: &failures[..live],
+            out: false,
+            end_s,
         }
     }
 
-    fn push(&mut self, at: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Ev {
-            at,
-            prio: kind.priority(),
-            seq,
-            kind,
-        }));
+    fn arm_epoch(&mut self, at: u64) {
+        self.epoch = Some(at);
     }
 
-    fn pop(&mut self) -> Option<Ev> {
-        self.heap.pop().map(|Reverse(ev)| ev)
+    fn push_wake(&mut self, at: u64) {
+        let i = self.wakes.partition_point(|&w| w > at);
+        self.wakes.insert(i, at);
     }
-}
 
-/// Runs `scenario` under `policy`, returning the report with the
-/// event core's statistics: the event core itself on a batteryless
-/// scenario, the engine's hour loop otherwise (no events; see
-/// [`ClockStats`]).
-///
-/// # Errors
-///
-/// Everything [`Scenario::run`](crate::Scenario::run) can return,
-/// including [`SimError::InvalidParameter`] for [`Policy::Intermittent`]
-/// on a scenario without an [`IntermittentConfig`].
-pub(crate) fn run_event_driven(scenario: &Scenario, policy: Policy) -> Result<VdtRun, SimError> {
-    if let Some(config) = &scenario.intermittent {
-        return run_intermittent_mode(scenario, policy, config);
+    fn next_outage_event(&self) -> Option<(u64, EventKind)> {
+        let &(start, end) = self.outages.first()?;
+        Some(if self.out {
+            (end.min(self.end_s), EventKind::Restore)
+        } else {
+            (start, EventKind::Failure)
+        })
     }
-    let report = crate::engine::run(scenario, policy)?;
-    let steps_per_hour = u64::from(3600 / scenario.dt_seconds);
-    let stats = ClockStats {
-        epochs_committed: report.hours().len() as u64 * steps_per_hour,
-        harvest_offered_j: report
-            .hours()
-            .iter()
-            .fold(0.0, |sum, h| sum + h.harvested.joules()),
-        ..ClockStats::default()
-    };
-    Ok(VdtRun {
-        report,
-        stats,
-        events: Vec::new(),
-    })
+
+    /// Pops the earliest event that comes before the harvest edge (or
+    /// trace end) at `edge`: anything earlier, or a restore at `edge`
+    /// itself.
+    fn pop_before(&mut self, edge: u64) -> Option<(u64, EventKind)> {
+        let wake = self.wakes.last().map(|&at| (at, EventKind::Wake));
+        let epoch = self.epoch.map(|at| (at, EventKind::Epoch));
+        let next = [self.next_outage_event(), wake, epoch]
+            .into_iter()
+            .flatten()
+            .min()?;
+        if next >= (edge, EventKind::Failure) {
+            return None;
+        }
+        match next.1 {
+            EventKind::Restore => {
+                self.outages = &self.outages[1..];
+                self.out = false;
+            }
+            EventKind::Failure => self.out = true,
+            EventKind::Wake => {
+                self.wakes.pop();
+            }
+            EventKind::Epoch => self.epoch = None,
+        }
+        Some(next)
+    }
 }
 
 /// One row of a run's plan table: a schedule and its budget, with the
@@ -399,7 +379,7 @@ struct IntermittentCore<'s> {
     cap: Capacitor,
     dt: u64,
     end_s: u64,
-    harvest: Vec<Energy>,
+    timeline: Timeline<'s>,
     /// The plan table: INT's burst candidates (each point flat out for a
     /// full period, in problem order), or else the current hour's plan.
     plans: Vec<Plan>,
@@ -420,6 +400,8 @@ struct IntermittentCore<'s> {
     /// off-state charging resumes from here, never double-counting the
     /// epoch's harvest.
     on_until: u64,
+    /// The last wake queued, so one threshold crossing queues one wake.
+    /// Harvest edges, failures and turn-ons forget it without dequeuing.
     pending_wake: Option<u64>,
     /// Which trace hour the current non-burst plan was made for (the
     /// hourly budget layer must run at most once per hour).
@@ -436,9 +418,19 @@ struct IntermittentCore<'s> {
 
     stats: ClockStats,
     hours: Vec<HourRecord>,
+    /// The event log (filled only when the scenario traces events).
+    events: Vec<EventRecord>,
 }
 
 impl<'s> IntermittentCore<'s> {
+    /// Counts one processed event and logs it when tracing.
+    fn log(&mut self, at_s: u64, kind: &'static str) {
+        self.stats.events += 1;
+        if self.scenario.trace_events {
+            self.events.push(EventRecord { at_s, kind });
+        }
+    }
+
     fn e_off(&self) -> f64 {
         self.cap.brownout_energy().joules()
     }
@@ -506,7 +498,7 @@ impl<'s> IntermittentCore<'s> {
     /// scheduling when the crossing falls beyond the current hour (the
     /// next harvest edge re-evaluates with the new rate) or inside the
     /// voluntary-sleep damping window.
-    fn schedule_wake(&mut self, now: f64, heap: &mut EventHeap) {
+    fn schedule_wake(&mut self, now: f64) {
         if self.on || self.forced_out {
             return;
         }
@@ -531,14 +523,16 @@ impl<'s> IntermittentCore<'s> {
         }
         if self.pending_wake != Some(at) {
             self.pending_wake = Some(at);
-            heap.push(at, EventKind::Wake);
+            self.timeline.push_wake(at);
         }
     }
 
     /// Turns the node on at grid time `t`: pays the restore tax (the
     /// hysteresis validation in [`IntermittentConfig::new`] guarantees
-    /// this cannot immediately brown out) and plans.
-    fn turn_on(&mut self, t: u64, heap: &mut EventHeap) -> Result<(), SimError> {
+    /// this cannot immediately brown out), plans, and arms the epoch at
+    /// `t` in place: a stale epoch a failure left armed at `t` runs
+    /// once, not twice.
+    fn turn_on(&mut self, t: u64) -> Result<(), SimError> {
         let restore = self.config.restore_cost;
         self.cap.draw(restore);
         self.stats.restore_j += restore.joules();
@@ -548,7 +542,7 @@ impl<'s> IntermittentCore<'s> {
         self.pending_wake = None;
         self.ensure_plan(t)?;
         if t + self.dt <= self.end_s {
-            heap.push(t, EventKind::Epoch);
+            self.timeline.arm_epoch(t);
         }
         Ok(())
     }
@@ -623,16 +617,16 @@ impl<'s> IntermittentCore<'s> {
     /// Executes the epoch `[t, t + dt)` while on. All harvest charges
     /// the store (at η) and the load draws from the store — standard
     /// batteryless topology, so the node browns out on store level
-    /// regardless of instantaneous harvest. Returns `Ok(true)` when the
-    /// node survived the epoch (work committed).
-    fn run_epoch(&mut self, t: u64, heap: &mut EventHeap) -> Result<bool, SimError> {
+    /// regardless of instantaneous harvest. A committed epoch arms the
+    /// next one.
+    fn run_epoch(&mut self, t: u64) -> Result<(), SimError> {
         let frac = to_f64(self.dt) / 3600.0;
         self.ensure_plan(t)?;
         let Some(row) = self.current_plan else {
             // Voluntary sleep: no point completes an epoch. Wake checks
             // resume at the next harvest edge.
             self.power_down_voluntarily(t);
-            return Ok(false);
+            return Ok(());
         };
         let plan = &self.plans[row];
         let eval = plan.schedule.eval;
@@ -657,8 +651,8 @@ impl<'s> IntermittentCore<'s> {
             self.stats.epochs_lost += 1;
             self.on = false;
             self.off_since = to_f64(t) + f * to_f64(self.dt);
-            self.schedule_wake(self.off_since, heap);
-            return Ok(false);
+            self.schedule_wake(self.off_since);
+            return Ok(());
         }
         let capacity = self.cap.capacity().joules();
         let overflow = (e_end - capacity).max(0.0);
@@ -682,9 +676,8 @@ impl<'s> IntermittentCore<'s> {
             self.hour_committed += frac;
             self.on_until = t + self.dt;
             if t + 2 * self.dt <= self.end_s {
-                heap.push(t + self.dt, EventKind::Epoch);
+                self.timeline.arm_epoch(t + self.dt);
             }
-            Ok(true)
         } else {
             let partial = (e_final - self.e_off()).max(0.0);
             self.stats.checkpoint_j += partial;
@@ -695,9 +688,9 @@ impl<'s> IntermittentCore<'s> {
             self.stats.epochs_lost += 1;
             self.on = false;
             self.off_since = to_f64(t + self.dt);
-            self.schedule_wake(self.off_since, heap);
-            Ok(false)
+            self.schedule_wake(self.off_since);
         }
+        Ok(())
     }
 
     fn power_down_voluntarily(&mut self, t: u64) {
@@ -749,7 +742,9 @@ fn current_hour(t: u64, end_s: u64) -> usize {
 }
 
 /// Intermittent mode: the capacitor store with power-failure and
-/// checkpoint/restore semantics.
+/// checkpoint/restore semantics. The scenario budgets closed-loop
+/// against the live store (its builder sets that for every batteryless
+/// scenario).
 pub(crate) fn run_intermittent_mode(
     scenario: &Scenario,
     policy: Policy,
@@ -759,15 +754,8 @@ pub(crate) fn run_intermittent_mode(
     if let Policy::Static(id) = policy {
         scenario.problem.point(id)?;
     }
-    // The open-loop protocol precomputes budgets against the scenario
-    // *battery*, which does not exist here: on a capacitor the hourly
-    // budget layer always runs closed-loop against the live store.
-    let mut closed = scenario.clone();
-    closed.budget_mode = crate::BudgetMode::ClosedLoop;
-    let scenario = &closed;
     let dt = u64::from(scenario.dt_seconds);
-    let harvest: Vec<Energy> = scenario.trace.iter().collect();
-    let total_hours = harvest.len();
+    let total_hours = scenario.trace.len_hours();
     let end_s = total_hours as u64 * HOUR_S;
     let problem = &scenario.problem;
 
@@ -797,7 +785,7 @@ pub(crate) fn run_intermittent_mode(
         cap: config.capacitor.clone(),
         dt,
         end_s,
-        harvest,
+        timeline: Timeline::new(&config.failures, end_s),
         plans,
         off_plan,
         on: false,
@@ -813,93 +801,72 @@ pub(crate) fn run_intermittent_mode(
         hour_last_plan: None,
         stats: ClockStats::default(),
         hours: Vec::with_capacity(total_hours),
+        events: Vec::new(),
     };
     core.stats.initial_store_j = core.cap.energy().joules();
 
-    let mut events = Vec::new();
-    // Harvest edges are pushed one at a time, as the previous one pops.
-    let mut heap = EventHeap::new();
-    heap.push(0, EventKind::HarvestEdge(0));
-    heap.push(end_s, EventKind::End);
-    for &(start, end) in &config.failures {
-        if start < end_s {
-            heap.push(start, EventKind::Failure);
-            heap.push(end.min(end_s), EventKind::Restore);
-        }
-    }
-
-    while let Some(ev) = heap.pop() {
-        core.stats.events += 1;
-        if scenario.trace_events {
-            events.push(EventRecord {
-                at_s: ev.at,
-                kind: ev.kind.tag(),
-            });
-        }
-        match ev.kind {
-            EventKind::HarvestEdge(h) => {
-                if h as usize + 1 < total_hours {
-                    heap.push(ev.at + HOUR_S, EventKind::HarvestEdge(h + 1));
+    // The hour loop: each hour's events, then the harvest edge that
+    // closes it; the edge after the last hour is the trace end.
+    let mut harvest = scenario.trace.iter();
+    for h in 0..=total_hours {
+        let edge = h as u64 * HOUR_S;
+        while let Some((at, kind)) = core.timeline.pop_before(edge) {
+            core.log(at, kind.tag());
+            match kind {
+                EventKind::Restore => {
+                    core.advance_off(to_f64(at));
+                    core.forced_out = false;
+                    core.schedule_wake(to_f64(at));
                 }
-                let h = h as usize;
-                core.advance_off(to_f64(ev.at));
-                if h > 0 {
-                    core.finalize_hour(h - 1);
-                }
-                core.hour_harvest = core.harvest[h];
-                core.stats.harvest_offered_j += core.hour_harvest.joules();
-                core.wake_not_before = 0;
-                core.pending_wake = None;
-                if !core.on {
-                    core.schedule_wake(to_f64(ev.at), &mut heap);
-                }
-            }
-            EventKind::Wake => {
-                if core.pending_wake == Some(ev.at) {
+                EventKind::Failure => {
+                    core.stats.forced_failures += 1;
+                    core.forced_out = true;
+                    if core.on {
+                        // SIGKILL at the plug: the in-flight volatile
+                        // window dies with the power. Epoch accounting
+                        // already ran to `on_until`, so charging resumes
+                        // from there.
+                        core.stats.epochs_lost += 1;
+                        core.on = false;
+                        core.off_since = to_f64(at).max(to_f64(core.on_until));
+                    } else {
+                        core.advance_off(to_f64(at));
+                    }
                     core.pending_wake = None;
                 }
-                if core.on || core.forced_out {
-                    continue;
+                EventKind::Wake => {
+                    if core.pending_wake == Some(at) {
+                        core.pending_wake = None;
+                    }
+                    if core.on || core.forced_out {
+                        continue;
+                    }
+                    core.advance_off(to_f64(at));
+                    if core.cap.can_turn_on() {
+                        core.turn_on(at)?;
+                    } else {
+                        // Rates drifted (leak beat the estimate); recompute.
+                        core.schedule_wake(to_f64(at));
+                    }
                 }
-                core.advance_off(to_f64(ev.at));
-                if core.cap.can_turn_on() {
-                    core.turn_on(ev.at, &mut heap)?;
-                } else {
-                    // Rates drifted (leak beat the estimate); recompute.
-                    core.schedule_wake(to_f64(ev.at), &mut heap);
-                }
+                // A forced failure left this epoch armed.
+                EventKind::Epoch if !core.on => {}
+                EventKind::Epoch => core.run_epoch(at)?,
             }
-            EventKind::Epoch => {
-                if !core.on {
-                    // A failure (or brownout) pre-empted this epoch.
-                    continue;
-                }
-                core.run_epoch(ev.at, &mut heap)?;
-            }
-            EventKind::Failure => {
-                core.stats.forced_failures += 1;
-                core.forced_out = true;
-                if core.on {
-                    // SIGKILL at the plug: the in-flight volatile window
-                    // dies with the power. Epoch accounting already ran
-                    // to `on_until`, so charging resumes from there.
-                    core.stats.epochs_lost += 1;
-                    core.on = false;
-                    core.off_since = to_f64(ev.at).max(to_f64(core.on_until));
-                } else {
-                    core.advance_off(to_f64(ev.at));
-                }
-                core.pending_wake = None;
-            }
-            EventKind::Restore => {
-                core.advance_off(to_f64(ev.at));
-                core.forced_out = false;
-                core.schedule_wake(to_f64(ev.at), &mut heap);
-            }
-            EventKind::End => {
-                core.advance_off(to_f64(ev.at));
-                core.finalize_hour(total_hours - 1);
-                break;
+        }
+        let hour_harvest = harvest.next();
+        core.log(edge, hour_harvest.map_or("end", |_| "harvest-edge"));
+        core.advance_off(to_f64(edge));
+        if let Some(prev) = h.checked_sub(1) {
+            core.finalize_hour(prev);
+        }
+        if let Some(hour_harvest) = hour_harvest {
+            core.hour_harvest = hour_harvest;
+            core.stats.harvest_offered_j += hour_harvest.joules();
+            core.wake_not_before = 0;
+            core.pending_wake = None;
+            if !core.on {
+                core.schedule_wake(to_f64(edge));
             }
         }
     }
@@ -913,7 +880,7 @@ pub(crate) fn run_intermittent_mode(
     Ok(VdtRun {
         report,
         stats: core.stats,
-        events,
+        events: core.events,
     })
 }
 
@@ -948,24 +915,40 @@ mod tests {
     }
 
     #[test]
-    fn event_heap_orders_by_time_then_priority_then_seq() {
-        let mut heap = EventHeap::new();
-        heap.push(10, EventKind::Epoch);
-        heap.push(10, EventKind::HarvestEdge(0));
-        heap.push(5, EventKind::End);
-        heap.push(10, EventKind::Failure);
-        let order: Vec<(u64, &'static str)> = std::iter::from_fn(|| heap.pop())
-            .map(|ev| (ev.at, ev.kind.tag()))
-            .collect();
+    fn timeline_orders_ties_restore_edge_failure_wake_epoch() {
+        // One outage ends and the next begins on the edge at 3600, where
+        // two copies of a wake and an epoch are due too; the last outage
+        // runs past the trace end.
+        let failures = [(1000, 3600), (3600, 3700), (7000, 9000)];
+        let mut timeline = Timeline::new(&failures, 7200);
+        timeline.push_wake(5000);
+        timeline.push_wake(3600);
+        timeline.push_wake(3600);
+        // A failure left the epoch at 3600 armed; a turn-on there re-arms
+        // it in place, so it pops once.
+        timeline.arm_epoch(3600);
+        timeline.arm_epoch(3600);
+        let mut drain = |edge| {
+            std::iter::from_fn(|| timeline.pop_before(edge))
+                .map(|(at, kind)| (at, kind.tag()))
+                .collect::<Vec<_>>()
+        };
+        // Only the restore comes before the edge at its own timestamp.
+        assert_eq!(drain(3600), vec![(1000, "failure"), (3600, "restore")]);
         assert_eq!(
-            order,
+            drain(7200),
             vec![
-                (5, "end"),
-                (10, "harvest-edge"),
-                (10, "failure"),
-                (10, "epoch"),
+                (3600, "failure"),
+                (3600, "wake"),
+                (3600, "wake"),
+                (3600, "epoch"),
+                (3700, "restore"),
+                (5000, "wake"),
+                (7000, "failure"),
+                (7200, "restore"),
             ]
         );
+        assert!(drain(7200).is_empty());
     }
 
     #[test]
@@ -1006,6 +989,12 @@ mod tests {
             .unwrap();
         let err = s.run(Policy::Intermittent).unwrap_err();
         assert!(matches!(err, SimError::InvalidParameter(_)));
+        // The event core runs batteryless scenarios only, whatever the
+        // policy.
+        for policy in [Policy::Intermittent, Policy::Reap] {
+            let err = s.run_event_driven(policy).unwrap_err();
+            assert!(matches!(err, SimError::InvalidParameter(_)), "{policy}");
+        }
     }
 
     #[test]

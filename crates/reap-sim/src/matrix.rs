@@ -65,17 +65,14 @@ pub fn run_matrix_with_threads(
     // budgets (an all-MPC batch, e.g. a fleet on `Policy::Horizon`, or
     // an all-burst batch on `Policy::Intermittent` — burst planning has
     // no hourly budget layer): running the allocator over every trace
-    // would be pure waste. Intermittent scenarios also skip it: their
-    // hourly budget layer runs closed-loop against the capacitor.
+    // would be pure waste. Batteryless scenarios are built closed-loop.
     let any_budget_consumer = policies
         .iter()
         .any(|p| !matches!(p, Policy::Horizon { .. } | Policy::Intermittent));
     let shared_budgets: Vec<Option<Vec<Energy>>> = scenarios
         .iter()
         .map(|s| match s.budget_mode {
-            BudgetMode::OpenLoop if any_budget_consumer && s.intermittent.is_none() => {
-                Some(engine::open_loop_budgets(s))
-            }
+            BudgetMode::OpenLoop if any_budget_consumer => Some(engine::open_loop_budgets(s)),
             _ => None,
         })
         .collect();

@@ -187,24 +187,24 @@ impl Scenario {
         self.intermittent.as_ref()
     }
 
-    /// `true` when running this scenario takes the event-driven core
-    /// ([`crate::clock`]) instead of the hour loop: an
-    /// [`IntermittentConfig`] is set.
-    #[must_use]
-    pub fn uses_event_core(&self) -> bool {
-        self.intermittent.is_some()
-    }
-
-    /// Runs the scenario like [`Scenario::run`], returning the report
-    /// *plus* the event core's statistics and energy ledger
-    /// ([`crate::ClockStats`]). A battery scenario takes the hour loop,
-    /// whose statistics count only its steps and the harvest offered.
+    /// Runs a batteryless scenario like [`Scenario::run`], returning the
+    /// report *plus* the event core's statistics and energy ledger
+    /// ([`crate::ClockStats`]).
     ///
     /// # Errors
     ///
-    /// Same as [`Scenario::run`].
+    /// [`SimError::InvalidParameter`] on a battery scenario (one without
+    /// an [`IntermittentConfig`]), and otherwise the same as
+    /// [`Scenario::run`].
     pub fn run_event_driven(&self, policy: Policy) -> Result<crate::VdtRun, SimError> {
-        crate::clock::run_event_driven(self, policy)
+        match &self.intermittent {
+            Some(config) => crate::clock::run_intermittent_mode(self, policy, config),
+            None => Err(SimError::InvalidParameter(
+                "the event core runs only batteryless scenarios; configure one with \
+                 ScenarioBuilder::intermittent"
+                    .to_owned(),
+            )),
+        }
     }
 
     /// Runs the scenario under a policy, returning the hour-by-hour
@@ -277,6 +277,8 @@ impl ScenarioBuilder {
     }
 
     /// Sets the budget mode (default: open-loop, the paper's protocol).
+    /// A batteryless scenario ([`ScenarioBuilder::intermittent`]) always
+    /// budgets closed-loop.
     #[must_use]
     pub fn budget_mode(mut self, budget_mode: BudgetMode) -> Self {
         self.budget_mode = budget_mode;
@@ -303,7 +305,10 @@ impl ScenarioBuilder {
 
     /// Configures batteryless intermittent operation: the scenario runs
     /// on the event core against `config`'s capacitor instead of the
-    /// battery, with power-failure + checkpoint/restore semantics.
+    /// battery, with power-failure + checkpoint/restore semantics. Its
+    /// hourly budgets run closed-loop against the live store: the
+    /// open-loop protocol precomputes them against a battery the
+    /// scenario does not have.
     #[must_use]
     pub fn intermittent(mut self, config: IntermittentConfig) -> Self {
         self.intermittent = Some(config);
@@ -346,12 +351,17 @@ impl ScenarioBuilder {
             problem = problem.off_power(off_power);
         }
         let problem = problem.build()?;
+        let budget_mode = if self.intermittent.is_some() {
+            BudgetMode::ClosedLoop
+        } else {
+            self.budget_mode
+        };
         Ok(Scenario {
             trace: self.trace,
             problem,
             battery: self.battery,
             allocator: self.allocator,
-            budget_mode: self.budget_mode,
+            budget_mode,
             forecaster: self.forecaster,
             dt_seconds: self.dt_seconds,
             intermittent: self.intermittent,

@@ -1,10 +1,7 @@
 //! Sub-hour steps against the hourly run: the hour loop executes each
 //! hour's plan in `3600 / dt` equal steps, so at `dt < 3600` budgets stay
-//! those of the hourly run and execution converges on it. The `dt = 3600`
-//! case needs no differential test — both entry points
-//! ([`Scenario::run`] and [`Scenario::run_event_driven`]) run the same
-//! loop — and `tests/engine_golden.rs` pins its output at both step
-//! widths.
+//! those of the hourly run and execution converges on it.
+//! `tests/engine_golden.rs` pins the loop's output at both step widths.
 
 use reap_core::OperatingPoint;
 use reap_harvest::SourceKind;
@@ -49,16 +46,7 @@ fn sub_hour_dt_keeps_open_loop_budgets_and_converges_on_the_scalar_run() {
                 .dt_seconds(dt)
                 .build()
                 .unwrap();
-            // Battery scenarios take the hour loop at every step width.
-            assert!(!sub.uses_event_core());
             let run = sub.run(Policy::Reap).unwrap();
-            let event = sub.run_event_driven(Policy::Reap).unwrap();
-            assert_eq!(event.report, run, "{source:?} dt={dt}");
-            assert_eq!(event.stats.events, 0);
-            assert_eq!(
-                event.stats.epochs_committed,
-                u64::from(3 * 24 * (3600 / dt))
-            );
             assert_eq!(run.hours().len(), scalar.hours().len());
             for (e, s) in run.hours().iter().zip(scalar.hours()) {
                 assert_eq!(e.harvested, s.harvested, "{source:?} dt={dt}");

@@ -14,10 +14,13 @@
 //! 3. **Fleet integration** — a 30%-blackout body-heat-TEG fleet on
 //!    [`Policy::Intermittent`] completes through the scalar-fallback
 //!    path with a sane, thread-count-independent report.
+//!
+//! Every traced run also executes each epoch at most once: no two
+//! `epoch` records share a timestamp.
 
 use proptest::prelude::*;
 use reap_core::OperatingPoint;
-use reap_harvest::{Capacitor, SourceKind};
+use reap_harvest::{Capacitor, HarvestTrace, SourceKind};
 use reap_sim::{Fleet, IntermittentConfig, Policy, Scenario, SimError, VdtRun};
 use reap_units::{Energy, Power};
 
@@ -112,6 +115,20 @@ fn assert_ledger_sane(run: &VdtRun, label: &str) {
     }
 }
 
+/// Each epoch `[t, t + dt)` runs at most once: the (time-ordered) log
+/// holds no two `epoch` records at one timestamp.
+fn assert_one_epoch_per_timestamp(run: &VdtRun, label: &str) {
+    let epochs: Vec<u64> = run
+        .events
+        .iter()
+        .filter(|e| e.kind == "epoch")
+        .map(|e| e.at_s)
+        .collect();
+    for pair in epochs.windows(2) {
+        assert!(pair[0] < pair[1], "{label}: two epochs at {} s", pair[1]);
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ConservationSetup {
     source: SourceKind,
@@ -133,9 +150,10 @@ fn arb_conservation() -> impl Strategy<Value = ConservationSetup> {
         Just(Policy::Horizon { lookahead: 6 }),
     ];
     // Random failure schedule: gaps + durations prefix-summed into
-    // sorted, non-overlapping [start, end) windows.
+    // sorted, non-overlapping [start, end) windows. Durations start at
+    // 1 s so a window can sit inside a single epoch.
     let failures =
-        proptest::collection::vec((0u64..40_000, 600u64..30_000), 0..5).prop_map(|segments| {
+        proptest::collection::vec((0u64..40_000, 1u64..30_000), 0..5).prop_map(|segments| {
             let mut windows = Vec::with_capacity(segments.len());
             let mut t = 0u64;
             for (gap, dur) in segments {
@@ -204,7 +222,7 @@ proptest! {
             setup.days,
             setup.dt,
             config,
-            false,
+            true,
         );
         let run = scenario
             .run_event_driven(setup.policy)
@@ -214,7 +232,9 @@ proptest! {
             setup.days as usize * 24,
             "one record per trace hour, dead or alive"
         );
-        assert_ledger_sane(&run, &format!("{:?}/{}", setup.source, setup.policy));
+        let label = format!("{:?}/{}", setup.source, setup.policy);
+        assert_ledger_sane(&run, &label);
+        assert_one_epoch_per_timestamp(&run, &label);
         // `Scenario::run` routes through the same core: identical report.
         let dispatched = scenario.run(setup.policy).expect("dispatch runs");
         prop_assert_eq!(&dispatched, &run.report);
@@ -264,6 +284,42 @@ fn a_store_that_cannot_reach_turn_on_provably_does_zero_work() {
             "{policy}: a dead node did work"
         );
         assert_ledger_sane(&run, "below-turn-on");
+    }
+}
+
+#[test]
+fn a_failure_inside_an_executed_epoch_does_not_run_later_epochs_twice() {
+    // A constant 20 J/h day keeps the wearable capacitor at or above
+    // turn-on, so the node runs an epoch every 300 s. Each window starts
+    // inside the executed epoch [300, 600) and ends by 600: the failure
+    // leaves the epoch at 600 armed, and the restore's wake turns the
+    // node on at 600 too. That epoch must run once, and so must every
+    // epoch after it.
+    let trace = HarvestTrace::new(244, vec![Energy::from_joules(20.0); 24]).unwrap();
+    for window in [(450, 550), (450, 600)] {
+        for policy in [Policy::Intermittent, Policy::Reap, Policy::Static(5)] {
+            let config = IntermittentConfig::wearable_default()
+                .with_failures(vec![window])
+                .unwrap();
+            let run = Scenario::builder(trace.clone())
+                .points(paper_points())
+                .dt_seconds(300)
+                .intermittent(config)
+                .trace_events(true)
+                .build()
+                .unwrap()
+                .run_event_driven(policy)
+                .unwrap();
+            let label = format!("{policy}, failure window {window:?}");
+            assert_eq!(run.stats.forced_failures, 1, "{label}");
+            assert_one_epoch_per_timestamp(&run, &label);
+            assert!(
+                run.stats.epochs_committed <= 288,
+                "{label}: {} epochs committed in a day of 288",
+                run.stats.epochs_committed
+            );
+            assert_ledger_sane(&run, &label);
+        }
     }
 }
 
