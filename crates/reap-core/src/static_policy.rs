@@ -54,7 +54,7 @@ pub fn static_schedule(
 /// Sub-floor (and NaN) budgets clamp up to the floor `P_off * TP`, like
 /// [`decide_vertices`](crate::decide_vertices). The point must draw more
 /// than `off_w`, as every [`ReapProblem`] point does. [`static_schedule`]
-/// and the fleet's batched static plan both build through it.
+/// builds through it.
 #[inline]
 #[must_use]
 pub fn static_plan(

@@ -9,7 +9,7 @@
 use reap_units::Energy;
 
 use crate::forecast::DiurnalEwma;
-use crate::step::{self, BATTERY_GAIN, EWMA_ALPHA, GREEDY_GAIN};
+use crate::step::{self, BATTERY_GAIN, GREEDY_GAIN};
 use crate::Battery;
 
 /// A policy that decides each period's energy budget from the harvesting
@@ -74,11 +74,11 @@ pub struct EwmaAllocator {
 
 impl EwmaAllocator {
     /// Creates an allocator with the conventional smoothing factor
-    /// [`EWMA_ALPHA`] (as in Kansal et al.) and the gentle
+    /// [`EWMA_ALPHA`](step::EWMA_ALPHA) (as in Kansal et al.) and the gentle
     /// [`BATTERY_GAIN`].
     #[must_use]
     pub fn new() -> EwmaAllocator {
-        EwmaAllocator::from_parts(DiurnalEwma::new(EWMA_ALPHA), false)
+        EwmaAllocator::from_parts(DiurnalEwma::new(), false)
     }
 
     /// Current expectation for a slot (J), for inspection: the slot's

@@ -102,46 +102,6 @@ impl Battery {
         self.discharge_efficiency
     }
 
-    /// Charges with `energy` (pre-efficiency). Returns the energy that
-    /// *spilled* (could not be stored because the battery was full).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `energy` is negative.
-    pub fn charge(&mut self, energy: Energy) -> Energy {
-        assert!(!energy.is_negative(), "cannot charge negative energy");
-        let stored = step::charge(
-            self.level.joules(),
-            self.capacity.joules(),
-            self.charge_efficiency,
-            energy.joules(),
-        );
-        self.level += Energy::from_joules(stored);
-        // Spill reported at the input side (before efficiency) for the
-        // part that did not fit.
-        Energy::from_joules(
-            (energy.joules() * self.charge_efficiency - stored) / self.charge_efficiency,
-        )
-    }
-
-    /// Draws up to `energy` from the battery. Returns the energy actually
-    /// *delivered* to the load (post-efficiency), which is less than
-    /// requested when the battery runs dry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `energy` is negative.
-    pub fn discharge(&mut self, energy: Energy) -> Energy {
-        assert!(!energy.is_negative(), "cannot discharge negative energy");
-        let drawn = step::discharge(
-            self.level.joules(),
-            self.discharge_efficiency,
-            energy.joules(),
-        );
-        self.level -= Energy::from_joules(drawn);
-        Energy::from_joules(drawn * self.discharge_efficiency)
-    }
-
     /// Grants `proposed` against this battery as a virtual store
     /// ([`step::open_loop`]): capped at what it and the step's
     /// `harvested` energy can deliver and floor-clamped, after which the
@@ -222,33 +182,38 @@ mod tests {
 
     #[test]
     fn charge_respects_capacity_and_reports_spill() {
+        // A 3 J surplus into 1 J of headroom: the battery fills and the
+        // other 2 J spill.
         let mut b = Battery::new(joules(10.0), joules(9.0), 1.0, 1.0).unwrap();
-        let spill = b.charge(joules(3.0));
+        assert_eq!(b.execute(joules(3.0), Energy::ZERO), 1.0);
         assert!((b.level().joules() - 10.0).abs() < 1e-12);
-        assert!((spill.joules() - 2.0).abs() < 1e-12);
+        let spill = 3.0 - (b.level().joules() - 9.0);
+        assert!((spill - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn charge_efficiency_loses_energy() {
+        // 10 J of surplus harvest at 80% banks 8 J.
         let mut b = Battery::new(joules(100.0), joules(0.0), 0.8, 1.0).unwrap();
-        let spill = b.charge(joules(10.0));
-        assert_eq!(spill, Energy::ZERO);
+        assert_eq!(b.execute(joules(12.0), joules(2.0)), 1.0);
         assert!((b.level().joules() - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn discharge_delivers_up_to_level() {
+        // A 6 J plan with no harvest against 4 J stored: the battery
+        // empties and the plan realizes 4 / 6 of its energy.
         let mut b = Battery::new(joules(10.0), joules(4.0), 1.0, 1.0).unwrap();
-        let got = b.discharge(joules(6.0));
-        assert!((got.joules() - 4.0).abs() < 1e-12);
+        let fraction = b.execute(Energy::ZERO, joules(6.0));
+        assert!((fraction - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(b.level(), Energy::ZERO);
     }
 
     #[test]
     fn discharge_efficiency_costs_extra() {
         let mut b = Battery::new(joules(10.0), joules(10.0), 1.0, 0.5).unwrap();
-        let got = b.discharge(joules(2.0));
-        assert!((got.joules() - 2.0).abs() < 1e-12);
+        assert!((b.deliverable().joules() - 5.0).abs() < 1e-12);
+        assert_eq!(b.execute(Energy::ZERO, joules(2.0)), 1.0);
         // Delivering 2 J at 50% efficiency drained 4 J.
         assert!((b.level().joules() - 6.0).abs() < 1e-12);
         assert!((b.deliverable().joules() - 3.0).abs() < 1e-12);
@@ -259,13 +224,6 @@ mod tests {
         let b = Battery::new(joules(60.0), joules(30.0), 0.95, 0.95).unwrap();
         assert!((b.state_of_charge() - 0.5).abs() < 1e-12);
         assert_eq!(Battery::small_wearable(), b);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative")]
-    fn negative_charge_panics() {
-        let mut b = Battery::small_wearable();
-        let _ = b.charge(joules(-1.0));
     }
 
     #[test]

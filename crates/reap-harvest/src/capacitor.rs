@@ -211,23 +211,6 @@ impl Capacitor {
         self.energy >= self.turn_on_energy()
     }
 
-    /// Charges with `energy` (pre-efficiency). Returns the energy that
-    /// *spilled* (could not be stored because the capacitor was full),
-    /// reported at the input side, exactly like
-    /// [`Battery::charge`](crate::Battery::charge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `energy` is negative.
-    pub fn charge(&mut self, energy: Energy) -> Energy {
-        assert!(!energy.is_negative(), "cannot charge negative energy");
-        let storable = energy * self.charge_efficiency;
-        let headroom = self.capacity() - self.energy;
-        let stored = storable.min(headroom);
-        self.energy += stored;
-        (storable - stored) / self.charge_efficiency
-    }
-
     /// Draws up to `energy` from the store (down to zero — the *caller*
     /// enforces the brownout floor, because crossing it is an event, not
     /// a silent clamp). Returns the energy actually delivered.
@@ -240,19 +223,6 @@ impl Capacitor {
         let drawn = energy.min(self.energy);
         self.energy -= drawn;
         drawn
-    }
-
-    /// Applies leakage over `seconds`, returning the energy actually
-    /// leaked (never more than was stored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is negative.
-    pub fn leak(&mut self, seconds: f64) -> Energy {
-        assert!(seconds >= 0.0, "cannot leak for negative time");
-        let leaked = (self.leakage * reap_units::TimeSpan::from_seconds(seconds)).min(self.energy);
-        self.energy -= leaked;
-        leaked
     }
 
     /// Overwrites the stored energy — state reinjection for the event
@@ -310,37 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn charge_respects_capacity_efficiency_and_reports_spill() {
-        let mut cap = Capacitor::supercap_wearable();
-        // Stores 90% of what comes in.
-        let spill = cap.charge(joules(0.1));
-        assert_eq!(spill, Energy::ZERO);
-        assert!((cap.energy().joules() - (0.162 + 0.09)).abs() < 1e-12);
-        // Overfilling spills at the input side.
-        let spill = cap.charge(joules(10.0));
-        assert!((cap.energy() - cap.capacity()).abs().joules() < 1e-12);
-        let stored = cap.capacity().joules() - 0.252;
-        assert!((spill.joules() - (10.0 - stored / 0.9)).abs() < 1e-9);
-    }
-
-    #[test]
     fn draw_goes_down_to_zero_not_the_brownout_floor() {
         let mut cap = Capacitor::supercap_wearable();
         let got = cap.draw(joules(1.0));
         assert!((got.joules() - 0.162).abs() < 1e-12);
-        assert_eq!(cap.energy(), Energy::ZERO);
-    }
-
-    #[test]
-    fn leakage_drains_but_never_goes_negative() {
-        let mut cap = Capacitor::supercap_wearable();
-        // 20 µW for 1000 s = 20 mJ.
-        let leaked = cap.leak(1000.0);
-        assert!((leaked.joules() - 0.02).abs() < 1e-12);
-        assert!((cap.energy().joules() - 0.142).abs() < 1e-12);
-        // A very long leak empties the store exactly.
-        let leaked = cap.leak(1e9);
-        assert!((leaked.joules() - 0.142).abs() < 1e-12);
         assert_eq!(cap.energy(), Energy::ZERO);
     }
 

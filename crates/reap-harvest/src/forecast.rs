@@ -45,7 +45,8 @@ pub trait HarvestForecaster {
 /// Per-hour-of-day EWMA harvest estimator with lazy cold start.
 ///
 /// Keeps one exponentially weighted moving average per hour-of-day slot
-/// (capturing the diurnal profile, as in Kansal et al.). Slots are seeded
+/// (capturing the diurnal profile, as in Kansal et al.), smoothed with
+/// [`EWMA_ALPHA`](step::EWMA_ALPHA). Slots are seeded
 /// **lazily from their first real observation** — never from a
 /// placeholder — so a device booted at midnight does not believe the
 /// whole first day is dark. Slots that have not been observed yet fall
@@ -55,32 +56,26 @@ pub trait HarvestForecaster {
 /// [`EwmaForecaster`] (forecast windows) are thin wrappers around this
 /// estimator, so the allocation and forecasting layers share one view of
 /// the diurnal profile.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiurnalEwma {
     estimates: [f64; 24],
     seen: [bool; 24],
-    alpha: f64,
 }
 
 impl DiurnalEwma {
-    /// Creates an estimator with smoothing factor `alpha` (the weight of
-    /// the newest sample), clamped to `[1e-3, 1]`.
+    /// Creates an estimator with no slot seeded.
     #[must_use]
-    pub fn new(alpha: f64) -> DiurnalEwma {
-        DiurnalEwma {
-            estimates: [0.0; 24],
-            seen: [false; 24],
-            alpha: alpha.clamp(1e-3, 1.0),
-        }
+    pub fn new() -> DiurnalEwma {
+        DiurnalEwma::default()
     }
 
     /// Folds one observed harvest (J) into the slot for `hour_of_day`.
     /// The first observation of a slot seeds it exactly; later ones blend
-    /// with weight `alpha`.
+    /// with weight [`EWMA_ALPHA`](step::EWMA_ALPHA).
     pub fn observe(&mut self, hour_of_day: u32, joules: f64) {
         let slot = (hour_of_day % 24) as usize;
         if self.seen[slot] {
-            self.estimates[slot] = step::blend(self.estimates[slot], joules, self.alpha);
+            self.estimates[slot] = step::blend(self.estimates[slot], joules, step::EWMA_ALPHA);
         } else {
             self.estimates[slot] = joules;
             self.seen[slot] = true;
@@ -115,17 +110,10 @@ impl DiurnalEwma {
         self.seen[(hour_of_day % 24) as usize]
     }
 
-    /// The smoothing factor (post-clamp).
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Extracts the full estimator state as `(slot estimates, seen
     /// bitmask)` — bit `s` of the mask set when slot `s` has been seeded.
-    /// Together with [`DiurnalEwma::alpha`] this is everything a
-    /// checkpoint needs to rebuild the estimator bit-identically via
-    /// [`DiurnalEwma::from_parts`].
+    /// This is everything a checkpoint needs to rebuild the estimator
+    /// bit-identically via [`DiurnalEwma::from_parts`].
     #[must_use]
     pub fn to_parts(&self) -> ([f64; 24], u32) {
         let mut mask = 0u32;
@@ -139,16 +127,12 @@ impl DiurnalEwma {
     /// of `seen_mask` above slot 23 are ignored). The round trip is exact:
     /// the restored estimator produces bit-identical expectations.
     #[must_use]
-    pub fn from_parts(alpha: f64, estimates: [f64; 24], seen_mask: u32) -> DiurnalEwma {
+    pub fn from_parts(estimates: [f64; 24], seen_mask: u32) -> DiurnalEwma {
         let mut seen = [false; 24];
         for (s, slot) in seen.iter_mut().enumerate() {
             *slot = (seen_mask >> s) & 1 == 1;
         }
-        DiurnalEwma {
-            estimates,
-            seen,
-            alpha: alpha.clamp(1e-3, 1.0),
-        }
+        DiurnalEwma { estimates, seen }
     }
 }
 
@@ -181,7 +165,7 @@ impl EwmaForecaster {
     #[must_use]
     pub fn new() -> EwmaForecaster {
         EwmaForecaster {
-            ewma: DiurnalEwma::new(step::EWMA_ALPHA),
+            ewma: DiurnalEwma::new(),
         }
     }
 
@@ -301,7 +285,7 @@ mod tests {
 
     #[test]
     fn diurnal_ewma_seeds_lazily_and_blends() {
-        let mut e = DiurnalEwma::new(0.5);
+        let mut e = DiurnalEwma::new();
         assert_eq!(e.expected(3), 0.0, "empty estimator forecasts zero");
         e.observe(3, 4.0);
         assert!((e.expected(3) - 4.0).abs() < 1e-12, "first sample seeds");
@@ -395,18 +379,18 @@ mod tests {
 
     #[test]
     fn diurnal_parts_round_trip_bit_identically() {
-        let mut e = DiurnalEwma::new(0.5);
+        let mut e = DiurnalEwma::new();
         for (h, j) in [(0u32, 0.25), (3, 1.5), (3, 2.0), (17, 0.0)] {
             e.observe(h, j);
         }
         let (est, mask) = e.to_parts();
-        let restored = DiurnalEwma::from_parts(e.alpha(), est, mask);
+        let restored = DiurnalEwma::from_parts(est, mask);
         for h in 0..24 {
             assert_eq!(restored.expected(h), e.expected(h), "slot {h}");
             assert_eq!(restored.is_seen(h), e.is_seen(h), "seen {h}");
         }
         // High seen-mask bits are ignored.
-        let noisy = DiurnalEwma::from_parts(e.alpha(), est, mask | 0xFF00_0000);
+        let noisy = DiurnalEwma::from_parts(est, mask | 0xFF00_0000);
         assert_eq!(noisy.expected(5), e.expected(5));
     }
 

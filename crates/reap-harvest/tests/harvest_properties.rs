@@ -9,17 +9,20 @@ use reap_harvest::{
 };
 use reap_units::Energy;
 
+/// One step against a battery, in joules.
 #[derive(Debug, Clone)]
 enum Op {
-    Charge(f64),
-    Discharge(f64),
+    /// `Battery::execute(harvested, needed)`.
+    Execute(f64, f64),
+    /// `Battery::open_loop(proposed, floor, harvested)`.
+    OpenLoop(f64, f64, f64),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0.0f64..20.0).prop_map(Op::Charge),
-            (0.0f64..20.0).prop_map(Op::Discharge),
+            (0.0f64..20.0, 0.0f64..20.0).prop_map(|(h, n)| Op::Execute(h, n)),
+            (0.0f64..20.0, 0.0f64..1.0, 0.0f64..20.0).prop_map(|(p, f, h)| Op::OpenLoop(p, f, h)),
         ],
         1..50,
     )
@@ -36,26 +39,31 @@ proptest! {
             0.9,
             0.9,
         ).expect("valid");
+        let j = Energy::from_joules;
         for op in &ops {
             let before = battery.level().joules();
-            match op {
-                Op::Charge(j) => {
-                    let spill = battery.charge(Energy::from_joules(*j));
-                    let after = battery.level().joules();
-                    // Stored energy never exceeds input (efficiency <= 1).
-                    prop_assert!(after - before <= j * 0.9 + 1e-9);
-                    prop_assert!(spill.joules() >= -1e-12);
-                    prop_assert!(spill.joules() <= *j + 1e-9);
+            let harvested = match *op {
+                Op::Execute(h, n) => {
+                    let fraction = battery.execute(j(h), j(n));
+                    prop_assert!((0.0..=1.0).contains(&fraction));
+                    // What ran came from the harvest or from the store,
+                    // which delivers 90% of what it gives up.
+                    let drawn = (before - battery.level().joules()).max(0.0);
+                    prop_assert!(fraction * n <= h + drawn * 0.9 + 1e-9);
+                    h
                 }
-                Op::Discharge(j) => {
-                    let got = battery.discharge(Energy::from_joules(*j));
-                    let after = battery.level().joules();
-                    prop_assert!(got.joules() <= j + 1e-9);
-                    // Drawn internal energy >= delivered (efficiency <= 1).
-                    prop_assert!(before - after >= got.joules() - 1e-9);
+                Op::OpenLoop(p, f, h) => {
+                    let supply = battery.deliverable().joules() + h;
+                    let grant = battery.open_loop(j(p), j(f), j(h)).joules();
+                    prop_assert!(grant >= 0.0);
+                    prop_assert!(grant <= supply + 1e-9);
+                    h
                 }
-            }
-            prop_assert!(battery.level().joules() >= -1e-9);
+            };
+            // The store gains at most the harvest it banks (efficiency
+            // <= 1).
+            prop_assert!(battery.level().joules() - before <= harvested * 0.9 + 1e-9);
+            prop_assert!(battery.level().joules() >= 0.0);
             prop_assert!(battery.level() <= battery.capacity());
             prop_assert!((0.0..=1.0).contains(&battery.state_of_charge()));
         }

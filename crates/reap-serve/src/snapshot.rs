@@ -6,7 +6,7 @@
 //! magic        8 bytes   b"REAPSNAP"
 //! version      u32       SNAPSHOT_VERSION
 //! fingerprint  u64       FleetState::fingerprint() of the writer
-//! ewma_alpha   f64       allocator smoothing factor of the writer
+//! ewma_alpha   f64       allocator smoothing factor, always EWMA_ALPHA
 //! users        u32       population size
 //! records      users × RECORD_BYTES   per-user records, user-index order
 //! digest       u64       FNV-1a over the records region
@@ -40,7 +40,8 @@
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use reap_harvest::{DiurnalEwma, EwmaAllocator};
+use reap_harvest::step::EWMA_ALPHA;
+use reap_harvest::{Battery, DiurnalEwma, EwmaAllocator};
 use reap_units::Energy;
 
 use crate::fault::{CrashPoint, IoLayer, NoFaults};
@@ -100,7 +101,7 @@ pub fn snapshot(state: &FleetState) -> Vec<u8> {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&state.fingerprint().to_le_bytes());
-    out.extend_from_slice(&state.ewma_alpha().to_le_bytes());
+    out.extend_from_slice(&EWMA_ALPHA.to_le_bytes());
     out.extend_from_slice(&state.users().to_le_bytes());
     state.for_each_user_in_order(|u| out.extend_from_slice(&user_record(u)));
     let mut digest = Fnv::new();
@@ -182,13 +183,10 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
         ));
     }
     let ewma_alpha = r.f64()?;
-    if ewma_alpha.to_bits() != state.ewma_alpha().to_bits() {
+    if ewma_alpha.to_bits() != EWMA_ALPHA.to_bits() {
         return Err(ProtocolError::new(
             ErrorCode::Snapshot,
-            format!(
-                "snapshot allocator alpha {ewma_alpha} differs from this build's {}",
-                state.ewma_alpha()
-            ),
+            format!("snapshot allocator alpha {ewma_alpha} differs from this build's {EWMA_ALPHA}"),
         ));
     }
     let users = r.u32()?;
@@ -233,7 +231,7 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
     // cannot leave the population half-restored.
     let mut decoded = Vec::with_capacity(users as usize);
     for user in 0..users {
-        decoded.push(decode_record(&mut r, ewma_alpha, user)?);
+        decoded.push(decode_record(&mut r, user)?);
     }
 
     let mut next = decoded.into_iter();
@@ -270,11 +268,7 @@ struct DecodedUser {
     last_budget: f64,
 }
 
-fn decode_record(
-    r: &mut Reader<'_>,
-    ewma_alpha: f64,
-    user: u32,
-) -> Result<DecodedUser, ProtocolError> {
+fn decode_record(r: &mut Reader<'_>, user: u32) -> Result<DecodedUser, ProtocolError> {
     let bad = |what: &str| ProtocolError::new(ErrorCode::Snapshot, format!("user {user}: {what}"));
     let flags = r.u32()?;
     if flags > 1 {
@@ -299,7 +293,10 @@ fn decode_record(
     if !last_budget.is_finite() {
         return Err(bad("non-finite last_budget"));
     }
-    if !vbat_level.is_finite() || !(0.0..=60.0).contains(&vbat_level) {
+    // The resident battery's capacity, so this check and `set_level`
+    // on restore accept the same levels.
+    let capacity_j = Battery::small_wearable().capacity().joules();
+    if !vbat_level.is_finite() || !(0.0..=capacity_j).contains(&vbat_level) {
         return Err(bad("battery level outside [0, capacity]"));
     }
     if !last_harvest.is_finite() || last_harvest < 0.0 {
@@ -324,7 +321,7 @@ fn decode_record(
     }
     Ok(DecodedUser {
         alloc: EwmaAllocator::from_parts(
-            DiurnalEwma::from_parts(ewma_alpha, estimates, seen_mask),
+            DiurnalEwma::from_parts(estimates, seen_mask),
             flags & 1 == 1,
         ),
         vbat_level: Energy::from_joules(vbat_level),

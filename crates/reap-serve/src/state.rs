@@ -95,9 +95,6 @@ pub struct FleetState {
     /// point bits / source label); snapshots embed it so a checkpoint
     /// can only restore into a state built from the same fleet.
     fingerprint: u64,
-    /// The EWMA smoothing factor every resident allocator runs
-    /// (checkpointed so restore can rebuild allocators exactly).
-    ewma_alpha: f64,
 }
 
 impl FleetState {
@@ -121,7 +118,7 @@ impl FleetState {
         // a fleet reports the same cohort count served or simulated.
         let mut index = CohortIndex::default();
         let mut tables: Vec<FrontierTable> = Vec::new();
-        let mut shard_users: Vec<Vec<UserState>> = vec![Vec::new(); shards];
+        let mut striped: Vec<Vec<UserState>> = vec![Vec::new(); shards];
 
         for u in 0..users {
             let params = fleet.user_params(u)?;
@@ -140,8 +137,8 @@ impl FleetState {
                 tables.push(problem.frontier().table());
             }
 
-            // reap-lint: allow(panic:index) -- `u % shards` is < shards == shard_users.len()
-            shard_users[u as usize % shards].push(UserState {
+            // reap-lint: allow(panic:index) -- `u % shards` is < shards == striped.len()
+            striped[u as usize % shards].push(UserState {
                 alloc: EwmaAllocator::new(),
                 vbat: Battery::small_wearable(),
                 last_harvest: Energy::ZERO,
@@ -157,7 +154,7 @@ impl FleetState {
         }
 
         Ok(FleetState {
-            shards: shard_users
+            shards: striped
                 .into_iter()
                 .enumerate()
                 .map(|(i, users)| OrderedLock::new("shard", rank::SHARD, i as u32, Shard { users }))
@@ -165,7 +162,6 @@ impl FleetState {
             tables,
             users,
             fingerprint: fp.finish(),
-            ewma_alpha: EwmaAllocator::new().diurnal().alpha(),
         })
     }
 
@@ -185,12 +181,6 @@ impl FleetState {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The resident allocators' EWMA smoothing factor.
-    #[must_use]
-    pub(crate) fn ewma_alpha(&self) -> f64 {
-        self.ewma_alpha
     }
 
     /// Runs `f` on user `user`'s state (under its shard lock) together

@@ -762,7 +762,7 @@ pub(crate) fn run_intermittent_mode(
     let planner = if policy == Policy::Intermittent {
         None
     } else {
-        Some(HourPlanner::new(scenario, policy, None)?)
+        Some(HourPlanner::new(scenario, policy)?)
     };
     // The burst policy's candidates: each point running flat out for a
     // full period, computed once (INT only; the others plan hourly).

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule};
-use reap_harvest::step;
+use reap_harvest::{step, Battery};
 use reap_units::Energy;
 
 use crate::report::{HourRecord, SimReport};
@@ -62,38 +62,9 @@ impl fmt::Display for Policy {
     }
 }
 
-/// Precomputes the policy-independent budget sequence of the open-loop
-/// protocol: the allocator runs against a *virtual* battery that assumes
-/// every granted budget is fully spent, so the resulting sequence depends
-/// only on the harvest trace.
-///
-/// Because the sequence is policy-independent, callers running several
-/// policies over one scenario ([`Scenario::run_all`],
-/// [`run_matrix`](crate::run_matrix)) compute it once and share it.
-pub(crate) fn open_loop_budgets(scenario: &Scenario) -> Vec<Energy> {
-    let mut allocator = scenario.allocator.instantiate();
-    let mut virtual_battery = scenario.battery.clone();
-    let floor = scenario.problem.min_budget();
-    let mut budgets = Vec::with_capacity(scenario.trace.len_hours());
-    let mut harvested_last_hour = Energy::ZERO;
-    for (i, harvested) in scenario.trace.iter().enumerate() {
-        let hour = (i % 24) as u32;
-        let proposed = allocator.allocate(hour, harvested_last_hour, &virtual_battery);
-        // The grant counts the hour's own harvest toward the floor:
-        // execution banks the incoming harvest before (virtually)
-        // spending the budget, so a dark battery must not deny the floor
-        // in a bright hour.
-        let budget = virtual_battery.open_loop(proposed, floor, harvested);
-        budgets.push(budget);
-        harvested_last_hour = harvested;
-    }
-    budgets
-}
-
-/// The per-hour planning pipeline: budget proposal (precomputed
-/// open-loop sequence or live allocator), floor clamp, and policy
-/// planning (frontier / static duty-cycle / receding-horizon MPC). The
-/// battery loop below and the event core's intermittent mode
+/// The per-hour planning pipeline: budget proposal, floor clamp, and
+/// policy planning (frontier / static duty-cycle / receding-horizon
+/// MPC). The battery loop below and the event core's intermittent mode
 /// ([`crate::clock`]) both plan through it, calling
 /// [`HourPlanner::plan_hour`] then [`HourPlanner::end_hour`] once per
 /// hour, in order.
@@ -106,7 +77,11 @@ pub(crate) struct HourPlanner<'s> {
         RecedingHorizonController,
         Box<dyn reap_harvest::HarvestForecaster>,
     )>,
-    precomputed: Option<Cow<'s, [Energy]>>,
+    /// The open-loop protocol's *virtual* battery, which assumes every
+    /// granted budget is fully spent: the allocator budgets against it
+    /// instead of the real battery, so the budget sequence depends only
+    /// on the harvest trace. `None` in closed loop and under MPC.
+    virtual_battery: Option<Battery>,
     floor: Energy,
     total_hours: usize,
     harvested_last_hour: Energy,
@@ -117,11 +92,7 @@ impl<'s> HourPlanner<'s> {
     ///
     /// Rejects [`Policy::Intermittent`]: burst planning has no hourly
     /// budget layer — the event core handles it directly.
-    pub(crate) fn new(
-        scenario: &'s Scenario,
-        policy: Policy,
-        shared_budgets: Option<&'s [Energy]>,
-    ) -> Result<Self, SimError> {
+    pub(crate) fn new(scenario: &'s Scenario, policy: Policy) -> Result<Self, SimError> {
         if policy == Policy::Intermittent {
             return Err(SimError::InvalidParameter(
                 "Policy::Intermittent has no hourly budget pipeline; it requires a \
@@ -144,22 +115,17 @@ impl<'s> HourPlanner<'s> {
             )),
             _ => None,
         };
-        let precomputed: Option<Cow<'s, [Energy]>> =
-            match (&mpc, shared_budgets, scenario.budget_mode) {
-                (Some(_), _, _) => None,
-                (None, Some(budgets), crate::BudgetMode::OpenLoop) => Some(Cow::Borrowed(budgets)),
-                (None, None, crate::BudgetMode::OpenLoop) => {
-                    Some(Cow::Owned(open_loop_budgets(scenario)))
-                }
-                (None, _, crate::BudgetMode::ClosedLoop) => None,
-            };
+        let virtual_battery = match (&mpc, scenario.budget_mode) {
+            (None, crate::BudgetMode::OpenLoop) => Some(scenario.battery.clone()),
+            _ => None,
+        };
         Ok(HourPlanner {
             scenario,
             policy,
             controller,
             allocator,
             mpc,
-            precomputed,
+            virtual_battery,
             floor,
             total_hours: scenario.trace.len_hours(),
             harvested_last_hour: Energy::ZERO,
@@ -167,21 +133,20 @@ impl<'s> HourPlanner<'s> {
     }
 
     /// Budget-and-plan for trace hour `i`: the allocation layer proposes
-    /// a budget first — open-loop from the precomputed,
-    /// policy-independent sequence, closed-loop from this run's own
-    /// battery trajectory — and the policy plans against it. Optimistic
-    /// proposals are fine — execution browns out when the actual supply
-    /// falls short — but the floor must stay reachable whenever the
-    /// battery (or the hour's own harvest, which execution draws first)
-    /// can still provide it, so the monitoring circuitry is kept alive
-    /// through dark hours. The MPC policy instead plans its whole
-    /// forecast window jointly and reports the planned energy as the
-    /// budget.
+    /// a budget first — open-loop against the virtual battery,
+    /// closed-loop against this run's own battery — and the policy plans
+    /// against it. Optimistic proposals are fine — execution browns out
+    /// when the actual supply falls short — but the floor must stay
+    /// reachable whenever the battery (or the hour's own harvest, which
+    /// execution draws first) can still provide it, so the monitoring
+    /// circuitry is kept alive through dark hours. The MPC policy instead
+    /// plans its whole forecast window jointly and reports the planned
+    /// energy as the budget.
     pub(crate) fn plan_hour(
         &mut self,
         i: usize,
         harvested: Energy,
-        battery: &reap_harvest::Battery,
+        battery: &Battery,
     ) -> Result<(Energy, Schedule), SimError> {
         let hour = (i % 24) as u32;
         match (self.policy, &mut self.mpc) {
@@ -193,18 +158,24 @@ impl<'s> HourPlanner<'s> {
                 Ok((planned.energy(), planned))
             }
             _ => {
-                let budget = match &self.precomputed {
-                    Some(budgets) => budgets[i],
-                    None => {
-                        let proposed =
-                            self.allocator
-                                .allocate(hour, self.harvested_last_hour, battery);
-                        Energy::from_joules(step::floor_clamp(
-                            proposed.joules(),
-                            self.floor.joules(),
-                            (battery.deliverable() + harvested).joules(),
-                        ))
+                let proposed = self.allocator.allocate(
+                    hour,
+                    self.harvested_last_hour,
+                    self.virtual_battery.as_ref().unwrap_or(battery),
+                );
+                let budget = match &mut self.virtual_battery {
+                    // The grant counts the hour's own harvest toward the
+                    // floor: execution banks the incoming harvest before
+                    // (virtually) spending the budget, so a dark battery
+                    // must not deny the floor in a bright hour.
+                    Some(virtual_battery) => {
+                        virtual_battery.open_loop(proposed, self.floor, harvested)
                     }
+                    None => Energy::from_joules(step::floor_clamp(
+                        proposed.joules(),
+                        self.floor.joules(),
+                        (battery.deliverable() + harvested).joules(),
+                    )),
                 };
                 let planned = match self.policy {
                     Policy::Reap => self.controller.plan(budget)?,
@@ -242,9 +213,8 @@ impl<'s> HourPlanner<'s> {
     }
 }
 
-/// Runs `scenario` under `policy`, optionally against an open-loop budget
-/// sequence the caller already computed (`None` derives budgets from the
-/// scenario's own mode).
+/// Runs `scenario` under `policy`, with budgets derived from the
+/// scenario's own mode.
 ///
 /// Batteryless scenarios (an [`IntermittentConfig`](crate::IntermittentConfig))
 /// take the event core in [`crate::clock`]. Everything else runs the hour
@@ -253,11 +223,7 @@ impl<'s> HourPlanner<'s> {
 /// evenly and going through [`Battery::execute`](reap_harvest::Battery::execute).
 /// At one step per hour the step's realized fraction is the hour's; at
 /// sub-hour steps the hour realizes the supplied share of its plan.
-pub(crate) fn run_with_budgets(
-    scenario: &Scenario,
-    policy: Policy,
-    shared_budgets: Option<&[Energy]>,
-) -> Result<SimReport, SimError> {
+pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimError> {
     if let Some(config) = &scenario.intermittent {
         return crate::clock::run_intermittent_mode(scenario, policy, config).map(|run| run.report);
     }
@@ -265,7 +231,7 @@ pub(crate) fn run_with_budgets(
     if let Policy::Static(id) = policy {
         scenario.problem.point(id)?;
     }
-    let mut planner = HourPlanner::new(scenario, policy, shared_budgets)?;
+    let mut planner = HourPlanner::new(scenario, policy)?;
     let mut battery = scenario.battery.clone();
     let steps = 3600 / scenario.dt_seconds;
     let step_frac = 1.0 / f64::from(steps);
@@ -309,18 +275,12 @@ pub(crate) fn run_with_budgets(
     ))
 }
 
-/// Runs `scenario` under `policy` with budgets derived from the
-/// scenario's own mode.
-pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimError> {
-    run_with_budgets(scenario, policy, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AllocatorKind, Scenario};
     use reap_core::OperatingPoint;
-    use reap_harvest::{Battery, HarvestTrace};
+    use reap_harvest::HarvestTrace;
     use reap_units::Power;
 
     fn paper_points() -> Vec<OperatingPoint> {
@@ -545,11 +505,13 @@ mod tests {
             .build()
             .unwrap();
         let floor = scenario.problem().min_budget();
-        let budgets = open_loop_budgets(&scenario);
-        for (h, &b) in budgets.iter().enumerate().skip(6) {
+        let open = scenario.run(Policy::Reap).unwrap();
+        for h in open.hours().iter().skip(6) {
             assert!(
-                b >= floor,
-                "hour {h}: budget {b} denies the floor {floor} despite 5 J harvest"
+                h.budget >= floor,
+                "hour {}: budget {} denies the floor {floor} despite 5 J harvest",
+                h.hour,
+                h.budget
             );
         }
         // Closed loop honors the same reachability rule.

@@ -34,11 +34,6 @@ use crate::matrix::parallel_map;
 use crate::soa::{SoaFleet, UserOutcome};
 use crate::{AllocatorKind, ForecasterKind, Scenario, SimError, SimReport};
 
-/// Default users per shard: large enough to amortize per-shard setup,
-/// small enough that one shard's SoA state stays cache-resident
-/// (see [`FleetBuilder::shard_users`]).
-const DEFAULT_SHARD_USERS: usize = 256;
-
 /// A population of seeded synthetic users ready to simulate.
 ///
 /// Build one with [`Fleet::builder`]; run it with [`Fleet::run`] (or
@@ -79,7 +74,6 @@ pub struct Fleet {
     pub(crate) allocator: AllocatorKind,
     pub(crate) policy: Policy,
     pub(crate) forecaster: ForecasterKind,
-    pub(crate) shard_users: NonZeroUsize,
     /// Seeded blackout injection: `Some((seed, fraction))` zeroes a
     /// seeded contiguous window of `round(fraction * 24)` hours on every
     /// day of every base trace (see
@@ -89,8 +83,9 @@ pub struct Fleet {
     /// configured capacitor store with power-failure semantics instead of
     /// the battery (see [`IntermittentConfig`](crate::IntermittentConfig)).
     pub(crate) intermittent: Option<crate::clock::IntermittentConfig>,
-    /// Engine step width in seconds (default 3600). Sub-hour values route
-    /// every user through the event-driven variable-dt core.
+    /// Engine step width in seconds (default 3600). A sub-hour battery
+    /// fleet runs every user on the scalar engine, which executes each
+    /// hour's plan in `3600 / dt_seconds` steps.
     pub(crate) dt_seconds: u32,
     /// The fleet flattened into SoA form, built lazily on the first run
     /// and reused by every later one — a `Fleet` is immutable once
@@ -192,7 +187,6 @@ impl Fleet {
                 allocator: AllocatorKind::Ewma,
                 policy: Policy::Reap,
                 forecaster: ForecasterKind::Ewma,
-                shard_users: NonZeroUsize::new(DEFAULT_SHARD_USERS).expect("non-zero constant"),
                 blackout: None,
                 intermittent: None,
                 dt_seconds: 3600,
@@ -372,14 +366,16 @@ impl Fleet {
     /// ([`Policy::Reap`] by default), spreading users over all available
     /// cores.
     ///
-    /// The myopic policies ([`Policy::Reap`], [`Policy::Static`]) run on
-    /// the data-oriented SoA core ([`crate::soa`]): the whole population
+    /// The default configuration, [`Policy::Reap`] planning
+    /// [`AllocatorKind::Ewma`] budgets on an hourly battery, runs on the
+    /// data-oriented SoA kernel ([`crate::soa`]): the whole population
     /// steps through each simulated hour with cohort-shared plan
-    /// frontiers and copy-on-perturb traces, orders of magnitude faster
-    /// than per-user scalar simulation and agreeing with it to within
-    /// 1e-12 on every per-user scalar (pinned by property tests).
-    /// [`Policy::Horizon`] (per-user LP state), batteryless and sub-hour
-    /// fleets take the scalar engine, one user per worker at a time.
+    /// frontiers and copy-on-perturb traces, several times faster than
+    /// per-user scalar simulation and agreeing with it bit for bit on
+    /// every per-user scalar (pinned by property tests). Every other
+    /// fleet (static policies, the greedy and uniform-daily allocators,
+    /// [`Policy::Horizon`], batteryless and sub-hour fleets) takes the
+    /// scalar engine, one user per worker at a time.
     ///
     /// # Errors
     ///
@@ -518,18 +514,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets how many users each SoA shard batches (default 256). Shards
-    /// are the SoA core's unit of parallelism and cache residency only:
-    /// the scalar fallback streams one user per worker and keeps no
-    /// [`SimReport`] past its reduction. Results do not depend on shard
-    /// boundaries, so any size (odd, one, larger than the fleet) yields
-    /// a bit-identical [`FleetReport`]; tune it for throughput only.
-    #[must_use]
-    pub fn shard_users(mut self, shard_users: NonZeroUsize) -> Self {
-        self.fleet.shard_users = shard_users;
-        self
-    }
-
     /// Injects seeded harvest blackouts: a contiguous window of
     /// `round(fraction * 24)` hours on every day of every base trace
     /// harvests exactly zero, with per-day window starts drawn from
@@ -554,8 +538,9 @@ impl FleetBuilder {
     }
 
     /// Sets the engine step width in seconds (default 3600). Must divide
-    /// the hour evenly; sub-hour widths route every user through the
-    /// event-driven variable-dt core.
+    /// the hour evenly. A sub-hour battery fleet runs every user on the
+    /// scalar engine, which executes each hour's plan in `3600 / dt`
+    /// steps; a batteryless fleet runs the event core at this grid.
     #[must_use]
     pub fn dt_seconds(mut self, dt_seconds: u32) -> Self {
         self.fleet.dt_seconds = dt_seconds;
@@ -795,8 +780,9 @@ impl FleetReport {
 
     /// Resident SoA state per user in bytes (per-user arrays plus the
     /// amortized shared cohort tables and base traces), rounded up; `0`
-    /// when the run used the scalar fallback engine
-    /// ([`Policy::Horizon`]).
+    /// when the fleet ran on the scalar engine (any configuration but
+    /// [`Policy::Reap`] with [`AllocatorKind::Ewma`] on an hourly
+    /// battery).
     #[must_use]
     pub fn soa_bytes_per_user(&self) -> u32 {
         self.soa_bytes_per_user
@@ -1066,45 +1052,6 @@ mod tests {
                 .run_with_threads(Some(NonZeroUsize::new(threads).unwrap()))
                 .unwrap();
             assert_eq!(capped, unbounded, "{threads}-thread fleet run diverged");
-        }
-    }
-
-    #[test]
-    fn odd_shard_sizes_produce_bit_identical_reports() {
-        // Shards are a throughput knob only: slicing 21 users into
-        // 1-user, odd, default, or oversized shards must not move a
-        // single bit of the report.
-        let with_shard = |shard: usize| {
-            Fleet::builder(base_points())
-                .users(21)
-                .days(2)
-                .seed(7)
-                .shard_users(NonZeroUsize::new(shard).unwrap())
-                .build()
-                .unwrap()
-                .run()
-                .unwrap()
-        };
-        let baseline = small_fleet(21, 2).run().unwrap();
-        for shard in [1usize, 3, 7, 13, 1000] {
-            assert_eq!(with_shard(shard), baseline, "shard size {shard} diverged");
-        }
-        // The scalar fallback, which ignores shards, agrees at any size.
-        let horizon = |shard: usize| {
-            Fleet::builder(base_points())
-                .users(5)
-                .days(1)
-                .seed(7)
-                .policy(Policy::Horizon { lookahead: 4 })
-                .shard_users(NonZeroUsize::new(shard).unwrap())
-                .build()
-                .unwrap()
-                .run()
-                .unwrap()
-        };
-        let h_baseline = horizon(DEFAULT_SHARD_USERS);
-        for shard in [1usize, 2, 3] {
-            assert_eq!(horizon(shard), h_baseline, "horizon shard {shard} diverged");
         }
     }
 

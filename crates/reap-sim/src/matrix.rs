@@ -3,10 +3,9 @@
 //!
 //! The figure/table binaries and month-long comparisons run the same
 //! hour-by-hour engine over many (scenario, policy) pairs. Each pair is
-//! independent, and in the paper's open-loop protocol the budget sequence
-//! depends only on the scenario — so [`run_matrix`] computes each
-//! scenario's budgets once, then executes every pair on a scoped worker
-//! pool. Results are returned in deterministic (scenario-major, policy
+//! independent, so [`run_matrix`] executes every pair on a scoped worker
+//! pool; each run steps its own allocator, exactly as [`Scenario::run`]
+//! does. Results are returned in deterministic (scenario-major, policy
 //! order) layout and are bit-identical to sequential [`Scenario::run`]
 //! calls: parallelism changes only which core runs a pair, never the
 //! arithmetic inside it. The pool, [`parallel_map`], is the crate's only
@@ -16,17 +15,14 @@ use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use reap_units::Energy;
-
 use crate::engine::{self, Policy};
-use crate::{BudgetMode, Scenario, SimError, SimReport};
+use crate::{Scenario, SimError, SimReport};
 
 /// Runs every `policy` over every `scenario` in parallel.
 ///
 /// Returns `reports[s][p]`: the report for `scenarios[s]` under
 /// `policies[p]`. Worker threads are capped at the machine's available
-/// parallelism (and at the number of pairs); each open-loop scenario's
-/// budget sequence is computed once and shared by all of its policy runs.
+/// parallelism (and at the number of pairs).
 ///
 /// # Errors
 ///
@@ -60,27 +56,10 @@ pub fn run_matrix_with_threads(
         return Ok(scenarios.iter().map(|_| Vec::new()).collect());
     }
 
-    // Open-loop budget sequences are policy-independent: one per
-    // scenario. Skip the precompute entirely when no policy consumes
-    // budgets (an all-MPC batch, e.g. a fleet on `Policy::Horizon`, or
-    // an all-burst batch on `Policy::Intermittent` — burst planning has
-    // no hourly budget layer): running the allocator over every trace
-    // would be pure waste. Batteryless scenarios are built closed-loop.
-    let any_budget_consumer = policies
-        .iter()
-        .any(|p| !matches!(p, Policy::Horizon { .. } | Policy::Intermittent));
-    let shared_budgets: Vec<Option<Vec<Energy>>> = scenarios
-        .iter()
-        .map(|s| match s.budget_mode {
-            BudgetMode::OpenLoop if any_budget_consumer => Some(engine::open_loop_budgets(s)),
-            _ => None,
-        })
-        .collect();
-
     let jobs = scenarios.len() * policies.len();
     let results = parallel_map(jobs, max_threads, |job| {
         let (s, p) = (job / policies.len(), job % policies.len());
-        engine::run_with_budgets(&scenarios[s], policies[p], shared_budgets[s].as_deref())
+        engine::run(&scenarios[s], policies[p])
     });
     let mut flat = results.into_iter();
     let mut reports = Vec::with_capacity(scenarios.len());
@@ -130,6 +109,7 @@ pub(crate) fn parallel_map<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BudgetMode;
     use reap_core::OperatingPoint;
     use reap_harvest::HarvestTrace;
     use reap_units::Power;

@@ -221,8 +221,9 @@ impl Scenario {
     /// Runs REAP and every static point, returning
     /// `(reap, statics-in-problem-order)`. Convenience for comparison
     /// figures; delegates to [`run_matrix`](crate::run_matrix), so the
-    /// policies run in parallel against one shared open-loop budget
-    /// sequence.
+    /// policies run in parallel. In open loop every policy sees the same
+    /// budget sequence, because each run steps its allocator against a
+    /// virtual battery that depends only on the trace.
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 //!
 //! * fleet state lives in flat arrays (battery joules, EWMA slots,
 //!   accumulators as `Vec<f64>`; cohort ids as `Vec<u32>`), stepped by
-//!   tight per-hour kernels that allocate nothing per user;
+//!   tight per-hour passes that allocate nothing per user;
 //! * users sharing `(operating points, alpha)` form a *cohort*
 //!   ([`CohortIndex`]) and resolve through one cached frontier: the
 //!   frontier build is shared, and each hourly budget lookup is
@@ -17,32 +17,38 @@
 //! * users on the same harvest source share one base trace and store
 //!   only their [`TracePerturbation`](reap_harvest::TracePerturbation)
 //!   (16 bytes) instead of a materialized month;
-//! * users are processed in shards
-//!   ([`FleetBuilder::shard_users`](crate::FleetBuilder::shard_users)):
-//!   one shard's state walks all
+//! * users are processed in shards of 256: one shard's state walks all
 //!   hours before the next shard starts, so the working set stays
 //!   cache-resident, and shards parallelize across worker threads.
 //!
-//! Every per-user step calls the same hour-step functions as the scalar
-//! engine ([`reap_harvest::step`] for allocation and execution,
-//! [`reap_core::decide_vertices`] and [`reap_core::static_plan`] for
-//! planning) on the same values, so
+//! The kernel covers one configuration, the paper's runtime loop and the
+//! one the committed fleet benchmarks run: [`Policy::Reap`] planning
+//! EWMA budgets ([`AllocatorKind::Ewma`]) on an hourly battery. Each hour
+//! is one straight-line pipeline (EWMA observe, open-loop grant, plan,
+//! execute) that calls the same hour-step functions as the scalar engine
+//! ([`reap_harvest::step`] for allocation and execution,
+//! [`reap_core::decide_vertices`] for planning) on the same values, so
 //! per-user outcomes are bit-identical to [`Fleet::user_scenario`]
 //! replay — a property the `soa_equivalence` tests pin (to 1e-12, though
-//! in practice exact). [`Policy::Horizon`] is the exception: its joint
-//! LP keeps genuinely per-user state, so the fleet falls back to the
-//! scalar engine for it.
+//! in practice exact). Every other fleet (static policies, the greedy and
+//! uniform-daily allocators, MPC, sub-hour and batteryless fleets) runs
+//! on the scalar engine, user by user; [`SoaFleet::new`] still builds for
+//! it and reports its cohorts.
 
 use std::num::NonZeroUsize;
 
 use reap_core::{OperatingPoint, PlanEval, ReapProblem, Vertex};
-use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA, GREEDY_GAIN};
+use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA};
 use reap_harvest::{Battery, SourceKind};
 
 use crate::engine::Policy;
 use crate::fleet::{CohortIndex, Fleet};
 use crate::matrix::parallel_map;
 use crate::{AllocatorKind, SimError};
+
+/// Users per shard: large enough to amortize per-shard setup, small
+/// enough that one shard's state stays cache-resident.
+const SHARD_USERS: usize = 256;
 
 /// Per-user final scalars of one fleet run — exactly what
 /// [`FleetReport`](crate::FleetReport) aggregates.
@@ -58,14 +64,6 @@ pub struct UserOutcome {
     pub harvested_j: f64,
 }
 
-/// The per-cohort scalars a [`Policy::Static`] plan needs.
-#[derive(Debug, Clone, Copy)]
-struct StaticPoint {
-    id: u8,
-    acc: f64,
-    power_w: f64,
-}
-
 /// A contiguous run of permuted users sharing `(base trace, phase)`, so
 /// the hour kernel hoists the base-trace lookup out of the user loop.
 #[derive(Debug, Clone, Copy)]
@@ -76,15 +74,6 @@ struct Group {
     phase: u32,
 }
 
-/// How the hour kernel plans: the cohort frontier vertex arena for REAP,
-/// cohort point scalars for the statics, or not at all (scalar fallback).
-#[derive(Debug)]
-enum PlanKernel {
-    Reap,
-    Static(Vec<StaticPoint>),
-    Scalar,
-}
-
 /// A fleet flattened into struct-of-arrays form, ready to step every
 /// user through each simulated hour.
 ///
@@ -92,15 +81,15 @@ enum PlanKernel {
 /// generation, and the user permutation all happen here); [`SoaFleet::run`]
 /// afterwards touches only flat arrays. Population statistics
 /// ([`SoaFleet::cohorts`], [`SoaFleet::bytes_per_user`]) are available
-/// whether or not the policy runs on the SoA kernels.
+/// whether or not the fleet runs on the kernel.
 #[derive(Debug)]
 pub struct SoaFleet {
     users: usize,
     hours: usize,
     days: u32,
-    shard_users: usize,
-    allocator: AllocatorKind,
-    kernel: PlanKernel,
+    /// `true` for the one configuration the kernel runs (REAP planning
+    /// EWMA budgets on an hourly battery).
+    kernel: bool,
     // Problem constants (identical across cohorts: the fleet fixes the
     // off power and period for every user).
     floor_j: f64,
@@ -121,19 +110,19 @@ pub struct SoaFleet {
     cohort: Vec<u32>,
     /// Contiguous `(trace, phase)` runs over permuted positions.
     groups: Vec<Group>,
-    /// Frontier vertices of every REAP cohort, one interleaved arena.
+    /// Frontier vertices of every cohort, one interleaved arena.
     /// Cohorts are numbered in permuted first-use order, so the hour
     /// kernel reads this in ascending offsets across a shard.
     verts: Vec<Vertex>,
     /// Per cohort: its vertex run is `verts[vert_off[c]..vert_off[c+1]]`
-    /// (`cohorts + 1` entries; empty unless the kernel is REAP).
+    /// (`cohorts + 1` entries). This and the plan caches below are empty
+    /// unless the fleet runs on the kernel.
     vert_off: Vec<u32>,
     /// Per cohort: the plan at the budget floor.
     floor_plan: Vec<PlanEval>,
     /// Per cohort: the plan at frontier saturation.
     sat_plan: Vec<PlanEval>,
-    /// Per cohort: the saturation budget (`f64::INFINITY` disables the
-    /// fast path, e.g. for static plans whose cap is rounding-sensitive).
+    /// Per cohort: the saturation budget.
     sat_budget: Vec<f64>,
     cohorts: u32,
     bytes_per_user: u32,
@@ -142,8 +131,8 @@ pub struct SoaFleet {
 impl SoaFleet {
     /// Flattens `fleet` into SoA form: generates the shared base traces,
     /// derives every user's parameters, deduplicates cohorts (building
-    /// one frontier table or static point per cohort), and sorts users
-    /// into `(source, phase)` groups.
+    /// one frontier table per cohort when the fleet runs on the kernel),
+    /// and sorts users into `(source, phase)` groups.
     ///
     /// # Errors
     ///
@@ -174,7 +163,8 @@ impl SoaFleet {
         }
 
         // Per-user parameters and cohort deduplication.
-        let wants_tables = matches!(fleet.policy, Policy::Reap | Policy::Static(_))
+        let kernel = fleet.policy == Policy::Reap
+            && fleet.allocator == AllocatorKind::Ewma
             && fleet.intermittent.is_none()
             && fleet.dt_seconds == 3600;
         let mut index = CohortIndex::default();
@@ -250,11 +240,10 @@ impl SoaFleet {
         let (mut floor_j, mut tp_s, mut off_w) = (0.0, 0.0, 0.0);
         let mut verts: Vec<Vertex> = Vec::new();
         let mut vert_off: Vec<u32> = Vec::new();
-        let mut statics: Vec<StaticPoint> = Vec::new();
         let mut floor_plan = Vec::with_capacity(cohorts as usize);
         let mut sat_plan = Vec::with_capacity(cohorts as usize);
         let mut sat_budget = Vec::with_capacity(cohorts as usize);
-        if wants_tables {
+        if kernel {
             for &oc in &order {
                 let (alpha, points) = &cohort_params[oc as usize];
                 let problem = ReapProblem::builder()
@@ -264,58 +253,26 @@ impl SoaFleet {
                 floor_j = problem.min_budget().joules();
                 tp_s = problem.period().seconds();
                 off_w = problem.off_power().watts();
-                match fleet.policy {
-                    Policy::Reap => {
-                        let t = problem.frontier().table();
-                        vert_off.push(verts.len() as u32);
-                        // One push per vertex: the arena grows by plain
-                        // doubling, which peaks a few MB lower over a
-                        // large fleet than reserving per-cohort runs.
-                        for &v in t.vertices() {
-                            verts.push(v);
-                        }
-                        floor_plan.push(t.decide(floor_j).eval);
-                        let sb = t.max_budget_j();
-                        sat_plan.push(t.decide(sb).eval);
-                        sat_budget.push(sb);
-                    }
-                    Policy::Static(pid) => {
-                        let p = problem.point(pid)?;
-                        let sp = StaticPoint {
-                            id: p.id(),
-                            acc: p.accuracy(),
-                            power_w: p.power().watts(),
-                        };
-                        statics.push(sp);
-                        let plan =
-                            reap_core::static_plan(sp.id, sp.acc, sp.power_w, tp_s, off_w, floor_j)
-                                .eval;
-                        floor_plan.push(plan);
-                        sat_plan.push(plan);
-                        // The static saturation threshold depends on
-                        // division rounding; every hour takes
-                        // `static_plan` instead.
-                        sat_budget.push(f64::INFINITY);
-                    }
-                    Policy::Horizon { .. } | Policy::Intermittent => {
-                        unreachable!("gated by wants_tables")
-                    }
+                let t = problem.frontier().table();
+                vert_off.push(verts.len() as u32);
+                // One push per vertex: the arena grows by plain doubling,
+                // which peaks a few MB lower over a large fleet than
+                // reserving per-cohort runs.
+                for &v in t.vertices() {
+                    verts.push(v);
                 }
+                floor_plan.push(t.decide(floor_j).eval);
+                let sb = t.max_budget_j();
+                sat_plan.push(t.decide(sb).eval);
+                sat_budget.push(sb);
             }
             vert_off.push(verts.len() as u32);
         }
-        let kernel = match fleet.policy {
-            Policy::Reap if wants_tables => PlanKernel::Reap,
-            Policy::Static(_) if wants_tables => PlanKernel::Static(statics),
-            _ => PlanKernel::Scalar,
-        };
 
         let mut soa = SoaFleet {
             users,
             hours,
             days: fleet.days,
-            shard_users: fleet.shard_users.get(),
-            allocator: fleet.allocator,
             kernel,
             floor_j,
             tp_s,
@@ -355,13 +312,14 @@ impl SoaFleet {
         self.bytes_per_user
     }
 
-    /// `true` when the configured policy runs on the SoA kernels
-    /// ([`Policy::Reap`] / [`Policy::Static`] on an hourly battery);
-    /// `false` for the scalar fallback ([`Policy::Horizon`], any
-    /// intermittent or sub-hour fleet).
+    /// `true` when the fleet runs on the kernel: [`Policy::Reap`] with
+    /// [`AllocatorKind::Ewma`] on an hourly battery. `false` for every
+    /// fleet [`Fleet::run`] steps user by user on the scalar engine
+    /// (static policies, the other allocators, [`Policy::Horizon`], any
+    /// batteryless or sub-hour fleet).
     #[must_use]
     pub fn supports_policy(&self) -> bool {
-        !matches!(self.kernel, PlanKernel::Scalar)
+        self.kernel
     }
 
     fn compute_bytes_per_user(&self) -> u32 {
@@ -371,25 +329,12 @@ impl SoaFleet {
         // Run state: real/virtual battery, last harvest, three f64
         // accumulators, brownout counter.
         per_user += 6 * f + 4;
-        // Allocator state.
-        per_user += match self.allocator {
-            AllocatorKind::Ewma => 24 * f + f, // slots + seeding sum
-            AllocatorKind::UniformDaily => 24 * f,
-            AllocatorKind::Greedy => 0,
-        };
+        // EWMA slots plus the seeding sum.
+        per_user += 24 * f + f;
         per_user += std::mem::size_of::<UserOutcome>();
         let mut shared = self.traces.iter().map(|t| t.len() * f).sum::<usize>();
         shared += self.groups.len() * std::mem::size_of::<Group>();
-        match &self.kernel {
-            PlanKernel::Reap => {
-                shared +=
-                    self.verts.len() * std::mem::size_of::<Vertex>() + self.vert_off.len() * 4;
-            }
-            PlanKernel::Static(statics) => {
-                shared += statics.len() * std::mem::size_of::<StaticPoint>();
-            }
-            PlanKernel::Scalar => {}
-        }
+        shared += self.verts.len() * std::mem::size_of::<Vertex>() + self.vert_off.len() * 4;
         shared += (self.floor_plan.len() + self.sat_plan.len()) * std::mem::size_of::<PlanEval>()
             + self.sat_budget.len() * f;
         let total = per_user * self.users + shared;
@@ -399,20 +344,25 @@ impl SoaFleet {
     /// Steps every user through every hour, returning per-user outcomes
     /// in **original user order**. Shards run across up to `max_threads`
     /// workers (`None` = available parallelism); outcomes are
-    /// bit-identical for every thread count and every shard size.
+    /// bit-identical for every thread count.
     ///
     /// # Panics
     ///
-    /// Panics when the policy needs the scalar fallback
+    /// Panics when the fleet is not the kernel's configuration
     /// (`!self.supports_policy()`); [`Fleet::run`] routes those runs to
     /// the scalar engine instead.
     #[must_use]
     pub fn run(&self, max_threads: Option<NonZeroUsize>) -> Vec<UserOutcome> {
+        self.run_in_shards(SHARD_USERS, max_threads)
+    }
+
+    /// [`SoaFleet::run`] over `shard`-user shards: outcomes do not depend
+    /// on where the shard boundaries fall.
+    fn run_in_shards(&self, shard: usize, max_threads: Option<NonZeroUsize>) -> Vec<UserOutcome> {
         assert!(
             self.supports_policy(),
-            "SoA kernels do not cover this policy; use the scalar engine"
+            "the SoA kernel does not cover this fleet; use the scalar engine"
         );
-        let shard = self.shard_users;
         let runs = parallel_map(self.users.div_ceil(shard), max_threads, |s| {
             self.run_shard(s * shard, (s * shard + shard).min(self.users))
         });
@@ -427,7 +377,6 @@ impl SoaFleet {
 
     /// Steps permuted positions `[a, b)` through every hour. All state is
     /// shard-local and heap-allocated once, before the hour loop.
-    #[allow(clippy::too_many_lines)]
     fn run_shard(&self, a: usize, b: usize) -> Vec<UserOutcome> {
         let nu = b - a;
         let gain = &self.gain[a..b];
@@ -455,19 +404,8 @@ impl SoaFleet {
         let mut brow = vec![0u32; nu];
         // EWMA slots, slot-major (`est[slot * nu + u]`), plus the running
         // seeded-slot sum backing the cold-start mean.
-        let mut est = match self.allocator {
-            AllocatorKind::Ewma => vec![0.0f64; 24 * nu],
-            _ => Vec::new(),
-        };
-        let mut est_sum = match self.allocator {
-            AllocatorKind::Ewma => vec![0.0f64; nu],
-            _ => Vec::new(),
-        };
-        // Uniform-daily window, user-major (`win[u * 24 + slot]`).
-        let mut win = match self.allocator {
-            AllocatorKind::UniformDaily => vec![0.0f64; 24 * nu],
-            _ => Vec::new(),
-        };
+        let mut est = vec![0.0f64; 24 * nu];
+        let mut est_sum = vec![0.0f64; nu];
 
         let (cap_j, eff_c, eff_d) = (self.cap_j, self.eff_c, self.eff_d);
         let floor_j = self.floor_j;
@@ -493,7 +431,7 @@ impl SoaFleet {
             // into the previous slot — seeding it on the first day,
             // blending afterwards (`EwmaAllocator::allocate`). The very
             // first call carries no real sample and is discarded.
-            if matches!(self.allocator, AllocatorKind::Ewma) && i >= 1 {
+            if i >= 1 {
                 let prev = (hod + 23) % 24;
                 let est_prev = &mut est[prev * nu..prev * nu + nu];
                 if i >= 25 {
@@ -511,7 +449,7 @@ impl SoaFleet {
             // Stage 1: allocator proposal against the *virtual* battery,
             // open-loop grant and virtual charge/spend
             // (`step::open_loop`), one branch-free loop per
-            // `(trace, phase)` group and allocator regime.
+            // `(trace, phase)` group and EWMA regime.
             // Index loops, not zipped iterators: each user writes three
             // columns at `u` and per-regime inputs read one more.
             #[allow(clippy::needless_range_loop)]
@@ -519,95 +457,54 @@ impl SoaFleet {
                 let src = (hod as u32 + g.phase) % 24;
                 let base_e = self.traces[g.trace as usize][day * 24 + src as usize];
                 let (lo, hi) = (g.start, g.end);
-                let mut stage1 = |u: usize, expected: f64, cg: f64| {
+                let mut stage1 = |u: usize, expected: f64| {
                     let h = base_e * gain[u];
-                    let proposed = step::propose(expected, vbat[u], cap_j, cg);
+                    let proposed = step::propose(expected, vbat[u], cap_j, BATTERY_GAIN);
                     (budget_t[u], vbat[u]) =
                         step::open_loop(vbat[u], cap_j, eff_c, eff_d, proposed, floor_j, h);
                     h
                 };
-                match self.allocator {
-                    AllocatorKind::Ewma if i >= 24 => {
-                        // This hour's slot estimates, hoisted: the slot
-                        // index is fixed across the shard all hour.
-                        let est_cur = &est[hod * nu..hod * nu + nu];
-                        for u in lo..hi {
-                            last_h[u] = stage1(u, est_cur[u], BATTERY_GAIN);
-                        }
+                if i >= 24 {
+                    // This hour's slot estimates, hoisted: the slot index
+                    // is fixed across the shard all hour.
+                    let est_cur = &est[hod * nu..hod * nu + nu];
+                    for u in lo..hi {
+                        last_h[u] = stage1(u, est_cur[u]);
                     }
-                    AllocatorKind::Ewma if i == 0 => {
-                        // The discarded first call expects nothing.
-                        for u in lo..hi {
-                            last_h[u] = stage1(u, 0.0, BATTERY_GAIN);
-                        }
+                } else if i == 0 {
+                    // The discarded first call expects nothing.
+                    for u in lo..hi {
+                        last_h[u] = stage1(u, 0.0);
                     }
-                    AllocatorKind::Ewma => {
-                        // Unseen slot: mean of the seeded slots (the sum
-                        // accumulates in ascending slot order).
-                        let i_f = i as f64;
-                        for u in lo..hi {
-                            last_h[u] = stage1(u, est_sum[u] / i_f, BATTERY_GAIN);
-                        }
-                    }
-                    AllocatorKind::Greedy => {
-                        for u in lo..hi {
-                            last_h[u] = stage1(u, last_h[u], GREEDY_GAIN);
-                        }
-                    }
-                    AllocatorKind::UniformDaily => {
-                        let divisor = if i >= 23 { 24.0 } else { (i + 1) as f64 };
-                        for u in lo..hi {
-                            let w = &mut win[u * 24..u * 24 + 24];
-                            w[hod] = last_h[u];
-                            let daily: f64 = w.iter().sum();
-                            last_h[u] = stage1(u, daily / divisor, BATTERY_GAIN);
-                        }
+                } else {
+                    // Unseen slot: mean of the seeded slots (the sum
+                    // accumulates in ascending slot order).
+                    let i_f = i as f64;
+                    for u in lo..hi {
+                        last_h[u] = stage1(u, est_sum[u] / i_f);
                     }
                 }
             }
 
             // Stage 2: plan. Most hours land in a constant frontier
             // regime (floor or saturation) and resolve from the cohort
-            // cache; the rest take the full frontier walk (REAP) or the
-            // static duty-cycle plan. All three produce the scalar
-            // engine's schedule scalars bit for bit.
-            match &self.kernel {
-                PlanKernel::Reap => {
-                    for u in 0..nu {
-                        let c = cohort[u] as usize;
-                        let budget = budget_t[u];
-                        let plan = if budget <= floor_j {
-                            self.floor_plan[c]
-                        } else if budget >= self.sat_budget[c] {
-                            self.sat_plan[c]
-                        } else {
-                            let verts = &self.verts
-                                [self.vert_off[c] as usize..self.vert_off[c + 1] as usize];
-                            reap_core::decide_vertices(verts, tp, off_w, budget).eval
-                        };
-                        pacc_t[u] = plan.accuracy;
-                        pact_t[u] = plan.active_s;
-                        pen_t[u] = plan.energy_j;
-                    }
-                }
-                PlanKernel::Static(statics) => {
-                    for u in 0..nu {
-                        let sp = statics[cohort[u] as usize];
-                        let plan = reap_core::static_plan(
-                            sp.id,
-                            sp.acc,
-                            sp.power_w,
-                            tp,
-                            off_w,
-                            budget_t[u],
-                        )
-                        .eval;
-                        pacc_t[u] = plan.accuracy;
-                        pact_t[u] = plan.active_s;
-                        pen_t[u] = plan.energy_j;
-                    }
-                }
-                PlanKernel::Scalar => unreachable!("checked in run()"),
+            // cache; the rest take the full frontier walk. Both produce
+            // the scalar engine's schedule scalars bit for bit.
+            for u in 0..nu {
+                let c = cohort[u] as usize;
+                let budget = budget_t[u];
+                let plan = if budget <= floor_j {
+                    self.floor_plan[c]
+                } else if budget >= self.sat_budget[c] {
+                    self.sat_plan[c]
+                } else {
+                    let verts =
+                        &self.verts[self.vert_off[c] as usize..self.vert_off[c + 1] as usize];
+                    reap_core::decide_vertices(verts, tp, off_w, budget).eval
+                };
+                pacc_t[u] = plan.accuracy;
+                pact_t[u] = plan.active_s;
+                pen_t[u] = plan.energy_j;
             }
 
             // Stage 3: execute — harvest first, then the real battery,
@@ -685,6 +582,21 @@ mod tests {
         for threads in [2usize, 4, 7] {
             let many = soa.run(Some(NonZeroUsize::new(threads).unwrap()));
             assert_eq!(one, many, "{threads}-thread SoA run diverged");
+        }
+    }
+
+    #[test]
+    fn odd_shard_sizes_produce_bit_identical_outcomes() {
+        // Shards are the unit of parallelism and cache residency only:
+        // slicing 21 users into 1-user, odd, or oversized shards must not
+        // move a single bit of any outcome.
+        let soa = SoaFleet::new(&fleet(21, 2)).unwrap();
+        let baseline = soa.run(None);
+        for shard in [1usize, 3, 7, 13, 1000] {
+            for threads in [1usize, 2] {
+                let sharded = soa.run_in_shards(shard, NonZeroUsize::new(threads));
+                assert_eq!(sharded, baseline, "shard size {shard}, {threads} threads");
+            }
         }
     }
 

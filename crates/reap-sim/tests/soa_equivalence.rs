@@ -1,15 +1,16 @@
-//! SoA-vs-scalar equivalence: the data-oriented fleet core
+//! SoA-vs-scalar equivalence: the data-oriented fleet kernel
 //! ([`reap_sim::SoaFleet`]) must agree with scalar per-user replay
 //! ([`Fleet::user_scenario`] + the hour-by-hour engine) on every user's
 //! final scalars — accuracy and active time to within 1e-12 (bitwise, in
 //! practice), brownout hours exactly.
 //!
-//! Random small fleets cover all four [`SourceKind`]s (the builder
-//! default round-robins them), every allocator, odd shard sizes, and
-//! both the SoA-kernel policies (REAP, static) and the scalar-fallback
-//! receding-horizon policy.
-
-use std::num::NonZeroUsize;
+//! The kernel runs one configuration, REAP planning EWMA budgets, so its
+//! random fleets draw only users, days and seed; they cover all four
+//! [`SourceKind`](reap_harvest::SourceKind)s (the builder default
+//! round-robins them). Every other (policy, allocator) pair takes the
+//! scalar engine inside `Fleet::run`: random fallback fleets check that
+//! path aggregates what per-user replay produces, and golden digests pin
+//! the reports of the fleets the kernel ran before it narrowed.
 
 use proptest::prelude::*;
 use reap_core::OperatingPoint;
@@ -32,54 +33,22 @@ fn paper_points() -> Vec<OperatingPoint> {
         .collect()
 }
 
-#[derive(Debug, Clone)]
-struct Setup {
-    users: u32,
-    days: u32,
-    seed: u64,
-    allocator: AllocatorKind,
-    policy: Policy,
-    shard: usize,
-}
-
-fn arb_allocator() -> impl Strategy<Value = AllocatorKind> {
-    prop_oneof![
+/// Every (policy, allocator) pair except the kernel's REAP + EWMA.
+fn arb_fallback() -> impl Strategy<Value = (Policy, AllocatorKind)> {
+    let policy = prop_oneof![
+        Just(Policy::Reap),
+        (1u8..=5).prop_map(Policy::Static),
+        prop_oneof![Just(1usize), Just(4), Just(12)]
+            .prop_map(|lookahead| Policy::Horizon { lookahead }),
+    ];
+    let allocator = prop_oneof![
         Just(AllocatorKind::Ewma),
         Just(AllocatorKind::Greedy),
         Just(AllocatorKind::UniformDaily),
-    ]
-}
-
-fn arb_setup() -> impl Strategy<Value = Setup> {
-    let policy = prop_oneof![Just(Policy::Reap), (1u8..=5).prop_map(Policy::Static)];
-    (
-        1u32..=64,
-        1u32..=3,
-        0u64..=u64::MAX,
-        arb_allocator(),
-        policy,
-        1usize..=65,
-    )
-        .prop_map(|(users, days, seed, allocator, policy, shard)| Setup {
-            users,
-            days,
-            seed,
-            allocator,
-            policy,
-            shard,
-        })
-}
-
-fn build_fleet(setup: &Setup) -> Fleet {
-    Fleet::builder(paper_points())
-        .users(setup.users)
-        .days(setup.days)
-        .seed(setup.seed)
-        .allocator(setup.allocator)
-        .policy(setup.policy)
-        .shard_users(NonZeroUsize::new(setup.shard).expect("shard range starts at 1"))
-        .build()
-        .expect("valid fleet")
+    ];
+    (policy, allocator).prop_filter("REAP + EWMA runs on the kernel", |&(p, a)| {
+        (p, a) != (Policy::Reap, AllocatorKind::Ewma)
+    })
 }
 
 /// The scalar engine's per-user scalars, reduced exactly as
@@ -123,38 +92,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn soa_core_matches_scalar_replay_per_user(setup in arb_setup()) {
-        let fleet = build_fleet(&setup);
+    fn soa_core_matches_scalar_replay_per_user(
+        (users, days, seed) in (1u32..=64, 1u32..=3, 0u64..=u64::MAX)
+    ) {
+        let fleet = Fleet::builder(paper_points())
+            .users(users)
+            .days(days)
+            .seed(seed)
+            .build()
+            .expect("valid fleet");
         let soa = SoaFleet::new(&fleet).expect("SoA build");
         prop_assert!(soa.supports_policy());
         let outcomes = soa.run(None);
-        prop_assert_eq!(outcomes.len(), setup.users as usize);
-        for user in 0..setup.users {
+        prop_assert_eq!(outcomes.len(), users as usize);
+        for user in 0..users {
             let report = fleet
                 .user_scenario(user)
                 .expect("replayable user")
-                .run(setup.policy)
+                .run(Policy::Reap)
                 .expect("scalar engine runs");
-            let scalar = scalar_outcome(&report, setup.days);
+            let scalar = scalar_outcome(&report, days);
             assert_outcomes_match(&outcomes[user as usize], &scalar, user);
         }
     }
 
     #[test]
-    fn horizon_fleet_matches_scalar_replay(
-        (users, days, seed, allocator, lookahead) in (
+    fn fallback_fleet_matches_scalar_replay(
+        (users, days, seed, (policy, allocator)) in (
             1u32..=10,
             1u32..=2,
             0u64..=u64::MAX,
-            arb_allocator(),
-            prop_oneof![Just(1usize), Just(4), Just(12)],
+            arb_fallback(),
         )
     ) {
-        // Policy::Horizon falls back to the scalar engine inside
-        // `Fleet::run`; the property pinned here is that the fleet path
-        // (shared base traces, copy-on-perturb) aggregates exactly what
-        // per-user replay produces.
-        let policy = Policy::Horizon { lookahead };
+        // Every configuration but REAP + EWMA falls back to the scalar
+        // engine inside `Fleet::run`; the property pinned here is that
+        // the fleet path (shared base traces, copy-on-perturb) aggregates
+        // exactly what per-user replay produces.
         let fleet = Fleet::builder(paper_points())
             .users(users)
             .days(days)
@@ -165,6 +139,7 @@ proptest! {
             .expect("valid fleet");
         prop_assert!(!SoaFleet::new(&fleet).expect("SoA build").supports_policy());
         let report = fleet.run().expect("fleet run");
+        prop_assert_eq!(report.soa_bytes_per_user(), 0);
         let mut acc_sum = 0.0f64;
         let mut act_sum = 0.0f64;
         let mut brownouts = 0u64;
@@ -218,4 +193,87 @@ fn p5_straggler_replays_on_the_scalar_engine() {
         &scalar_outcome(&report, 2),
         straggler,
     );
+}
+
+/// FNV-1a over every value of a fleet report except
+/// `soa_bytes_per_user`: users, days and cohorts, the percentile and
+/// mean bits, brownout hours, then each source slice.
+fn report_digest(report: &reap_sim::FleetReport) -> u64 {
+    let mut words = vec![
+        u64::from(report.users()),
+        u64::from(report.days()),
+        u64::from(report.cohorts()),
+    ];
+    for p in [report.accuracy(), report.active_fraction()] {
+        words.extend([p.p5.to_bits(), p.p50.to_bits(), p.p95.to_bits()]);
+    }
+    words.extend([
+        report.mean_accuracy().to_bits(),
+        report.mean_active_fraction().to_bits(),
+        report.brownout_hours(),
+    ]);
+    let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    for s in report.per_source() {
+        bytes.extend_from_slice(s.kind.label().as_bytes());
+        for w in [
+            u64::from(s.users),
+            s.mean_accuracy.to_bits(),
+            s.mean_active_fraction.to_bits(),
+            s.mean_harvested_j.to_bits(),
+        ] {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The fleets the SoA kernel ran before it narrowed to REAP + EWMA, with
+/// their report digests ([`report_digest`]) recorded while it still ran
+/// them. The scalar engine now runs these fleets and must reproduce
+/// every value.
+const RETIRED: [(Policy, AllocatorKind, u64); 4] = [
+    (
+        Policy::Static(3),
+        AllocatorKind::Ewma,
+        0x3134_652e_e7b4_19f7,
+    ),
+    (
+        Policy::Static(5),
+        AllocatorKind::Greedy,
+        0x5caa_86c6_fac0_2e34,
+    ),
+    (Policy::Reap, AllocatorKind::Greedy, 0x430a_077d_a5eb_70f0),
+    (
+        Policy::Reap,
+        AllocatorKind::UniformDaily,
+        0x7f15_58f3_b0c7_4a8a,
+    ),
+];
+
+#[test]
+fn retired_kernel_configurations_reproduce_the_parent_reports() {
+    let mut table = String::new();
+    let mut failed = false;
+    for (policy, allocator, want) in RETIRED {
+        let report = Fleet::builder(paper_points())
+            .users(24)
+            .days(3)
+            .seed(2019)
+            .allocator(allocator)
+            .policy(policy)
+            .build()
+            .expect("valid fleet")
+            .run()
+            .expect("fleet run");
+        let got = report_digest(&report);
+        table.push_str(&format!(
+            "    (Policy::{policy:?}, AllocatorKind::{allocator:?}, {got:#018x}),\n"
+        ));
+        failed |= got != want;
+        // The scalar engine runs these fleets: no SoA state is resident.
+        assert_eq!(report.soa_bytes_per_user(), 0, "{policy}/{allocator:?}");
+    }
+    assert!(!failed, "report digests moved; computed:\n{table}");
 }
