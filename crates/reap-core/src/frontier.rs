@@ -29,6 +29,7 @@
 
 use reap_units::Energy;
 
+use crate::problem::check_budget;
 use crate::schedule::Run;
 use crate::{OperatingPoint, ReapError, ReapProblem, Schedule};
 
@@ -43,8 +44,8 @@ use crate::{OperatingPoint, ReapError, ReapProblem, Schedule};
 /// unit and property tests (`|Δ objective| < 1e-9`).
 ///
 /// The frontier is valid for the exact `(points, alpha, period, P_off)` it
-/// was built from; [`ReapController`](crate::ReapController) caches one
-/// and invalidates it when `set_alpha` changes the weights.
+/// was built from: a new `alpha` means a new frontier, built from
+/// [`ReapProblem::with_alpha`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanFrontier {
     table: FrontierTable,
@@ -167,20 +168,7 @@ impl PlanFrontier {
     /// * [`ReapError::BudgetTooSmall`] below the `P_off * TP` floor.
     /// * [`ReapError::InvalidParameter`] for a non-finite budget.
     pub fn solve(&self, budget: Energy) -> Result<Schedule, ReapError> {
-        if !budget.is_finite() {
-            return Err(ReapError::InvalidParameter(format!(
-                "budget {budget} is not finite"
-            )));
-        }
-        // Same float-dust tolerance as the other solvers: the paper
-        // sweeps from exactly the 0.18 J floor.
-        let minimum = self.table.min_budget_j;
-        if budget.joules() < minimum * (1.0 - 1e-12) {
-            return Err(ReapError::BudgetTooSmall {
-                budget,
-                minimum: Energy::from_joules(minimum),
-            });
-        }
+        check_budget(budget, Energy::from_joules(self.table.min_budget_j))?;
         Ok(self.table.decide(budget.joules()))
     }
 
@@ -234,8 +222,8 @@ impl Vertex {
 ///
 /// The budget's bracketing segment mixes its two vertex schedules
 /// linearly; the off time complements the mixed active time.
-/// Sub-floor (and NaN) budgets clamp up to the floor, like the
-/// controller's entry clamp.
+/// Sub-floor (and NaN) budgets clamp up to the floor: a starved period
+/// plans all-off (the device browns out; it cannot do better).
 ///
 /// # Panics
 ///
@@ -351,17 +339,14 @@ impl FrontierTable {
     }
 
     /// The optimal plan at `budget_j` ([`decide_vertices`] over this
-    /// table) — the serving hot path, where a resident daemon answers
-    /// `Decide {user}` from a cached cohort frontier. It is the schedule
-    /// [`PlanFrontier::solve`] and
-    /// [`ReapController::plan`](crate::ReapController::plan) return, bit
-    /// for bit.
+    /// table): the one REAP planner every engine runs each period — the
+    /// scalar engine, the SoA kernel (over its packed arena) and the
+    /// daemon. It is the schedule [`PlanFrontier::solve`] returns for
+    /// `budget_j.max(min_budget_j())`, bit for bit.
     ///
-    /// Sub-floor (and non-finite) budgets clamp up to the floor, exactly
-    /// like the controller's `budget.max(min_budget())` entry clamp —
-    /// which is why this is infallible where [`PlanFrontier::solve`] is
-    /// not: the controller never lets an out-of-domain budget reach the
-    /// frontier.
+    /// Sub-floor (and non-finite) budgets clamp up to the floor, which is
+    /// why this is infallible where [`PlanFrontier::solve`] is not: a
+    /// starved period plans all-off instead of failing.
     #[must_use]
     pub fn decide(&self, budget_j: f64) -> Schedule {
         decide_vertices(&self.vertices, self.tp_s, self.off_w, budget_j)
@@ -510,56 +495,55 @@ mod tests {
 
     #[test]
     fn table_eval_matches_solve_bit_for_bit() {
-        // The table is the fleet hot path: its plan must equal the
-        // controller's exactly across alphas, budgets, breakpoints, the
-        // saturated tail, and the sub-floor clamp.
+        // The table is every engine's REAP planner: its plan must equal
+        // the validated solve at the floor-clamped budget exactly, across
+        // alphas, budgets, breakpoints, the saturated tail, and sub-floor
+        // budgets (which plan all-off).
         for alpha in [0.0, 0.5, 1.0, 2.0, 4.0] {
             let p = paper_problem(alpha);
-            let breakpoints = p.frontier().breakpoints();
-            let t = p.frontier().table();
+            let f = p.frontier();
+            let breakpoints = f.breakpoints();
+            let t = f.clone().table();
             assert_eq!(t.len(), breakpoints.len());
             assert!(!t.is_empty());
             assert_eq!(t.min_budget_j(), p.min_budget().joules());
-            let mut budgets: Vec<f64> = vec![0.18, 0.19, 1.0, 3.7, 5.0, 9.936, 20.0];
+            let mut budgets: Vec<f64> = vec![0.18, 0.19, 1.0, 3.0, 3.7, 5.0, 9.936, 20.0];
             for b in &breakpoints {
-                for d in [-1e-9, 0.0, 1e-9] {
+                for d in [-1e-9, 0.0, 1e-9, 1e-7] {
                     budgets.push(b.joules() + d);
                 }
             }
-            // Sub-floor budgets clamp like the controller's entry clamp.
             budgets.push(0.0);
             budgets.push(0.05);
             for b in budgets {
-                let mut controller = crate::ReapController::new(p.clone());
-                let s = controller.plan(Energy::from_joules(b)).unwrap();
+                let s = f
+                    .solve(Energy::from_joules(b.max(t.min_budget_j())))
+                    .unwrap();
                 assert_eq!(t.decide(b), s, "plan at {b} J");
             }
+            let off = t.decide(0.0);
+            assert!(off.shares().is_empty());
+            assert_eq!(off.off_s, p.period().seconds());
         }
     }
 
     #[test]
-    fn table_decide_shares_match_solve_allocations() {
-        // The decide path must serve exactly the schedule `solve` builds
-        // for every valid budget: same shares (post drop rule, ascending
-        // id), same off time, same aggregates.
-        for alpha in [0.5, 1.0, 2.0] {
-            let p = paper_problem(alpha);
-            let f = p.frontier();
-            let t = f.clone().table();
-            let mut budgets: Vec<f64> = vec![0.18, 1.0, 3.0, 5.0, 9.936, 20.0];
-            for b in f.breakpoints() {
-                budgets.push(b.joules());
-                budgets.push(b.joules() + 1e-7);
-            }
-            for b in budgets {
-                let d = t.decide(b);
-                assert!(d.shares().len() <= 2);
-                let s = f
-                    .solve(Energy::from_joules(b.max(t.min_budget_j())))
-                    .unwrap();
-                assert_eq!(d, s, "plan at {b} J");
-            }
-        }
+    fn raising_alpha_brings_dp1_in_at_3_joules() {
+        let p = ReapProblem::builder()
+            .points(vec![point(1, 0.94, 2.76), point(5, 0.76, 1.20)])
+            .build()
+            .unwrap();
+        let budget = Energy::from_joules(3.0);
+        // alpha = 1 at 3 J: all DP5 (best accuracy per joule).
+        let low = p.frontier().solve(budget).unwrap();
+        assert!(low.fraction_for(5) > 0.0);
+        assert_eq!(low.fraction_for(1), 0.0);
+        // Strongly accuracy-weighted: DP1 becomes worth it.
+        let high = p.with_alpha(8.0).frontier().solve(budget).unwrap();
+        assert!(
+            high.fraction_for(1) > 0.0,
+            "alpha=8 should favour DP1: {high}"
+        );
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! * [`PlanFrontier`] — the precomputed budget→schedule frontier, the
 //!   fast path: with two constraints an optimal basic solution mixes at
 //!   most **two** design points, so the optimum is an interpolation
-//!   between adjacent vertices of a concave hull.
+//!   between adjacent vertices of a concave hull. Its
+//!   [`FrontierTable::decide`] is the runtime planner: one lookup per
+//!   period, budget in, schedule out.
 //!
 //! Every planner returns the same plan record, a `Copy` [`Schedule`] of
 //! at most two [`PlanShare`]s with its [`PlanEval`] aggregates.
@@ -66,7 +68,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
 mod error;
 mod explain;
 mod frontier;
@@ -80,7 +81,6 @@ mod solver;
 mod static_policy;
 mod sweep;
 
-pub use controller::ReapController;
 pub use error::ReapError;
 pub use explain::{explain, BindingConstraint, Explanation};
 pub use frontier::{decide_vertices, FrontierTable, PlanFrontier, Vertex};
@@ -90,7 +90,5 @@ pub use operating_point::OperatingPoint;
 pub use problem::{ReapProblem, ReapProblemBuilder};
 pub use regions::{detect_regions, Region, RegionMap};
 pub use schedule::{PlanEval, PlanShare, Schedule, DROP_S};
-pub use static_policy::{static_plan, static_schedule};
-pub use sweep::{
-    alpha_sweep, energy_shadow_price, energy_sweep, linspace, AlphaSweepPoint, SweepPoint,
-};
+pub use static_policy::static_schedule;
+pub use sweep::{energy_shadow_price, energy_sweep, linspace, SweepPoint};

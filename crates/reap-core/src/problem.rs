@@ -246,6 +246,26 @@ impl ReapProblem {
     }
 }
 
+/// The one budget check every validating planner applies: `budget` must
+/// be finite and at least the off-state floor `minimum` (`P_off * TP`),
+/// up to float dust of 1e-12 (the paper sweeps from exactly 0.18 J).
+///
+/// # Errors
+///
+/// [`ReapError::InvalidParameter`] for a non-finite budget;
+/// [`ReapError::BudgetTooSmall`] below the floor.
+pub(crate) fn check_budget(budget: Energy, minimum: Energy) -> Result<(), ReapError> {
+    if !budget.is_finite() {
+        return Err(ReapError::InvalidParameter(format!(
+            "budget {budget} is not finite"
+        )));
+    }
+    if budget.joules() < minimum.joules() * (1.0 - 1e-12) {
+        return Err(ReapError::BudgetTooSmall { budget, minimum });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,9 +58,9 @@ pub(crate) struct Run {
 /// [`plan_horizon`](crate::plan_horizon) from LP values,
 /// [`decide_vertices`](crate::decide_vertices) (behind
 /// [`PlanFrontier`](crate::PlanFrontier) and
-/// [`ReapController`](crate::ReapController)) from a frontier, and
-/// [`static_plan`](crate::static_plan) for the single-DP duty-cycling
-/// baselines.
+/// [`FrontierTable`](crate::FrontierTable)) from a frontier, and
+/// [`static_schedule`](crate::static_schedule) for the single-DP
+/// duty-cycling baselines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Schedule {
     /// The aggregates: expected accuracy, active seconds and energy.

@@ -7,29 +7,14 @@
 use reap_lp::{LpProblem, LpStatus, Relation};
 use reap_units::Energy;
 
+use crate::problem::check_budget;
 use crate::{ReapError, ReapProblem, Schedule};
-
-/// Checks the budget floor.
-fn check_budget(problem: &ReapProblem, budget: Energy) -> Result<(), ReapError> {
-    if !budget.is_finite() {
-        return Err(ReapError::InvalidParameter(format!(
-            "budget {budget} is not finite"
-        )));
-    }
-    let minimum = problem.min_budget();
-    // Tolerate float dust right at the floor (the paper sweeps from
-    // exactly 0.18 J).
-    if budget.joules() < minimum.joules() * (1.0 - 1e-12) {
-        return Err(ReapError::BudgetTooSmall { budget, minimum });
-    }
-    Ok(())
-}
 
 /// Solves the REAP LP with the tableau simplex, mirroring the paper's
 /// Algorithm 1 (build tableau, add slacks, pivot until the cost row has no
 /// positive entry).
 pub(crate) fn solve_simplex(problem: &ReapProblem, budget: Energy) -> Result<Schedule, ReapError> {
-    check_budget(problem, budget)?;
+    check_budget(budget, problem.min_budget())?;
     let n = problem.points().len();
     let tp = problem.period().seconds();
     let alpha = problem.alpha();

@@ -7,12 +7,18 @@
 
 use reap_units::Energy;
 
+use crate::problem::check_budget;
 use crate::schedule::Run;
 use crate::{ReapError, ReapProblem, Schedule};
 
 /// The schedule a *static* policy produces: run the point with `point_id`
 /// for as long as the budget allows (up to the whole period), then turn
-/// off — [`static_plan`] for a validated budget.
+/// off.
+///
+/// The on-time solves `P_i*t + P_off*(TP - t) = Eb`, i.e.
+/// `t = (Eb - P_off*TP) / (P_i - P_off)`, clamped to `[0, TP]`. A budget
+/// within float dust below the floor `P_off * TP` clamps up to it, so it
+/// plans all-off like the floor itself.
 ///
 /// # Errors
 ///
@@ -25,56 +31,24 @@ pub fn static_schedule(
     budget: Energy,
 ) -> Result<Schedule, ReapError> {
     let point = problem.point(point_id)?;
-    if !budget.is_finite() {
-        return Err(ReapError::InvalidParameter(format!(
-            "budget {budget} is not finite"
-        )));
-    }
-    let minimum = problem.min_budget();
-    if budget.joules() < minimum.joules() * (1.0 - 1e-12) {
-        return Err(ReapError::BudgetTooSmall { budget, minimum });
-    }
-    Ok(static_plan(
-        point.id(),
-        point.accuracy(),
-        point.power().watts(),
-        problem.period().seconds(),
-        problem.off_power().watts(),
-        budget.joules(),
-    ))
-}
-
-/// The static duty-cycle plan, without allocating: run the point `id`
-/// (of `accuracy`, drawing `power_w`) for as long as `budget_j` allows
-/// over a period of `period_s` seconds with off-state power `off_w`,
-/// then turn off.
-///
-/// The on-time solves `P_i*t + P_off*(TP - t) = Eb`, i.e.
-/// `t = (Eb - P_off*TP) / (P_i - P_off)`, clamped to `[0, TP]`.
-/// Sub-floor (and NaN) budgets clamp up to the floor `P_off * TP`, like
-/// [`decide_vertices`](crate::decide_vertices). The point must draw more
-/// than `off_w`, as every [`ReapProblem`] point does. [`static_schedule`]
-/// builds through it.
-#[inline]
-#[must_use]
-pub fn static_plan(
-    id: u8,
-    accuracy: f64,
-    power_w: f64,
-    period_s: f64,
-    off_w: f64,
-    budget_j: f64,
-) -> Schedule {
-    debug_assert!(power_w > off_w, "points draw more than the off power");
+    check_budget(budget, problem.min_budget())?;
+    let period_s = problem.period().seconds();
+    let off_w = problem.off_power().watts();
+    let power_w = point.power().watts();
     let floor_j = off_w * period_s;
-    let t_on = ((budget_j.max(floor_j) - floor_j) / (power_w - off_w)).clamp(0.0, period_s);
+    let t_on = ((budget.joules().max(floor_j) - floor_j) / (power_w - off_w)).clamp(0.0, period_s);
     let run = Run {
-        id,
-        accuracy,
+        id: point.id(),
+        accuracy: point.accuracy(),
         power_w,
         seconds: t_on,
     };
-    Schedule::new([Some(run), None], period_s - t_on, period_s, off_w)
+    Ok(Schedule::new(
+        [Some(run), None],
+        period_s - t_on,
+        period_s,
+        off_w,
+    ))
 }
 
 #[cfg(test)]
@@ -136,21 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn static_plan_is_the_validated_schedule_and_clamps_sub_floor_budgets() {
+    fn floor_budget_plans_all_off_and_dust_below_it_clamps_up() {
         let p = paper_problem();
-        let dp4 = p.point(4).unwrap();
-        let (tp, off_w) = (p.period().seconds(), p.off_power().watts());
-        let plan = |b: f64| static_plan(4, dp4.accuracy(), dp4.power().watts(), tp, off_w, b);
-        for b in [0.18, 2.0, 5.0, 9.0] {
-            assert_eq!(
-                plan(b),
-                static_schedule(&p, 4, Energy::from_joules(b)).unwrap()
-            );
-        }
-        let floor = plan(p.min_budget().joules());
-        assert!(floor.shares().is_empty());
-        assert_eq!(plan(0.0), floor);
-        assert_eq!(plan(f64::NAN), floor);
+        let floor = p.min_budget().joules();
+        let at_floor = static_schedule(&p, 4, Energy::from_joules(floor)).unwrap();
+        assert!(at_floor.shares().is_empty());
+        assert_eq!(at_floor.off_s, p.period().seconds());
+        assert_eq!(
+            static_schedule(&p, 4, Energy::from_joules(floor - 1e-13)).unwrap(),
+            at_floor
+        );
     }
 
     #[test]

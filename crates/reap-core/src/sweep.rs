@@ -1,8 +1,8 @@
-//! Parameter sweeps over energy budgets and `alpha`.
+//! Parameter sweeps over energy budgets.
 //!
-//! These drive the evaluation figures: Fig. 5 (expected accuracy and
-//! active time vs budget), Fig. 6 (normalized objective at `alpha = 2`),
-//! and Fig. 7 (performance vs `alpha` over a month of harvested budgets).
+//! These drive the evaluation figures Fig. 5 (expected accuracy and
+//! active time vs budget) and Fig. 6 (normalized objective at
+//! `alpha = 2`).
 
 use reap_units::Energy;
 
@@ -33,18 +33,6 @@ impl SweepPoint {
             Some(self.reap.objective(alpha) / s)
         }
     }
-}
-
-/// One row of an alpha sweep at a fixed budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlphaSweepPoint {
-    /// The `alpha` of this row.
-    pub alpha: f64,
-    /// REAP's schedule at this alpha.
-    pub reap: Schedule,
-    /// One schedule per operating point (statics do not depend on alpha,
-    /// but their *objective values* do).
-    pub statics: Vec<Schedule>,
 }
 
 /// `n` evenly spaced values covering `[lo, hi]` inclusive.
@@ -123,38 +111,6 @@ pub fn energy_shadow_price(problem: &ReapProblem, budget: Energy) -> Result<f64,
     let lo = frontier.objective_at(lo_budget)?;
     let hi = frontier.objective_at(hi_budget)?;
     Ok((hi - lo) / (hi_budget - lo_budget).joules())
-}
-
-/// Solves REAP at each `alpha` for a fixed budget (statics are computed
-/// once per row for convenience; they do not depend on `alpha`).
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn alpha_sweep(
-    problem: &ReapProblem,
-    budget: Energy,
-    alphas: &[f64],
-) -> Result<Vec<AlphaSweepPoint>, ReapError> {
-    alphas
-        .iter()
-        .map(|&alpha| {
-            // Each alpha has its own weight vector, hence its own
-            // frontier; statics are alpha-independent.
-            let p = problem.with_alpha(alpha);
-            let reap = p.frontier().solve(budget)?;
-            let statics = p
-                .points()
-                .iter()
-                .map(|pt| static_schedule(&p, pt.id(), budget))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(AlphaSweepPoint {
-                alpha,
-                reap,
-                statics,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -283,26 +239,5 @@ mod tests {
         // Beyond saturation an extra joule buys nothing.
         let sat = energy_shadow_price(&p, Energy::from_joules(11.0)).unwrap();
         assert!(sat.abs() < 1e-9, "saturated shadow price {sat}");
-    }
-
-    #[test]
-    fn alpha_sweep_statics_lose_to_reap() {
-        let p = paper_problem(1.0);
-        let rows = alpha_sweep(&p, Energy::from_joules(4.0), &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap();
-        assert_eq!(rows.len(), 5);
-        for row in &rows {
-            for s in &row.statics {
-                assert!(
-                    row.reap.objective(row.alpha) >= s.objective(row.alpha) - 1e-9,
-                    "alpha {}",
-                    row.alpha
-                );
-            }
-        }
-        // DP5's relative performance degrades as alpha grows (Fig. 7).
-        let rel = |row: &AlphaSweepPoint| {
-            row.reap.objective(row.alpha) / row.statics[4].objective(row.alpha)
-        };
-        assert!(rel(&rows[4]) > rel(&rows[0]));
     }
 }

@@ -16,6 +16,7 @@
 use reap_units::Energy;
 
 use crate::error::HarvestError;
+use crate::perturb::splitmix64;
 use crate::source::HarvestSource;
 
 /// Wraps any [`HarvestSource`] and zeroes a seeded contiguous window of
@@ -136,14 +137,6 @@ impl HarvestSource for BlackoutOverlay {
     fn is_photovoltaic(&self) -> bool {
         self.inner.is_photovoltaic()
     }
-}
-
-/// The splitmix64 finalizer (same mixing the fault plan and the trace
-/// perturbations use).
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

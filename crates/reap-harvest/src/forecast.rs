@@ -17,6 +17,7 @@
 
 use reap_units::Energy;
 
+use crate::perturb::splitmix64;
 use crate::step;
 
 /// A source of per-hour harvest forecasts over a lookahead window.
@@ -241,17 +242,15 @@ impl OracleForecaster {
     }
 
     /// Deterministic noise factor for hour `t`: `1 + rel_error * u`,
-    /// `u in [-1, 1)` via a splitmix64-style finalizer of `(seed, t)`.
+    /// `u in [-1, 1)` via the splitmix64 finalizer of `(seed, t)`.
     fn noise(&self, t: usize) -> f64 {
         if self.rel_error == 0.0 {
             return 1.0;
         }
-        let mut z = self
-            .seed
-            .wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(
+            self.seed
+                .wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        );
         // reap-lint: allow(unsafe:float-cast) -- 53-bit mantissa math: both operands fit in 53 bits, conversion exact
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         (1.0 + self.rel_error * (2.0 * unit - 1.0)).max(0.0)

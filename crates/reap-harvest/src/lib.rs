@@ -81,7 +81,7 @@ pub use forecast::{DiurnalEwma, EwmaForecaster, HarvestForecaster, OracleForecas
 pub use indoor::IndoorPhotovoltaic;
 pub use kinetic::KineticHarvester;
 pub use panel::SolarPanel;
-pub use perturb::TracePerturbation;
+pub use perturb::{splitmix64, TracePerturbation};
 pub use solar::{SkyCondition, SolarModel, SolarSource, WeatherModel};
 pub use source::{HarvestSource, SourceKind};
 pub use thermoelectric::BodyHeatTeg;

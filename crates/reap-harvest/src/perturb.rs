@@ -117,9 +117,13 @@ impl TracePerturbation {
     }
 }
 
-/// The splitmix64 finalizer (same mixing the harvest sources use for
-/// per-hour noise).
-fn splitmix64(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: the one seeded mixer behind trace
+/// perturbations, blackout windows, oracle forecast noise, and the
+/// serving fault plan and retry jitter. The full splitmix64 generator
+/// step is this applied to `z.wrapping_add(0x9E37_79B9_7F4A_7C15)`.
+#[inline]
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

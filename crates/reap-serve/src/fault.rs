@@ -29,6 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use reap_harvest::splitmix64;
+
 /// Where the crash-safe snapshot writer can be killed mid-checkpoint.
 ///
 /// Each point names the state the filesystem is left in when the writer
@@ -115,17 +117,15 @@ enum Fault {
     Reset,
 }
 
-/// splitmix64: the same tiny deterministic mixer the harvest-trace
-/// perturbations use (also feeds the retry client's backoff jitter).
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One splitmix64 generator step: the golden-ratio increment, then the
+/// shared finalizer the harvest-trace perturbations use (also feeds the
+/// retry client's backoff jitter).
+pub(crate) fn splitmix_step(z: u64) -> u64 {
+    splitmix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 fn fires(h: u64, salt: u64, every: u64) -> bool {
-    every != 0 && splitmix64(h ^ salt).is_multiple_of(every)
+    every != 0 && splitmix_step(h ^ salt).is_multiple_of(every)
 }
 
 impl FaultPlan {
@@ -160,7 +160,7 @@ impl FaultPlan {
     }
 
     fn pick(&self, tag: u64, n: u64, short_every: u64) -> Fault {
-        let h = splitmix64(self.seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n);
+        let h = splitmix_step(self.seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n);
         let c = &self.cfg;
         let fault = if fires(h, 0x01, c.reset_every) {
             Fault::Reset

@@ -34,7 +34,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
-use crate::fault::{splitmix64, IoLayer, NoFaults};
+use crate::fault::{splitmix_step, IoLayer, NoFaults};
 use crate::protocol::{ErrorCode, FleetStats, ProtocolError, Request, Response, ServerStats};
 
 /// Tuning for a [`RetryClient`].
@@ -173,7 +173,7 @@ impl<L: IoLayer> RetryClient<L> {
             addr,
             layer,
             prev_sleep_ms: config.base_backoff.as_millis() as u64,
-            rng: splitmix64(config.seed),
+            rng: splitmix_step(config.seed),
             config,
             client: None,
             next_seq: 1,
@@ -261,7 +261,7 @@ impl<L: IoLayer> RetryClient<L> {
         let base = self.config.base_backoff.as_millis() as u64;
         let max = self.config.max_backoff.as_millis() as u64;
         let hi = self.prev_sleep_ms.saturating_mul(3).max(base + 1);
-        self.rng = splitmix64(self.rng);
+        self.rng = splitmix_step(self.rng);
         let ms = (base + self.rng % (hi - base)).min(max.max(base));
         self.prev_sleep_ms = ms;
         Duration::from_millis(ms)
@@ -452,7 +452,7 @@ mod tests {
             addr: "127.0.0.1:1".parse().expect("literal addr"),
             layer: NoFaults,
             prev_sleep_ms: cfg.base_backoff.as_millis() as u64,
-            rng: splitmix64(cfg.seed),
+            rng: splitmix_step(cfg.seed),
             config: cfg.clone(),
             client: None,
             next_seq: 1,
@@ -477,7 +477,7 @@ mod tests {
         );
         // Different seed, different schedule.
         let mut c = mk();
-        c.rng = splitmix64(cfg.seed + 1);
+        c.rng = splitmix_step(cfg.seed + 1);
         let seq_c: Vec<Duration> = (0..16).map(|_| c.next_backoff()).collect();
         assert_ne!(seq_a, seq_c);
     }

@@ -455,13 +455,19 @@ fn send<L: IoLayer>(
     line.push('\n');
     let out = stream.write_all(line.as_bytes());
     if let Err(e) = &out {
-        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+        if blew_write_deadline(e) {
             // The peer stopped reading long enough to blow the write
             // deadline: this connection is being dropped, count it.
             shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
     out
+}
+
+/// Whether a failed write ran into the write deadline (the eviction
+/// [`send`] counts).
+fn blew_write_deadline(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 fn send_error<L: IoLayer>(
@@ -498,9 +504,10 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
             }
             ReadOutcome::Stalled => {
                 // Slow-loris eviction: a typed frame (best-effort — the
-                // peer may not be reading), then close.
-                shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
-                let _ = send_error(
+                // peer may not be reading), then close. A frame write
+                // that blows the write deadline is already counted by
+                // `send`, so the connection counts once either way.
+                let sent = send_error(
                     &mut stream,
                     shared,
                     ProtocolError::new(
@@ -511,6 +518,9 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                         ),
                     ),
                 );
+                if !sent.is_err_and(|e| blew_write_deadline(&e)) {
+                    shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
+                }
                 reader.drain_before_close();
                 return;
             }

@@ -5,10 +5,12 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use reap_serve::{
-    Client, ErrorCode, FleetState, FleetStats, Request, Response, Server, ServerConfig,
+    Client, ErrorCode, FleetState, FleetStats, IoLayer, Request, Response, Server, ServerConfig,
     MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use reap_sim::Fleet;
@@ -471,6 +473,98 @@ fn slow_loris_client_is_evicted_mid_frame_but_idle_clients_are_not() {
 
     srv.handle.shutdown();
     srv.thread.join().unwrap().unwrap();
+}
+
+/// An [`IoLayer`] whose server-side streams for the connection from
+/// `victim` (a client port; 0 = none) fail every write with `TimedOut`:
+/// a peer that stopped reading, as the write deadline sees it.
+#[derive(Clone, Default)]
+struct StopsReading {
+    victim: Arc<AtomicU16>,
+}
+
+struct StopsReadingStream {
+    stream: TcpStream,
+    peer_port: Option<u16>,
+    victim: Arc<AtomicU16>,
+}
+
+impl IoLayer for StopsReading {
+    type Stream = StopsReadingStream;
+
+    fn wrap(&self, stream: TcpStream) -> StopsReadingStream {
+        StopsReadingStream {
+            peer_port: stream.peer_addr().ok().map(|a| a.port()),
+            stream,
+            victim: Arc::clone(&self.victim),
+        }
+    }
+}
+
+impl Read for StopsReadingStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.read(buf)
+    }
+}
+
+impl Write for StopsReadingStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.peer_port == Some(self.victim.load(Ordering::SeqCst)) {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+#[test]
+fn a_stalled_connection_whose_eviction_frame_times_out_is_evicted_once() {
+    let layer = StopsReading::default();
+    let state = FleetState::new(&fleet(2, 1), 4).expect("state builds");
+    let config = ServerConfig {
+        frame_deadline: Some(std::time::Duration::from_millis(300)),
+        ..ServerConfig::default()
+    };
+    let server =
+        Server::bind_with_layer("127.0.0.1:0", state, config, layer.clone()).expect("bind port 0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.serve());
+
+    // The stalled client reads its welcome, then stops reading (every
+    // server write to it times out) and stalls mid-frame.
+    let mut loris = TcpStream::connect(addr).expect("connect loris");
+    loris
+        .write_all(b"{\"type\":\"hello\",\"version\":2}\n")
+        .unwrap();
+    let mut reader = BufReader::new(loris.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(matches!(
+        Response::decode(line.trim_end()).unwrap(),
+        Response::Welcome { .. }
+    ));
+    layer
+        .victim
+        .store(loris.local_addr().unwrap().port(), Ordering::SeqCst);
+    loris.write_all(b"{\"type\":\"sta").unwrap(); // ...and never finishes
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the eviction frame's write timed out");
+
+    // One stalled connection is one eviction, even though its eviction
+    // frame also blew the write deadline.
+    let mut healthy = Client::connect(addr).expect("connect healthy");
+    match healthy.request(&Request::Stats).expect("stats") {
+        Response::Stats { server, .. } => assert_eq!(server.evicted, 1),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+
+    handle.shutdown();
+    thread.join().unwrap().unwrap();
 }
 
 #[test]

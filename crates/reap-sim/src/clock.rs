@@ -750,10 +750,6 @@ pub(crate) fn run_intermittent_mode(
     policy: Policy,
     config: &IntermittentConfig,
 ) -> Result<VdtRun, SimError> {
-    // Fail fast on unknown static ids, even if the node never boots.
-    if let Policy::Static(id) = policy {
-        scenario.problem.point(id)?;
-    }
     let dt = u64::from(scenario.dt_seconds);
     let total_hours = scenario.trace.len_hours();
     let end_s = total_hours as u64 * HOUR_S;

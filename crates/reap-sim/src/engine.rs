@@ -3,12 +3,12 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule};
-use reap_harvest::{step, Battery};
+use reap_core::{static_schedule, FrontierTable, RecedingHorizonController, Schedule};
+use reap_harvest::{step, Battery, BudgetAllocator, HarvestForecaster};
 use reap_units::Energy;
 
 use crate::report::{HourRecord, SimReport};
-use crate::{Scenario, SimError};
+use crate::{BudgetMode, Scenario, SimError};
 
 /// The planning policy under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,84 +62,118 @@ impl fmt::Display for Policy {
     }
 }
 
-/// The per-hour planning pipeline: budget proposal, floor clamp, and
-/// policy planning (frontier / static duty-cycle / receding-horizon
-/// MPC). The battery loop below and the event core's intermittent mode
-/// ([`crate::clock`]) both plan through it, calling
+/// The per-hour planning pipeline: budget grant, floor clamp, and the
+/// policy's plan. The battery loop below and the event core's non-burst
+/// policies ([`crate::clock`]) both plan through it, calling
 /// [`HourPlanner::plan_hour`] then [`HourPlanner::end_hour`] once per
 /// hour, in order.
 pub(crate) struct HourPlanner<'s> {
     scenario: &'s Scenario,
-    policy: Policy,
-    controller: ReapController,
-    allocator: Box<dyn reap_harvest::BudgetAllocator>,
-    mpc: Option<(
-        RecedingHorizonController,
-        Box<dyn reap_harvest::HarvestForecaster>,
-    )>,
+    plan: HourPlan,
+}
+
+/// Each policy's planning state, and nothing else.
+enum HourPlan {
+    /// REAP plans each granted budget with one lookup on the run's
+    /// frontier table, built once like the SoA kernel's and the
+    /// daemon's.
+    Reap(FrontierTable, BudgetLayer),
+    /// A static point duty-cycles each granted budget.
+    Static(u8, BudgetLayer),
+    /// The receding-horizon controller plans its forecast window
+    /// jointly: the joint LP is the allocation, so MPC has no budget
+    /// layer.
+    Horizon {
+        controller: RecedingHorizonController,
+        forecaster: Box<dyn HarvestForecaster>,
+    },
+}
+
+/// The budgeted policies' allocation layer: the allocator and, in open
+/// loop, the virtual battery it budgets against.
+struct BudgetLayer {
+    allocator: Box<dyn BudgetAllocator>,
     /// The open-loop protocol's *virtual* battery, which assumes every
     /// granted budget is fully spent: the allocator budgets against it
     /// instead of the real battery, so the budget sequence depends only
-    /// on the harvest trace. `None` in closed loop and under MPC.
+    /// on the harvest trace. `None` in closed loop.
     virtual_battery: Option<Battery>,
     floor: Energy,
-    total_hours: usize,
     harvested_last_hour: Energy,
+}
+
+impl BudgetLayer {
+    fn new(scenario: &Scenario) -> BudgetLayer {
+        BudgetLayer {
+            allocator: scenario.allocator.instantiate(),
+            virtual_battery: (scenario.budget_mode == BudgetMode::OpenLoop)
+                .then(|| scenario.battery.clone()),
+            floor: scenario.problem.min_budget(),
+            harvested_last_hour: Energy::ZERO,
+        }
+    }
+
+    /// The budget for hour-of-day `hour`, proposed by the allocator —
+    /// open-loop against the virtual battery, closed-loop against the
+    /// run's own `battery`. Optimistic proposals are fine (execution
+    /// browns out when the actual supply falls short), but the floor
+    /// must stay reachable whenever the battery, or the hour's own
+    /// harvest, which execution draws first, can still provide it, so
+    /// the monitoring circuitry is kept alive through dark hours.
+    fn grant(&mut self, hour: u32, harvested: Energy, battery: &Battery) -> Energy {
+        let proposed = self.allocator.allocate(
+            hour,
+            self.harvested_last_hour,
+            self.virtual_battery.as_ref().unwrap_or(battery),
+        );
+        match &mut self.virtual_battery {
+            // The grant counts the hour's own harvest toward the floor:
+            // execution banks the incoming harvest before (virtually)
+            // spending the budget, so a dark battery must not deny the
+            // floor in a bright hour.
+            Some(virtual_battery) => virtual_battery.open_loop(proposed, self.floor, harvested),
+            None => Energy::from_joules(step::floor_clamp(
+                proposed.joules(),
+                self.floor.joules(),
+                (battery.deliverable() + harvested).joules(),
+            )),
+        }
+    }
 }
 
 impl<'s> HourPlanner<'s> {
     /// Builds the planning pipeline for one `(scenario, policy)` run.
     ///
-    /// Rejects [`Policy::Intermittent`]: burst planning has no hourly
-    /// budget layer — the event core handles it directly.
+    /// Rejects unknown static ids up front, even if the run never plans,
+    /// and [`Policy::Intermittent`]: burst planning has no hourly budget
+    /// layer — the event core handles it directly.
     pub(crate) fn new(scenario: &'s Scenario, policy: Policy) -> Result<Self, SimError> {
-        if policy == Policy::Intermittent {
-            return Err(SimError::InvalidParameter(
-                "Policy::Intermittent has no hourly budget pipeline; it requires a \
-                 scenario with an IntermittentConfig (Scenario::builder().intermittent(..))"
-                    .to_owned(),
-            ));
-        }
-        // One precomputed frontier serves all 720 hourly plans of a
-        // month-long trace.
-        let controller = ReapController::new(scenario.problem.clone());
-        let allocator = scenario.allocator.instantiate();
-        let floor = scenario.problem.min_budget();
-        // The MPC policy replaces the budget layer entirely: a forecaster
-        // feeds a receding-horizon controller that plans the window
-        // jointly.
-        let mpc = match policy {
-            Policy::Horizon { lookahead } => Some((
-                RecedingHorizonController::new(scenario.problem.clone(), lookahead)?,
-                scenario.forecaster.instantiate(&scenario.trace),
-            )),
-            _ => None,
+        let plan = match policy {
+            Policy::Reap => HourPlan::Reap(
+                scenario.problem.frontier().table(),
+                BudgetLayer::new(scenario),
+            ),
+            Policy::Static(id) => {
+                scenario.problem.point(id)?;
+                HourPlan::Static(id, BudgetLayer::new(scenario))
+            }
+            Policy::Horizon { lookahead } => HourPlan::Horizon {
+                controller: RecedingHorizonController::new(scenario.problem.clone(), lookahead)?,
+                forecaster: scenario.forecaster.instantiate(&scenario.trace),
+            },
+            Policy::Intermittent => {
+                return Err(SimError::InvalidParameter(
+                    "Policy::Intermittent has no hourly budget pipeline; it requires a \
+                     scenario with an IntermittentConfig (Scenario::builder().intermittent(..))"
+                        .to_owned(),
+                ))
+            }
         };
-        let virtual_battery = match (&mpc, scenario.budget_mode) {
-            (None, crate::BudgetMode::OpenLoop) => Some(scenario.battery.clone()),
-            _ => None,
-        };
-        Ok(HourPlanner {
-            scenario,
-            policy,
-            controller,
-            allocator,
-            mpc,
-            virtual_battery,
-            floor,
-            total_hours: scenario.trace.len_hours(),
-            harvested_last_hour: Energy::ZERO,
-        })
+        Ok(HourPlanner { scenario, plan })
     }
 
-    /// Budget-and-plan for trace hour `i`: the allocation layer proposes
-    /// a budget first — open-loop against the virtual battery,
-    /// closed-loop against this run's own battery — and the policy plans
-    /// against it. Optimistic proposals are fine — execution browns out
-    /// when the actual supply falls short — but the floor must stay
-    /// reachable whenever the battery (or the hour's own harvest, which
-    /// execution draws first) can still provide it, so the monitoring
-    /// circuitry is kept alive through dark hours. The MPC policy instead
+    /// Budget-and-plan for trace hour `i`: the budgeted policies plan
+    /// the hour's grant (see [`BudgetLayer::grant`]); the MPC policy
     /// plans its whole forecast window jointly and reports the planned
     /// energy as the budget.
     pub(crate) fn plan_hour(
@@ -149,66 +183,50 @@ impl<'s> HourPlanner<'s> {
         battery: &Battery,
     ) -> Result<(Energy, Schedule), SimError> {
         let hour = (i % 24) as u32;
-        match (self.policy, &mut self.mpc) {
-            (Policy::Horizon { lookahead }, Some((mpc_controller, forecaster))) => {
-                let window = lookahead.min(self.total_hours - i);
-                let forecast = forecaster.forecast(i, window);
-                let planned =
-                    mpc_controller.plan(&forecast, battery.level(), battery.capacity())?;
-                Ok((planned.energy(), planned))
+        match &mut self.plan {
+            HourPlan::Reap(table, layer) => {
+                let budget = layer.grant(hour, harvested, battery);
+                Ok((budget, table.decide(budget.joules())))
             }
-            _ => {
-                let proposed = self.allocator.allocate(
-                    hour,
-                    self.harvested_last_hour,
-                    self.virtual_battery.as_ref().unwrap_or(battery),
-                );
-                let budget = match &mut self.virtual_battery {
-                    // The grant counts the hour's own harvest toward the
-                    // floor: execution banks the incoming harvest before
-                    // (virtually) spending the budget, so a dark battery
-                    // must not deny the floor in a bright hour.
-                    Some(virtual_battery) => {
-                        virtual_battery.open_loop(proposed, self.floor, harvested)
-                    }
-                    None => Energy::from_joules(step::floor_clamp(
-                        proposed.joules(),
-                        self.floor.joules(),
-                        (battery.deliverable() + harvested).joules(),
-                    )),
-                };
-                let planned = match self.policy {
-                    Policy::Reap => self.controller.plan(budget)?,
-                    Policy::Static(id) => {
-                        let effective = budget.max(self.floor);
-                        static_schedule(&self.scenario.problem, id, effective)?
-                    }
-                    Policy::Horizon { .. } | Policy::Intermittent => {
-                        unreachable!("handled above / rejected in new()")
-                    }
-                };
+            HourPlan::Static(id, layer) => {
+                let budget = layer.grant(hour, harvested, battery);
+                let planned =
+                    static_schedule(&self.scenario.problem, *id, budget.max(layer.floor))?;
                 Ok((budget, planned))
+            }
+            HourPlan::Horizon {
+                controller,
+                forecaster,
+            } => {
+                let window = controller
+                    .lookahead()
+                    .min(self.scenario.trace.len_hours() - i);
+                let forecast = forecaster.forecast(i, window);
+                let planned = controller.plan(&forecast, battery.level(), battery.capacity())?;
+                Ok((planned.energy(), planned))
             }
         }
     }
 
     /// Closes trace hour `i`: the forecaster observes the realized
-    /// harvest and the allocator's last-hour memory advances. Call after
+    /// harvest, or the allocator's last-hour memory advances. Call after
     /// the hour's record is final, exactly once per completed hour.
     pub(crate) fn end_hour(&mut self, i: usize, harvested: Energy) {
-        if let Some((_, forecaster)) = &mut self.mpc {
-            forecaster.observe(i, harvested);
+        match &mut self.plan {
+            HourPlan::Reap(_, layer) | HourPlan::Static(_, layer) => {
+                layer.harvested_last_hour = harvested;
+            }
+            HourPlan::Horizon { forecaster, .. } => forecaster.observe(i, harvested),
         }
-        self.harvested_last_hour = harvested;
     }
 
     /// The name of the energy layer that actually drove the run: the
     /// budget allocator for the myopic policies, the forecaster for the
-    /// MPC (which bypasses the allocator entirely).
+    /// MPC.
     pub(crate) fn energy_layer(&self) -> &'static str {
-        match &self.mpc {
-            Some((_, forecaster)) => forecaster.name(),
-            None => self.allocator.name(),
+        match &self.plan {
+            HourPlan::Reap(_, layer) | HourPlan::Static(_, layer) => layer.allocator.name(),
+            HourPlan::Horizon { forecaster, .. } => forecaster.name(),
         }
     }
 }
@@ -226,10 +244,6 @@ impl<'s> HourPlanner<'s> {
 pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimError> {
     if let Some(config) = &scenario.intermittent {
         return crate::clock::run_intermittent_mode(scenario, policy, config).map(|run| run.report);
-    }
-    // Fail fast on unknown static ids.
-    if let Policy::Static(id) = policy {
-        scenario.problem.point(id)?;
     }
     let mut planner = HourPlanner::new(scenario, policy)?;
     let mut battery = scenario.battery.clone();

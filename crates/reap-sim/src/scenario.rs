@@ -14,11 +14,12 @@ use crate::{SimError, SimReport};
 /// How the hourly budgets are produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetMode {
-    /// Budgets are precomputed once from the harvest trace (against a
-    /// virtual battery that assumes each budget is fully spent), so every
-    /// policy sees the **same** budget sequence. This is the paper's
-    /// evaluation protocol: "these energy budgets are then used to
-    /// evaluate REAP and the static design points".
+    /// Budgets are stepped hour by hour against a per-run virtual
+    /// battery that assumes each budget is fully spent, so they depend
+    /// only on the harvest trace and every policy sees the **same**
+    /// budget sequence. This is the paper's evaluation protocol: "these
+    /// energy budgets are then used to evaluate REAP and the static
+    /// design points".
     #[default]
     OpenLoop,
     /// Budgets react to the policy's own battery trajectory. More
@@ -308,8 +309,8 @@ impl ScenarioBuilder {
     /// on the event core against `config`'s capacitor instead of the
     /// battery, with power-failure + checkpoint/restore semantics. Its
     /// hourly budgets run closed-loop against the live store: the
-    /// open-loop protocol precomputes them against a battery the
-    /// scenario does not have.
+    /// open-loop protocol steps them against a virtual copy of a battery
+    /// the scenario does not have.
     #[must_use]
     pub fn intermittent(mut self, config: IntermittentConfig) -> Self {
         self.intermittent = Some(config);

@@ -1,20 +1,20 @@
-//! Runtime adaptation: the controller re-plans every hour as harvesting
-//! conditions swing, and the user changes the accuracy/active-time
-//! preference (`alpha`) mid-day — the scenario motivating Sec. 3.3's
+//! Runtime adaptation: the device re-plans every hour on its precomputed
+//! frontier as harvesting conditions swing, and the user changes the
+//! accuracy/active-time preference (`alpha`) mid-day, which swaps in the
+//! frontier for the new weights — the scenario motivating Sec. 3.3's
 //! "it is important to solve this problem at runtime".
 //!
 //! ```text
 //! cargo run --release --example runtime_adaptation
 //! ```
 
-use reap::core::ReapController;
 use reap::units::Energy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = reap::core::ReapProblem::builder()
         .points(reap::device::paper_table2_operating_points())
         .build()?;
-    let mut controller = ReapController::new(problem);
+    let frontier = problem.frontier();
 
     // A stormy afternoon: budgets collapse, then the sun returns.
     let hours: [(&str, f64); 8] = [
@@ -30,20 +30,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("morning: user wants maximum expected accuracy (alpha = 1)\n");
     for (label, joules) in &hours[..4] {
-        let schedule = controller.plan(Energy::from_joules(*joules))?;
+        let schedule = frontier.solve(Energy::from_joules(*joules))?;
         report(label, *joules, &schedule);
     }
 
     println!("\n13:00: physician requests high-confidence data -> alpha = 4\n");
-    controller.set_alpha(4.0)?;
+    let frontier = problem.with_alpha(4.0).frontier();
     for (label, joules) in &hours[4..] {
-        let schedule = controller.plan(Energy::from_joules(*joules))?;
+        let schedule = frontier.solve(Energy::from_joules(*joules))?;
         report(label, *joules, &schedule);
     }
 
     println!(
         "\ncontroller produced {} plans; each solve is microseconds on a host",
-        controller.plans_made()
+        hours.len()
     );
     println!("and ~1.5 ms on the paper's 47 MHz MCU — negligible against TP = 1 h.");
     Ok(())

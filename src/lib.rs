@@ -103,9 +103,7 @@ pub mod serve {
 /// # }
 /// ```
 pub mod prelude {
-    pub use reap_core::{
-        static_schedule, OperatingPoint, ReapController, ReapError, ReapProblem, Schedule,
-    };
+    pub use reap_core::{static_schedule, OperatingPoint, ReapError, ReapProblem, Schedule};
     pub use reap_harvest::HarvestTrace;
     pub use reap_sim::{Policy, Scenario};
     pub use reap_units::{Energy, Power, TimeSpan};
