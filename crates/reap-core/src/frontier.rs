@@ -528,6 +528,31 @@ mod tests {
     }
 
     #[test]
+    fn table_decide_shares_match_solve_allocations() {
+        // The decide path must serve exactly the schedule `solve` builds
+        // for every valid budget: same shares (post drop rule, ascending
+        // id), same off time, same aggregates.
+        for alpha in [0.5, 1.0, 2.0] {
+            let p = paper_problem(alpha);
+            let f = p.frontier();
+            let t = f.clone().table();
+            let mut budgets: Vec<f64> = vec![0.18, 1.0, 3.0, 5.0, 9.936, 20.0];
+            for b in f.breakpoints() {
+                budgets.push(b.joules());
+                budgets.push(b.joules() + 1e-7);
+            }
+            for b in budgets {
+                let d = t.decide(b);
+                assert!(d.shares().len() <= 2);
+                let s = f
+                    .solve(Energy::from_joules(b.max(t.min_budget_j())))
+                    .unwrap();
+                assert_eq!(d, s, "plan at {b} J");
+            }
+        }
+    }
+
+    #[test]
     fn raising_alpha_brings_dp1_in_at_3_joules() {
         let p = ReapProblem::builder()
             .points(vec![point(1, 0.94, 2.76), point(5, 0.76, 1.20)])
