@@ -88,14 +88,7 @@ fn main() {
             Ok(comparisons) => {
                 for c in comparisons {
                     let verdict = if c.regressed { "REGRESSED" } else { "ok" };
-                    println!(
-                        "  {fresh_path} {}: baseline {:.1}, fresh {:.1} ({:+.0}% slowdown) \
-                         .. {verdict}",
-                        c.key,
-                        c.baseline,
-                        c.fresh,
-                        (c.slowdown - 1.0) * 100.0
-                    );
+                    println!("  {fresh_path} {c} .. {verdict}");
                     failed |= c.regressed;
                 }
             }

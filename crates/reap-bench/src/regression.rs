@@ -237,6 +237,37 @@ pub struct Comparison {
     pub regressed: bool,
 }
 
+impl std::fmt::Display for Comparison {
+    /// `key: baseline B, fresh F (N% slower)`: both values to four
+    /// significant digits, and the change as a share of the baseline's
+    /// time per unit of work, so it reads the same for either direction.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (percent, way) = if self.slowdown >= 1.0 {
+            ((self.slowdown - 1.0) * 100.0, "slower")
+        } else {
+            ((1.0 - self.slowdown) * 100.0, "faster")
+        };
+        write!(
+            f,
+            "{}: baseline {}, fresh {} ({percent:.0}% {way})",
+            self.key,
+            significant(self.baseline),
+            significant(self.fresh)
+        )
+    }
+}
+
+/// `x` to four significant digits, in plain notation.
+fn significant(x: f64) -> String {
+    let magnitude = if x == 0.0 {
+        0
+    } else {
+        x.abs().log10().floor() as i32
+    };
+    let decimals = (3 - magnitude).clamp(0, 12) as usize;
+    format!("{x:.decimals$}")
+}
+
 /// Compares every tracked metric of a bench JSON pair.
 ///
 /// `threshold` is the tolerated fractional slowdown (0.25 = fail beyond
@@ -545,6 +576,32 @@ mod tests {
         let cmp = compare(&base, &fast, 0.25).unwrap();
         assert!(!cmp[0].regressed, "faster run must pass");
         assert!(cmp[1].regressed, "50% slower matrix must fail");
+    }
+
+    #[test]
+    fn comparisons_read_in_significant_digits_and_plain_words() {
+        let cmp = |key, baseline, fresh, slowdown| Comparison {
+            key,
+            baseline,
+            fresh,
+            slowdown,
+            regressed: false,
+        };
+        // A 26% drop in a lower-is-better run time is a speedup, and
+        // sub-0.1 values keep their digits.
+        let run = cmp("month_sim.reap_run_ms", 0.05, 0.037, 0.037 / 0.05);
+        assert_eq!(
+            run.to_string(),
+            "month_sim.reap_run_ms: baseline 0.05000, fresh 0.03700 (26% faster)"
+        );
+        // Throughput falling to 80% takes 25% longer per unit of work.
+        let rate = cmp("users_per_s", 134_000.0, 107_200.0, 134_000.0 / 107_200.0);
+        assert_eq!(
+            rate.to_string(),
+            "users_per_s: baseline 134000, fresh 107200 (25% slower)"
+        );
+        assert_eq!(significant(0.0), "0.000");
+        assert_eq!(significant(1.5), "1.500");
     }
 
     #[test]

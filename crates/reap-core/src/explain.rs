@@ -13,7 +13,7 @@ use crate::{ReapError, ReapProblem, Schedule};
 
 /// Which constraint binds the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindingConstraint {
+enum BindingConstraint {
     /// The energy budget runs out while off-time remains: Region 1.
     Energy,
     /// The whole period is active and energy remains unspent; only the
@@ -25,14 +25,14 @@ pub enum BindingConstraint {
 
 /// A structured explanation of one solve.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Explanation {
+struct Explanation {
     /// Which constraint(s) bind.
-    pub binding: BindingConstraint,
+    binding: BindingConstraint,
     /// Points ranked by `weight / (P_i - P_off)` — the greedy order the
     /// optimum follows in the energy-bound regime.
-    pub value_per_watt_ranking: Vec<(u8, f64)>,
+    value_per_watt_ranking: Vec<(u8, f64)>,
     /// The marginal value of one more joule at this budget.
-    pub shadow_price: f64,
+    shadow_price: f64,
 }
 
 impl std::fmt::Display for Explanation {
@@ -60,7 +60,7 @@ impl std::fmt::Display for Explanation {
 /// # Errors
 ///
 /// Propagates solver errors from the shadow-price probe.
-pub fn explain(
+fn explain(
     problem: &ReapProblem,
     budget: Energy,
     schedule: &Schedule,

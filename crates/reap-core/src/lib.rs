@@ -69,6 +69,9 @@
 #![warn(missing_docs)]
 
 mod error;
+// The schedule explanation runs only under its own tests; the daemon's
+// explain request will read the frontier segment's slope instead.
+#[cfg(test)]
 mod explain;
 mod frontier;
 mod horizon;
@@ -82,7 +85,6 @@ mod static_policy;
 mod sweep;
 
 pub use error::ReapError;
-pub use explain::{explain, BindingConstraint, Explanation};
 pub use frontier::{decide_vertices, FrontierTable, PlanFrontier, Vertex};
 pub use horizon::{plan_horizon, HorizonPlan};
 pub use mpc::RecedingHorizonController;

@@ -106,12 +106,7 @@ impl ReapProblemBuilder {
                 self.off_power
             )));
         }
-        if !self.alpha.is_finite() || self.alpha < 0.0 {
-            return Err(ReapError::InvalidParameter(format!(
-                "alpha {} must be finite and non-negative",
-                self.alpha
-            )));
-        }
+        check_alpha(self.alpha)?;
         for (i, a) in self.points.iter().enumerate() {
             for b in &self.points[i + 1..] {
                 if a.id() == b.id() {
@@ -136,6 +131,17 @@ impl ReapProblemBuilder {
             off_power: self.off_power,
             alpha: self.alpha,
         })
+    }
+}
+
+/// Rejects a negative or non-finite trade-off exponent.
+fn check_alpha(alpha: f64) -> Result<(), ReapError> {
+    if alpha.is_finite() && alpha >= 0.0 {
+        Ok(())
+    } else {
+        Err(ReapError::InvalidParameter(format!(
+            "alpha {alpha} must be finite and non-negative"
+        )))
     }
 }
 
@@ -184,12 +190,17 @@ impl ReapProblem {
 
     /// Returns a copy of the problem with a different `alpha` (the paper
     /// notes user preferences may change `alpha` at runtime).
-    #[must_use]
-    pub fn with_alpha(&self, alpha: f64) -> ReapProblem {
-        ReapProblem {
+    ///
+    /// # Errors
+    ///
+    /// [`ReapError::InvalidParameter`] for a negative or non-finite
+    /// `alpha`, as in [`ReapProblemBuilder::build`].
+    pub fn with_alpha(&self, alpha: f64) -> Result<ReapProblem, ReapError> {
+        check_alpha(alpha)?;
+        Ok(ReapProblem {
             alpha,
             ..self.clone()
-        }
+        })
     }
 
     /// The minimum budget that keeps the device alive for the whole
@@ -335,9 +346,26 @@ mod tests {
     #[test]
     fn with_alpha_changes_only_alpha() {
         let p = paper_problem();
-        let q = p.with_alpha(2.0);
+        let q = p.with_alpha(2.0).unwrap();
         assert_eq!(q.alpha(), 2.0);
         assert_eq!(q.points(), p.points());
         assert_eq!(q.period(), p.period());
+    }
+
+    #[test]
+    fn with_alpha_rejects_what_the_builder_rejects() {
+        let p = paper_problem();
+        for alpha in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert!(
+                matches!(p.with_alpha(alpha), Err(ReapError::InvalidParameter(_))),
+                "alpha {alpha} accepted"
+            );
+            let built = ReapProblem::builder()
+                .points(p.points().to_vec())
+                .alpha(alpha)
+                .build();
+            assert!(matches!(built, Err(ReapError::InvalidParameter(_))));
+        }
+        assert_eq!(p.with_alpha(0.0).unwrap().alpha(), 0.0);
     }
 }

@@ -34,23 +34,6 @@ pub struct RegionMap {
     pub regions: Vec<Region>,
 }
 
-impl RegionMap {
-    /// The region containing `budget`, or `None` outside the analyzed
-    /// range (budgets beyond saturation belong to the last region).
-    #[must_use]
-    pub fn region_at(&self, budget: Energy) -> Option<&Region> {
-        if budget < self.bounds[0] {
-            return None;
-        }
-        for (k, region) in self.regions.iter().enumerate() {
-            if budget <= self.bounds[k + 1] {
-                return Some(region);
-            }
-        }
-        self.regions.last()
-    }
-}
-
 impl std::fmt::Display for RegionMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for (k, region) in self.regions.iter().enumerate() {
@@ -143,6 +126,22 @@ mod tests {
     use super::*;
     use crate::OperatingPoint;
     use reap_units::Power;
+
+    impl RegionMap {
+        /// The region containing `budget`, or `None` outside the analyzed
+        /// range (budgets beyond saturation belong to the last region).
+        fn region_at(&self, budget: Energy) -> Option<&Region> {
+            if budget < self.bounds[0] {
+                return None;
+            }
+            for (k, region) in self.regions.iter().enumerate() {
+                if budget <= self.bounds[k + 1] {
+                    return Some(region);
+                }
+            }
+            self.regions.last()
+        }
+    }
 
     fn paper_problem(alpha: f64) -> ReapProblem {
         let specs = [

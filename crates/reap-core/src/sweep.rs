@@ -20,21 +20,6 @@ pub struct SweepPoint {
     pub statics: Vec<Schedule>,
 }
 
-impl SweepPoint {
-    /// REAP's objective divided by the static schedule's objective for the
-    /// point at `index` (problem order). `None` when the static objective
-    /// is zero (both off) — the ratio is undefined there.
-    #[must_use]
-    pub fn normalized_vs_static(&self, index: usize, alpha: f64) -> Option<f64> {
-        let s = self.statics.get(index)?.objective(alpha);
-        if s <= 0.0 {
-            None
-        } else {
-            Some(self.reap.objective(alpha) / s)
-        }
-    }
-}
-
 /// `n` evenly spaced values covering `[lo, hi]` inclusive.
 ///
 /// # Panics
@@ -118,6 +103,20 @@ mod tests {
     use super::*;
     use crate::OperatingPoint;
     use reap_units::Power;
+
+    impl SweepPoint {
+        /// REAP's objective divided by the static schedule's objective for
+        /// the point at `index` (problem order). `None` when the static
+        /// objective is zero (both off) — the ratio is undefined there.
+        fn normalized_vs_static(&self, index: usize, alpha: f64) -> Option<f64> {
+            let s = self.statics.get(index)?.objective(alpha);
+            if s <= 0.0 {
+                None
+            } else {
+                Some(self.reap.objective(alpha) / s)
+            }
+        }
+    }
 
     fn paper_problem(alpha: f64) -> ReapProblem {
         let specs = [

@@ -74,7 +74,9 @@ proptest! {
         // changes and interpolation degenerates to a vertex), and the
         // exact floor.
         let mut budgets = vec![budget, problem.min_budget()];
-        budgets.extend(frontier.breakpoints());
+        budgets.extend(
+            problem.frontier().table().vertices().iter().map(|v| Energy::from_joules(v.budget_j)),
+        );
         for b in budgets {
             let simplex = problem.solve(b).expect("solvable");
             let fast = frontier.solve(b).expect("solvable");

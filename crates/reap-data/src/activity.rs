@@ -78,16 +78,6 @@ impl Activity {
         }
     }
 
-    /// `true` for the static postures (sit, stand, drive, lie down) whose
-    /// accelerometer signal is dominated by the gravity orientation.
-    #[must_use]
-    pub fn is_static_posture(self) -> bool {
-        matches!(
-            self,
-            Activity::Sit | Activity::Stand | Activity::Drive | Activity::LieDown
-        )
-    }
-
     /// Characteristic RMS *dynamic* (gravity-removed) acceleration of the
     /// activity, in g.
     ///
@@ -162,6 +152,18 @@ impl fmt::Display for Activity {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Activity {
+        /// `true` for the static postures (sit, stand, drive, lie down)
+        /// whose accelerometer signal is dominated by the gravity
+        /// orientation.
+        fn is_static_posture(self) -> bool {
+            matches!(
+                self,
+                Activity::Sit | Activity::Stand | Activity::Drive | Activity::LieDown
+            )
+        }
+    }
 
     #[test]
     fn index_roundtrip() {

@@ -12,7 +12,7 @@ use crate::{Activity, Dataset};
 
 /// Per-class mean and variance of a scalar signal summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassMoment {
+struct ClassMoment {
     /// Mean of the summary over the class's windows.
     pub mean: f64,
     /// Variance of the summary over the class's windows.
@@ -23,7 +23,7 @@ pub struct ClassMoment {
 
 /// Which scalar summary of a window to analyze.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Channel {
+enum Channel {
     /// Mean of one accelerometer axis (0 = x, 1 = y, 2 = z).
     AccelMean(usize),
     /// Standard deviation of one accelerometer axis.
@@ -53,7 +53,7 @@ fn summarize(window: &crate::ActivityWindow, channel: Channel) -> f64 {
 ///
 /// Classes with no windows get `count == 0` and NaN moments.
 #[must_use]
-pub fn class_moments(dataset: &Dataset, channel: Channel) -> [ClassMoment; Activity::COUNT] {
+fn class_moments(dataset: &Dataset, channel: Channel) -> [ClassMoment; Activity::COUNT] {
     let mut sums = [0.0f64; Activity::COUNT];
     let mut sq_sums = [0.0f64; Activity::COUNT];
     let mut counts = [0usize; Activity::COUNT];
@@ -90,7 +90,7 @@ pub fn class_moments(dataset: &Dataset, channel: Channel) -> [ClassMoment; Activ
 ///
 /// Returns `None` when either class has no windows.
 #[must_use]
-pub fn fisher_separability(
+fn fisher_separability(
     dataset: &Dataset,
     a: Activity,
     b: Activity,

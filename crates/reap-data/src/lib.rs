@@ -36,7 +36,9 @@
 
 mod activity;
 mod dataset;
-pub mod diagnostics;
+// Pins the generator's separability structure; used only by its tests.
+#[cfg(test)]
+mod diagnostics;
 mod noise;
 mod routine;
 mod stretch;

@@ -11,9 +11,6 @@
 
 use reap_units::{Power, TimeSpan};
 
-/// MCU clock frequency (the paper runs the CC2650 at 47 MHz).
-pub const MCU_CLOCK_MHZ: f64 = 47.0;
-
 /// Off-state power of the harvesting and battery-charging circuitry:
 /// 0.18 J per hour = 50 µW (Sec. 5.2).
 #[must_use]

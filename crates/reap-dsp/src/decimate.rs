@@ -43,27 +43,27 @@ pub fn decimate_to(signal: &[f64], target_len: usize) -> Result<Vec<f64>, DspErr
     Ok(out)
 }
 
-/// Averages consecutive pairs, halving the sample count.
-///
-/// # Errors
-///
-/// [`DspError::TooShort`] if the signal has fewer than 2 samples.
-pub fn halve(signal: &[f64]) -> Result<Vec<f64>, DspError> {
-    if signal.len() < 2 {
-        return Err(DspError::TooShort {
-            len: signal.len(),
-            min: 2,
-        });
-    }
-    Ok(signal
-        .chunks(2)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Averages consecutive pairs, halving the sample count.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::TooShort`] if the signal has fewer than 2 samples.
+    fn halve(signal: &[f64]) -> Result<Vec<f64>, DspError> {
+        if signal.len() < 2 {
+            return Err(DspError::TooShort {
+                len: signal.len(),
+                min: 2,
+            });
+        }
+        Ok(signal
+            .chunks(2)
+            .map(|c| c.iter().sum::<f64>() / c.len() as f64)
+            .collect())
+    }
 
     #[test]
     fn window_to_fft16_is_block_mean() {

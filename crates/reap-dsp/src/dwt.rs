@@ -119,6 +119,7 @@ pub fn dwt_forward(
 /// # Panics
 ///
 /// Panics if the two halves have different lengths (caller bug).
+// reap-lint: allow(api) -- dsp_properties::dwt_level_preserves_energy_and_inverts inverts dwt_level with it
 pub fn idwt_level(approx: &[f64], detail: &[f64], wavelet: Wavelet) -> Result<Vec<f64>, DspError> {
     assert_eq!(
         approx.len(),

@@ -48,21 +48,6 @@ impl Complex {
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
-
-    /// Squared magnitude (cheaper than [`Complex::abs`]).
-    #[must_use]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
-    /// Complex conjugate.
-    #[must_use]
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
 }
 
 impl std::ops::Add for Complex {
@@ -183,34 +168,34 @@ pub fn fft_magnitudes(signal: &[f64]) -> Result<Vec<f64>, DspError> {
     Ok(spectrum[..=n / 2].iter().map(|c| c.abs()).collect())
 }
 
-/// Index of the dominant non-DC bin of a real signal's spectrum.
-///
-/// Useful for locating the cadence peak of gait signals.
-///
-/// # Errors
-///
-/// Same conditions as [`fft_in_place`], plus [`DspError::TooShort`] when the
-/// signal has fewer than 4 samples (no non-DC bin to speak of).
-pub fn dominant_bin(signal: &[f64]) -> Result<usize, DspError> {
-    if signal.len() < 4 {
-        return Err(DspError::TooShort {
-            len: signal.len(),
-            min: 4,
-        });
-    }
-    let mags = fft_magnitudes(signal)?;
-    let mut best = 1;
-    for (k, &m) in mags.iter().enumerate().skip(1) {
-        if m > mags[best] {
-            best = k;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Index of the dominant non-DC bin of a real signal's spectrum.
+    ///
+    /// Useful for locating the cadence peak of gait signals.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`fft_in_place`], plus [`DspError::TooShort`] when the
+    /// signal has fewer than 4 samples (no non-DC bin to speak of).
+    fn dominant_bin(signal: &[f64]) -> Result<usize, DspError> {
+        if signal.len() < 4 {
+            return Err(DspError::TooShort {
+                len: signal.len(),
+                min: 4,
+            });
+        }
+        let mags = fft_magnitudes(signal)?;
+        let mut best = 1;
+        for (k, &m) in mags.iter().enumerate().skip(1) {
+            if m > mags[best] {
+                best = k;
+            }
+        }
+        Ok(best)
+    }
 
     const TAU: f64 = 2.0 * std::f64::consts::PI;
 
@@ -293,7 +278,8 @@ mod tests {
             .collect();
         let time_energy: f64 = x.iter().map(|v| v * v).sum();
         let spec = fft_real(&x).unwrap();
-        let freq_energy: f64 = spec.iter().map(|c| c.norm_sqr()).sum::<f64>() / x.len() as f64;
+        let freq_energy: f64 =
+            spec.iter().map(|c| c.re * c.re + c.im * c.im).sum::<f64>() / x.len() as f64;
         assert_close(time_energy, freq_energy, 1e-9);
     }
 
@@ -335,8 +321,6 @@ mod tests {
     fn complex_helpers() {
         let c = Complex::new(3.0, 4.0);
         assert_close(c.abs(), 5.0, 1e-12);
-        assert_close(c.norm_sqr(), 25.0, 1e-12);
-        assert_eq!(c.conj(), Complex::new(3.0, -4.0));
         let u = Complex::from_polar_unit(std::f64::consts::FRAC_PI_2);
         assert_close(u.re, 0.0, 1e-12);
         assert_close(u.im, 1.0, 1e-12);

@@ -1,10 +1,8 @@
 //! Goertzel single-bin DFT.
 //!
-//! When a design point only needs the energy at *one* frequency (e.g. the
-//! wearer's gait cadence), running a full FFT wastes MCU cycles. The
-//! Goertzel algorithm computes one DFT bin with a two-multiply recurrence —
-//! the classic MCU trick, included here as the substrate for cheap
-//! cadence-tracking design-point variants.
+//! The Goertzel algorithm computes one DFT bin with a two-multiply
+//! recurrence, independently of the radix-2 butterflies in
+//! [`crate::fft`]. No design point runs it; it is the FFT's test oracle.
 
 // Index-based loops below mirror the textbook linear-algebra notation;
 // iterator rewrites would obscure the row/column structure.
@@ -44,36 +42,37 @@ pub fn goertzel_power(signal: &[f64], k: usize) -> Result<f64, DspError> {
 /// # Errors
 ///
 /// Same conditions as [`goertzel_power`].
+// reap-lint: allow(api) -- dsp_properties::goertzel_matches_fft_on_every_bin checks the FFT against this oracle
 pub fn goertzel_magnitude(signal: &[f64], k: usize) -> Result<f64, DspError> {
     goertzel_power(signal, k).map(|p| p.max(0.0).sqrt())
-}
-
-/// The bin with the largest magnitude among `bins`, computed with one
-/// Goertzel pass per bin — cheaper than a full FFT when `bins.len()` is
-/// small.
-///
-/// # Errors
-///
-/// * [`DspError::EmptyInput`] when `bins` or `signal` is empty.
-/// * [`DspError::TooShort`] when any bin index is out of range.
-pub fn strongest_bin(signal: &[f64], bins: &[usize]) -> Result<usize, DspError> {
-    if bins.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let mut best = (bins[0], f64::MIN);
-    for &k in bins {
-        let p = goertzel_power(signal, k)?;
-        if p > best.1 {
-            best = (k, p);
-        }
-    }
-    Ok(best.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fft;
+
+    /// The bin with the largest magnitude among `bins`, computed with one
+    /// Goertzel pass per bin — cheaper than a full FFT when `bins.len()` is
+    /// small.
+    ///
+    /// # Errors
+    ///
+    /// * [`DspError::EmptyInput`] when `bins` or `signal` is empty.
+    /// * [`DspError::TooShort`] when any bin index is out of range.
+    fn strongest_bin(signal: &[f64], bins: &[usize]) -> Result<usize, DspError> {
+        if bins.is_empty() {
+            return Err(DspError::EmptyInput);
+        }
+        let mut best = (bins[0], f64::MIN);
+        for &k in bins {
+            let p = goertzel_power(signal, k)?;
+            if p > best.1 {
+                best = (k, p);
+            }
+        }
+        Ok(best.0)
+    }
 
     const TAU: f64 = 2.0 * std::f64::consts::PI;
 

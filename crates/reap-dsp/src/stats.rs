@@ -85,25 +85,6 @@ pub fn max(x: &[f64]) -> Result<f64, DspError> {
     Ok(x.iter().copied().fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// Peak-to-peak range (`max - min`).
-///
-/// # Errors
-///
-/// [`DspError::EmptyInput`] if the slice is empty.
-pub fn range(x: &[f64]) -> Result<f64, DspError> {
-    Ok(max(x)? - min(x)?)
-}
-
-/// Mean absolute deviation around the mean.
-///
-/// # Errors
-///
-/// [`DspError::EmptyInput`] if the slice is empty.
-pub fn mean_abs_deviation(x: &[f64]) -> Result<f64, DspError> {
-    let m = mean(x)?;
-    Ok(x.iter().map(|v| (v - m).abs()).sum::<f64>() / x.len() as f64)
-}
-
 /// Number of crossings of the signal's mean.
 ///
 /// A cheap proxy for dominant frequency: a periodic signal of `f` Hz
@@ -135,6 +116,7 @@ pub fn mean_crossings(x: &[f64]) -> Result<usize, DspError> {
 ///
 /// * [`DspError::TooShort`] if `lag >= x.len()`.
 /// * [`DspError::EmptyInput`] if the slice is empty.
+// reap-lint: allow(api) -- dsp_properties::autocorrelation_is_bounded; both go together (ROADMAP item 11)
 pub fn autocorrelation(x: &[f64], lag: usize) -> Result<f64, DspError> {
     if x.is_empty() {
         return Err(DspError::EmptyInput);
@@ -214,6 +196,16 @@ impl Summary {
 mod tests {
     use super::*;
 
+    /// Mean absolute deviation around the mean.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::EmptyInput`] if the slice is empty.
+    fn mean_abs_deviation(x: &[f64]) -> Result<f64, DspError> {
+        let m = mean(x)?;
+        Ok(x.iter().map(|v| (v - m).abs()).sum::<f64>() / x.len() as f64)
+    }
+
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-10, "{a} != {b}");
     }
@@ -250,7 +242,6 @@ mod tests {
         let x = [3.0, -1.0, 4.0, 1.0, 5.0];
         assert_close(min(&x).unwrap(), -1.0);
         assert_close(max(&x).unwrap(), 5.0);
-        assert_close(range(&x).unwrap(), 6.0);
     }
 
     #[test]

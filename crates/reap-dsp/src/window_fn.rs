@@ -9,7 +9,7 @@ use crate::fft;
 use crate::DspError;
 
 /// Multiplies `signal` by a Hann window in place.
-pub fn hann_in_place(signal: &mut [f64]) {
+fn hann_in_place(signal: &mut [f64]) {
     let n = signal.len();
     if n <= 1 {
         return;
@@ -22,7 +22,7 @@ pub fn hann_in_place(signal: &mut [f64]) {
 
 /// Returns a Hann-windowed copy of `signal`.
 #[must_use]
-pub fn hann(signal: &[f64]) -> Vec<f64> {
+fn hann(signal: &[f64]) -> Vec<f64> {
     let mut out = signal.to_vec();
     hann_in_place(&mut out);
     out
@@ -36,7 +36,7 @@ pub fn hann(signal: &[f64]) -> Vec<f64> {
 ///
 /// Propagates FFT errors; additionally [`DspError::TooShort`] for signals
 /// with fewer than 4 samples.
-pub fn spectral_centroid(signal: &[f64]) -> Result<f64, DspError> {
+fn spectral_centroid(signal: &[f64]) -> Result<f64, DspError> {
     if signal.len() < 4 {
         return Err(DspError::TooShort {
             len: signal.len(),
@@ -63,7 +63,7 @@ pub fn spectral_centroid(signal: &[f64]) -> Result<f64, DspError> {
 /// # Errors
 ///
 /// Same conditions as [`spectral_centroid`].
-pub fn spectral_entropy(signal: &[f64]) -> Result<f64, DspError> {
+fn spectral_entropy(signal: &[f64]) -> Result<f64, DspError> {
     if signal.len() < 4 {
         return Err(DspError::TooShort {
             len: signal.len(),

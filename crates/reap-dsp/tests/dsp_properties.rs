@@ -36,7 +36,7 @@ proptest! {
         let freq: f64 = fft_real(&x)
             .expect("power of two")
             .iter()
-            .map(|c| c.norm_sqr())
+            .map(|c| c.re * c.re + c.im * c.im)
             .sum::<f64>() / x.len() as f64;
         prop_assert!((time - freq).abs() < 1e-6 * (1.0 + time));
     }

@@ -42,18 +42,6 @@ impl TrainedClassifier {
         Ok(Activity::from_index(class).expect("network outputs one of the 7 classes"))
     }
 
-    /// Class-probability vector for one window (softmax outputs indexed by
-    /// [`Activity::index`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction errors.
-    pub fn probabilities(&self, window: &ActivityWindow) -> Result<Vec<f64>, HarError> {
-        let features = extract_features(&self.config, window)?;
-        let normed = self.standardizer.apply(&features)?;
-        Ok(self.network.forward(&normed))
-    }
-
     /// The underlying network (e.g. to inspect parameter counts).
     #[must_use]
     pub fn network(&self) -> &Mlp {
@@ -130,6 +118,20 @@ pub fn train_classifier(
 mod tests {
     use super::*;
     use reap_data::Dataset;
+
+    impl TrainedClassifier {
+        /// Class-probability vector for one window (softmax outputs indexed by
+        /// [`Activity::index`]).
+        ///
+        /// # Errors
+        ///
+        /// Propagates feature-extraction errors.
+        fn probabilities(&self, window: &ActivityWindow) -> Result<Vec<f64>, HarError> {
+            let features = extract_features(&self.config, window)?;
+            let normed = self.standardizer.apply(&features)?;
+            Ok(self.network.forward(&normed))
+        }
+    }
 
     fn small_dataset() -> Dataset {
         Dataset::generate(4, 350, 42)

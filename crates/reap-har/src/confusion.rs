@@ -49,54 +49,6 @@ impl ConfusionMatrix {
         correct as f64 / total as f64
     }
 
-    /// Recall of one class (correct / ground-truth count); `None` when the
-    /// class never appeared as ground truth.
-    #[must_use]
-    pub fn recall(&self, class: Activity) -> Option<f64> {
-        let i = class.index();
-        let row: usize = self.counts[i].iter().sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.counts[i][i] as f64 / row as f64)
-        }
-    }
-
-    /// Precision of one class (correct / predicted count); `None` when the
-    /// class was never predicted.
-    #[must_use]
-    pub fn precision(&self, class: Activity) -> Option<f64> {
-        let j = class.index();
-        let col: usize = (0..Activity::COUNT).map(|i| self.counts[i][j]).sum();
-        if col == 0 {
-            None
-        } else {
-            Some(self.counts[j][j] as f64 / col as f64)
-        }
-    }
-
-    /// Macro-averaged F1 score over classes that appeared in the ground
-    /// truth. Classes with undefined precision contribute an F1 of 0.
-    #[must_use]
-    pub fn macro_f1(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for class in Activity::ALL {
-            if let Some(r) = self.recall(class) {
-                n += 1;
-                let p = self.precision(class).unwrap_or(0.0);
-                if p + r > 0.0 {
-                    sum += 2.0 * p * r / (p + r);
-                }
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// The most confused off-diagonal pair `(truth, predicted, count)`, if
     /// any misclassification occurred.
     #[must_use]
@@ -147,6 +99,55 @@ fn truncate(s: &str, n: usize) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ConfusionMatrix {
+        /// Recall of one class (correct / ground-truth count); `None` when the
+        /// class never appeared as ground truth.
+        fn recall(&self, class: Activity) -> Option<f64> {
+            let i = class.index();
+            let row: usize = self.counts[i].iter().sum();
+            if row == 0 {
+                None
+            } else {
+                Some(self.counts[i][i] as f64 / row as f64)
+            }
+        }
+
+        /// Precision of one class (correct / predicted count); `None` when the
+        /// class was never predicted.
+        fn precision(&self, class: Activity) -> Option<f64> {
+            let j = class.index();
+            let col: usize = (0..Activity::COUNT).map(|i| self.counts[i][j]).sum();
+            if col == 0 {
+                None
+            } else {
+                Some(self.counts[j][j] as f64 / col as f64)
+            }
+        }
+    }
+
+    impl ConfusionMatrix {
+        /// Macro-averaged F1 score over classes that appeared in the ground
+        /// truth. Classes with undefined precision contribute an F1 of 0.
+        fn macro_f1(&self) -> f64 {
+            let mut sum = 0.0;
+            let mut n = 0usize;
+            for class in Activity::ALL {
+                if let Some(r) = self.recall(class) {
+                    n += 1;
+                    let p = self.precision(class).unwrap_or(0.0);
+                    if p + r > 0.0 {
+                        sum += 2.0 * p * r / (p + r);
+                    }
+                }
+            }
+            if n == 0 {
+                0.0
+            } else {
+                sum / n as f64
+            }
+        }
+    }
 
     #[test]
     fn empty_matrix() {

@@ -10,19 +10,8 @@ const STAT_NAMES: [&str; 6] = ["mean", "std", "min", "max", "rms", "crossings"];
 
 /// Names of the features `config` produces, in extraction order. The
 /// length always equals [`DpConfig::feature_dim`].
-///
-/// # Examples
-///
-/// ```
-/// use reap_har::{feature_names, DpConfig};
-///
-/// let dp5 = &DpConfig::paper_pareto_5()[4];
-/// let names = feature_names(dp5);
-/// assert_eq!(names.len(), dp5.feature_dim());
-/// assert_eq!(names[0], "stretch fft bin 0");
-/// ```
 #[must_use]
-pub fn feature_names(config: &DpConfig) -> Vec<String> {
+fn feature_names(config: &DpConfig) -> Vec<String> {
     let mut names = Vec::with_capacity(config.feature_dim());
     match config.accel_features {
         AccelFeatures::Statistical => {

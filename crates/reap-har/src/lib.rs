@@ -44,6 +44,8 @@ mod config;
 mod confusion;
 mod design_point;
 mod error;
+// Feature names serve no caller; they run only under their own tests.
+#[cfg(test)]
 mod feature_names;
 mod features;
 mod louo;
@@ -57,7 +59,6 @@ pub use config::{AccelAxes, AccelFeatures, DpConfig, NnStructure, SensingPeriod,
 pub use confusion::ConfusionMatrix;
 pub use design_point::DesignPoint;
 pub use error::HarError;
-pub use feature_names::feature_names;
 pub use features::extract_features;
 pub use louo::{leave_one_user_out, pooled_accuracy, LouoFold, LouoResult};
 pub use nn::{Mlp, TrainConfig, TrainStats};

@@ -147,13 +147,6 @@ impl Mlp {
         *self.sizes.last().expect("at least two layers")
     }
 
-    /// Total trainable parameters.
-    #[must_use]
-    pub fn num_params(&self) -> usize {
-        self.weights.iter().map(Vec::len).sum::<usize>()
-            + self.biases.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Forward pass returning all layer activations (post-nonlinearity);
     /// `activations[0]` is the input, the last entry the softmax output.
     fn forward_trace(&self, x: &[f64]) -> Vec<Vec<f64>> {
@@ -409,6 +402,14 @@ fn argmax(x: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mlp {
+        /// Total trainable parameters.
+        fn num_params(&self) -> usize {
+            self.weights.iter().map(Vec::len).sum::<usize>()
+                + self.biases.iter().map(Vec::len).sum::<usize>()
+        }
+    }
 
     #[test]
     fn construction_validates_sizes() {

@@ -139,29 +139,30 @@ impl QuantizedMlp {
         }
         best
     }
-
-    /// Agreement rate with another predictor over a sample set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    #[must_use]
-    pub fn agreement(&self, float_net: &Mlp, xs: &[Vec<f64>]) -> f64 {
-        if xs.is_empty() {
-            return 1.0;
-        }
-        let same = xs
-            .iter()
-            .filter(|x| self.predict(x) == float_net.predict(x))
-            .count();
-        same as f64 / xs.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nn::TrainConfig;
+
+    impl QuantizedMlp {
+        /// Agreement rate with another predictor over a sample set.
+        ///
+        /// # Panics
+        ///
+        /// Panics on dimension mismatches.
+        fn agreement(&self, float_net: &Mlp, xs: &[Vec<f64>]) -> f64 {
+            if xs.is_empty() {
+                return 1.0;
+            }
+            let same = xs
+                .iter()
+                .filter(|x| self.predict(x) == float_net.predict(x))
+                .count();
+            same as f64 / xs.len() as f64
+        }
+    }
 
     fn trained_net() -> (Mlp, Vec<Vec<f64>>, Vec<usize>) {
         // Separable blobs, as in the nn tests.

@@ -84,12 +84,6 @@ impl Battery {
         self.capacity
     }
 
-    /// State of charge in `[0, 1]`.
-    #[must_use]
-    pub fn state_of_charge(&self) -> f64 {
-        self.level / self.capacity
-    }
-
     /// Fraction of incoming energy actually stored, in `(0, 1]`.
     #[must_use]
     pub fn charge_efficiency(&self) -> f64 {
@@ -222,7 +216,7 @@ mod tests {
     #[test]
     fn state_of_charge() {
         let b = Battery::new(joules(60.0), joules(30.0), 0.95, 0.95).unwrap();
-        assert!((b.state_of_charge() - 0.5).abs() < 1e-12);
+        assert!((b.level() / b.capacity() - 0.5).abs() < 1e-12);
         assert_eq!(Battery::small_wearable(), b);
     }
 

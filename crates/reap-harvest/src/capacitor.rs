@@ -18,15 +18,15 @@ use crate::HarvestError;
 /// efficiency — the energy store of a batteryless node.
 ///
 /// Invariants: `0 <= v_off < v_on <= v_rated`, so the usable burst
-/// energy [`usable_burst_energy`](Capacitor::usable_burst_energy) is
-/// strictly positive and the on/off hysteresis band is non-degenerate.
+/// energy (turn-on minus brownout energy) is strictly positive and the
+/// on/off hysteresis band is non-degenerate.
 ///
 /// ```
 /// use reap_harvest::Capacitor;
 ///
 /// let cap = Capacitor::supercap_wearable();
-/// // ½·C·V² at the rated voltage.
-/// let e = 0.5 * cap.capacitance_farads() * cap.rated_voltage().powi(2);
+/// // ½·C·V² at the rated 3.3 V.
+/// let e = 0.5 * cap.capacitance_farads() * 3.3 * 3.3;
 /// assert!((cap.capacity().joules() - e).abs() < 1e-12);
 /// // The turn-on threshold sits above the brownout threshold.
 /// assert!(cap.turn_on_energy() > cap.brownout_energy());
@@ -132,24 +132,6 @@ impl Capacitor {
         self.capacitance
     }
 
-    /// Rated (maximum) voltage.
-    #[must_use]
-    pub fn rated_voltage(&self) -> f64 {
-        self.v_rated
-    }
-
-    /// Voltage at which a dead node turns back on.
-    #[must_use]
-    pub fn turn_on_voltage(&self) -> f64 {
-        self.v_on
-    }
-
-    /// Voltage below which the node browns out and dies.
-    #[must_use]
-    pub fn brownout_voltage(&self) -> f64 {
-        self.v_off
-    }
-
     /// Leakage power continuously drained from the store.
     #[must_use]
     pub fn leakage(&self) -> Power {
@@ -186,23 +168,10 @@ impl Capacitor {
         self.energy_at_voltage(self.v_off)
     }
 
-    /// Energy available per charge burst: turn-on minus brownout
-    /// threshold. Strictly positive by construction.
-    #[must_use]
-    pub fn usable_burst_energy(&self) -> Energy {
-        self.turn_on_energy() - self.brownout_energy()
-    }
-
     /// Current stored energy.
     #[must_use]
     pub fn energy(&self) -> Energy {
         self.energy
-    }
-
-    /// Current voltage: `sqrt(2·E/C)`.
-    #[must_use]
-    pub fn voltage(&self) -> f64 {
-        (2.0 * self.energy.joules() / self.capacitance).sqrt()
     }
 
     /// `true` when the stored energy has reached the turn-on threshold.
@@ -273,10 +242,12 @@ mod tests {
         assert!((cap.capacity().joules() - 0.5445).abs() < 1e-12);
         assert!((cap.turn_on_energy().joules() - 0.392).abs() < 1e-12);
         assert!((cap.brownout_energy().joules() - 0.162).abs() < 1e-12);
-        assert!((cap.usable_burst_energy().joules() - 0.23).abs() < 1e-12);
+        let burst = cap.turn_on_energy() - cap.brownout_energy();
+        assert!((burst.joules() - 0.23).abs() < 1e-12);
         // Starts at the brownout threshold: cannot boot yet.
         assert!(!cap.can_turn_on());
-        assert!((cap.voltage() - 1.8).abs() < 1e-12);
+        let volts = (2.0 * cap.energy().joules() / cap.capacitance_farads()).sqrt();
+        assert!((volts - 1.8).abs() < 1e-12);
     }
 
     #[test]

@@ -105,12 +105,6 @@ impl DiurnalEwma {
         }
     }
 
-    /// `true` once the slot for `hour_of_day` has received a real sample.
-    #[must_use]
-    pub fn is_seen(&self, hour_of_day: u32) -> bool {
-        self.seen[(hour_of_day % 24) as usize]
-    }
-
     /// Extracts the full estimator state as `(slot estimates, seen
     /// bitmask)` — bit `s` of the mask set when slot `s` has been seeded.
     /// This is everything a checkpoint needs to rebuild the estimator
@@ -168,12 +162,6 @@ impl EwmaForecaster {
         EwmaForecaster {
             ewma: DiurnalEwma::new(),
         }
-    }
-
-    /// The underlying diurnal estimator, for inspection.
-    #[must_use]
-    pub fn estimator(&self) -> &DiurnalEwma {
-        &self.ewma
     }
 }
 
@@ -292,7 +280,7 @@ mod tests {
         assert!((e.expected(3) - 2.0).abs() < 1e-12, "second sample blends");
         // Unseen slots fall back to the mean of seen ones.
         assert!((e.expected(7) - 2.0).abs() < 1e-12);
-        assert!(e.is_seen(3) && !e.is_seen(7));
+        assert!(e.seen[3] && !e.seen[7]);
     }
 
     #[test]
@@ -386,8 +374,8 @@ mod tests {
         let restored = DiurnalEwma::from_parts(est, mask);
         for h in 0..24 {
             assert_eq!(restored.expected(h), e.expected(h), "slot {h}");
-            assert_eq!(restored.is_seen(h), e.is_seen(h), "seen {h}");
         }
+        assert_eq!(restored.seen, e.seen);
         // High seen-mask bits are ignored.
         let noisy = DiurnalEwma::from_parts(est, mask | 0xFF00_0000);
         assert_eq!(noisy.expected(5), e.expected(5));

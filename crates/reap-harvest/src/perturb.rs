@@ -49,15 +49,6 @@ pub struct TracePerturbation {
 }
 
 impl TracePerturbation {
-    /// The identity perturbation: gain 1, no phase shift.
-    #[must_use]
-    pub fn identity() -> TracePerturbation {
-        TracePerturbation {
-            gain: 1.0,
-            phase_hours: 0,
-        }
-    }
-
     /// Derives a perturbation from `seed` via two splitmix64 draws:
     /// gain uniform in `[0.85, 1.15)`, phase uniform in `0..=3` hours.
     #[must_use]
@@ -172,7 +163,11 @@ mod tests {
     #[test]
     fn identity_apply_is_a_copy() {
         let base = HarvestTrace::september_like(11);
-        let same = TracePerturbation::identity().apply(&base).unwrap();
+        let identity = TracePerturbation {
+            gain: 1.0,
+            phase_hours: 0,
+        };
+        let same = identity.apply(&base).unwrap();
         assert_eq!(same, base);
     }
 

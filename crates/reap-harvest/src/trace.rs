@@ -119,91 +119,89 @@ impl HarvestTrace {
         self.hourly.iter().sum()
     }
 
-    /// Total energy of one day.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `day` is out of range.
-    #[must_use]
-    pub fn daily_total(&self, day: u32) -> Energy {
-        let start = (day * 24) as usize;
-        self.hourly[start..start + 24].iter().sum()
-    }
-
     /// Largest single-hour harvest.
     #[must_use]
     pub fn peak(&self) -> Energy {
         self.hourly.iter().copied().fold(Energy::ZERO, Energy::max)
-    }
-
-    /// Mean harvest per hour-of-day slot across all days: the diurnal
-    /// profile an EWMA allocator converges toward.
-    #[must_use]
-    pub fn diurnal_profile(&self) -> [Energy; 24] {
-        let mut sums = [0.0f64; 24];
-        for (i, e) in self.hourly.iter().enumerate() {
-            sums[i % 24] += e.joules();
-        }
-        let days = f64::from(self.days());
-        sums.map(|s| Energy::from_joules(s / days))
-    }
-
-    /// Number of "useful" hours: those harvesting more than the paper's
-    /// off-state floor (0.18 J), i.e. hours in which the device can do
-    /// more than idle.
-    #[must_use]
-    pub fn useful_hours(&self) -> usize {
-        self.hourly.iter().filter(|e| e.joules() > 0.18).count()
-    }
-
-    /// Serializes as `day,hour,joules` CSV lines (with header).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("day,hour,joules\n");
-        for (i, e) in self.hourly.iter().enumerate() {
-            let day = i / 24;
-            let hour = i % 24;
-            out.push_str(&format!("{day},{hour},{:.6}\n", e.joules()));
-        }
-        out
-    }
-
-    /// Parses the CSV produced by [`HarvestTrace::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// [`HarvestError::Parse`] on malformed rows,
-    /// [`HarvestError::InvalidParameter`] on bad totals.
-    pub fn from_csv(start_day_of_year: u32, csv: &str) -> Result<HarvestTrace, HarvestError> {
-        let mut hourly = Vec::new();
-        for (lineno, line) in csv.lines().enumerate() {
-            if lineno == 0 && line.starts_with("day,") {
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 3 {
-                return Err(HarvestError::Parse(format!(
-                    "line {}: expected 3 fields, got {}",
-                    lineno + 1,
-                    fields.len()
-                )));
-            }
-            let joules: f64 = fields[2]
-                .trim()
-                .parse()
-                .map_err(|e| HarvestError::Parse(format!("line {}: {e}", lineno + 1)))?;
-            hourly.push(Energy::from_joules(joules));
-        }
-        HarvestTrace::new(start_day_of_year, hourly)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HarvestTrace {
+        /// Total energy of one day.
+        ///
+        /// # Panics
+        ///
+        /// Panics when `day` is out of range.
+        fn daily_total(&self, day: u32) -> Energy {
+            let start = (day * 24) as usize;
+            self.hourly[start..start + 24].iter().sum()
+        }
+
+        /// Mean harvest per hour-of-day slot across all days: the diurnal
+        /// profile an EWMA allocator converges toward.
+        fn diurnal_profile(&self) -> [Energy; 24] {
+            let mut sums = [0.0f64; 24];
+            for (i, e) in self.hourly.iter().enumerate() {
+                sums[i % 24] += e.joules();
+            }
+            let days = f64::from(self.days());
+            sums.map(|s| Energy::from_joules(s / days))
+        }
+
+        /// Number of "useful" hours: those harvesting more than the paper's
+        /// off-state floor (0.18 J), i.e. hours in which the device can do
+        /// more than idle.
+        fn useful_hours(&self) -> usize {
+            self.hourly.iter().filter(|e| e.joules() > 0.18).count()
+        }
+
+        /// Serializes as `day,hour,joules` CSV lines (with header).
+        fn to_csv(&self) -> String {
+            let mut out = String::from("day,hour,joules\n");
+            for (i, e) in self.hourly.iter().enumerate() {
+                let day = i / 24;
+                let hour = i % 24;
+                out.push_str(&format!("{day},{hour},{:.6}\n", e.joules()));
+            }
+            out
+        }
+
+        /// Parses the CSV produced by [`HarvestTrace::to_csv`].
+        ///
+        /// # Errors
+        ///
+        /// [`HarvestError::Parse`] on malformed rows,
+        /// [`HarvestError::InvalidParameter`] on bad totals.
+        fn from_csv(start_day_of_year: u32, csv: &str) -> Result<HarvestTrace, HarvestError> {
+            let mut hourly = Vec::new();
+            for (lineno, line) in csv.lines().enumerate() {
+                if lineno == 0 && line.starts_with("day,") {
+                    continue;
+                }
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let fields: Vec<&str> = line.split(',').collect();
+                if fields.len() != 3 {
+                    return Err(HarvestError::Parse(format!(
+                        "line {}: expected 3 fields, got {}",
+                        lineno + 1,
+                        fields.len()
+                    )));
+                }
+                let joules: f64 = fields[2]
+                    .trim()
+                    .parse()
+                    .map_err(|e| HarvestError::Parse(format!("line {}: {e}", lineno + 1)))?;
+                hourly.push(Energy::from_joules(joules));
+            }
+            HarvestTrace::new(start_day_of_year, hourly)
+        }
+    }
 
     #[test]
     fn construction_validation() {

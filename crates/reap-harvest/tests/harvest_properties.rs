@@ -65,7 +65,6 @@ proptest! {
             prop_assert!(battery.level().joules() - before <= harvested * 0.9 + 1e-9);
             prop_assert!(battery.level().joules() >= 0.0);
             prop_assert!(battery.level() <= battery.capacity());
-            prop_assert!((0.0..=1.0).contains(&battery.state_of_charge()));
         }
     }
 
@@ -171,17 +170,6 @@ proptest! {
                     allocator.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn csv_roundtrip_is_lossless_enough(seed in 0u64..100) {
-        let trace = HarvestTrace::september_like(seed);
-        let back = HarvestTrace::from_csv(trace.start_day_of_year(), &trace.to_csv())
-            .expect("parses");
-        prop_assert_eq!(trace.len_hours(), back.len_hours());
-        for (a, b) in trace.iter().zip(back.iter()) {
-            prop_assert!((a.joules() - b.joules()).abs() < 1e-5);
         }
     }
 }

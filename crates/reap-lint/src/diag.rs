@@ -5,7 +5,8 @@ use crate::json::Value;
 /// One finding at one source line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
-    /// Rule class: `determinism`, `panic`, `locks`, `unsafe`, `pragma`.
+    /// Rule class: `determinism`, `panic`, `locks`, `unsafe`, `api`,
+    /// `pragma`.
     pub rule: &'static str,
     /// Specific check within the class (`hash-order`, `unwrap`, ...).
     pub check: &'static str,
@@ -56,6 +57,7 @@ impl Diagnostic {
     /// # Errors
     ///
     /// A message naming the missing or mistyped field.
+    // reap-lint: allow(api) -- engine.rs's report_json_schema_round_trips decodes the report with it
     pub fn from_json(v: &Value) -> Result<Diagnostic, String> {
         let rule_s = v
             .get("rule")

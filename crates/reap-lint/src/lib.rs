@@ -20,6 +20,7 @@
 //! | `panic` | `reap-serve` | `unwrap`/`expect`, panic macros, release asserts, unguarded indexing |
 //! | `locks` | `reap-serve` | raw mutexes, unlabeled acquisitions, rank inversions, lock-graph cycles |
 //! | `unsafe` | workspace / ledger crates | unjustified `unsafe`, unjustified `as f64`/`as f32` |
+//! | `api` | library `src/` | `pub` items no bin, bench, example, library or perfbench line names |
 //!
 //! Suppression is per-site and must be argued:
 //!
@@ -179,7 +180,8 @@ pub fn lint_files(root: &Path, files: Vec<SourceFile>, cfg: &Config) -> Report {
 }
 
 /// Walks the workspace source roots: `crates/*/{src,tests,benches,examples}`,
-/// the facade `src/`, top-level `tests/` and `examples/`. `vendor/` (the
+/// the facade `src/`, top-level `tests/` and `examples/`, then
+/// `perfbench/src`, which only rule A reads (for callers). `vendor/` (the
 /// offline dependency shims) and `target/` are never scanned. Files
 /// under any `tests/` or `benches/` directory are wholly test-scoped.
 fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
@@ -220,6 +222,13 @@ fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     walk_rs(root, &root.join("src"), "reap", false, &mut files)?;
     walk_rs(root, &root.join("tests"), "tests", true, &mut files)?;
     walk_rs(root, &root.join("examples"), "examples", false, &mut files)?;
+    walk_rs(
+        root,
+        &root.join(rules::api::CALLER_ONLY_ROOT).join("src"),
+        "perfbench",
+        false,
+        &mut files,
+    )?;
     Ok(files)
 }
 

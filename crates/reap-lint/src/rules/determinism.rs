@@ -65,7 +65,7 @@ const NEEDLES: &[(&str, &str, &str)] = &[
 ];
 
 /// Runs rule D over every in-scope file.
-pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
+pub fn check(files: &[&SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
     for file in files {
         if !in_scope(file, &cfg.determinism_crates, &cfg.determinism_files) {
             continue;

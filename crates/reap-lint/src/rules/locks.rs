@@ -40,7 +40,7 @@ struct Edge {
 }
 
 /// Runs rule L: rank table, acquisition labels, graph, cycles.
-pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
+pub fn check(files: &[&SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
     // Pass 1: the rank table (and raw-lock findings).
     let mut ranks: BTreeMap<String, u32> = BTreeMap::new();
     for file in files {
@@ -187,7 +187,7 @@ pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
 
     // Pass 3: rank monotonicity per edge.
     for e in &edges {
-        let file = &files[e.file_idx];
+        let file = files[e.file_idx];
         let (Some(&from), Some(&to)) = (ranks.get(&e.from), ranks.get(&e.to)) else {
             continue; // unknown-lock already reported
         };
@@ -228,7 +228,7 @@ pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
             .find(|e| cycle.contains(&e.from) && cycle.contains(&e.to))
         {
             emit(
-                &files[e.file_idx],
+                files[e.file_idx],
                 e.line,
                 "locks",
                 "lock-cycle",

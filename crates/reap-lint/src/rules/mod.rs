@@ -8,13 +8,14 @@
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 
+pub mod api;
 pub mod determinism;
 pub mod locks;
 pub mod panic;
 pub mod unsafe_float;
 
 /// Every rule class id (the budget and pragma namespace).
-pub const RULE_IDS: &[&str] = &["determinism", "panic", "locks", "unsafe", "pragma"];
+pub const RULE_IDS: &[&str] = &["determinism", "panic", "locks", "unsafe", "api", "pragma"];
 
 /// Every check id a diagnostic can carry.
 pub const CHECK_IDS: &[&str] = &[
@@ -40,6 +41,8 @@ pub const CHECK_IDS: &[&str] = &[
     // unsafe
     "unsafe-block",
     "float-cast",
+    // api
+    "dead-pub",
     // pragma hygiene
     "unused",
     "invalid",
@@ -127,16 +130,19 @@ pub fn emit(
 
 /// Runs every rule over the workspace, then reports unused or malformed
 /// pragmas (pragma hygiene keeps the allowlist honest: a pragma that
-/// suppresses nothing must be deleted, not accumulated).
+/// suppresses nothing must be deleted, not accumulated). Caller-only
+/// files ([`api::is_caller_only`]) feed rule A and nothing else.
 #[must_use]
 pub fn run_all(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    determinism::check(files, cfg, &mut out);
-    panic::check(files, cfg, &mut out);
-    locks::check(files, cfg, &mut out);
-    unsafe_float::check(files, cfg, &mut out);
+    let linted: Vec<&SourceFile> = files.iter().filter(|f| !api::is_caller_only(f)).collect();
+    determinism::check(&linted, cfg, &mut out);
+    panic::check(&linted, cfg, &mut out);
+    locks::check(&linted, cfg, &mut out);
+    unsafe_float::check(&linted, cfg, &mut out);
+    api::check(files, &mut out);
 
-    for file in files {
+    for file in linted {
         for p in &file.pragmas {
             if p.used.get() {
                 continue;

@@ -14,7 +14,7 @@ use crate::source::{word_occurrences, SourceFile};
 use super::{emit, in_scope, Config};
 
 /// Runs rule P over every in-scope file.
-pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
+pub fn check(files: &[&SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
     for file in files {
         if !in_scope(file, &cfg.panic_crates, &[]) {
             continue;

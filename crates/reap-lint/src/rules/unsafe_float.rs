@@ -15,7 +15,7 @@ use crate::source::{word_occurrences, SourceFile};
 use super::{emit, in_scope, Config};
 
 /// Runs rule U over the workspace (and the ledger-scope cast audit).
-pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
+pub fn check(files: &[&SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
     for file in files {
         let float_scope = in_scope(file, &cfg.float_crates, &cfg.float_files);
         for (i, line) in file.lines.iter().enumerate() {

@@ -4,7 +4,9 @@
 //!
 //! Fixtures are inline Rust sources parsed through the same
 //! [`SourceFile::parse`] path the workspace walk uses; the scope config
-//! puts them all in a crate named `fix`.
+//! puts them all in a crate named `fix`. Rule A's scope is fixed by path,
+//! so its fixtures also sit at bin, bench, example, test, perfbench and
+//! vendor paths.
 
 use std::path::Path;
 
@@ -298,6 +300,191 @@ fn widen(n: u32) -> f64 {
 "#,
     )]);
     assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
+}
+
+// ---------------------------------------------------------------- rule A
+
+/// A fixture at `path`, parsed the way the workspace walk parses it:
+/// files under `tests/` and `benches/` are wholly test code.
+fn at(path: &str, text: &str) -> SourceFile {
+    let crate_name = if path.starts_with("perfbench/") {
+        "perfbench"
+    } else {
+        "fix"
+    };
+    let all_test = path.contains("/tests/") || path.contains("/benches/");
+    SourceFile::parse(path.into(), crate_name.into(), text, all_test)
+}
+
+fn api_violations(diags: &[Diagnostic]) -> Vec<(&str, usize)> {
+    diags
+        .iter()
+        .filter(|d| d.rule == "api" && d.is_violation())
+        .map(|d| (d.file.as_str(), d.line))
+        .collect()
+}
+
+#[test]
+fn api_flags_every_kind_of_unnamed_pub_item() {
+    let diags = lint(vec![fixture(
+        "api_kinds",
+        r#"
+pub fn lonely() {}
+pub const fn zero() -> u8 { 0 }
+pub const LIMIT: u8 = 3;
+pub static NAME: &str = "name";
+pub struct Shape;
+pub enum Mode { On }
+pub trait Speak {}
+pub type Id = u32;
+pub fn named() -> u8 { 1 }
+fn caller() -> u8 { named() }
+"#,
+    )]);
+    let v = violations(&diags);
+    for line in 2..=9 {
+        assert!(v.contains(&("api", "dead-pub", line)), "line {line}: {v:?}");
+    }
+    assert_eq!(v.len(), 8, "{v:?}");
+}
+
+#[test]
+fn api_tests_docs_reexports_and_mod_lines_are_not_callers() {
+    let diags = lint(vec![
+        fixture(
+            "lib",
+            r#"
+//! ```
+//! fix::documented();
+//! ```
+pub mod shared;
+pub use shared::reexported;
+pub fn documented() {}
+pub fn unit_tested() {}
+pub fn integration_tested() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        super::unit_tested();
+    }
+}
+"#,
+        ),
+        fixture(
+            "shared",
+            "pub fn reexported() {}
+pub fn shared() {}
+",
+        ),
+        at(
+            "crates/fix/tests/it.rs",
+            "#[test]
+fn it() { fix::integration_tested(); }
+",
+        ),
+    ]);
+    let v = api_violations(&diags);
+    for site in [
+        ("crates/fix/src/lib.rs", 7),
+        ("crates/fix/src/lib.rs", 8),
+        ("crates/fix/src/lib.rs", 9),
+        ("crates/fix/src/shared.rs", 1),
+        ("crates/fix/src/shared.rs", 2),
+    ] {
+        assert!(v.contains(&site), "{site:?} not flagged: {v:?}");
+    }
+    assert_eq!(v.len(), 5, "{v:?}");
+}
+
+#[test]
+fn api_callers_are_bins_benches_examples_and_perfbench() {
+    let diags = lint(vec![
+        fixture(
+            "lib",
+            "pub fn by_bin() {}
+pub fn by_bench() {}
+pub fn by_example() {}
+pub fn by_perfbench() {}
+",
+        ),
+        at(
+            "crates/fix/src/bin/tool.rs",
+            "fn main() { fix::by_bin(); }
+",
+        ),
+        at(
+            "crates/fix/benches/speed.rs",
+            "fn main() { fix::by_bench(); }
+",
+        ),
+        at(
+            "crates/fix/examples/demo.rs",
+            "fn main() { fix::by_example(); }
+",
+        ),
+        // perfbench is read for callers only: no rule lints it.
+        at(
+            "perfbench/src/main.rs",
+            "fn main() { fix::by_perfbench(); let _ = unsafe { 0 }; }
+",
+        ),
+    ]);
+    assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
+}
+
+#[test]
+fn api_scope_excludes_restricted_items_bins_main_and_vendor() {
+    let diags = lint(vec![
+        fixture(
+            "scoped",
+            "pub(crate) fn internal() {}
+pub(super) fn parent() {}
+",
+        ),
+        at(
+            "crates/fix/src/bin/tool.rs",
+            "pub fn helper() {}
+fn main() {}
+",
+        ),
+        at(
+            "crates/fix/src/main.rs",
+            "pub fn run() {}
+fn main() {}
+",
+        ),
+        at(
+            "vendor/shim/src/lib.rs",
+            "pub fn shimmed() {}
+",
+        ),
+    ]);
+    assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
+}
+
+#[test]
+fn allow_api_records_its_test_and_goes_stale_with_a_caller() {
+    let diags = lint(vec![fixture(
+        "api_pragma",
+        r#"
+// reap-lint: allow(api) -- the crash drill forces failures with it
+pub fn drill_only() {}
+// reap-lint: allow(api) -- nothing calls this any more
+pub fn called_again() {}
+fn caller() {
+    called_again();
+}
+"#,
+    )]);
+    assert_eq!(violations(&diags), vec![("pragma", "unused", 4)]);
+    let allowed: Vec<_> = diags.iter().filter(|d| !d.is_violation()).collect();
+    assert_eq!(allowed.len(), 1);
+    assert_eq!((allowed[0].rule, allowed[0].line), ("api", 3));
+    assert_eq!(
+        allowed[0].allowed.as_deref(),
+        Some("the crash drill forces failures with it")
+    );
 }
 
 // ------------------------------------------------------------- pragmas

@@ -117,6 +117,7 @@ fn for_each_combination(n: usize, k: usize, f: &mut impl FnMut(&[usize])) {
 /// Panics if the problem has more equality constraints than variables in a
 /// way that over-determines the system (malformed test input).
 #[must_use]
+// reap-lint: allow(api) -- reap-lp's oracle: simplex_vs_oracle and stress check the simplex against it
 pub fn best_vertex(problem: &LpProblem, tol: f64) -> OracleResult {
     let n = problem.num_vars();
     // Candidate active hyperplanes: every constraint row (as equality) and

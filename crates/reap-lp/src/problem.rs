@@ -89,6 +89,7 @@ impl LpProblem {
     /// Panics if `objective` is empty or contains a non-finite value; use
     /// [`LpProblem::try_new_maximize`] for a fallible version.
     #[must_use]
+    // reap-lint: allow(api) -- simplex_golden pins the textbook pivot paths built with it
     pub fn maximize(objective: &[f64]) -> Self {
         Self::try_new_maximize(objective).expect("invalid objective")
     }
@@ -100,6 +101,7 @@ impl LpProblem {
     /// Panics if `objective` is empty or contains a non-finite value; use
     /// [`LpProblem::try_new_minimize`] for a fallible version.
     #[must_use]
+    // reap-lint: allow(api) -- simplex_golden pins the textbook pivot paths built with it
     pub fn minimize(objective: &[f64]) -> Self {
         Self::try_new_minimize(objective).expect("invalid objective")
     }
@@ -186,12 +188,6 @@ impl LpProblem {
     #[must_use]
     pub fn is_maximization(&self) -> bool {
         self.direction == Direction::Maximize
-    }
-
-    /// The objective coefficient vector.
-    #[must_use]
-    pub fn objective_coeffs(&self) -> &[f64] {
-        &self.objective
     }
 
     /// Solves the program with default [`SimplexOptions`].

@@ -420,7 +420,6 @@ mod tests {
         p.subject_to(&[1.0], Relation::Ge, 2.0).unwrap();
         let s = p.solve().unwrap();
         assert_eq!(s.status(), LpStatus::Infeasible);
-        assert!(s.optimal_values().is_none());
     }
 
     #[test]
@@ -539,7 +538,7 @@ mod tests {
             .unwrap();
         p.subject_to(&[1.0, 1.0, 4.0], Relation::Le, 190.0).unwrap();
         let s = p.solve().unwrap();
-        assert!(s.is_optimal());
+        assert_eq!(s.status(), LpStatus::Optimal);
         assert!(p.is_feasible(s.values(), 1e-6));
         assert_close(p.objective_value(s.values()), s.objective());
     }

@@ -27,8 +27,7 @@ impl fmt::Display for LpStatus {
 /// The result of solving an [`LpProblem`](crate::LpProblem).
 ///
 /// `objective` and `values` are only meaningful when
-/// [`status`](LpSolution::status) is [`LpStatus::Optimal`]; use
-/// [`LpSolution::optimal_values`] to get them safely.
+/// [`status`](LpSolution::status) is [`LpStatus::Optimal`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     status: LpStatus,
@@ -71,12 +70,6 @@ impl LpSolution {
         self.status
     }
 
-    /// `true` when the status is [`LpStatus::Optimal`].
-    #[must_use]
-    pub fn is_optimal(&self) -> bool {
-        self.status == LpStatus::Optimal
-    }
-
     /// Optimal objective value.
     ///
     /// NaN when the problem was infeasible or unbounded.
@@ -91,16 +84,6 @@ impl LpSolution {
     #[must_use]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Returns `(objective, values)` when optimal, `None` otherwise.
-    #[must_use]
-    pub fn optimal_values(&self) -> Option<(f64, &[f64])> {
-        if self.is_optimal() {
-            Some((self.objective, &self.values))
-        } else {
-            None
-        }
     }
 
     /// Total simplex pivots performed (both phases).
@@ -130,22 +113,18 @@ mod tests {
     #[test]
     fn optimal_accessors() {
         let s = LpSolution::optimal(3.5, vec![1.0, 2.5], 4);
-        assert!(s.is_optimal());
+        assert_eq!(s.status(), LpStatus::Optimal);
         assert_eq!(s.objective(), 3.5);
         assert_eq!(s.values(), &[1.0, 2.5]);
         assert_eq!(s.iterations(), 4);
-        let (obj, vals) = s.optimal_values().unwrap();
-        assert_eq!(obj, 3.5);
-        assert_eq!(vals, &[1.0, 2.5]);
     }
 
     #[test]
     fn non_optimal_accessors() {
         let s = LpSolution::infeasible(2);
-        assert!(!s.is_optimal());
+        assert_eq!(s.status(), LpStatus::Infeasible);
         assert!(s.objective().is_nan());
         assert!(s.values().is_empty());
-        assert!(s.optimal_values().is_none());
 
         let u = LpSolution::unbounded(0);
         assert_eq!(u.status(), LpStatus::Unbounded);

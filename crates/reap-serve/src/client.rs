@@ -110,6 +110,7 @@ impl Client {
     /// # Errors
     ///
     /// Same as [`Client::request`].
+    // reap-lint: allow(api) -- server_e2e::malformed_lines_get_error_frames_and_session_survives sends junk lines
     pub fn request_raw(&mut self, line: &str) -> io::Result<Response> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;

@@ -59,13 +59,6 @@ impl CrashPoint {
         CrashPoint::TempSynced,
         CrashPoint::Renamed,
     ];
-
-    /// Whether a crash at this point leaves the *new* snapshot durable
-    /// under its final name (only after the rename).
-    #[must_use]
-    pub fn new_snapshot_visible(self) -> bool {
-        matches!(self, CrashPoint::Renamed)
-    }
 }
 
 /// Fault rates for a [`FaultPlan`]. Every `*_every` field is a mean
@@ -481,8 +474,6 @@ mod tests {
         );
         assert!(armed.crashes_at(CrashPoint::TempSynced));
         assert!(!armed.crashes_at(CrashPoint::Renamed));
-        assert!(!CrashPoint::TempSynced.new_snapshot_visible());
-        assert!(CrashPoint::Renamed.new_snapshot_visible());
         let unarmed = FaultPlan::new(0, FaultConfig::default());
         for p in CrashPoint::ALL {
             assert!(!unarmed.crashes_at(p));

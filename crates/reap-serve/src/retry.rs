@@ -219,6 +219,7 @@ impl<L: IoLayer> RetryClient<L> {
     /// # Errors
     ///
     /// Address resolution failure.
+    // reap-lint: allow(api) -- chaos_e2e's SIGKILL drill points the client at the restarted daemon
     pub fn reconnect_to(&mut self, addr: impl ToSocketAddrs) -> Result<(), RetryError> {
         self.addr = addr
             .to_socket_addrs()
@@ -410,6 +411,7 @@ impl<L: IoLayer> RetryClient<L> {
     /// The underlying I/O error, stringified into
     /// [`RetryError::Exhausted`] with one attempt, or a terminal
     /// [`RetryError::Server`].
+    // reap-lint: allow(api) -- chaos_e2e's SIGKILL drill sends each request exactly once
     pub fn request_once(&mut self, request: &Request) -> Result<Response, RetryError> {
         let outcome = match self.ensure_connected() {
             Ok(session) => session.request(request),

@@ -97,6 +97,7 @@ impl IntermittentConfig {
     ///
     /// [`SimError::InvalidParameter`] when a window is empty or the
     /// windows are not sorted and non-overlapping.
+    // reap-lint: allow(api) -- the crash drills in intermittent_semantics and clock_golden force failures with it
     pub fn with_failures(
         mut self,
         failures: Vec<(u64, u64)>,

@@ -42,9 +42,10 @@ mod activity_stream;
 pub mod clock;
 mod engine;
 mod error;
-mod fidelity;
 mod fleet;
 mod matrix;
+// Bernoulli sampling of recognitions; it runs only under its own tests.
+#[cfg(test)]
 mod recognition;
 mod report;
 mod scenario;
@@ -54,12 +55,10 @@ pub use activity_stream::ActivityStream;
 pub use clock::{ClockStats, EventRecord, IntermittentConfig, VdtRun};
 pub use engine::Policy;
 pub use error::SimError;
-pub use fidelity::{execute_schedule, ExecutionOutcome, PointOutcome};
 pub use fleet::{
     CohortIndex, Fleet, FleetBuilder, FleetReport, Percentiles, SourceSlice, UserParams,
 };
 pub use matrix::{run_matrix, run_matrix_with_threads};
-pub use recognition::{sample_hour, sample_report, HourRecognitions};
 pub use report::{HourRecord, SimReport};
 pub use scenario::{AllocatorKind, BudgetMode, ForecasterKind, Scenario, ScenarioBuilder};
 pub use soa::{SoaFleet, UserOutcome};

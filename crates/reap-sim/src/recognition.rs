@@ -15,7 +15,7 @@ use crate::report::{HourRecord, SimReport};
 
 /// Result of sampling one hour's recognitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HourRecognitions {
+struct HourRecognitions {
     /// Windows the device classified during the hour.
     pub classified: u64,
     /// Windows classified correctly.
@@ -26,7 +26,7 @@ impl HourRecognitions {
     /// Empirical accuracy over the classified windows; `None` when the
     /// device was off all hour (no windows to classify).
     #[must_use]
-    pub fn accuracy(&self) -> Option<f64> {
+    fn accuracy(&self) -> Option<f64> {
         if self.classified == 0 {
             None
         } else {
@@ -38,7 +38,7 @@ impl HourRecognitions {
 /// Samples the recognitions of one simulated hour: each design point
 /// classifies `floor(t_i / window)` windows, each correct with
 /// probability `a_i`, scaled by the hour's realized fraction.
-pub fn sample_hour<R: Rng + ?Sized>(record: &HourRecord, rng: &mut R) -> HourRecognitions {
+fn sample_hour<R: Rng + ?Sized>(record: &HourRecord, rng: &mut R) -> HourRecognitions {
     let window_s = reap_data::WINDOW_SECONDS;
     let mut classified = 0u64;
     let mut correct = 0u64;
@@ -61,7 +61,7 @@ pub fn sample_hour<R: Rng + ?Sized>(record: &HourRecord, rng: &mut R) -> HourRec
 /// Samples a whole report, returning the aggregate empirical accuracy
 /// (`None` if the device never classified a window).
 #[must_use]
-pub fn sample_report(report: &SimReport, seed: u64) -> Option<f64> {
+fn sample_report(report: &SimReport, seed: u64) -> Option<f64> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut classified = 0u64;
     let mut correct = 0u64;

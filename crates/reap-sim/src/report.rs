@@ -100,6 +100,7 @@ impl SimReport {
     /// forecaster for [`Policy::Horizon`] (e.g. `"oracle-forecast"`),
     /// which bypasses the allocator.
     #[must_use]
+    // reap-lint: allow(api) -- engine_golden's canonical encoder digests it
     pub fn allocator_name(&self) -> &'static str {
         self.allocator
     }
@@ -173,30 +174,6 @@ impl SimReport {
         out
     }
 
-    /// Serializes the hour-by-hour record as CSV
-    /// (`day,hour,harvested_j,budget_j,expected_accuracy,active_s,realized_fraction,battery_j`),
-    /// for plotting outside Rust.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "day,hour,harvested_j,budget_j,expected_accuracy,active_s,realized_fraction,battery_j\n",
-        );
-        for h in &self.hours {
-            out.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.6},{:.3},{:.6},{:.6}\n",
-                h.day,
-                h.hour,
-                h.harvested.joules(),
-                h.budget.joules(),
-                h.planned.expected_accuracy(),
-                h.planned.active_time().seconds(),
-                h.realized_fraction,
-                h.battery_level.joules(),
-            ));
-        }
-        out
-    }
-
     /// Per-day ratio of this report's objective to `baseline`'s, as
     /// `(min, mean, max)` over days where the baseline is positive — the
     /// statistics behind the paper's Fig. 7 error bars. `None` when the
@@ -243,6 +220,31 @@ mod tests {
     use super::*;
     use reap_core::{OperatingPoint, ReapProblem};
     use reap_units::Power;
+
+    impl SimReport {
+        /// Serializes the hour-by-hour record as CSV
+        /// (`day,hour,harvested_j,budget_j,expected_accuracy,active_s,realized_fraction,battery_j`),
+        /// for plotting outside Rust.
+        fn to_csv(&self) -> String {
+            let mut out = String::from(
+                "day,hour,harvested_j,budget_j,expected_accuracy,active_s,realized_fraction,battery_j\n",
+            );
+            for h in &self.hours {
+                out.push_str(&format!(
+                    "{},{},{:.6},{:.6},{:.6},{:.3},{:.6},{:.6}\n",
+                    h.day,
+                    h.hour,
+                    h.harvested.joules(),
+                    h.budget.joules(),
+                    h.planned.expected_accuracy(),
+                    h.planned.active_time().seconds(),
+                    h.realized_fraction,
+                    h.battery_level.joules(),
+                ));
+            }
+            out
+        }
+    }
 
     fn hour_record(day: u32, accuracy_weight: f64) -> HourRecord {
         let problem = ReapProblem::builder()

@@ -40,12 +40,6 @@ impl Energy {
         Energy(mj * 1e-3)
     }
 
-    /// Creates an energy from microjoules.
-    #[must_use]
-    pub fn from_microjoules(uj: f64) -> Self {
-        Energy(uj * 1e-6)
-    }
-
     /// The value in joules.
     #[must_use]
     pub fn joules(self) -> f64 {
@@ -276,7 +270,7 @@ mod tests {
     fn display_scales_units() {
         assert_eq!(format!("{}", Energy::from_joules(5.0)), "5.0000 J");
         assert_eq!(format!("{}", Energy::from_millijoules(4.48)), "4.4800 mJ");
-        assert_eq!(format!("{}", Energy::from_microjoules(12.0)), "12.0000 uJ");
+        assert_eq!(format!("{}", Energy::from_joules(12e-6)), "12.0000 uJ");
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use timespan::TimeSpan;
 /// assert!(!reap_units::approx_eq(1.0, 1.1, 1e-9, 1e-9));
 /// ```
 #[must_use]
+// reap-lint: allow(api) -- the shared tolerance of unit_properties and its doc example
 pub fn approx_eq(a: f64, b: f64, atol: f64, rtol: f64) -> bool {
     (a - b).abs() <= atol + rtol * a.abs().max(b.abs())
 }

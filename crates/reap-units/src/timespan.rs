@@ -41,12 +41,6 @@ impl TimeSpan {
         TimeSpan(ms * 1e-3)
     }
 
-    /// Creates a time span from minutes.
-    #[must_use]
-    pub fn from_minutes(minutes: f64) -> Self {
-        TimeSpan(minutes * 60.0)
-    }
-
     /// Creates a time span from hours.
     #[must_use]
     pub fn from_hours(hours: f64) -> Self {
@@ -217,7 +211,6 @@ mod tests {
     #[test]
     fn constructors_and_getters_are_consistent() {
         assert_eq!(TimeSpan::from_hours(1.0).seconds(), 3600.0);
-        assert_eq!(TimeSpan::from_minutes(2.0).seconds(), 120.0);
         assert_eq!(TimeSpan::from_millis(1600.0).seconds(), 1.6);
         assert_eq!(TimeSpan::from_seconds(7200.0).hours(), 2.0);
         assert_eq!(TimeSpan::from_seconds(90.0).minutes(), 1.5);

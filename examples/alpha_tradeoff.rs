@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "alpha", "DP1 %", "DP2 %", "DP3 %", "DP4 %", "DP5 %", "off %", "E[acc] %", "active %"
     );
     for alpha in [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0] {
-        let problem = base.with_alpha(alpha);
+        let problem = base.with_alpha(alpha)?;
         let s = problem.solve(budget)?;
         let frac = |id: u8| s.fraction_for(id) * 100.0;
         println!(

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n13:00: physician requests high-confidence data -> alpha = 4\n");
-    let frontier = problem.with_alpha(4.0).frontier();
+    let frontier = problem.with_alpha(4.0)?.frontier();
     for (label, joules) in &hours[4..] {
         let schedule = frontier.solve(Energy::from_joules(*joules))?;
         report(label, *joules, &schedule);

@@ -1,7 +1,6 @@
 //! Integration tests for the reproduction's extensions beyond the paper:
-//! region analysis, shadow prices, lookahead planning, quantized
-//! deployment, and empirical recognition sampling — all through the
-//! public facade.
+//! region analysis, shadow prices, lookahead planning and quantized
+//! deployment, all through the public facade.
 
 use reap::core::{detect_regions, energy_shadow_price, plan_horizon, ReapProblem};
 use reap::units::Energy;
@@ -18,12 +17,18 @@ fn region_map_recovers_the_papers_figure5_structure() {
     let map = detect_regions(&paper_problem(), 1000).expect("detects");
     // At least: all-off sliver, DP5-only, one or more mixes, DP1-only.
     assert!(map.regions.len() >= 4, "{} regions", map.regions.len());
+    // `regions[k]` ends at `bounds[k + 1]`; budgets past the last bound
+    // belong to the last region.
+    let region_at = |budget: Energy| {
+        let k = map.bounds[1..].iter().position(|b| budget <= *b);
+        &map.regions[k.unwrap_or(map.regions.len() - 1)]
+    };
     // Region 1 of the paper: DP5 alone, not fully active.
-    let r1 = map.region_at(Energy::from_joules(3.0)).expect("in range");
+    let r1 = region_at(Energy::from_joules(3.0));
     assert_eq!(r1.active_ids, vec![5]);
     assert!(!r1.fully_active);
     // Region 3: DP1 alone, fully active.
-    let r3 = map.region_at(Energy::from_joules(10.0)).expect("in range");
+    let r3 = region_at(Energy::from_joules(10.0));
     assert_eq!(r3.active_ids, vec![1]);
     assert!(r3.fully_active);
 }
@@ -81,20 +86,8 @@ fn quantized_deployment_survives_the_full_pipeline() {
     let config = &DpConfig::paper_pareto_5()[0];
     let trained = train_classifier(&dataset, config, &TrainConfig::fast(3)).expect("trains");
     let q = QuantizedMlp::from_mlp(trained.network(), 8).expect("valid width");
-    // The flash image is dramatically smaller than f64 weights.
-    let f64_bytes = trained.network().num_params() * 8;
+    // The flash image is dramatically smaller than f64 weights and biases.
+    let sizes = trained.network().sizes();
+    let f64_bytes: usize = sizes.windows(2).map(|w| (w[0] + 1) * w[1] * 8).sum();
     assert!(q.storage_bytes() * 4 < f64_bytes);
-}
-
-#[test]
-fn empirical_recognition_matches_expectation_at_scale() {
-    use reap::harvest::HarvestTrace;
-    use reap::sim::{sample_report, Policy, Scenario};
-    let scenario = Scenario::builder(HarvestTrace::september_like(11))
-        .points(reap::device::paper_table2_operating_points())
-        .build()
-        .expect("valid");
-    let report = scenario.run(Policy::Reap).expect("runs");
-    let sampled = sample_report(&report, 5).expect("device ran");
-    assert!((0.5..1.0).contains(&sampled), "sampled accuracy {sampled}");
 }
