@@ -16,11 +16,12 @@
 //! instead of silently dropping out. Explicit pairs remain for local use.
 //!
 //! Each pair must share a known bench schema (`reap-bench/planner-v1`,
-//! `reap-bench/fleet-v2`, `reap-bench/mpc-v1`, `reap-bench/serve-v2`, ...)
+//! `reap-bench/fleet-v3`, `reap-bench/mpc-v1`, `reap-bench/serve-v2`, ...)
 //! and agree on that schema's workload fields (users, days, ...), so a
 //! quick run is never gated against a full one; the workload fields and
 //! tracked throughput metrics per schema live in
-//! [`reap_bench::regression`]. The default threshold tolerates a 25%
+//! [`reap_bench::regression`]. A metric a schema records without gating
+//! (fleet-v3's `cold_ms`) prints with the verdict `recorded`. The default threshold tolerates a 25%
 //! slowdown — wide enough for shared-runner noise, tight enough to catch
 //! a hot path falling off a cliff.
 
@@ -87,7 +88,13 @@ fn main() {
         match compare(&baseline, &fresh, threshold) {
             Ok(comparisons) => {
                 for c in comparisons {
-                    let verdict = if c.regressed { "REGRESSED" } else { "ok" };
+                    let verdict = if !c.gated {
+                        "recorded"
+                    } else if c.regressed {
+                        "REGRESSED"
+                    } else {
+                        "ok"
+                    };
                     println!("  {fresh_path} {c} .. {verdict}");
                     failed |= c.regressed;
                 }

@@ -1,7 +1,9 @@
 //! Fleet-scale simulation baseline: thousands of seeded synthetic users
 //! sharded across all four harvest sources, reduced to population
 //! percentiles and written as machine-readable JSON (`BENCH_fleet.json`)
-//! so CI tracks both the population statistics and the fleet throughput.
+//! so CI tracks both the population statistics and the fleet throughput:
+//! `wall_ms` for a warm run (the SoA form cached) and `cold_ms` for a
+//! freshly built fleet's first run, SoA build included.
 //!
 //! ```text
 //! cargo run --release -p reap-bench --bin fleet [-- <output.json>] [--quick]
@@ -29,12 +31,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_fleet.json".to_string());
     let users = if quick { 64 } else { FLEET_USERS };
-
-    let fleet = Fleet::builder(reap_bench::operating_points(CharMode::Paper, true))
-        .users(users)
-        .seed(reap_bench::BENCH_SEED)
-        .build()
-        .expect("valid fleet");
+    let fleet = build(users);
 
     println!(
         "fleet baseline: {} users x {} days across {} harvest sources ({out_path})",
@@ -52,6 +49,13 @@ fn main() {
     // frequency-throttle windows that would bias a smaller sample.
     let runs = if quick { 1 } else { 9 };
     let report = fleet.run().expect("fleet runs");
+    let mut cold_ms = f64::INFINITY;
+    for _ in 0..runs {
+        let start = std::time::Instant::now();
+        let fresh = build(users).run().expect("fleet runs");
+        cold_ms = cold_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(fresh, report, "fresh fleet run is not deterministic");
+    }
     let mut wall_ms = f64::INFINITY;
     for _ in 0..runs {
         let start = std::time::Instant::now();
@@ -90,12 +94,24 @@ fn main() {
         );
     }
     println!(
-        "wall time {wall_ms:.0} ms ({users_per_s:.0} users/s), {} brownout hours fleet-wide",
+        "wall time {wall_ms:.0} ms warm, {cold_ms:.0} ms cold ({users_per_s:.0} users/s), \
+         {} brownout hours fleet-wide",
         report.brownout_hours()
     );
 
-    std::fs::write(&out_path, to_json(&report, wall_ms, users_per_s)).expect("writable output");
+    std::fs::write(&out_path, to_json(&report, wall_ms, cold_ms, users_per_s))
+        .expect("writable output");
     println!("wrote {out_path}");
+}
+
+/// The baseline fleet of `users` users, freshly built: its SoA form is
+/// built on its first run.
+fn build(users: u32) -> Fleet {
+    Fleet::builder(reap_bench::operating_points(CharMode::Paper, true))
+        .users(users)
+        .seed(reap_bench::BENCH_SEED)
+        .build()
+        .expect("valid fleet")
 }
 
 fn percentiles_json(p: Percentiles) -> String {
@@ -105,9 +121,9 @@ fn percentiles_json(p: Percentiles) -> String {
     )
 }
 
-fn to_json(report: &FleetReport, wall_ms: f64, users_per_s: f64) -> String {
+fn to_json(report: &FleetReport, wall_ms: f64, cold_ms: f64, users_per_s: f64) -> String {
     let mut json = format!(
-        "{{\n  \"schema\": \"reap-bench/fleet-v2\",\n  \"users\": {},\n  \"days\": {},\n  \
+        "{{\n  \"schema\": \"reap-bench/fleet-v3\",\n  \"users\": {},\n  \"days\": {},\n  \
          \"cohorts\": {},\n  \"soa_bytes_per_user\": {},\n  \
          \"accuracy\": {},\n  \"active_fraction\": {},\n  \"mean_accuracy\": {:.4},\n  \
          \"mean_active_fraction\": {:.4},\n  \"brownout_hours\": {},\n  \"per_source\": [\n",
@@ -135,7 +151,8 @@ fn to_json(report: &FleetReport, wall_ms: f64, users_per_s: f64) -> String {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"wall_ms\": {wall_ms:.0},\n  \"users_per_s\": {users_per_s:.0}\n}}\n"
+        "  ],\n  \"wall_ms\": {wall_ms:.0},\n  \"cold_ms\": {cold_ms:.0},\n  \
+         \"users_per_s\": {users_per_s:.0}\n}}\n"
     ));
     json
 }

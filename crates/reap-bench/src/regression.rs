@@ -32,6 +32,9 @@ pub struct Metric {
     pub key: &'static str,
     /// Which way is faster.
     pub direction: Direction,
+    /// Whether a slowdown beyond the threshold fails the gate; an
+    /// ungated metric is only recorded beside the gated ones.
+    pub gated: bool,
 }
 
 /// What `bench_check` reads from one bench schema.
@@ -50,6 +53,7 @@ const fn higher(key: &'static str) -> Metric {
     Metric {
         key,
         direction: Direction::HigherIsBetter,
+        gated: true,
     }
 }
 
@@ -57,6 +61,16 @@ const fn lower(key: &'static str) -> Metric {
     Metric {
         key,
         direction: Direction::LowerIsBetter,
+        gated: true,
+    }
+}
+
+/// A lower-is-better metric that is compared and printed but never
+/// fails the gate.
+const fn recorded_lower(key: &'static str) -> Metric {
+    Metric {
+        gated: false,
+        ..lower(key)
     }
 }
 
@@ -69,19 +83,30 @@ static PLANNER_SCHEMA: Schema = Schema {
 // The fleet and MPC simulations are deterministic too: the population
 // statistics and every policy's outcome are gated exactly, throughput
 // with the threshold.
+const FLEET_OUTCOME: &[&str] = &[
+    "cohorts",
+    "soa_bytes_per_user",
+    "accuracy",
+    "active_fraction",
+    "mean_accuracy",
+    "mean_active_fraction",
+    "brownout_hours",
+    "per_source",
+];
+
 static FLEET_SCHEMA: Schema = Schema {
     workload: &["users", "days"],
-    outcome: &[
-        "cohorts",
-        "soa_bytes_per_user",
-        "accuracy",
-        "active_fraction",
-        "mean_accuracy",
-        "mean_active_fraction",
-        "brownout_hours",
-        "per_source",
-    ],
+    outcome: FLEET_OUTCOME,
     metrics: &[higher("users_per_s")],
+};
+
+// fleet-v3 adds the cold first run (`cold_ms`, SoA build included). It
+// is recorded, not gated: a cold run on a shared runner swings with the
+// host more than the threshold allows.
+static FLEET_V3_SCHEMA: Schema = Schema {
+    workload: &["users", "days"],
+    outcome: FLEET_OUTCOME,
+    metrics: &[higher("users_per_s"), recorded_lower("cold_ms")],
 };
 
 static MPC_SCHEMA: Schema = Schema {
@@ -134,6 +159,7 @@ pub fn schema(name: &str) -> Option<&'static Schema> {
         // so a stale committed baseline produces a clear schema-mismatch
         // error instead of an unknown-schema one.
         "reap-bench/fleet-v1" | "reap-bench/fleet-v2" => Some(&FLEET_SCHEMA),
+        "reap-bench/fleet-v3" => Some(&FLEET_V3_SCHEMA),
         "reap-bench/mpc-v1" => Some(&MPC_SCHEMA),
         "reap-bench/intermittent-v1" => Some(&INTERMITTENT_SCHEMA),
         "reap-bench/serve-v1" | "reap-bench/serve-v2" => Some(&SERVE_SCHEMA),
@@ -233,7 +259,10 @@ pub struct Comparison {
     /// Slowdown factor: `> 1` means the fresh run is slower, whatever the
     /// metric's direction (a 1.30 entry reads "30% slower than baseline").
     pub slowdown: f64,
-    /// `true` when `slowdown` exceeds `1 + threshold`.
+    /// Whether the metric is gated ([`Metric::gated`]).
+    pub gated: bool,
+    /// `true` when the metric is gated and `slowdown` exceeds
+    /// `1 + threshold`.
     pub regressed: bool,
 }
 
@@ -337,7 +366,8 @@ pub fn compare(
             baseline,
             fresh,
             slowdown,
-            regressed: slowdown > 1.0 + threshold,
+            gated: metric.gated,
+            regressed: metric.gated && slowdown > 1.0 + threshold,
         });
     }
     Ok(out)
@@ -476,6 +506,31 @@ mod tests {
     }
 
     #[test]
+    fn fleet_v3_records_cold_ms_without_gating_it() {
+        let base = committed("BENCH_fleet.json");
+        assert!(base.contains("\"schema\": \"reap-bench/fleet-v3\""));
+        let doc = json::parse(&base).unwrap();
+        let cold = lookup(&doc, "cold_ms").and_then(Value::as_f64).unwrap();
+        // A tenfold slower cold run is recorded, never a regression.
+        let slower = base.replace(
+            &format!("\"cold_ms\": {cold}"),
+            &format!("\"cold_ms\": {}", cold * 10.0),
+        );
+        assert_ne!(slower, base, "the fixture must change cold_ms");
+        let cmp = compare(&base, &slower, 0.25).unwrap();
+        let keys: Vec<_> = cmp.iter().map(|c| (c.key, c.gated, c.regressed)).collect();
+        assert_eq!(
+            keys,
+            [("users_per_s", true, false), ("cold_ms", false, false)]
+        );
+        assert!((cmp[1].slowdown - 10.0).abs() < 1e-9);
+        // A fleet-v3 run without it is refused.
+        let missing = base.replace(&format!("\"cold_ms\": {cold},"), "");
+        let err = compare(&base, &missing, 0.25).unwrap_err();
+        assert!(err.contains("fresh run lacks metric cold_ms"), "got: {err}");
+    }
+
+    #[test]
     fn quick_serve_run_is_not_compared_with_a_full_one() {
         let quick = r#"{"schema": "reap-bench/serve-v2", "users": 64, "client_threads": 8,
             "decisions": 4000, "decisions_per_s": 50987}"#;
@@ -585,6 +640,7 @@ mod tests {
             baseline,
             fresh,
             slowdown,
+            gated: true,
             regressed: false,
         };
         // A 26% drop in a lower-is-better run time is a speedup, and

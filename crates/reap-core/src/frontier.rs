@@ -29,14 +29,16 @@
 
 use reap_units::Energy;
 
+use crate::operating_point::weight;
 use crate::problem::check_budget;
 use crate::schedule::Run;
-use crate::{OperatingPoint, ReapError, ReapProblem, Schedule};
+use crate::{ReapError, ReapProblem, Schedule};
 
 /// Precomputed concave budget→schedule frontier for one `(points, alpha)`.
 ///
-/// Construction is `O(N log N)` (sort + monotone hull scan). The frontier
-/// is a [`FrontierTable`] plus what the table lacks: the `alpha` its
+/// Construction is [`push_frontier`]'s `O(N²)` insertion sort and
+/// monotone hull scan, over a handful of points. The frontier is a
+/// [`FrontierTable`] plus what the table lacks: the `alpha` its
 /// weights were built for, which [`PlanFrontier::objective_at`] needs,
 /// and the budget checks [`PlanFrontier::solve`] reports. Each solve
 /// afterwards is one [`decide_vertices`] walk over the `K <= N + 1`
@@ -57,71 +59,19 @@ impl PlanFrontier {
     /// validated at construction).
     #[must_use]
     pub fn new(problem: &ReapProblem) -> PlanFrontier {
-        let tp = problem.period().seconds();
-        let p_off = problem.off_power().watts();
-        let alpha = problem.alpha();
-        let min_budget_j = problem.min_budget().joules();
-
-        // Candidates in (marginal power, weight) space, plus the off state
-        // at the origin. Marginal powers are positive by construction
-        // (problem validation rejects P_i <= P_off).
-        let mut candidates: Vec<(f64, f64, Option<&OperatingPoint>)> = problem
+        let points: Vec<(u8, f64, f64)> = problem
             .points()
             .iter()
-            .map(|p| (p.power().watts() - p_off, p.weight(alpha), Some(p)))
-            .collect();
-        candidates.push((0.0, 0.0, None));
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite powers")
-                .then(b.1.partial_cmp(&a.1).expect("finite weights"))
-        });
-
-        // Upper concave hull, monotone-scan style. Dominated points (no
-        // weight gain for the extra power) never enter; interior points of
-        // a segment are popped when the incoming slope stops decreasing.
-        let mut hull: Vec<(f64, f64, Option<&OperatingPoint>)> =
-            Vec::with_capacity(candidates.len());
-        for cand in candidates {
-            if let Some(last) = hull.last() {
-                // Strictly more power for no strictly better weight.
-                if cand.1 <= last.1 {
-                    continue;
-                }
-            }
-            while hull.len() >= 2 {
-                let a = hull[hull.len() - 2];
-                let b = hull[hull.len() - 1];
-                // Keep b only if the slope a→b strictly exceeds b→cand.
-                let keep = (b.1 - a.1) * (cand.0 - b.0) > (cand.1 - b.1) * (b.0 - a.0);
-                if keep {
-                    break;
-                }
-                hull.pop();
-            }
-            hull.push(cand);
-        }
-
-        // Each hull vertex runs its point (or nothing) for the whole
-        // period, which is optimal exactly at its breakpoint budget.
-        let vertices = hull
-            .into_iter()
-            .map(|(m, _, p)| Vertex {
-                budget_j: min_budget_j + m * tp,
-                accuracy: p.map_or(0.0, OperatingPoint::accuracy),
-                power_w: p.map_or(0.0, |p| p.power().watts()),
-                id: p.map_or(0, OperatingPoint::id),
-                has_point: p.is_some(),
-            })
+            .map(|p| (p.id(), p.accuracy(), p.power().watts()))
             .collect();
         PlanFrontier {
-            table: FrontierTable {
-                vertices,
-                tp_s: tp,
-                off_w: p_off,
-                min_budget_j,
-            },
-            alpha,
+            table: FrontierTable::new(
+                &points,
+                problem.alpha(),
+                problem.period().seconds(),
+                problem.off_power().watts(),
+            ),
+            alpha: problem.alpha(),
         }
     }
 
@@ -167,8 +117,8 @@ impl PlanFrontier {
 /// period there.
 ///
 /// Plain data in one 32-byte record, so batched callers can pack many
-/// cohorts' frontiers into one contiguous arena and evaluate them with
-/// [`decide_vertices`].
+/// frontiers into one contiguous arena ([`push_frontier`]) and evaluate
+/// them with [`decide_vertices`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vertex {
     /// Breakpoint budget in joules.
@@ -194,6 +144,94 @@ impl Vertex {
             power_w: self.power_w,
             seconds,
         })
+    }
+}
+
+/// Appends to `out` the frontier of `points`, each an `(id, accuracy,
+/// power_w)` triple drawing more than `off_w`, weighted by `alpha` over
+/// a period of `period_s` seconds: the vertices of the upper concave
+/// hull of the off state `(0, 0)` and every point's `(P_i - P_off,
+/// a_i^alpha)`, ascending by budget, the all-off vertex at the floor
+/// `off_w * period_s` first. The one hull every frontier is built with:
+/// [`FrontierTable::new`] calls it, and batched callers call it to pack
+/// many frontiers into one arena. It allocates only when `out` grows.
+pub fn push_frontier(
+    out: &mut Vec<Vertex>,
+    points: &[(u8, f64, f64)],
+    alpha: f64,
+    period_s: f64,
+    off_w: f64,
+) {
+    // The candidates are written straight into `out`, so the build needs
+    // no scratch: until the budgets are filled in at the end, a record's
+    // `budget_j` holds its weight `a^alpha`, and its marginal power is
+    // `power_w - off_w` (0 for the off state, pushed last).
+    let start = out.len();
+    out.extend(points.iter().map(|&(id, accuracy, power_w)| Vertex {
+        budget_j: weight(accuracy, alpha),
+        accuracy,
+        power_w,
+        id,
+        has_point: true,
+    }));
+    out.push(Vertex {
+        budget_j: 0.0,
+        accuracy: 0.0,
+        power_w: 0.0,
+        id: 0,
+        has_point: false,
+    });
+    let marginal = |v: &Vertex| if v.has_point { v.power_w - off_w } else { 0.0 };
+    let cands = &mut out[start..];
+
+    // Stable insertion sort by ascending marginal power, then descending
+    // weight: a frontier has a handful of points.
+    for i in 1..cands.len() {
+        let c = cands[i];
+        let (m, w) = (marginal(&c), c.budget_j);
+        let mut j = i;
+        while j > 0 {
+            let (pm, pw) = (marginal(&cands[j - 1]), cands[j - 1].budget_j);
+            if !(m < pm || (m == pm && w > pw)) {
+                break;
+            }
+            cands[j] = cands[j - 1];
+            j -= 1;
+        }
+        cands[j] = c;
+    }
+
+    // Upper concave hull, monotone-scan style, compacted in place: the
+    // hull so far is `cands[..len]`. Dominated points (no weight gain for
+    // the extra power) never enter; interior points of a segment are
+    // popped when the incoming slope stops decreasing.
+    let mut len = 0;
+    for i in 0..cands.len() {
+        let c = cands[i];
+        let (cm, cw) = (marginal(&c), c.budget_j);
+        // Strictly more power for no strictly better weight.
+        if len > 0 && cw <= cands[len - 1].budget_j {
+            continue;
+        }
+        while len >= 2 {
+            let (a, b) = (&cands[len - 2], &cands[len - 1]);
+            let (am, aw, bm, bw) = (marginal(a), a.budget_j, marginal(b), b.budget_j);
+            // Keep b only if the slope a→b strictly exceeds b→c.
+            if (bw - aw) * (cm - bm) > (cw - bw) * (bm - am) {
+                break;
+            }
+            len -= 1;
+        }
+        cands[len] = c;
+        len += 1;
+    }
+    out.truncate(start + len);
+
+    // Each hull vertex runs its point (or nothing) for the whole period,
+    // which is optimal exactly at its breakpoint budget.
+    let floor_j = off_w * period_s;
+    for v in &mut out[start..] {
+        v.budget_j = floor_j + marginal(v) * period_s;
     }
 }
 
@@ -269,7 +307,8 @@ pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j:
 /// one [`Vertex`] record per breakpoint, so a hot loop evaluating
 /// thousands of cached frontiers touches only contiguous memory.
 ///
-/// Built once per `(points, alpha)` cohort with [`PlanFrontier::table`];
+/// Built once per `(points, alpha)` with [`FrontierTable::new`] or
+/// [`PlanFrontier::table`];
 /// each [`FrontierTable::decide`] afterwards is a short scan over the
 /// `K <= N + 1` breakpoints (frontiers are tiny — a handful of vertices
 /// — so the scan beats binary search) followed by the interpolation.
@@ -281,23 +320,30 @@ pub struct FrontierTable {
     tp_s: f64,
     off_w: f64,
     /// `vertices[0].budget_j`, kept inline: a per-user floor lookup over
-    /// many cohorts then never touches the vertex heap.
+    /// many tables then never touches the vertex heap.
     min_budget_j: f64,
 }
 
 impl FrontierTable {
+    /// The frontier table of `points` ([`push_frontier`]'s `(id,
+    /// accuracy, power_w)` triples, each drawing more than `off_w`) under
+    /// `alpha` for a period of `period_s` seconds.
+    #[must_use]
+    pub fn new(points: &[(u8, f64, f64)], alpha: f64, period_s: f64, off_w: f64) -> FrontierTable {
+        let mut vertices = Vec::with_capacity(points.len() + 1);
+        push_frontier(&mut vertices, points, alpha, period_s, off_w);
+        FrontierTable {
+            vertices,
+            tp_s: period_s,
+            off_w,
+            min_budget_j: off_w * period_s,
+        }
+    }
+
     /// The budget floor `P_off * TP` in joules (the first breakpoint).
     #[must_use]
     pub fn min_budget_j(&self) -> f64 {
         self.min_budget_j
-    }
-
-    /// The saturation budget (the last breakpoint) in joules: every
-    /// budget at or above it buys the same plan, so callers may cache
-    /// `decide(max_budget_j())` and reuse it for any richer budget.
-    #[must_use]
-    pub fn max_budget_j(&self) -> f64 {
-        self.vertices[self.vertices.len() - 1].budget_j
     }
 
     /// Number of frontier breakpoints.
@@ -312,8 +358,7 @@ impl FrontierTable {
         self.vertices.is_empty()
     }
 
-    /// The breakpoints, ascending by budget — exported so batched callers
-    /// can re-pack many cohorts' tables into one contiguous arena.
+    /// The breakpoints, ascending by budget.
     #[must_use]
     pub fn vertices(&self) -> &[Vertex] {
         &self.vertices
@@ -337,6 +382,7 @@ impl FrontierTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OperatingPoint;
     use reap_units::Power;
 
     impl PlanFrontier {

@@ -85,7 +85,7 @@ mod static_policy;
 mod sweep;
 
 pub use error::ReapError;
-pub use frontier::{decide_vertices, FrontierTable, PlanFrontier, Vertex};
+pub use frontier::{decide_vertices, push_frontier, FrontierTable, PlanFrontier, Vertex};
 pub use horizon::{plan_horizon, HorizonPlan};
 pub use mpc::RecedingHorizonController;
 pub use operating_point::OperatingPoint;

@@ -170,13 +170,75 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
 
 /// Lints an explicit file set (the fixture tests' entry point).
 #[must_use]
-pub fn lint_files(root: &Path, files: Vec<SourceFile>, cfg: &Config) -> Report {
+pub fn lint_files(root: &Path, mut files: Vec<SourceFile>, cfg: &Config) -> Report {
+    mark_test_only_modules(&mut files);
     let diagnostics = rules::run_all(&files, cfg);
     Report {
         root: root.to_path_buf(),
         files_scanned: files.len(),
         diagnostics,
     }
+}
+
+/// Marks every module file that its parent declares test-only
+/// (`#[cfg(test)] mod name;`) as wholly test code, like a file under
+/// `tests/`, and in turn every module file such a file declares. A
+/// `lib.rs`, `main.rs` or `mod.rs` parent declares `name.rs` or
+/// `name/mod.rs` beside it; any other `parent.rs` declares
+/// `parent/name.rs` or `parent/name/mod.rs`.
+fn mark_test_only_modules(files: &mut [SourceFile]) {
+    loop {
+        let mut children: Vec<String> = Vec::new();
+        for file in files.iter() {
+            let dir = match file.path.rsplit_once('/') {
+                Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => format!("{dir}/"),
+                Some((_, _)) => format!("{}/", file.path.trim_end_matches(".rs")),
+                None => String::new(),
+            };
+            let mut depth = 0;
+            for line in &file.lines {
+                let top_level = depth == 0;
+                depth = line.depth_end;
+                let Some(name) = declared_module(&line.code) else {
+                    continue;
+                };
+                if line.in_test && top_level {
+                    children.push(format!("{dir}{name}.rs"));
+                    children.push(format!("{dir}{name}/mod.rs"));
+                }
+            }
+        }
+        let mut marked = false;
+        for file in files.iter_mut() {
+            if children.contains(&file.path) && file.lines.iter().any(|l| !l.in_test) {
+                for line in &mut file.lines {
+                    line.in_test = true;
+                }
+                marked = true;
+            }
+        }
+        if !marked {
+            return;
+        }
+    }
+}
+
+/// The module a masked code line declares from a file of its own
+/// (`mod name;`, any visibility, after any same-line attributes).
+fn declared_module(code: &str) -> Option<&str> {
+    let mut rest = code.trim();
+    while rest.starts_with("#[") {
+        rest = rest[rest.find(']')? + 1..].trim_start();
+    }
+    if let Some(after) = rest.strip_prefix("pub") {
+        rest = after.trim_start();
+        if rest.starts_with('(') {
+            rest = rest[rest.find(')')? + 1..].trim_start();
+        }
+    }
+    let name = rest.strip_prefix("mod ")?.strip_suffix(';')?.trim();
+    (!name.is_empty() && name.bytes().all(|b| b == b'_' || b.is_ascii_alphanumeric()))
+        .then_some(name)
 }
 
 /// Walks the workspace source roots: `crates/*/{src,tests,benches,examples}`,

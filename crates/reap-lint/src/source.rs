@@ -5,7 +5,9 @@
 //! to spaces, byte positions preserved) so a pattern like `.unwrap()`
 //! inside a string or a doc comment can never fire, plus a per-line
 //! `in_test` flag (inside a `#[cfg(test)]` / `#[test]` region, or a file
-//! under `tests/` / `benches/`) so test code is exempt from every rule,
+//! under `tests/` / `benches/`; `lint_files` then marks the module files
+//! a parent declares `#[cfg(test)] mod name;`) so test code is exempt
+//! from every rule,
 //! plus the list of `reap-lint:` pragmas extracted from `//` comments.
 //!
 //! Pragma grammar (one per comment):

@@ -487,6 +487,64 @@ fn caller() {
     );
 }
 
+#[test]
+fn test_only_module_files_are_test_code() {
+    // `#[cfg(test)] mod name;` puts a whole file in test code: its
+    // `unwrap` is not a panic site in reap-serve, its `pub fn` is not
+    // API, and naming a library item from it calls nothing.
+    let serve =
+        |path: &str, text: &str| SourceFile::parse(path.into(), "reap-serve".into(), text, false);
+    let files = vec![
+        serve(
+            "crates/reap-serve/src/lib.rs",
+            "pub mod state;
+#[cfg(test)]
+mod helpers;
+#[cfg(test)] mod inline;
+pub fn only_tested() -> u8 { 1 }
+",
+        ),
+        serve(
+            "crates/reap-serve/src/helpers.rs",
+            "pub fn helper() -> u8 { crate::only_tested().checked_add(1).unwrap() }
+",
+        ),
+        serve(
+            "crates/reap-serve/src/inline/mod.rs",
+            "pub fn inline_helper(xs: &[u8]) -> u8 { xs[0] }
+",
+        ),
+        serve(
+            "crates/reap-serve/src/state.rs",
+            "#[cfg(test)]
+mod fixtures;
+pub fn step() -> u8 { 0 }
+",
+        ),
+        serve(
+            "crates/reap-serve/src/state/fixtures.rs",
+            "pub fn fixture() -> Option<u8> { None.unwrap() }
+",
+        ),
+        at(
+            "crates/reap-serve/src/bin/serve.rs",
+            "fn main() { reap_serve::state::step(); }
+",
+        ),
+    ];
+    let diags = lint_files(Path::new("/fixture"), files, &Config::repo_default()).diagnostics;
+    let v: Vec<_> = diags
+        .iter()
+        .filter(|d| d.is_violation())
+        .map(|d| (d.file.as_str(), d.rule, d.check, d.line))
+        .collect();
+    assert_eq!(
+        v,
+        vec![("crates/reap-serve/src/lib.rs", "api", "dead-pub", 5)],
+        "{v:?}"
+    );
+}
+
 // ------------------------------------------------------------- pragmas
 
 #[test]

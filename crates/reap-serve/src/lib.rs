@@ -6,8 +6,8 @@
 //! fleet, without rebuilding state per request. This crate keeps the
 //! population *resident*: per-user EWMA allocators, open-loop virtual
 //! batteries, and running accumulators live in sharded memory
-//! ([`FleetState`]), with cohort-shared precomputed plan frontiers, so
-//! an allocation decision is a cached-table walk instead of an LP solve.
+//! ([`FleetState`]), with a precomputed plan frontier per user, so an
+//! allocation decision is a cached-table walk instead of an LP solve.
 //!
 //! On top of that state sits a persistent std-only TCP daemon
 //! ([`Server`]): newline-delimited JSON frames ([`protocol`]) with a

@@ -158,7 +158,7 @@ pub enum Request {
         seq: Option<u64>,
     },
     /// Serve an allocation decision for the user's upcoming hour from the
-    /// cohort's cached plan frontier. Read-only: repeated decides are
+    /// user's cached plan frontier. Read-only: repeated decides are
     /// idempotent.
     Decide {
         /// Fleet user index.
@@ -197,7 +197,9 @@ pub struct WireShare {
 pub struct FleetStats {
     /// Resident users.
     pub users: u32,
-    /// Distinct `(operating points, alpha)` cohorts sharing a frontier.
+    /// The user count ([`FleetState::cohorts`](crate::FleetState::cohorts)):
+    /// every user has a frontier of their own. Kept because the wire
+    /// format and perfbench carry it.
     pub cohorts: u32,
     /// Total observations absorbed.
     pub observations: u64,

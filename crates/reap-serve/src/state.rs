@@ -4,16 +4,14 @@
 //! holds each user's *live* policy state in memory — the EWMA diurnal
 //! allocator, the virtual battery of the open-loop protocol, and running
 //! accumulators — and advances it one observation at a time. Users are
-//! derived from a [`Fleet`] (same seeds, same
-//! [`Fleet::user_params`] definition), so a daemon observing the exact
-//! hours a simulation ran grants the exact budgets the simulation
-//! granted.
+//! derived from a [`Fleet`] (same seeds, same [`Fleet::user_draws`]
+//! definition), so a daemon observing the exact hours a simulation ran
+//! grants the exact budgets the simulation granted.
 //!
-//! Users sharing `(operating points, alpha)` form a cohort and resolve
-//! decisions through one cached [`FrontierTable`] — the same
-//! [`CohortIndex`] deduplication the SoA simulation core performs. A
-//! `Decide` request is therefore a table walk, not an LP solve. Every
-//! budget goes through the shared hour-step functions
+//! Every user resolves decisions through their own [`FrontierTable`],
+//! built once from their draws with the hull the SoA simulation core
+//! uses. A `Decide` request is therefore a table walk, not an LP solve.
+//! Every budget goes through the shared hour-step functions
 //! ([`reap_harvest::step`]), exactly as in the simulation engines.
 //!
 //! Concurrency: users are striped over `S` shards (`user % S`), each
@@ -27,9 +25,9 @@
 
 use crate::locks::{rank, OrderedLock};
 
-use reap_core::{FrontierTable, ReapProblem, Schedule};
+use reap_core::{FrontierTable, Schedule};
 use reap_harvest::{step, Battery, BudgetAllocator, EwmaAllocator};
-use reap_sim::{CohortIndex, Fleet};
+use reap_sim::Fleet;
 use reap_units::Energy;
 
 use crate::protocol::{ErrorCode, FleetStats, ProtocolError};
@@ -65,14 +63,14 @@ pub(crate) struct UserState {
     /// Budget granted at `last_seq`, replayed verbatim when a retrying
     /// client resends the same sequence number.
     pub last_budget: f64,
-    /// Cohort index into the shared frontier tables.
+    /// Index of the user's frontier table: the user's own index.
     pub cohort: u32,
 }
 
 /// One served allocation decision plus the budget it was decided at.
 #[derive(Debug, Clone, Copy)]
 pub struct DecideOutcome {
-    /// The budget the cohort frontier was evaluated at, joules.
+    /// The budget the user's frontier was evaluated at, joules.
     pub budget_j: f64,
     /// The plan: aggregates plus the (at most two) point shares.
     pub decision: Schedule,
@@ -88,54 +86,49 @@ struct Shard {
 #[derive(Debug)]
 pub struct FleetState {
     shards: Vec<OrderedLock<Shard>>,
-    /// Cohort-shared frontier tables, indexed by `UserState::cohort`.
+    /// One frontier table per user, indexed by `UserState::cohort`.
     tables: Vec<FrontierTable>,
     users: u32,
-    /// FNV-1a over the fleet configuration (user count, per-user alpha /
-    /// point bits / source label); snapshots embed it so a checkpoint
-    /// can only restore into a state built from the same fleet.
+    /// FNV-1a over the fleet configuration (user count, then per user
+    /// the alpha bits, each point's id, accuracy and power bits, and the
+    /// source label); snapshots embed it so a checkpoint can only restore
+    /// into a state built from the same fleet.
     fingerprint: u64,
 }
 
 impl FleetState {
-    /// Builds resident state for every user of `fleet`, deduplicating
-    /// `(points, alpha)` cohorts into shared frontier tables and striping
-    /// users over `shards` mutexes.
+    /// Builds resident state for every user of `fleet`, one frontier
+    /// table per user, striping users over `shards` mutexes. Runs on the
+    /// calling thread.
     ///
     /// # Errors
     ///
-    /// Propagates [`reap_sim::SimError`] from user-parameter derivation
-    /// or frontier construction (cannot happen for fleets accepted by
-    /// [`Fleet::builder`]). A `shards` of zero is clamped up to one.
+    /// [`Fleet::base_problem`]'s [`reap_sim::SimError`] when the fleet's
+    /// base points are invalid. A `shards` of zero is clamped up to one.
     pub fn new(fleet: &Fleet, shards: usize) -> Result<FleetState, reap_sim::SimError> {
         let users = fleet.users();
         let shards = shards.min(users as usize).max(1);
+        // Validated once: a user's draws move only accuracies, so every
+        // user's points are valid when the base points are.
+        let base = fleet.base_problem()?;
+        let (period_s, off_w) = (base.period().seconds(), base.off_power().watts());
 
         let mut fp = Fnv::new();
         fp.write_u64(u64::from(users));
 
-        // Cohort dedup: the same index the SoA simulation core uses, so
-        // a fleet reports the same cohort count served or simulated.
-        let mut index = CohortIndex::default();
-        let mut tables: Vec<FrontierTable> = Vec::new();
+        let mut tables: Vec<FrontierTable> = Vec::with_capacity(users as usize);
         let mut striped: Vec<Vec<UserState>> = vec![Vec::new(); shards];
-
+        let mut points = Vec::new();
         for u in 0..users {
-            let params = fleet.user_params(u)?;
-            let key = params.cohort_key();
-            for &w in &key {
-                fp.write_u64(w);
+            let (_, alpha) = fleet.user_draws(u, &mut points);
+            fp.write_u64(alpha.to_bits());
+            for &(id, accuracy, power_w) in &points {
+                fp.write_u64(u64::from(id));
+                fp.write_u64(accuracy.to_bits());
+                fp.write_u64(power_w.to_bits());
             }
             fp.write_bytes(fleet.user_source(u).label().as_bytes());
-
-            let (cohort, new) = index.assign(key);
-            if new {
-                let problem = ReapProblem::builder()
-                    .alpha(params.alpha)
-                    .points(params.points)
-                    .build()?;
-                tables.push(problem.frontier().table());
-            }
+            tables.push(FrontierTable::new(&points, alpha, period_s, off_w));
 
             // reap-lint: allow(panic:index) -- `u % shards` is < shards == striped.len()
             striped[u as usize % shards].push(UserState {
@@ -149,7 +142,7 @@ impl FleetState {
                 activity: 0.0,
                 last_seq: 0,
                 last_budget: 0.0,
-                cohort,
+                cohort: u,
             });
         }
 
@@ -171,7 +164,9 @@ impl FleetState {
         self.users
     }
 
-    /// Distinct `(points, alpha)` cohorts sharing a frontier table.
+    /// The user count: every user has a frontier table of their own.
+    /// Kept only because the `stats` response reports it and perfbench
+    /// pins it.
     #[must_use]
     pub fn cohorts(&self) -> u32 {
         self.tables.len() as u32
@@ -184,7 +179,7 @@ impl FleetState {
     }
 
     /// Runs `f` on user `user`'s state (under its shard lock) together
-    /// with the cohort frontier tables.
+    /// with the frontier tables.
     fn with_user<T>(
         &self,
         user: u32,
@@ -303,7 +298,7 @@ impl FleetState {
     }
 
     /// Serves an allocation decision for `user`'s upcoming hour from the
-    /// cohort's cached frontier. Read-only and idempotent: the proposal
+    /// user's cached frontier. Read-only and idempotent: the proposal
     /// is computed on a throwaway clone of the allocator (exactly what
     /// the next [`FleetState::observe`] will propose), clamped to what
     /// the battery alone can deliver — the upcoming hour's harvest is
@@ -450,9 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_fleet_is_one_cohort_served_and_simulated() {
-        // No accuracy spread and a pinned alpha: every user shares one
-        // frontier, in the daemon and in the SoA core alike.
+    fn uniform_fleet_counts_one_cohort_per_user_served_and_simulated() {
+        // No accuracy spread and a pinned alpha: every user draws the
+        // same frontier, and each still gets a table of their own, in
+        // the daemon and in the SoA core alike.
         let fleet = Fleet::builder(reap_device::paper_table2_operating_points())
             .users(12)
             .days(1)
@@ -461,9 +457,58 @@ mod tests {
             .build()
             .unwrap();
         let state = FleetState::new(&fleet, 3).unwrap();
-        assert_eq!(state.cohorts(), 1);
-        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 1);
-        assert_eq!(fleet.run().unwrap().cohorts(), 1);
+        assert_eq!(state.cohorts(), 12);
+        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 12);
+        assert_eq!(fleet.run().unwrap().cohorts(), 12);
+    }
+
+    #[test]
+    fn fingerprints_restore_snapshots_of_earlier_builds() {
+        // Values recorded when the state deduplicated cohorts: the same
+        // words in the same order, so existing snapshots still restore.
+        let state = FleetState::new(&tiny_fleet(10), 4).unwrap();
+        assert_eq!(state.fingerprint(), 0xbc88_2dc6_e13f_0758);
+        let paper = Fleet::builder(reap_device::paper_table2_operating_points())
+            .users(16)
+            .days(1)
+            .seed(3)
+            .build()
+            .unwrap();
+        let state = FleetState::new(&paper, 4).unwrap();
+        assert_eq!(state.fingerprint(), 0xb4f2_14d6_c44d_ffe0);
+    }
+
+    #[test]
+    fn invalid_base_points_fail_every_build_with_the_problem_error() {
+        let point = |id, power| reap_core::OperatingPoint::new(id, "DP", 0.9, power).unwrap();
+        let cases = [
+            (
+                vec![
+                    point(1, P::from_milliwatts(2.76)),
+                    point(1, P::from_milliwatts(1.2)),
+                ],
+                "duplicate operating point id 1",
+            ),
+            (
+                vec![
+                    point(1, P::from_milliwatts(2.76)),
+                    point(2, P::from_microwatts(50.0)),
+                ],
+                "operating point 2 draws 50.0000 uW which does not exceed the off power 50.0000 uW",
+            ),
+            (
+                vec![point(1, P::from_microwatts(20.0))],
+                "operating point 1 draws 20.0000 uW which does not exceed the off power 50.0000 uW",
+            ),
+        ];
+        for (points, message) in cases {
+            let fleet = Fleet::builder(points).users(3).days(1).build().unwrap();
+            let want =
+                reap_sim::SimError::Core(reap_core::ReapError::InvalidParameter(message.into()));
+            assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap_err(), want);
+            assert_eq!(fleet.run().unwrap_err(), want);
+            assert_eq!(FleetState::new(&fleet, 4).unwrap_err(), want);
+        }
     }
 
     #[test]

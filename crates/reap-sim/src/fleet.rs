@@ -17,16 +17,20 @@
 //! time, plus per-source means — and is **bit-identical for every
 //! worker-thread count**, because parallelism only changes which core
 //! runs a user, never the arithmetic or the aggregation order.
+//!
+//! Every user plans on a frontier of their own, derived from their
+//! draws ([`Fleet::user_draws`]); users are not deduplicated into
+//! cohorts. [`FleetReport::cohorts`] therefore equals the user count and
+//! stays only because `BENCH_fleet.json` and perfbench's report digests
+//! pin it.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reap_core::OperatingPoint;
+use reap_core::{OperatingPoint, ReapProblem};
 use reap_harvest::{HarvestTrace, SourceKind, TracePerturbation};
 
 use crate::engine::Policy;
@@ -88,19 +92,18 @@ pub struct Fleet {
     /// hour's plan in `3600 / dt_seconds` steps.
     pub(crate) dt_seconds: u32,
     /// The fleet flattened into SoA form, built lazily on the first run
-    /// and reused by every later one — a `Fleet` is immutable once
-    /// built, so the flattening (cohort dedup, base traces, the user
-    /// permutation) is a pure function of this struct.
+    /// of a fleet the kernel runs and reused by every later one — a
+    /// `Fleet` is immutable once built, so the flattening (base traces,
+    /// the user permutation, per-user frontiers) is a pure function of
+    /// this struct.
     soa_cache: OnceLock<Arc<SoaFleet>>,
 }
 
 /// Everything user-specific that is *not* the shared base trace: the
 /// LOUO-perturbed operating points, the preference `alpha`, and the
 /// harvest-trace perturbation. A pure function of `(master seed, user
-/// index)`; the scalar replay path ([`Fleet::user_scenario`]), the SoA
-/// core, and external resident-state builders (the `reap-serve` daemon)
-/// all derive users from this one definition via
-/// [`Fleet::user_params`].
+/// index)`, built by [`Fleet::user_params`] from the one derivation of a
+/// user's draws, [`Fleet::user_draws`].
 #[derive(Debug, Clone)]
 pub struct UserParams {
     /// The user's LOUO-perturbed operating points.
@@ -110,49 +113,6 @@ pub struct UserParams {
     /// The user's harvest-trace perturbation (gain + phase over the
     /// shared base trace).
     pub perturbation: TracePerturbation,
-}
-
-impl UserParams {
-    /// The user's cohort key: the exact bits of `alpha` and of every
-    /// point's id, accuracy and power. Users with equal keys share every
-    /// input of a frontier build, so one cached frontier serves them all.
-    #[must_use]
-    pub fn cohort_key(&self) -> Vec<u64> {
-        let mut key = Vec::with_capacity(1 + 3 * self.points.len());
-        key.push(self.alpha.to_bits());
-        for p in &self.points {
-            key.push(u64::from(p.id()));
-            key.push(p.accuracy().to_bits());
-            key.push(p.power().watts().to_bits());
-        }
-        key
-    }
-}
-
-/// Cohort deduplication: numbers distinct [`UserParams::cohort_key`]s
-/// in first-seen order, in `O(log cohorts)` per user. The SoA core and
-/// the resident serving state both group users through it, so a fleet
-/// reports the same cohorts simulated or served.
-#[derive(Debug, Clone, Default)]
-pub struct CohortIndex {
-    ids: BTreeMap<Vec<u64>, u32>,
-}
-
-impl CohortIndex {
-    /// The cohort of `key`, and whether this call created it.
-    pub fn assign(&mut self, key: Vec<u64>) -> (u32, bool) {
-        let next = self.cohorts();
-        match self.ids.entry(key) {
-            Entry::Occupied(e) => (*e.get(), false),
-            Entry::Vacant(e) => (*e.insert(next), true),
-        }
-    }
-
-    /// Distinct cohorts seen so far.
-    #[must_use]
-    pub fn cohorts(&self) -> u32 {
-        self.ids.len() as u32
-    }
 }
 
 /// Builder for [`Fleet`]; see [`Fleet::builder`].
@@ -312,23 +272,50 @@ impl Fleet {
         Ok(source.generate(self.start_day_of_year, self.days)?)
     }
 
-    /// Derives user `user`'s parameters (perturbed points, `alpha`, trace
-    /// perturbation) — the single definition [`Fleet::user_scenario`],
-    /// the SoA core, and resident serving state all build users from.
-    /// Cheap (`O(points)`, no trace generation), so callers standing up
-    /// per-user state for a whole population can loop it.
+    /// The base operating points as one validated problem, with the
+    /// period and off power every user's problem shares. A user's draws
+    /// move only accuracies, clamped into `[0.02, 0.995]`, and draw
+    /// `alpha` from the range [`FleetBuilder::build`] checked, so every
+    /// user's problem is valid exactly when this one is: builders that
+    /// skip per-user validation check this once instead.
     ///
     /// # Errors
     ///
-    /// [`SimError::Core`] when a perturbed operating point fails
-    /// validation (cannot happen for spreads accepted by the builder).
-    pub fn user_params(&self, user: u32) -> Result<UserParams, SimError> {
+    /// [`SimError::Core`] for duplicate point ids or a point that does
+    /// not draw more than the off power.
+    pub fn base_problem(&self) -> Result<ReapProblem, SimError> {
+        Ok(ReapProblem::builder()
+            .alpha(self.alpha_range.0)
+            .points(self.base_points.clone())
+            .build()?)
+    }
+
+    /// User `user`'s harvest-trace perturbation: the first of their
+    /// draws, and the only one the SoA user permutation needs.
+    pub(crate) fn user_perturbation(&self, user: u32) -> TracePerturbation {
         // Perturbation seed: user-distinct but stable under fleet
         // resizing.
         let trace_seed = self
             .seed
             .wrapping_add(u64::from(user).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let perturbation = TracePerturbation::from_seed(trace_seed);
+        TracePerturbation::from_seed(trace_seed)
+    }
+
+    /// Derives user `user`'s draws without allocating: writes their
+    /// operating points into `points` (replacing its contents) as
+    /// `(id, accuracy, power_w)` triples, the base points with perturbed
+    /// accuracies, and returns their trace perturbation and `alpha`. The
+    /// single definition every user is built from: [`Fleet::user_params`]
+    /// wraps it for [`Fleet::user_scenario`], and the SoA core and
+    /// resident serving state (the `reap-serve` daemon) feed its points
+    /// straight to [`reap_core::push_frontier`]. `O(points)`; the points
+    /// are valid when [`Fleet::base_problem`] is.
+    pub fn user_draws(
+        &self,
+        user: u32,
+        points: &mut Vec<(u8, f64, f64)>,
+    ) -> (TracePerturbation, f64) {
+        let perturbation = self.user_perturbation(user);
 
         // LOUO-style perturbation: shift every point's accuracy by a
         // per-user offset pattern, mimicking the spread leave-one-user-out
@@ -339,27 +326,56 @@ impl Fleet {
                 .wrapping_add(u64::from(user)),
         );
         let spread = self.accuracy_spread;
-        let points = self
-            .base_points
-            .iter()
-            .map(|p| {
-                let delta = if spread > 0.0 {
-                    rng.gen_range(-spread..spread)
-                } else {
-                    0.0
-                };
-                let accuracy = (p.accuracy() + delta).clamp(0.02, 0.995);
-                OperatingPoint::new(p.id(), p.label(), accuracy, p.power())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        points.clear();
+        points.extend(self.base_points.iter().map(|p| {
+            let delta = if spread > 0.0 {
+                rng.gen_range(-spread..spread)
+            } else {
+                0.0
+            };
+            let accuracy = (p.accuracy() + delta).clamp(0.02, 0.995);
+            (p.id(), accuracy, p.power().watts())
+        }));
 
         let (lo, hi) = self.alpha_range;
         let alpha = if hi > lo { rng.gen_range(lo..hi) } else { lo };
+        (perturbation, alpha)
+    }
+
+    /// Derives user `user`'s parameters (perturbed points, `alpha`, trace
+    /// perturbation) from [`Fleet::user_draws`], with the base points'
+    /// labels: what [`Fleet::user_scenario`] builds a user from.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Core`] when a perturbed operating point fails
+    /// validation (cannot happen for spreads accepted by the builder).
+    pub fn user_params(&self, user: u32) -> Result<UserParams, SimError> {
+        let mut drawn = Vec::with_capacity(self.base_points.len());
+        let (perturbation, alpha) = self.user_draws(user, &mut drawn);
+        let points = self
+            .base_points
+            .iter()
+            .zip(&drawn)
+            .map(|(p, &(_, accuracy, _))| {
+                OperatingPoint::new(p.id(), p.label(), accuracy, p.power())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(UserParams {
             points,
             alpha,
             perturbation,
         })
+    }
+
+    /// `true` for the one configuration the SoA kernel runs:
+    /// [`Policy::Reap`] planning [`AllocatorKind::Ewma`] budgets on an
+    /// hourly battery.
+    pub(crate) fn runs_on_kernel(&self) -> bool {
+        self.policy == Policy::Reap
+            && self.allocator == AllocatorKind::Ewma
+            && self.intermittent.is_none()
+            && self.dt_seconds == 3600
     }
 
     /// Simulates the whole fleet under the configured policy
@@ -369,8 +385,8 @@ impl Fleet {
     /// The default configuration, [`Policy::Reap`] planning
     /// [`AllocatorKind::Ewma`] budgets on an hourly battery, runs on the
     /// data-oriented SoA kernel ([`crate::soa`]): the whole population
-    /// steps through each simulated hour with cohort-shared plan
-    /// frontiers and copy-on-perturb traces, several times faster than
+    /// steps through each simulated hour over per-user plan frontiers
+    /// in one arena and copy-on-perturb traces, several times faster than
     /// per-user scalar simulation and agreeing with it bit for bit on
     /// every per-user scalar (pinned by property tests). Every other
     /// fleet (static policies, the greedy and uniform-daily allocators,
@@ -397,18 +413,20 @@ impl Fleet {
         &self,
         max_threads: Option<NonZeroUsize>,
     ) -> Result<FleetReport, SimError> {
-        let soa = match self.soa_cache.get() {
-            Some(soa) => Arc::clone(soa),
-            None => {
-                let built = Arc::new(SoaFleet::new(self)?);
-                Arc::clone(self.soa_cache.get_or_init(|| built))
-            }
-        };
         let mut acc = FleetAccumulator::new(self);
-        if soa.supports_policy() {
+        let mut soa_bytes_per_user = 0;
+        if self.runs_on_kernel() {
+            let soa = match self.soa_cache.get() {
+                Some(soa) => Arc::clone(soa),
+                None => {
+                    let built = Arc::new(SoaFleet::build(self, max_threads)?);
+                    Arc::clone(self.soa_cache.get_or_init(|| built))
+                }
+            };
             for (user, outcome) in soa.run(max_threads).iter().enumerate() {
                 acc.absorb_outcome(user as u32, outcome);
             }
+            soa_bytes_per_user = soa.bytes_per_user();
         } else {
             // Scalar fallback: workers build, run and reduce one user at a
             // time; outcomes are absorbed in user order.
@@ -426,12 +444,7 @@ impl Fleet {
             }
         }
         let mut report = acc.finish();
-        report.cohorts = soa.cohorts();
-        report.soa_bytes_per_user = if soa.supports_policy() {
-            soa.bytes_per_user()
-        } else {
-            0
-        };
+        report.soa_bytes_per_user = soa_bytes_per_user;
         Ok(report)
     }
 }
@@ -770,16 +783,16 @@ impl FleetReport {
         &self.per_source
     }
 
-    /// Number of distinct `(operating points, alpha)` cohorts in the
-    /// population — users in one cohort share a single cached plan
-    /// frontier in the SoA core.
+    /// The user count: every user plans on a frontier of their own.
+    /// Kept only because `BENCH_fleet.json`'s outcome block and
+    /// perfbench's report digests pin it.
     #[must_use]
     pub fn cohorts(&self) -> u32 {
         self.cohorts
     }
 
-    /// Resident SoA state per user in bytes (per-user arrays plus the
-    /// amortized shared cohort tables and base traces), rounded up; `0`
+    /// Resident SoA state per user in bytes (per-user arrays and frontier
+    /// tables plus the amortized base traces), rounded up; `0`
     /// when the fleet ran on the scalar engine (any configuration but
     /// [`Policy::Reap`] with [`AllocatorKind::Ewma`] on an hourly
     /// battery).
@@ -873,8 +886,8 @@ impl FleetAccumulator {
             active_fraction: Percentiles::of(self.active_fractions),
             brownout_hours: self.brownout_hours,
             per_source,
+            cohorts: users,
             // Filled in by `Fleet::run_with_threads` from the SoA build.
-            cohorts: 0,
             soa_bytes_per_user: 0,
         }
     }

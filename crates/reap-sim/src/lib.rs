@@ -55,9 +55,7 @@ pub use activity_stream::ActivityStream;
 pub use clock::{ClockStats, EventRecord, IntermittentConfig, VdtRun};
 pub use engine::Policy;
 pub use error::SimError;
-pub use fleet::{
-    CohortIndex, Fleet, FleetBuilder, FleetReport, Percentiles, SourceSlice, UserParams,
-};
+pub use fleet::{Fleet, FleetBuilder, FleetReport, Percentiles, SourceSlice, UserParams};
 pub use matrix::{run_matrix, run_matrix_with_threads};
 pub use report::{HourRecord, SimReport};
 pub use scenario::{AllocatorKind, BudgetMode, ForecasterKind, Scenario, ScenarioBuilder};

@@ -7,13 +7,14 @@
 //! **entire population through each simulated hour**:
 //!
 //! * fleet state lives in flat arrays (battery joules, EWMA slots,
-//!   accumulators as `Vec<f64>`; cohort ids as `Vec<u32>`), stepped by
-//!   tight per-hour passes that allocate nothing per user;
-//! * users sharing `(operating points, alpha)` form a *cohort*
-//!   ([`CohortIndex`]) and resolve through one cached frontier: the
-//!   frontier build is shared, and each hourly budget lookup is
-//!   [`reap_core::decide_vertices`] over the cohort's run of
-//!   [`Vertex`] records in one contiguous arena;
+//!   accumulators as `Vec<f64>`), stepped by tight per-hour passes that
+//!   allocate nothing per user;
+//! * every user's plan frontier is a run of [`Vertex`] records in one
+//!   contiguous arena, laid out in the order the kernel steps users, and
+//!   each hourly budget lookup is [`reap_core::decide_vertices`] over
+//!   that run. The build derives each user's draws
+//!   ([`Fleet::user_draws`]) and hull ([`reap_core::push_frontier`]) on
+//!   the worker pool, allocating nothing per user;
 //! * users on the same harvest source share one base trace and store
 //!   only their [`TracePerturbation`](reap_harvest::TracePerturbation)
 //!   (16 bytes) instead of a materialized month;
@@ -22,29 +23,30 @@
 //!   cache-resident, and shards parallelize across worker threads.
 //!
 //! The kernel covers one configuration, the paper's runtime loop and the
-//! one the committed fleet benchmarks run: [`Policy::Reap`] planning
-//! EWMA budgets ([`AllocatorKind::Ewma`]) on an hourly battery. Each hour
-//! is one straight-line pipeline (EWMA observe, open-loop grant, plan,
-//! execute) that calls the same hour-step functions as the scalar engine
-//! ([`reap_harvest::step`] for allocation and execution,
+//! one the committed fleet benchmarks run:
+//! [`Policy::Reap`](crate::Policy::Reap) planning EWMA budgets
+//! ([`AllocatorKind::Ewma`](crate::AllocatorKind::Ewma)) on an hourly
+//! battery. Each hour is one straight-line pipeline (EWMA observe,
+//! open-loop grant, plan, execute) that calls the same hour-step
+//! functions as the scalar engine ([`reap_harvest::step`] for
+//! allocation and execution,
 //! [`reap_core::decide_vertices`] for planning) on the same values, so
 //! per-user outcomes are bit-identical to [`Fleet::user_scenario`]
 //! replay — a property the `soa_equivalence` tests pin (to 1e-12, though
 //! in practice exact). Every other fleet (static policies, the greedy and
 //! uniform-daily allocators, MPC, sub-hour and batteryless fleets) runs
-//! on the scalar engine, user by user; [`SoaFleet::new`] still builds for
-//! it and reports its cohorts.
+//! on the scalar engine, user by user, and [`SoaFleet::new`] builds no
+//! per-user state for it.
 
 use std::num::NonZeroUsize;
 
-use reap_core::{OperatingPoint, PlanEval, ReapProblem, Vertex};
+use reap_core::{decide_vertices, push_frontier, PlanEval, Vertex};
 use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA};
 use reap_harvest::{Battery, SourceKind};
 
-use crate::engine::Policy;
-use crate::fleet::{CohortIndex, Fleet};
+use crate::fleet::Fleet;
 use crate::matrix::parallel_map;
-use crate::{AllocatorKind, SimError};
+use crate::SimError;
 
 /// Users per shard: large enough to amortize per-shard setup, small
 /// enough that one shard's state stays cache-resident.
@@ -77,12 +79,12 @@ struct Group {
 /// A fleet flattened into struct-of-arrays form, ready to step every
 /// user through each simulated hour.
 ///
-/// Built once per run from a [`Fleet`] (cohort deduplication, base-trace
-/// generation, and the user permutation all happen here); [`SoaFleet::run`]
-/// afterwards touches only flat arrays. Population statistics
-/// ([`SoaFleet::cohorts`], [`SoaFleet::bytes_per_user`]) are available
-/// whether or not the fleet runs on the kernel.
-#[derive(Debug)]
+/// Built once per run from a [`Fleet`] (base-trace generation, the user
+/// permutation and every user's frontier all happen here);
+/// [`SoaFleet::run`] afterwards touches only flat arrays. A fleet the
+/// kernel does not run gets an empty `SoaFleet` that only reports its
+/// population.
+#[derive(Debug, Default)]
 pub struct SoaFleet {
     users: usize,
     hours: usize,
@@ -90,7 +92,7 @@ pub struct SoaFleet {
     /// `true` for the one configuration the kernel runs (REAP planning
     /// EWMA budgets on an hourly battery).
     kernel: bool,
-    // Problem constants (identical across cohorts: the fleet fixes the
+    // Problem constants (identical across users: the fleet fixes the
     // off power and period for every user).
     floor_j: f64,
     tp_s: f64,
@@ -106,41 +108,73 @@ pub struct SoaFleet {
     perm: Vec<u32>,
     /// Per permuted position: trace gain.
     gain: Vec<f64>,
-    /// Per permuted position: cohort id.
+    /// Per permuted position: the index of its frontier below, which is
+    /// the position itself. The column stays because
+    /// `soa_bytes_per_user`, which `BENCH_fleet.json` and perfbench pin,
+    /// counts it.
     cohort: Vec<u32>,
     /// Contiguous `(trace, phase)` runs over permuted positions.
     groups: Vec<Group>,
-    /// Frontier vertices of every cohort, one interleaved arena.
-    /// Cohorts are numbered in permuted first-use order, so the hour
-    /// kernel reads this in ascending offsets across a shard.
+    /// Frontier vertices of every user, one interleaved arena in
+    /// permuted order, so the hour kernel reads it in ascending offsets
+    /// across a shard.
     verts: Vec<Vertex>,
-    /// Per cohort: its vertex run is `verts[vert_off[c]..vert_off[c+1]]`
-    /// (`cohorts + 1` entries). This and the plan caches below are empty
-    /// unless the fleet runs on the kernel.
+    /// Per position: its vertex run is `verts[vert_off[c]..vert_off[c+1]]`
+    /// (`users + 1` entries).
     vert_off: Vec<u32>,
-    /// Per cohort: the plan at the budget floor.
+    /// Per position: the plan at the budget floor.
     floor_plan: Vec<PlanEval>,
-    /// Per cohort: the plan at frontier saturation.
+    /// Per position: the plan at frontier saturation.
     sat_plan: Vec<PlanEval>,
-    /// Per cohort: the saturation budget.
+    /// Per position: the saturation budget.
     sat_budget: Vec<f64>,
-    cohorts: u32,
     bytes_per_user: u32,
 }
 
+/// One shard's frontier data, built on a worker: its users' vertex runs
+/// back to back and their constant plan regimes, in permuted order.
+struct ShardFrontiers {
+    verts: Vec<Vertex>,
+    /// Per position: the end of its run in `verts`.
+    ends: Vec<u32>,
+    floor_plan: Vec<PlanEval>,
+    sat_plan: Vec<PlanEval>,
+    sat_budget: Vec<f64>,
+}
+
 impl SoaFleet {
-    /// Flattens `fleet` into SoA form: generates the shared base traces,
-    /// derives every user's parameters, deduplicates cohorts (building
-    /// one frontier table per cohort when the fleet runs on the kernel),
-    /// and sorts users into `(source, phase)` groups.
+    /// Flattens `fleet` into SoA form on the machine's available
+    /// parallelism: generates the shared base traces, sorts users into
+    /// `(source, phase)` groups and builds every user's frontier table
+    /// when the fleet runs on the kernel. Any other fleet gets an empty
+    /// `SoaFleet`.
     ///
     /// # Errors
     ///
-    /// Propagates harvest/optimizer construction failures, exactly as
+    /// Propagates harvest construction failures, and
+    /// [`Fleet::base_problem`]'s for invalid base points, exactly as
     /// per-user [`Fleet::user_scenario`] construction would.
     pub fn new(fleet: &Fleet) -> Result<SoaFleet, SimError> {
+        SoaFleet::build(fleet, None)
+    }
+
+    /// [`SoaFleet::new`] on at most `max_threads` workers (`None` = the
+    /// machine's available parallelism). The result does not depend on
+    /// the worker count.
+    pub(crate) fn build(
+        fleet: &Fleet,
+        max_threads: Option<NonZeroUsize>,
+    ) -> Result<SoaFleet, SimError> {
         let users = fleet.users as usize;
         let hours = fleet.days as usize * 24;
+        if !fleet.runs_on_kernel() {
+            return Ok(SoaFleet {
+                users,
+                hours,
+                days: fleet.days,
+                ..SoaFleet::default()
+            });
+        }
 
         // One shared base trace per distinct source kind, in first-use
         // order; per-slot indirection covers repeated kinds.
@@ -162,59 +196,50 @@ impl SoaFleet {
             traces.push(base.iter().map(|e| e.joules()).collect());
         }
 
-        // Per-user parameters and cohort deduplication.
-        let kernel = fleet.policy == Policy::Reap
-            && fleet.allocator == AllocatorKind::Ewma
-            && fleet.intermittent.is_none()
-            && fleet.dt_seconds == 3600;
-        let mut index = CohortIndex::default();
-        let mut cohort_params: Vec<(f64, Vec<OperatingPoint>)> = Vec::new();
-        let mut gain_user = vec![0.0f64; users];
-        let mut phase_user = vec![0u32; users];
-        let mut cohort_user = vec![0u32; users];
-        for u in 0..users {
-            let params = fleet.user_params(u as u32)?;
-            gain_user[u] = params.perturbation.gain();
-            phase_user[u] = params.perturbation.phase_hours();
-            let (id, new) = index.assign(params.cohort_key());
-            if new {
-                cohort_params.push((params.alpha, params.points));
-            }
-            cohort_user[u] = id;
-        }
-        let cohorts = index.cohorts();
+        // The base points are validated once; every user's problem
+        // shares its period and off power.
+        let base = fleet.base_problem()?;
+        let floor_j = base.min_budget().joules();
+        let tp_s = base.period().seconds();
+        let off_w = base.off_power().watts();
 
         // Permute users so same-(source, phase) runs are contiguous: the
         // kernel then reads one base-trace hour per run instead of per
         // user. Per-user arithmetic is order-independent, so this cannot
-        // change any outcome bit.
-        let mut perm: Vec<u32> = (0..fleet.users).collect();
-        let slots = fleet.sources.len() as u32;
-        perm.sort_by_key(|&u| (u % slots, phase_user[u as usize], u));
-        let gain: Vec<f64> = perm.iter().map(|&u| gain_user[u as usize]).collect();
-
-        // Renumber cohorts by first use in *permuted* order: every
-        // cohort-indexed array (vertex arena, cached plans) is then read
-        // in ascending offsets as the hour kernel walks a shard —
-        // streaming access instead of scattered. A pure renaming, so no
-        // outcome bit can change.
-        let mut old2new = vec![u32::MAX; cohorts as usize];
-        let mut order: Vec<u32> = Vec::with_capacity(cohorts as usize);
-        for &u in &perm {
-            let oc = cohort_user[u as usize] as usize;
-            if old2new[oc] == u32::MAX {
-                old2new[oc] = order.len() as u32;
-                order.push(oc as u32);
-            }
-        }
-        let cohort: Vec<u32> = perm
+        // change any outcome bit. A counting sort over `(slot, phase)`
+        // buckets, taking users in ascending order, gives the order of a
+        // sort by `(slot, phase, user)`.
+        let perturbations: Vec<_> = (0..fleet.users)
+            .map(|u| fleet.user_perturbation(u))
+            .collect();
+        let slots = fleet.sources.len();
+        let phases = perturbations
             .iter()
-            .map(|&u| old2new[cohort_user[u as usize] as usize])
+            .map(|p| p.phase_hours() as usize + 1)
+            .max()
+            .unwrap_or(1);
+        let bucket = |u: usize| (u % slots) * phases + perturbations[u].phase_hours() as usize;
+        let mut starts = vec![0usize; slots * phases + 1];
+        for u in 0..users {
+            starts[bucket(u) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut perm = vec![0u32; users];
+        for u in 0..users {
+            let at = &mut starts[bucket(u)];
+            perm[*at] = u as u32;
+            *at += 1;
+        }
+        let gain: Vec<f64> = perm
+            .iter()
+            .map(|&u| perturbations[u as usize].gain())
             .collect();
         let mut groups: Vec<Group> = Vec::new();
         for (pos, &u) in perm.iter().enumerate() {
-            let trace = slot_trace[(u % slots) as usize];
-            let phase = phase_user[u as usize];
+            let trace = slot_trace[u as usize % slots];
+            let phase = perturbations[u as usize].phase_hours();
             match groups.last_mut() {
                 Some(g) if g.trace == trace && g.phase == phase => g.end = pos + 1,
                 _ => groups.push(Group {
@@ -226,54 +251,63 @@ impl SoaFleet {
             }
         }
 
-        let battery = Battery::small_wearable();
-
-        // Build every cohort's plan data in renumbered order: the shared
-        // frontier vertex arena plus the two constant plan regimes. Most
+        // Every user's plan data, a shard per task in permuted order: the
+        // frontier's vertex run plus the two constant plan regimes. Most
         // simulated hours land in one of those regimes — dark hours pin
         // the budget to the floor, bright hours overshoot the frontier —
         // so the plan pass resolves them from the cached evals without
         // touching the arena; resolving an hour from them is
         // bit-identical to evaluating the frontier at any budget in the
-        // regime. The problem constants come from the cohort problems
-        // (built with `ReapProblem`'s default period and off power).
-        let (mut floor_j, mut tp_s, mut off_w) = (0.0, 0.0, 0.0);
-        let mut verts: Vec<Vertex> = Vec::new();
-        let mut vert_off: Vec<u32> = Vec::new();
-        let mut floor_plan = Vec::with_capacity(cohorts as usize);
-        let mut sat_plan = Vec::with_capacity(cohorts as usize);
-        let mut sat_budget = Vec::with_capacity(cohorts as usize);
-        if kernel {
-            for &oc in &order {
-                let (alpha, points) = &cohort_params[oc as usize];
-                let problem = ReapProblem::builder()
-                    .alpha(*alpha)
-                    .points(points.clone())
-                    .build()?;
-                floor_j = problem.min_budget().joules();
-                tp_s = problem.period().seconds();
-                off_w = problem.off_power().watts();
-                let t = problem.frontier().table();
-                vert_off.push(verts.len() as u32);
-                // One push per vertex: the arena grows by plain doubling,
-                // which peaks a few MB lower over a large fleet than
-                // reserving per-cohort runs.
-                for &v in t.vertices() {
-                    verts.push(v);
-                }
-                floor_plan.push(t.decide(floor_j).eval);
-                let sb = t.max_budget_j();
-                sat_plan.push(t.decide(sb).eval);
-                sat_budget.push(sb);
+        // regime.
+        let shards = parallel_map(users.div_ceil(SHARD_USERS), max_threads, |s| {
+            let positions = &perm[s * SHARD_USERS..((s + 1) * SHARD_USERS).min(users)];
+            let n = positions.len();
+            let mut shard = ShardFrontiers {
+                verts: Vec::with_capacity(n * (fleet.base_points.len() + 1)),
+                ends: Vec::with_capacity(n),
+                floor_plan: Vec::with_capacity(n),
+                sat_plan: Vec::with_capacity(n),
+                sat_budget: Vec::with_capacity(n),
+            };
+            let mut points = Vec::with_capacity(fleet.base_points.len());
+            for &u in positions {
+                let (_, alpha) = fleet.user_draws(u, &mut points);
+                let start = shard.verts.len();
+                push_frontier(&mut shard.verts, &points, alpha, tp_s, off_w);
+                let run = &shard.verts[start..];
+                let sb = run[run.len() - 1].budget_j;
+                shard
+                    .floor_plan
+                    .push(decide_vertices(run, tp_s, off_w, floor_j).eval);
+                shard
+                    .sat_plan
+                    .push(decide_vertices(run, tp_s, off_w, sb).eval);
+                shard.sat_budget.push(sb);
+                shard.ends.push(shard.verts.len() as u32);
             }
-            vert_off.push(verts.len() as u32);
+            shard
+        });
+        let mut verts = Vec::with_capacity(shards.iter().map(|s| s.verts.len()).sum());
+        let mut vert_off = Vec::with_capacity(users + 1);
+        let mut floor_plan = Vec::with_capacity(users);
+        let mut sat_plan = Vec::with_capacity(users);
+        let mut sat_budget = Vec::with_capacity(users);
+        vert_off.push(0);
+        for shard in shards {
+            let at = verts.len() as u32;
+            vert_off.extend(shard.ends.iter().map(|&end| at + end));
+            verts.extend_from_slice(&shard.verts);
+            floor_plan.extend_from_slice(&shard.floor_plan);
+            sat_plan.extend_from_slice(&shard.sat_plan);
+            sat_budget.extend_from_slice(&shard.sat_budget);
         }
 
+        let battery = Battery::small_wearable();
         let mut soa = SoaFleet {
             users,
             hours,
             days: fleet.days,
-            kernel,
+            kernel: true,
             floor_j,
             tp_s,
             off_w,
@@ -284,39 +318,41 @@ impl SoaFleet {
             traces,
             perm,
             gain,
-            cohort,
+            cohort: (0..fleet.users).collect(),
             groups,
             verts,
             vert_off,
             floor_plan,
             sat_plan,
             sat_budget,
-            cohorts,
             bytes_per_user: 0,
         };
         soa.bytes_per_user = soa.compute_bytes_per_user();
         Ok(soa)
     }
 
-    /// Number of distinct `(operating points, alpha)` cohorts.
+    /// The user count: every user plans on a frontier of their own. Kept
+    /// only because `BENCH_fleet.json` and perfbench pin it.
     #[must_use]
     pub fn cohorts(&self) -> u32 {
-        self.cohorts
+        self.users as u32
     }
 
-    /// Resident SoA bytes per user: per-user parameter and state arrays,
-    /// plus the shared base traces and cohort tables amortized over the
-    /// population. Rounded up.
+    /// Resident SoA bytes per user: per-user parameter, state and
+    /// frontier arrays, plus the shared base traces amortized over the
+    /// population. Rounded up; `0` for a fleet the kernel does not run.
     #[must_use]
     pub fn bytes_per_user(&self) -> u32 {
         self.bytes_per_user
     }
 
-    /// `true` when the fleet runs on the kernel: [`Policy::Reap`] with
-    /// [`AllocatorKind::Ewma`] on an hourly battery. `false` for every
-    /// fleet [`Fleet::run`] steps user by user on the scalar engine
-    /// (static policies, the other allocators, [`Policy::Horizon`], any
-    /// batteryless or sub-hour fleet).
+    /// `true` when the fleet runs on the kernel:
+    /// [`Policy::Reap`](crate::Policy::Reap) with
+    /// [`AllocatorKind::Ewma`](crate::AllocatorKind::Ewma) on an hourly
+    /// battery. `false` for every fleet [`Fleet::run`] steps user by user
+    /// on the scalar engine (static policies, the other allocators,
+    /// [`Policy::Horizon`](crate::Policy::Horizon), any batteryless or
+    /// sub-hour fleet).
     #[must_use]
     pub fn supports_policy(&self) -> bool {
         self.kernel
@@ -487,8 +523,8 @@ impl SoaFleet {
             }
 
             // Stage 2: plan. Most hours land in a constant frontier
-            // regime (floor or saturation) and resolve from the cohort
-            // cache; the rest take the full frontier walk. Both produce
+            // regime (floor or saturation) and resolve from the cached
+            // plans; the rest take the full frontier walk. Both produce
             // the scalar engine's schedule scalars bit for bit.
             for u in 0..nu {
                 let c = cohort[u] as usize;
@@ -537,6 +573,8 @@ impl SoaFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Policy;
+    use reap_core::OperatingPoint;
     use reap_units::Power;
 
     fn base_points() -> Vec<OperatingPoint> {
@@ -556,9 +594,9 @@ mod tests {
     }
 
     #[test]
-    fn cohorts_collapse_when_the_population_is_uniform() {
-        // No accuracy spread and a pinned alpha: every user shares one
-        // frontier.
+    fn uniform_population_still_counts_one_cohort_per_user() {
+        // No accuracy spread and a pinned alpha: every user draws the
+        // same frontier, and each still gets a run of their own.
         let f = Fleet::builder(base_points())
             .users(16)
             .days(1)
@@ -567,11 +605,78 @@ mod tests {
             .build()
             .unwrap();
         let soa = SoaFleet::new(&f).unwrap();
-        assert_eq!(soa.cohorts(), 1);
-        // Default spread: every user is its own cohort.
+        assert_eq!(soa.cohorts(), f.users());
+        assert_eq!(soa.vert_off.len(), 17);
+        assert_eq!(f.run().unwrap().cohorts(), f.users());
         let soa = SoaFleet::new(&fleet(16, 1)).unwrap();
         assert_eq!(soa.cohorts(), 16);
         assert!(soa.bytes_per_user() > 0);
+    }
+
+    /// The bits of a vertex, so `-0.0` and `0.0` tell apart.
+    fn bits(v: &Vertex) -> (u64, u64, u64, u8, bool) {
+        (
+            v.budget_j.to_bits(),
+            v.accuracy.to_bits(),
+            v.power_w.to_bits(),
+            v.id,
+            v.has_point,
+        )
+    }
+
+    fn point(id: u8, accuracy: f64, mw: f64) -> OperatingPoint {
+        OperatingPoint::new(id, format!("DP{id}"), accuracy, Power::from_milliwatts(mw)).unwrap()
+    }
+
+    #[test]
+    fn arena_runs_equal_each_users_scalar_frontier() {
+        let builder = |points| Fleet::builder(points).users(40).days(1).seed(5);
+        let fleets = [
+            builder(reap_device::paper_table2_operating_points()),
+            builder(base_points())
+                .accuracy_spread(0.0)
+                .alpha_range(1.5, 1.5),
+            builder(reap_device::paper_table2_operating_points()).alpha_range(0.0, 0.0),
+            builder(vec![point(3, 0.9, 1.8)]),
+            // Equal powers tie on marginal power: the hull keeps the
+            // heavier point only.
+            builder(vec![point(1, 0.92, 2.0), point(2, 0.90, 2.0)]),
+        ];
+        for (i, f) in fleets.into_iter().enumerate() {
+            let f = f.build().unwrap();
+            let soa = SoaFleet::new(&f).unwrap();
+            for (pos, &u) in soa.perm.iter().enumerate() {
+                let table = f.user_scenario(u).unwrap().problem().frontier().table();
+                let run = &soa.verts[soa.vert_off[pos] as usize..soa.vert_off[pos + 1] as usize];
+                assert_eq!(
+                    run.iter().map(bits).collect::<Vec<_>>(),
+                    table.vertices().iter().map(bits).collect::<Vec<_>>(),
+                    "fleet {i}, user {u}"
+                );
+                assert_eq!(soa.cohort[pos] as usize, pos);
+                assert_eq!(soa.floor_plan[pos], table.decide(soa.floor_j).eval);
+                let saturation = table.vertices()[table.len() - 1].budget_j;
+                assert_eq!(soa.sat_budget[pos], saturation);
+                assert_eq!(soa.sat_plan[pos], table.decide(saturation).eval);
+            }
+        }
+    }
+
+    #[test]
+    fn build_is_identical_on_any_worker_count() {
+        // Three shards' worth of users, so workers split the build.
+        let f = fleet(600, 1);
+        let one = SoaFleet::build(&f, Some(NonZeroUsize::MIN)).unwrap();
+        let outcomes = one.run(Some(NonZeroUsize::MIN));
+        for threads in [2usize, 7] {
+            let many = SoaFleet::build(&f, NonZeroUsize::new(threads)).unwrap();
+            assert_eq!(
+                format!("{many:?}"),
+                format!("{one:?}"),
+                "{threads}-worker build diverged"
+            );
+            assert_eq!(many.run(NonZeroUsize::new(threads)), outcomes);
+        }
     }
 
     #[test]
@@ -611,5 +716,10 @@ mod tests {
         let soa = SoaFleet::new(&f).unwrap();
         assert!(!soa.supports_policy());
         assert_eq!(soa.cohorts(), 4);
+        // No per-user state for a fleet the kernel does not run.
+        assert_eq!(soa.bytes_per_user(), 0);
+        assert!(soa.perm.is_empty() && soa.verts.is_empty() && soa.traces.is_empty());
+        let report = f.run().unwrap();
+        assert_eq!((report.cohorts(), report.soa_bytes_per_user()), (4, 0));
     }
 }
