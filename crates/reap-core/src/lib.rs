@@ -69,10 +69,6 @@
 #![warn(missing_docs)]
 
 mod error;
-// The schedule explanation runs only under its own tests; the daemon's
-// explain request will read the frontier segment's slope instead.
-#[cfg(test)]
-mod explain;
 mod frontier;
 mod horizon;
 mod mpc;

@@ -153,18 +153,6 @@ impl fmt::Display for Activity {
 mod tests {
     use super::*;
 
-    impl Activity {
-        /// `true` for the static postures (sit, stand, drive, lie down)
-        /// whose accelerometer signal is dominated by the gravity
-        /// orientation.
-        fn is_static_posture(self) -> bool {
-            matches!(
-                self,
-                Activity::Sit | Activity::Stand | Activity::Drive | Activity::LieDown
-            )
-        }
-    }
-
     #[test]
     fn index_roundtrip() {
         for (i, &a) in Activity::ALL.iter().enumerate() {
@@ -212,13 +200,5 @@ mod tests {
         assert!(Activity::Sit.motion_intensity() > Activity::LieDown.motion_intensity());
         assert!(Activity::Jump.metabolic_rate_met() > Activity::Walk.metabolic_rate_met());
         assert!(Activity::Walk.metabolic_rate_met() > Activity::Stand.metabolic_rate_met());
-    }
-
-    #[test]
-    fn posture_classification() {
-        assert!(Activity::Sit.is_static_posture());
-        assert!(Activity::Drive.is_static_posture());
-        assert!(!Activity::Walk.is_static_posture());
-        assert!(!Activity::Transition.is_static_posture());
     }
 }

@@ -70,12 +70,6 @@ impl ActivityMix {
         self.fractions[activity.index()]
     }
 
-    /// All fractions, indexed by [`Activity::index`].
-    #[must_use]
-    pub fn fractions(&self) -> &[f64; Activity::COUNT] {
-        &self.fractions
-    }
-
     /// Mix-weighted mean RMS dynamic acceleration, in g (see
     /// [`Activity::motion_intensity`]).
     #[must_use]
@@ -343,7 +337,7 @@ mod tests {
         weights[Activity::Walk.index()] = 2.0;
         let mix = ActivityMix::from_weights(weights);
         assert!((mix.fraction(Activity::Sit) - 0.5).abs() < 1e-12);
-        assert!((mix.fractions().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((mix.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // Dominant tie breaks toward the lower index (Sit < Walk).
         assert_eq!(mix.dominant(), Activity::Sit);
     }

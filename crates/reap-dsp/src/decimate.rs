@@ -47,24 +47,6 @@ pub fn decimate_to(signal: &[f64], target_len: usize) -> Result<Vec<f64>, DspErr
 mod tests {
     use super::*;
 
-    /// Averages consecutive pairs, halving the sample count.
-    ///
-    /// # Errors
-    ///
-    /// [`DspError::TooShort`] if the signal has fewer than 2 samples.
-    fn halve(signal: &[f64]) -> Result<Vec<f64>, DspError> {
-        if signal.len() < 2 {
-            return Err(DspError::TooShort {
-                len: signal.len(),
-                min: 2,
-            });
-        }
-        Ok(signal
-            .chunks(2)
-            .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-            .collect())
-    }
-
     #[test]
     fn window_to_fft16_is_block_mean() {
         // 160 -> 16 with blocks of 10.
@@ -110,13 +92,5 @@ mod tests {
             decimate_to(&[1.0, 2.0], 4),
             Err(DspError::TooShort { len: 2, min: 4 })
         );
-    }
-
-    #[test]
-    fn halving() {
-        assert_eq!(halve(&[1.0, 3.0, 5.0, 7.0]).unwrap(), vec![2.0, 6.0]);
-        // Odd tail becomes its own block.
-        assert_eq!(halve(&[1.0, 3.0, 9.0]).unwrap(), vec![2.0, 9.0]);
-        assert!(halve(&[1.0]).is_err());
     }
 }

@@ -172,31 +172,6 @@ pub fn fft_magnitudes(signal: &[f64]) -> Result<Vec<f64>, DspError> {
 mod tests {
     use super::*;
 
-    /// Index of the dominant non-DC bin of a real signal's spectrum.
-    ///
-    /// Useful for locating the cadence peak of gait signals.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`fft_in_place`], plus [`DspError::TooShort`] when the
-    /// signal has fewer than 4 samples (no non-DC bin to speak of).
-    fn dominant_bin(signal: &[f64]) -> Result<usize, DspError> {
-        if signal.len() < 4 {
-            return Err(DspError::TooShort {
-                len: signal.len(),
-                min: 4,
-            });
-        }
-        let mags = fft_magnitudes(signal)?;
-        let mut best = 1;
-        for (k, &m) in mags.iter().enumerate().skip(1) {
-            if m > mags[best] {
-                best = k;
-            }
-        }
-        Ok(best)
-    }
-
     const TAU: f64 = 2.0 * std::f64::consts::PI;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
@@ -296,25 +271,6 @@ mod tests {
             assert_close(fsum[k].re, expect.re, 1e-9);
             assert_close(fsum[k].im, expect.im, 1e-9);
         }
-    }
-
-    #[test]
-    fn dominant_bin_finds_cadence() {
-        // 2 Hz walking cadence sampled at 10 Hz over 1.6 s (16 samples):
-        // bin = 2 Hz * 16 / 10 Hz = 3.2 -> nearest bin 3.
-        let n = 16;
-        let fs = 10.0;
-        let x: Vec<f64> = (0..n).map(|i| (TAU * 2.0 * i as f64 / fs).sin()).collect();
-        let bin = dominant_bin(&x).unwrap();
-        assert_eq!(bin, 3);
-    }
-
-    #[test]
-    fn dominant_bin_rejects_short_input() {
-        assert_eq!(
-            dominant_bin(&[1.0, 2.0]),
-            Err(DspError::TooShort { len: 2, min: 4 })
-        );
     }
 
     #[test]

@@ -52,28 +52,6 @@ mod tests {
     use super::*;
     use crate::fft;
 
-    /// The bin with the largest magnitude among `bins`, computed with one
-    /// Goertzel pass per bin — cheaper than a full FFT when `bins.len()` is
-    /// small.
-    ///
-    /// # Errors
-    ///
-    /// * [`DspError::EmptyInput`] when `bins` or `signal` is empty.
-    /// * [`DspError::TooShort`] when any bin index is out of range.
-    fn strongest_bin(signal: &[f64], bins: &[usize]) -> Result<usize, DspError> {
-        if bins.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        let mut best = (bins[0], f64::MIN);
-        for &k in bins {
-            let p = goertzel_power(signal, k)?;
-            if p > best.1 {
-                best = (k, p);
-            }
-        }
-        Ok(best.0)
-    }
-
     const TAU: f64 = 2.0 * std::f64::consts::PI;
 
     #[test]
@@ -107,22 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn strongest_bin_finds_the_tone() {
-        let signal: Vec<f64> = (0..160)
-            .map(|i| (TAU * 4.0 * i as f64 / 160.0).sin())
-            .collect();
-        let bins: Vec<usize> = (1..10).collect();
-        assert_eq!(strongest_bin(&signal, &bins).unwrap(), 4);
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
         assert_eq!(goertzel_power(&[], 0), Err(DspError::EmptyInput));
         assert_eq!(
             goertzel_power(&[1.0, 2.0], 2),
             Err(DspError::TooShort { len: 2, min: 3 })
         );
-        assert_eq!(strongest_bin(&[1.0], &[]), Err(DspError::EmptyInput));
     }
 
     #[test]

@@ -38,10 +38,6 @@ pub mod dwt;
 pub mod fft;
 pub mod goertzel;
 pub mod stats;
-// Window functions and spectral shape: no design point uses them; they
-// run only under their own tests.
-#[cfg(test)]
-mod window_fn;
 
 mod error;
 

@@ -110,33 +110,6 @@ pub fn mean_crossings(x: &[f64]) -> Result<usize, DspError> {
     Ok(count)
 }
 
-/// Normalized autocorrelation at a lag, `r(k) in [-1, 1]`.
-///
-/// # Errors
-///
-/// * [`DspError::TooShort`] if `lag >= x.len()`.
-/// * [`DspError::EmptyInput`] if the slice is empty.
-// reap-lint: allow(api) -- dsp_properties::autocorrelation_is_bounded; both go together (ROADMAP item 11)
-pub fn autocorrelation(x: &[f64], lag: usize) -> Result<f64, DspError> {
-    if x.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if lag >= x.len() {
-        return Err(DspError::TooShort {
-            len: x.len(),
-            min: lag + 1,
-        });
-    }
-    let m = mean(x)?;
-    let denom: f64 = x.iter().map(|v| (v - m) * (v - m)).sum();
-    if denom == 0.0 {
-        // A constant signal is perfectly self-similar at every lag.
-        return Ok(1.0);
-    }
-    let num: f64 = x.windows(lag + 1).map(|w| (w[0] - m) * (w[lag] - m)).sum();
-    Ok(num / denom)
-}
-
 /// A bundle of the statistical features used by the HAR design points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -196,16 +169,6 @@ impl Summary {
 mod tests {
     use super::*;
 
-    /// Mean absolute deviation around the mean.
-    ///
-    /// # Errors
-    ///
-    /// [`DspError::EmptyInput`] if the slice is empty.
-    fn mean_abs_deviation(x: &[f64]) -> Result<f64, DspError> {
-        let m = mean(x)?;
-        Ok(x.iter().map(|v| (v - m).abs()).sum::<f64>() / x.len() as f64)
-    }
-
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-10, "{a} != {b}");
     }
@@ -217,7 +180,6 @@ mod tests {
         assert_eq!(rms(&[]), Err(DspError::EmptyInput));
         assert_eq!(min(&[]), Err(DspError::EmptyInput));
         assert_eq!(max(&[]), Err(DspError::EmptyInput));
-        assert_eq!(autocorrelation(&[], 0), Err(DspError::EmptyInput));
     }
 
     #[test]
@@ -253,12 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn mad_of_symmetric_data() {
-        let x = [1.0, 3.0];
-        assert_close(mean_abs_deviation(&x).unwrap(), 1.0);
-    }
-
-    #[test]
     fn crossings_count_cadence() {
         // 2 Hz sine sampled at 100 Hz for 1.6 s -> about 2*2*1.6 ≈ 6 crossings.
         let x: Vec<f64> = (0..160)
@@ -266,22 +222,6 @@ mod tests {
             .collect();
         let c = mean_crossings(&x).unwrap();
         assert!((5..=7).contains(&c), "crossings = {c}");
-    }
-
-    #[test]
-    fn autocorrelation_detects_period() {
-        // Period-20 sine: r(20) ~ 1, r(10) ~ -1.
-        let x: Vec<f64> = (0..200)
-            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 20.0).sin())
-            .collect();
-        assert!(autocorrelation(&x, 20).unwrap() > 0.85);
-        assert!(autocorrelation(&x, 10).unwrap() < -0.85);
-        assert_close(autocorrelation(&x, 0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn autocorrelation_of_constant_is_one() {
-        assert_close(autocorrelation(&[5.0; 10], 3).unwrap(), 1.0);
     }
 
     #[test]

@@ -100,67 +100,17 @@ fn truncate(s: &str, n: usize) -> &str {
 mod tests {
     use super::*;
 
-    impl ConfusionMatrix {
-        /// Recall of one class (correct / ground-truth count); `None` when the
-        /// class never appeared as ground truth.
-        fn recall(&self, class: Activity) -> Option<f64> {
-            let i = class.index();
-            let row: usize = self.counts[i].iter().sum();
-            if row == 0 {
-                None
-            } else {
-                Some(self.counts[i][i] as f64 / row as f64)
-            }
-        }
-
-        /// Precision of one class (correct / predicted count); `None` when the
-        /// class was never predicted.
-        fn precision(&self, class: Activity) -> Option<f64> {
-            let j = class.index();
-            let col: usize = (0..Activity::COUNT).map(|i| self.counts[i][j]).sum();
-            if col == 0 {
-                None
-            } else {
-                Some(self.counts[j][j] as f64 / col as f64)
-            }
-        }
-    }
-
-    impl ConfusionMatrix {
-        /// Macro-averaged F1 score over classes that appeared in the ground
-        /// truth. Classes with undefined precision contribute an F1 of 0.
-        fn macro_f1(&self) -> f64 {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for class in Activity::ALL {
-                if let Some(r) = self.recall(class) {
-                    n += 1;
-                    let p = self.precision(class).unwrap_or(0.0);
-                    if p + r > 0.0 {
-                        sum += 2.0 * p * r / (p + r);
-                    }
-                }
-            }
-            if n == 0 {
-                0.0
-            } else {
-                sum / n as f64
-            }
-        }
-    }
-
     #[test]
     fn empty_matrix() {
         let m = ConfusionMatrix::new();
         assert_eq!(m.total(), 0);
         assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.recall(Activity::Sit), None);
         assert_eq!(m.worst_confusion(), None);
         assert_eq!(m, ConfusionMatrix::default());
     }
 
     #[test]
-    fn accuracy_and_recall() {
+    fn accuracy_and_worst_confusion() {
         let mut m = ConfusionMatrix::new();
         m.record(Activity::Sit, Activity::Sit);
         m.record(Activity::Sit, Activity::Sit);
@@ -168,11 +118,6 @@ mod tests {
         m.record(Activity::Walk, Activity::Walk);
         assert_eq!(m.total(), 4);
         assert!((m.accuracy() - 0.75).abs() < 1e-12);
-        assert!((m.recall(Activity::Sit).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.recall(Activity::Walk), Some(1.0));
-        assert_eq!(m.precision(Activity::Walk), Some(1.0));
-        // Drive was predicted once, never correctly.
-        assert_eq!(m.precision(Activity::Drive), Some(0.0));
         assert_eq!(
             m.worst_confusion(),
             Some((Activity::Sit, Activity::Drive, 1))
@@ -180,12 +125,11 @@ mod tests {
     }
 
     #[test]
-    fn macro_f1_perfect_classifier() {
+    fn perfect_classifier_is_fully_accurate() {
         let mut m = ConfusionMatrix::new();
         for a in Activity::ALL {
             m.record(a, a);
         }
-        assert!((m.macro_f1() - 1.0).abs() < 1e-12);
         assert!((m.accuracy() - 1.0).abs() < 1e-12);
     }
 

@@ -44,9 +44,6 @@ mod config;
 mod confusion;
 mod design_point;
 mod error;
-// Feature names serve no caller; they run only under their own tests.
-#[cfg(test)]
-mod feature_names;
 mod features;
 mod louo;
 mod nn;

@@ -60,12 +60,6 @@ impl QuantizedMlp {
         })
     }
 
-    /// Quantization width in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
     /// Input dimension.
     #[must_use]
     pub fn input_dim(&self) -> usize {
@@ -228,7 +222,7 @@ mod tests {
         assert!(q8.storage_bytes() < q16.storage_bytes());
         // 8-bit weights: (2*6 + 6*2) bytes + biases (6+2)*4 = 24 + 32.
         assert_eq!(q8.storage_bytes(), 24 + 32);
-        assert_eq!(q8.bits(), 8);
+        assert_eq!(q8.bits, 8);
         assert_eq!(q8.input_dim(), 2);
     }
 

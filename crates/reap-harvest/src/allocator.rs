@@ -81,14 +81,6 @@ impl EwmaAllocator {
         EwmaAllocator::from_parts(DiurnalEwma::new(), false)
     }
 
-    /// Current expectation for a slot (J), for inspection: the slot's
-    /// estimate, or the observed-slot mean while the slot is still
-    /// unseeded.
-    #[must_use]
-    pub fn estimate(&self, hour_of_day: u32) -> Energy {
-        Energy::from_joules(self.ewma.expected(hour_of_day))
-    }
-
     /// The underlying diurnal estimator, for state extraction
     /// (checkpointing a resident allocator).
     #[must_use]
@@ -255,8 +247,8 @@ mod tests {
                 let _ = a.allocate(hour, joules(harvested), &b);
             }
         }
-        assert!(a.estimate(12).joules() > 3.0, "noon estimate too low");
-        assert!(a.estimate(2).joules() < 1.0, "night estimate too high");
+        assert!(a.ewma.expected(12) > 3.0, "noon estimate too low");
+        assert!(a.ewma.expected(2) < 1.0, "night estimate too high");
         assert_eq!(a.name(), "ewma");
     }
 
@@ -274,13 +266,13 @@ mod tests {
         let _ = a.allocate(2, joules(5.0), &b);
         // By hour 2 the observed slots hold real nonzero estimates...
         assert!(
-            a.estimate(0).joules() > 4.9 && a.estimate(1).joules() > 4.9,
-            "sunny first-day slots estimate {} / {}",
-            a.estimate(0),
-            a.estimate(1)
+            a.ewma.expected(0) > 4.9 && a.ewma.expected(1) > 4.9,
+            "sunny first-day slots estimate {} / {} J",
+            a.ewma.expected(0),
+            a.ewma.expected(1)
         );
         // ...and unseen slots extrapolate from them instead of zero.
-        assert!(a.estimate(12).joules() > 4.9, "noon fallback starved");
+        assert!(a.ewma.expected(12) > 4.9, "noon fallback starved");
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::HarvestError;
 /// use reap_harvest::Capacitor;
 ///
 /// let cap = Capacitor::supercap_wearable();
-/// // ½·C·V² at the rated 3.3 V.
-/// let e = 0.5 * cap.capacitance_farads() * 3.3 * 3.3;
+/// // ½·C·V² of the 100 mF store at the rated 3.3 V.
+/// let e = 0.5 * 0.100 * 3.3 * 3.3;
 /// assert!((cap.capacity().joules() - e).abs() < 1e-12);
 /// // The turn-on threshold sits above the brownout threshold.
 /// assert!(cap.turn_on_energy() > cap.brownout_energy());
@@ -124,12 +124,6 @@ impl Capacitor {
             charge_efficiency,
             energy,
         })
-    }
-
-    /// Capacitance in farads.
-    #[must_use]
-    pub fn capacitance_farads(&self) -> f64 {
-        self.capacitance
     }
 
     /// Leakage power continuously drained from the store.
@@ -246,7 +240,7 @@ mod tests {
         assert!((burst.joules() - 0.23).abs() < 1e-12);
         // Starts at the brownout threshold: cannot boot yet.
         assert!(!cap.can_turn_on());
-        let volts = (2.0 * cap.energy().joules() / cap.capacitance_farads()).sqrt();
+        let volts = (2.0 * cap.energy().joules() / cap.capacitance).sqrt();
         assert!((volts - 1.8).abs() < 1e-12);
     }
 

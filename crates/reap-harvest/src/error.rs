@@ -9,15 +9,12 @@ use std::fmt;
 pub enum HarvestError {
     /// A parameter was out of range (message explains which).
     InvalidParameter(String),
-    /// A trace file could not be parsed.
-    Parse(String),
 }
 
 impl fmt::Display for HarvestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HarvestError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            HarvestError::Parse(msg) => write!(f, "trace parse error: {msg}"),
         }
     }
 }
@@ -33,8 +30,5 @@ mod tests {
         assert!(HarvestError::InvalidParameter("x".into())
             .to_string()
             .contains('x'));
-        assert!(HarvestError::Parse("bad line".into())
-            .to_string()
-            .contains("bad line"));
     }
 }

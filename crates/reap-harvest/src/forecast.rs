@@ -223,12 +223,6 @@ impl OracleForecaster {
         }
     }
 
-    /// The configured relative error.
-    #[must_use]
-    pub fn rel_error(&self) -> f64 {
-        self.rel_error
-    }
-
     /// Deterministic noise factor for hour `t`: `1 + rel_error * u`,
     /// `u in [-1, 1)` via the splitmix64 finalizer of `(seed, t)`.
     fn noise(&self, t: usize) -> f64 {
@@ -324,7 +318,7 @@ mod tests {
         assert_eq!(&w[..6], &truth[4..10]);
         assert!(w[6..].iter().all(|&e| e == Energy::ZERO));
         assert_eq!(o.name(), "oracle-forecast");
-        assert_eq!(o.rel_error(), 0.0);
+        assert_eq!(o.rel_error, 0.0);
     }
 
     #[test]
@@ -357,9 +351,9 @@ mod tests {
     #[test]
     fn oracle_clamps_degenerate_error_levels() {
         let o = OracleForecaster::new(vec![joules(2.0)], f64::NAN, 1);
-        assert_eq!(o.rel_error(), 0.0);
+        assert_eq!(o.rel_error, 0.0);
         let o = OracleForecaster::new(vec![joules(2.0)], 7.0, 1);
-        assert_eq!(o.rel_error(), 1.0);
+        assert_eq!(o.rel_error, 1.0);
         // Even at 100% error the forecast never goes negative.
         assert!(o.forecast(0, 1)[0].joules() >= 0.0);
     }

@@ -158,49 +158,6 @@ mod tests {
         fn useful_hours(&self) -> usize {
             self.hourly.iter().filter(|e| e.joules() > 0.18).count()
         }
-
-        /// Serializes as `day,hour,joules` CSV lines (with header).
-        fn to_csv(&self) -> String {
-            let mut out = String::from("day,hour,joules\n");
-            for (i, e) in self.hourly.iter().enumerate() {
-                let day = i / 24;
-                let hour = i % 24;
-                out.push_str(&format!("{day},{hour},{:.6}\n", e.joules()));
-            }
-            out
-        }
-
-        /// Parses the CSV produced by [`HarvestTrace::to_csv`].
-        ///
-        /// # Errors
-        ///
-        /// [`HarvestError::Parse`] on malformed rows,
-        /// [`HarvestError::InvalidParameter`] on bad totals.
-        fn from_csv(start_day_of_year: u32, csv: &str) -> Result<HarvestTrace, HarvestError> {
-            let mut hourly = Vec::new();
-            for (lineno, line) in csv.lines().enumerate() {
-                if lineno == 0 && line.starts_with("day,") {
-                    continue;
-                }
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let fields: Vec<&str> = line.split(',').collect();
-                if fields.len() != 3 {
-                    return Err(HarvestError::Parse(format!(
-                        "line {}: expected 3 fields, got {}",
-                        lineno + 1,
-                        fields.len()
-                    )));
-                }
-                let joules: f64 = fields[2]
-                    .trim()
-                    .parse()
-                    .map_err(|e| HarvestError::Parse(format!("line {}: {e}", lineno + 1)))?;
-                hourly.push(Energy::from_joules(joules));
-            }
-            HarvestTrace::new(start_day_of_year, hourly)
-        }
     }
 
     #[test]
@@ -278,23 +235,6 @@ mod tests {
             (8.0..14.0).contains(&per_day),
             "useful hours per day = {per_day}"
         );
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let t = HarvestTrace::september_like(9);
-        let csv = t.to_csv();
-        let back = HarvestTrace::from_csv(244, &csv).unwrap();
-        assert_eq!(back.len_hours(), t.len_hours());
-        for (a, b) in t.iter().zip(back.iter()) {
-            assert!((a.joules() - b.joules()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(HarvestTrace::from_csv(1, "day,hour,joules\n1,2\n").is_err());
-        assert!(HarvestTrace::from_csv(1, "day,hour,joules\n1,2,abc\n").is_err());
     }
 
     #[test]

@@ -102,23 +102,6 @@ impl Client {
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// Sends a raw pre-encoded line (malformed-input tests).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::request`].
-    // reap-lint: allow(api) -- server_e2e::malformed_lines_get_error_frames_and_session_survives sends junk lines
-    pub fn request_raw(&mut self, line: &str) -> io::Result<Response> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> io::Result<Response> {
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply)?;
         if n == 0 {

@@ -10,7 +10,8 @@
 //!
 //! [`parse`] accepts one JSON value surrounded by optional whitespace
 //! (space, tab, CR, LF): strings with the standard escapes and paired
-//! `\u` surrogates but no raw control characters, and finite numbers.
+//! `\u` surrogates but no raw control characters, and finite numbers in
+//! RFC 8259's grammar (no leading zero, digits after `.` and `e`).
 //! Anything else is an [`Error`] carrying the byte offset; the parser
 //! never panics (every read goes through `get`). It recurses once per
 //! container, so the depth cap is what keeps a line of brackets inside
@@ -238,10 +239,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn digits(&mut self) {
+    /// Consumes a run of ASCII digits and returns it (empty if none).
+    fn digits(&mut self) -> &'a str {
+        let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.text.get(start..self.pos).unwrap_or_default()
     }
 
     fn value(&mut self) -> Result<Value, Error> {
@@ -408,16 +412,23 @@ impl<'a> Parser<'a> {
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         self.eat(b'-');
-        self.digits();
+        // RFC 8259: `int` is `0` or digits without a leading zero, and
+        // `frac` and `exp` take one digit or more each. `f64::from_str`
+        // alone would accept `01`, `1.` and `.5`.
+        let int = self.digits();
+        let mut valid = int.len() == 1 || (!int.is_empty() && !int.starts_with('0'));
         if self.eat(b'.') {
-            self.digits();
+            valid &= !self.digits().is_empty();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            self.digits();
+            valid &= !self.digits().is_empty();
+        }
+        if !valid {
+            return Err(self.err("invalid number"));
         }
         let v: f64 = self
             .text
@@ -458,5 +469,8 @@ mod tests {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
+        for bad in ["[01]", "[-01]", "[00.5]", "[1.]", "[-.5]", "[1.e3]"] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
     }
 }

@@ -134,12 +134,6 @@ impl<T> OrderedLock<T> {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    /// The lock's full `(class << 32) | sub` rank.
-    #[must_use]
-    pub fn rank(&self) -> u64 {
-        self.rank
-    }
 }
 
 /// Guard for an [`OrderedLock`]; pops the rank stack on drop.
@@ -225,7 +219,7 @@ mod tests {
         let stripe: Vec<OrderedLock<u32>> = (0..8)
             .map(|i| OrderedLock::new("stripe", 30, i, i))
             .collect();
-        assert!(stripe.windows(2).all(|w| w[0].rank() < w[1].rank()));
+        assert!(stripe.windows(2).all(|w| w[0].rank < w[1].rank));
         let guards: Vec<_> = stripe.iter().map(OrderedLock::lock).collect();
         assert_eq!(guards.iter().map(|g| **g).sum::<u32>(), 28);
     }

@@ -467,12 +467,6 @@ impl SnapshotRing {
         })
     }
 
-    /// The ring directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Parses a ring filename back to its sequence number.
     fn parse_seq(name: &str) -> Option<u64> {
         name.strip_prefix("ckpt-")?

@@ -63,8 +63,8 @@ pub(crate) struct UserState {
     /// Budget granted at `last_seq`, replayed verbatim when a retrying
     /// client resends the same sequence number.
     pub last_budget: f64,
-    /// Index of the user's frontier table: the user's own index.
-    pub cohort: u32,
+    /// The user's frontier table, built once from their draws.
+    pub table: FrontierTable,
 }
 
 /// One served allocation decision plus the budget it was decided at.
@@ -86,8 +86,6 @@ struct Shard {
 #[derive(Debug)]
 pub struct FleetState {
     shards: Vec<OrderedLock<Shard>>,
-    /// One frontier table per user, indexed by `UserState::cohort`.
-    tables: Vec<FrontierTable>,
     users: u32,
     /// FNV-1a over the fleet configuration (user count, then per user
     /// the alpha bits, each point's id, accuracy and power bits, and the
@@ -116,8 +114,9 @@ impl FleetState {
         let mut fp = Fnv::new();
         fp.write_u64(u64::from(users));
 
-        let mut tables: Vec<FrontierTable> = Vec::with_capacity(users as usize);
-        let mut striped: Vec<Vec<UserState>> = vec![Vec::new(); shards];
+        let per_shard = (users as usize).div_ceil(shards);
+        let mut striped: Vec<Vec<UserState>> =
+            (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
         let mut points = Vec::new();
         for u in 0..users {
             let (_, alpha) = fleet.user_draws(u, &mut points);
@@ -128,7 +127,6 @@ impl FleetState {
                 fp.write_u64(power_w.to_bits());
             }
             fp.write_bytes(fleet.user_source(u).label().as_bytes());
-            tables.push(FrontierTable::new(&points, alpha, period_s, off_w));
 
             // reap-lint: allow(panic:index) -- `u % shards` is < shards == striped.len()
             striped[u as usize % shards].push(UserState {
@@ -142,7 +140,7 @@ impl FleetState {
                 activity: 0.0,
                 last_seq: 0,
                 last_budget: 0.0,
-                cohort: u,
+                table: FrontierTable::new(&points, alpha, period_s, off_w),
             });
         }
 
@@ -152,7 +150,6 @@ impl FleetState {
                 .enumerate()
                 .map(|(i, users)| OrderedLock::new("shard", rank::SHARD, i as u32, Shard { users }))
                 .collect(),
-            tables,
             users,
             fingerprint: fp.finish(),
         })
@@ -169,7 +166,7 @@ impl FleetState {
     /// pins it.
     #[must_use]
     pub fn cohorts(&self) -> u32 {
-        self.tables.len() as u32
+        self.users
     }
 
     /// The fleet-configuration fingerprint embedded in snapshots.
@@ -178,12 +175,11 @@ impl FleetState {
         self.fingerprint
     }
 
-    /// Runs `f` on user `user`'s state (under its shard lock) together
-    /// with the frontier tables.
+    /// Runs `f` on user `user`'s state (under its shard lock).
     fn with_user<T>(
         &self,
         user: u32,
-        f: impl FnOnce(&mut UserState, &[FrontierTable]) -> T,
+        f: impl FnOnce(&mut UserState) -> T,
     ) -> Result<T, ProtocolError> {
         if user >= self.users {
             return Err(ProtocolError::new(
@@ -197,7 +193,7 @@ impl FleetState {
         let mut shard = self.shards[user as usize % shards].lock();
         // reap-lint: allow(panic:index) -- striping invariant: user < self.users puts `user / shards` in this shard
         let state = &mut shard.users[user as usize / shards];
-        Ok(f(state, &self.tables))
+        Ok(f(state))
     }
 
     /// Absorbs one completed hour of `user`'s life — one open-loop
@@ -264,7 +260,7 @@ impl FleetState {
             ));
         }
         let hour = hour % 24;
-        self.with_user(user, |state, tables| {
+        self.with_user(user, |state| {
             if let Some(s) = seq {
                 if s == state.last_seq {
                     // Duplicate delivery of the newest observe: replay
@@ -278,8 +274,7 @@ impl FleetState {
                     ));
                 }
             }
-            // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
-            let floor = Energy::from_joules(tables[state.cohort as usize].min_budget_j());
+            let floor = Energy::from_joules(state.table.min_budget_j());
             let harvested = Energy::from_joules(harvest_j);
             let proposed = state.alloc.allocate(hour, state.last_harvest, &state.vbat);
             let budget = state.vbat.open_loop(proposed, floor, harvested);
@@ -309,9 +304,8 @@ impl FleetState {
     ///
     /// [`ErrorCode::UnknownUser`] for an out-of-range user.
     pub fn decide(&self, user: u32) -> Result<DecideOutcome, ProtocolError> {
-        self.with_user(user, |state, tables| {
-            // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
-            let table = &tables[state.cohort as usize];
+        self.with_user(user, |state| {
+            let table = &state.table;
             let next_hour = if state.last_hour == NO_HOUR {
                 0
             } else {
@@ -438,28 +432,11 @@ mod tests {
         let fleet = tiny_fleet(10);
         let state = FleetState::new(&fleet, 4).unwrap();
         assert_eq!(state.users(), 10);
-        // Distinct per-user alphas → every user its own cohort, exactly
-        // what a fleet run reports.
-        let report = fleet.run().unwrap();
-        assert_eq!(state.cohorts(), report.cohorts());
-    }
-
-    #[test]
-    fn uniform_fleet_counts_one_cohort_per_user_served_and_simulated() {
-        // No accuracy spread and a pinned alpha: every user draws the
-        // same frontier, and each still gets a table of their own, in
-        // the daemon and in the SoA core alike.
-        let fleet = Fleet::builder(reap_device::paper_table2_operating_points())
-            .users(12)
-            .days(1)
-            .accuracy_spread(0.0)
-            .alpha_range(1.0, 1.0)
-            .build()
-            .unwrap();
-        let state = FleetState::new(&fleet, 3).unwrap();
-        assert_eq!(state.cohorts(), 12);
-        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 12);
-        assert_eq!(fleet.run().unwrap().cohorts(), 12);
+        // Every user its own cohort, in the daemon, the SoA core and a
+        // fleet run alike.
+        assert_eq!(state.cohorts(), 10);
+        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 10);
+        assert_eq!(fleet.run().unwrap().cohorts(), 10);
     }
 
     #[test]

@@ -180,29 +180,41 @@ fn handshake_refuses_version_mismatch_and_non_hello() {
 #[test]
 fn malformed_lines_get_error_frames_and_session_survives() {
     let srv = start(2, 1, ServerConfig::default());
-    let mut client = Client::connect(srv.addr).expect("connect");
+    let mut s = TcpStream::connect(srv.addr).expect("connect");
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut send = |frame: &str| {
+        s.write_all(format!("{frame}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Response::decode(line.trim_end()).unwrap()
+    };
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    assert!(matches!(send(&hello.encode()), Response::Welcome { .. }));
 
     for junk in [
         "not json at all",
         "{\"type\":\"nope\"}",
         "{\"type\":\"observe\"}",
+        // Not JSON (RFC 8259 forbids the leading zero), though
+        // `f64::from_str` reads it as user 1.
+        "{\"type\":\"decide\",\"user\":01}",
     ] {
-        match client.request_raw(junk).expect("error frame") {
+        match send(junk) {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
             other => panic!("unexpected reply to {junk:?}: {other:?}"),
         }
     }
-    // The session still works after three malformed frames.
-    match client
-        .request(&Request::Observe {
-            user: 0,
-            hour: 0,
-            harvest_j: 1.0,
-            activity: None,
-            seq: None,
-        })
-        .expect("observe")
-    {
+    // The session still works after the malformed frames.
+    let observe = Request::Observe {
+        user: 0,
+        hour: 0,
+        harvest_j: 1.0,
+        activity: None,
+        seq: None,
+    };
+    match send(&observe.encode()) {
         Response::Observed { .. } => {}
         other => panic!("unexpected reply: {other:?}"),
     }

@@ -120,31 +120,6 @@ impl IntermittentConfig {
         self.failures = failures;
         Ok(self)
     }
-
-    /// The capacitor template (runs clone it; the config's copy keeps
-    /// its configured initial charge).
-    #[must_use]
-    pub fn capacitor(&self) -> &Capacitor {
-        &self.capacitor
-    }
-
-    /// Energy drawn per committed epoch to persist the volatile state.
-    #[must_use]
-    pub fn checkpoint_cost(&self) -> Energy {
-        self.checkpoint_cost
-    }
-
-    /// Energy drawn on every turn-on to reload the last checkpoint.
-    #[must_use]
-    pub fn restore_cost(&self) -> Energy {
-        self.restore_cost
-    }
-
-    /// The forced outage windows.
-    #[must_use]
-    pub fn failures(&self) -> &[(u64, u64)] {
-        &self.failures
-    }
 }
 
 /// One entry of the (optional) event log: what the core processed and

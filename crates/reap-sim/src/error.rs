@@ -61,7 +61,7 @@ mod tests {
         let e = SimError::from(ReapError::NoPoints);
         assert!(e.to_string().contains("optimizer"));
         assert!(Error::source(&e).is_some());
-        let h = SimError::from(HarvestError::Parse("x".into()));
+        let h = SimError::from(HarvestError::InvalidParameter("x".into()));
         assert!(Error::source(&h).is_some());
         assert!(SimError::InvalidParameter("p".into())
             .to_string()

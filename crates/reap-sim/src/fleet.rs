@@ -26,6 +26,7 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
@@ -37,6 +38,17 @@ use crate::engine::Policy;
 use crate::matrix::parallel_map;
 use crate::soa::{SoaFleet, UserOutcome};
 use crate::{AllocatorKind, ForecasterKind, Scenario, SimError, SimReport};
+
+/// The calendar day every trace starts on: day 244, the paper's
+/// September.
+const START_DAY_OF_YEAR: u32 = 244;
+
+/// The half-open range per-user `alpha`s are drawn from.
+const ALPHA_RANGE: Range<f64> = 0.5..2.0;
+
+/// Half-width of the LOUO-style per-user accuracy perturbation, in
+/// accuracy units (±3 percentage points).
+const ACCURACY_SPREAD: f64 = 0.03;
 
 /// A population of seeded synthetic users ready to simulate.
 ///
@@ -70,11 +82,8 @@ pub struct Fleet {
     pub(crate) users: u32,
     pub(crate) seed: u64,
     pub(crate) days: u32,
-    pub(crate) start_day_of_year: u32,
     pub(crate) base_points: Vec<OperatingPoint>,
     pub(crate) sources: Vec<SourceKind>,
-    pub(crate) alpha_range: (f64, f64),
-    pub(crate) accuracy_spread: f64,
     pub(crate) allocator: AllocatorKind,
     pub(crate) policy: Policy,
     pub(crate) forecaster: ForecasterKind,
@@ -126,12 +135,13 @@ impl Fleet {
     /// device supports (e.g.
     /// `reap_device::paper_table2_operating_points()`).
     ///
-    /// Defaults: 1000 users, seed 0, the paper's September month (30 days
-    /// from day-of-year 244), all four [`SourceKind`]s round-robined
-    /// across users, per-user `alpha` drawn from `[0.5, 2.0)`, a ±3
-    /// percentage-point LOUO-style accuracy spread, the EWMA allocator,
-    /// the [`Policy::Reap`] planner, and the EWMA forecaster (relevant
-    /// only under [`Policy::Horizon`]).
+    /// Defaults: 1000 users, seed 0, 30 days, all four [`SourceKind`]s
+    /// round-robined across users, the EWMA allocator, the
+    /// [`Policy::Reap`] planner, and the EWMA forecaster (relevant only
+    /// under [`Policy::Horizon`]). Fixed for every fleet: traces start on
+    /// day-of-year 244 (the paper's September), per-user `alpha` is
+    /// drawn from `[0.5, 2.0)`, and the LOUO-style accuracy spread is ±3
+    /// percentage points.
     #[must_use]
     pub fn builder(base_points: Vec<OperatingPoint>) -> FleetBuilder {
         FleetBuilder {
@@ -139,11 +149,8 @@ impl Fleet {
                 users: 1000,
                 seed: 0,
                 days: 30,
-                start_day_of_year: 244,
                 base_points,
                 sources: SourceKind::ALL.to_vec(),
-                alpha_range: (0.5, 2.0),
-                accuracy_spread: 0.03,
                 allocator: AllocatorKind::Ewma,
                 policy: Policy::Reap,
                 forecaster: ForecasterKind::Ewma,
@@ -269,13 +276,13 @@ impl Fleet {
             }
             None => source,
         };
-        Ok(source.generate(self.start_day_of_year, self.days)?)
+        Ok(source.generate(START_DAY_OF_YEAR, self.days)?)
     }
 
     /// The base operating points as one validated problem, with the
     /// period and off power every user's problem shares. A user's draws
     /// move only accuracies, clamped into `[0.02, 0.995]`, and draw
-    /// `alpha` from the range [`FleetBuilder::build`] checked, so every
+    /// `alpha` from the non-negative `[0.5, 2.0)`, so every
     /// user's problem is valid exactly when this one is: builders that
     /// skip per-user validation check this once instead.
     ///
@@ -285,7 +292,7 @@ impl Fleet {
     /// not draw more than the off power.
     pub fn base_problem(&self) -> Result<ReapProblem, SimError> {
         Ok(ReapProblem::builder()
-            .alpha(self.alpha_range.0)
+            .alpha(ALPHA_RANGE.start)
             .points(self.base_points.clone())
             .build()?)
     }
@@ -325,21 +332,14 @@ impl Fleet {
                 .wrapping_mul(0xD6E8_FEB8_6659_FD93)
                 .wrapping_add(u64::from(user)),
         );
-        let spread = self.accuracy_spread;
         points.clear();
         points.extend(self.base_points.iter().map(|p| {
-            let delta = if spread > 0.0 {
-                rng.gen_range(-spread..spread)
-            } else {
-                0.0
-            };
+            let delta = rng.gen_range(-ACCURACY_SPREAD..ACCURACY_SPREAD);
             let accuracy = (p.accuracy() + delta).clamp(0.02, 0.995);
             (p.id(), accuracy, p.power().watts())
         }));
 
-        let (lo, hi) = self.alpha_range;
-        let alpha = if hi > lo { rng.gen_range(lo..hi) } else { lo };
-        (perturbation, alpha)
+        (perturbation, rng.gen_range(ALPHA_RANGE))
     }
 
     /// Derives user `user`'s parameters (perturbed points, `alpha`, trace
@@ -349,7 +349,8 @@ impl Fleet {
     /// # Errors
     ///
     /// [`SimError::Core`] when a perturbed operating point fails
-    /// validation (cannot happen for spreads accepted by the builder).
+    /// validation (cannot happen: draws clamp accuracies into
+    /// `[0.02, 0.995]`).
     pub fn user_params(&self, user: u32) -> Result<UserParams, SimError> {
         let mut drawn = Vec::with_capacity(self.base_points.len());
         let (perturbation, alpha) = self.user_draws(user, &mut drawn);
@@ -472,35 +473,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the 1-based calendar day traces start on (default 244, the
-    /// paper's September).
-    #[must_use]
-    pub fn start_day_of_year(mut self, day: u32) -> Self {
-        self.fleet.start_day_of_year = day;
-        self
-    }
-
     /// Sets the harvest sources users are round-robined across (default:
     /// all of [`SourceKind::ALL`]).
     #[must_use]
     pub fn sources(mut self, sources: Vec<SourceKind>) -> Self {
         self.fleet.sources = sources;
-        self
-    }
-
-    /// Sets the half-open `[lo, hi)` range per-user `alpha`s are drawn
-    /// from (default `[0.5, 2.0)`); `lo == hi` pins every user to `lo`.
-    #[must_use]
-    pub fn alpha_range(mut self, lo: f64, hi: f64) -> Self {
-        self.fleet.alpha_range = (lo, hi);
-        self
-    }
-
-    /// Sets the LOUO-style per-user accuracy perturbation half-width, in
-    /// accuracy units (default 0.03, i.e. ±3 percentage points).
-    #[must_use]
-    pub fn accuracy_spread(mut self, spread: f64) -> Self {
-        self.fleet.accuracy_spread = spread;
         self
     }
 
@@ -575,29 +552,11 @@ impl FleetBuilder {
         if f.days == 0 {
             return Err(SimError::InvalidParameter("zero days".into()));
         }
-        if !(1..=365).contains(&f.start_day_of_year) {
-            return Err(SimError::InvalidParameter(format!(
-                "start day of year {} outside 1..=365",
-                f.start_day_of_year
-            )));
-        }
         if f.sources.is_empty() {
             return Err(SimError::InvalidParameter("no harvest sources".into()));
         }
         if f.base_points.is_empty() {
             return Err(SimError::InvalidParameter("no operating points".into()));
-        }
-        let (lo, hi) = f.alpha_range;
-        if !lo.is_finite() || !hi.is_finite() || lo < 0.0 || hi < lo {
-            return Err(SimError::InvalidParameter(format!(
-                "alpha range [{lo}, {hi}) must satisfy 0 <= lo <= hi"
-            )));
-        }
-        if !f.accuracy_spread.is_finite() || !(0.0..0.5).contains(&f.accuracy_spread) {
-            return Err(SimError::InvalidParameter(format!(
-                "accuracy spread {} outside [0, 0.5)",
-                f.accuracy_spread
-            )));
         }
         match f.policy {
             Policy::Horizon { lookahead: 0 } => {
@@ -919,30 +878,10 @@ mod tests {
         assert!(Fleet::builder(base_points()).users(0).build().is_err());
         assert!(Fleet::builder(base_points()).days(0).build().is_err());
         assert!(Fleet::builder(base_points())
-            .start_day_of_year(0)
-            .build()
-            .is_err());
-        assert!(Fleet::builder(base_points())
-            .start_day_of_year(366)
-            .build()
-            .is_err());
-        assert!(Fleet::builder(base_points())
             .sources(Vec::new())
             .build()
             .is_err());
         assert!(Fleet::builder(Vec::new()).build().is_err());
-        assert!(Fleet::builder(base_points())
-            .alpha_range(2.0, 1.0)
-            .build()
-            .is_err());
-        assert!(Fleet::builder(base_points())
-            .alpha_range(f64::NAN, 1.0)
-            .build()
-            .is_err());
-        assert!(Fleet::builder(base_points())
-            .accuracy_spread(0.7)
-            .build()
-            .is_err());
     }
 
     #[test]

@@ -44,9 +44,6 @@ mod engine;
 mod error;
 mod fleet;
 mod matrix;
-// Bernoulli sampling of recognitions; it runs only under its own tests.
-#[cfg(test)]
-mod recognition;
 mod report;
 mod scenario;
 pub mod soa;

@@ -221,31 +221,6 @@ mod tests {
     use reap_core::{OperatingPoint, ReapProblem};
     use reap_units::Power;
 
-    impl SimReport {
-        /// Serializes the hour-by-hour record as CSV
-        /// (`day,hour,harvested_j,budget_j,expected_accuracy,active_s,realized_fraction,battery_j`),
-        /// for plotting outside Rust.
-        fn to_csv(&self) -> String {
-            let mut out = String::from(
-                "day,hour,harvested_j,budget_j,expected_accuracy,active_s,realized_fraction,battery_j\n",
-            );
-            for h in &self.hours {
-                out.push_str(&format!(
-                    "{},{},{:.6},{:.6},{:.6},{:.3},{:.6},{:.6}\n",
-                    h.day,
-                    h.hour,
-                    h.harvested.joules(),
-                    h.budget.joules(),
-                    h.planned.expected_accuracy(),
-                    h.planned.active_time().seconds(),
-                    h.realized_fraction,
-                    h.battery_level.joules(),
-                ));
-            }
-            out
-        }
-    }
-
     fn hour_record(day: u32, accuracy_weight: f64) -> HourRecord {
         let problem = ReapProblem::builder()
             .point(OperatingPoint::new(1, "DP1", 0.9, Power::from_milliwatts(2.0)).unwrap())
@@ -313,21 +288,6 @@ mod tests {
             (0..24).map(|_| hour_record(0, 0.0)).collect(),
         );
         assert!(ours.normalized_daily(&dead, 1.0).is_none());
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_hour() {
-        let r = SimReport::new(
-            Policy::Reap,
-            "ewma",
-            1.0,
-            (0..24).map(|_| hour_record(0, 1.0)).collect(),
-        );
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 25);
-        assert!(lines[0].starts_with("day,hour,"));
-        assert_eq!(lines[1].split(',').count(), 8);
     }
 
     #[test]

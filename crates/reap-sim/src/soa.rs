@@ -594,23 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn uniform_population_still_counts_one_cohort_per_user() {
-        // No accuracy spread and a pinned alpha: every user draws the
-        // same frontier, and each still gets a run of their own.
-        let f = Fleet::builder(base_points())
-            .users(16)
-            .days(1)
-            .accuracy_spread(0.0)
-            .alpha_range(1.0, 1.0)
-            .build()
-            .unwrap();
+    fn every_user_counts_as_a_cohort_of_their_own() {
+        let f = fleet(16, 1);
         let soa = SoaFleet::new(&f).unwrap();
-        assert_eq!(soa.cohorts(), f.users());
-        assert_eq!(soa.vert_off.len(), 17);
-        assert_eq!(f.run().unwrap().cohorts(), f.users());
-        let soa = SoaFleet::new(&fleet(16, 1)).unwrap();
         assert_eq!(soa.cohorts(), 16);
+        assert_eq!(soa.vert_off.len(), 17);
         assert!(soa.bytes_per_user() > 0);
+        assert_eq!(f.run().unwrap().cohorts(), 16);
     }
 
     /// The bits of a vertex, so `-0.0` and `0.0` tell apart.
@@ -633,10 +623,6 @@ mod tests {
         let builder = |points| Fleet::builder(points).users(40).days(1).seed(5);
         let fleets = [
             builder(reap_device::paper_table2_operating_points()),
-            builder(base_points())
-                .accuracy_spread(0.0)
-                .alpha_range(1.5, 1.5),
-            builder(reap_device::paper_table2_operating_points()).alpha_range(0.0, 0.0),
             builder(vec![point(3, 0.9, 1.8)]),
             // Equal powers tie on marginal power: the hull keeps the
             // heavier point only.
