@@ -432,11 +432,28 @@ mod tests {
         let fleet = tiny_fleet(10);
         let state = FleetState::new(&fleet, 4).unwrap();
         assert_eq!(state.users(), 10);
-        // Every user its own cohort, in the daemon, the SoA core and a
-        // fleet run alike.
-        assert_eq!(state.cohorts(), 10);
-        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 10);
-        assert_eq!(fleet.run().unwrap().cohorts(), 10);
+        // Distinct per-user alphas → every user its own cohort, exactly
+        // what a fleet run reports.
+        let report = fleet.run().unwrap();
+        assert_eq!(state.cohorts(), report.cohorts());
+    }
+
+    #[test]
+    fn uniform_fleet_counts_one_cohort_per_user_served_and_simulated() {
+        // Each user gets a table of their own, in the daemon and in the
+        // SoA core alike, and a fleet run counts the same. The builder no
+        // longer pins alpha or the accuracy spread, so the fleet keeps
+        // its per-user draws; neither core compares draws, so the count
+        // cannot depend on them.
+        let fleet = Fleet::builder(reap_device::paper_table2_operating_points())
+            .users(12)
+            .days(1)
+            .build()
+            .unwrap();
+        let state = FleetState::new(&fleet, 3).unwrap();
+        assert_eq!(state.cohorts(), 12);
+        assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap().cohorts(), 12);
+        assert_eq!(fleet.run().unwrap().cohorts(), 12);
     }
 
     #[test]
