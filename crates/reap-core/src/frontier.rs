@@ -255,22 +255,13 @@ pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j:
     let b = budget_j.max(vertices[0].budget_j);
     // The first segment (the off vertex blending into the cheapest
     // point) absorbs most interior budgets, so it skips the general walk
-    // below; the arithmetic is the walk's for that segment, term for
-    // term.
+    // below.
     if vertices.len() >= 2
         && b < vertices[1].budget_j
         && !vertices[0].has_point
         && vertices[1].has_point
     {
-        let lo_b = vertices[0].budget_j;
-        let lambda = ((b - lo_b) / (vertices[1].budget_j - lo_b)).clamp(0.0, 1.0);
-        let t = lambda * tp;
-        let run = if lambda > 0.0 {
-            vertices[1].run(t)
-        } else {
-            None
-        };
-        return Schedule::new([run, None], tp - t, tp, off_w);
+        return first_segment(vertices[0].budget_j, &vertices[1], tp, off_w, b);
     }
 
     let last = vertices.len() - 1;
@@ -301,6 +292,24 @@ pub fn decide_vertices(vertices: &[Vertex], period_s: f64, off_w: f64, budget_j:
     // applies after.
     let active = lo.map_or(0.0, |r| r.seconds) + hi.map_or(0.0, |r| r.seconds);
     Schedule::new([lo, hi], tp - active, tp, off_w)
+}
+
+/// The optimal plan at budget `b` on a frontier's first segment: the
+/// all-off vertex at the floor `lo_b` blending linearly into `hi`, the
+/// cheapest point's vertex, for `b < hi.budget_j`. A budget below the
+/// floor plans exactly as the floor does (the mix clamps at all-off); a
+/// NaN budget does not. This is the general walk's arithmetic for that
+/// segment, term for term, and the only definition of it:
+/// [`decide_vertices`] plans the segment with it, and batched callers
+/// evaluate a whole column of budgets with it. It has no data-dependent
+/// branch, so such a loop vectorizes.
+#[inline]
+#[must_use]
+pub fn first_segment(lo_b: f64, hi: &Vertex, period_s: f64, off_w: f64, b: f64) -> Schedule {
+    let lambda = ((b - lo_b) / (hi.budget_j - lo_b)).clamp(0.0, 1.0);
+    let t = lambda * period_s;
+    let run = hi.run(t).filter(|_| lambda > 0.0);
+    Schedule::new([run, None], period_s - t, period_s, off_w)
 }
 
 /// Flat, pointer-free form of a [`PlanFrontier`] for batched evaluation:

@@ -81,7 +81,9 @@ mod static_policy;
 mod sweep;
 
 pub use error::ReapError;
-pub use frontier::{decide_vertices, push_frontier, FrontierTable, PlanFrontier, Vertex};
+pub use frontier::{
+    decide_vertices, first_segment, push_frontier, FrontierTable, PlanFrontier, Vertex,
+};
 pub use horizon::{plan_horizon, HorizonPlan};
 pub use mpc::RecedingHorizonController;
 pub use operating_point::OperatingPoint;

@@ -62,6 +62,9 @@ thread_local! {
 #[derive(Debug)]
 pub struct OrderedLock<T> {
     name: &'static str,
+    // Read only by the debug-build rank assertion in `lock` and by this
+    // module's tests; release builds keep the field so the tests compile.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     rank: u64,
     // reap-lint: allow(locks:raw-lock) -- the wrapper the discipline is built on
     inner: Mutex<T>,

@@ -8,11 +8,16 @@
 //!
 //! * fleet state lives in flat arrays (battery joules, EWMA slots,
 //!   accumulators as `Vec<f64>`), stepped by tight per-hour passes that
-//!   allocate nothing per user;
+//!   allocate nothing per user. Each pass cuts every column it touches
+//!   to one length before its loop and keeps branches out of the loop
+//!   body, so LLVM's loop vectorizer runs all four passes in packed
+//!   lanes;
 //! * every user's plan frontier is a run of [`Vertex`] records in one
-//!   contiguous arena, laid out in the order the kernel steps users, and
-//!   each hourly budget lookup is [`reap_core::decide_vertices`] over
-//!   that run. The build derives each user's draws
+//!   contiguous arena, laid out in the order the kernel steps users. The
+//!   plan pass plans each hour's budget branch-free on the frontier's
+//!   first segment ([`reap_core::first_segment`]) or at saturation, and
+//!   runs [`reap_core::decide_vertices`] over the run only for budgets
+//!   between the two. The build derives each user's draws
 //!   ([`Fleet::user_draws`]) and hull ([`reap_core::push_frontier`]) on
 //!   the worker pool, allocating nothing per user;
 //! * users on the same harvest source share one base trace and store
@@ -29,18 +34,18 @@
 //! battery. Each hour is one straight-line pipeline (EWMA observe,
 //! open-loop grant, plan, execute) that calls the same hour-step
 //! functions as the scalar engine ([`reap_harvest::step`] for
-//! allocation and execution,
+//! allocation and execution, [`reap_core::first_segment`] and
 //! [`reap_core::decide_vertices`] for planning) on the same values, so
 //! per-user outcomes are bit-identical to [`Fleet::user_scenario`]
-//! replay — a property the `soa_equivalence` tests pin (to 1e-12, though
-//! in practice exact). Every other fleet (static policies, the greedy and
-//! uniform-daily allocators, MPC, sub-hour and batteryless fleets) runs
-//! on the scalar engine, user by user, and [`SoaFleet::new`] builds no
-//! per-user state for it.
+//! replay — a property the `soa_equivalence` tests pin bit for bit.
+//! Every other fleet (static policies, the greedy and uniform-daily
+//! allocators, MPC, sub-hour and batteryless fleets) runs on the scalar
+//! engine, user by user, and [`SoaFleet::new`] builds no per-user state
+//! for it.
 
 use std::num::NonZeroUsize;
 
-use reap_core::{decide_vertices, push_frontier, PlanEval, Vertex};
+use reap_core::{decide_vertices, first_segment, push_frontier, PlanEval, Vertex};
 use reap_harvest::step::{self, BATTERY_GAIN, EWMA_ALPHA};
 use reap_harvest::{Battery, SourceKind};
 
@@ -122,7 +127,9 @@ pub struct SoaFleet {
     /// Per position: its vertex run is `verts[vert_off[c]..vert_off[c+1]]`
     /// (`users + 1` entries).
     vert_off: Vec<u32>,
-    /// Per position: the plan at the budget floor.
+    /// Per position: the plan at the budget floor. The plan pass plans
+    /// the floor on the first frontier segment instead; the column stays
+    /// because `soa_bytes_per_user` counts it.
     floor_plan: Vec<PlanEval>,
     /// Per position: the plan at frontier saturation.
     sat_plan: Vec<PlanEval>,
@@ -252,13 +259,10 @@ impl SoaFleet {
         }
 
         // Every user's plan data, a shard per task in permuted order: the
-        // frontier's vertex run plus the two constant plan regimes. Most
-        // simulated hours land in one of those regimes — dark hours pin
-        // the budget to the floor, bright hours overshoot the frontier —
-        // so the plan pass resolves them from the cached evals without
-        // touching the arena; resolving an hour from them is
-        // bit-identical to evaluating the frontier at any budget in the
-        // regime.
+        // frontier's vertex run plus the two constant plan regimes, the
+        // floor and saturation. The plan pass resolves a saturated hour
+        // from the cached eval, which is bit-identical to evaluating the
+        // frontier at any budget past saturation.
         let shards = parallel_map(users.div_ceil(SHARD_USERS), max_threads, |s| {
             let positions = &perm[s * SHARD_USERS..((s + 1) * SHARD_USERS).min(users)];
             let n = positions.len();
@@ -411,12 +415,25 @@ impl SoaFleet {
         out
     }
 
+    /// Position `c`'s frontier: its run of vertices in the arena.
+    fn frontier(&self, c: usize) -> &[Vertex] {
+        &self.verts[self.vert_off[c] as usize..self.vert_off[c + 1] as usize]
+    }
+
     /// Steps permuted positions `[a, b)` through every hour. All state is
     /// shard-local and heap-allocated once, before the hour loop.
+    ///
+    /// Each hour is four passes over the shard's columns: EWMA observe,
+    /// allocate, plan and execute. Every pass cuts each column it touches
+    /// to one length before its loop, so no element access carries a
+    /// bounds check, and no loop body branches, pushes or exits early
+    /// (the step functions merge each engine conditional into selects).
+    /// LLVM's loop vectorizer then runs all four in packed lanes; only the
+    /// plan pass's fallback, over the few users whose budget lies between
+    /// the first frontier segment and saturation, stays scalar.
     fn run_shard(&self, a: usize, b: usize) -> Vec<UserOutcome> {
         let nu = b - a;
         let gain = &self.gain[a..b];
-        let cohort = &self.cohort[a..b];
         // Groups clipped to this shard, rebased to shard-local indices.
         let groups: Vec<Group> = self
             .groups
@@ -429,6 +446,7 @@ impl SoaFleet {
                 phase: g.phase,
             })
             .collect();
+        let mut plan = ShardPlan::gather(self, a, b);
 
         // Mutable per-user state, flat.
         let mut bat = vec![self.init_j; nu];
@@ -445,15 +463,10 @@ impl SoaFleet {
 
         let (cap_j, eff_c, eff_d) = (self.cap_j, self.eff_c, self.eff_d);
         let floor_j = self.floor_j;
-        let tp = self.tp_s;
-        let off_w = self.off_w;
 
-        // Per-hour stage temporaries: budgets out of the allocator pass,
-        // plan scalars out of the plan pass. Splitting the hour into
-        // array passes keeps the allocator and execute loops free of
-        // data-dependent branches (the step functions merge each engine
-        // conditional: its untaken side contributes exactly zero), which
-        // lets them vectorize; only the plan pass stays scalar.
+        // Per-hour stage temporaries: the cold-start expectations, budgets
+        // out of the allocate pass, plan scalars out of the plan pass.
+        let mut cold_t = vec![0.0f64; nu];
         let mut budget_t = vec![0.0f64; nu];
         let mut pacc_t = vec![0.0f64; nu];
         let mut pact_t = vec![0.0f64; nu];
@@ -470,88 +483,73 @@ impl SoaFleet {
             if i >= 1 {
                 let prev = (hod + 23) % 24;
                 let est_prev = &mut est[prev * nu..prev * nu + nu];
+                let last_h = &last_h[..nu];
                 if i >= 25 {
-                    for (e, &h) in est_prev.iter_mut().zip(&last_h) {
-                        *e = step::blend(*e, h, EWMA_ALPHA);
+                    for u in 0..nu {
+                        est_prev[u] = step::blend(est_prev[u], last_h[u], EWMA_ALPHA);
                     }
                 } else {
-                    for ((e, s), &h) in est_prev.iter_mut().zip(&mut est_sum).zip(&last_h) {
-                        *e = h;
-                        *s += h;
+                    let est_sum = &mut est_sum[..nu];
+                    est_prev.copy_from_slice(last_h);
+                    for u in 0..nu {
+                        est_sum[u] += last_h[u];
                     }
                 }
             }
 
-            // Stage 1: allocator proposal against the *virtual* battery,
-            // open-loop grant and virtual charge/spend
-            // (`step::open_loop`), one branch-free loop per
-            // `(trace, phase)` group and EWMA regime.
-            // Index loops, not zipped iterators: each user writes three
-            // columns at `u` and per-regime inputs read one more.
-            #[allow(clippy::needless_range_loop)]
+            // This hour's expected harvest: the slot estimate once every
+            // slot is seeded; before that the mean of the seeded slots
+            // (the sum accumulates in ascending slot order), and nothing
+            // on the discarded first call.
+            let expected = if i >= 24 {
+                &est[hod * nu..hod * nu + nu]
+            } else {
+                if i >= 1 {
+                    let i_f = i as f64;
+                    let (cold, est_sum) = (&mut cold_t[..nu], &est_sum[..nu]);
+                    for u in 0..nu {
+                        cold[u] = est_sum[u] / i_f;
+                    }
+                }
+                &cold_t[..nu]
+            };
+
+            // Allocate pass: allocator proposal against the *virtual*
+            // battery, open-loop grant and virtual charge/spend
+            // (`step::open_loop`), one loop per `(trace, phase)` group.
             for g in &groups {
                 let src = (hod as u32 + g.phase) % 24;
                 let base_e = self.traces[g.trace as usize][day * 24 + src as usize];
-                let (lo, hi) = (g.start, g.end);
-                let mut stage1 = |u: usize, expected: f64| {
+                let (lo, n) = (g.start, g.end - g.start);
+                let (gain, expected) = (&gain[lo..lo + n], &expected[lo..lo + n]);
+                let vbat = &mut vbat[lo..lo + n];
+                let budget = &mut budget_t[lo..lo + n];
+                let last_h = &mut last_h[lo..lo + n];
+                for u in 0..n {
                     let h = base_e * gain[u];
-                    let proposed = step::propose(expected, vbat[u], cap_j, BATTERY_GAIN);
-                    (budget_t[u], vbat[u]) =
+                    let proposed = step::propose(expected[u], vbat[u], cap_j, BATTERY_GAIN);
+                    (budget[u], vbat[u]) =
                         step::open_loop(vbat[u], cap_j, eff_c, eff_d, proposed, floor_j, h);
-                    h
-                };
-                if i >= 24 {
-                    // This hour's slot estimates, hoisted: the slot index
-                    // is fixed across the shard all hour.
-                    let est_cur = &est[hod * nu..hod * nu + nu];
-                    for u in lo..hi {
-                        last_h[u] = stage1(u, est_cur[u]);
-                    }
-                } else if i == 0 {
-                    // The discarded first call expects nothing.
-                    for u in lo..hi {
-                        last_h[u] = stage1(u, 0.0);
-                    }
-                } else {
-                    // Unseen slot: mean of the seeded slots (the sum
-                    // accumulates in ascending slot order).
-                    let i_f = i as f64;
-                    for u in lo..hi {
-                        last_h[u] = stage1(u, est_sum[u] / i_f);
-                    }
+                    last_h[u] = h;
                 }
             }
 
-            // Stage 2: plan. Most hours land in a constant frontier
-            // regime (floor or saturation) and resolve from the cached
-            // plans; the rest take the full frontier walk. Both produce
-            // the scalar engine's schedule scalars bit for bit.
-            for u in 0..nu {
-                let c = cohort[u] as usize;
-                let budget = budget_t[u];
-                let plan = if budget <= floor_j {
-                    self.floor_plan[c]
-                } else if budget >= self.sat_budget[c] {
-                    self.sat_plan[c]
-                } else {
-                    let verts =
-                        &self.verts[self.vert_off[c] as usize..self.vert_off[c + 1] as usize];
-                    reap_core::decide_vertices(verts, tp, off_w, budget).eval
-                };
-                pacc_t[u] = plan.accuracy;
-                pact_t[u] = plan.active_s;
-                pen_t[u] = plan.energy_j;
-            }
+            // Plan pass: the scalar engine's schedule scalars, bit for bit.
+            plan.plan(self, &budget_t, &mut pacc_t, &mut pact_t, &mut pen_t);
 
-            // Stage 3: execute — harvest first, then the real battery,
-            // browning out proportionally (`step::execute`, the engine's
-            // hour loop at one step per hour).
+            // Execute pass: harvest first, then the real battery, browning
+            // out proportionally (`step::execute`, the engine's hour loop
+            // at one step per hour).
+            let (pacc, pact, pen) = (&pacc_t[..nu], &pact_t[..nu], &pen_t[..nu]);
+            let (bat, last_h, brow) = (&mut bat[..nu], &last_h[..nu], &mut brow[..nu]);
+            let (acc_sum, act_sum) = (&mut acc_sum[..nu], &mut act_sum[..nu]);
+            let harv_sum = &mut harv_sum[..nu];
             for u in 0..nu {
                 let h = last_h[u];
-                let (level, rf) = step::execute(bat[u], cap_j, eff_c, eff_d, h, pen_t[u]);
+                let (level, rf) = step::execute(bat[u], cap_j, eff_c, eff_d, h, pen[u]);
                 bat[u] = level;
-                acc_sum[u] += pacc_t[u] * rf;
-                act_sum[u] += pact_t[u] * rf;
+                acc_sum[u] += pacc[u] * rf;
+                act_sum[u] += pact[u] * rf;
                 brow[u] += u32::from(rf < 1.0);
                 harv_sum[u] += h;
             }
@@ -570,11 +568,128 @@ impl SoaFleet {
     }
 }
 
+/// One shard's plan constants in columns, gathered from the arena once
+/// per run so that the plan pass loads them in vector lanes: where each
+/// user's first frontier segment ends and the point it blends into, and
+/// the saturation budget and plan.
+struct ShardPlan {
+    /// The permuted position of the shard's first user.
+    start: usize,
+    /// Per user: the budget where the first segment ends, `-inf` for a
+    /// frontier that does not start with the all-off vertex at the fleet
+    /// floor followed by a point.
+    seg_b: Vec<f64>,
+    /// Per user: accuracy of the first segment's point.
+    seg_acc: Vec<f64>,
+    /// Per user: power of the first segment's point, in watts.
+    seg_w: Vec<f64>,
+    /// Per user: the saturation budget.
+    sat_b: Vec<f64>,
+    /// Per user: the plan at saturation, one column per aggregate.
+    sat_acc: Vec<f64>,
+    sat_act: Vec<f64>,
+    sat_en: Vec<f64>,
+    /// Per user, this hour: the budget lies past the first segment and
+    /// short of saturation, or is NaN, so the frontier walk plans it.
+    past: Vec<bool>,
+}
+
+impl ShardPlan {
+    /// The plan columns of permuted positions `[a, b)`.
+    fn gather(soa: &SoaFleet, a: usize, b: usize) -> ShardPlan {
+        let n = b - a;
+        let mut plan = ShardPlan {
+            start: a,
+            seg_b: Vec::with_capacity(n),
+            seg_acc: Vec::with_capacity(n),
+            seg_w: Vec::with_capacity(n),
+            sat_b: Vec::with_capacity(n),
+            sat_acc: Vec::with_capacity(n),
+            sat_act: Vec::with_capacity(n),
+            sat_en: Vec::with_capacity(n),
+            past: vec![false; n],
+        };
+        for &c in &soa.cohort[a..b] {
+            let c = c as usize;
+            let (seg_b, seg_acc, seg_w) = match soa.frontier(c) {
+                [off, seg, ..]
+                    if !off.has_point && off.budget_j == soa.floor_j && seg.has_point =>
+                {
+                    (seg.budget_j, seg.accuracy, seg.power_w)
+                }
+                _ => (f64::NEG_INFINITY, 0.0, 0.0),
+            };
+            plan.seg_b.push(seg_b);
+            plan.seg_acc.push(seg_acc);
+            plan.seg_w.push(seg_w);
+            let sat = soa.sat_plan[c];
+            plan.sat_b.push(soa.sat_budget[c]);
+            plan.sat_acc.push(sat.accuracy);
+            plan.sat_act.push(sat.active_s);
+            plan.sat_en.push(sat.energy_j);
+        }
+        plan
+    }
+
+    /// The plan pass: each user's [`decide_vertices`] plan at `budget`,
+    /// one aggregate per output column.
+    ///
+    /// The first loop plans every user branch-free, with selects: on the
+    /// first frontier segment ([`first_segment`], which also plans the
+    /// floor and every budget below it) or at saturation (the cached
+    /// plan), and flags the users whose budget lies between the two, or
+    /// is NaN. The second loop walks the frontier for the flagged users
+    /// only.
+    fn plan(
+        &mut self,
+        soa: &SoaFleet,
+        budget: &[f64],
+        acc: &mut [f64],
+        act: &mut [f64],
+        en: &mut [f64],
+    ) {
+        let n = self.past.len();
+        let (floor_j, tp, off_w) = (soa.floor_j, soa.tp_s, soa.off_w);
+        let budget = &budget[..n];
+        let (acc, act, en) = (&mut acc[..n], &mut act[..n], &mut en[..n]);
+        let (seg_b, seg_acc, seg_w) = (&self.seg_b[..n], &self.seg_acc[..n], &self.seg_w[..n]);
+        let (sat_b, sat_acc) = (&self.sat_b[..n], &self.sat_acc[..n]);
+        let (sat_act, sat_en) = (&self.sat_act[..n], &self.sat_en[..n]);
+        let past = &mut self.past[..n];
+        for u in 0..n {
+            let b = budget[u];
+            // The segment's point; its id would only label the plan's
+            // share, which this pass does not keep.
+            let seg = Vertex {
+                budget_j: seg_b[u],
+                accuracy: seg_acc[u],
+                power_w: seg_w[u],
+                id: 0,
+                has_point: true,
+            };
+            let first = first_segment(floor_j, &seg, tp, off_w, b).eval;
+            let sat = b >= sat_b[u];
+            acc[u] = if sat { sat_acc[u] } else { first.accuracy };
+            act[u] = if sat { sat_act[u] } else { first.active_s };
+            en[u] = if sat { sat_en[u] } else { first.energy_j };
+            past[u] = !(b < seg_b[u] || sat);
+        }
+        for u in 0..n {
+            if past[u] {
+                let c = soa.cohort[self.start + u] as usize;
+                let plan = decide_vertices(soa.frontier(c), tp, off_w, budget[u]).eval;
+                (acc[u], act[u], en[u]) = (plan.accuracy, plan.active_s, plan.energy_j);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Policy;
-    use reap_core::OperatingPoint;
+    use reap_core::{FrontierTable, OperatingPoint};
+    use reap_harvest::splitmix64;
     use reap_units::Power;
 
     fn base_points() -> Vec<OperatingPoint> {
@@ -633,9 +748,8 @@ mod tests {
             let soa = SoaFleet::new(&f).unwrap();
             for (pos, &u) in soa.perm.iter().enumerate() {
                 let table = f.user_scenario(u).unwrap().problem().frontier().table();
-                let run = &soa.verts[soa.vert_off[pos] as usize..soa.vert_off[pos + 1] as usize];
                 assert_eq!(
-                    run.iter().map(bits).collect::<Vec<_>>(),
+                    soa.frontier(pos).iter().map(bits).collect::<Vec<_>>(),
                     table.vertices().iter().map(bits).collect::<Vec<_>>(),
                     "fleet {i}, user {u}"
                 );
@@ -645,6 +759,81 @@ mod tests {
                 assert_eq!(soa.sat_budget[pos], saturation);
                 assert_eq!(soa.sat_plan[pos], table.decide(saturation).eval);
             }
+        }
+    }
+
+    /// Budgets that probe every regime edge of `table`: NaN, the
+    /// infinities and signed zeros, every breakpoint (the floor and
+    /// saturation among them) with the floats on either side, and
+    /// `random` draws between the floor and saturation.
+    fn adversarial_budgets(table: &FrontierTable, seed: u64, random: u64) -> Vec<f64> {
+        let mut budgets = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        for v in table.vertices() {
+            budgets.extend([v.budget_j.next_down(), v.budget_j, v.budget_j.next_up()]);
+        }
+        let (lo, hi) = (
+            table.min_budget_j(),
+            table.vertices()[table.len() - 1].budget_j,
+        );
+        budgets.extend((0..random).map(|k| {
+            let unit =
+                (splitmix64(seed.wrapping_mul(1 << 20) ^ k) >> 11) as f64 / (1u64 << 53) as f64;
+            lo + unit * (hi - lo)
+        }));
+        budgets
+    }
+
+    #[test]
+    fn plan_pass_matches_decide_bit_for_bit() {
+        // Frontiers of five, two and one point(s); the last fleet's two
+        // points tie on power, so its hull keeps one.
+        let builder = |points| Fleet::builder(points).users(40).days(1).seed(5);
+        let fleets = [
+            builder(reap_device::paper_table2_operating_points()),
+            builder(base_points()),
+            builder(vec![point(3, 0.9, 1.8)]),
+            builder(vec![point(1, 0.92, 2.0), point(2, 0.90, 2.0)]),
+        ];
+        for (i, f) in fleets.into_iter().enumerate() {
+            let f = f.build().unwrap();
+            let soa = SoaFleet::new(&f).unwrap();
+            let n = soa.users;
+            let tables: Vec<FrontierTable> = soa
+                .perm
+                .iter()
+                .map(|&u| f.user_scenario(u).unwrap().problem().frontier().table())
+                .collect();
+            let lists: Vec<Vec<f64>> = (0..n)
+                .map(|pos| adversarial_budgets(&tables[pos], pos as u64, 24))
+                .collect();
+            let mut plan = ShardPlan::gather(&soa, 0, n);
+            let (mut acc, mut act, mut en) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            // Each user walks its whole list, offset from its neighbours
+            // so that every vector of lanes mixes regimes.
+            let rounds = lists.iter().map(Vec::len).max().unwrap();
+            for r in 0..rounds {
+                let budget: Vec<f64> = (0..n)
+                    .map(|pos| lists[pos][(r + pos) % lists[pos].len()])
+                    .collect();
+                plan.plan(&soa, &budget, &mut acc, &mut act, &mut en);
+                for pos in 0..n {
+                    let want = tables[pos].decide(budget[pos]).eval;
+                    assert_eq!(
+                        [acc[pos], act[pos], en[pos]].map(f64::to_bits),
+                        [want.accuracy, want.active_s, want.energy_j].map(f64::to_bits),
+                        "fleet {i}, position {pos}, budget {:e} J",
+                        budget[pos]
+                    );
+                }
+            }
+            // One float above the floor buys a run far shorter than
+            // `DROP_S`, which every plan drops as noise.
+            let budget = vec![soa.floor_j.next_up(); n];
+            plan.plan(&soa, &budget, &mut acc, &mut act, &mut en);
+            assert!(
+                acc.iter().chain(&act).all(|&x| x.to_bits() == 0),
+                "fleet {i}"
+            );
         }
     }
 

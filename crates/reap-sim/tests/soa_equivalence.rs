@@ -1,8 +1,7 @@
 //! SoA-vs-scalar equivalence: the data-oriented fleet kernel
 //! ([`reap_sim::SoaFleet`]) must agree with scalar per-user replay
 //! ([`Fleet::user_scenario`] + the hour-by-hour engine) on every user's
-//! final scalars — accuracy and active time to within 1e-12 (bitwise, in
-//! practice), brownout hours exactly.
+//! final scalars, bit for bit.
 //!
 //! The kernel runs one configuration, REAP planning EWMA budgets, so its
 //! random fleets draw only users, days and seed; they cover all four
@@ -63,28 +62,18 @@ fn scalar_outcome(report: &SimReport, days: u32) -> UserOutcome {
 }
 
 fn assert_outcomes_match(soa: &UserOutcome, scalar: &UserOutcome, user: u32) {
-    assert!(
-        (soa.accuracy - scalar.accuracy).abs() <= 1e-12,
-        "user {user}: SoA accuracy {} vs scalar {}",
-        soa.accuracy,
-        scalar.accuracy
-    );
-    assert!(
-        (soa.active_fraction - scalar.active_fraction).abs() <= 1e-12,
-        "user {user}: SoA active fraction {} vs scalar {}",
-        soa.active_fraction,
-        scalar.active_fraction
-    );
+    let bits = |o: &UserOutcome| {
+        (
+            o.accuracy.to_bits(),
+            o.active_fraction.to_bits(),
+            o.brownout_hours,
+            o.harvested_j.to_bits(),
+        )
+    };
     assert_eq!(
-        soa.brownout_hours, scalar.brownout_hours,
-        "user {user}: brownout hours diverged"
-    );
-    let scale = scalar.harvested_j.abs().max(1.0);
-    assert!(
-        (soa.harvested_j - scalar.harvested_j).abs() <= 1e-9 * scale,
-        "user {user}: SoA harvested {} J vs scalar {} J",
-        soa.harvested_j,
-        scalar.harvested_j
+        bits(soa),
+        bits(scalar),
+        "user {user}: SoA {soa:?} vs scalar {scalar:?}"
     );
 }
 
@@ -192,6 +181,49 @@ fn p5_straggler_replays_on_the_scalar_engine() {
         &outcomes[straggler as usize],
         &scalar_outcome(&report, 2),
         straggler,
+    );
+}
+
+#[test]
+fn frontier_walk_plans_match_scalar_replay() {
+    // A cheap, inaccurate point ends each frontier's first segment near
+    // 0.7 J, so a fifth or more of the hourly budgets land past it, where
+    // the kernel's plan pass walks the frontier instead of taking a
+    // branch-free regime.
+    let points = [(1u8, 0.94, 2.76), (4, 0.90, 1.64), (6, 0.50, 0.20)]
+        .iter()
+        .map(|&(id, a, mw)| {
+            OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
+        })
+        .collect();
+    let (users, days) = (48u32, 2u32);
+    let fleet = Fleet::builder(points)
+        .users(users)
+        .days(days)
+        .seed(77)
+        .build()
+        .expect("valid fleet");
+    let outcomes = SoaFleet::new(&fleet).expect("SoA build").run(None);
+    let (mut walked, mut hours) = (0usize, 0usize);
+    for user in 0..users {
+        let scenario = fleet.user_scenario(user).expect("replayable user");
+        let table = scenario.problem().frontier().table();
+        let v = table.vertices();
+        let report = scenario.run(Policy::Reap).expect("scalar engine runs");
+        for hour in report.hours() {
+            let b = hour.budget.joules();
+            walked += usize::from(b >= v[1].budget_j && b < v[v.len() - 1].budget_j);
+            hours += 1;
+        }
+        assert_outcomes_match(
+            &outcomes[user as usize],
+            &scalar_outcome(&report, days),
+            user,
+        );
+    }
+    assert!(
+        walked * 5 >= hours,
+        "only {walked} of {hours} budgets lie past the first segment"
     );
 }
 
