@@ -222,7 +222,7 @@ pub struct VdtRun {
 /// timestamp, and a wake turns the node on before the epoch it arms.
 /// The hour loop handles harvest edges and the trace end itself; an
 /// edge sorts after a restore and before a failure at its timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// A forced outage ends.
     Restore,
@@ -243,41 +243,70 @@ impl EventKind {
             EventKind::Epoch => "epoch",
         }
     }
+
+    /// The event at `at` as one sortable integer: the timestamp above
+    /// the kind's tie rank, so the earliest event has the smallest key
+    /// and ties break in declaration order. Simulation times stay far
+    /// below 2^62 seconds.
+    fn key(self, at: u64) -> u64 {
+        at << 2 | self as u64
+    }
+
+    fn of_key(key: u64) -> EventKind {
+        match key & 3 {
+            0 => EventKind::Restore,
+            1 => EventKind::Failure,
+            2 => EventKind::Wake,
+            _ => EventKind::Epoch,
+        }
+    }
 }
 
-/// The events due between two harvest edges, in three fixed slots.
+/// The key of an empty timeline slot: after every event.
+const NO_EVENT: u64 = u64::MAX;
+
+/// The events due between two harvest edges, in three fixed slots. Each
+/// slot's next event reads as one [`EventKind::key`] ([`NO_EVENT`] when
+/// the slot is empty).
 struct Timeline<'s> {
     /// The armed epoch. A turn-on re-arms it in place; a failure leaves
     /// it armed, so the stale epoch still pops and is skipped while the
     /// node is off.
-    epoch: Option<u64>,
-    /// Pending wake-ups, latest first. Duplicates stay: an hour edge
-    /// forgets `pending_wake` and may re-arm a wake that is already
+    epoch: u64,
+    /// Pending wake-up times, latest first. Duplicates stay: an hour
+    /// edge forgets `pending_wake` and may re-arm a wake that is already
     /// queued, and both copies pop.
     wakes: Vec<u64>,
+    /// The first outage window's failure, or its restore once the
+    /// failure has popped.
+    outage: u64,
     /// The forced outage windows not yet over that start before the
     /// trace end.
     outages: &'s [(u64, u64)],
-    /// Whether the first window's failure has popped (its restore is
-    /// next).
-    out: bool,
     end_s: u64,
 }
 
 impl<'s> Timeline<'s> {
     fn new(failures: &'s [(u64, u64)], end_s: u64) -> Timeline<'s> {
         let live = failures.partition_point(|&(start, _)| start < end_s);
+        let outages = &failures[..live];
         Timeline {
-            epoch: None,
+            epoch: NO_EVENT,
             wakes: Vec::new(),
-            outages: &failures[..live],
-            out: false,
+            outage: Self::failure_key(outages),
+            outages,
             end_s,
         }
     }
 
+    fn failure_key(outages: &[(u64, u64)]) -> u64 {
+        outages
+            .first()
+            .map_or(NO_EVENT, |&(start, _)| EventKind::Failure.key(start))
+    }
+
     fn arm_epoch(&mut self, at: u64) {
-        self.epoch = Some(at);
+        self.epoch = EventKind::Epoch.key(at);
     }
 
     fn push_wake(&mut self, at: u64) {
@@ -285,58 +314,137 @@ impl<'s> Timeline<'s> {
         self.wakes.insert(i, at);
     }
 
-    fn next_outage_event(&self) -> Option<(u64, EventKind)> {
-        let &(start, end) = self.outages.first()?;
-        Some(if self.out {
-            (end.min(self.end_s), EventKind::Restore)
-        } else {
-            (start, EventKind::Failure)
-        })
-    }
-
     /// Pops the earliest event that comes before the harvest edge (or
     /// trace end) at `edge`: anything earlier, or a restore at `edge`
     /// itself.
     fn pop_before(&mut self, edge: u64) -> Option<(u64, EventKind)> {
-        let wake = self.wakes.last().map(|&at| (at, EventKind::Wake));
-        let epoch = self.epoch.map(|at| (at, EventKind::Epoch));
-        let next = [self.next_outage_event(), wake, epoch]
-            .into_iter()
-            .flatten()
-            .min()?;
-        if next >= (edge, EventKind::Failure) {
+        let wake = self
+            .wakes
+            .last()
+            .map_or(NO_EVENT, |&at| EventKind::Wake.key(at));
+        let next = self.outage.min(wake).min(self.epoch);
+        if next >= EventKind::Failure.key(edge) {
             return None;
         }
-        match next.1 {
+        let kind = EventKind::of_key(next);
+        match kind {
             EventKind::Restore => {
                 self.outages = &self.outages[1..];
-                self.out = false;
+                self.outage = Self::failure_key(self.outages);
             }
-            EventKind::Failure => self.out = true,
+            EventKind::Failure => {
+                let end = self.outages[0].1.min(self.end_s);
+                self.outage = EventKind::Restore.key(end);
+            }
             EventKind::Wake => {
                 self.wakes.pop();
             }
-            EventKind::Epoch => self.epoch = None,
+            EventKind::Epoch => self.epoch = NO_EVENT,
         }
-        Some(next)
+        Some((next >> 2, kind))
     }
 }
 
-/// One row of a run's plan table: a schedule and its budget, with the
-/// objective an epoch credits computed once (the schedule carries its
-/// energy and active time).
+/// A run's constants, computed once with the expressions the core
+/// evaluates them by.
+#[derive(Clone, Copy)]
+struct RunConsts {
+    /// Store level at the brownout threshold, J.
+    e_off: f64,
+    /// Store level at the turn-on threshold, J.
+    e_on: f64,
+    /// Store capacity, J.
+    capacity: f64,
+    /// Charge efficiency η.
+    eta: f64,
+    /// Leakage power, W.
+    p_leak: f64,
+    /// The epoch width `dt`, s.
+    dt: f64,
+    /// The epoch's share of an hour, `dt / 3600`.
+    frac: f64,
+    /// Leakage over one epoch, `p_leak · dt`, J.
+    leak_epoch: f64,
+    /// The checkpoint tax, J.
+    ckpt: f64,
+}
+
+impl RunConsts {
+    fn new(config: &IntermittentConfig, dt: f64) -> RunConsts {
+        let cap = &config.capacitor;
+        let p_leak = cap.leakage().watts();
+        RunConsts {
+            e_off: cap.brownout_energy().joules(),
+            e_on: cap.turn_on_energy().joules(),
+            capacity: cap.capacity().joules(),
+            eta: cap.charge_efficiency(),
+            p_leak,
+            dt,
+            frac: dt / 3600.0,
+            leak_epoch: p_leak * dt,
+            ckpt: config.checkpoint_cost.joules(),
+        }
+    }
+}
+
+/// The current hour's harvest and the rates it sets, computed once at
+/// the hour's harvest edge: within an hour they are constant.
+#[derive(Clone, Copy)]
+struct HourRates {
+    harvest: Energy,
+    /// Power into the store, `η · harvest / 3600`, W.
+    p_in: f64,
+    /// `p_in` less leakage, W.
+    net: f64,
+    /// One epoch's income as the burst policy counts it, `p_in · dt`, J.
+    epoch_in: f64,
+    /// One executed epoch's income, `η · harvest · dt / 3600`, J.
+    epoch_gain: f64,
+}
+
+impl HourRates {
+    fn new(harvest: Energy, run: &RunConsts) -> HourRates {
+        let p_in = run.eta * harvest.joules() / 3600.0;
+        HourRates {
+            harvest,
+            p_in,
+            net: p_in - run.p_leak,
+            epoch_in: p_in * run.dt,
+            epoch_gain: run.eta * harvest.joules() * run.frac,
+        }
+    }
+}
+
+/// One row of a run's plan table: a schedule and its budget, with what
+/// one epoch of it draws and credits computed once (the schedule
+/// carries its energy and active time).
 struct Plan {
     budget: Energy,
     schedule: Schedule,
     objective: f64,
+    /// Energy one epoch draws, J.
+    needed: f64,
+    /// One epoch's cost to the store as the burst policy counts it:
+    /// `needed`, the checkpoint tax and the epoch's leakage, J.
+    epoch_cost: f64,
+    /// The objective one committed epoch credits.
+    epoch_objective: f64,
+    /// The active seconds one committed epoch credits.
+    epoch_active_s: f64,
 }
 
 impl Plan {
-    fn new(budget: Energy, schedule: Schedule, alpha: f64) -> Plan {
+    fn new(budget: Energy, schedule: Schedule, alpha: f64, run: &RunConsts) -> Plan {
+        let objective = schedule.objective(alpha);
+        let needed = schedule.eval.energy_j * run.frac;
         Plan {
             budget,
-            objective: schedule.objective(alpha),
             schedule,
+            objective,
+            needed,
+            epoch_cost: needed + run.ckpt + run.leak_epoch,
+            epoch_objective: objective * run.frac,
+            epoch_active_s: schedule.eval.active_s * run.frac,
         }
     }
 }
@@ -353,6 +461,7 @@ struct IntermittentCore<'s> {
     /// [`Policy::Intermittent`], which has no hourly budget layer).
     planner: Option<HourPlanner<'s>>,
     cap: Capacitor,
+    run: RunConsts,
     dt: u64,
     end_s: u64,
     timeline: Timeline<'s>,
@@ -384,8 +493,13 @@ struct IntermittentCore<'s> {
     planned_hour: Option<usize>,
     /// Row of the plan the node executes now.
     current_plan: Option<usize>,
+    /// Set by a turn-on to its time and taken by the next epoch. The
+    /// epoch at the turn-on's own timestamp runs on the plan the turn-on
+    /// just chose: only duplicate wakes, which change nothing, pop
+    /// between the two.
+    chosen_at: Option<u64>,
 
-    hour_harvest: Energy,
+    rates: HourRates,
     /// Committed fraction of the current hour (each committed epoch
     /// adds `dt / 3600`).
     hour_committed: f64,
@@ -393,7 +507,6 @@ struct IntermittentCore<'s> {
     hour_last_plan: Option<usize>,
 
     stats: ClockStats,
-    hours: Vec<HourRecord>,
     /// The event log (filled only when the scenario traces events).
     events: Vec<EventRecord>,
 }
@@ -407,12 +520,10 @@ impl<'s> IntermittentCore<'s> {
         }
     }
 
-    fn e_off(&self) -> f64 {
-        self.cap.brownout_energy().joules()
-    }
-
-    fn e_on(&self) -> f64 {
-        self.cap.turn_on_energy().joules()
+    /// Starts hour `harvest`'s rates at its harvest edge.
+    fn start_hour(&mut self, harvest: Energy) {
+        self.rates = HourRates::new(harvest, &self.run);
+        self.stats.harvest_offered_j += harvest.joules();
     }
 
     /// Closed-form store advancement while the node is off: within one
@@ -425,11 +536,14 @@ impl<'s> IntermittentCore<'s> {
             return;
         }
         let t = to - self.off_since;
-        let p_in = self.cap.charge_efficiency() * self.hour_harvest.joules() / 3600.0;
-        let p_leak = self.cap.leakage().watts();
-        let net = p_in - p_leak;
+        let HourRates { p_in, net, .. } = self.rates;
+        let RunConsts {
+            p_leak,
+            capacity,
+            eta,
+            ..
+        } = self.run;
         let mut e = self.cap.energy().joules();
-        let capacity = self.cap.capacity().joules();
         if net >= 0.0 {
             let room = capacity - e;
             if net * t <= room {
@@ -443,7 +557,7 @@ impl<'s> IntermittentCore<'s> {
                 let rest = t - tau;
                 self.stats.stored_j += p_in * tau + p_leak * rest;
                 self.stats.leaked_j += p_leak * t;
-                self.stats.spilled_j += net * rest / self.cap.charge_efficiency();
+                self.stats.spilled_j += net * rest / eta;
                 e = capacity;
             }
         } else {
@@ -472,29 +586,38 @@ impl<'s> IntermittentCore<'s> {
     /// threshold under the current hour's rates and schedules a Wake at
     /// the next epoch-grid point at or after the crossing. Skips
     /// scheduling when the crossing falls beyond the current hour (the
-    /// next harvest edge re-evaluates with the new rate) or inside the
-    /// voluntary-sleep damping window.
+    /// next harvest edge re-evaluates with the new rate) or the trace
+    /// end, or inside the voluntary-sleep damping window.
     fn schedule_wake(&mut self, now: f64) {
         if self.on || self.forced_out {
             return;
         }
         let e = self.cap.energy().joules();
-        let cross = if e >= self.e_on() {
+        let cross = if e >= self.run.e_on {
             now
         } else {
-            let p_in = self.cap.charge_efficiency() * self.hour_harvest.joules() / 3600.0;
-            let net = p_in - self.cap.leakage().watts();
-            if net <= 0.0 {
+            if self.rates.net <= 0.0 {
                 return;
             }
-            now + (self.e_on() - e) / net
+            now + (self.run.e_on - e) / self.rates.net
         };
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let cross_s = cross.max(0.0).ceil() as u64;
-        let at = cross_s.div_ceil(self.dt) * self.dt;
         // Beyond this hour the rate changes; let the edge re-evaluate.
+        // Both tests read the crossing itself, before it is rounded to
+        // the grid: its grid point passes the hour's end exactly when it
+        // does (the hour's end is a grid point), and one at the trace end
+        // is dropped below anyway. A charge rate a hair above leakage puts
+        // the crossing centuries away, past any `u64` grid arithmetic.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let hour_end = (current_hour(now.max(0.0) as u64, self.end_s) as u64 + 1) * HOUR_S;
-        if at >= self.end_s || at > hour_end || at < self.wake_not_before {
+        if cross > to_f64(hour_end) || cross >= to_f64(self.end_s) {
+            return;
+        }
+        // `ceil(cross).div_ceil(dt) * dt` in exact f64 arithmetic: the
+        // operands are whole seconds far below 2^53.
+        let at_s = (cross.max(0.0).ceil() / self.run.dt).ceil() * self.run.dt;
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let at = at_s as u64;
+        if at >= self.end_s || at < self.wake_not_before {
             return;
         }
         if self.pending_wake != Some(at) {
@@ -517,6 +640,7 @@ impl<'s> IntermittentCore<'s> {
         self.on_until = t;
         self.pending_wake = None;
         self.ensure_plan(t)?;
+        self.chosen_at = Some(t);
         if t + self.dt <= self.end_s {
             self.timeline.arm_epoch(t);
         }
@@ -528,21 +652,27 @@ impl<'s> IntermittentCore<'s> {
     /// per trace hour (a second turn-on within the hour reuses the
     /// plan); the burst policy re-chooses at every epoch.
     fn ensure_plan(&mut self, t: u64) -> Result<(), SimError> {
-        let h = current_hour(t, self.end_s);
         if self.policy == Policy::Intermittent {
             self.current_plan = self.choose_burst_plan(t);
-        } else if self.planned_hour != Some(h) {
-            let view = self.cap_as_battery();
-            let planner = self
-                .planner
-                .as_mut()
-                .expect("non-burst policies plan hourly");
-            let (budget, schedule) = planner.plan_hour(h, self.hour_harvest, &view)?;
-            self.planned_hour = Some(h);
-            self.plans.clear();
-            self.plans
-                .push(Plan::new(budget, schedule, self.scenario.problem.alpha()));
-            self.current_plan = Some(0);
+        } else {
+            let h = current_hour(t, self.end_s);
+            if self.planned_hour != Some(h) {
+                let view = self.cap_as_battery();
+                let planner = self
+                    .planner
+                    .as_mut()
+                    .expect("non-burst policies plan hourly");
+                let (budget, schedule) = planner.plan_hour(h, self.rates.harvest, &view)?;
+                self.planned_hour = Some(h);
+                self.plans.clear();
+                self.plans.push(Plan::new(
+                    budget,
+                    schedule,
+                    self.scenario.problem.alpha(),
+                    &self.run,
+                ));
+                self.current_plan = Some(0);
+            }
         }
         self.hour_last_plan = self.current_plan.or(self.hour_last_plan);
         Ok(())
@@ -566,23 +696,26 @@ impl<'s> IntermittentCore<'s> {
     /// ends. Returns `None` when no point completes even one epoch —
     /// the node voluntarily sleeps and banks the energy instead.
     fn choose_burst_plan(&self, t: u64) -> Option<usize> {
-        let frac = to_f64(self.dt) / 3600.0;
-        let margin = self.cap.energy().joules() - self.e_off();
-        let epoch_in =
-            self.cap.charge_efficiency() * self.hour_harvest.joules() / 3600.0 * to_f64(self.dt);
-        let leak_epoch = self.cap.leakage().watts() * to_f64(self.dt);
-        let ckpt = self.config.checkpoint_cost.joules();
-        let remaining = to_f64((self.end_s - t) / self.dt);
+        let margin = self.cap.energy().joules() - self.run.e_off;
+        // Whole epochs left before the trace end, `(end_s - t) / dt`:
+        // exact in f64 for times far below 2^53, and needed only by a
+        // candidate that completes at least one epoch.
+        let mut left = None;
+        let mut remaining =
+            || *left.get_or_insert_with(|| (to_f64(self.end_s - t) / self.run.dt).floor());
         let mut best: Option<(f64, usize)> = None;
         for (row, plan) in self.plans.iter().enumerate() {
-            let epoch_cost = plan.schedule.eval.energy_j * frac + ckpt + leak_epoch;
-            let net = epoch_cost - epoch_in;
+            let net = plan.epoch_cost - self.rates.epoch_in;
             let epochs = if net <= 0.0 {
-                remaining
+                remaining()
+            } else if margin < net {
+                // `margin / net` rounds below 1: no epoch completes, and
+                // a value of zero never beats the best.
+                continue;
             } else {
-                (margin / net).floor().min(remaining)
+                (margin / net).floor().min(remaining())
             };
-            let value = epochs * plan.objective * frac;
+            let value = epochs * plan.objective * self.run.frac;
             if value > best.map_or(0.0, |(v, _)| v) {
                 best = Some((value, row));
             }
@@ -596,8 +729,9 @@ impl<'s> IntermittentCore<'s> {
     /// regardless of instantaneous harvest. A committed epoch arms the
     /// next one.
     fn run_epoch(&mut self, t: u64) -> Result<(), SimError> {
-        let frac = to_f64(self.dt) / 3600.0;
-        self.ensure_plan(t)?;
+        if self.chosen_at.take() != Some(t) {
+            self.ensure_plan(t)?;
+        }
         let Some(row) = self.current_plan else {
             // Voluntary sleep: no point completes an epoch. Wake checks
             // resume at the next harvest edge.
@@ -605,68 +739,72 @@ impl<'s> IntermittentCore<'s> {
             return Ok(());
         };
         let plan = &self.plans[row];
-        let eval = plan.schedule.eval;
-        let (needed, objective, active_s) = (eval.energy_j * frac, plan.objective, eval.active_s);
-        let gain = self.cap.charge_efficiency() * self.hour_harvest.joules() * frac;
-        let leak = self.cap.leakage().watts() * to_f64(self.dt);
+        let (needed, epoch_objective, epoch_active_s) =
+            (plan.needed, plan.epoch_objective, plan.epoch_active_s);
+        let RunConsts {
+            e_off,
+            capacity,
+            eta,
+            leak_epoch: leak,
+            ckpt,
+            frac,
+            dt,
+            ..
+        } = self.run;
+        let gain = self.rates.epoch_gain;
         let e = self.cap.energy().joules();
         let e_end = e + gain - needed - leak;
-        if e_end < self.e_off() {
+        if e_end < e_off {
             // Brownout mid-epoch: the store hits the threshold at
             // fraction f of the epoch; the partial work is volatile and
             // lost, and the node is dead (still charging) for the rest
             // of the epoch.
-            let f = ((e - self.e_off()) / (e - e_end)).clamp(0.0, 1.0);
+            let f = ((e - e_off) / (e - e_end)).clamp(0.0, 1.0);
             self.stats.stored_j += gain * f;
             self.stats.consumed_j += needed * f;
             self.stats.leaked_j += leak * f;
-            self.cap
-                .set_energy(Energy::from_joules(self.e_off()))
-                .expect("brownout threshold is within range");
-            self.stats.brownouts += 1;
-            self.stats.epochs_lost += 1;
-            self.on = false;
-            self.off_since = to_f64(t) + f * to_f64(self.dt);
-            self.schedule_wake(self.off_since);
+            self.brown_out(to_f64(t) + f * dt);
             return Ok(());
         }
-        let capacity = self.cap.capacity().joules();
         let overflow = (e_end - capacity).max(0.0);
         self.stats.stored_j += gain - overflow;
-        self.stats.spilled_j += overflow / self.cap.charge_efficiency();
+        self.stats.spilled_j += overflow / eta;
         self.stats.consumed_j += needed;
         self.stats.leaked_j += leak;
-        let mut e_final = e_end.min(capacity);
+        let e_final = e_end.min(capacity);
         // Checkpoint tax: commit only if it completes above the
         // brownout threshold; a checkpoint cut short loses the epoch.
-        let ckpt = self.config.checkpoint_cost.joules();
-        if e_final - ckpt >= self.e_off() {
-            e_final -= ckpt;
+        if e_final - ckpt >= e_off {
             self.stats.checkpoint_j += ckpt;
             self.cap
-                .set_energy(Energy::from_joules(e_final))
+                .set_energy(Energy::from_joules(e_final - ckpt))
                 .expect("post-checkpoint level is within range");
             self.stats.epochs_committed += 1;
-            self.stats.committed_objective += objective * frac;
-            self.stats.committed_active_s += active_s * frac;
+            self.stats.committed_objective += epoch_objective;
+            self.stats.committed_active_s += epoch_active_s;
             self.hour_committed += frac;
             self.on_until = t + self.dt;
             if t + 2 * self.dt <= self.end_s {
                 self.timeline.arm_epoch(t + self.dt);
             }
         } else {
-            let partial = (e_final - self.e_off()).max(0.0);
-            self.stats.checkpoint_j += partial;
-            self.cap
-                .set_energy(Energy::from_joules(self.e_off()))
-                .expect("brownout threshold is within range");
-            self.stats.brownouts += 1;
-            self.stats.epochs_lost += 1;
-            self.on = false;
-            self.off_since = to_f64(t + self.dt);
-            self.schedule_wake(self.off_since);
+            self.stats.checkpoint_j += (e_final - e_off).max(0.0);
+            self.brown_out(to_f64(t + self.dt));
         }
         Ok(())
+    }
+
+    /// The store hit the brownout threshold at `at`: the epoch in flight
+    /// is lost, the node is off, and it charges toward the next wake.
+    fn brown_out(&mut self, at: f64) {
+        self.cap
+            .set_energy(Energy::from_joules(self.run.e_off))
+            .expect("brownout threshold is within range");
+        self.stats.brownouts += 1;
+        self.stats.epochs_lost += 1;
+        self.on = false;
+        self.off_since = at;
+        self.schedule_wake(at);
     }
 
     fn power_down_voluntarily(&mut self, t: u64) {
@@ -677,20 +815,20 @@ impl<'s> IntermittentCore<'s> {
         self.wake_not_before = (current_hour(t, self.end_s) as u64 + 1) * HOUR_S;
     }
 
-    /// Emits the record for completed hour `h` and resets the per-hour
-    /// scratch state. The allocator/forecaster memory advances only if
-    /// the node is alive at the boundary — a dead node observes nothing,
-    /// and a node that died mid-hour lost that (volatile) observation
-    /// with the power failure.
-    fn finalize_hour(&mut self, h: usize) {
+    /// Hands the record of completed hour `h` to `close_hour` and resets
+    /// the per-hour scratch state. The allocator/forecaster memory advances
+    /// only if the node is alive at the boundary — a dead node observes
+    /// nothing, and a node that died mid-hour lost that (volatile)
+    /// observation with the power failure.
+    fn finalize_hour(&mut self, h: usize, close_hour: &mut impl FnMut(HourRecord)) {
         let (budget, planned) = match self.hour_last_plan.take() {
             Some(row) => (self.plans[row].budget, self.plans[row].schedule),
             None => (Energy::ZERO, self.off_plan),
         };
-        self.hours.push(HourRecord {
+        close_hour(HourRecord {
             day: (h / 24) as u32,
             hour: (h % 24) as u32,
-            harvested: self.hour_harvest,
+            harvested: self.rates.harvest,
             budget,
             planned,
             realized_fraction: self.hour_committed.clamp(0.0, 1.0),
@@ -698,7 +836,7 @@ impl<'s> IntermittentCore<'s> {
         });
         if self.on {
             if let Some(planner) = self.planner.as_mut() {
-                planner.end_hour(h, self.hour_harvest);
+                planner.end_hour(h, self.rates.harvest);
             }
         }
         self.hour_committed = 0.0;
@@ -726,10 +864,32 @@ pub(crate) fn run_intermittent_mode(
     policy: Policy,
     config: &IntermittentConfig,
 ) -> Result<VdtRun, SimError> {
+    let mut hours = Vec::with_capacity(scenario.trace.len_hours());
+    let (stats, events, energy_layer) =
+        run_intermittent(scenario, policy, config, |hour| hours.push(hour))?;
+    let report = SimReport::new(policy, energy_layer, scenario.problem.alpha(), hours);
+    Ok(VdtRun {
+        report,
+        stats,
+        events,
+    })
+}
+
+/// The event core over `scenario`: hands every closed hour's record to
+/// `close_hour`, in order (a report keeps them; a fleet folds them into
+/// a user's totals), and returns the counters, the event log and the
+/// name of the energy layer that drove the run.
+pub(crate) fn run_intermittent(
+    scenario: &Scenario,
+    policy: Policy,
+    config: &IntermittentConfig,
+    mut close_hour: impl FnMut(HourRecord),
+) -> Result<(ClockStats, Vec<EventRecord>, &'static str), SimError> {
     let dt = u64::from(scenario.dt_seconds);
     let total_hours = scenario.trace.len_hours();
     let end_s = total_hours as u64 * HOUR_S;
     let problem = &scenario.problem;
+    let run = RunConsts::new(config, f64::from(scenario.dt_seconds));
 
     let planner = if policy == Policy::Intermittent {
         None
@@ -744,7 +904,8 @@ pub(crate) fn run_intermittent_mode(
         .filter(|_| planner.is_none())
         .map(|p| {
             let budget = p.power() * problem.period();
-            static_schedule(problem, p.id(), budget).map(|s| Plan::new(budget, s, problem.alpha()))
+            static_schedule(problem, p.id(), budget)
+                .map(|s| Plan::new(budget, s, problem.alpha(), &run))
         })
         .collect::<Result<_, _>>()?;
     let off_plan = static_schedule(problem, problem.points()[0].id(), problem.min_budget())?;
@@ -755,6 +916,7 @@ pub(crate) fn run_intermittent_mode(
         config,
         planner,
         cap: config.capacitor.clone(),
+        run,
         dt,
         end_s,
         timeline: Timeline::new(&config.failures, end_s),
@@ -768,11 +930,11 @@ pub(crate) fn run_intermittent_mode(
         pending_wake: None,
         planned_hour: None,
         current_plan: None,
-        hour_harvest: Energy::ZERO,
+        chosen_at: None,
+        rates: HourRates::new(Energy::ZERO, &run),
         hour_committed: 0.0,
         hour_last_plan: None,
         stats: ClockStats::default(),
-        hours: Vec::with_capacity(total_hours),
         events: Vec::new(),
     };
     core.stats.initial_store_j = core.cap.energy().joules();
@@ -830,11 +992,10 @@ pub(crate) fn run_intermittent_mode(
         core.log(edge, hour_harvest.map_or("end", |_| "harvest-edge"));
         core.advance_off(to_f64(edge));
         if let Some(prev) = h.checked_sub(1) {
-            core.finalize_hour(prev);
+            core.finalize_hour(prev, &mut close_hour);
         }
         if let Some(hour_harvest) = hour_harvest {
-            core.hour_harvest = hour_harvest;
-            core.stats.harvest_offered_j += hour_harvest.joules();
+            core.start_hour(hour_harvest);
             core.wake_not_before = 0;
             core.pending_wake = None;
             if !core.on {
@@ -848,12 +1009,7 @@ pub(crate) fn run_intermittent_mode(
         Some(planner) => planner.energy_layer(),
         None => "burst",
     };
-    let report = SimReport::new(policy, energy_layer, problem.alpha(), core.hours);
-    Ok(VdtRun {
-        report,
-        stats: core.stats,
-        events: core.events,
-    })
+    Ok((core.stats, core.events, energy_layer))
 }
 
 #[cfg(test)]
@@ -1027,6 +1183,35 @@ mod tests {
             let run = s.run_event_driven(policy).unwrap();
             assert_eq!(run.report.hours().len(), 48, "{policy}");
             assert!(run.stats.ledger_drift().abs() <= 1e-9, "{policy}");
+        }
+    }
+
+    #[test]
+    fn a_charge_rate_a_hair_above_leakage_never_wakes() {
+        // 0.08 J/h at the wearable store's η charges 20 µW against its
+        // 20 µW of leakage: the net rate is a rounding residue, so the
+        // turn-on crossing lies ~7e19 s away, far past the trace end. The
+        // run must skip that wake, neither overflowing the grid
+        // arithmetic nor hanging on a wrapped wake time.
+        let cap = Capacitor::supercap_wearable();
+        let net = cap.charge_efficiency() * 0.08 / 3600.0 - cap.leakage().watts();
+        assert!(net > 0.0 && net < 1e-18, "net charge rate {net} W");
+        let trace = HarvestTrace::new(244, vec![Energy::from_joules(0.08); 24]).unwrap();
+        let s = crate::Scenario::builder(trace)
+            .points(paper_points())
+            .dt_seconds(300)
+            .intermittent(IntermittentConfig::wearable_default())
+            .build()
+            .unwrap();
+        for policy in [Policy::Intermittent, Policy::Reap] {
+            let run = s.run_event_driven(policy).unwrap();
+            assert_eq!(run.stats.bursts, 0, "{policy}");
+            assert_eq!(run.report.hours().len(), 24, "{policy}");
+            assert!(
+                run.stats.ledger_drift().abs() <= 1e-9,
+                "{policy}: ledger drift {} J",
+                run.stats.ledger_drift()
+            );
         }
     }
 

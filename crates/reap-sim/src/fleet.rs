@@ -34,8 +34,10 @@ use rand::{Rng, SeedableRng};
 use reap_core::{OperatingPoint, ReapProblem};
 use reap_harvest::{HarvestTrace, SourceKind, TracePerturbation};
 
+use crate::clock::run_intermittent;
 use crate::engine::Policy;
 use crate::matrix::parallel_map;
+use crate::report::HourTotals;
 use crate::soa::{SoaFleet, UserOutcome};
 use crate::{AllocatorKind, ForecasterKind, Scenario, SimError, SimReport};
 
@@ -429,24 +431,42 @@ impl Fleet {
             }
             soa_bytes_per_user = soa.bytes_per_user();
         } else {
-            // Scalar fallback: workers build, run and reduce one user at a
-            // time; outcomes are absorbed in user order.
-            let bases = self
-                .sources
-                .iter()
-                .map(|&kind| self.base_trace(kind))
-                .collect::<Result<Vec<_>, _>>()?;
-            let outcomes = parallel_map(self.users as usize, max_threads, |u| {
-                let scenario = self.scenario_over(u as u32, &bases[u % bases.len()])?;
-                Ok::<_, SimError>(reduce(&scenario.run(self.policy)?, self.days))
-            });
-            for (user, outcome) in outcomes.into_iter().enumerate() {
-                acc.absorb_outcome(user as u32, &outcome?);
+            for (user, outcome) in self.scalar_outcomes(max_threads)?.iter().enumerate() {
+                acc.absorb_outcome(user as u32, outcome);
             }
         }
         let mut report = acc.finish();
         report.soa_bytes_per_user = soa_bytes_per_user;
         Ok(report)
+    }
+
+    /// The scalar fallback's per-user outcomes, in user order: workers
+    /// build, run and reduce one user at a time. A batteryless user's
+    /// event-core hours fold straight into its totals as they close, with
+    /// no report built; a battery user's report is reduced once it is
+    /// done, by the same fold.
+    fn scalar_outcomes(
+        &self,
+        max_threads: Option<NonZeroUsize>,
+    ) -> Result<Vec<UserOutcome>, SimError> {
+        let bases = self
+            .sources
+            .iter()
+            .map(|&kind| self.base_trace(kind))
+            .collect::<Result<Vec<_>, _>>()?;
+        parallel_map(self.users as usize, max_threads, |u| {
+            let scenario = self.scenario_over(u as u32, &bases[u % bases.len()])?;
+            match &scenario.intermittent {
+                Some(config) => {
+                    let mut totals = HourTotals::default();
+                    run_intermittent(&scenario, self.policy, config, |hour| totals.add(&hour))?;
+                    Ok(outcome(&totals, self.days))
+                }
+                None => Ok(reduce(&scenario.run(self.policy)?, self.days)),
+            }
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -774,11 +794,16 @@ impl fmt::Display for FleetReport {
 /// Reduces a scalar-engine [`SimReport`] of a `days`-long trace to the
 /// per-user scalars the SoA core computes inline.
 fn reduce(report: &SimReport, days: u32) -> UserOutcome {
+    outcome(&report.totals(), days)
+}
+
+/// The per-user scalars of a `days`-long trace's folded hours.
+fn outcome(totals: &HourTotals, days: u32) -> UserOutcome {
     UserOutcome {
-        accuracy: report.mean_accuracy(),
-        active_fraction: report.total_active_time().hours() / (f64::from(days) * 24.0),
-        brownout_hours: report.brownout_hours() as u32,
-        harvested_j: report.total_harvested().joules(),
+        accuracy: totals.mean_accuracy(),
+        active_fraction: totals.active_time().hours() / (f64::from(days) * 24.0),
+        brownout_hours: totals.brownout_hours() as u32,
+        harvested_j: totals.harvested().joules(),
     }
 }
 
@@ -1004,6 +1029,50 @@ mod tests {
                 .run_with_threads(Some(NonZeroUsize::new(threads).unwrap()))
                 .unwrap();
             assert_eq!(capped, unbounded, "{threads}-thread fleet run diverged");
+        }
+    }
+
+    #[test]
+    fn batteryless_users_fold_to_their_reduced_reports_bit_for_bit() {
+        let bits = |o: &UserOutcome| {
+            (
+                o.accuracy.to_bits(),
+                o.active_fraction.to_bits(),
+                o.brownout_hours,
+                o.harvested_j.to_bits(),
+            )
+        };
+        for policy in [Policy::Intermittent, Policy::Reap] {
+            let fleet = Fleet::builder(base_points())
+                .users(6)
+                .days(2)
+                .seed(5)
+                .sources(vec![SourceKind::BodyHeat, SourceKind::Kinetic])
+                .blackout(21, 0.3)
+                .policy(policy)
+                .intermittent(crate::IntermittentConfig::wearable_default())
+                .dt_seconds(300)
+                .build()
+                .unwrap();
+            let reduced: Vec<_> = (0..fleet.users())
+                .map(|u| {
+                    let report = fleet.user_scenario(u).unwrap().run(policy).unwrap();
+                    bits(&reduce(&report, fleet.days()))
+                })
+                .collect();
+            assert!(
+                reduced.iter().any(|&(acc, ..)| f64::from_bits(acc) > 0.0),
+                "{policy}: no user committed any work"
+            );
+            for threads in [1, 2] {
+                let folded: Vec<_> = fleet
+                    .scalar_outcomes(NonZeroUsize::new(threads))
+                    .unwrap()
+                    .iter()
+                    .map(bits)
+                    .collect();
+                assert_eq!(folded, reduced, "{policy} at {threads} threads");
+            }
         }
     }
 

@@ -55,6 +55,52 @@ impl HourRecord {
     }
 }
 
+/// The sums a report's aggregates are made of, folded one closed hour at
+/// a time in hour order: the one definition behind
+/// [`SimReport::mean_accuracy`], [`SimReport::total_active_time`],
+/// [`SimReport::brownout_hours`] and [`SimReport::total_harvested`], and
+/// behind a fleet user's outcome, which folds the event core's hours as
+/// they close instead of building a report.
+#[derive(Debug, Default)]
+pub(crate) struct HourTotals {
+    hours: usize,
+    accuracy: f64,
+    active_s: f64,
+    brownout_hours: usize,
+    harvested_j: f64,
+}
+
+impl HourTotals {
+    pub(crate) fn add(&mut self, hour: &HourRecord) {
+        self.hours += 1;
+        self.accuracy += hour.realized_accuracy();
+        self.active_s += hour.realized_active_time().seconds();
+        self.brownout_hours += usize::from(hour.browned_out());
+        self.harvested_j += hour.harvested.joules();
+    }
+
+    /// Mean realized expected accuracy per hour (zero over no hours).
+    pub(crate) fn mean_accuracy(&self) -> f64 {
+        if self.hours == 0 {
+            0.0
+        } else {
+            self.accuracy / self.hours as f64
+        }
+    }
+
+    pub(crate) fn active_time(&self) -> TimeSpan {
+        TimeSpan::from_seconds(self.active_s)
+    }
+
+    pub(crate) fn brownout_hours(&self) -> usize {
+        self.brownout_hours
+    }
+
+    pub(crate) fn harvested(&self) -> Energy {
+        Energy::from_joules(self.harvested_j)
+    }
+}
+
 /// The result of simulating one policy over a whole trace.
 ///
 /// Stores the [`Policy`] value itself (`Copy`) and the allocator's
@@ -129,38 +175,37 @@ impl SimReport {
         self.hours.iter().map(|h| h.realized_objective(alpha)).sum()
     }
 
+    /// The report's hours, folded.
+    pub(crate) fn totals(&self) -> HourTotals {
+        let mut totals = HourTotals::default();
+        for hour in &self.hours {
+            totals.add(hour);
+        }
+        totals
+    }
+
     /// Mean realized expected accuracy per hour.
     #[must_use]
     pub fn mean_accuracy(&self) -> f64 {
-        if self.hours.is_empty() {
-            return 0.0;
-        }
-        self.hours
-            .iter()
-            .map(HourRecord::realized_accuracy)
-            .sum::<f64>()
-            / self.hours.len() as f64
+        self.totals().mean_accuracy()
     }
 
     /// Total realized active time.
     #[must_use]
     pub fn total_active_time(&self) -> TimeSpan {
-        self.hours
-            .iter()
-            .map(HourRecord::realized_active_time)
-            .sum()
+        self.totals().active_time()
     }
 
     /// Hours in which the plan browned out.
     #[must_use]
     pub fn brownout_hours(&self) -> usize {
-        self.hours.iter().filter(|h| h.browned_out()).count()
+        self.totals().brownout_hours()
     }
 
     /// Total energy harvested over the trace.
     #[must_use]
     pub fn total_harvested(&self) -> Energy {
-        self.hours.iter().map(|h| h.harvested).sum()
+        self.totals().harvested()
     }
 
     /// Realized objective summed per day.
@@ -202,11 +247,12 @@ impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} ({} allocator, alpha {}): {} days, J = {:.1}, mean accuracy {:.1}%, active {:.1} h, {} brownouts",
+            "{} ({} allocator, alpha {}): {} days, {:.1} J harvested, J = {:.1}, mean accuracy {:.1}%, active {:.1} h, {} brownouts",
             self.policy,
             self.allocator,
             self.alpha,
             self.days(),
+            self.total_harvested().joules(),
             self.total_objective(self.alpha),
             self.mean_accuracy() * 100.0,
             self.total_active_time().hours(),
@@ -301,5 +347,6 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("REAP"));
         assert!(s.contains("1 days"));
+        assert!(s.contains("120.0 J harvested"), "{s}");
     }
 }

@@ -37,10 +37,11 @@ const FAILURES: [(u64, u64); 3] = [(7_200, 10_800), (40_000, 50_000), (250_000, 
 
 /// `(fleet, digest)` for every fleet case, in the order [`fleets`]
 /// yields them; each must match at one and at two worker threads.
-const FLEET_GOLDEN: [(&str, u64); 3] = [
+const FLEET_GOLDEN: [(&str, u64); 4] = [
     ("int/blackout-30/dt-300", 0xe19e_b61a_ec01_b38d),
     ("mpc6", 0x5a18_04a7_10c4_10ad),
     ("reap/dt-900", 0xb28b_8d0a_5e44_0e8a),
+    ("reap/cap/blackout-30/dt-300", 0xd42d_f62b_2d65_a80e),
 ];
 
 /// `(case, digest)` over the canonical encoding of every run case, in
@@ -155,6 +156,17 @@ fn fleets() -> Vec<(&'static str, Fleet)> {
                 .days(2)
                 .seed(SEED)
                 .dt_seconds(900)
+                .build(),
+        ),
+        (
+            "reap/cap/blackout-30/dt-300",
+            Fleet::builder(points())
+                .users(12)
+                .days(2)
+                .seed(SEED)
+                .blackout(21, 0.30)
+                .intermittent(IntermittentConfig::wearable_default())
+                .dt_seconds(300)
                 .build(),
         ),
     ]
