@@ -176,11 +176,9 @@ pub fn synthetic_problem(n: usize) -> ReapProblem {
             let frac = i as f64 / n as f64;
             OperatingPoint::new(
                 u8::try_from(i + 1).expect("at most 255 points"),
-                format!("P{i}"),
                 0.5 + 0.45 * frac,
                 reap_units::Power::from_milliwatts(1.0 + 2.0 * frac),
             )
-            .expect("valid point")
         })
         .collect();
     standard_problem(points, 1.0)

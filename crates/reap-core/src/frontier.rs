@@ -29,10 +29,9 @@
 
 use reap_units::Energy;
 
-use crate::operating_point::weight;
 use crate::problem::check_budget;
 use crate::schedule::Run;
-use crate::{ReapError, ReapProblem, Schedule};
+use crate::{OperatingPoint, ReapError, ReapProblem, Schedule};
 
 /// Precomputed concave budget→schedule frontier for one `(points, alpha)`.
 ///
@@ -59,14 +58,9 @@ impl PlanFrontier {
     /// validated at construction).
     #[must_use]
     pub fn new(problem: &ReapProblem) -> PlanFrontier {
-        let points: Vec<(u8, f64, f64)> = problem
-            .points()
-            .iter()
-            .map(|p| (p.id(), p.accuracy(), p.power().watts()))
-            .collect();
         PlanFrontier {
             table: FrontierTable::new(
-                &points,
+                problem.points(),
                 problem.alpha(),
                 problem.period().seconds(),
                 problem.off_power().watts(),
@@ -147,17 +141,16 @@ impl Vertex {
     }
 }
 
-/// Appends to `out` the frontier of `points`, each an `(id, accuracy,
-/// power_w)` triple drawing more than `off_w`, weighted by `alpha` over
-/// a period of `period_s` seconds: the vertices of the upper concave
-/// hull of the off state `(0, 0)` and every point's `(P_i - P_off,
-/// a_i^alpha)`, ascending by budget, the all-off vertex at the floor
-/// `off_w * period_s` first. The one hull every frontier is built with:
+/// Appends to `out` the frontier of `points`, each drawing more than
+/// `off_w`, weighted by `alpha` over a period of `period_s` seconds: the
+/// vertices of the upper concave hull of the off state `(0, 0)` and
+/// every point's `(P_i - P_off, a_i^alpha)`, ascending by budget, the
+/// all-off vertex at the floor `off_w * period_s` first. The one hull every frontier is built with:
 /// [`FrontierTable::new`] calls it, and batched callers call it to pack
 /// many frontiers into one arena. It allocates only when `out` grows.
 pub fn push_frontier(
     out: &mut Vec<Vertex>,
-    points: &[(u8, f64, f64)],
+    points: &[OperatingPoint],
     alpha: f64,
     period_s: f64,
     off_w: f64,
@@ -167,11 +160,11 @@ pub fn push_frontier(
     // `budget_j` holds its weight `a^alpha`, and its marginal power is
     // `power_w - off_w` (0 for the off state, pushed last).
     let start = out.len();
-    out.extend(points.iter().map(|&(id, accuracy, power_w)| Vertex {
-        budget_j: weight(accuracy, alpha),
-        accuracy,
-        power_w,
-        id,
+    out.extend(points.iter().map(|p| Vertex {
+        budget_j: p.weight(alpha),
+        accuracy: p.accuracy(),
+        power_w: p.power().watts(),
+        id: p.id(),
         has_point: true,
     }));
     out.push(Vertex {
@@ -334,11 +327,11 @@ pub struct FrontierTable {
 }
 
 impl FrontierTable {
-    /// The frontier table of `points` ([`push_frontier`]'s `(id,
-    /// accuracy, power_w)` triples, each drawing more than `off_w`) under
-    /// `alpha` for a period of `period_s` seconds.
+    /// The frontier table of `points`, each drawing more than `off_w`,
+    /// under `alpha` for a period of `period_s` seconds
+    /// ([`push_frontier`]'s hull).
     #[must_use]
-    pub fn new(points: &[(u8, f64, f64)], alpha: f64, period_s: f64, off_w: f64) -> FrontierTable {
+    pub fn new(points: &[OperatingPoint], alpha: f64, period_s: f64, off_w: f64) -> FrontierTable {
         let mut vertices = Vec::with_capacity(points.len() + 1);
         push_frontier(&mut vertices, points, alpha, period_s, off_w);
         FrontierTable {
@@ -391,7 +384,6 @@ impl FrontierTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OperatingPoint;
     use reap_units::Power;
 
     impl PlanFrontier {
@@ -409,7 +401,7 @@ mod tests {
     }
 
     fn point(id: u8, acc: f64, mw: f64) -> OperatingPoint {
-        OperatingPoint::new(id, format!("DP{id}"), acc, Power::from_milliwatts(mw)).unwrap()
+        OperatingPoint::new(id, acc, Power::from_milliwatts(mw))
     }
 
     fn paper_problem(alpha: f64) -> ReapProblem {
@@ -529,7 +521,7 @@ mod tests {
         // objective is 0 no matter what runs).
         let p = ReapProblem::builder()
             .alpha(2.0)
-            .point(OperatingPoint::new(1, "Z", 0.0, Power::from_milliwatts(1.0)).unwrap())
+            .point(OperatingPoint::new(1, 0.0, Power::from_milliwatts(1.0)))
             .build()
             .unwrap();
         let f = p.frontier();
@@ -636,7 +628,7 @@ mod tests {
         // the all-off plan (off-state energy only).
         let p = ReapProblem::builder()
             .alpha(2.0)
-            .point(OperatingPoint::new(1, "Z", 0.0, Power::from_milliwatts(1.0)).unwrap())
+            .point(OperatingPoint::new(1, 0.0, Power::from_milliwatts(1.0)))
             .build()
             .unwrap();
         let t = p.frontier().table();
@@ -656,8 +648,8 @@ mod tests {
         let p = ReapProblem::builder()
             .points(vec![
                 point(1, 0.90, 1.5),
-                OperatingPoint::new(2, "bad", 0.5, Power::from_milliwatts(2.5)).unwrap(),
-                OperatingPoint::new(3, "twin", 0.7, Power::from_milliwatts(1.5)).unwrap(),
+                OperatingPoint::new(2, 0.5, Power::from_milliwatts(2.5)),
+                OperatingPoint::new(3, 0.7, Power::from_milliwatts(1.5)),
             ])
             .build()
             .unwrap();

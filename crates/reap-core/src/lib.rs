@@ -43,12 +43,10 @@
 //! let points: Vec<OperatingPoint> = table2
 //!     .iter()
 //!     .enumerate()
-//!     .map(|(i, &(a, mw))| {
-//!         OperatingPoint::new(i as u8 + 1, format!("DP{}", i + 1), a,
-//!                             Power::from_milliwatts(mw))
-//!     })
-//!     .collect::<Result<_, _>>()?;
+//!     .map(|(i, &(a, mw))| OperatingPoint::new(i as u8 + 1, a, Power::from_milliwatts(mw)))
+//!     .collect();
 //!
+//! // The builder validates the points with the rest of the problem.
 //! let problem = ReapProblem::builder()
 //!     .period(TimeSpan::from_hours(1.0))
 //!     .off_power(Power::from_microwatts(50.0))

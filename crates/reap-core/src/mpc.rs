@@ -66,7 +66,7 @@ struct PendingPlan {
 ///
 /// # fn main() -> Result<(), reap_core::ReapError> {
 /// let problem = ReapProblem::builder()
-///     .point(OperatingPoint::new(1, "DP1", 0.94, Power::from_milliwatts(2.76))?)
+///     .point(OperatingPoint::new(1, 0.94, Power::from_milliwatts(2.76)))
 ///     .build()?;
 /// let mut mpc = RecedingHorizonController::new(problem, 4)?;
 /// // Bright now, dark later: the controller banks for the dark hours.
@@ -257,10 +257,7 @@ mod tests {
             .points(
                 specs
                     .iter()
-                    .map(|&(id, a, mw)| {
-                        OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw))
-                            .unwrap()
-                    })
+                    .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
                     .collect(),
             )
             .build()

@@ -4,63 +4,41 @@ use std::fmt;
 
 use reap_units::Power;
 
-use crate::ReapError;
-
-/// One design point as seen by the optimizer: an accuracy and a power draw.
+/// One design point as seen by the optimizer: an id, an accuracy and a
+/// power draw.
 ///
 /// The full pipeline configuration behind a point lives in the `reap-har`
 /// and `reap-device` crates; the optimizer deliberately depends only on the
-/// `(a_i, P_i)` pair (plus an id and label for reporting), mirroring the
-/// paper's formulation.
-#[derive(Debug, Clone, PartialEq)]
+/// `(a_i, P_i)` pair (plus an id for reporting), mirroring the paper's
+/// formulation. A point is plain data: [`ReapProblemBuilder::build`]
+/// validates it, as it validates every other input of a problem.
+///
+/// [`ReapProblemBuilder::build`]: crate::ReapProblemBuilder::build
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     id: u8,
-    label: String,
     accuracy: f64,
     power: Power,
 }
 
 impl OperatingPoint {
-    /// Creates an operating point.
-    ///
-    /// # Errors
-    ///
-    /// [`ReapError::InvalidParameter`] when the accuracy is outside
-    /// `[0, 1]` or the power is non-positive or non-finite.
-    pub fn new(
-        id: u8,
-        label: impl Into<String>,
-        accuracy: f64,
-        power: Power,
-    ) -> Result<OperatingPoint, ReapError> {
-        if !accuracy.is_finite() || !(0.0..=1.0).contains(&accuracy) {
-            return Err(ReapError::InvalidParameter(format!(
-                "accuracy {accuracy} outside [0, 1]"
-            )));
-        }
-        if !power.is_finite() || power.watts() <= 0.0 {
-            return Err(ReapError::InvalidParameter(format!(
-                "power {power} must be positive"
-            )));
-        }
-        Ok(OperatingPoint {
+    /// The point `id` with `accuracy` (in `[0, 1]`) drawing `power`
+    /// (positive and finite) while active. Unchecked:
+    /// [`ReapProblemBuilder::build`](crate::ReapProblemBuilder::build)
+    /// rejects a point outside those ranges.
+    #[must_use]
+    pub fn new(id: u8, accuracy: f64, power: Power) -> OperatingPoint {
+        OperatingPoint {
             id,
-            label: label.into(),
             accuracy,
             power,
-        })
+        }
     }
 
     /// Identifier (e.g. `1` for DP1).
     #[must_use]
     pub fn id(&self) -> u8 {
         self.id
-    }
-
-    /// Human-readable name.
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Recognition accuracy in `[0, 1]`.
@@ -99,8 +77,7 @@ impl fmt::Display for OperatingPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} (id {}): {:.1}% @ {}",
-            self.label,
+            "DP{}: {:.1}% @ {}",
             self.id,
             self.accuracy * 100.0,
             self.power
@@ -113,32 +90,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_validates() {
-        assert!(OperatingPoint::new(1, "DP1", 0.94, Power::from_milliwatts(2.76)).is_ok());
-        assert!(OperatingPoint::new(1, "bad", 1.1, Power::from_milliwatts(1.0)).is_err());
-        assert!(OperatingPoint::new(1, "bad", -0.1, Power::from_milliwatts(1.0)).is_err());
-        assert!(OperatingPoint::new(1, "bad", f64::NAN, Power::from_milliwatts(1.0)).is_err());
-        assert!(OperatingPoint::new(1, "bad", 0.5, Power::ZERO).is_err());
-        assert!(OperatingPoint::new(1, "bad", 0.5, Power::from_watts(-1.0)).is_err());
-    }
-
-    #[test]
     fn weight_honours_alpha_conventions() {
-        let p = OperatingPoint::new(1, "DP", 0.9, Power::from_milliwatts(1.0)).unwrap();
+        let p = OperatingPoint::new(1, 0.9, Power::from_milliwatts(1.0));
         assert_eq!(p.weight(0.0), 1.0);
         assert!((p.weight(1.0) - 0.9).abs() < 1e-12);
         assert!((p.weight(2.0) - 0.81).abs() < 1e-12);
         // Zero accuracy with alpha = 0 still counts as active time.
-        let z = OperatingPoint::new(2, "Z", 0.0, Power::from_milliwatts(1.0)).unwrap();
+        let z = OperatingPoint::new(2, 0.0, Power::from_milliwatts(1.0));
         assert_eq!(z.weight(0.0), 1.0);
         assert_eq!(z.weight(2.0), 0.0);
     }
 
     #[test]
     fn accessors_and_display() {
-        let p = OperatingPoint::new(3, "DP3", 0.92, Power::from_milliwatts(1.82)).unwrap();
+        let p = OperatingPoint::new(3, 0.92, Power::from_milliwatts(1.82));
         assert_eq!(p.id(), 3);
-        assert_eq!(p.label(), "DP3");
         assert!((p.accuracy() - 0.92).abs() < 1e-12);
         assert!(p.to_string().contains("DP3"));
         assert!(p.to_string().contains("92.0%"));

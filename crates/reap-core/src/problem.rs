@@ -87,9 +87,10 @@ impl ReapProblemBuilder {
     /// * [`ReapError::NoPoints`] without at least one operating point.
     /// * [`ReapError::InvalidParameter`] for a non-positive period, a
     ///   negative or non-finite off power, a negative or non-finite
-    ///   `alpha`, duplicate point ids, or a point whose power does not
-    ///   exceed `P_off` (such a point would make "off" pointless and
-    ///   signals a modelling error).
+    ///   `alpha`, a point whose accuracy is not in `[0, 1]` or whose power
+    ///   is not positive and finite, duplicate point ids, or a point whose
+    ///   power does not exceed `P_off` (such a point would make "off"
+    ///   pointless and signals a modelling error).
     pub fn build(self) -> Result<ReapProblem, ReapError> {
         if self.points.is_empty() {
             return Err(ReapError::NoPoints);
@@ -108,6 +109,18 @@ impl ReapProblemBuilder {
         }
         check_alpha(self.alpha)?;
         for (i, a) in self.points.iter().enumerate() {
+            if !(0.0..=1.0).contains(&a.accuracy()) {
+                return Err(ReapError::InvalidParameter(format!(
+                    "accuracy {} outside [0, 1]",
+                    a.accuracy()
+                )));
+            }
+            if !a.power().is_finite() || a.power().watts() <= 0.0 {
+                return Err(ReapError::InvalidParameter(format!(
+                    "power {} must be positive",
+                    a.power()
+                )));
+            }
             for b in &self.points[i + 1..] {
                 if a.id() == b.id() {
                     return Err(ReapError::InvalidParameter(format!(
@@ -282,7 +295,7 @@ mod tests {
     use super::*;
 
     fn point(id: u8, acc: f64, mw: f64) -> OperatingPoint {
-        OperatingPoint::new(id, format!("DP{id}"), acc, Power::from_milliwatts(mw)).unwrap()
+        OperatingPoint::new(id, acc, Power::from_milliwatts(mw))
     }
 
     fn paper_problem() -> ReapProblem {
@@ -334,6 +347,30 @@ mod tests {
             .point(point(1, 0.9, 1.0))
             .build();
         assert!(matches!(bad_period, Err(ReapError::InvalidParameter(_))));
+    }
+
+    #[test]
+    fn build_validates_points() {
+        let build = |accuracy, power| {
+            ReapProblem::builder()
+                .point(OperatingPoint::new(1, accuracy, power))
+                .build()
+        };
+        assert!(build(0.94, Power::from_milliwatts(2.76)).is_ok());
+        for (accuracy, power) in [
+            (1.1, Power::from_milliwatts(1.0)),
+            (-0.1, Power::from_milliwatts(1.0)),
+            (f64::NAN, Power::from_milliwatts(1.0)),
+            (0.5, Power::ZERO),
+            (0.5, Power::from_watts(-1.0)),
+            (0.5, Power::from_watts(f64::NAN)),
+            (0.5, Power::from_watts(f64::INFINITY)),
+        ] {
+            assert!(
+                matches!(build(accuracy, power), Err(ReapError::InvalidParameter(_))),
+                "accuracy {accuracy}, power {power} accepted"
+            );
+        }
     }
 
     #[test]

@@ -156,10 +156,7 @@ mod tests {
             .points(
                 specs
                     .iter()
-                    .map(|&(id, a, mw)| {
-                        OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw))
-                            .unwrap()
-                    })
+                    .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
                     .collect(),
             )
             .build()
@@ -227,7 +224,7 @@ mod tests {
         // One point: all-off exactly at the floor, duty-cycled (not fully
         // active), then saturated.
         let p = ReapProblem::builder()
-            .point(OperatingPoint::new(1, "only", 0.9, Power::from_milliwatts(2.0)).unwrap())
+            .point(OperatingPoint::new(1, 0.9, Power::from_milliwatts(2.0)))
             .build()
             .unwrap();
         let map = detect_regions(&p, 100).unwrap();

@@ -231,9 +231,8 @@ impl Schedule {
     }
 }
 
-/// Points print as `DP{id}`, the label of every point the repository
-/// prints; a caller wanting another label resolves the id with
-/// [`ReapProblem::point`](crate::ReapProblem::point).
+/// Points print as `DP{id}`, as an [`OperatingPoint`] does: a point has
+/// no label, only its id.
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -354,9 +353,7 @@ mod tests {
     fn lp_values_with_a_third_point_are_an_inconsistency() {
         let points: Vec<OperatingPoint> = [(1u8, 0.94, 2.76), (2, 0.93, 2.30), (3, 0.92, 1.82)]
             .iter()
-            .map(|&(id, a, mw)| {
-                OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-            })
+            .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
             .collect();
         // Two runs (and one below the drop rule) make a plan.
         let s = Schedule::from_lp(&points, &[1000.0, 1e-9, 2600.0], 0.0, HOUR, P_OFF_W).unwrap();

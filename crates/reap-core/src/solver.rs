@@ -70,7 +70,7 @@ mod tests {
     use reap_units::Power;
 
     fn point(id: u8, acc: f64, mw: f64) -> OperatingPoint {
-        OperatingPoint::new(id, format!("DP{id}"), acc, Power::from_milliwatts(mw)).unwrap()
+        OperatingPoint::new(id, acc, Power::from_milliwatts(mw))
     }
 
     fn paper_problem(alpha: f64) -> ReapProblem {

@@ -131,10 +131,7 @@ mod tests {
             .points(
                 specs
                     .iter()
-                    .map(|&(id, a, mw)| {
-                        OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw))
-                            .unwrap()
-                    })
+                    .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
                     .collect(),
             )
             .build()

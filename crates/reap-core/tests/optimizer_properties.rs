@@ -29,8 +29,7 @@ fn arb_instance() -> impl Strategy<Value = (ReapProblem, Energy)> {
                 .map(|(i, &(acc, dmw))| {
                     // Powers strictly above P_off by construction.
                     let power = Power::from_microwatts(50.0 + f64::from(dmw) * 100.0);
-                    OperatingPoint::new(i as u8 + 1, format!("P{i}"), acc, power)
-                        .expect("valid point")
+                    OperatingPoint::new(i as u8 + 1, acc, power)
                 })
                 .collect();
             let problem = ReapProblem::builder()

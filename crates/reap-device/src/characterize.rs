@@ -51,21 +51,11 @@ impl CharacterizedDp {
         self.mcu_energy + self.sensor_energy
     }
 
-    /// Converts to the optimizer's [`OperatingPoint`] view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stored accuracy/power are invalid — impossible for
-    /// values produced by [`characterize`] or [`paper_table2`].
+    /// Converts to the optimizer's [`OperatingPoint`] view: the design
+    /// point's id and accuracy at its average power.
     #[must_use]
     pub fn operating_point(&self) -> OperatingPoint {
-        OperatingPoint::new(
-            self.point.id,
-            format!("DP{}", self.point.id),
-            self.point.accuracy,
-            self.average_power,
-        )
-        .expect("characterized design points are valid operating points")
+        OperatingPoint::new(self.point.id, self.point.accuracy, self.average_power)
     }
 }
 
@@ -195,7 +185,7 @@ mod tests {
         assert_eq!(ops[0].id(), 1);
         assert!((ops[0].accuracy() - 0.94).abs() < 1e-12);
         assert!((ops[0].power().milliwatts() - 2.76).abs() < 1e-12);
-        assert_eq!(ops[4].label(), "DP5");
+        assert_eq!(ops[4].id(), 5);
     }
 
     #[test]

@@ -588,8 +588,8 @@ mod tests {
 
     fn fleet(users: u32, seed: u64) -> Fleet {
         Fleet::builder(vec![
-            reap_core::OperatingPoint::new(1, "DP1", 0.94, Power::from_milliwatts(2.76)).unwrap(),
-            reap_core::OperatingPoint::new(5, "DP5", 0.76, Power::from_milliwatts(1.20)).unwrap(),
+            reap_core::OperatingPoint::new(1, 0.94, Power::from_milliwatts(2.76)),
+            reap_core::OperatingPoint::new(5, 0.76, Power::from_milliwatts(1.20)),
         ])
         .users(users)
         .days(1)

@@ -121,10 +121,10 @@ impl FleetState {
         for u in 0..users {
             let (_, alpha) = fleet.user_draws(u, &mut points);
             fp.write_u64(alpha.to_bits());
-            for &(id, accuracy, power_w) in &points {
-                fp.write_u64(u64::from(id));
-                fp.write_u64(accuracy.to_bits());
-                fp.write_u64(power_w.to_bits());
+            for p in &points {
+                fp.write_u64(u64::from(p.id()));
+                fp.write_u64(p.accuracy().to_bits());
+                fp.write_u64(p.power().watts().to_bits());
             }
             fp.write_bytes(fleet.user_source(u).label().as_bytes());
 
@@ -417,8 +417,8 @@ mod tests {
 
     pub(crate) fn tiny_fleet(users: u32) -> Fleet {
         Fleet::builder(vec![
-            reap_core::OperatingPoint::new(1, "DP1", 0.94, P::from_milliwatts(2.76)).unwrap(),
-            reap_core::OperatingPoint::new(5, "DP5", 0.76, P::from_milliwatts(1.20)).unwrap(),
+            reap_core::OperatingPoint::new(1, 0.94, P::from_milliwatts(2.76)),
+            reap_core::OperatingPoint::new(5, 0.76, P::from_milliwatts(1.20)),
         ])
         .users(users)
         .days(1)
@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn invalid_base_points_fail_every_build_with_the_problem_error() {
-        let point = |id, power| reap_core::OperatingPoint::new(id, "DP", 0.9, power).unwrap();
+        let point = |id, power| reap_core::OperatingPoint::new(id, 0.9, power);
         let cases = [
             (
                 vec![
@@ -494,14 +494,37 @@ mod tests {
                 vec![point(1, P::from_microwatts(20.0))],
                 "operating point 1 draws 20.0000 uW which does not exceed the off power 50.0000 uW",
             ),
+            // A user's draw clamps this accuracy into range, so only the
+            // base check can catch it.
+            (
+                vec![reap_core::OperatingPoint::new(
+                    1,
+                    1.5,
+                    P::from_milliwatts(2.76),
+                )],
+                "accuracy 1.5 outside [0, 1]",
+            ),
         ];
         for (points, message) in cases {
-            let fleet = Fleet::builder(points).users(3).days(1).build().unwrap();
+            let fleet = Fleet::builder(points.clone())
+                .users(3)
+                .days(1)
+                .build()
+                .unwrap();
             let want =
                 reap_sim::SimError::Core(reap_core::ReapError::InvalidParameter(message.into()));
             assert_eq!(reap_sim::SoaFleet::new(&fleet).unwrap_err(), want);
             assert_eq!(fleet.run().unwrap_err(), want);
             assert_eq!(FleetState::new(&fleet, 4).unwrap_err(), want);
+            // A fallback fleet runs user by user on the scalar engine.
+            let mpc = Fleet::builder(points)
+                .users(3)
+                .days(1)
+                .policy(reap_sim::Policy::Horizon { lookahead: 4 })
+                .build()
+                .unwrap();
+            assert_eq!(mpc.run().unwrap_err(), want);
+            assert_eq!(mpc.user_scenario(0).unwrap_err(), want);
         }
     }
 

@@ -1029,9 +1029,7 @@ mod tests {
         ];
         specs
             .iter()
-            .map(|&(id, a, mw)| {
-                OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-            })
+            .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
             .collect()
     }
 

@@ -232,7 +232,22 @@ impl<'s> HourPlanner<'s> {
 }
 
 /// Runs `scenario` under `policy`, with budgets derived from the
-/// scenario's own mode.
+/// scenario's own mode, and collects its hours into a report.
+pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimError> {
+    let mut hours = Vec::with_capacity(scenario.trace.len_hours());
+    let energy_layer = run_hours(scenario, policy, |hour| hours.push(hour))?;
+    Ok(SimReport::new(
+        policy,
+        energy_layer,
+        scenario.problem.alpha(),
+        hours,
+    ))
+}
+
+/// Runs `scenario` under `policy`, handing every closed hour's record to
+/// `close_hour`, in order (a report keeps them; a fleet folds them into
+/// a user's totals), and returns the name of the energy layer that drove
+/// the run.
 ///
 /// Batteryless scenarios (an [`IntermittentConfig`](crate::IntermittentConfig))
 /// take the event core in [`crate::clock`]. Everything else runs the hour
@@ -241,15 +256,19 @@ impl<'s> HourPlanner<'s> {
 /// evenly and going through [`Battery::execute`](reap_harvest::Battery::execute).
 /// At one step per hour the step's realized fraction is the hour's; at
 /// sub-hour steps the hour realizes the supplied share of its plan.
-pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimError> {
+pub(crate) fn run_hours(
+    scenario: &Scenario,
+    policy: Policy,
+    mut close_hour: impl FnMut(HourRecord),
+) -> Result<&'static str, SimError> {
     if let Some(config) = &scenario.intermittent {
-        return crate::clock::run_intermittent_mode(scenario, policy, config).map(|run| run.report);
+        return crate::clock::run_intermittent(scenario, policy, config, close_hour)
+            .map(|(_, _, energy_layer)| energy_layer);
     }
     let mut planner = HourPlanner::new(scenario, policy)?;
     let mut battery = scenario.battery.clone();
     let steps = 3600 / scenario.dt_seconds;
     let step_frac = 1.0 / f64::from(steps);
-    let mut hours = Vec::with_capacity(scenario.trace.len_hours());
 
     for (i, harvested) in scenario.trace.iter().enumerate() {
         let (budget, planned) = planner.plan_hour(i, harvested, &battery)?;
@@ -268,7 +287,7 @@ pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimE
                 1.0
             }
         };
-        hours.push(HourRecord {
+        close_hour(HourRecord {
             day: (i / 24) as u32,
             hour: (i % 24) as u32,
             harvested,
@@ -279,14 +298,7 @@ pub(crate) fn run(scenario: &Scenario, policy: Policy) -> Result<SimReport, SimE
         });
         planner.end_hour(i, harvested);
     }
-
-    let energy_layer = planner.energy_layer();
-    Ok(SimReport::new(
-        policy,
-        energy_layer,
-        scenario.problem.alpha(),
-        hours,
-    ))
+    Ok(planner.energy_layer())
 }
 
 #[cfg(test)]
@@ -307,9 +319,7 @@ mod tests {
         ];
         specs
             .iter()
-            .map(|&(id, a, mw)| {
-                OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-            })
+            .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
             .collect()
     }
 

@@ -12,11 +12,12 @@
 //!
 //! Users run in parallel and are reduced to per-user scalars as they
 //! finish, so memory stays `O(users)` instead of `O(users × hours)`: no
-//! per-user [`SimReport`] survives the run. The resulting [`FleetReport`]
-//! carries population percentiles (p5/p50/p95) of accuracy and active
-//! time, plus per-source means — and is **bit-identical for every
-//! worker-thread count**, because parallelism only changes which core
-//! runs a user, never the arithmetic or the aggregation order.
+//! per-user [`SimReport`](crate::SimReport) survives the run. The
+//! resulting [`FleetReport`] carries population percentiles
+//! (p5/p50/p95) of accuracy and active time, plus per-source means — and
+//! is **bit-identical for every worker-thread count**, because
+//! parallelism only changes which core runs a user, never the arithmetic
+//! or the aggregation order.
 //!
 //! Every user plans on a frontier of their own, derived from their
 //! draws ([`Fleet::user_draws`]); users are not deduplicated into
@@ -34,12 +35,11 @@ use rand::{Rng, SeedableRng};
 use reap_core::{OperatingPoint, ReapProblem};
 use reap_harvest::{HarvestTrace, SourceKind, TracePerturbation};
 
-use crate::clock::run_intermittent;
-use crate::engine::Policy;
+use crate::engine::{run_hours, Policy};
 use crate::matrix::parallel_map;
 use crate::report::HourTotals;
 use crate::soa::{SoaFleet, UserOutcome};
-use crate::{AllocatorKind, ForecasterKind, Scenario, SimError, SimReport};
+use crate::{ForecasterKind, Scenario, SimError};
 
 /// The calendar day every trace starts on: day 244, the paper's
 /// September.
@@ -86,7 +86,6 @@ pub struct Fleet {
     pub(crate) days: u32,
     pub(crate) base_points: Vec<OperatingPoint>,
     pub(crate) sources: Vec<SourceKind>,
-    pub(crate) allocator: AllocatorKind,
     pub(crate) policy: Policy,
     pub(crate) forecaster: ForecasterKind,
     /// Seeded blackout injection: `Some((seed, fraction))` zeroes a
@@ -138,10 +137,11 @@ impl Fleet {
     /// `reap_device::paper_table2_operating_points()`).
     ///
     /// Defaults: 1000 users, seed 0, 30 days, all four [`SourceKind`]s
-    /// round-robined across users, the EWMA allocator, the
-    /// [`Policy::Reap`] planner, and the EWMA forecaster (relevant only
-    /// under [`Policy::Horizon`]). Fixed for every fleet: traces start on
-    /// day-of-year 244 (the paper's September), per-user `alpha` is
+    /// round-robined across users, the [`Policy::Reap`] planner, and the
+    /// EWMA forecaster (relevant only under [`Policy::Horizon`]). Fixed
+    /// for every fleet: budgets come from the EWMA allocator
+    /// ([`AllocatorKind::Ewma`](crate::AllocatorKind::Ewma)), traces start
+    /// on day-of-year 244 (the paper's September), per-user `alpha` is
     /// drawn from `[0.5, 2.0)`, and the LOUO-style accuracy spread is ±3
     /// percentage points.
     #[must_use]
@@ -153,7 +153,6 @@ impl Fleet {
                 days: 30,
                 base_points,
                 sources: SourceKind::ALL.to_vec(),
-                allocator: AllocatorKind::Ewma,
                 policy: Policy::Reap,
                 forecaster: ForecasterKind::Ewma,
                 blackout: None,
@@ -232,19 +231,20 @@ impl Fleet {
             "user {user} >= fleet size {}",
             self.users
         );
+        self.base_problem()?;
         self.scenario_over(user, &self.base_trace(self.user_source(user))?)
     }
 
     /// Builds user `user`'s scenario over `base`, the shared base trace
     /// of their source: the one constructor behind both
-    /// [`Fleet::user_scenario`] and the scalar fallback of [`Fleet::run`].
+    /// [`Fleet::user_scenario`] and the scalar fallback of [`Fleet::run`],
+    /// each of which validates [`Fleet::base_problem`] first.
     fn scenario_over(&self, user: u32, base: &HarvestTrace) -> Result<Scenario, SimError> {
         let params = self.user_params(user)?;
         let trace = params.perturbation.apply(base)?;
         let mut builder = Scenario::builder(trace)
             .points(params.points)
             .alpha(params.alpha)
-            .allocator(self.allocator)
             .forecaster(self.forecaster)
             .dt_seconds(self.dt_seconds);
         if let Some(cfg) = &self.intermittent {
@@ -284,14 +284,16 @@ impl Fleet {
     /// The base operating points as one validated problem, with the
     /// period and off power every user's problem shares. A user's draws
     /// move only accuracies, clamped into `[0.02, 0.995]`, and draw
-    /// `alpha` from the non-negative `[0.5, 2.0)`, so every
-    /// user's problem is valid exactly when this one is: builders that
-    /// skip per-user validation check this once instead.
+    /// `alpha` from the non-negative `[0.5, 2.0)`, so every user's
+    /// problem is valid when this one is. Drawn points are not checked,
+    /// and the clamp would hide a base accuracy out of range, so every
+    /// fleet build checks this once instead.
     ///
     /// # Errors
     ///
-    /// [`SimError::Core`] for duplicate point ids or a point that does
-    /// not draw more than the off power.
+    /// [`SimError::Core`] for a point whose accuracy is not in `[0, 1]`
+    /// or whose power is not positive and finite, duplicate point ids, or
+    /// a point that does not draw more than the off power.
     pub fn base_problem(&self) -> Result<ReapProblem, SimError> {
         Ok(ReapProblem::builder()
             .alpha(ALPHA_RANGE.start)
@@ -311,18 +313,18 @@ impl Fleet {
     }
 
     /// Derives user `user`'s draws without allocating: writes their
-    /// operating points into `points` (replacing its contents) as
-    /// `(id, accuracy, power_w)` triples, the base points with perturbed
-    /// accuracies, and returns their trace perturbation and `alpha`. The
-    /// single definition every user is built from: [`Fleet::user_params`]
-    /// wraps it for [`Fleet::user_scenario`], and the SoA core and
-    /// resident serving state (the `reap-serve` daemon) feed its points
-    /// straight to [`reap_core::push_frontier`]. `O(points)`; the points
-    /// are valid when [`Fleet::base_problem`] is.
+    /// operating points into `points` (replacing its contents), the base
+    /// points with perturbed accuracies, and returns their trace
+    /// perturbation and `alpha`. The single definition every user is
+    /// built from: [`Fleet::user_params`] collects it for
+    /// [`Fleet::user_scenario`], and the SoA core and resident serving
+    /// state (the `reap-serve` daemon) feed its points straight to
+    /// [`reap_core::push_frontier`]. `O(points)`; the points are not
+    /// checked, and are valid when [`Fleet::base_problem`] is.
     pub fn user_draws(
         &self,
         user: u32,
-        points: &mut Vec<(u8, f64, f64)>,
+        points: &mut Vec<OperatingPoint>,
     ) -> (TracePerturbation, f64) {
         let perturbation = self.user_perturbation(user);
 
@@ -338,32 +340,21 @@ impl Fleet {
         points.extend(self.base_points.iter().map(|p| {
             let delta = rng.gen_range(-ACCURACY_SPREAD..ACCURACY_SPREAD);
             let accuracy = (p.accuracy() + delta).clamp(0.02, 0.995);
-            (p.id(), accuracy, p.power().watts())
+            OperatingPoint::new(p.id(), accuracy, p.power())
         }));
 
         (perturbation, rng.gen_range(ALPHA_RANGE))
     }
 
     /// Derives user `user`'s parameters (perturbed points, `alpha`, trace
-    /// perturbation) from [`Fleet::user_draws`], with the base points'
-    /// labels: what [`Fleet::user_scenario`] builds a user from.
+    /// perturbation): [`Fleet::user_draws`] into a fresh `Vec`.
     ///
     /// # Errors
     ///
-    /// [`SimError::Core`] when a perturbed operating point fails
-    /// validation (cannot happen: draws clamp accuracies into
-    /// `[0.02, 0.995]`).
+    /// Never: drawn points are not checked (see [`Fleet::base_problem`]).
     pub fn user_params(&self, user: u32) -> Result<UserParams, SimError> {
-        let mut drawn = Vec::with_capacity(self.base_points.len());
-        let (perturbation, alpha) = self.user_draws(user, &mut drawn);
-        let points = self
-            .base_points
-            .iter()
-            .zip(&drawn)
-            .map(|(p, &(_, accuracy, _))| {
-                OperatingPoint::new(p.id(), p.label(), accuracy, p.power())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut points = Vec::with_capacity(self.base_points.len());
+        let (perturbation, alpha) = self.user_draws(user, &mut points);
         Ok(UserParams {
             points,
             alpha,
@@ -372,29 +363,25 @@ impl Fleet {
     }
 
     /// `true` for the one configuration the SoA kernel runs:
-    /// [`Policy::Reap`] planning [`AllocatorKind::Ewma`] budgets on an
-    /// hourly battery.
+    /// [`Policy::Reap`] on an hourly battery (every fleet budgets with
+    /// the EWMA allocator).
     pub(crate) fn runs_on_kernel(&self) -> bool {
-        self.policy == Policy::Reap
-            && self.allocator == AllocatorKind::Ewma
-            && self.intermittent.is_none()
-            && self.dt_seconds == 3600
+        self.policy == Policy::Reap && self.intermittent.is_none() && self.dt_seconds == 3600
     }
 
     /// Simulates the whole fleet under the configured policy
     /// ([`Policy::Reap`] by default), spreading users over all available
     /// cores.
     ///
-    /// The default configuration, [`Policy::Reap`] planning
-    /// [`AllocatorKind::Ewma`] budgets on an hourly battery, runs on the
-    /// data-oriented SoA kernel ([`crate::soa`]): the whole population
-    /// steps through each simulated hour over per-user plan frontiers
-    /// in one arena and copy-on-perturb traces, several times faster than
-    /// per-user scalar simulation and agreeing with it bit for bit on
-    /// every per-user scalar (pinned by property tests). Every other
-    /// fleet (static policies, the greedy and uniform-daily allocators,
-    /// [`Policy::Horizon`], batteryless and sub-hour fleets) takes the
-    /// scalar engine, one user per worker at a time.
+    /// The default configuration, [`Policy::Reap`] planning EWMA budgets
+    /// on an hourly battery, runs on the data-oriented SoA kernel
+    /// ([`crate::soa`]): the whole population steps through each
+    /// simulated hour over per-user plan frontiers in one arena and
+    /// copy-on-perturb traces, several times faster than per-user scalar
+    /// simulation and agreeing with it bit for bit on every per-user
+    /// scalar (pinned by property tests). Every other fleet (static
+    /// policies, [`Policy::Horizon`], batteryless and sub-hour fleets)
+    /// takes the scalar engine, one user per worker at a time.
     ///
     /// # Errors
     ///
@@ -441,14 +428,14 @@ impl Fleet {
     }
 
     /// The scalar fallback's per-user outcomes, in user order: workers
-    /// build, run and reduce one user at a time. A batteryless user's
-    /// event-core hours fold straight into its totals as they close, with
-    /// no report built; a battery user's report is reduced once it is
-    /// done, by the same fold.
+    /// build and run one user at a time, folding each closed hour
+    /// straight into the user's totals with no report built, whatever
+    /// the engine (the battery hour loop or the batteryless event core).
     fn scalar_outcomes(
         &self,
         max_threads: Option<NonZeroUsize>,
     ) -> Result<Vec<UserOutcome>, SimError> {
+        self.base_problem()?;
         let bases = self
             .sources
             .iter()
@@ -456,14 +443,9 @@ impl Fleet {
             .collect::<Result<Vec<_>, _>>()?;
         parallel_map(self.users as usize, max_threads, |u| {
             let scenario = self.scenario_over(u as u32, &bases[u % bases.len()])?;
-            match &scenario.intermittent {
-                Some(config) => {
-                    let mut totals = HourTotals::default();
-                    run_intermittent(&scenario, self.policy, config, |hour| totals.add(&hour))?;
-                    Ok(outcome(&totals, self.days))
-                }
-                None => Ok(reduce(&scenario.run(self.policy)?, self.days)),
-            }
+            let mut totals = HourTotals::default();
+            run_hours(&scenario, self.policy, |hour| totals.add(&hour))?;
+            Ok(outcome(&totals, self.days))
         })
         .into_iter()
         .collect()
@@ -498,13 +480,6 @@ impl FleetBuilder {
     #[must_use]
     pub fn sources(mut self, sources: Vec<SourceKind>) -> Self {
         self.fleet.sources = sources;
-        self
-    }
-
-    /// Sets the budget allocator every user runs (default: EWMA).
-    #[must_use]
-    pub fn allocator(mut self, allocator: AllocatorKind) -> Self {
-        self.fleet.allocator = allocator;
         self
     }
 
@@ -696,8 +671,9 @@ pub struct SourceSlice {
 /// Population-level outcome of a [`Fleet::run`].
 ///
 /// Holds only aggregates — percentiles over per-user scalars and
-/// per-source means — never the per-user [`SimReport`]s, so a
-/// million-user report is as small as a ten-user one.
+/// per-source means — never the per-user
+/// [`SimReport`](crate::SimReport)s, so a million-user report is as small
+/// as a ten-user one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     users: u32,
@@ -773,8 +749,7 @@ impl FleetReport {
     /// Resident SoA state per user in bytes (per-user arrays and frontier
     /// tables plus the amortized base traces), rounded up; `0`
     /// when the fleet ran on the scalar engine (any configuration but
-    /// [`Policy::Reap`] with [`AllocatorKind::Ewma`] on an hourly
-    /// battery).
+    /// [`Policy::Reap`] on an hourly battery).
     #[must_use]
     pub fn soa_bytes_per_user(&self) -> u32 {
         self.soa_bytes_per_user
@@ -791,13 +766,8 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// Reduces a scalar-engine [`SimReport`] of a `days`-long trace to the
-/// per-user scalars the SoA core computes inline.
-fn reduce(report: &SimReport, days: u32) -> UserOutcome {
-    outcome(&report.totals(), days)
-}
-
-/// The per-user scalars of a `days`-long trace's folded hours.
+/// The per-user scalars of a `days`-long trace's folded hours: what the
+/// SoA core computes inline.
 fn outcome(totals: &HourTotals, days: u32) -> UserOutcome {
     UserOutcome {
         accuracy: totals.mean_accuracy(),
@@ -884,8 +854,8 @@ mod tests {
 
     fn base_points() -> Vec<OperatingPoint> {
         vec![
-            OperatingPoint::new(1, "DP1", 0.94, Power::from_milliwatts(2.76)).unwrap(),
-            OperatingPoint::new(5, "DP5", 0.76, Power::from_milliwatts(1.20)).unwrap(),
+            OperatingPoint::new(1, 0.94, Power::from_milliwatts(2.76)),
+            OperatingPoint::new(5, 0.76, Power::from_milliwatts(1.20)),
         ]
     }
 
@@ -1033,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn batteryless_users_fold_to_their_reduced_reports_bit_for_bit() {
+    fn fallback_users_fold_to_their_reduced_reports_bit_for_bit() {
         let bits = |o: &UserOutcome| {
             (
                 o.accuracy.to_bits(),
@@ -1042,27 +1012,36 @@ mod tests {
                 o.harvested_j.to_bits(),
             )
         };
-        for policy in [Policy::Intermittent, Policy::Reap] {
-            let fleet = Fleet::builder(base_points())
-                .users(6)
-                .days(2)
-                .seed(5)
+        let builder = || Fleet::builder(base_points()).users(6).days(2).seed(5);
+        let batteryless = |policy| {
+            builder()
                 .sources(vec![SourceKind::BodyHeat, SourceKind::Kinetic])
                 .blackout(21, 0.3)
                 .policy(policy)
                 .intermittent(crate::IntermittentConfig::wearable_default())
                 .dt_seconds(300)
-                .build()
-                .unwrap();
+        };
+        let fleets = [
+            batteryless(Policy::Intermittent),
+            batteryless(Policy::Reap),
+            builder().policy(Policy::Horizon { lookahead: 4 }),
+            builder().policy(Policy::Static(5)),
+            builder().dt_seconds(900),
+        ];
+        for fleet in fleets {
+            let fleet = fleet.build().unwrap();
+            let policy = fleet.policy();
+            let case = format!("{policy} at dt {} s", fleet.dt_seconds);
+            assert!(!fleet.runs_on_kernel(), "{case}");
             let reduced: Vec<_> = (0..fleet.users())
                 .map(|u| {
                     let report = fleet.user_scenario(u).unwrap().run(policy).unwrap();
-                    bits(&reduce(&report, fleet.days()))
+                    bits(&outcome(&report.totals(), fleet.days()))
                 })
                 .collect();
             assert!(
                 reduced.iter().any(|&(acc, ..)| f64::from_bits(acc) > 0.0),
-                "{policy}: no user committed any work"
+                "{case}: no user committed any work"
             );
             for threads in [1, 2] {
                 let folded: Vec<_> = fleet
@@ -1071,7 +1050,7 @@ mod tests {
                     .iter()
                     .map(bits)
                     .collect();
-                assert_eq!(folded, reduced, "{policy} at {threads} threads");
+                assert_eq!(folded, reduced, "{case} on {threads} threads");
             }
         }
     }

@@ -53,7 +53,7 @@ pub use clock::{ClockStats, EventRecord, IntermittentConfig, VdtRun};
 pub use engine::Policy;
 pub use error::SimError;
 pub use fleet::{Fleet, FleetBuilder, FleetReport, Percentiles, SourceSlice, UserParams};
-pub use matrix::{run_matrix, run_matrix_with_threads};
+pub use matrix::run_matrix;
 pub use report::{HourRecord, SimReport};
 pub use scenario::{AllocatorKind, BudgetMode, ForecasterKind, Scenario, ScenarioBuilder};
 pub use soa::{SoaFleet, UserOutcome};

@@ -41,13 +41,8 @@ pub fn run_matrix(
 /// `Some(n)` caps the pool at `n` workers (always additionally capped at
 /// the number of pairs). The *results are bit-identical for every thread
 /// count*: parallelism changes only which core runs a pair, never the
-/// arithmetic inside it — the guarantee the fleet simulator's
-/// determinism tests pin down.
-///
-/// # Errors
-///
-/// Same as [`run_matrix`].
-pub fn run_matrix_with_threads(
+/// arithmetic inside it.
+fn run_matrix_with_threads(
     scenarios: &[Scenario],
     policies: &[Policy],
     max_threads: Option<NonZeroUsize>,
@@ -124,9 +119,7 @@ mod tests {
         ];
         specs
             .iter()
-            .map(|&(id, a, mw)| {
-                OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-            })
+            .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
             .collect()
     }
 

@@ -269,7 +269,7 @@ mod tests {
 
     fn hour_record(day: u32, accuracy_weight: f64) -> HourRecord {
         let problem = ReapProblem::builder()
-            .point(OperatingPoint::new(1, "DP1", 0.9, Power::from_milliwatts(2.0)).unwrap())
+            .point(OperatingPoint::new(1, 0.9, Power::from_milliwatts(2.0)))
             .build()
             .unwrap();
         let planned = problem.solve(Energy::from_joules(7.2)).unwrap();

@@ -379,8 +379,8 @@ mod tests {
 
     fn points() -> Vec<OperatingPoint> {
         vec![
-            OperatingPoint::new(1, "DP1", 0.94, Power::from_milliwatts(2.76)).unwrap(),
-            OperatingPoint::new(5, "DP5", 0.76, Power::from_milliwatts(1.20)).unwrap(),
+            OperatingPoint::new(1, 0.94, Power::from_milliwatts(2.76)),
+            OperatingPoint::new(5, 0.76, Power::from_milliwatts(1.20)),
         ]
     }
 

@@ -38,10 +38,9 @@
 //! [`reap_core::decide_vertices`] for planning) on the same values, so
 //! per-user outcomes are bit-identical to [`Fleet::user_scenario`]
 //! replay — a property the `soa_equivalence` tests pin bit for bit.
-//! Every other fleet (static policies, the greedy and uniform-daily
-//! allocators, MPC, sub-hour and batteryless fleets) runs on the scalar
-//! engine, user by user, and [`SoaFleet::new`] builds no per-user state
-//! for it.
+//! Every other fleet (static policies, MPC, sub-hour and batteryless
+//! fleets) runs on the scalar engine, user by user, and
+//! [`SoaFleet::new`] builds no per-user state for it.
 
 use std::num::NonZeroUsize;
 
@@ -351,10 +350,9 @@ impl SoaFleet {
     }
 
     /// `true` when the fleet runs on the kernel:
-    /// [`Policy::Reap`](crate::Policy::Reap) with
-    /// [`AllocatorKind::Ewma`](crate::AllocatorKind::Ewma) on an hourly
-    /// battery. `false` for every fleet [`Fleet::run`] steps user by user
-    /// on the scalar engine (static policies, the other allocators,
+    /// [`Policy::Reap`](crate::Policy::Reap) on an hourly battery.
+    /// `false` for every fleet [`Fleet::run`] steps user by user on the
+    /// scalar engine (static policies,
     /// [`Policy::Horizon`](crate::Policy::Horizon), any batteryless or
     /// sub-hour fleet).
     #[must_use]
@@ -694,8 +692,8 @@ mod tests {
 
     fn base_points() -> Vec<OperatingPoint> {
         vec![
-            OperatingPoint::new(1, "DP1", 0.94, Power::from_milliwatts(2.76)).unwrap(),
-            OperatingPoint::new(5, "DP5", 0.76, Power::from_milliwatts(1.20)).unwrap(),
+            OperatingPoint::new(1, 0.94, Power::from_milliwatts(2.76)),
+            OperatingPoint::new(5, 0.76, Power::from_milliwatts(1.20)),
         ]
     }
 
@@ -730,7 +728,7 @@ mod tests {
     }
 
     fn point(id: u8, accuracy: f64, mw: f64) -> OperatingPoint {
-        OperatingPoint::new(id, format!("DP{id}"), accuracy, Power::from_milliwatts(mw)).unwrap()
+        OperatingPoint::new(id, accuracy, Power::from_milliwatts(mw))
     }
 
     #[test]

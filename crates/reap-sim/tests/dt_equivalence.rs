@@ -18,9 +18,7 @@ fn paper_points() -> Vec<OperatingPoint> {
     ];
     specs
         .iter()
-        .map(|&(id, a, mw)| {
-            OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-        })
+        .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
         .collect()
 }
 

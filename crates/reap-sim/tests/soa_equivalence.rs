@@ -6,14 +6,14 @@
 //! The kernel runs one configuration, REAP planning EWMA budgets, so its
 //! random fleets draw only users, days and seed; they cover all four
 //! [`SourceKind`](reap_harvest::SourceKind)s (the builder default
-//! round-robins them). Every other (policy, allocator) pair takes the
-//! scalar engine inside `Fleet::run`: random fallback fleets check that
-//! path aggregates what per-user replay produces, and golden digests pin
-//! the reports of the fleets the kernel ran before it narrowed.
+//! round-robins them). Every other policy takes the scalar engine inside
+//! `Fleet::run`: random fallback fleets check that path aggregates what
+//! per-user replay produces, and a golden digest pins the report of a
+//! fleet the kernel ran before it narrowed.
 
 use proptest::prelude::*;
 use reap_core::OperatingPoint;
-use reap_sim::{AllocatorKind, Fleet, Policy, SimReport, SoaFleet, UserOutcome};
+use reap_sim::{Fleet, Policy, SimReport, SoaFleet, UserOutcome};
 use reap_units::Power;
 
 fn paper_points() -> Vec<OperatingPoint> {
@@ -26,28 +26,17 @@ fn paper_points() -> Vec<OperatingPoint> {
     ];
     specs
         .iter()
-        .map(|&(id, a, mw)| {
-            OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-        })
+        .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
         .collect()
 }
 
-/// Every (policy, allocator) pair except the kernel's REAP + EWMA.
-fn arb_fallback() -> impl Strategy<Value = (Policy, AllocatorKind)> {
-    let policy = prop_oneof![
-        Just(Policy::Reap),
+/// Every battery policy except the kernel's REAP.
+fn arb_fallback() -> impl Strategy<Value = Policy> {
+    prop_oneof![
         (1u8..=5).prop_map(Policy::Static),
         prop_oneof![Just(1usize), Just(4), Just(12)]
             .prop_map(|lookahead| Policy::Horizon { lookahead }),
-    ];
-    let allocator = prop_oneof![
-        Just(AllocatorKind::Ewma),
-        Just(AllocatorKind::Greedy),
-        Just(AllocatorKind::UniformDaily),
-    ];
-    (policy, allocator).prop_filter("REAP + EWMA runs on the kernel", |&(p, a)| {
-        (p, a) != (Policy::Reap, AllocatorKind::Ewma)
-    })
+    ]
 }
 
 /// The scalar engine's per-user scalars, reduced exactly as
@@ -107,14 +96,14 @@ proptest! {
 
     #[test]
     fn fallback_fleet_matches_scalar_replay(
-        (users, days, seed, (policy, allocator)) in (
+        (users, days, seed, policy) in (
             1u32..=10,
             1u32..=2,
             0u64..=u64::MAX,
             arb_fallback(),
         )
     ) {
-        // Every configuration but REAP + EWMA falls back to the scalar
+        // Every configuration but hourly REAP falls back to the scalar
         // engine inside `Fleet::run`; the property pinned here is that
         // the fleet path (shared base traces, copy-on-perturb) aggregates
         // exactly what per-user replay produces.
@@ -122,7 +111,6 @@ proptest! {
             .users(users)
             .days(days)
             .seed(seed)
-            .allocator(allocator)
             .policy(policy)
             .build()
             .expect("valid fleet");
@@ -192,9 +180,7 @@ fn frontier_walk_plans_match_scalar_replay() {
     // branch-free regime.
     let points = [(1u8, 0.94, 2.76), (4, 0.90, 1.64), (6, 0.50, 0.20)]
         .iter()
-        .map(|&(id, a, mw)| {
-            OperatingPoint::new(id, format!("DP{id}"), a, Power::from_milliwatts(mw)).unwrap()
-        })
+        .map(|&(id, a, mw)| OperatingPoint::new(id, a, Power::from_milliwatts(mw)))
         .collect();
     let (users, days) = (48u32, 2u32);
     let fleet = Fleet::builder(points)
@@ -261,51 +247,31 @@ fn report_digest(report: &reap_sim::FleetReport) -> u64 {
     })
 }
 
-/// The fleets the SoA kernel ran before it narrowed to REAP + EWMA, with
-/// their report digests ([`report_digest`]) recorded while it still ran
-/// them. The scalar engine now runs these fleets and must reproduce
-/// every value.
-const RETIRED: [(Policy, AllocatorKind, u64); 4] = [
-    (
-        Policy::Static(3),
-        AllocatorKind::Ewma,
-        0x3134_652e_e7b4_19f7,
-    ),
-    (
-        Policy::Static(5),
-        AllocatorKind::Greedy,
-        0x5caa_86c6_fac0_2e34,
-    ),
-    (Policy::Reap, AllocatorKind::Greedy, 0x430a_077d_a5eb_70f0),
-    (
-        Policy::Reap,
-        AllocatorKind::UniformDaily,
-        0x7f15_58f3_b0c7_4a8a,
-    ),
-];
+/// A fleet the SoA kernel ran before it narrowed to REAP, with its
+/// report digest ([`report_digest`]) recorded while it still ran it (on
+/// EWMA budgets, the allocator every fleet now uses). The scalar engine
+/// now runs this fleet and must reproduce every value.
+const RETIRED: [(Policy, u64); 1] = [(Policy::Static(3), 0x3134_652e_e7b4_19f7)];
 
 #[test]
 fn retired_kernel_configurations_reproduce_the_parent_reports() {
     let mut table = String::new();
     let mut failed = false;
-    for (policy, allocator, want) in RETIRED {
+    for (policy, want) in RETIRED {
         let report = Fleet::builder(paper_points())
             .users(24)
             .days(3)
             .seed(2019)
-            .allocator(allocator)
             .policy(policy)
             .build()
             .expect("valid fleet")
             .run()
             .expect("fleet run");
         let got = report_digest(&report);
-        table.push_str(&format!(
-            "    (Policy::{policy:?}, AllocatorKind::{allocator:?}, {got:#018x}),\n"
-        ));
+        table.push_str(&format!("    (Policy::{policy:?}, {got:#018x}),\n"));
         failed |= got != want;
         // The scalar engine runs these fleets: no SoA state is resident.
-        assert_eq!(report.soa_bytes_per_user(), 0, "{policy}/{allocator:?}");
+        assert_eq!(report.soa_bytes_per_user(), 0, "{policy}");
     }
     assert!(!failed, "report digests moved; computed:\n{table}");
 }

@@ -132,11 +132,9 @@ fn solver_is_fast_enough_for_runtime_use() {
                 let f = i as f64 / n as f64;
                 OperatingPoint::new(
                     i as u8 + 1,
-                    format!("P{i}"),
                     0.5 + 0.45 * f,
                     Power::from_milliwatts(1.0 + 2.0 * f),
                 )
-                .expect("valid")
             })
             .collect();
         let p = ReapProblem::builder()
