@@ -15,8 +15,9 @@
 //! `--quick` shrinks the population for smoke runs (CI still uses the
 //! full 2000 users).
 
-use reap_bench::{has_quick_flag, CharMode};
+use reap_bench::{has_quick_flag, rounded, write_baseline, CharMode};
 use reap_harvest::SourceKind;
+use reap_serve::json::Value;
 use reap_sim::{Fleet, IntermittentConfig, Policy, Scenario};
 
 /// Users in the baseline fleet, matching the fleet bench's population.
@@ -53,11 +54,6 @@ struct Totals {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_quick_flag(&args);
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_intermittent.json".to_string());
     let users = if quick { 64 } else { FLEET_USERS };
 
     let fleet = Fleet::builder(reap_bench::operating_points(CharMode::Paper, true))
@@ -73,7 +69,7 @@ fn main() {
         .expect("valid intermittent fleet");
 
     println!(
-        "intermittent baseline: {} users x {} days, dt {} s, {:.0}% blackout ({out_path})",
+        "intermittent baseline: {} users x {} days, dt {} s, {:.0}% blackout",
         fleet.users(),
         fleet.days(),
         DT_SECONDS,
@@ -169,40 +165,40 @@ fn main() {
         totals.events
     );
 
-    let json = format!(
-        "{{\n  \"schema\": \"reap-bench/intermittent-v1\",\n  \"users\": {},\n  \"days\": {},\n  \
-         \"dt_seconds\": {},\n  \"blackout_fraction\": {:.2},\n  \
-         \"events\": {},\n  \"bursts\": {},\n  \"epochs_committed\": {},\n  \
-         \"epochs_lost\": {},\n  \"brownouts\": {},\n  \"sleeps\": {},\n  \
-         \"epochs_per_burst\": {:.3},\n  \"commit_ratio\": {:.4},\n  \
-         \"committed_objective\": {:.1},\n  \"committed_active_s\": {:.0},\n  \
-         \"harvest_offered_j\": {:.1},\n  \"consumed_j\": {:.1},\n  \"spilled_j\": {:.1},\n  \
-         \"leaked_j\": {:.2},\n  \"checkpoint_j\": {:.2},\n  \"restore_j\": {:.2},\n  \
-         \"mean_accuracy\": {:.4},\n  \"mean_active_fraction\": {:.4},\n  \
-         \"wall_ms\": {wall_ms:.0},\n  \"events_per_s\": {events_per_s:.0}\n}}\n",
-        report.users(),
-        report.days(),
-        DT_SECONDS,
-        BLACKOUT_FRACTION,
-        totals.events,
-        totals.bursts,
-        totals.epochs_committed,
-        totals.epochs_lost,
-        totals.brownouts,
-        totals.sleeps,
-        epochs_per_burst,
-        commit_ratio,
-        totals.committed_objective,
-        totals.committed_active_s,
-        totals.harvest_offered_j,
-        totals.consumed_j,
-        totals.spilled_j,
-        totals.leaked_j,
-        totals.checkpoint_j,
-        totals.restore_j,
-        report.mean_accuracy(),
-        report.mean_active_fraction(),
-    );
-    std::fs::write(&out_path, json).expect("writable output");
-    println!("wrote {out_path}");
+    #[allow(clippy::cast_precision_loss)]
+    let count = |n: u64| Value::Num(n as f64);
+    let doc = Value::obj(vec![
+        ("schema", Value::Str("reap-bench/intermittent-v1".into())),
+        ("users", Value::Num(f64::from(report.users()))),
+        ("days", Value::Num(f64::from(report.days()))),
+        ("dt_seconds", Value::Num(f64::from(DT_SECONDS))),
+        ("blackout_fraction", rounded(BLACKOUT_FRACTION, 2)),
+        ("events", count(totals.events)),
+        ("bursts", count(totals.bursts)),
+        ("epochs_committed", count(totals.epochs_committed)),
+        ("epochs_lost", count(totals.epochs_lost)),
+        ("brownouts", count(totals.brownouts)),
+        ("sleeps", count(totals.sleeps)),
+        ("epochs_per_burst", rounded(epochs_per_burst, 3)),
+        ("commit_ratio", rounded(commit_ratio, 4)),
+        (
+            "committed_objective",
+            rounded(totals.committed_objective, 1),
+        ),
+        ("committed_active_s", rounded(totals.committed_active_s, 0)),
+        ("harvest_offered_j", rounded(totals.harvest_offered_j, 1)),
+        ("consumed_j", rounded(totals.consumed_j, 1)),
+        ("spilled_j", rounded(totals.spilled_j, 1)),
+        ("leaked_j", rounded(totals.leaked_j, 2)),
+        ("checkpoint_j", rounded(totals.checkpoint_j, 2)),
+        ("restore_j", rounded(totals.restore_j, 2)),
+        ("mean_accuracy", rounded(report.mean_accuracy(), 4)),
+        (
+            "mean_active_fraction",
+            rounded(report.mean_active_fraction(), 4),
+        ),
+        ("wall_ms", rounded(wall_ms, 0)),
+        ("events_per_s", rounded(events_per_s, 0)),
+    ]);
+    write_baseline(&args, "BENCH_intermittent.json", &doc);
 }

@@ -17,8 +17,9 @@
 //! engine, forecaster, or horizon-LP change (`--quick` shrinks the traces
 //! for smoke runs; CI uses the full protocol).
 
-use reap_bench::{has_quick_flag, CharMode};
+use reap_bench::{has_quick_flag, rounded, write_baseline, CharMode};
 use reap_harvest::SourceKind;
+use reap_serve::json::Value;
 use reap_sim::{ForecasterKind, Policy, Scenario, SimReport};
 
 /// Days per trace in the full protocol.
@@ -51,25 +52,20 @@ fn run_metrics(label: String, report: &SimReport, hours: f64) -> Run {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_quick_flag(&args);
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_mpc.json".to_string());
     let days = if quick { 3 } else { DAYS };
     let hours = f64::from(days) * 24.0;
     let points = reap_bench::operating_points(CharMode::Paper, true);
 
     println!(
         "MPC baseline: lookahead {LOOKAHEADS:?} at ±{:.0}% forecast error, {days} days per \
-         source ({out_path})",
+         source",
         REL_ERROR * 100.0
     );
     println!("=====================================================================");
 
     let start = std::time::Instant::now();
     let mut mpc_hours = 0usize;
-    let mut source_jsons = Vec::new();
+    let mut sources = Vec::new();
     for kind in SourceKind::ALL {
         let trace = kind
             .instantiate(reap_bench::BENCH_SEED)
@@ -138,7 +134,33 @@ fn main() {
             .join(", ");
         println!("  MPC24 accuracy vs forecast error: {rob}");
 
-        source_jsons.push(source_json(kind, &runs, &robustness));
+        let runs = runs
+            .iter()
+            .map(|r| {
+                Value::obj(vec![
+                    ("policy", Value::Str(r.label.clone())),
+                    ("mean_accuracy", rounded(r.mean_accuracy, 4)),
+                    ("active_fraction", rounded(r.active_fraction, 4)),
+                    ("objective", rounded(r.objective, 2)),
+                    ("brownout_hours", Value::Num(r.brownout_hours as f64)),
+                ])
+            })
+            .collect();
+        let robustness = robustness
+            .iter()
+            .map(|(rel_error, r)| {
+                Value::obj(vec![
+                    ("rel_error", Value::Num(*rel_error)),
+                    ("mean_accuracy", rounded(r.mean_accuracy, 4)),
+                    ("objective", rounded(r.objective, 2)),
+                ])
+            })
+            .collect();
+        sources.push(Value::obj(vec![
+            ("source", Value::Str(kind.label().into())),
+            ("runs", Value::Arr(runs)),
+            ("mpc24_robustness", Value::Arr(robustness)),
+        ]));
     }
 
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -147,48 +169,13 @@ fn main() {
         "wall time {wall_ms:.0} ms for {mpc_hours} MPC-simulated hours ({hours_per_s:.0} hours/s)"
     );
 
-    let mut json = format!(
-        "{{\n  \"schema\": \"reap-bench/mpc-v1\",\n  \"days\": {days},\n  \"rel_error\": \
-         {REL_ERROR},\n  \"sources\": [\n"
-    );
-    json.push_str(&source_jsons.join(",\n"));
-    json.push_str(&format!(
-        "\n  ],\n  \"wall_ms\": {wall_ms:.0},\n  \"hours_per_s\": {hours_per_s:.0}\n}}\n"
-    ));
-    std::fs::write(&out_path, json).expect("writable output");
-    println!("wrote {out_path}");
-}
-
-fn run_json(r: &Run) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"mean_accuracy\": {:.4}, \"active_fraction\": {:.4}, \
-         \"objective\": {:.2}, \"brownout_hours\": {}}}",
-        r.label, r.mean_accuracy, r.active_fraction, r.objective, r.brownout_hours
-    )
-}
-
-fn source_json(kind: SourceKind, runs: &[Run], robustness: &[(f64, Run)]) -> String {
-    let mut out = format!(
-        "    {{\n      \"source\": \"{}\",\n      \"runs\": [\n",
-        kind.label()
-    );
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "        {}{}\n",
-            run_json(r),
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ],\n      \"mpc24_robustness\": [\n");
-    for (i, (rel_error, r)) in robustness.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"rel_error\": {rel_error}, \"mean_accuracy\": {:.4}, \"objective\": \
-             {:.2}}}{}\n",
-            r.mean_accuracy,
-            r.objective,
-            if i + 1 < robustness.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    }");
-    out
+    let doc = Value::obj(vec![
+        ("schema", Value::Str("reap-bench/mpc-v1".into())),
+        ("days", Value::Num(f64::from(days))),
+        ("rel_error", Value::Num(REL_ERROR)),
+        ("sources", Value::Arr(sources)),
+        ("wall_ms", rounded(wall_ms, 0)),
+        ("hours_per_s", rounded(hours_per_s, 0)),
+    ]);
+    write_baseline(&args, "BENCH_mpc.json", &doc);
 }

@@ -11,8 +11,9 @@
 //! command above after any solver or sim-engine change.
 
 use criterion::{measure, Measurement};
-use reap_bench::{synthetic_problem, CharMode};
+use reap_bench::{rounded, synthetic_problem, write_baseline, CharMode};
 use reap_harvest::HarvestTrace;
+use reap_serve::json::Value;
 use reap_sim::{run_matrix, Policy, Scenario};
 use reap_units::Energy;
 use std::hint::black_box;
@@ -25,16 +26,13 @@ struct SolverRow {
 }
 
 fn main() {
-    // First non-flag argument is the output path (the shared bin flags
-    // like `--quick` are ignored here: the measurement is already fast).
-    let out_path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| "BENCH_planner.json".to_string());
+    // The shared bin flags like `--quick` are ignored here: the
+    // measurement is already fast.
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let budget = Energy::from_joules(5.0);
 
-    println!("planner perf baseline (release, {out_path})");
-    println!("===========================================");
+    println!("planner perf baseline (release)");
+    println!("===============================");
 
     let mut rows = Vec::new();
     for n in [5usize, 20, 100] {
@@ -98,23 +96,31 @@ fn main() {
         "month sim ({hours} h, min of {SIM_REPS}): REAP run {reap_run_ms:.3} ms, {n_policies}-policy matrix {matrix_ms:.3} ms"
     );
 
-    let mut json = String::from(
-        "{\n  \"schema\": \"reap-bench/planner-v1\",\n  \"budget_j\": 5.0,\n  \"solvers\": [\n",
-    );
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"simplex_ns\": {:.1}, \"frontier_ns\": {:.1}, \"frontier_build_ns\": {:.1}}}{}\n",
-            row.n,
-            row.simplex.mean_ns,
-            row.frontier.mean_ns,
-            row.frontier_build.mean_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"frontier_speedup_n5\": {speedup_n5:.1},\n  \"month_sim\": {{\"hours\": {hours}, \"reap_run_ms\": {reap_run_ms:.3}, \"matrix_policies\": {}, \"matrix_ms\": {matrix_ms:.3}}}\n}}\n",
-        policies.len()
-    ));
-    std::fs::write(&out_path, json).expect("writable output path");
-    println!("wrote {out_path}");
+    let solvers = rows
+        .iter()
+        .map(|row| {
+            Value::obj(vec![
+                ("n", Value::Num(row.n as f64)),
+                ("simplex_ns", rounded(row.simplex.mean_ns, 1)),
+                ("frontier_ns", rounded(row.frontier.mean_ns, 1)),
+                ("frontier_build_ns", rounded(row.frontier_build.mean_ns, 1)),
+            ])
+        })
+        .collect();
+    let doc = Value::obj(vec![
+        ("schema", Value::Str("reap-bench/planner-v1".into())),
+        ("budget_j", Value::Num(budget.joules())),
+        ("solvers", Value::Arr(solvers)),
+        ("frontier_speedup_n5", rounded(speedup_n5, 1)),
+        (
+            "month_sim",
+            Value::obj(vec![
+                ("hours", Value::Num(hours as f64)),
+                ("reap_run_ms", rounded(reap_run_ms, 3)),
+                ("matrix_policies", Value::Num(n_policies as f64)),
+                ("matrix_ms", rounded(matrix_ms, 3)),
+            ]),
+        ),
+    ]);
+    write_baseline(&args, "BENCH_planner.json", &doc);
 }

@@ -24,7 +24,8 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use reap_bench::{has_quick_flag, CharMode};
+use reap_bench::{has_quick_flag, rounded, write_baseline, CharMode};
+use reap_serve::json::Value;
 use reap_serve::{
     Client, FleetState, LatencyHistogram, Request, Response, RetryClient, RetryConfig, Server,
     ServerConfig,
@@ -43,11 +44,6 @@ const ROUNDS: usize = 3;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_quick_flag(&args);
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
     let users = if quick { 64 } else { SERVE_USERS };
     let decides_per_thread = if quick { 500 } else { DECIDES_PER_THREAD };
     let rounds = if quick { 1 } else { ROUNDS };
@@ -64,7 +60,7 @@ fn main() {
 
     println!(
         "serve bench: {users} resident users, {CLIENT_THREADS} client threads x \
-         {decides_per_thread} decides x {rounds} round(s) against {addr} ({out_path})"
+         {decides_per_thread} decides x {rounds} round(s) against {addr}"
     );
     println!("=============================================================");
 
@@ -164,18 +160,20 @@ fn main() {
         server_stats.errors, server_stats.evicted, server_stats.shed
     );
 
-    let json = format!(
-        "{{\n  \"schema\": \"reap-bench/serve-v2\",\n  \"users\": {users},\n  \
-         \"client_threads\": {CLIENT_THREADS},\n  \"decisions\": {decisions:.0},\n  \
-         \"wall_ms\": {:.1},\n  \"decisions_per_s\": {decisions_per_s:.0},\n  \
-         \"decide_p50_us\": {p50_us:.1},\n  \"decide_p99_us\": {p99_us:.1},\n  \
-         \"retries\": {retries},\n  \"reconnects\": {reconnects},\n  \
-         \"server_errors\": {},\n  \"evicted\": {},\n  \"shed\": {}\n}}\n",
-        best_wall_s * 1e3,
-        server_stats.errors,
-        server_stats.evicted,
-        server_stats.shed
-    );
-    std::fs::write(&out_path, json).expect("writable output");
-    println!("wrote {out_path}");
+    let doc = Value::obj(vec![
+        ("schema", Value::Str("reap-bench/serve-v2".into())),
+        ("users", Value::Num(f64::from(users))),
+        ("client_threads", Value::Num(CLIENT_THREADS as f64)),
+        ("decisions", rounded(decisions, 0)),
+        ("wall_ms", rounded(best_wall_s * 1e3, 1)),
+        ("decisions_per_s", rounded(decisions_per_s, 0)),
+        ("decide_p50_us", rounded(p50_us, 1)),
+        ("decide_p99_us", rounded(p99_us, 1)),
+        ("retries", Value::Num(retries as f64)),
+        ("reconnects", Value::Num(reconnects as f64)),
+        ("server_errors", Value::Num(server_stats.errors as f64)),
+        ("evicted", Value::Num(server_stats.evicted as f64)),
+        ("shed", Value::Num(server_stats.shed as f64)),
+    ]);
+    write_baseline(&args, "BENCH_serve.json", &doc);
 }

@@ -15,8 +15,9 @@
 //! `--quick` shrinks the population for smoke runs (CI still uses the
 //! full 2000 users).
 
-use reap_bench::{has_quick_flag, CharMode};
-use reap_sim::{Fleet, FleetReport, Percentiles};
+use reap_bench::{has_quick_flag, rounded, write_baseline, CharMode};
+use reap_serve::json::Value;
+use reap_sim::{Fleet, Percentiles};
 
 /// Users in the baseline fleet. Two thousand keeps the run under a couple
 /// of seconds in release while giving percentiles a stable tail.
@@ -25,16 +26,11 @@ const FLEET_USERS: u32 = 2000;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_quick_flag(&args);
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
     let users = if quick { 64 } else { FLEET_USERS };
     let fleet = build(users);
 
     println!(
-        "fleet baseline: {} users x {} days across {} harvest sources ({out_path})",
+        "fleet baseline: {} users x {} days across {} harvest sources",
         fleet.users(),
         fleet.days(),
         fleet.sources().len()
@@ -99,9 +95,49 @@ fn main() {
         report.brownout_hours()
     );
 
-    std::fs::write(&out_path, to_json(&report, wall_ms, cold_ms, users_per_s))
-        .expect("writable output");
-    println!("wrote {out_path}");
+    let percentiles = |p: Percentiles| {
+        Value::obj(vec![
+            ("p5", rounded(p.p5, 4)),
+            ("p50", rounded(p.p50, 4)),
+            ("p95", rounded(p.p95, 4)),
+        ])
+    };
+    let per_source = report
+        .per_source()
+        .iter()
+        .map(|s| {
+            Value::obj(vec![
+                ("source", Value::Str(s.kind.label().into())),
+                ("users", Value::Num(f64::from(s.users))),
+                ("mean_accuracy", rounded(s.mean_accuracy, 4)),
+                ("mean_active_fraction", rounded(s.mean_active_fraction, 4)),
+                ("mean_harvested_j", rounded(s.mean_harvested_j, 1)),
+            ])
+        })
+        .collect();
+    let doc = Value::obj(vec![
+        ("schema", Value::Str("reap-bench/fleet-v3".into())),
+        ("users", Value::Num(f64::from(report.users()))),
+        ("days", Value::Num(f64::from(report.days()))),
+        ("cohorts", Value::Num(f64::from(report.cohorts()))),
+        (
+            "soa_bytes_per_user",
+            Value::Num(f64::from(report.soa_bytes_per_user())),
+        ),
+        ("accuracy", percentiles(report.accuracy())),
+        ("active_fraction", percentiles(report.active_fraction())),
+        ("mean_accuracy", rounded(report.mean_accuracy(), 4)),
+        (
+            "mean_active_fraction",
+            rounded(report.mean_active_fraction(), 4),
+        ),
+        ("brownout_hours", Value::Num(report.brownout_hours() as f64)),
+        ("per_source", Value::Arr(per_source)),
+        ("wall_ms", rounded(wall_ms, 0)),
+        ("cold_ms", rounded(cold_ms, 0)),
+        ("users_per_s", rounded(users_per_s, 0)),
+    ]);
+    write_baseline(&args, "BENCH_fleet.json", &doc);
 }
 
 /// The baseline fleet of `users` users, freshly built: its SoA form is
@@ -112,47 +148,4 @@ fn build(users: u32) -> Fleet {
         .seed(reap_bench::BENCH_SEED)
         .build()
         .expect("valid fleet")
-}
-
-fn percentiles_json(p: Percentiles) -> String {
-    format!(
-        "{{\"p5\": {:.4}, \"p50\": {:.4}, \"p95\": {:.4}}}",
-        p.p5, p.p50, p.p95
-    )
-}
-
-fn to_json(report: &FleetReport, wall_ms: f64, cold_ms: f64, users_per_s: f64) -> String {
-    let mut json = format!(
-        "{{\n  \"schema\": \"reap-bench/fleet-v3\",\n  \"users\": {},\n  \"days\": {},\n  \
-         \"cohorts\": {},\n  \"soa_bytes_per_user\": {},\n  \
-         \"accuracy\": {},\n  \"active_fraction\": {},\n  \"mean_accuracy\": {:.4},\n  \
-         \"mean_active_fraction\": {:.4},\n  \"brownout_hours\": {},\n  \"per_source\": [\n",
-        report.users(),
-        report.days(),
-        report.cohorts(),
-        report.soa_bytes_per_user(),
-        percentiles_json(report.accuracy()),
-        percentiles_json(report.active_fraction()),
-        report.mean_accuracy(),
-        report.mean_active_fraction(),
-        report.brownout_hours(),
-    );
-    let slices = report.per_source();
-    for (i, s) in slices.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"source\": \"{}\", \"users\": {}, \"mean_accuracy\": {:.4}, \
-             \"mean_active_fraction\": {:.4}, \"mean_harvested_j\": {:.1}}}{}\n",
-            s.kind.label(),
-            s.users,
-            s.mean_accuracy,
-            s.mean_active_fraction,
-            s.mean_harvested_j,
-            if i + 1 < slices.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"wall_ms\": {wall_ms:.0},\n  \"cold_ms\": {cold_ms:.0},\n  \
-         \"users_per_s\": {users_per_s:.0}\n}}\n"
-    ));
-    json
 }

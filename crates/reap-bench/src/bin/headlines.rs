@@ -60,7 +60,7 @@ fn main() {
     // --- vs the low-power points (DP4, DP5) in the regime where they are
     // fully active but accuracy-starved.
     println!("\nvs low-power design points (budgets where they saturate):");
-    for (idx, id) in [(3usize, 4u8), (4, 5)] {
+    for id in [4u8, 5] {
         let saturation = problem.point(id).expect("exists").power() * problem.period();
         let budgets: Vec<Energy> = linspace(
             saturation.joules(),
@@ -80,7 +80,6 @@ fn main() {
         }
         let mean_gain = gain.iter().sum::<f64>() / gain.len() as f64;
         let min_time = time_loss.iter().cloned().fold(f64::MAX, f64::min);
-        let _ = idx;
         println!(
             "  vs DP{id}: {:.0}% higher accuracy, active-time ratio never below {:.2}",
             mean_gain * 100.0,

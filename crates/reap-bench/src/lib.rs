@@ -25,6 +25,7 @@ pub mod regression;
 use reap_core::{OperatingPoint, ReapProblem};
 use reap_device::{characterize, CharacterizedDp};
 use reap_har::{train_classifier, DesignPoint, DpConfig, TrainConfig};
+use reap_serve::json::Value;
 
 /// Which characterization backs the operating points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,21 +98,7 @@ pub fn bench_train_config(quick: bool) -> TrainConfig {
 pub fn pareto_characterization(mode: CharMode, quick: bool) -> Vec<CharacterizedDp> {
     match mode {
         CharMode::Paper => reap_device::paper_table2(),
-        CharMode::Model => {
-            let dataset = bench_dataset(quick);
-            let config = bench_train_config(quick);
-            DpConfig::paper_pareto_5()
-                .into_iter()
-                .enumerate()
-                .map(|(i, dp_config)| {
-                    let trained = train_classifier(&dataset, &dp_config, &config)
-                        .expect("training the bundled configs succeeds");
-                    let point = DesignPoint::new(i as u8 + 1, dp_config, trained.test_accuracy)
-                        .expect("accuracy is in [0,1]");
-                    characterize(&point)
-                })
-                .collect()
-        }
+        CharMode::Model => characterize_trained(DpConfig::paper_pareto_5(), quick),
     }
 }
 
@@ -132,9 +119,18 @@ pub fn operating_points(mode: CharMode, quick: bool) -> Vec<OperatingPoint> {
 /// Panics if training fails (cannot happen for the bundled generator).
 #[must_use]
 pub fn characterize_all_24(quick: bool) -> Vec<CharacterizedDp> {
+    characterize_trained(DpConfig::standard_24(), quick)
+}
+
+/// Trains a classifier for each config on the bench dataset and
+/// characterizes the resulting design points, numbered from 1.
+fn characterize_trained(
+    configs: impl IntoIterator<Item = DpConfig>,
+    quick: bool,
+) -> Vec<CharacterizedDp> {
     let dataset = bench_dataset(quick);
     let config = bench_train_config(quick);
-    DpConfig::standard_24()
+    configs
         .into_iter()
         .enumerate()
         .map(|(i, dp_config)| {
@@ -182,6 +178,31 @@ pub fn synthetic_problem(n: usize) -> ReapProblem {
         })
         .collect();
     standard_problem(points, 1.0)
+}
+
+/// `v` as the number `format!("{v:.decimals$}")` prints, parsed back: a
+/// baseline field keeps the decimals it has always been recorded with, so
+/// a fresh run's outcome block equals the committed one.
+#[must_use]
+pub fn rounded(v: f64, decimals: usize) -> Value {
+    Value::Num(format!("{v:.decimals$}").parse().unwrap_or(v))
+}
+
+/// Writes a bench bin's baseline document through
+/// [`Value::encode_pretty`] to the first non-flag argument in `args`, or
+/// to `default` when there is none, and says where it went.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_baseline(args: &[String], default: &str, doc: &Value) {
+    let path = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .map_or(default, String::as_str);
+    std::fs::write(path, doc.encode_pretty())
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 /// Formats one fixed-width table row.
@@ -238,6 +259,35 @@ mod tests {
         assert_eq!(pts.len(), 5);
         assert!((pts[0].accuracy() - 0.94).abs() < 1e-12);
         assert!((pts[4].power().milliwatts() - 1.20).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rounded_keeps_the_printed_decimals() {
+        assert_eq!(rounded(0.352_04, 4), Value::Num(0.352));
+        assert_eq!(rounded(114_491.4, 0), Value::Num(114_491.0));
+        assert_eq!(rounded(3617.24, 1), Value::Num(3617.2));
+        assert_eq!(rounded(f64::NAN, 2).encode(), "null");
+    }
+
+    #[test]
+    fn committed_baselines_rewrite_through_the_pretty_writer() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for name in [
+            "BENCH_fleet.json",
+            "BENCH_intermittent.json",
+            "BENCH_mpc.json",
+            "BENCH_planner.json",
+            "BENCH_serve.json",
+        ] {
+            let text = std::fs::read_to_string(root.join(name)).unwrap();
+            let doc = reap_serve::json::parse(&text).unwrap();
+            let rewritten = doc.encode_pretty();
+            assert_eq!(reap_serve::json::parse(&rewritten).unwrap(), doc, "{name}");
+            assert_eq!(rewritten.lines().count(), text.lines().count(), "{name}");
+            if matches!(name, "BENCH_fleet.json" | "BENCH_serve.json") {
+                assert_eq!(rewritten, text, "{name}");
+            }
+        }
     }
 
     #[test]

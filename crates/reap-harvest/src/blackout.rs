@@ -122,10 +122,6 @@ impl BlackoutOverlay {
 }
 
 impl HarvestSource for BlackoutOverlay {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     fn hourly_energy(&self, day_of_year: u32, day_index: u32, hour: u32) -> Energy {
         if self.is_blacked_out(day_index, hour % 24) {
             Energy::ZERO

@@ -122,10 +122,6 @@ impl IndoorPhotovoltaic {
 }
 
 impl HarvestSource for IndoorPhotovoltaic {
-    fn name(&self) -> &'static str {
-        "indoor-pv"
-    }
-
     fn hourly_energy(&self, _day_of_year: u32, day_index: u32, hour: u32) -> Energy {
         let nominal = Self::schedule_brightness(day_index, hour);
         if nominal == 0.0 {

@@ -70,10 +70,6 @@ impl KineticHarvester {
 }
 
 impl HarvestSource for KineticHarvester {
-    fn name(&self) -> &'static str {
-        "kinetic"
-    }
-
     fn hourly_energy(&self, _day_of_year: u32, day_index: u32, hour: u32) -> Energy {
         let mix = self.routine.hourly_mix(day_index, hour);
         // Mounting/coupling jitter per (seed, day, hour): how tightly the

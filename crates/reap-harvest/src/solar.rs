@@ -235,10 +235,6 @@ impl SolarSource {
 }
 
 impl HarvestSource for SolarSource {
-    fn name(&self) -> &'static str {
-        "outdoor-solar"
-    }
-
     fn hourly_energy(&self, day_of_year: u32, day_index: u32, hour: u32) -> Energy {
         // Mid-hour irradiance approximates the hourly integral.
         let clear = self
@@ -270,7 +266,6 @@ mod tests {
             );
             assert_eq!(source.hourly_energy(244, 0, hour), direct);
         }
-        assert_eq!(source.name(), "outdoor-solar");
         assert!(source.is_photovoltaic());
     }
 

@@ -34,13 +34,10 @@ use crate::{HarvestError, HarvestTrace};
 ///     let source = kind.instantiate(42);
 ///     let trace = source.generate(244, 30).unwrap();
 ///     assert_eq!(trace.days(), 30);
-///     assert!(trace.total().joules() > 0.0, "{} harvested nothing", source.name());
+///     assert!(trace.total().joules() > 0.0, "{kind} harvested nothing");
 /// }
 /// ```
 pub trait HarvestSource {
-    /// Short source name for reports (e.g. `"outdoor-solar"`).
-    fn name(&self) -> &'static str;
-
     /// Energy harvested during hour `hour` (0-23) of trace day
     /// `day_index` (0-based), whose calendar day is `day_of_year`
     /// (1-based, wrapped into `1..=365`).
@@ -118,8 +115,7 @@ impl SourceKind {
         SourceKind::Kinetic,
     ];
 
-    /// Stable label (matches the instantiated source's
-    /// [`name`](HarvestSource::name)).
+    /// Stable label for reports (e.g. `"outdoor-solar"`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -138,7 +134,6 @@ impl SourceKind {
     /// use reap_harvest::{HarvestSource, SourceKind};
     ///
     /// let teg = SourceKind::BodyHeat.instantiate(1);
-    /// assert_eq!(teg.name(), SourceKind::BodyHeat.label());
     /// // Body heat never stops flowing: even 3 am harvests something.
     /// assert!(teg.hourly_energy(244, 0, 3).joules() > 0.0);
     /// ```
@@ -166,10 +161,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_match_instantiated_names() {
+    fn display_matches_label() {
         for kind in SourceKind::ALL {
-            let source = kind.instantiate(3);
-            assert_eq!(source.name(), kind.label());
             assert_eq!(kind.to_string(), kind.label());
         }
     }

@@ -97,10 +97,6 @@ impl BodyHeatTeg {
 }
 
 impl HarvestSource for BodyHeatTeg {
-    fn name(&self) -> &'static str {
-        "body-heat-teg"
-    }
-
     fn hourly_energy(&self, day_of_year: u32, day_index: u32, hour: u32) -> Energy {
         let mix = self.routine.hourly_mix(day_index, hour);
         // Metabolic heating above resting widens the gradient…

@@ -116,12 +116,12 @@ proptest! {
             let trace = source.generate(start_day, 4).expect("valid");
             // Non-negative, finite, plausible hourly energies everywhere.
             for e in trace.iter() {
-                prop_assert!(!e.is_negative(), "{} went negative", source.name());
-                prop_assert!(e.is_finite(), "{} not finite", source.name());
+                prop_assert!(!e.is_negative(), "{} went negative", kind);
+                prop_assert!(e.is_finite(), "{} not finite", kind);
                 prop_assert!(
                     e.joules() < 20.0,
                     "{} implausible hourly harvest {e}",
-                    source.name()
+                    kind
                 );
             }
             // Photovoltaic sources are exactly dark in the dead of night
@@ -133,7 +133,7 @@ proptest! {
                             trace.energy(day, hour),
                             Energy::ZERO,
                             "{} harvested at night (day {}, hour {})",
-                            source.name(),
+                            kind,
                             day,
                             hour
                         );
@@ -142,7 +142,7 @@ proptest! {
             }
             // Same seed, same trace — bit-identical.
             let again = kind.instantiate(seed).generate(start_day, 4).expect("valid");
-            prop_assert_eq!(&trace, &again, "{} not deterministic", source.name());
+            prop_assert_eq!(&trace, &again, "{} not deterministic", kind);
         }
     }
 

@@ -134,12 +134,6 @@ impl FaultPlan {
         }
     }
 
-    /// The seed the schedule derives from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Faults injected so far (all kinds).
     #[must_use]
     pub fn injected(&self) -> u64 {

@@ -3,8 +3,9 @@
 //! containers, and the two writers every encoder shares, [`write_str`]
 //! (quoted and escaped) and [`write_f64`] (shortest round-trip).
 //!
-//! The daemon's wire protocol decodes and encodes through it and
-//! `bench_check` reads baselines with it. The file uses nothing but
+//! The daemon's wire protocol decodes and encodes through it, the bench
+//! bins write their `BENCH_*.json` baselines with [`Value::encode_pretty`]
+//! and `bench_check` reads them back with [`parse`]. The file uses nothing but
 //! `std`, so `reap-lint` compiles this same source as a `#[path]`
 //! module and stays dependency-free.
 //!
@@ -96,6 +97,58 @@ impl Value {
         let mut out = String::new();
         self.write(&mut out);
         out
+    }
+
+    /// Serializes as a document for people and diffs, ending in a
+    /// newline. The top-level container puts each member on its own
+    /// line; below it, a container whose members are all scalars prints
+    /// on one line (`{"k": 1, "j": "x"}`) and any other container one
+    /// member per line. Each level indents two spaces, and an empty
+    /// container prints as `[]` or `{}`. Leaves are written as by
+    /// [`Value::encode`], so a non-finite number writes `null`.
+    #[must_use]
+    pub fn encode_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Value::Obj(members) => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            scalar => return scalar.write(out),
+        };
+        let multiline = members
+            .iter()
+            .any(|(_, v)| depth == 0 || matches!(v, Value::Arr(_) | Value::Obj(_)));
+        out.push(open);
+        for (i, (key, value)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if multiline {
+                out.push('\n');
+                out.extend(std::iter::repeat_n("  ", depth + 1));
+            } else if i > 0 {
+                out.push(' ');
+            }
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            value.write_pretty(out, depth + 1);
+        }
+        if multiline {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", depth));
+        }
+        out.push(close);
     }
 
     fn write(&self, out: &mut String) {
@@ -462,6 +515,123 @@ mod tests {
     fn integers_emit_without_fraction() {
         assert_eq!(Value::Num(42.0).encode(), "42");
         assert_eq!(Value::Num(0.25).encode(), "0.25");
+    }
+
+    #[test]
+    fn pretty_puts_each_top_level_member_on_its_own_line() {
+        let flat = Value::obj(vec![("a", Value::Num(1.0)), ("b", Value::Bool(false))]);
+        assert_eq!(flat.encode_pretty(), "{\n  \"a\": 1,\n  \"b\": false\n}\n");
+        let list = Value::Arr(vec![Value::Num(0.5), Value::Null]);
+        assert_eq!(list.encode_pretty(), "[\n  0.5,\n  null\n]\n");
+        assert_eq!(Value::Num(3.0).encode_pretty(), "3\n");
+    }
+
+    #[test]
+    fn pretty_inlines_scalar_containers_and_indents_nested_ones() {
+        let doc = Value::obj(vec![
+            ("schema", Value::Str("s-v1".into())),
+            (
+                "sources",
+                Value::Arr(vec![Value::obj(vec![
+                    ("source", Value::Str("kinetic".into())),
+                    (
+                        "runs",
+                        Value::Arr(vec![
+                            Value::obj(vec![
+                                ("p", Value::Str("DP1".into())),
+                                ("x", Value::Num(0.25)),
+                            ]),
+                            Value::obj(vec![
+                                ("p", Value::Str("DP2".into())),
+                                ("x", Value::Num(2.0)),
+                            ]),
+                        ]),
+                    ),
+                ])]),
+            ),
+            (
+                "p",
+                Value::obj(vec![("p5", Value::Num(0.1)), ("p50", Value::Num(0.5))]),
+            ),
+            ("xs", Value::Arr(vec![Value::Num(1.0), Value::Num(2.0)])),
+        ]);
+        let want = r#"{
+  "schema": "s-v1",
+  "sources": [
+    {
+      "source": "kinetic",
+      "runs": [
+        {"p": "DP1", "x": 0.25},
+        {"p": "DP2", "x": 2}
+      ]
+    }
+  ],
+  "p": {"p5": 0.1, "p50": 0.5},
+  "xs": [1, 2]
+}
+"#;
+        assert_eq!(doc.encode_pretty(), want);
+        assert_eq!(parse(want).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_escapes_strings_and_writes_null_for_non_finite_numbers() {
+        let doc = Value::obj(vec![
+            ("say \"hi\"", Value::Str("a\\b\nc\u{1}".into())),
+            (
+                "bad",
+                Value::Arr(vec![
+                    Value::Num(f64::NAN),
+                    Value::Num(f64::INFINITY),
+                    Value::Num(f64::NEG_INFINITY),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            doc.encode_pretty(),
+            "{\n  \"say \\\"hi\\\"\": \"a\\\\b\\nc\\u0001\",\n  \"bad\": [null, null, null]\n}\n"
+        );
+    }
+
+    #[test]
+    fn pretty_prints_empty_containers_inline() {
+        assert_eq!(Value::Obj(Vec::new()).encode_pretty(), "{}\n");
+        assert_eq!(Value::Arr(Vec::new()).encode_pretty(), "[]\n");
+        let doc = Value::obj(vec![
+            ("a", Value::Arr(Vec::new())),
+            ("o", Value::Obj(Vec::new())),
+            ("n", Value::Arr(vec![Value::Arr(Vec::new())])),
+        ]);
+        assert_eq!(
+            doc.encode_pretty(),
+            "{\n  \"a\": [],\n  \"o\": {},\n  \"n\": [\n    []\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn pretty_parses_back_to_the_same_value() {
+        let docs = [
+            Value::Null,
+            Value::Str("only \u{7f} \u{e9} \u{1f600}".into()),
+            Value::obj(vec![
+                ("a", Value::Num(-0.0)),
+                ("b", Value::Num(1e-300)),
+                ("c", Value::Num(123_456_789.125)),
+                (
+                    "d",
+                    Value::Arr(vec![
+                        Value::obj(vec![("x", Value::Arr(vec![Value::Bool(true)]))]),
+                        Value::Obj(Vec::new()),
+                        Value::Str("\t".into()),
+                    ]),
+                ),
+                ("a", Value::Num(2.0)),
+            ]),
+        ];
+        for doc in docs {
+            let text = doc.encode_pretty();
+            assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The hour-by-hour simulation loop.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use reap_core::{static_schedule, FrontierTable, RecedingHorizonController, Schedule};
@@ -34,21 +33,6 @@ pub enum Policy {
     /// [`IntermittentConfig`](crate::IntermittentConfig); the scalar
     /// hourly engine rejects it.
     Intermittent,
-}
-
-impl Policy {
-    /// Short name for reports: borrowed `"REAP"` / `"INT"`, or `"DPk"` /
-    /// `"MPCh"` formatted on demand (reports store the [`Policy`]
-    /// itself, not a name).
-    #[must_use]
-    pub fn name(self) -> Cow<'static, str> {
-        match self {
-            Policy::Reap => Cow::Borrowed("REAP"),
-            Policy::Static(id) => Cow::Owned(format!("DP{id}")),
-            Policy::Horizon { lookahead } => Cow::Owned(format!("MPC{lookahead}")),
-            Policy::Intermittent => Cow::Borrowed("INT"),
-        }
-    }
 }
 
 impl fmt::Display for Policy {
@@ -332,11 +316,10 @@ mod tests {
 
     #[test]
     fn policy_names() {
-        assert_eq!(Policy::Reap.name(), "REAP");
-        assert_eq!(Policy::Static(3).name(), "DP3");
-        assert_eq!(Policy::Horizon { lookahead: 24 }.name(), "MPC24");
+        assert_eq!(Policy::Reap.to_string(), "REAP");
+        assert_eq!(Policy::Static(3).to_string(), "DP3");
+        assert_eq!(Policy::Horizon { lookahead: 24 }.to_string(), "MPC24");
         assert_eq!(Policy::Horizon { lookahead: 4 }.to_string(), "MPC4");
-        assert_eq!(Policy::Intermittent.name(), "INT");
         assert_eq!(Policy::Intermittent.to_string(), "INT");
     }
 

@@ -163,12 +163,6 @@ impl Fleet {
         }
     }
 
-    /// The policy every user runs.
-    #[must_use]
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// Number of users in the fleet.
     #[must_use]
     pub fn users(&self) -> u32 {
@@ -965,7 +959,7 @@ mod tests {
             .policy(Policy::Horizon { lookahead: 6 })
             .build()
             .unwrap();
-        assert_eq!(fleet.policy(), Policy::Horizon { lookahead: 6 });
+        assert_eq!(fleet.policy, Policy::Horizon { lookahead: 6 });
     }
 
     #[test]
@@ -1030,7 +1024,7 @@ mod tests {
         ];
         for fleet in fleets {
             let fleet = fleet.build().unwrap();
-            let policy = fleet.policy();
+            let policy = fleet.policy;
             let case = format!("{policy} at dt {} s", fleet.dt_seconds);
             assert!(!fleet.runs_on_kernel(), "{case}");
             let reduced: Vec<_> = (0..fleet.users())

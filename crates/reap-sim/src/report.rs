@@ -1,6 +1,5 @@
 //! Simulation reports and cross-policy comparisons.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use reap_core::Schedule;
@@ -135,10 +134,11 @@ impl SimReport {
         self.policy
     }
 
-    /// Name of the simulated policy (`"REAP"` or `"DPk"`).
+    /// Name of the simulated policy (`"REAP"`, `"DPk"`, `"MPCh"` or
+    /// `"INT"`), as [`Policy`] displays it.
     #[must_use]
-    pub fn policy_name(&self) -> Cow<'static, str> {
-        self.policy.name()
+    pub fn policy_name(&self) -> String {
+        self.policy.to_string()
     }
 
     /// Name of the energy layer that drove the run: the budget allocator

@@ -5,7 +5,6 @@ use reap_harvest::{
     Battery, BudgetAllocator, EwmaAllocator, EwmaForecaster, GreedyAllocator, HarvestForecaster,
     HarvestTrace, OracleForecaster, UniformDailyAllocator,
 };
-use reap_units::Power;
 
 use crate::clock::IntermittentConfig;
 use crate::engine::{self, Policy};
@@ -108,8 +107,6 @@ pub struct ScenarioBuilder {
     trace: HarvestTrace,
     points: Vec<OperatingPoint>,
     alpha: f64,
-    /// `None` keeps [`ReapProblem`]'s default off power.
-    off_power: Option<Power>,
     battery: Battery,
     allocator: AllocatorKind,
     budget_mode: BudgetMode,
@@ -151,7 +148,6 @@ impl Scenario {
             trace,
             points: Vec::new(),
             alpha: 1.0,
-            off_power: None,
             battery: Battery::small_wearable(),
             allocator: AllocatorKind::default(),
             budget_mode: BudgetMode::default(),
@@ -172,20 +168,6 @@ impl Scenario {
     #[must_use]
     pub fn trace(&self) -> &HarvestTrace {
         &self.trace
-    }
-
-    /// Execution-epoch length in seconds (3600 unless configured via
-    /// [`ScenarioBuilder::dt_seconds`]).
-    #[must_use]
-    pub fn dt_seconds(&self) -> u32 {
-        self.dt_seconds
-    }
-
-    /// The intermittent-operation configuration, when this is a
-    /// batteryless scenario.
-    #[must_use]
-    pub fn intermittent(&self) -> Option<&IntermittentConfig> {
-        self.intermittent.as_ref()
     }
 
     /// Runs a batteryless scenario like [`Scenario::run`], returning the
@@ -254,13 +236,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn alpha(mut self, alpha: f64) -> Self {
         self.alpha = alpha;
-        self
-    }
-
-    /// Sets the off-state power (default: [`ReapProblem`]'s, 50 µW).
-    #[must_use]
-    pub fn off_power(mut self, off_power: Power) -> Self {
-        self.off_power = Some(off_power);
         self
     }
 
@@ -348,11 +323,10 @@ impl ScenarioBuilder {
                 self.dt_seconds
             )));
         }
-        let mut problem = ReapProblem::builder().alpha(self.alpha).points(self.points);
-        if let Some(off_power) = self.off_power {
-            problem = problem.off_power(off_power);
-        }
-        let problem = problem.build()?;
+        let problem = ReapProblem::builder()
+            .alpha(self.alpha)
+            .points(self.points)
+            .build()?;
         let budget_mode = if self.intermittent.is_some() {
             BudgetMode::ClosedLoop
         } else {
@@ -376,6 +350,7 @@ impl ScenarioBuilder {
 mod tests {
     use super::*;
     use reap_harvest::HarvestTrace;
+    use reap_units::Power;
 
     fn points() -> Vec<OperatingPoint> {
         vec![
