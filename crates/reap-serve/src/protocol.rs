@@ -10,14 +10,17 @@
 //! decodes back to the exact same bits — the property the round-trip
 //! proptests pin.
 //!
-//! Sessions open with a versioned handshake: the client's first frame
-//! must be `{"type":"hello","version":N}` with `N` equal to
-//! [`PROTOCOL_VERSION`]; anything else is refused with an error frame and
-//! the connection closes. After `{"type":"welcome",..}` the client streams
-//! requests and reads one response frame per request, in order. Errors
-//! never tear down framing: a malformed line is answered with an error
-//! frame and the session continues (only oversized lines close the
-//! connection, because the frame boundary itself is no longer trusted).
+//! Sessions open with a versioned handshake: the client's first decoded
+//! frame must be `{"type":"hello","version":N}` with `N` equal to
+//! [`PROTOCOL_VERSION`]; a `hello` of another version, or any other
+//! request, is refused with an error frame and the connection closes.
+//! After `{"type":"welcome",..}` the client streams requests and reads
+//! one response frame per request, in order; a second `hello` is answered
+//! with a `handshake` error. Blank lines get no reply. Errors never tear
+//! down framing: a line that is not UTF-8 or not a known frame, before
+//! the handshake or after it, is answered with a `malformed` error frame
+//! and the session continues (only oversized lines close the connection,
+//! because the frame boundary itself is no longer trusted).
 
 use std::fmt::{self, Write as _};
 
@@ -34,6 +37,18 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// connection closes.
 pub const MAX_LINE_BYTES: usize = 16 * 1024;
 
+/// The largest `harvest_j` and `|activity|` an `observe` may carry; a
+/// larger value is refused with [`ErrorCode::BadRequest`]. With it no
+/// `u64` count of accepted observes can overflow a user's running sums:
+/// an f64 addition of a term `x >= 0` to a sum `s >= 0` rounds to at
+/// most `s + 2x`, so `n` terms of at most `B` sum to at most `2nB`, and
+/// `2 * 2^64 * 1e200` is about `4e219`, far below `f64::MAX` (`1.8e308`).
+/// The budget sum is bounded the same way, since a grant never exceeds
+/// the battery's capacity plus the hour's harvest; the activity sum's
+/// magnitude too, since adding a term of the other sign never increases
+/// it; and the `stats` totals over `2^32` users stay below `1e230`.
+pub(crate) const MAX_OBSERVE_VALUE: f64 = 1e200;
+
 /// Machine-readable error category carried by an error frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
@@ -45,7 +60,8 @@ pub enum ErrorCode {
     Malformed,
     /// The line exceeded [`MAX_LINE_BYTES`].
     Oversized,
-    /// A field failed validation (non-finite harvest, unknown user, ...).
+    /// A field failed validation (a non-finite or out-of-range harvest,
+    /// a stale sequence number, ...).
     BadRequest,
     /// The referenced user does not exist in the resident fleet.
     UnknownUser,
@@ -147,9 +163,11 @@ pub enum Request {
         /// Hour the observation describes (taken mod 24 for the diurnal
         /// slot).
         hour: u32,
-        /// Energy harvested during the hour, in joules (finite, >= 0).
+        /// Energy harvested during the hour, in joules (in `[0, 1e200]`,
+        /// the protocol's observe bound).
         harvest_j: f64,
-        /// Optional activity intensity for the hour (finite if present).
+        /// Optional activity intensity for the hour (finite, and at most
+        /// 1e200 in magnitude, if present).
         activity: Option<f64>,
         /// Optional client sequence number (starting at 1, strictly
         /// increasing per user) making the observe idempotent: resending

@@ -13,14 +13,19 @@
 //! deadline* — a peer that starts a frame and stalls mid-line past
 //! [`ServerConfig::frame_deadline`] is evicted with an
 //! [`ErrorCode::Evicted`] frame (idle connections between frames are
-//! never evicted); writes run under
-//! [`ServerConfig::write_deadline`], so a peer that stops reading
-//! cannot pin a handler thread; and past
+//! never evicted); writes run under a fixed 5 s write deadline, so a
+//! peer that stops reading cannot pin a handler thread; and past
 //! [`ServerConfig::overload_shed_at`] concurrent connections the server
 //! sheds `Observe` with [`ErrorCode::Overloaded`] while keeping `Decide`
 //! live — decisions are read-only table walks and stay cheap, while
 //! observes mutate state and can be replayed later by a sequence-number
 //! retrying client. All three show up in [`ServerMetrics`].
+//!
+//! Each connection is a socket loop over a transport-free `Session`: the
+//! session turns every read into at most one response plus what the
+//! connection does next, and holds the handshake, dispatch and every
+//! request metric; the loop only frames, writes, drains, polls the
+//! shutdown flag and counts evictions.
 //!
 //! Fault injection: the server is generic over [`IoLayer`]. Production
 //! uses the zero-sized [`NoFaults`] (identity wrap — the monomorphized
@@ -41,7 +46,7 @@
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -64,8 +69,9 @@ const READ_POLL: Duration = Duration::from_millis(250);
 /// (frames are tens of bytes), fatal for slow-loris ones.
 const DEFAULT_FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Default [`ServerConfig::write_deadline`].
-const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(5);
+/// Socket write timeout; a peer that stops reading long enough to block
+/// a response write this long is dropped (and counted evicted).
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Polling cadence of the periodic ring-checkpoint thread.
 const RING_POLL: Duration = Duration::from_millis(20);
@@ -91,10 +97,6 @@ pub struct ServerConfig {
     /// (idle connections between frames are exempt). `None` means the
     /// default (5 s).
     pub frame_deadline: Option<Duration>,
-    /// Socket write timeout; a peer that stops reading long enough to
-    /// block a response write this long is dropped (and counted
-    /// evicted). `None` means the default (5 s).
-    pub write_deadline: Option<Duration>,
     /// Concurrent-connection count above which `Observe` requests are
     /// shed with [`ErrorCode::Overloaded`] (`Decide`/`Stats` stay live).
     /// `0` disables shedding.
@@ -112,8 +114,28 @@ struct Shared<L: IoLayer> {
     /// without its lock) — the overload-shed signal.
     active: AtomicUsize,
     frame_deadline: Duration,
-    write_deadline: Duration,
     overload_shed_at: usize,
+}
+
+impl<L: IoLayer> Shared<L> {
+    /// Flips the shutdown flag. A blocking `accept` only notices the
+    /// flag on its next return, so poke it with a throwaway connection.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Writes one ring checkpoint and counts it. A failure is logged,
+    /// not fatal: the daemon keeps serving.
+    fn ring_checkpoint(&self, ring: &SnapshotRing, which: &str) {
+        match ring.write_with(&self.state, &self.layer) {
+            Ok(Some(_)) => {
+                self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(None) => {} // injected crash: a real one wouldn't log either
+            Err(e) => eprintln!("reap-serve: {which} checkpoint failed: {e}"),
+        }
+    }
 }
 
 /// A bound, not-yet-serving daemon. Grab [`Server::local_addr`] and a
@@ -147,10 +169,7 @@ impl<L: IoLayer> ServerHandle<L> {
     /// Requests graceful shutdown: stop accepting, drain in-flight
     /// connections, write the exit checkpoint if configured. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // A blocking `accept` only notices the flag on its next return;
-        // poke it with a throwaway connection.
-        let _ = TcpStream::connect(self.shared.addr);
+        self.shared.shut_down();
     }
 
     /// Whether shutdown has been requested.
@@ -203,7 +222,6 @@ impl<L: IoLayer> Server<L> {
                 layer,
                 active: AtomicUsize::new(0),
                 frame_deadline: config.frame_deadline.unwrap_or(DEFAULT_FRAME_DEADLINE),
-                write_deadline: config.write_deadline.unwrap_or(DEFAULT_WRITE_DEADLINE),
                 overload_shed_at: config.overload_shed_at,
             }),
             max_connections: if config.max_connections == 0 {
@@ -266,13 +284,7 @@ impl<L: IoLayer> Server<L> {
                     while !shared.shutdown.load(Ordering::SeqCst) {
                         std::thread::sleep(RING_POLL.min(every));
                         if last.elapsed() >= every {
-                            match ring.write_with(&shared.state, &shared.layer) {
-                                Ok(Some(_)) => {
-                                    shared.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Ok(None) => {} // injected crash: a real one wouldn't log either
-                                Err(e) => eprintln!("reap-serve: ring checkpoint failed: {e}"),
-                            }
+                            shared.ring_checkpoint(&ring, "ring");
                             last = Instant::now();
                         }
                     }
@@ -333,16 +345,7 @@ impl<L: IoLayer> Server<L> {
         }
         if let Some(ring) = &ring {
             // One last durable cut of the drained state.
-            match ring.write_with(&self.shared.state, &self.shared.layer) {
-                Ok(Some(_)) => {
-                    self.shared
-                        .metrics
-                        .checkpoints
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(None) => {}
-                Err(e) => eprintln!("reap-serve: final ring checkpoint failed: {e}"),
-            }
+            self.shared.ring_checkpoint(ring, "final ring");
         }
         if let Some(path) = &self.checkpoint_on_exit {
             snapshot::write_atomic(path, &snapshot::snapshot(&self.shared.state))?;
@@ -446,172 +449,113 @@ impl<S: Read> LineReader<S> {
     }
 }
 
-fn send<L: IoLayer>(
-    stream: &mut L::Stream,
-    shared: &Shared<L>,
-    response: &Response,
-) -> io::Result<()> {
-    let mut line = response.encode();
-    line.push('\n');
-    let out = stream.write_all(line.as_bytes());
-    if let Err(e) = &out {
-        if blew_write_deadline(e) {
-            // The peer stopped reading long enough to blow the write
-            // deadline: this connection is being dropped, count it.
-            shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    out
+/// What the connection does after the session has answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// Read the next frame, unless shutdown has begun.
+    Read,
+    /// Close: the peer is gone, or its handshake was refused.
+    Close,
+    /// Discard unread input, then close: the frame boundary is gone.
+    Drain,
+    /// [`Next::Drain`], and count the connection evicted.
+    Evict,
+    /// Once the acknowledgement is written, shut the server down and
+    /// close.
+    Shutdown,
 }
 
-/// Whether a failed write ran into the write deadline (the eviction
-/// [`send`] counts).
-fn blew_write_deadline(e: &io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+/// One connection's protocol, with no transport: the handshake state,
+/// UTF-8 and decode errors, blank lines, overload shedding, dispatch and
+/// every request metric. The socket loop ([`handle_connection`]) hands it
+/// what each read produced and writes back what it answers.
+struct Session<'a, L: IoLayer> {
+    shared: &'a Shared<L>,
+    greeted: bool,
 }
 
-fn send_error<L: IoLayer>(
-    stream: &mut L::Stream,
-    shared: &Shared<L>,
-    err: ProtocolError,
-) -> io::Result<()> {
-    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    send(stream, shared, &Response::from(err))
-}
-
-/// Runs one session: handshake, then one response frame per request
-/// until EOF, a fatal framing error, eviction, or shutdown.
-fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_write_timeout(Some(shared.write_deadline));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = LineReader::new(shared.layer.wrap(read_half), shared.frame_deadline);
-    let mut stream = shared.layer.wrap(stream);
-
-    let mut greeted = false;
-    loop {
-        let line = match reader.next_line() {
-            ReadOutcome::Line(line) => line,
-            ReadOutcome::Eof | ReadOutcome::Failed => return,
-            ReadOutcome::TimedOut => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return; // drained
-                }
-                continue;
-            }
-            ReadOutcome::Stalled => {
-                // Slow-loris eviction: a typed frame (best-effort — the
-                // peer may not be reading), then close. A frame write
-                // that blows the write deadline is already counted by
-                // `send`, so the connection counts once either way.
-                let sent = send_error(
-                    &mut stream,
-                    shared,
-                    ProtocolError::new(
-                        ErrorCode::Evicted,
-                        format!(
-                            "frame not completed within {:?}; connection evicted",
-                            shared.frame_deadline
-                        ),
-                    ),
-                );
-                if !sent.is_err_and(|e| blew_write_deadline(&e)) {
-                    shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                reader.drain_before_close();
-                return;
-            }
+impl<L: IoLayer> Session<'_, L> {
+    /// Answers one read with at most one response, and says what the
+    /// connection does next. Every error frame is counted here.
+    fn answer(&mut self, read: ReadOutcome) -> (Option<Response>, Next) {
+        let (answer, next) = match read {
+            ReadOutcome::Line(line) => self.line(&line),
+            ReadOutcome::TimedOut => (None, Next::Read),
+            ReadOutcome::Eof | ReadOutcome::Failed => (None, Next::Close),
+            // The frame boundary is gone (or the frame is absurd).
             ReadOutcome::Oversized => {
-                // The frame boundary is gone (or the frame is absurd);
-                // report and close.
-                let _ = send_error(
-                    &mut stream,
-                    shared,
-                    ProtocolError::new(
-                        ErrorCode::Oversized,
-                        format!("line exceeds {MAX_LINE_BYTES} bytes"),
-                    ),
-                );
-                reader.drain_before_close();
-                return;
+                let message = format!("line exceeds {MAX_LINE_BYTES} bytes");
+                let error = ProtocolError::new(ErrorCode::Oversized, message);
+                (Some(Err(error)), Next::Drain)
+            }
+            // Slow-loris eviction: a typed frame (best-effort — the peer
+            // may not be reading), then close.
+            ReadOutcome::Stalled => {
+                let deadline = self.shared.frame_deadline;
+                let message =
+                    format!("frame not completed within {deadline:?}; connection evicted");
+                let error = ProtocolError::new(ErrorCode::Evicted, message);
+                (Some(Err(error)), Next::Evict)
             }
         };
-        let Ok(text) = std::str::from_utf8(&line) else {
-            if send_error(
-                &mut stream,
-                shared,
-                ProtocolError::new(ErrorCode::Malformed, "frame is not UTF-8"),
-            )
-            .is_err()
-            {
-                return;
-            }
-            continue;
-        };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::decode(text) {
-            Ok(r) => r,
-            Err(e) => {
-                if send_error(&mut stream, shared, e).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
+        let response = answer.map(|answer| {
+            answer.unwrap_or_else(|e| {
+                self.shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                Response::from(e)
+            })
+        });
+        (response, next)
+    }
 
-        if !greeted {
-            match request {
-                Request::Hello { version } if version == PROTOCOL_VERSION => {
-                    greeted = true;
-                    if send(
-                        &mut stream,
-                        shared,
-                        &Response::Welcome {
-                            version: PROTOCOL_VERSION,
-                            users: shared.state.users(),
-                        },
-                    )
-                    .is_err()
-                    {
-                        return;
-                    }
-                    continue;
-                }
-                Request::Hello { version } => {
-                    // Version-mismatch refusal: error frame, then close.
-                    let _ = send_error(
-                        &mut stream,
-                        shared,
-                        ProtocolError::new(
-                            ErrorCode::Version,
-                            format!("client speaks v{version}, server v{PROTOCOL_VERSION}"),
-                        ),
-                    );
-                    return;
-                }
-                _ => {
-                    let _ = send_error(
-                        &mut stream,
-                        shared,
-                        ProtocolError::new(ErrorCode::Handshake, "first frame must be a hello"),
-                    );
-                    return;
-                }
-            }
-        }
-
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let mut close_after = false;
-        let response = match request {
-            Request::Hello { .. } => Response::from(ProtocolError::new(
-                ErrorCode::Handshake,
-                "session already greeted",
+    /// Answers one line: a blank one with nothing, and each line before
+    /// a successful `hello` as part of the handshake.
+    fn line(&mut self, line: &[u8]) -> (Option<Result<Response, ProtocolError>>, Next) {
+        let request = match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => return (None, Next::Read),
+            Ok(text) => Request::decode(text),
+            Err(_) => Err(ProtocolError::new(
+                ErrorCode::Malformed,
+                "frame is not UTF-8",
             )),
+        };
+        let (answer, next) = match request {
+            Ok(request) if self.greeted => {
+                self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+                let next = match request {
+                    Request::Shutdown => Next::Shutdown,
+                    _ => Next::Read,
+                };
+                (self.dispatch(request), next)
+            }
+            Ok(Request::Hello { version }) if version == PROTOCOL_VERSION => {
+                self.greeted = true;
+                let users = self.shared.state.users();
+                (Ok(Response::Welcome { version, users }), Next::Read)
+            }
+            Ok(Request::Hello { version }) => {
+                let message = format!("client speaks v{version}, server v{PROTOCOL_VERSION}");
+                let refusal = ProtocolError::new(ErrorCode::Version, message);
+                (Err(refusal), Next::Close)
+            }
+            Ok(_) => {
+                let message = "first frame must be a hello";
+                let refusal = ProtocolError::new(ErrorCode::Handshake, message);
+                (Err(refusal), Next::Close)
+            }
+            Err(e) => (Err(e), Next::Read),
+        };
+        (Some(answer), next)
+    }
+
+    /// Serves one request of a greeted session, counting it by kind.
+    fn dispatch(&self, request: Request) -> Result<Response, ProtocolError> {
+        let shared = self.shared;
+        let metrics = &shared.metrics;
+        Ok(match request {
+            Request::Hello { .. } => {
+                let message = "session already greeted";
+                return Err(ProtocolError::new(ErrorCode::Handshake, message));
+            }
             Request::Observe {
                 user,
                 hour,
@@ -619,120 +563,350 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                 activity,
                 seq,
             } => {
-                if shared.overload_shed_at != 0
-                    && shared.active.load(Ordering::SeqCst) > shared.overload_shed_at
-                {
+                let shed_at = shared.overload_shed_at;
+                if shed_at != 0 && shared.active.load(Ordering::SeqCst) > shed_at {
                     // Overload mode: shed the mutating request class,
                     // keep decisions live. A seq-carrying client replays
                     // the observe after backoff with no double-count.
-                    shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    Response::from(ProtocolError::new(
-                        ErrorCode::Overloaded,
-                        "shedding observes under overload; retry after backoff",
-                    ))
-                } else {
-                    let t0 = Instant::now();
-                    let outcome = shared
-                        .state
-                        .observe_seq(user, hour, harvest_j, activity, seq);
-                    shared.metrics.observe_latency.record(t0.elapsed());
-                    shared.metrics.observes.fetch_add(1, Ordering::Relaxed);
-                    match outcome {
-                        Ok(budget_j) => Response::Observed {
-                            user,
-                            hour: hour % 24,
-                            budget_j,
-                        },
-                        Err(e) => Response::from(e),
-                    }
+                    metrics.shed.fetch_add(1, Ordering::Relaxed);
+                    let message = "shedding observes under overload; retry after backoff";
+                    return Err(ProtocolError::new(ErrorCode::Overloaded, message));
+                }
+                let t0 = Instant::now();
+                let outcome = shared
+                    .state
+                    .observe_seq(user, hour, harvest_j, activity, seq);
+                metrics.observe_latency.record(t0.elapsed());
+                metrics.observes.fetch_add(1, Ordering::Relaxed);
+                let budget_j = outcome?;
+                Response::Observed {
+                    user,
+                    hour: hour % 24,
+                    budget_j,
                 }
             }
             Request::Decide { user } => {
                 let t0 = Instant::now();
                 let outcome = shared.state.decide(user);
-                shared.metrics.decide_latency.record(t0.elapsed());
-                shared.metrics.decides.fetch_add(1, Ordering::Relaxed);
-                match outcome {
-                    Ok(out) => Response::Decision {
-                        user,
-                        budget_j: out.budget_j,
-                        accuracy: out.decision.eval.accuracy,
-                        active_s: out.decision.eval.active_s,
-                        energy_j: out.decision.eval.energy_j,
-                        off_s: out.decision.off_s,
-                        shares: out
-                            .decision
-                            .shares()
-                            .iter()
-                            .map(|s| WireShare {
-                                id: s.id,
-                                seconds: s.seconds,
-                            })
-                            .collect(),
-                    },
-                    Err(e) => Response::from(e),
+                metrics.decide_latency.record(t0.elapsed());
+                metrics.decides.fetch_add(1, Ordering::Relaxed);
+                let out = outcome?;
+                Response::Decision {
+                    user,
+                    budget_j: out.budget_j,
+                    accuracy: out.decision.eval.accuracy,
+                    active_s: out.decision.eval.active_s,
+                    energy_j: out.decision.eval.energy_j,
+                    off_s: out.decision.off_s,
+                    shares: out
+                        .decision
+                        .shares()
+                        .iter()
+                        .map(|s| WireShare {
+                            id: s.id,
+                            seconds: s.seconds,
+                        })
+                        .collect(),
                 }
             }
             Request::Stats => Response::Stats {
                 fleet: shared.state.fleet_stats(),
-                server: shared.metrics.server_stats(),
+                server: metrics.server_stats(),
             },
             Request::Checkpoint { path } => {
-                shared.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
-                let bytes = snapshot::snapshot(&shared.state);
-                match snapshot::write_atomic_with(
-                    std::path::Path::new(&path),
-                    &bytes,
-                    &shared.layer,
-                ) {
-                    Ok(true) => Response::CheckpointDone {
-                        path,
-                        bytes: bytes.len() as u64,
-                    },
-                    Ok(false) => Response::from(ProtocolError::new(
-                        ErrorCode::Snapshot,
-                        format!("writing {path:?}: checkpoint writer crashed (injected)"),
-                    )),
-                    Err(e) => Response::from(ProtocolError::new(
-                        ErrorCode::Snapshot,
-                        format!("writing {path:?}: {e}"),
-                    )),
-                }
+                metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
+                let snapshot = snapshot::snapshot(&shared.state);
+                let bytes = snapshot_file(&path, Some(snapshot), &shared.layer)?.len() as u64;
+                Response::CheckpointDone { path, bytes }
             }
             Request::Restore { path } => {
-                shared.metrics.restores.fetch_add(1, Ordering::Relaxed);
-                match std::fs::read(&path) {
-                    Ok(bytes) => match snapshot::restore(&shared.state, &bytes) {
-                        Ok(users) => Response::RestoreDone { path, users },
-                        Err(e) => Response::from(e),
-                    },
-                    Err(e) => Response::from(ProtocolError::new(
-                        ErrorCode::Snapshot,
-                        format!("reading {path:?}: {e}"),
-                    )),
+                metrics.restores.fetch_add(1, Ordering::Relaxed);
+                let bytes = snapshot_file(&path, None, &shared.layer)?;
+                let users = snapshot::restore(&shared.state, &bytes)?;
+                Response::RestoreDone { path, users }
+            }
+            Request::Shutdown => Response::ShuttingDown,
+        })
+    }
+}
+
+/// The daemon's one file access on a client's behalf: a checkpoint
+/// writes its snapshot (`write`) to `path` crash-safely, through the
+/// layer's crash hook; a restore (`write` is `None`) reads `path`.
+/// Returns the bytes written or read.
+fn snapshot_file<L: IoLayer>(
+    path: &str,
+    write: Option<Vec<u8>>,
+    layer: &L,
+) -> Result<Vec<u8>, ProtocolError> {
+    let (verb, outcome) = match write {
+        Some(bytes) => (
+            "writing",
+            snapshot::write_atomic_with(Path::new(path), &bytes, layer)
+                .map(|done| done.then_some(bytes)),
+        ),
+        None => ("reading", std::fs::read(path).map(Some)),
+    };
+    let detail = match outcome {
+        Ok(Some(bytes)) => return Ok(bytes),
+        Ok(None) => "checkpoint writer crashed (injected)".to_string(),
+        Err(e) => e.to_string(),
+    };
+    let message = format!("{verb} {path:?}: {detail}");
+    Err(ProtocolError::new(ErrorCode::Snapshot, message))
+}
+
+/// Runs one connection until EOF, a refused handshake, eviction or
+/// shutdown: reads frames off the socket, writes back the [`Session`]'s
+/// answers, and does what it says comes next. The only code that
+/// touches the stream.
+fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = LineReader::new(shared.layer.wrap(read_half), shared.frame_deadline);
+    let mut stream = shared.layer.wrap(stream);
+    let mut session = Session {
+        shared,
+        greeted: false,
+    };
+    loop {
+        let (response, next) = session.answer(reader.next_line());
+        let sent = response.map_or(Ok(()), |response| {
+            let mut line = response.encode();
+            line.push('\n');
+            stream.write_all(line.as_bytes())
+        });
+        // A peer that stalled mid-frame, or stopped reading long enough
+        // to blow the write deadline, is evicted: counted once.
+        let blew_deadline = sent
+            .as_ref()
+            .is_err_and(|e| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut));
+        if next == Next::Evict || blew_deadline {
+            shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
+        }
+        match next {
+            Next::Drain | Next::Evict => {
+                reader.drain_before_close();
+                return;
+            }
+            _ if sent.is_err() => return,
+            // The acknowledgement is on the wire: now stop the server.
+            Next::Shutdown => {
+                shared.shut_down();
+                return;
+            }
+            // The frame in hand is answered; a draining server closes.
+            Next::Read if !shared.shutdown.load(Ordering::SeqCst) => {}
+            Next::Read | Next::Close => return,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::MAX_OBSERVE_VALUE;
+    use proptest::prelude::*;
+    use reap_sim::Fleet;
+
+    fn fleet() -> Fleet {
+        Fleet::builder(reap_device::paper_table2_operating_points())
+            .users(4)
+            .days(1)
+            .seed(3)
+            .build()
+            .unwrap()
+    }
+
+    /// What a server shares with its sessions, with no socket bound.
+    fn shared(overload_shed_at: usize) -> Shared<NoFaults> {
+        Shared {
+            state: FleetState::new(&fleet(), 2).unwrap(),
+            metrics: ServerMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            layer: NoFaults,
+            // This session is the one connection.
+            active: AtomicUsize::new(1),
+            frame_deadline: DEFAULT_FRAME_DEADLINE,
+            overload_shed_at,
+        }
+    }
+
+    fn line(session: &mut Session<'_, NoFaults>, line: &[u8]) -> (Option<Response>, Next) {
+        session.answer(ReadOutcome::Line(line.to_vec()))
+    }
+
+    fn code(answer: (Option<Response>, Next)) -> (Option<ErrorCode>, Next) {
+        match answer {
+            (Some(Response::Error { code, .. }), next) => (Some(code), next),
+            (_, next) => (None, next),
+        }
+    }
+
+    #[test]
+    fn the_handshake_and_framing_outcomes_without_a_socket() {
+        let shared = shared(0);
+        let mut session = Session {
+            shared: &shared,
+            greeted: false,
+        };
+        let hello = b"{\"type\":\"hello\",\"version\":2}";
+        // Before the handshake: nothing for a blank line, `malformed`
+        // for a non-UTF-8 or malformed one, and the session reads on.
+        assert_eq!(line(&mut session, b" \t"), (None, Next::Read));
+        let malformed = (Some(ErrorCode::Malformed), Next::Read);
+        assert_eq!(code(line(&mut session, b"\xff\xfe{}")), malformed);
+        assert_eq!(code(line(&mut session, b"{\"type\":")), malformed);
+        // A wrong version, or a decoded frame other than `hello`: an
+        // error, then close.
+        let wrong = b"{\"type\":\"hello\",\"version\":1}";
+        let version = (Some(ErrorCode::Version), Next::Close);
+        assert_eq!(code(line(&mut session, wrong)), version);
+        let handshake = (Some(ErrorCode::Handshake), Next::Close);
+        assert_eq!(code(line(&mut session, b"{\"type\":\"stats\"}")), handshake);
+        let stats = shared.metrics.server_stats();
+        assert_eq!((stats.requests, stats.errors), (0, 4));
+
+        let welcome = Response::Welcome {
+            version: PROTOCOL_VERSION,
+            users: 4,
+        };
+        assert_eq!(line(&mut session, hello), (Some(welcome), Next::Read));
+        // A second `hello` is a request answered with `handshake`.
+        let again = (Some(ErrorCode::Handshake), Next::Read);
+        assert_eq!(code(line(&mut session, hello)), again);
+        let stats = shared.metrics.server_stats();
+        assert_eq!((stats.requests, stats.errors), (1, 5));
+        let shutdown = line(&mut session, b"{\"type\":\"shutdown\"}");
+        assert_eq!(shutdown, (Some(Response::ShuttingDown), Next::Shutdown));
+
+        // Framing outcomes.
+        assert_eq!(session.answer(ReadOutcome::TimedOut), (None, Next::Read));
+        assert_eq!(session.answer(ReadOutcome::Eof), (None, Next::Close));
+        assert_eq!(session.answer(ReadOutcome::Failed), (None, Next::Close));
+        let oversized = (Some(ErrorCode::Oversized), Next::Drain);
+        assert_eq!(code(session.answer(ReadOutcome::Oversized)), oversized);
+        let stalled = (Some(ErrorCode::Evicted), Next::Evict);
+        assert_eq!(code(session.answer(ReadOutcome::Stalled)), stalled);
+        let stats = shared.metrics.server_stats();
+        assert_eq!((stats.requests, stats.errors, stats.evicted), (2, 7, 0));
+    }
+
+    fn arb_harvest() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::MAX),
+            Just(1e307),
+            Just(MAX_OBSERVE_VALUE),
+            Just(MAX_OBSERVE_VALUE.next_down()),
+            Just(MAX_OBSERVE_VALUE.next_up()),
+            Just(-1.0),
+            0.0f64..5.0,
+        ]
+    }
+
+    fn arb_activity() -> impl Strategy<Value = Option<f64>> {
+        prop_oneof![
+            Just(None),
+            Just(Some(f64::MAX)),
+            Just(Some(-MAX_OBSERVE_VALUE)),
+            Just(Some(-MAX_OBSERVE_VALUE.next_up())),
+            (-1.0f64..1.0).prop_map(Some),
+        ]
+    }
+
+    fn arb_request() -> impl Strategy<Value = Request> {
+        prop_oneof![
+            (0u32..4).prop_map(|version| Request::Hello { version }),
+            (
+                0u32..6,
+                0u32..48,
+                arb_harvest(),
+                arb_activity(),
+                prop_oneof![Just(None), (0u64..4).prop_map(Some)],
+            )
+                .prop_map(|(user, hour, harvest_j, activity, seq)| {
+                    Request::Observe {
+                        user,
+                        hour,
+                        harvest_j,
+                        activity,
+                        seq,
+                    }
+                }),
+            (0u32..6).prop_map(|user| Request::Decide { user }),
+            Just(Request::Stats),
+            // Empty paths fail before touching the file system.
+            Just(Request::Checkpoint {
+                path: String::new()
+            }),
+            Just(Request::Restore {
+                path: String::new()
+            }),
+            Just(Request::Shutdown),
+        ]
+    }
+
+    fn arb_line() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            arb_request().prop_map(|r| r.encode().into_bytes()),
+            arb_request().prop_map(|r| r.encode().into_bytes()),
+            arb_request().prop_map(|r| r.encode().into_bytes()),
+            Just(Request::Hello { version: 2 }.encode().into_bytes()),
+            proptest::sample::select(vec!["", " \t", "not json", "{\"type\":\"nope\"}", "{"])
+                .prop_map(|s| s.as_bytes().to_vec()),
+            Just(vec![0xff, 0xfe, b'{', b'}']),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sessions_keep_the_metric_identities_and_a_restorable_state(
+            lines in proptest::collection::vec(arb_line(), 0..48),
+            shedding in 0usize..2,
+        ) {
+            let shared = shared(shedding);
+            let mut session = Session { shared: &shared, greeted: false };
+            let (mut greeted, mut requests, mut errors, mut observes, mut decides) =
+                (false, 0, 0, 0, 0);
+            for line in lines {
+                let text = std::str::from_utf8(&line).ok();
+                let blank = text.is_some_and(|text| text.trim().is_empty());
+                let request = text.and_then(|text| Request::decode(text).ok());
+                let (response, next) = session.answer(ReadOutcome::Line(line));
+                prop_assert_eq!(response.is_none(), blank);
+                if let (true, Some(request)) = (greeted, &request) {
+                    requests += 1;
+                    observes += u64::from(matches!(request, Request::Observe { .. }));
+                    decides += u64::from(matches!(request, Request::Decide { .. }));
+                }
+                errors += u64::from(matches!(response, Some(Response::Error { .. })));
+                greeted |= matches!(response, Some(Response::Welcome { .. }));
+                if matches!(next, Next::Close | Next::Shutdown) {
+                    // The connection closes; the next line opens another.
+                    session = Session { shared: &shared, greeted: false };
+                    greeted = false;
                 }
             }
-            Request::Shutdown => {
-                close_after = true;
-                Response::ShuttingDown
-            }
-        };
-        let is_error = matches!(response, Response::Error { .. });
-        if is_error {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if send(&mut stream, shared, &response).is_err() {
-            return;
-        }
-        if close_after {
-            // Flip the flag only after the acknowledgement is on the
-            // wire, then poke the blocking accept awake.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(shared.addr);
-            return;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+            let server = shared.metrics.server_stats();
+            prop_assert_eq!(server.requests, requests);
+            prop_assert_eq!(server.errors, errors);
+            prop_assert_eq!(server.observes + server.shed, observes);
+            prop_assert_eq!(server.decides, decides);
+
+            // Whatever the session accepted, the state round-trips.
+            let fleet_stats = shared.state.fleet_stats();
+            let fresh = FleetState::new(&fleet(), 3).unwrap();
+            prop_assert!(snapshot::restore(&fresh, &snapshot::snapshot(&shared.state)).is_ok());
+            prop_assert_eq!(fresh.fleet_stats().encode(), fleet_stats.encode());
+            let stats = Response::Stats { fleet: fleet_stats, server };
+            prop_assert_eq!(Response::decode(&stats.encode()), Ok(stats));
         }
     }
 }

@@ -30,7 +30,7 @@ use reap_harvest::{step, Battery, BudgetAllocator, EwmaAllocator};
 use reap_sim::Fleet;
 use reap_units::Energy;
 
-use crate::protocol::{ErrorCode, FleetStats, ProtocolError};
+use crate::protocol::{ErrorCode, FleetStats, ProtocolError, MAX_OBSERVE_VALUE};
 
 /// Sentinel for "no observation absorbed yet" in [`UserState::last_hour`].
 pub(crate) const NO_HOUR: u32 = u32::MAX;
@@ -207,8 +207,9 @@ impl FleetState {
     /// # Errors
     ///
     /// [`ErrorCode::UnknownUser`] for an out-of-range user;
-    /// [`ErrorCode::BadRequest`] for a non-finite or negative harvest or
-    /// a non-finite activity.
+    /// [`ErrorCode::BadRequest`] for a non-finite or negative harvest, a
+    /// non-finite activity, or either above the protocol's observe bound
+    /// (1e200 in magnitude).
     pub fn observe(
         &self,
         user: u32,
@@ -252,6 +253,12 @@ impl FleetState {
                     format!("activity {a} must be finite"),
                 ));
             }
+        }
+        if harvest_j > MAX_OBSERVE_VALUE || activity.is_some_and(|a| a.abs() > MAX_OBSERVE_VALUE) {
+            return Err(ProtocolError::new(
+                ErrorCode::BadRequest,
+                format!("harvest_j and |activity| must not exceed {MAX_OBSERVE_VALUE:e}"),
+            ));
         }
         if seq == Some(0) {
             return Err(ProtocolError::new(
@@ -595,6 +602,43 @@ mod tests {
         );
         // Nothing was absorbed by the rejected requests.
         assert_eq!(state.fleet_stats().observations, 0);
+    }
+
+    #[test]
+    fn observes_cannot_overflow_a_running_sum() {
+        // Each stream once drove a running sum to +inf: `restore` then
+        // refused every later snapshot, and `stats` wrote a `null`.
+        let state = FleetState::new(&tiny_fleet(2), 1).unwrap();
+        let streams: [&[(f64, Option<f64>)]; 3] = [
+            &[(f64::MAX, None); 2],
+            &[(1e307, None); 48],
+            &[(0.0, Some(f64::MAX)); 2],
+        ];
+        for stream in streams {
+            for (hour, &(harvest_j, activity)) in stream.iter().enumerate() {
+                let refused = state.observe(0, hour as u32, harvest_j, activity);
+                assert_eq!(refused.unwrap_err().code, ErrorCode::BadRequest);
+            }
+        }
+        assert_eq!(state.fleet_stats().observations, 0);
+        // At the bound the sums stay finite and round-trip; past it the
+        // observe is refused.
+        let (bound, above) = (MAX_OBSERVE_VALUE, MAX_OBSERVE_VALUE.next_up());
+        assert!(state.observe(0, 0, above, None).is_err());
+        assert!(state.observe(0, 0, 1.0, Some(-above)).is_err());
+        for hour in 0..48 {
+            state.observe(hour % 2, hour, bound, Some(-bound)).unwrap();
+        }
+        let stats = state.fleet_stats();
+        assert_eq!(stats.observations, 48);
+        let fresh = FleetState::new(&tiny_fleet(2), 1).unwrap();
+        crate::snapshot::restore(&fresh, &crate::snapshot::snapshot(&state)).unwrap();
+        assert_eq!(fresh.fleet_stats(), stats);
+        let frame = crate::protocol::Response::Stats {
+            fleet: stats,
+            server: crate::ServerMetrics::new().server_stats(),
+        };
+        assert!(crate::protocol::Response::decode(&frame.encode()).is_ok());
     }
 
     #[test]
