@@ -240,25 +240,22 @@ impl FleetState {
         activity: Option<f64>,
         seq: Option<u64>,
     ) -> Result<f64, ProtocolError> {
-        if !harvest_j.is_finite() || harvest_j < 0.0 {
-            return Err(ProtocolError::new(
-                ErrorCode::BadRequest,
-                format!("harvest_j {harvest_j} must be finite and >= 0"),
-            ));
+        let bound = MAX_OBSERVE_VALUE;
+        if !(0.0..=bound).contains(&harvest_j) {
+            let message = if harvest_j.is_finite() && harvest_j > bound {
+                format!("harvest_j {harvest_j} exceeds the observe bound {bound:e}")
+            } else {
+                format!("harvest_j {harvest_j} must be finite and >= 0")
+            };
+            return Err(ProtocolError::new(ErrorCode::BadRequest, message));
         }
-        if let Some(a) = activity {
-            if !a.is_finite() {
-                return Err(ProtocolError::new(
-                    ErrorCode::BadRequest,
-                    format!("activity {a} must be finite"),
-                ));
-            }
-        }
-        if harvest_j > MAX_OBSERVE_VALUE || activity.is_some_and(|a| a.abs() > MAX_OBSERVE_VALUE) {
-            return Err(ProtocolError::new(
-                ErrorCode::BadRequest,
-                format!("harvest_j and |activity| must not exceed {MAX_OBSERVE_VALUE:e}"),
-            ));
+        if let Some(a) = activity.filter(|a| !(-bound..=bound).contains(a)) {
+            let message = if a.is_finite() {
+                format!("activity {a} exceeds the observe bound {bound:e} in magnitude")
+            } else {
+                format!("activity {a} must be finite")
+            };
+            return Err(ProtocolError::new(ErrorCode::BadRequest, message));
         }
         if seq == Some(0) {
             return Err(ProtocolError::new(
