@@ -730,14 +730,15 @@ mod tests {
             shutdown: AtomicBool::new(false),
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             layer: NoFaults,
-            // This session is the one connection.
-            active: AtomicUsize::new(1),
+            // This session and one other connection are live, so a
+            // threshold of 1 sheds every observe.
+            active: AtomicUsize::new(2),
             frame_deadline: DEFAULT_FRAME_DEADLINE,
             overload_shed_at,
         }
     }
 
-    fn line(session: &mut Session<'_, NoFaults>, line: &[u8]) -> (Option<Response>, Next) {
+    fn feed(session: &mut Session<'_, NoFaults>, line: &[u8]) -> (Option<Response>, Next) {
         session.answer(ReadOutcome::Line(line.to_vec()))
     }
 
@@ -758,17 +759,17 @@ mod tests {
         let hello = b"{\"type\":\"hello\",\"version\":2}";
         // Before the handshake: nothing for a blank line, `malformed`
         // for a non-UTF-8 or malformed one, and the session reads on.
-        assert_eq!(line(&mut session, b" \t"), (None, Next::Read));
+        assert_eq!(feed(&mut session, b" \t"), (None, Next::Read));
         let malformed = (Some(ErrorCode::Malformed), Next::Read);
-        assert_eq!(code(line(&mut session, b"\xff\xfe{}")), malformed);
-        assert_eq!(code(line(&mut session, b"{\"type\":")), malformed);
+        assert_eq!(code(feed(&mut session, b"\xff\xfe{}")), malformed);
+        assert_eq!(code(feed(&mut session, b"{\"type\":")), malformed);
         // A wrong version, or a decoded frame other than `hello`: an
         // error, then close.
         let wrong = b"{\"type\":\"hello\",\"version\":1}";
         let version = (Some(ErrorCode::Version), Next::Close);
-        assert_eq!(code(line(&mut session, wrong)), version);
+        assert_eq!(code(feed(&mut session, wrong)), version);
         let handshake = (Some(ErrorCode::Handshake), Next::Close);
-        assert_eq!(code(line(&mut session, b"{\"type\":\"stats\"}")), handshake);
+        assert_eq!(code(feed(&mut session, b"{\"type\":\"stats\"}")), handshake);
         let stats = shared.metrics.server_stats();
         assert_eq!((stats.requests, stats.errors), (0, 4));
 
@@ -776,13 +777,13 @@ mod tests {
             version: PROTOCOL_VERSION,
             users: 4,
         };
-        assert_eq!(line(&mut session, hello), (Some(welcome), Next::Read));
+        assert_eq!(feed(&mut session, hello), (Some(welcome), Next::Read));
         // A second `hello` is a request answered with `handshake`.
         let again = (Some(ErrorCode::Handshake), Next::Read);
-        assert_eq!(code(line(&mut session, hello)), again);
+        assert_eq!(code(feed(&mut session, hello)), again);
         let stats = shared.metrics.server_stats();
         assert_eq!((stats.requests, stats.errors), (1, 5));
-        let shutdown = line(&mut session, b"{\"type\":\"shutdown\"}");
+        let shutdown = feed(&mut session, b"{\"type\":\"shutdown\"}");
         assert_eq!(shutdown, (Some(Response::ShuttingDown), Next::Shutdown));
 
         // Framing outcomes.
