@@ -99,9 +99,15 @@ impl Battery {
     /// Grants `proposed` against this battery as a virtual store
     /// ([`step::open_loop`]): capped at what it and the step's
     /// `harvested` energy can deliver and floor-clamped, after which the
-    /// battery banks the harvest and pays the whole grant. Returns the
-    /// grant.
-    pub fn open_loop(&mut self, proposed: Energy, floor: Energy, harvested: Energy) -> Energy {
+    /// battery banks the harvest and pays the grant, at most
+    /// `max_spend`. Returns the grant.
+    pub fn open_loop(
+        &mut self,
+        proposed: Energy,
+        floor: Energy,
+        max_spend: Energy,
+        harvested: Energy,
+    ) -> Energy {
         let (budget, level) = step::open_loop(
             self.level.joules(),
             self.capacity.joules(),
@@ -109,6 +115,7 @@ impl Battery {
             self.discharge_efficiency,
             proposed.joules(),
             floor.joules(),
+            max_spend.joules(),
             harvested.joules(),
         );
         self.level = Energy::from_joules(level);

@@ -70,10 +70,14 @@ pub fn grant(proposed_j: f64, floor_j: f64, supply_j: f64) -> f64 {
 /// One open-loop allocation step against a *virtual* store: the
 /// proposal is granted against the supply (the store's deliverable
 /// energy plus the step's harvest, see [`grant`]), then the store banks
-/// the harvest and pays the whole grant. Returns the grant and the
-/// store's new level.
+/// the harvest and pays the grant, but never more than `max_spend_j`,
+/// what the highest-power point draws running the whole step (the
+/// problem's saturation budget): no plan can spend more, and a store
+/// that paid for energy no load can draw would starve later steps.
+/// Returns the grant and the store's new level.
 #[inline]
 #[must_use]
+#[allow(clippy::too_many_arguments)]
 pub fn open_loop(
     level_j: f64,
     capacity_j: f64,
@@ -81,11 +85,13 @@ pub fn open_loop(
     discharge_eff: f64,
     proposed_j: f64,
     floor_j: f64,
+    max_spend_j: f64,
     harvested_j: f64,
 ) -> (f64, f64) {
     let budget = grant(proposed_j, floor_j, level_j * discharge_eff + harvested_j);
     let level = level_j + charge(level_j, capacity_j, charge_eff, harvested_j);
-    (budget, level - discharge(level, discharge_eff, budget))
+    let spent = budget.min(max_spend_j);
+    (budget, level - discharge(level, discharge_eff, spent))
 }
 
 /// Energy a store at `level_j` keeps when charged with `input_j`
@@ -166,9 +172,24 @@ mod tests {
     #[test]
     fn open_loop_banks_the_harvest_and_pays_the_grant() {
         // 5 J proposed, 10 J stored + 2 J harvest: granted in full.
-        assert_eq!(open_loop(10.0, 60.0, 1.0, 1.0, 5.0, 0.18, 2.0), (5.0, 7.0));
+        assert_eq!(
+            open_loop(10.0, 60.0, 1.0, 1.0, 5.0, 0.18, 9.936, 2.0),
+            (5.0, 7.0)
+        );
         // An empty store grants only the hour's harvest.
-        assert_eq!(open_loop(0.0, 60.0, 1.0, 1.0, 5.0, 0.18, 2.0), (2.0, 0.0));
+        assert_eq!(
+            open_loop(0.0, 60.0, 1.0, 1.0, 5.0, 0.18, 9.936, 2.0),
+            (2.0, 0.0)
+        );
+    }
+
+    #[test]
+    fn open_loop_pays_no_more_than_the_spend_cap() {
+        // 20 J granted from 30 J stored + 2 J harvest, but the store pays
+        // only the 9.936 J cap.
+        let (grant, level) = open_loop(30.0, 60.0, 1.0, 1.0, 20.0, 0.18, 9.936, 2.0);
+        assert_eq!(grant, 20.0);
+        assert_eq!(level, 32.0 - 9.936);
     }
 
     #[test]

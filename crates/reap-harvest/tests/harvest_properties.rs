@@ -54,7 +54,7 @@ proptest! {
                 }
                 Op::OpenLoop(p, f, h) => {
                     let supply = battery.deliverable().joules() + h;
-                    let grant = battery.open_loop(j(p), j(f), j(h)).joules();
+                    let grant = battery.open_loop(j(p), j(f), j(9.936), j(h)).joules();
                     prop_assert!(grant >= 0.0);
                     prop_assert!(grant <= supply + 1e-9);
                     h

@@ -5,7 +5,9 @@
 //! The budget governs the pragmas themselves: adding a new
 //! `allow(...)` pragma without shrinking another fails CI until the
 //! committed budget is deliberately re-ratcheted — growth is a reviewed
-//! decision, never a drive-by.
+//! decision, never a drive-by. Removing one fails too until the lower
+//! count is committed, so the file always equals the tally and slack
+//! never hides a new pragma.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -70,17 +72,27 @@ impl Budget {
     }
 
     /// Checks the tally against the ceilings. Returns one message per
-    /// over-budget rule (empty = within budget).
+    /// rule whose allowed sites differ from its ceiling (empty = the
+    /// budget equals the tally): growth fails, and so does slack, which
+    /// would let new pragmas land without a budget change to review.
     #[must_use]
     pub fn check(&self, diagnostics: &[Diagnostic]) -> Vec<String> {
-        let tally = Budget::tally(diagnostics);
+        let mut tally = Budget::tally(diagnostics);
+        for rule in self.per_rule.keys() {
+            tally.entry(rule.clone()).or_insert(0);
+        }
         let mut failures = Vec::new();
-        for (rule, count) in &tally {
+        for (rule, &count) in &tally {
             let ceiling = self.per_rule.get(rule).copied().unwrap_or(0);
-            if *count > ceiling {
+            if count > ceiling {
                 failures.push(format!(
                     "rule {rule}: {count} allowed sites exceed the committed budget of {ceiling} \
                      (ratchet: remove a pragma or deliberately re-commit the budget)"
+                ));
+            } else if count < ceiling {
+                failures.push(format!(
+                    "rule {rule}: {count} allowed sites are below the committed budget of \
+                     {ceiling} (ratchet: commit {count}, which --write-budget writes)"
                 ));
             }
         }
@@ -124,18 +136,21 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_fails_under_budget_passes() {
+    fn budget_fails_above_and_below_the_tally() {
         let budget = Budget::parse(r#"{"version":1,"budgets":{"panic":1}}"#).unwrap();
         let ds = vec![diag("panic", true)];
         assert!(budget.check(&ds).is_empty());
         let ds = vec![diag("panic", true), diag("panic", true)];
         assert_eq!(budget.check(&ds).len(), 1);
         // Unknown rule class defaults to a zero ceiling.
-        let ds = vec![diag("determinism", true)];
+        let ds = vec![diag("panic", true), diag("determinism", true)];
         assert_eq!(budget.check(&ds).len(), 1);
-        // Violations (not allowed) don't count against the budget.
+        // Violations (not allowed) don't count against the budget, so
+        // the ceiling of 1 is slack and fails, naming the count to commit.
         let ds = vec![diag("panic", false), diag("panic", false)];
-        assert!(budget.check(&ds).is_empty());
+        let failures = budget.check(&ds);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("commit 0"), "{failures:?}");
     }
 
     #[test]

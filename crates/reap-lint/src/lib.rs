@@ -28,9 +28,10 @@
 //! // reap-lint: allow(panic:index) -- `shards` is non-empty by construction (asserted in new)
 //! ```
 //!
-//! The committed `reap-lint.budget.json` caps the number of allowed
+//! The committed `reap-lint.budget.json` records the number of allowed
 //! sites per rule class; a new pragma that pushes a class over its
-//! ceiling fails the lint until the budget is deliberately re-committed.
+//! ceiling fails the lint until the budget is deliberately re-committed,
+//! and a class below its ceiling fails until the lower count is.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

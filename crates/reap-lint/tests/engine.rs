@@ -631,7 +631,7 @@ fn f() {
 // ------------------------------------------------------------- budget
 
 #[test]
-fn budget_ratchet_fails_on_growth_only() {
+fn budget_ratchet_fails_on_growth_and_on_slack() {
     let diags = lint(vec![fixture(
         "budget_fix",
         r#"
@@ -644,7 +644,9 @@ fn f(xs: &[u8]) -> u8 {
     let at_ceiling = Budget::parse(r#"{"version":1,"budgets":{"panic":1}}"#).unwrap();
     assert!(at_ceiling.check(&diags).is_empty());
     let above = Budget::parse(r#"{"version":1,"budgets":{"panic":5}}"#).unwrap();
-    assert!(above.check(&diags).is_empty(), "under ceiling is fine");
+    let slack = above.check(&diags);
+    assert_eq!(slack.len(), 1, "a ceiling above the tally fails: {slack:?}");
+    assert!(slack[0].contains("commit 1"), "{slack:?}");
     let below = Budget::parse(r#"{"version":1,"budgets":{"panic":0}}"#).unwrap();
     let failures = below.check(&diags);
     assert_eq!(failures.len(), 1, "{failures:?}");

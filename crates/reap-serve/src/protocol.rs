@@ -247,7 +247,8 @@ pub struct ServerStats {
     pub observes: u64,
     /// `decide` requests handled.
     pub decides: u64,
-    /// `checkpoint` requests handled.
+    /// `checkpoint` requests handled, failed writes included; the
+    /// ring's checkpoints are not requests and are not counted.
     pub checkpoints: u64,
     /// `restore` requests handled.
     pub restores: u64,

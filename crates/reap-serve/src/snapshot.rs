@@ -46,7 +46,7 @@ use reap_units::Energy;
 
 use crate::fault::{CrashPoint, IoLayer, NoFaults};
 use crate::protocol::{ErrorCode, ProtocolError};
-use crate::state::{FleetState, Fnv, UserState, NO_HOUR};
+use crate::state::{FleetState, Fnv, LiveState, NO_HOUR};
 
 /// Snapshot format version; bumped on any layout change (v2 added the
 /// observe-replay fields `last_seq`/`last_budget`).
@@ -60,35 +60,25 @@ pub(crate) const RECORD_BYTES: usize = 4 + 4 + 4 + 8 + 5 * 8 + 8 + 8 + 24 * 8;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 4;
 
-/// Serializes one user's resident state into its fixed-size record —
-/// also the unit the stats digest hashes, so "digest equal" and
-/// "snapshot equal" are the same statement.
-pub(crate) fn user_record(state: &UserState) -> [u8; RECORD_BYTES] {
-    let mut rec = [0u8; RECORD_BYTES];
-    let mut at = 0usize;
-    let mut put = |bytes: &[u8]| {
-        // reap-lint: allow(panic:index) -- field offsets sum to RECORD_BYTES (debug-asserted below)
-        rec[at..at + bytes.len()].copy_from_slice(bytes);
-        at += bytes.len();
-    };
-    let flags: u32 = u32::from(state.alloc.first_call_done());
-    put(&flags.to_le_bytes());
-    put(&state.last_hour.to_le_bytes());
-    let (estimates, seen_mask) = state.alloc.diurnal().to_parts();
+/// Hands one user's record to `put`, field by field in layout order. The
+/// snapshot writer appends the fields and the stats digest hashes them,
+/// so "digest equal" and "snapshot equal" are the same statement.
+pub(crate) fn write_record(live: &LiveState, mut put: impl FnMut(&[u8])) {
+    let (estimates, seen_mask) = live.alloc.diurnal().to_parts();
+    put(&u32::from(live.alloc.first_call_done()).to_le_bytes());
+    put(&live.last_hour.to_le_bytes());
     put(&seen_mask.to_le_bytes());
-    put(&state.observations.to_le_bytes());
-    put(&state.vbat.level().joules().to_le_bytes());
-    put(&state.last_harvest.joules().to_le_bytes());
-    put(&state.harvested_j.to_le_bytes());
-    put(&state.budget_j.to_le_bytes());
-    put(&state.activity.to_le_bytes());
-    put(&state.last_seq.to_le_bytes());
-    put(&state.last_budget.to_le_bytes());
+    put(&live.observations.to_le_bytes());
+    put(&live.vbat.level().joules().to_le_bytes());
+    put(&live.last_harvest.joules().to_le_bytes());
+    put(&live.harvested_j.to_le_bytes());
+    put(&live.budget_j.to_le_bytes());
+    put(&live.activity.to_le_bytes());
+    put(&live.last_seq.to_le_bytes());
+    put(&live.last_budget.to_le_bytes());
     for e in estimates {
         put(&e.to_le_bytes());
     }
-    debug_assert_eq!(at, RECORD_BYTES);
-    rec
 }
 
 /// Serializes the whole population into snapshot bytes. Takes all shard
@@ -103,32 +93,35 @@ pub fn snapshot(state: &FleetState) -> Vec<u8> {
     out.extend_from_slice(&state.fingerprint().to_le_bytes());
     out.extend_from_slice(&EWMA_ALPHA.to_le_bytes());
     out.extend_from_slice(&state.users().to_le_bytes());
-    state.for_each_user_in_order(|u| out.extend_from_slice(&user_record(u)));
     let mut digest = Fnv::new();
-    // reap-lint: allow(panic:index) -- the header was just written: out.len() >= HEADER_BYTES
-    digest.write_bytes(&out[HEADER_BYTES..]);
+    state.for_each_user_in_order(|live| {
+        write_record(live, |field| {
+            out.extend_from_slice(field);
+            digest.write_bytes(field);
+        });
+    });
     out.extend_from_slice(&digest.finish().to_le_bytes());
     out
 }
 
+/// A cursor over snapshot bytes that remembers its offset for the
+/// truncation message.
 struct Reader<'a> {
-    bytes: &'a [u8],
+    rest: &'a [u8],
     at: usize,
 }
 
-impl<'a> Reader<'a> {
+impl Reader<'_> {
     fn take<const N: usize>(&mut self) -> Result<[u8; N], ProtocolError> {
-        if self.at + N > self.bytes.len() {
+        let Some((head, rest)) = self.rest.split_first_chunk() else {
             return Err(ProtocolError::new(
                 ErrorCode::Snapshot,
                 format!("snapshot truncated at byte {}", self.at),
             ));
-        }
-        let mut buf = [0u8; N];
-        // reap-lint: allow(panic:index) -- bounds checked on entry to take()
-        buf.copy_from_slice(&self.bytes[self.at..self.at + N]);
+        };
+        self.rest = rest;
         self.at += N;
-        Ok(buf)
+        Ok(*head)
     }
 
     fn u32(&mut self) -> Result<u32, ProtocolError> {
@@ -146,9 +139,9 @@ impl<'a> Reader<'a> {
 
 /// Replaces the whole population's resident state from snapshot bytes.
 /// Validates magic, version, fleet fingerprint, user count, and the
-/// trailing digest before touching any state, then rewrites every user
-/// atomically (all shard locks held). Returns the number of users
-/// restored.
+/// trailing digest, and decodes every record, before touching any state;
+/// then assigns every user's record atomically (all shard locks held).
+/// Returns the number of users restored.
 ///
 /// # Errors
 ///
@@ -156,7 +149,7 @@ impl<'a> Reader<'a> {
 /// version is unknown, the fingerprint does not match this state's
 /// fleet, or a record carries an out-of-range value.
 pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
-    let mut r = Reader { bytes, at: 0 };
+    let mut r = Reader { rest: bytes, at: 0 };
     let magic: [u8; 8] = r.take()?;
     if magic != SNAPSHOT_MAGIC {
         return Err(ProtocolError::new(
@@ -196,31 +189,22 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
             format!("snapshot holds {users} users, this fleet {}", state.users()),
         ));
     }
-    let records_len = users as usize * RECORD_BYTES;
-    if bytes.len() != HEADER_BYTES + records_len + 8 {
+    let expected = HEADER_BYTES + users as usize * RECORD_BYTES + 8;
+    if bytes.len() != expected {
         return Err(ProtocolError::new(
             ErrorCode::Snapshot,
-            format!(
-                "snapshot is {} bytes, expected {}",
-                bytes.len(),
-                HEADER_BYTES + records_len + 8
-            ),
+            format!("snapshot is {} bytes, expected {expected}", bytes.len()),
         ));
     }
-    let mut digest = Fnv::new();
-    // reap-lint: allow(panic:index) -- bytes.len() == HEADER_BYTES + records_len + 8 was just checked
-    digest.write_bytes(&bytes[HEADER_BYTES..HEADER_BYTES + records_len]);
-    // reap-lint: allow(panic:index) -- same length check: the tail slice is exactly 8 bytes
-    let stored = match bytes[HEADER_BYTES + records_len..].try_into() {
-        Ok(tail) => u64::from_le_bytes(tail),
-        Err(_) => {
-            return Err(ProtocolError::new(
-                ErrorCode::Snapshot,
-                "snapshot digest truncated",
-            ));
-        }
+    let Some((records, stored)) = r.rest.split_last_chunk() else {
+        return Err(ProtocolError::new(
+            ErrorCode::Snapshot,
+            "snapshot digest truncated",
+        ));
     };
-    if digest.finish() != stored {
+    let mut digest = Fnv::new();
+    digest.write_bytes(records);
+    if digest.finish() != u64::from_le_bytes(*stored) {
         return Err(ProtocolError::new(
             ErrorCode::Snapshot,
             "snapshot digest mismatch (corrupt records)",
@@ -229,46 +213,23 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
 
     // Decode every record before mutating anything, so a bad record
     // cannot leave the population half-restored.
-    let mut decoded = Vec::with_capacity(users as usize);
-    for user in 0..users {
-        decoded.push(decode_record(&mut r, user)?);
-    }
-
-    let mut next = decoded.into_iter();
-    state.for_each_user_in_order_mut(|u| {
-        // reap-lint: allow(panic:expect) -- users == state.users() was validated; the walk yields exactly that many records
-        let d = next.next().expect("one decoded record per user");
-        u.alloc = d.alloc;
-        u.vbat
-            .set_level(d.vbat_level)
-            // reap-lint: allow(panic:expect) -- decode_record already rejected levels outside [0, capacity]
-            .expect("level validated during decode");
-        u.last_harvest = d.last_harvest;
-        u.last_hour = d.last_hour;
-        u.observations = d.observations;
-        u.harvested_j = d.harvested_j;
-        u.budget_j = d.budget_j;
-        u.activity = d.activity;
-        u.last_seq = d.last_seq;
-        u.last_budget = d.last_budget;
+    r.rest = records;
+    let records = (0..users)
+        .map(|user| read_record(&mut r, user))
+        .collect::<Result<Vec<_>, _>>()?;
+    // One record per user: the count was checked against the fleet.
+    let mut records = records.into_iter();
+    state.for_each_user_in_order_mut(|live| {
+        if let Some(record) = records.next() {
+            *live = record;
+        }
     });
     Ok(users)
 }
 
-struct DecodedUser {
-    alloc: EwmaAllocator,
-    vbat_level: Energy,
-    last_harvest: Energy,
-    last_hour: u32,
-    observations: u64,
-    harvested_j: f64,
-    budget_j: f64,
-    activity: f64,
-    last_seq: u64,
-    last_budget: f64,
-}
-
-fn decode_record(r: &mut Reader<'_>, user: u32) -> Result<DecodedUser, ProtocolError> {
+/// Reads one user's record, field by field in layout order, refusing
+/// an out-of-range value before the next field is checked.
+fn read_record(r: &mut Reader<'_>, user: u32) -> Result<LiveState, ProtocolError> {
     let bad = |what: &str| ProtocolError::new(ErrorCode::Snapshot, format!("user {user}: {what}"));
     let flags = r.u32()?;
     if flags > 1 {
@@ -293,10 +254,8 @@ fn decode_record(r: &mut Reader<'_>, user: u32) -> Result<DecodedUser, ProtocolE
     if !last_budget.is_finite() {
         return Err(bad("non-finite last_budget"));
     }
-    // The resident battery's capacity, so this check and `set_level`
-    // on restore accept the same levels.
-    let capacity_j = Battery::small_wearable().capacity().joules();
-    if !vbat_level.is_finite() || !(0.0..=capacity_j).contains(&vbat_level) {
+    let mut vbat = Battery::small_wearable();
+    if vbat.set_level(Energy::from_joules(vbat_level)).is_err() {
         return Err(bad("battery level outside [0, capacity]"));
     }
     if !last_harvest.is_finite() || last_harvest < 0.0 {
@@ -313,18 +272,14 @@ fn decode_record(r: &mut Reader<'_>, user: u32) -> Result<DecodedUser, ProtocolE
     }
     let mut estimates = [0.0f64; 24];
     for slot in &mut estimates {
-        let e = r.f64()?;
-        if !e.is_finite() {
+        *slot = r.f64()?;
+        if !slot.is_finite() {
             return Err(bad("non-finite EWMA estimate"));
         }
-        *slot = e;
     }
-    Ok(DecodedUser {
-        alloc: EwmaAllocator::from_parts(
-            DiurnalEwma::from_parts(estimates, seen_mask),
-            flags & 1 == 1,
-        ),
-        vbat_level: Energy::from_joules(vbat_level),
+    Ok(LiveState {
+        alloc: EwmaAllocator::from_parts(DiurnalEwma::from_parts(estimates, seen_mask), flags == 1),
+        vbat,
         last_harvest: Energy::from_joules(last_harvest),
         last_hour,
         observations,
@@ -399,14 +354,12 @@ pub fn write_atomic_with<L: IoLayer>(path: &Path, bytes: &[u8], layer: &L) -> io
     if layer.crash_at(CrashPoint::TempCreated) {
         return Ok(false);
     }
-    let half = bytes.len() / 2;
-    // reap-lint: allow(panic:index) -- half = len / 2 <= len
-    file.write_all(&bytes[..half])?;
+    let (head, tail) = bytes.split_at(bytes.len() / 2);
+    file.write_all(head)?;
     if layer.crash_at(CrashPoint::TempHalfWritten) {
         return Ok(false);
     }
-    // reap-lint: allow(panic:index) -- half = len / 2 <= len
-    file.write_all(&bytes[half..])?;
+    file.write_all(tail)?;
     if layer.crash_at(CrashPoint::TempWritten) {
         return Ok(false);
     }
@@ -496,25 +449,16 @@ impl SnapshotRing {
         Ok(out)
     }
 
-    /// Snapshots `state` into the next ring slot ([`write_atomic`] under
-    /// the hood), then prunes snapshots beyond the retention count and
-    /// any stale temp files. Returns the path written.
+    /// Snapshots `state` into the next ring slot ([`write_atomic_with`]
+    /// under the hood, through `layer`'s crash hook), then prunes
+    /// snapshots beyond the retention count and any stale temp files.
+    /// Returns the path written; `Ok(None)` means the layer killed the
+    /// writer mid-checkpoint (no pruning happens then — a real crash
+    /// wouldn't prune either).
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures (the ring is unchanged on error).
-    pub fn write(&self, state: &FleetState) -> io::Result<PathBuf> {
-        self.write_with(state, &NoFaults)?
-            .ok_or_else(|| io::Error::other("NoFaults cannot crash the writer mid-checkpoint"))
-    }
-
-    /// [`SnapshotRing::write`] with a crash hook; `Ok(None)` means the
-    /// layer killed the writer mid-checkpoint (no pruning happens then —
-    /// a real crash wouldn't prune either).
-    ///
-    /// # Errors
-    ///
-    /// Propagates genuine I/O failures.
+    /// Propagates genuine I/O failures (the ring is unchanged on error).
     pub fn write_with<L: IoLayer>(
         &self,
         state: &FleetState,
@@ -533,11 +477,9 @@ impl SnapshotRing {
     /// leftovers from crashed writers.
     fn prune(&self) -> io::Result<()> {
         let entries = self.entries()?;
-        if entries.len() > self.keep {
-            // reap-lint: allow(panic:index) -- entries.len() > keep, so the range end is in-bounds
-            for (_, path) in &entries[..entries.len() - self.keep] {
-                let _ = std::fs::remove_file(path);
-            }
+        let stale = entries.len().saturating_sub(self.keep);
+        for (_, path) in entries.iter().take(stale) {
+            let _ = std::fs::remove_file(path);
         }
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -596,6 +538,19 @@ mod tests {
         .seed(seed)
         .build()
         .unwrap()
+    }
+
+    /// A ring write with no crash hook.
+    trait WriteRing {
+        fn write(&self, state: &FleetState) -> io::Result<PathBuf>;
+    }
+
+    impl WriteRing for SnapshotRing {
+        fn write(&self, state: &FleetState) -> io::Result<PathBuf> {
+            Ok(self
+                .write_with(state, &NoFaults)?
+                .expect("NoFaults never crashes"))
+        }
     }
 
     fn warmed(users: u32, seed: u64, hours: u32) -> FleetState {

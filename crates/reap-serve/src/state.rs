@@ -32,12 +32,13 @@ use reap_units::Energy;
 
 use crate::protocol::{ErrorCode, FleetStats, ProtocolError, MAX_OBSERVE_VALUE};
 
-/// Sentinel for "no observation absorbed yet" in [`UserState::last_hour`].
+/// Sentinel for "no observation absorbed yet" in [`LiveState::last_hour`].
 pub(crate) const NO_HOUR: u32 = u32::MAX;
 
-/// One user's live policy state.
+/// One user's live policy state: exactly the fields a snapshot record
+/// stores, which [`crate::snapshot`] writes and reads in layout order.
 #[derive(Debug, Clone)]
-pub(crate) struct UserState {
+pub(crate) struct LiveState {
     /// The Kansal-style diurnal budget allocator, warm.
     pub alloc: EwmaAllocator,
     /// The open-loop protocol's virtual battery (assumes every granted
@@ -63,8 +64,24 @@ pub(crate) struct UserState {
     /// Budget granted at `last_seq`, replayed verbatim when a retrying
     /// client resends the same sequence number.
     pub last_budget: f64,
-    /// The user's frontier table, built once from their draws.
-    pub table: FrontierTable,
+}
+
+impl LiveState {
+    /// A user that has observed nothing yet.
+    fn new() -> LiveState {
+        LiveState {
+            alloc: EwmaAllocator::new(),
+            vbat: Battery::small_wearable(),
+            last_harvest: Energy::ZERO,
+            last_hour: NO_HOUR,
+            observations: 0,
+            harvested_j: 0.0,
+            budget_j: 0.0,
+            activity: 0.0,
+            last_seq: 0,
+            last_budget: 0.0,
+        }
+    }
 }
 
 /// One served allocation decision plus the budget it was decided at.
@@ -76,10 +93,11 @@ pub struct DecideOutcome {
     pub decision: Schedule,
 }
 
-/// A stripe of the population: users `u` with `u % shards == index`.
+/// A stripe of the population: users `u` with `u % shards == index`, in
+/// user order, each with the frontier table built from their draws.
 #[derive(Debug)]
 struct Shard {
-    users: Vec<UserState>,
+    users: Vec<(FrontierTable, LiveState)>,
 }
 
 /// The resident population, sharded for concurrent serving.
@@ -87,6 +105,9 @@ struct Shard {
 pub struct FleetState {
     shards: Vec<OrderedLock<Shard>>,
     users: u32,
+    /// The most a virtual battery pays per hour: the base problem's
+    /// saturation budget (a user's draws move only accuracies).
+    max_spend: Energy,
     /// FNV-1a over the fleet configuration (user count, then per user
     /// the alpha bits, each point's id, accuracy and power bits, and the
     /// source label); snapshots embed it so a checkpoint can only restore
@@ -113,12 +134,8 @@ impl FleetState {
 
         let mut fp = Fnv::new();
         fp.write_u64(u64::from(users));
-
-        let per_shard = (users as usize).div_ceil(shards);
-        let mut striped: Vec<Vec<UserState>> =
-            (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
         let mut points = Vec::new();
-        for u in 0..users {
+        let mut built = (0..users).map(|u| {
             let (_, alpha) = fleet.user_draws(u, &mut points);
             fp.write_u64(alpha.to_bits());
             for p in &points {
@@ -127,21 +144,20 @@ impl FleetState {
                 fp.write_u64(p.power().watts().to_bits());
             }
             fp.write_bytes(fleet.user_source(u).label().as_bytes());
-
-            // reap-lint: allow(panic:index) -- `u % shards` is < shards == striped.len()
-            striped[u as usize % shards].push(UserState {
-                alloc: EwmaAllocator::new(),
-                vbat: Battery::small_wearable(),
-                last_harvest: Energy::ZERO,
-                last_hour: NO_HOUR,
-                observations: 0,
-                harvested_j: 0.0,
-                budget_j: 0.0,
-                activity: 0.0,
-                last_seq: 0,
-                last_budget: 0.0,
-                table: FrontierTable::new(&points, alpha, period_s, off_w),
-            });
+            let table = FrontierTable::new(&points, alpha, period_s, off_w);
+            (table, LiveState::new())
+        });
+        // Round by round in user order: user `u` lands in stripe
+        // `u % shards`, at position `u / shards`.
+        let per_shard = (users as usize).div_ceil(shards);
+        let mut striped: Vec<Vec<_>> = (0..shards).map(|_| Vec::with_capacity(per_shard)).collect();
+        'fill: loop {
+            for stripe in &mut striped {
+                let Some(user) = built.next() else {
+                    break 'fill;
+                };
+                stripe.push(user);
+            }
         }
 
         Ok(FleetState {
@@ -151,6 +167,7 @@ impl FleetState {
                 .map(|(i, users)| OrderedLock::new("shard", rank::SHARD, i as u32, Shard { users }))
                 .collect(),
             users,
+            max_spend: base.saturation_budget(),
             fingerprint: fp.finish(),
         })
     }
@@ -175,25 +192,25 @@ impl FleetState {
         self.fingerprint
     }
 
-    /// Runs `f` on user `user`'s state (under its shard lock).
+    /// Runs `f` on user `user`'s frontier table and live state (under
+    /// its shard lock).
     fn with_user<T>(
         &self,
         user: u32,
-        f: impl FnOnce(&mut UserState) -> T,
+        f: impl FnOnce(&FrontierTable, &mut LiveState) -> T,
     ) -> Result<T, ProtocolError> {
-        if user >= self.users {
-            return Err(ProtocolError::new(
-                ErrorCode::UnknownUser,
-                format!("user {user} >= fleet size {}", self.users),
-            ));
+        let (u, shards) = (user as usize, self.shards.len());
+        if let Some(shard) = self.shards.get(u % shards) {
+            // reap-lint: acquires(shard)
+            let mut shard = shard.lock();
+            if let Some((table, live)) = shard.users.get_mut(u / shards) {
+                return Ok(f(table, live));
+            }
         }
-        let shards = self.shards.len();
-        // reap-lint: acquires(shard)
-        // reap-lint: allow(panic:index) -- `user % shards` is < shards == self.shards.len()
-        let mut shard = self.shards[user as usize % shards].lock();
-        // reap-lint: allow(panic:index) -- striping invariant: user < self.users puts `user / shards` in this shard
-        let state = &mut shard.users[user as usize / shards];
-        Ok(f(state))
+        Err(ProtocolError::new(
+            ErrorCode::UnknownUser,
+            format!("user {user} >= fleet size {}", self.users),
+        ))
     }
 
     /// Absorbs one completed hour of `user`'s life — one open-loop
@@ -202,7 +219,8 @@ impl FleetState {
     /// grant is clamped to what the virtual supply (battery plus this
     /// hour's harvest) can deliver but never below the reachable
     /// monitoring floor, then the virtual battery banks the harvest and
-    /// spends the whole budget. Returns the granted budget in joules.
+    /// spends the budget, at most the saturation budget. Returns the
+    /// granted budget in joules.
     ///
     /// # Errors
     ///
@@ -264,33 +282,35 @@ impl FleetState {
             ));
         }
         let hour = hour % 24;
-        self.with_user(user, |state| {
+        self.with_user(user, |table, live| {
             if let Some(s) = seq {
-                if s == state.last_seq {
+                if s == live.last_seq {
                     // Duplicate delivery of the newest observe: replay
                     // the cached grant, apply nothing.
-                    return Ok(state.last_budget);
+                    return Ok(live.last_budget);
                 }
-                if s < state.last_seq {
+                if s < live.last_seq {
                     return Err(ProtocolError::new(
                         ErrorCode::BadRequest,
-                        format!("stale seq {s} (newest applied is {})", state.last_seq),
+                        format!("stale seq {s} (newest applied is {})", live.last_seq),
                     ));
                 }
             }
-            let floor = Energy::from_joules(state.table.min_budget_j());
+            let floor = Energy::from_joules(table.min_budget_j());
             let harvested = Energy::from_joules(harvest_j);
-            let proposed = state.alloc.allocate(hour, state.last_harvest, &state.vbat);
-            let budget = state.vbat.open_loop(proposed, floor, harvested);
-            state.last_harvest = harvested;
-            state.last_hour = hour;
-            state.observations += 1;
-            state.harvested_j += harvest_j;
-            state.budget_j += budget.joules();
-            state.activity += activity.unwrap_or(0.0);
+            let proposed = live.alloc.allocate(hour, live.last_harvest, &live.vbat);
+            let budget = live
+                .vbat
+                .open_loop(proposed, floor, self.max_spend, harvested);
+            live.last_harvest = harvested;
+            live.last_hour = hour;
+            live.observations += 1;
+            live.harvested_j += harvest_j;
+            live.budget_j += budget.joules();
+            live.activity += activity.unwrap_or(0.0);
             if let Some(s) = seq {
-                state.last_seq = s;
-                state.last_budget = budget.joules();
+                live.last_seq = s;
+                live.last_budget = budget.joules();
             }
             Ok(budget.joules())
         })?
@@ -308,21 +328,20 @@ impl FleetState {
     ///
     /// [`ErrorCode::UnknownUser`] for an out-of-range user.
     pub fn decide(&self, user: u32) -> Result<DecideOutcome, ProtocolError> {
-        self.with_user(user, |state| {
-            let table = &state.table;
-            let next_hour = if state.last_hour == NO_HOUR {
+        self.with_user(user, |table, live| {
+            let next_hour = if live.last_hour == NO_HOUR {
                 0
             } else {
-                (state.last_hour + 1) % 24
+                (live.last_hour + 1) % 24
             };
-            let proposed = state
+            let proposed = live
                 .alloc
                 .clone()
-                .allocate(next_hour, state.last_harvest, &state.vbat);
+                .allocate(next_hour, live.last_harvest, &live.vbat);
             let budget_j = step::grant(
                 proposed.joules(),
                 table.min_budget_j(),
-                state.vbat.deliverable().joules(),
+                live.vbat.deliverable().joules(),
             );
             DecideOutcome {
                 budget_j,
@@ -350,42 +369,41 @@ impl FleetState {
             state_digest: 0,
         };
         let mut digest = Fnv::new();
-        self.for_each_user_in_order(|state| {
-            stats.observations += state.observations;
-            stats.harvested_j += state.harvested_j;
-            stats.budget_j += state.budget_j;
-            stats.battery_j += state.vbat.level().joules();
-            stats.activity += state.activity;
-            digest.write_bytes(&crate::snapshot::user_record(state));
+        self.for_each_user_in_order(|live| {
+            stats.observations += live.observations;
+            stats.harvested_j += live.harvested_j;
+            stats.budget_j += live.budget_j;
+            stats.battery_j += live.vbat.level().joules();
+            stats.activity += live.activity;
+            crate::snapshot::write_record(live, |field| digest.write_bytes(field));
         });
         stats.state_digest = digest.finish();
         stats
     }
 
-    /// Locks every shard — in ascending index order, the shard class's
-    /// `ordered` discipline — and visits users in index order. The shard
-    /// guards are all held for the duration, so the walk is an atomic
-    /// fleet-wide read with respect to concurrent observes.
-    pub(crate) fn for_each_user_in_order(&self, mut f: impl FnMut(&UserState)) {
+    /// Locks every shard (in ascending index order, the shard class's
+    /// `ordered` discipline) and visits users in index order: round by
+    /// round, one user from each stripe, until a stripe runs out. The
+    /// shard guards are all held for the duration, so the walk is an
+    /// atomic fleet-wide read or write with respect to concurrent
+    /// observes.
+    pub(crate) fn for_each_user_in_order_mut(&self, mut f: impl FnMut(&mut LiveState)) {
         // reap-lint: acquires(shard, ordered)
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let shards = guards.len();
-        for u in 0..self.users as usize {
-            // reap-lint: allow(panic:index) -- `u % shards` < guards.len(); striping puts `u / shards` in-bounds
-            f(&guards[u % shards].users[u / shards]);
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut stripes: Vec<_> = guards.iter_mut().map(|g| g.users.iter_mut()).collect();
+        'walk: loop {
+            for stripe in &mut stripes {
+                let Some((_, live)) = stripe.next() else {
+                    break 'walk;
+                };
+                f(live);
+            }
         }
     }
 
-    /// Locks every shard (ascending index order) and visits users mutably
-    /// in index order — the restore path's atomic fleet-wide write.
-    pub(crate) fn for_each_user_in_order_mut(&self, mut f: impl FnMut(&mut UserState)) {
-        // reap-lint: acquires(shard, ordered)
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let shards = guards.len();
-        for u in 0..self.users as usize {
-            // reap-lint: allow(panic:index) -- `u % shards` < guards.len(); striping puts `u / shards` in-bounds
-            f(&mut guards[u % shards].users[u / shards]);
-        }
+    /// [`FleetState::for_each_user_in_order_mut`], read-only.
+    pub(crate) fn for_each_user_in_order(&self, mut f: impl FnMut(&LiveState)) {
+        self.for_each_user_in_order_mut(|live| f(live));
     }
 }
 

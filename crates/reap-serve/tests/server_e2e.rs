@@ -406,6 +406,43 @@ fn checkpoint_request_round_trips_through_a_fresh_server() {
 }
 
 #[test]
+fn ring_checkpoints_are_not_counted_as_checkpoint_requests() {
+    // `checkpoints` counts `checkpoint` requests, as `restores` counts
+    // `restore` requests; the periodic ring writes are not requests.
+    let ring = temp_path("uncounted_ring");
+    let _ = std::fs::remove_dir_all(&ring);
+    let running = start(
+        4,
+        3,
+        ServerConfig {
+            checkpoint_ring: Some(ring.clone()),
+            checkpoint_every: Some(std::time::Duration::from_millis(5)),
+            ..ServerConfig::default()
+        },
+    );
+    let written = || {
+        std::fs::read_dir(&ring).is_ok_and(|entries| {
+            entries
+                .flatten()
+                .any(|e| e.file_name().to_string_lossy().ends_with(".reapsnap"))
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !written() {
+        assert!(std::time::Instant::now() < deadline, "no ring checkpoint");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let mut client = Client::connect(running.addr).expect("connect");
+    match client.request(&Request::Stats).expect("stats") {
+        Response::Stats { server, .. } => assert_eq!(server.checkpoints, 0),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    running.handle.shutdown();
+    running.thread.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&ring).ok();
+}
+
+#[test]
 fn oversized_complete_line_is_rejected_with_a_typed_frame() {
     // Unlike the newline-free blob above, this frame is *complete* — the
     // newline arrives in the same write — so it exercises the cap check

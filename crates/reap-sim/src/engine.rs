@@ -83,6 +83,9 @@ struct BudgetLayer {
     /// on the harvest trace. `None` in closed loop.
     virtual_battery: Option<Battery>,
     floor: Energy,
+    /// The most the virtual battery pays per hour: the saturation
+    /// budget, beyond which no plan draws more.
+    max_spend: Energy,
     harvested_last_hour: Energy,
 }
 
@@ -93,6 +96,7 @@ impl BudgetLayer {
             virtual_battery: (scenario.budget_mode == BudgetMode::OpenLoop)
                 .then(|| scenario.battery.clone()),
             floor: scenario.problem.min_budget(),
+            max_spend: scenario.problem.saturation_budget(),
             harvested_last_hour: Energy::ZERO,
         }
     }
@@ -115,7 +119,9 @@ impl BudgetLayer {
             // execution banks the incoming harvest before (virtually)
             // spending the budget, so a dark battery must not deny the
             // floor in a bright hour.
-            Some(virtual_battery) => virtual_battery.open_loop(proposed, self.floor, harvested),
+            Some(virtual_battery) => {
+                virtual_battery.open_loop(proposed, self.floor, self.max_spend, harvested)
+            }
             None => Energy::from_joules(step::floor_clamp(
                 proposed.joules(),
                 self.floor.joules(),
@@ -661,6 +667,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn open_loop_keeps_the_floor_through_nights_after_bright_days() {
+        // Four days of 12 bright hours at 60 J/h. No plan draws more than
+        // the saturation budget (9.936 J), so the virtual battery pays no
+        // more than that per hour: the excess of a bright day's grants
+        // used to drain it, and every night hour of the last day was
+        // granted below the floor while the real battery stayed near full.
+        let hourly = (0..96)
+            .map(|i| {
+                reap_units::Energy::from_joules(if (6..18).contains(&(i % 24)) {
+                    60.0
+                } else {
+                    0.0
+                })
+            })
+            .collect();
+        let scenario = Scenario::builder(HarvestTrace::new(244, hourly).unwrap())
+            .points(paper_points())
+            .build()
+            .unwrap();
+        let floor = scenario.problem().min_budget();
+        let report = scenario.run(Policy::Reap).unwrap();
+        let nights: Vec<_> = report.hours()[72..]
+            .iter()
+            .filter(|h| !(6..18).contains(&h.hour))
+            .collect();
+        assert_eq!(nights.len(), 12);
+        for h in &nights {
+            assert!(
+                h.budget >= floor,
+                "hour {}: budget {} below the floor",
+                h.hour,
+                h.budget
+            );
+            assert!(
+                h.battery_level.joules() > 30.0,
+                "hour {}: {}",
+                h.hour,
+                h.battery_level
+            );
+        }
+        let accuracy = nights.iter().map(|h| h.planned.eval.accuracy).sum::<f64>() / 12.0;
+        assert!(
+            accuracy > 0.1,
+            "last night's mean planned accuracy {accuracy}"
+        );
     }
 
     #[test]

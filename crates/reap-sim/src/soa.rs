@@ -97,8 +97,10 @@ pub struct SoaFleet {
     /// EWMA budgets on an hourly battery).
     kernel: bool,
     // Problem constants (identical across users: the fleet fixes the
-    // off power and period for every user).
+    // off power, the points' powers and the period for every user).
     floor_j: f64,
+    /// The saturation budget: the most a virtual battery pays per hour.
+    max_spend_j: f64,
     tp_s: f64,
     off_w: f64,
     // Battery constants (every fleet user starts from the same battery).
@@ -206,6 +208,7 @@ impl SoaFleet {
         // shares its period and off power.
         let base = fleet.base_problem()?;
         let floor_j = base.min_budget().joules();
+        let max_spend_j = base.saturation_budget().joules();
         let tp_s = base.period().seconds();
         let off_w = base.off_power().watts();
 
@@ -312,6 +315,7 @@ impl SoaFleet {
             days: fleet.days,
             kernel: true,
             floor_j,
+            max_spend_j,
             tp_s,
             off_w,
             cap_j: battery.capacity().joules(),
@@ -460,7 +464,7 @@ impl SoaFleet {
         let mut est_sum = vec![0.0f64; nu];
 
         let (cap_j, eff_c, eff_d) = (self.cap_j, self.eff_c, self.eff_d);
-        let floor_j = self.floor_j;
+        let (floor_j, max_spend_j) = (self.floor_j, self.max_spend_j);
 
         // Per-hour stage temporaries: the cold-start expectations, budgets
         // out of the allocate pass, plan scalars out of the plan pass.
@@ -526,8 +530,16 @@ impl SoaFleet {
                 for u in 0..n {
                     let h = base_e * gain[u];
                     let proposed = step::propose(expected[u], vbat[u], cap_j, BATTERY_GAIN);
-                    (budget[u], vbat[u]) =
-                        step::open_loop(vbat[u], cap_j, eff_c, eff_d, proposed, floor_j, h);
+                    (budget[u], vbat[u]) = step::open_loop(
+                        vbat[u],
+                        cap_j,
+                        eff_c,
+                        eff_d,
+                        proposed,
+                        floor_j,
+                        max_spend_j,
+                        h,
+                    );
                     last_h[u] = h;
                 }
             }
