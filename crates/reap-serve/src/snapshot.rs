@@ -227,8 +227,8 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
     Ok(users)
 }
 
-/// Reads one user's record, field by field in layout order, refusing
-/// an out-of-range value before the next field is checked.
+/// Reads one user's record in layout order into a whole [`LiveState`],
+/// refusing an out-of-range field with an error naming the user.
 fn read_record(r: &mut Reader<'_>, user: u32) -> Result<LiveState, ProtocolError> {
     let bad = |what: &str| ProtocolError::new(ErrorCode::Snapshot, format!("user {user}: {what}"));
     let flags = r.u32()?;
