@@ -12,14 +12,15 @@
 //! day/night window, a full battery that must spill, and a starved
 //! window), plus the paths that LP never takes: `>=` rows, rows
 //! normalized for a negative right-hand side, redundant equalities and
-//! the phase-1 cleanup pivot, Beale's degenerate LP under Dantzig and
+//! the phase-1 cleanup pivot, rows holding explicit -0.0 and +0.0
+//! coefficients, Beale's degenerate LP under Dantzig and
 //! Bland, minimization, unboundedness, infeasibility, a Klee-Minty cube
 //! and seeded dense LPs with mixed relations.
 
 use reap_lp::{LpProblem, LpSolution, LpStatus, PivotRule, Relation, SimplexOptions};
 
 /// `(case, digest)` for every case, in the order the tests yield them.
-const GOLDEN: [(&str, u64); 25] = [
+const GOLDEN: [(&str, u64); 27] = [
     ("h1/daynight", 0xff78_180a_b069_ef24),
     ("h1/spill", 0xf7f6_079e_f601_d05f),
     ("h1/starved", 0x99d4_7f97_887d_afd7),
@@ -31,6 +32,8 @@ const GOLDEN: [(&str, u64); 25] = [
     ("h24/starved", 0xcb7c_358a_f647_b329),
     ("textbook/ge-rows-minimize", 0x62f6_a904_844b_3d4c),
     ("textbook/negative-rhs", 0x188b_0e14_0d46_7b65),
+    ("textbook/signed-zeros", 0xd0d3_30b7_d5b9_b5d5),
+    ("textbook/signed-zeros-negated", 0xa3bb_c2aa_f2b1_1bb0),
     ("textbook/redundant-equalities", 0x9c36_bb19_fc51_2f5e),
     ("textbook/phase1-cleanup-pivot", 0x9fb0_0247_8694_0c7d),
     ("textbook/beale-dantzig", 0x7c79_f1aa_db44_6040),
@@ -281,6 +284,31 @@ fn textbook_paths() {
     p.subject_to(&[0.0, -1.0, 1.0], Relation::Eq, -1.0)
         .expect("same dim");
     cases.push(("negative-rhs".into(), solve(&p)));
+
+    // Explicit signed zeros: a `<=` row with a negative right-hand side
+    // (negated into a `>=` row), a `>=` row and an `==` row with a -0.0
+    // right-hand side, each holding both a -0.0 and a +0.0 coefficient.
+    let mut p = LpProblem::maximize(&[1.0, 2.0, -1.0, 0.5]);
+    p.subject_to(&[-1.0, -0.0, 0.0, -1.0], Relation::Le, -2.0)
+        .expect("same dim");
+    p.subject_to(&[0.0, 1.0, -0.0, 1.0], Relation::Ge, 1.0)
+        .expect("same dim");
+    p.subject_to(&[1.0, -1.0, 0.0, -0.0], Relation::Eq, -0.0)
+        .expect("same dim");
+    p.subject_to(&[1.0, 1.0, 1.0, 1.0], Relation::Le, 10.0)
+        .expect("same dim");
+    cases.push(("signed-zeros".into(), solve(&p)));
+
+    // The same three relations, every one negated for a negative
+    // right-hand side, with signed zeros in each row; minimized.
+    let mut p = LpProblem::minimize(&[2.0, 1.0, 3.0]);
+    p.subject_to(&[-1.0, -0.0, 0.0], Relation::Le, -1.0)
+        .expect("same dim");
+    p.subject_to(&[-0.0, -1.0, -1.0], Relation::Ge, -8.0)
+        .expect("same dim");
+    p.subject_to(&[0.0, -1.0, -0.0], Relation::Eq, -2.0)
+        .expect("same dim");
+    cases.push(("signed-zeros-negated".into(), solve(&p)));
 
     // Duplicate equality rows leave a basic artificial at zero in a
     // redundant row.
