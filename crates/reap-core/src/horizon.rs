@@ -25,10 +25,6 @@
 //! linear and errs on the optimistic side, which is the right bias for an
 //! upper-bound baseline.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
-
 use reap_lp::{LpProblem, LpStatus, Relation};
 use reap_units::{Energy, TimeSpan};
 
@@ -150,70 +146,58 @@ fn starves(
     false
 }
 
-/// Builds the joint LP over a validated window.
+/// Builds the joint LP over a validated window. The variables of period
+/// `h` sit at `h * (N + 3)..`: `[t_{h,1} .. t_{h,N}, t_off_h, b_h, s_h]`,
+/// and each period adds three rows of 1 to `N + 4` terms.
 fn joint_lp(
     problem: &ReapProblem,
     forecast: &[Energy],
     battery_level: Energy,
     battery_capacity: Energy,
 ) -> Result<LpProblem, ReapError> {
-    let horizon = forecast.len();
     let n = problem.points().len();
+    let stride = n + 3;
     let tp = problem.period().seconds();
     let alpha = problem.alpha();
-
-    // Variable layout per period h (stride = n + 3):
-    //   [t_{h,1} .. t_{h,N}, t_off_h, b_h, s_h]
-    let stride = n + 3;
-    let t_off_at = |h: usize| h * stride + n;
-    let b_at = |h: usize| h * stride + n + 1;
-    let s_at = |h: usize| h * stride + n + 2;
-    let total_vars = horizon * stride;
 
     // Objective: normalized weights on the t variables.
     let weights: Vec<f64> = problem.points().iter().map(|p| p.weight(alpha)).collect();
     let w_max = weights.iter().cloned().fold(0.0f64, f64::max);
     let scale = if w_max > 0.0 { 1.0 / (w_max * tp) } else { 1.0 };
-    let mut objective = vec![0.0; total_vars];
-    for h in 0..horizon {
-        for (i, w) in weights.iter().enumerate() {
-            objective[h * stride + i] = w * scale;
+    let mut objective = vec![0.0; forecast.len() * stride];
+    for period in objective.chunks_exact_mut(stride) {
+        for (o, w) in period.iter_mut().zip(&weights) {
+            *o = w * scale;
         }
     }
     let mut lp = LpProblem::try_new_maximize(&objective)?;
 
-    let powers: Vec<f64> = problem.points().iter().map(|p| p.power().watts()).collect();
     let p_off = problem.off_power().watts();
+    let mut terms = Vec::with_capacity(stride + 1);
+    for (h, harvest) in forecast.iter().enumerate() {
+        let base = h * stride;
+        let (t_off, b, s) = (base + n, base + n + 1, base + n + 2);
 
-    for h in 0..horizon {
         // Time budget of the period.
-        let mut time_row = vec![0.0; total_vars];
-        for i in 0..n {
-            time_row[h * stride + i] = 1.0;
-        }
-        time_row[t_off_at(h)] = 1.0;
-        lp.subject_to(&time_row, Relation::Eq, tp)?;
+        terms.clear();
+        terms.extend((base..=t_off).map(|j| (j, 1.0)));
+        lp.subject_to_terms(&terms, Relation::Eq, tp)?;
 
         // Battery dynamics: b_h - b_{h-1} + c_h + s_h = E_h.
-        let mut dyn_row = vec![0.0; total_vars];
-        for i in 0..n {
-            dyn_row[h * stride + i] = powers[i];
-        }
-        dyn_row[t_off_at(h)] = p_off;
-        dyn_row[b_at(h)] = 1.0;
-        dyn_row[s_at(h)] = 1.0;
-        let mut rhs = forecast[h].joules();
+        terms.clear();
+        let mut rhs = harvest.joules();
         if h == 0 {
             rhs += battery_level.joules();
         } else {
-            dyn_row[b_at(h - 1)] = -1.0;
+            terms.push((b - stride, -1.0));
         }
-        lp.subject_to(&dyn_row, Relation::Eq, rhs)?;
+        let powers = problem.points().iter().map(|p| p.power().watts());
+        terms.extend((base..).zip(powers));
+        terms.extend([(t_off, p_off), (b, 1.0), (s, 1.0)]);
+        lp.subject_to_terms(&terms, Relation::Eq, rhs)?;
 
         // Battery cap.
-        let mut cap_row = vec![0.0; total_vars];
-        cap_row[b_at(h)] = 1.0;
-        lp.subject_to(&cap_row, Relation::Le, battery_capacity.joules())?;
+        lp.subject_to_terms(&[(b, 1.0)], Relation::Le, battery_capacity.joules())?;
     }
     Ok(lp)
 }
@@ -225,15 +209,6 @@ fn solve_joint_lp(
     battery_level: Energy,
     battery_capacity: Energy,
 ) -> Result<HorizonPlan, ReapError> {
-    let horizon = forecast.len();
-    let n = problem.points().len();
-    let tp = problem.period().seconds();
-    let p_off = problem.off_power().watts();
-    let stride = n + 3;
-    let t_off_at = |h: usize| h * stride + n;
-    let b_at = |h: usize| h * stride + n + 1;
-    let s_at = |h: usize| h * stride + n + 2;
-
     let solution = joint_lp(problem, forecast, battery_level, battery_capacity)?.solve()?;
     match solution.status() {
         LpStatus::Optimal => {}
@@ -249,21 +224,23 @@ fn solve_joint_lp(
             )));
         }
     }
-    let values = solution.values();
 
-    let mut schedules = Vec::with_capacity(horizon);
-    let mut battery_trajectory = Vec::with_capacity(horizon);
-    let mut spills = Vec::with_capacity(horizon);
-    for h in 0..horizon {
+    let n = problem.points().len();
+    let tp = problem.period().seconds();
+    let p_off = problem.off_power().watts();
+    let mut schedules = Vec::with_capacity(forecast.len());
+    let mut battery_trajectory = Vec::with_capacity(forecast.len());
+    let mut spills = Vec::with_capacity(forecast.len());
+    for period in solution.values().chunks_exact(n + 3) {
         schedules.push(Schedule::from_lp(
             problem.points(),
-            &values[h * stride..h * stride + n],
-            values[t_off_at(h)],
+            &period[..n],
+            period[n],
             tp,
             p_off,
         )?);
-        battery_trajectory.push(Energy::from_joules(values[b_at(h)].max(0.0)));
-        spills.push(Energy::from_joules(values[s_at(h)].max(0.0)));
+        battery_trajectory.push(Energy::from_joules(period[n + 1].max(0.0)));
+        spills.push(Energy::from_joules(period[n + 2].max(0.0)));
     }
     Ok(HorizonPlan {
         schedules,
@@ -380,10 +357,10 @@ mod tests {
         let cap = joules(30.0);
         let plan = plan_horizon(&p, &forecast, b0, cap).unwrap();
         let mut level = b0.joules();
-        for h in 0..forecast.len() {
+        for (h, harvest) in forecast.iter().enumerate() {
             let consumed = plan.schedules[h].energy().joules();
             let spilled = plan.spills[h].joules();
-            level = level + forecast[h].joules() - consumed - spilled;
+            level = level + harvest.joules() - consumed - spilled;
             assert!(
                 (level - plan.battery_trajectory[h].joules()).abs() < 1e-6,
                 "hour {h}: recomputed {level} vs planned {}",

@@ -15,6 +15,12 @@ pub enum LpError {
         /// Length of the offending coefficient slice.
         got: usize,
     },
+    /// A constraint term's column was not below the number of decision
+    /// variables, or did not come after the previous term's column.
+    InvalidColumn {
+        /// The offending column index.
+        column: usize,
+    },
     /// The objective vector was empty: a problem needs at least one variable.
     EmptyObjective,
     /// A coefficient, bound, or right-hand side was NaN or infinite.
@@ -32,6 +38,10 @@ impl fmt::Display for LpError {
             LpError::DimensionMismatch { expected, got } => write!(
                 f,
                 "constraint has {got} coefficients but the problem has {expected} variables"
+            ),
+            LpError::InvalidColumn { column } => write!(
+                f,
+                "constraint term column {column} is out of range or not strictly ascending"
             ),
             LpError::EmptyObjective => write!(f, "objective must have at least one variable"),
             LpError::NonFiniteInput => write!(f, "input contained a NaN or infinite value"),
@@ -58,6 +68,9 @@ mod tests {
             e.to_string(),
             "constraint has 2 coefficients but the problem has 3 variables"
         );
+        assert!(LpError::InvalidColumn { column: 9 }
+            .to_string()
+            .contains("column 9"));
         assert!(LpError::EmptyObjective.to_string().contains("objective"));
         assert!(LpError::NonFiniteInput.to_string().contains("NaN"));
         assert!(LpError::IterationLimit { limit: 7 }

@@ -129,8 +129,12 @@ pub fn best_vertex(problem: &LpProblem, tol: f64) -> OracleResult {
     }
     let mut planes: Vec<Plane> = Vec::new();
     for c in &problem.constraints {
+        let mut coeffs = vec![0.0; n];
+        for &(j, a) in &c.terms {
+            coeffs[j] = a;
+        }
         planes.push(Plane {
-            coeffs: c.coeffs.clone(),
+            coeffs,
             rhs: c.rhs,
             mandatory: c.relation == Relation::Eq,
         });

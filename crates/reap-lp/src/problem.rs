@@ -36,10 +36,12 @@ pub(crate) enum Direction {
     Minimize,
 }
 
-/// One linear constraint row.
+/// One linear constraint row, stored as its terms: `(column,
+/// coefficient)` pairs in strictly ascending column order, every
+/// coefficient whose bits are not `+0.0` (an explicit `-0.0` is kept).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ConstraintRow {
-    pub coeffs: Vec<f64>,
+    pub terms: Vec<(usize, f64)>,
     pub relation: Relation,
     pub rhs: f64,
 }
@@ -55,7 +57,8 @@ pub(crate) struct ConstraintRow {
 /// ```
 ///
 /// Build with [`LpProblem::maximize`] or [`LpProblem::minimize`], add rows
-/// with [`LpProblem::subject_to`], then call [`LpProblem::solve`].
+/// with [`LpProblem::subject_to`] (dense) or [`LpProblem::subject_to_terms`]
+/// (a row's non-zero terms), then call [`LpProblem::solve`].
 ///
 /// # Examples
 ///
@@ -161,11 +164,52 @@ impl LpProblem {
                 got: coeffs.len(),
             });
         }
-        if coeffs.iter().any(|c| !c.is_finite()) || !rhs.is_finite() {
+        self.push_row(coeffs.iter().copied().enumerate(), relation, rhs)
+    }
+
+    /// Adds the constraint `sum a_j x_j  rel  rhs` over its terms
+    /// `(j, a_j)`; a column the terms leave out has coefficient zero.
+    ///
+    /// Returns `&mut self` so constraints can be chained.
+    ///
+    /// # Errors
+    ///
+    /// * [`LpError::InvalidColumn`] if a column is not below the number of
+    ///   decision variables or the columns are not strictly ascending.
+    /// * [`LpError::NonFiniteInput`] if any coefficient or `rhs` is NaN or
+    ///   infinite.
+    pub fn subject_to_terms(
+        &mut self,
+        terms: &[(usize, f64)],
+        relation: Relation,
+        rhs: f64,
+    ) -> Result<&mut Self, LpError> {
+        let mut next = 0;
+        for &(column, _) in terms {
+            if column < next || column >= self.num_vars() {
+                return Err(LpError::InvalidColumn { column });
+            }
+            next = column + 1;
+        }
+        self.push_row(terms.iter().copied(), relation, rhs)
+    }
+
+    /// Appends a row of ascending in-range terms once its coefficients and
+    /// `rhs` are finite. Only terms whose bits are `+0.0` are dropped, so
+    /// the stored terms scatter back into exactly the dense row.
+    fn push_row(
+        &mut self,
+        terms: impl ExactSizeIterator<Item = (usize, f64)> + Clone,
+        relation: Relation,
+        rhs: f64,
+    ) -> Result<&mut Self, LpError> {
+        if terms.clone().any(|(_, a)| !a.is_finite()) || !rhs.is_finite() {
             return Err(LpError::NonFiniteInput);
         }
+        let mut terms: Vec<(usize, f64)> = terms.collect();
+        terms.retain(|&(_, a)| a.to_bits() != 0.0f64.to_bits());
         self.constraints.push(ConstraintRow {
-            coeffs: coeffs.to_vec(),
+            terms,
             relation,
             rhs,
         });
@@ -226,7 +270,7 @@ impl LpProblem {
             return false;
         }
         self.constraints.iter().all(|c| {
-            let lhs: f64 = c.coeffs.iter().zip(x).map(|(a, v)| a * v).sum();
+            let lhs: f64 = c.terms.iter().map(|&(j, a)| a * x[j]).sum();
             match c.relation {
                 Relation::Le => lhs <= c.rhs + tol,
                 Relation::Ge => lhs >= c.rhs - tol,
@@ -262,21 +306,22 @@ impl std::fmt::Display for LpProblem {
         } else {
             "minimize"
         };
-        let term = |c: f64, j: usize| format!("{c} x{j}");
-        let lhs = |coeffs: &[f64]| -> String {
-            let terms: Vec<String> = coeffs
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0.0)
-                .map(|(j, &c)| term(c, j))
+        fn lhs(terms: impl Iterator<Item = (usize, f64)>) -> String {
+            let terms: Vec<String> = terms
+                .filter(|&(_, c)| c != 0.0)
+                .map(|(j, c)| format!("{c} x{j}"))
                 .collect();
             if terms.is_empty() {
                 "0".to_string()
             } else {
                 terms.join(" + ")
             }
-        };
-        writeln!(f, "{verb} {}", lhs(&self.objective))?;
+        }
+        writeln!(
+            f,
+            "{verb} {}",
+            lhs(self.objective.iter().copied().enumerate())
+        )?;
         writeln!(f, "subject to")?;
         for c in &self.constraints {
             let rel = match c.relation {
@@ -284,7 +329,7 @@ impl std::fmt::Display for LpProblem {
                 Relation::Eq => "==",
                 Relation::Ge => ">=",
             };
-            writeln!(f, "  {} {rel} {}", lhs(&c.coeffs), c.rhs)?;
+            writeln!(f, "  {} {rel} {}", lhs(c.terms.iter().copied()), c.rhs)?;
         }
         write!(f, "  x >= 0")
     }
@@ -348,6 +393,61 @@ mod tests {
             p.subject_to(&[1.0], Relation::Le, f64::NAN).unwrap_err(),
             LpError::NonFiniteInput
         );
+    }
+
+    #[test]
+    fn terms_constructor_refuses_bad_columns_and_non_finite_input() {
+        let mut p = LpProblem::maximize(&[1.0, 2.0, 3.0]);
+        let refused = [
+            (vec![(3, 1.0)], 1.0, LpError::InvalidColumn { column: 3 }),
+            (
+                vec![(1, 1.0), (1, 2.0)],
+                1.0,
+                LpError::InvalidColumn { column: 1 },
+            ),
+            (
+                vec![(2, 1.0), (0, 2.0)],
+                1.0,
+                LpError::InvalidColumn { column: 0 },
+            ),
+            (vec![(0, 1.0), (1, f64::NAN)], 1.0, LpError::NonFiniteInput),
+            (vec![(2, f64::NEG_INFINITY)], 1.0, LpError::NonFiniteInput),
+            (vec![(0, 1.0)], f64::INFINITY, LpError::NonFiniteInput),
+        ];
+        for (terms, rhs, err) in refused {
+            assert_eq!(
+                p.subject_to_terms(&terms, Relation::Le, rhs).unwrap_err(),
+                err,
+                "{terms:?} <= {rhs}"
+            );
+        }
+        assert_eq!(p.num_constraints(), 0);
+        p.subject_to_terms(&[], Relation::Eq, 0.0).unwrap();
+        p.subject_to_terms(&[(0, 1.0), (2, 5.0)], Relation::Le, 4.0)
+            .unwrap();
+        assert_eq!(p.num_constraints(), 2);
+    }
+
+    #[test]
+    fn rows_store_every_term_but_positive_zeros() {
+        let bits = |p: &LpProblem| -> Vec<Vec<(usize, u64)>> {
+            p.constraints
+                .iter()
+                .map(|r| r.terms.iter().map(|&(j, a)| (j, a.to_bits())).collect())
+                .collect()
+        };
+        let mut dense = LpProblem::maximize(&[1.0, 1.0, 1.0, 1.0]);
+        dense
+            .subject_to(&[0.0, -0.0, 2.0, 0.0], Relation::Le, 1.0)
+            .unwrap();
+        let mut sparse = LpProblem::maximize(&[1.0, 1.0, 1.0, 1.0]);
+        sparse
+            .subject_to_terms(&[(0, 0.0), (1, -0.0), (2, 2.0)], Relation::Le, 1.0)
+            .unwrap();
+        let expected = vec![vec![(1, (-0.0f64).to_bits()), (2, 2.0f64.to_bits())]];
+        assert_eq!(bits(&dense), expected);
+        assert_eq!(bits(&sparse), expected);
+        assert!(dense.to_string().contains("2 x2 <= 1"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! positive entry.
 
 use crate::error::LpError;
-use crate::problem::{Direction, LpProblem, Relation};
+use crate::problem::{ConstraintRow, Direction, LpProblem, Relation};
 use crate::solution::LpSolution;
 
 /// Pivot-column selection rule.
@@ -56,12 +56,17 @@ impl Default for SimplexOptions {
 /// slack/surplus | artificial]`, then the right-hand side. The first
 /// `basis.len()` rows are the constraint rows; the last row is the cost
 /// row, with `c_j - z_j` (reduced cost) in column `j` and `-z` (negated
-/// objective value) in the right-hand-side slot.
+/// objective value) in the right-hand-side slot. Every column left of
+/// the right-hand side may enter the basis: phase 2 runs after the
+/// artificial columns are dropped.
 ///
 /// A pivot updates every entry on its own (`x /= piv`, then
 /// `x -= f * p`) in the same order as a textbook tableau would, and
 /// rustc never contracts `x - f * p` into a fused multiply-add, so the
 /// vectorized slice loops below produce the same bits as scalar ones.
+/// A column is updated only from its own cells and the pivot column's
+/// non-zero factors, so dropping columns leaves every other cell as it
+/// was.
 struct Tableau {
     cells: Vec<f64>,
     basis: Vec<usize>,
@@ -75,6 +80,75 @@ enum PivotOutcome {
 }
 
 impl Tableau {
+    /// The initial tableau of `problem` and its first artificial column.
+    ///
+    /// Rows are normalized to rhs >= 0 (negating a row flips its
+    /// relation) and the problem's terms are scattered into a zeroed
+    /// tableau; the cost row stays zero until the first `price_out`. A
+    /// negated row holds -0.0 wherever its terms leave a zero, as
+    /// negating it densely would.
+    fn new(problem: &LpProblem) -> (Tableau, usize) {
+        let n = problem.num_vars();
+        let m = problem.num_constraints();
+        let relation = |c: &ConstraintRow| {
+            if c.rhs < 0.0 {
+                c.relation.flipped()
+            } else {
+                c.relation
+            }
+        };
+        let rows = &problem.constraints;
+        let n_slack = rows.iter().filter(|c| relation(c) != Relation::Eq).count();
+        let n_art = rows.iter().filter(|c| relation(c) != Relation::Le).count();
+        let artificial_start = n + n_slack;
+        let n_total = n + n_slack + n_art;
+
+        let width = n_total + 1;
+        let mut cells = vec![0.0; (m + 1) * width];
+        let mut basis = Vec::with_capacity(m);
+        let mut slack_cursor = n;
+        let mut art_cursor = artificial_start;
+        for (row, c) in cells.chunks_exact_mut(width).zip(rows) {
+            if c.rhs < 0.0 {
+                row[..n].fill(-0.0);
+                for &(j, a) in &c.terms {
+                    row[j] = -a;
+                }
+                row[n_total] = -c.rhs;
+            } else {
+                for &(j, a) in &c.terms {
+                    row[j] = a;
+                }
+                row[n_total] = c.rhs;
+            }
+            match relation(c) {
+                Relation::Le => {
+                    row[slack_cursor] = 1.0;
+                    basis.push(slack_cursor);
+                    slack_cursor += 1;
+                }
+                Relation::Ge => {
+                    row[slack_cursor] = -1.0;
+                    slack_cursor += 1;
+                    row[art_cursor] = 1.0;
+                    basis.push(art_cursor);
+                    art_cursor += 1;
+                }
+                Relation::Eq => {
+                    row[art_cursor] = 1.0;
+                    basis.push(art_cursor);
+                    art_cursor += 1;
+                }
+            }
+        }
+        let tab = Tableau {
+            cells,
+            basis,
+            width,
+        };
+        (tab, artificial_start)
+    }
+
     fn rhs_index(&self) -> usize {
         self.width - 1
     }
@@ -94,16 +168,19 @@ impl Tableau {
         &self.cells[self.basis.len() * self.width..]
     }
 
-    /// Rebuilds the cost row for the cost vector `cost` (length
-    /// `width - 1`), pricing out the current basis so all basic columns
-    /// have zero reduced cost.
-    fn price_out(&mut self, cost: &[f64]) {
+    /// Rebuilds the cost row for the cost `cost(j)` of each column `j`,
+    /// pricing out the current basis so all basic columns have zero
+    /// reduced cost. `cost` also prices a basic artificial whose column
+    /// was dropped (one left in a redundant row after phase 1).
+    fn price_out(&mut self, cost: impl Fn(usize) -> f64) {
         let (rows, obj) = self.cells.split_at_mut(self.basis.len() * self.width);
-        let (reduced, rhs) = obj.split_at_mut(cost.len());
-        reduced.copy_from_slice(cost);
+        let (reduced, rhs) = obj.split_at_mut(self.width - 1);
+        for (j, r) in reduced.iter_mut().enumerate() {
+            *r = cost(j);
+        }
         rhs[0] = 0.0;
         for (row, &b) in rows.chunks_exact(self.width).zip(&self.basis) {
-            let cb = cost[b];
+            let cb = cost(b);
             if cb != 0.0 {
                 for (o, &a) in obj.iter_mut().zip(row) {
                     *o -= cb * a;
@@ -112,19 +189,34 @@ impl Tableau {
         }
     }
 
-    /// Selects the entering column below `banned_from`, or `None` at
-    /// optimality.
-    fn entering_column(&self, rule: PivotRule, tol: f64, banned_from: usize) -> Option<usize> {
-        let candidates = &self.obj()[..self.rhs_index().min(banned_from)];
+    /// Drops the columns from `keep` up to the right-hand side from every
+    /// row, the cost row included, shifting the rows down in place.
+    fn drop_columns_from(&mut self, keep: usize) {
+        let width = keep + 1;
+        for i in 0..=self.basis.len() {
+            let (from, to) = (i * self.width, i * width);
+            let rhs = self.cells[from + self.width - 1];
+            self.cells.copy_within(from..from + keep, to);
+            self.cells[to + keep] = rhs;
+        }
+        self.cells.truncate((self.basis.len() + 1) * width);
+        self.width = width;
+    }
+
+    /// Selects the entering column, or `None` at optimality.
+    fn entering_column(&self, rule: PivotRule, tol: f64) -> Option<usize> {
+        let candidates = &self.obj()[..self.rhs_index()];
         match rule {
+            // The first column holding the largest reduced cost above
+            // `tol`: the column a scan that keeps only a strictly greater
+            // entry ends on.
             PivotRule::Dantzig => {
-                let mut best: Option<(usize, f64)> = None;
-                for (j, &r) in candidates.iter().enumerate() {
-                    if r > tol && best.is_none_or(|(_, br)| r > br) {
-                        best = Some((j, r));
-                    }
+                let best = lane_max(candidates, tol);
+                if best > tol {
+                    candidates.iter().position(|&r| r == best)
+                } else {
+                    None
                 }
-                best.map(|(j, _)| j)
             }
             PivotRule::Bland => candidates.iter().position(|&r| r > tol),
         }
@@ -182,8 +274,8 @@ impl Tableau {
     }
 
     /// One simplex step: choose pivot column and row, pivot.
-    fn step(&mut self, rule: PivotRule, tol: f64, banned_from: usize) -> PivotOutcome {
-        let Some(q) = self.entering_column(rule, tol, banned_from) else {
+    fn step(&mut self, rule: PivotRule, tol: f64) -> PivotOutcome {
+        let Some(q) = self.entering_column(rule, tol) else {
             return PivotOutcome::Optimal;
         };
         let Some(p) = self.leaving_row(q, tol) else {
@@ -195,14 +287,29 @@ impl Tableau {
     }
 }
 
+/// The largest of `values` and `floor`, NaNs skipped: `v > max` keeps
+/// each lane's maximum, the select a packed max instruction computes, so
+/// the lanes vectorize.
+fn lane_max(values: &[f64], floor: f64) -> f64 {
+    const LANES: usize = 4;
+    let mut lanes = [floor; LANES];
+    let chunks = values.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (max, &v) in lanes.iter_mut().zip(chunk) {
+            *max = if v > *max { v } else { *max };
+        }
+    }
+    lanes
+        .iter()
+        .chain(tail)
+        .fold(floor, |max, &v| if v > max { v } else { max })
+}
+
 /// Driver for the pivot loop of one phase.
-///
-/// `banned_from`: first column index that is not allowed to enter the basis
-/// (used to exclude artificial columns in phase 2).
 fn run_phase(
     tab: &mut Tableau,
     options: &SimplexOptions,
-    banned_from: usize,
     iterations: &mut usize,
 ) -> Result<bool, LpError> {
     let mut rule = options.pivot_rule;
@@ -213,7 +320,7 @@ fn run_phase(
                 limit: options.max_iterations,
             });
         }
-        match tab.step(rule, options.tol, banned_from) {
+        match tab.step(rule, options.tol) {
             PivotOutcome::Optimal => return Ok(true),
             PivotOutcome::Unbounded => return Ok(false),
             PivotOutcome::Pivoted { degenerate } => {
@@ -235,79 +342,15 @@ fn run_phase(
 /// Solves `problem` with the two-phase simplex method.
 pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     let n = problem.num_vars();
-    let m = problem.num_constraints();
-
-    // --- Normalize rows to rhs >= 0 (negating a row flips its relation)
-    // and count the slack/surplus and artificial columns.
-    let relation = |i: usize| {
-        let c = &problem.constraints[i];
-        if c.rhs < 0.0 {
-            c.relation.flipped()
-        } else {
-            c.relation
-        }
-    };
-    let n_slack = (0..m).filter(|&i| relation(i) != Relation::Eq).count();
-    let n_art = (0..m).filter(|&i| relation(i) != Relation::Le).count();
-    let artificial_start = n + n_slack;
-    let n_total = n + n_slack + n_art;
-
-    // --- Build the tableau straight from the problem's rows; the cost
-    // row stays zero until the first `price_out`.
-    let width = n_total + 1;
-    let mut cells = vec![0.0; (m + 1) * width];
-    let mut basis = Vec::with_capacity(m);
-    let mut slack_cursor = n;
-    let mut art_cursor = artificial_start;
-    for (i, (row, c)) in cells
-        .chunks_exact_mut(width)
-        .zip(&problem.constraints)
-        .enumerate()
-    {
-        if c.rhs < 0.0 {
-            for (x, &a) in row.iter_mut().zip(&c.coeffs) {
-                *x = -a;
-            }
-            row[n_total] = -c.rhs;
-        } else {
-            row[..n].copy_from_slice(&c.coeffs);
-            row[n_total] = c.rhs;
-        }
-        match relation(i) {
-            Relation::Le => {
-                row[slack_cursor] = 1.0;
-                basis.push(slack_cursor);
-                slack_cursor += 1;
-            }
-            Relation::Ge => {
-                row[slack_cursor] = -1.0;
-                slack_cursor += 1;
-                row[art_cursor] = 1.0;
-                basis.push(art_cursor);
-                art_cursor += 1;
-            }
-            Relation::Eq => {
-                row[art_cursor] = 1.0;
-                basis.push(art_cursor);
-                art_cursor += 1;
-            }
-        }
-    }
-
-    let mut tab = Tableau {
-        cells,
-        basis,
-        width,
-    };
+    let (mut tab, artificial_start) = Tableau::new(problem);
+    let n_total = tab.rhs_index();
 
     let mut iterations = 0usize;
 
     // --- Phase 1: drive artificials to zero (maximize -sum of artificials).
-    if n_art > 0 {
-        let mut phase1_cost = vec![0.0; n_total];
-        phase1_cost[artificial_start..].fill(-1.0);
-        tab.price_out(&phase1_cost);
-        let finished = run_phase(&mut tab, options, n_total, &mut iterations)?;
+    if artificial_start < n_total {
+        tab.price_out(|j| if j < artificial_start { 0.0 } else { -1.0 });
+        let finished = run_phase(&mut tab, options, &mut iterations)?;
         debug_assert!(finished, "phase-1 objective is bounded by construction");
         let z1 = -tab.obj()[tab.rhs_index()];
         if z1 < -options.tol.max(1e-7) {
@@ -316,8 +359,9 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         // Drive any residual basic artificials (at value zero) out of the
         // basis so phase 2 cannot be polluted by them. If a row has no
         // eligible pivot it is redundant; the artificial stays basic at 0,
-        // which is harmless because artificial columns are banned below.
-        for i in 0..m {
+        // which is harmless because artificial columns cannot enter
+        // phase 2.
+        for i in 0..tab.basis.len() {
             if tab.basis[i] >= artificial_start {
                 let pivot_col = tab.row(i)[..artificial_start]
                     .iter()
@@ -328,6 +372,8 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
                 }
             }
         }
+        // Phase 2 never reads an artificial column again: drop them.
+        tab.drop_columns_from(artificial_start);
     }
 
     // --- Phase 2: optimize the real objective (internally always maximize).
@@ -335,12 +381,8 @@ pub(crate) fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpS
         Direction::Maximize => 1.0,
         Direction::Minimize => -1.0,
     };
-    let mut phase2_cost = vec![0.0; n_total];
-    for (c, &o) in phase2_cost.iter_mut().zip(&problem.objective) {
-        *c = sign * o;
-    }
-    tab.price_out(&phase2_cost);
-    let finished = run_phase(&mut tab, options, artificial_start, &mut iterations)?;
+    tab.price_out(|j| problem.objective.get(j).map_or(0.0, |&o| sign * o));
+    let finished = run_phase(&mut tab, options, &mut iterations)?;
     if !finished {
         return Ok(LpSolution::unbounded(iterations));
     }
@@ -370,6 +412,98 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
+    }
+
+    fn bits(cells: &[f64]) -> Vec<u64> {
+        cells.iter().map(|c| c.to_bits()).collect()
+    }
+
+    #[test]
+    fn scattered_terms_fill_the_dense_tableau_bit_for_bit() {
+        // Explicit -0.0 and +0.0 coefficients in rows negated for a
+        // negative right-hand side and in rows kept as written: each
+        // structural cell holds the bits a dense copy (or a dense
+        // negation) of the row would, and so does the right-hand side.
+        let rows: [(&[f64], Relation, f64); 5] = [
+            (&[-1.0, -0.0, 0.0, -1.0], Relation::Le, -2.0),
+            (&[0.0, 1.0, -0.0, 1.0], Relation::Ge, 1.0),
+            (&[1.0, -1.0, 0.0, -0.0], Relation::Eq, -0.0),
+            (&[-0.0, 0.0, -2.0, 0.0], Relation::Eq, -3.0),
+            (&[0.0, -0.0, 0.0, 0.0], Relation::Ge, -1.0),
+        ];
+        let mut p = LpProblem::maximize(&[1.0, 2.0, -1.0, 0.5]);
+        for &(coeffs, relation, rhs) in &rows {
+            p.subject_to(coeffs, relation, rhs).unwrap();
+        }
+        let (tab, _) = Tableau::new(&p);
+        for (i, &(coeffs, _, rhs)) in rows.iter().enumerate() {
+            let negate = |a: f64| if rhs < 0.0 { -a } else { a };
+            let dense: Vec<f64> = coeffs.iter().map(|&a| negate(a)).collect();
+            assert_eq!(bits(&tab.row(i)[..4]), bits(&dense), "row {i}");
+            assert_eq!(tab.row(i)[tab.rhs_index()].to_bits(), negate(rhs).to_bits());
+        }
+    }
+
+    #[test]
+    fn dropping_the_artificial_columns_keeps_every_other_cell() {
+        let mut p = LpProblem::minimize(&[2.0, 3.0, 1.0]);
+        p.subject_to(&[1.0, 1.0, 1.0], Relation::Ge, 10.0).unwrap();
+        p.subject_to(&[1.0, 0.0, -1.0], Relation::Eq, 3.0).unwrap();
+        p.subject_to(&[0.0, 1.0, 1.0], Relation::Le, 8.0).unwrap();
+        let (mut tab, artificial_start) = Tableau::new(&p);
+        tab.price_out(|j| if j < artificial_start { 0.0 } else { -1.0 });
+        let before = tab.cells.clone();
+        let old_width = tab.width;
+        tab.drop_columns_from(artificial_start);
+        assert_eq!(tab.width, artificial_start + 1);
+        assert_eq!(tab.cells.len(), 4 * tab.width);
+        for (old, new) in before
+            .chunks_exact(old_width)
+            .zip(tab.cells.chunks_exact(tab.width))
+        {
+            assert_eq!(
+                bits(&old[..artificial_start]),
+                bits(&new[..artificial_start])
+            );
+            assert_eq!(
+                old[old_width - 1].to_bits(),
+                new[artificial_start].to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn dantzig_enters_the_first_column_of_the_largest_reduced_cost() {
+        // 19 reduced costs: the lanes and the tail both see the maximum,
+        // NaN and values at or below the tolerance never enter.
+        let mut reduced = vec![0.5; 19];
+        reduced[3] = f64::NAN;
+        reduced[5] = 2.0;
+        reduced[11] = 2.0;
+        reduced[17] = 2.0;
+        let mut cells = reduced.clone();
+        cells.push(0.0);
+        let tab = Tableau {
+            cells,
+            basis: Vec::new(),
+            width: 20,
+        };
+        assert_eq!(tab.entering_column(PivotRule::Dantzig, 1e-9), Some(5));
+        assert_eq!(tab.entering_column(PivotRule::Bland, 1e-9), Some(0));
+        assert_eq!(tab.entering_column(PivotRule::Dantzig, 2.0), None);
+        assert_eq!(tab.entering_column(PivotRule::Dantzig, f64::NAN), None);
+        let tail_only = Tableau {
+            cells: vec![0.0, -1.0, 3.0, 0.0],
+            basis: Vec::new(),
+            width: 4,
+        };
+        assert_eq!(tail_only.entering_column(PivotRule::Dantzig, 1e-9), Some(2));
+        let optimal = Tableau {
+            cells: vec![-0.0, 1e-9, -3.0, 0.0],
+            basis: Vec::new(),
+            width: 4,
+        };
+        assert_eq!(optimal.entering_column(PivotRule::Dantzig, 1e-9), None);
     }
 
     #[test]

@@ -288,6 +288,10 @@ fn textbook_paths() {
     // Explicit signed zeros: a `<=` row with a negative right-hand side
     // (negated into a `>=` row), a `>=` row and an `==` row with a -0.0
     // right-hand side, each holding both a -0.0 and a +0.0 coefficient.
+    // A zero coefficient's sign cannot reach a solution bit (a column is
+    // updated only from its own cells and the entering column's non-zero
+    // factors), so the cells themselves are pinned by the simplex unit
+    // test `scattered_terms_fill_the_dense_tableau_bit_for_bit`.
     let mut p = LpProblem::maximize(&[1.0, 2.0, -1.0, 0.5]);
     p.subject_to(&[-1.0, -0.0, 0.0, -1.0], Relation::Le, -2.0)
         .expect("same dim");
