@@ -207,9 +207,8 @@ impl Tableau {
     fn entering_column(&self, rule: PivotRule, tol: f64) -> Option<usize> {
         let candidates = &self.obj()[..self.rhs_index()];
         match rule {
-            // The first column holding the largest reduced cost above
-            // `tol`: the column a scan that keeps only a strictly greater
-            // entry ends on.
+            // Ties go to the lowest column: the largest reduced cost
+            // above `tol`, then the first column holding it.
             PivotRule::Dantzig => {
                 let best = lane_max(candidates, tol);
                 if best > tol {
