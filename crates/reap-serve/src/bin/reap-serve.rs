@@ -3,7 +3,6 @@
 //! ```text
 //! reap-serve [--addr 127.0.0.1:0] [--users 2000] [--seed 0]
 //!            [--source <label>]... [--shards 16] [--max-connections 64]
-//!            [--restore <path>] [--checkpoint-on-exit <path>]
 //!            [--checkpoint-ring <dir>] [--ring-keep 4]
 //!            [--checkpoint-every-ms <ms>] [--resume]
 //! ```
@@ -12,19 +11,23 @@
 //! definition the simulator uses, binds the TCP daemon (port 0 by
 //! default — the kernel-assigned address is printed on stdout), and
 //! serves until SIGINT or an in-band `shutdown` request. Both paths
-//! drain in-flight connections, write the exit checkpoint if
-//! `--checkpoint-on-exit` was given, and exit 0.
+//! drain in-flight connections, write the ring's final checkpoint if
+//! `--checkpoint-ring` was given, and exit 0.
 //!
 //! Source labels are the [`SourceKind`] names: `outdoor-solar`,
 //! `indoor-pv`, `body-heat-teg`, `kinetic`. Repeat `--source` to
 //! round-robin users over several; omit it for all four.
 //!
-//! Crash safety: `--checkpoint-ring DIR` keeps a ring of the last
-//! `--ring-keep` snapshots in `DIR` (written crash-safely every
-//! `--checkpoint-every-ms`, and once at graceful shutdown); `--resume`
-//! recovers the newest digest-valid snapshot from that ring at startup,
-//! skipping torn or corrupt files — after a SIGKILL, restarting with the
-//! same flags plus `--resume` lands on the last durable checkpoint.
+//! Snapshots: `--checkpoint-ring DIR` is the daemon's one snapshot
+//! location. It keeps a ring of the last `--ring-keep` snapshots in
+//! `DIR`, written crash-safely on each in-band `checkpoint`, every
+//! `--checkpoint-every-ms`, and once at graceful shutdown; an in-band
+//! `restore` loads the newest digest-valid one. `--resume` recovers the
+//! same snapshot at startup, skipping torn or corrupt files — after a
+//! SIGKILL, restarting with the same flags plus `--resume` lands on the
+//! last durable checkpoint. To start from a snapshot file, copy it into
+//! an empty ring directory as `ckpt-0000000000.reapsnap` and pass
+//! `--resume`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -76,8 +79,6 @@ struct Args {
     sources: Vec<SourceKind>,
     shards: usize,
     max_connections: usize,
-    restore: Option<PathBuf>,
-    checkpoint_on_exit: Option<PathBuf>,
     checkpoint_ring: Option<PathBuf>,
     ring_keep: usize,
     checkpoint_every_ms: Option<u64>,
@@ -102,8 +103,6 @@ fn parse_args() -> Result<Args, String> {
         sources: Vec::new(),
         shards: 16,
         max_connections: 64,
-        restore: None,
-        checkpoint_on_exit: None,
         checkpoint_ring: None,
         ring_keep: 4,
         checkpoint_every_ms: None,
@@ -138,10 +137,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-connections: {e}"))?;
             }
-            "--restore" => args.restore = Some(PathBuf::from(value("--restore")?)),
-            "--checkpoint-on-exit" => {
-                args.checkpoint_on_exit = Some(PathBuf::from(value("--checkpoint-on-exit")?));
-            }
             "--checkpoint-ring" => {
                 args.checkpoint_ring = Some(PathBuf::from(value("--checkpoint-ring")?));
             }
@@ -164,8 +159,13 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: reap-serve [--addr A] [--users N] [--seed S] [--source L]... \
-                     [--shards N] [--max-connections N] [--restore P] [--checkpoint-on-exit P] \
-                     [--checkpoint-ring D] [--ring-keep N] [--checkpoint-every-ms MS] [--resume]"
+                     [--shards N] [--max-connections N] [--checkpoint-ring D] [--ring-keep N] \
+                     [--checkpoint-every-ms MS] [--resume]\n\n\
+                     --checkpoint-ring D is the one snapshot location: checkpoint requests\n\
+                     and the periodic and exit checkpoints write there; restore requests\n\
+                     and --resume load its newest valid snapshot. To start from a snapshot\n\
+                     file, copy it into an empty ring as ckpt-0000000000.reapsnap and pass\n\
+                     --resume."
                 );
                 std::process::exit(0);
             }
@@ -188,12 +188,6 @@ fn run() -> Result<(), String> {
         .build()
         .map_err(|e| format!("building fleet: {e}"))?;
     let state = FleetState::new(&fleet, args.shards).map_err(|e| format!("building state: {e}"))?;
-    if let Some(path) = &args.restore {
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let users = reap_serve::snapshot::restore(&state, &bytes)
-            .map_err(|e| format!("restoring {}: {e}", path.display()))?;
-        println!("reap-serve: restored {users} users from {}", path.display());
-    }
     if args.resume {
         let dir = args
             .checkpoint_ring
@@ -228,7 +222,6 @@ fn run() -> Result<(), String> {
         state,
         ServerConfig {
             max_connections: args.max_connections,
-            checkpoint_on_exit: args.checkpoint_on_exit.clone(),
             checkpoint_ring: args.checkpoint_ring.clone(),
             ring_keep: args.ring_keep,
             checkpoint_every: args

@@ -16,6 +16,7 @@
 //! | rank | name | lock |
 //! |------|-----------|------|
 //! | 10 | `admission` | the connection-gate count (`Mutex + Condvar`) |
+//! | 15 | `ring` | the server's [`crate::SnapshotRing`]: one writer or restorer at a time, which takes every shard under it |
 //! | 20 | `shard` | each [`crate::state::FleetState`] shard (sub-rank = shard index, taken ascending in fleet-wide walks) |
 //!
 //! Ranks are sparse so future locks slot in without renumbering. A full
@@ -33,13 +34,16 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Rank classes for this crate's locks (the `class` half of a full
 /// rank). Keep in sync with the table above and the `lock-rank`
-/// declarations the linter reads (the two pragmas below ARE that
+/// declarations the linter reads (the three pragmas below ARE that
 /// declaration — `reap-lint` builds its rank table from them).
 // reap-lint: lock-rank(admission, 10)
+// reap-lint: lock-rank(ring, 15)
 // reap-lint: lock-rank(shard, 20)
 pub mod rank {
     /// The server's connection-admission gate.
     pub const ADMISSION: u32 = 10;
+    /// The server's snapshot ring.
+    pub const RING: u32 = 15;
     /// Fleet-state shard mutexes (sub-rank = shard index).
     pub const SHARD: u32 = 20;
 }

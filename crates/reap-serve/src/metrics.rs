@@ -112,8 +112,8 @@ pub struct ServerMetrics {
     pub observes: AtomicU64,
     /// `decide` requests handled.
     pub decides: AtomicU64,
-    /// `checkpoint` requests handled, failed writes included; the
-    /// ring's checkpoints are not requests and are not counted.
+    /// `checkpoint` requests handled, failed writes included; periodic
+    /// and final ring writes are not requests and are not counted.
     pub checkpoints: AtomicU64,
     /// `restore` requests handled.
     pub restores: AtomicU64,

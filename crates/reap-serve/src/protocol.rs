@@ -29,8 +29,9 @@ use crate::json::{self, Value};
 /// Protocol version spoken by this build; bumped on any wire change
 /// (v2 added the `observe` sequence number for idempotent retries, the
 /// `overloaded`/`evicted` error codes, and the shed/evicted counters in
-/// server stats).
-pub const PROTOCOL_VERSION: u32 = 2;
+/// server stats; v3 dropped the `path` of `checkpoint` and `restore`,
+/// which go through the daemon's snapshot ring).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Hard cap on one frame (including the terminating newline). Lines
 /// beyond it are rejected with an [`ErrorCode::Oversized`] frame and the
@@ -65,7 +66,8 @@ pub enum ErrorCode {
     BadRequest,
     /// The referenced user does not exist in the resident fleet.
     UnknownUser,
-    /// A checkpoint/restore operation failed (I/O or format).
+    /// A checkpoint/restore operation failed (no snapshot ring, I/O or
+    /// format).
     Snapshot,
     /// The server is shedding this request class under overload; safe to
     /// retry after a backoff.
@@ -184,18 +186,15 @@ pub enum Request {
     },
     /// Fetch fleet + server statistics.
     Stats,
-    /// Write a versioned binary snapshot of the whole population.
-    Checkpoint {
-        /// Filesystem path to write.
-        path: String,
-    },
-    /// Replace the whole population's state from a snapshot.
-    Restore {
-        /// Filesystem path to read.
-        path: String,
-    },
-    /// Gracefully stop the server: in-flight connections drain, an exit
-    /// checkpoint is written if configured, the process exits 0.
+    /// Write a versioned binary snapshot of the whole population as the
+    /// next entry of the daemon's snapshot ring.
+    Checkpoint,
+    /// Replace the whole population's state from the newest snapshot in
+    /// the daemon's ring that validates.
+    Restore,
+    /// Gracefully stop the server: in-flight connections drain, the
+    /// ring's final checkpoint is written if a ring is configured, the
+    /// process exits 0.
     Shutdown,
 }
 
@@ -247,8 +246,8 @@ pub struct ServerStats {
     pub observes: u64,
     /// `decide` requests handled.
     pub decides: u64,
-    /// `checkpoint` requests handled, failed writes included; the
-    /// ring's checkpoints are not requests and are not counted.
+    /// `checkpoint` requests handled, failed writes included; periodic
+    /// and final ring writes are not requests and are not counted.
     pub checkpoints: u64,
     /// `restore` requests handled.
     pub restores: u64,
@@ -314,14 +313,14 @@ pub enum Response {
     },
     /// A checkpoint was written.
     CheckpointDone {
-        /// Path written.
+        /// The ring file written.
         path: String,
         /// Snapshot size in bytes.
         bytes: u64,
     },
     /// A snapshot was restored.
     RestoreDone {
-        /// Path read.
+        /// The ring file restored from.
         path: String,
         /// Users restored.
         users: u32,
@@ -438,16 +437,8 @@ impl Request {
                 let _ = write!(s, "{{\"type\":\"decide\",\"user\":{user}}}");
             }
             Request::Stats => s.push_str("{\"type\":\"stats\"}"),
-            Request::Checkpoint { path } => {
-                s.push_str("{\"type\":\"checkpoint\",\"path\":");
-                json::write_str(&mut s, path);
-                s.push('}');
-            }
-            Request::Restore { path } => {
-                s.push_str("{\"type\":\"restore\",\"path\":");
-                json::write_str(&mut s, path);
-                s.push('}');
-            }
+            Request::Checkpoint => s.push_str("{\"type\":\"checkpoint\"}"),
+            Request::Restore => s.push_str("{\"type\":\"restore\"}"),
             Request::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
         }
         s
@@ -487,12 +478,8 @@ impl Request {
                 user: need_u32(obj, "user")?,
             }),
             "stats" => Ok(Request::Stats),
-            "checkpoint" => Ok(Request::Checkpoint {
-                path: need_str(obj, "path")?.to_string(),
-            }),
-            "restore" => Ok(Request::Restore {
-                path: need_str(obj, "path")?.to_string(),
-            }),
+            "checkpoint" => Ok(Request::Checkpoint),
+            "restore" => Ok(Request::Restore),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(malformed(format!("unknown request type {other:?}"))),
         }
@@ -769,12 +756,8 @@ mod tests {
             },
             Request::Decide { user: u32::MAX },
             Request::Stats,
-            Request::Checkpoint {
-                path: "/tmp/weird \"path\"\\with\nescapes\tand unicode é🙂".into(),
-            },
-            Request::Restore {
-                path: String::new(),
-            },
+            Request::Checkpoint,
+            Request::Restore,
             Request::Shutdown,
         ];
         for req in reqs {
@@ -885,7 +868,7 @@ mod tests {
             "{\"type\":\"observe\",\"user\":1,\"hour\":0,\"harvest_j\":1,\"seq\":\"x\"}",
             "{\"type\":\"decide\",\"user\":\"three\"}",
             "{\"type\":\"hello\",\"version\":1} trailing",
-            "{\"type\":\"checkpoint\",\"path\":7}",
+            "{\"type\":\"checkpoint_done\",\"path\":7,\"bytes\":1}",
             "{\"type\":\"hello\",\"version\":1e999}",
             "{\"type\":\"error\",\"code\":\"martian\",\"message\":\"x\"}",
         ] {
@@ -899,14 +882,15 @@ mod tests {
 
     #[test]
     fn unicode_escapes_decode() {
-        let req = Request::decode("{\"type\":\"checkpoint\",\"path\":\"\\u00e9\\ud83d\\ude02x\"}")
-            .unwrap();
+        let frame = "{\"type\":\"restore_done\",\"path\":\"\\u00e9\\ud83d\\ude02x\",\"users\":1}";
         assert_eq!(
-            req,
-            Request::Checkpoint {
-                path: "é😂x".into()
+            Response::decode(frame).unwrap(),
+            Response::RestoreDone {
+                path: "é😂x".into(),
+                users: 1
             }
         );
-        assert!(Request::decode("{\"type\":\"checkpoint\",\"path\":\"\\ud83d\"}").is_err());
+        let lone = "{\"type\":\"restore_done\",\"path\":\"\\ud83d\",\"users\":1}";
+        assert!(Response::decode(lone).is_err());
     }
 }

@@ -37,16 +37,15 @@
 //! blocking accept, and in-flight connections drain — every connection
 //! reads with a short timeout, notices the flag at the next boundary,
 //! and closes after finishing the request in hand. Once every handler
-//! has joined, a final ring checkpoint is written if a
-//! [`ServerConfig::checkpoint_ring`] is configured, then the exit
-//! checkpoint if [`ServerConfig::checkpoint_on_exit`] is set, and
-//! `serve` returns. All checkpoint writes are crash-safe
-//! ([`snapshot::write_atomic`]: temp + fsync + rename + directory
-//! fsync).
+//! has joined, the ring's final cut is written if a
+//! [`ServerConfig::checkpoint_ring`] is configured, and `serve` returns.
+//! That ring is the daemon's one snapshot location: every snapshot
+//! write is its next entry, under one `ring` lock, so writers never race
+//! for a sequence number or prune each other's temp files.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -82,11 +81,11 @@ pub struct ServerConfig {
     /// Maximum concurrent connections; further accepts wait for a slot.
     /// `0` means the default (64).
     pub max_connections: usize,
-    /// Write a final snapshot here during graceful shutdown.
-    pub checkpoint_on_exit: Option<PathBuf>,
-    /// Directory for the retained snapshot ring; checkpoints land here
-    /// periodically (see [`ServerConfig::checkpoint_every`]) and once on
-    /// graceful shutdown. `None` disables the ring.
+    /// Directory of the retained snapshot ring, the daemon's one snapshot
+    /// location: `checkpoint` requests, the periodic writes (see
+    /// [`ServerConfig::checkpoint_every`]) and a final cut on graceful
+    /// shutdown land here, and `restore` requests read from here. `None`
+    /// disables the ring, and with it `checkpoint` and `restore`.
     pub checkpoint_ring: Option<PathBuf>,
     /// Snapshots retained in the ring; `0` means the default (4).
     pub ring_keep: usize,
@@ -115,6 +114,8 @@ struct Shared<L: IoLayer> {
     active: AtomicUsize,
     frame_deadline: Duration,
     overload_shed_at: usize,
+    /// The snapshot ring, if configured: one writer or restorer at a time.
+    ring: Option<OrderedLock<SnapshotRing>>,
 }
 
 impl<L: IoLayer> Shared<L> {
@@ -125,13 +126,22 @@ impl<L: IoLayer> Shared<L> {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Writes one ring checkpoint. A failure is logged, not fatal: the
-    /// daemon keeps serving. An injected crash is not logged (a real one
-    /// wouldn't be), and no ring write counts as a `checkpoint` request.
-    fn ring_checkpoint(&self, ring: &SnapshotRing, which: &str) {
-        if let Err(e) = ring.write_with(&self.state, &self.layer) {
-            eprintln!("reap-serve: {which} checkpoint failed: {e}");
-        }
+    /// The snapshot ring, or the error a daemon without one answers
+    /// `checkpoint` and `restore` with.
+    fn ring(&self) -> Result<&OrderedLock<SnapshotRing>, ProtocolError> {
+        self.ring.as_ref().ok_or_else(|| {
+            let message = "no snapshot ring configured (--checkpoint-ring)";
+            ProtocolError::new(ErrorCode::Snapshot, message)
+        })
+    }
+
+    /// Writes the state into the ring's next entry, through the layer's
+    /// crash hook. Returns the path written; `Ok(None)` means the hook
+    /// killed the writer.
+    fn write_ring(&self, ring: &OrderedLock<SnapshotRing>) -> io::Result<Option<PathBuf>> {
+        // reap-lint: acquires(ring)
+        let ring = ring.lock();
+        ring.write_with(&self.state, &self.layer)
     }
 }
 
@@ -142,9 +152,6 @@ pub struct Server<L: IoLayer = NoFaults> {
     listener: TcpListener,
     shared: Arc<Shared<L>>,
     max_connections: usize,
-    checkpoint_on_exit: Option<PathBuf>,
-    checkpoint_ring: Option<PathBuf>,
-    ring_keep: usize,
     checkpoint_every: Option<Duration>,
 }
 
@@ -164,7 +171,8 @@ impl<L: IoLayer> Clone for ServerHandle<L> {
 
 impl<L: IoLayer> ServerHandle<L> {
     /// Requests graceful shutdown: stop accepting, drain in-flight
-    /// connections, write the exit checkpoint if configured. Idempotent.
+    /// connections, write the ring's final cut if a ring is configured.
+    /// Idempotent.
     pub fn shutdown(&self) {
         self.shared.shut_down();
     }
@@ -177,13 +185,15 @@ impl<L: IoLayer> ServerHandle<L> {
 }
 
 impl Server<NoFaults> {
-    /// Binds the daemon to `addr` over `state`. Bind port 0 to let the
-    /// kernel pick a free port (read it back with
+    /// Binds the daemon to `addr` over `state`, and opens the snapshot
+    /// ring (creating its directory) if one is configured. Bind port 0
+    /// to let the kernel pick a free port (read it back with
     /// [`Server::local_addr`]).
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or the failure to create the ring
+    /// directory.
     pub fn bind(
         addr: impl ToSocketAddrs,
         state: FleetState,
@@ -200,13 +210,26 @@ impl<L: IoLayer> Server<L> {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or the failure to create the ring
+    /// directory.
     pub fn bind_with_layer(
         addr: impl ToSocketAddrs,
         state: FleetState,
         config: ServerConfig,
         layer: L,
     ) -> io::Result<Server<L>> {
+        let ring = match config.checkpoint_ring {
+            Some(dir) => {
+                let keep = if config.ring_keep == 0 {
+                    4
+                } else {
+                    config.ring_keep
+                };
+                let ring = SnapshotRing::create(dir, keep)?;
+                Some(OrderedLock::new("ring", rank::RING, 0, ring))
+            }
+            None => None,
+        };
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -220,18 +243,12 @@ impl<L: IoLayer> Server<L> {
                 active: AtomicUsize::new(0),
                 frame_deadline: config.frame_deadline.unwrap_or(DEFAULT_FRAME_DEADLINE),
                 overload_shed_at: config.overload_shed_at,
+                ring,
             }),
             max_connections: if config.max_connections == 0 {
                 64
             } else {
                 config.max_connections
-            },
-            checkpoint_on_exit: config.checkpoint_on_exit,
-            checkpoint_ring: config.checkpoint_ring,
-            ring_keep: if config.ring_keep == 0 {
-                4
-            } else {
-                config.ring_keep
             },
             checkpoint_every: config.checkpoint_every,
         })
@@ -253,35 +270,31 @@ impl<L: IoLayer> Server<L> {
     }
 
     /// Accepts and serves connections until shutdown, then drains
-    /// in-flight connections, writes a final ring checkpoint (if a ring
-    /// is configured) and the exit checkpoint (if configured). Returns
-    /// once the last connection has closed.
+    /// in-flight connections and writes the ring's final cut (if a ring
+    /// is configured). Returns once the last connection has closed.
     ///
     /// # Errors
     ///
-    /// Propagates exit-checkpoint write failures; accept errors on
+    /// Propagates the final cut's write failure; accept errors on
     /// individual connections are skipped, not fatal, and periodic ring
     /// checkpoint failures are logged to stderr rather than killing the
-    /// daemon.
+    /// daemon (an injected crash is not logged: a real one wouldn't be).
     pub fn serve(self) -> io::Result<()> {
-        let ring = match &self.checkpoint_ring {
-            Some(dir) => Some(SnapshotRing::create(dir, self.ring_keep)?),
-            None => None,
-        };
-
         // Periodic ring checkpoints run off the request path: a helper
         // thread snapshots the fleet (crash-safely) every
         // `checkpoint_every` until shutdown.
-        let ring_thread: Option<JoinHandle<()>> = match (&ring, self.checkpoint_every) {
-            (Some(ring), Some(every)) => {
-                let ring = ring.clone();
+        let ring_thread: Option<JoinHandle<()>> = match (&self.shared.ring, self.checkpoint_every) {
+            (Some(_), Some(every)) => {
                 let shared = Arc::clone(&self.shared);
                 Some(std::thread::spawn(move || {
+                    let Some(ring) = &shared.ring else { return };
                     let mut last = Instant::now();
                     while !shared.shutdown.load(Ordering::SeqCst) {
                         std::thread::sleep(RING_POLL.min(every));
                         if last.elapsed() >= every {
-                            shared.ring_checkpoint(&ring, "ring");
+                            if let Err(e) = shared.write_ring(ring) {
+                                eprintln!("reap-serve: ring checkpoint failed: {e}");
+                            }
                             last = Instant::now();
                         }
                     }
@@ -340,12 +353,10 @@ impl<L: IoLayer> Server<L> {
         if let Some(h) = ring_thread {
             let _ = h.join();
         }
-        if let Some(ring) = &ring {
-            // One last durable cut of the drained state.
-            self.shared.ring_checkpoint(ring, "final ring");
-        }
-        if let Some(path) = &self.checkpoint_on_exit {
-            snapshot::write_atomic(path, &snapshot::snapshot(&self.shared.state))?;
+        if let Some(ring) = &self.shared.ring {
+            // One last durable cut of the drained state: the exit
+            // checkpoint.
+            self.shared.write_ring(ring)?;
         }
         Ok(())
     }
@@ -610,47 +621,35 @@ impl<L: IoLayer> Session<'_, L> {
                 fleet: shared.state.fleet_stats(),
                 server: metrics.server_stats(),
             },
-            Request::Checkpoint { path } => {
+            Request::Checkpoint => {
                 metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
-                let snapshot = snapshot::snapshot(&shared.state);
-                let bytes = snapshot_file(&path, Some(snapshot), &shared.layer)?.len() as u64;
-                Response::CheckpointDone { path, bytes }
+                let message = match shared.write_ring(shared.ring()?) {
+                    Ok(Some(path)) => {
+                        let bytes = snapshot::snapshot_len(shared.state.users()) as u64;
+                        let path = path.display().to_string();
+                        return Ok(Response::CheckpointDone { path, bytes });
+                    }
+                    Ok(None) => "checkpoint writer crashed (injected)".to_string(),
+                    Err(e) => format!("writing the ring: {e}"),
+                };
+                return Err(ProtocolError::new(ErrorCode::Snapshot, message));
             }
-            Request::Restore { path } => {
+            Request::Restore => {
                 metrics.restores.fetch_add(1, Ordering::Relaxed);
-                let bytes = snapshot_file(&path, None, &shared.layer)?;
-                let users = snapshot::restore(&shared.state, &bytes)?;
-                Response::RestoreDone { path, users }
+                // reap-lint: acquires(ring)
+                let message = match shared.ring()?.lock().recover(&shared.state) {
+                    Ok(Some(r)) => {
+                        let (path, users) = (r.path.display().to_string(), r.users);
+                        return Ok(Response::RestoreDone { path, users });
+                    }
+                    Ok(None) => "the ring holds no snapshot of this fleet".to_string(),
+                    Err(e) => format!("reading the ring: {e}"),
+                };
+                return Err(ProtocolError::new(ErrorCode::Snapshot, message));
             }
             Request::Shutdown => Response::ShuttingDown,
         })
     }
-}
-
-/// The daemon's one file access on a client's behalf: a checkpoint
-/// writes its snapshot (`write`) to `path` crash-safely, through the
-/// layer's crash hook; a restore (`write` is `None`) reads `path`.
-/// Returns the bytes written or read.
-fn snapshot_file<L: IoLayer>(
-    path: &str,
-    write: Option<Vec<u8>>,
-    layer: &L,
-) -> Result<Vec<u8>, ProtocolError> {
-    let (verb, outcome) = match write {
-        Some(bytes) => (
-            "writing",
-            snapshot::write_atomic_with(Path::new(path), &bytes, layer)
-                .map(|done| done.then_some(bytes)),
-        ),
-        None => ("reading", std::fs::read(path).map(Some)),
-    };
-    let detail = match outcome {
-        Ok(Some(bytes)) => return Ok(bytes),
-        Ok(None) => "checkpoint writer crashed (injected)".to_string(),
-        Err(e) => e.to_string(),
-    };
-    let message = format!("{verb} {path:?}: {detail}");
-    Err(ProtocolError::new(ErrorCode::Snapshot, message))
 }
 
 /// Runs one connection until EOF, a refused handshake, eviction or
@@ -732,6 +731,7 @@ mod tests {
             active: AtomicUsize::new(2),
             frame_deadline: DEFAULT_FRAME_DEADLINE,
             overload_shed_at,
+            ring: None,
         }
     }
 
@@ -753,7 +753,7 @@ mod tests {
             shared: &shared,
             greeted: false,
         };
-        let hello = b"{\"type\":\"hello\",\"version\":2}";
+        let hello = b"{\"type\":\"hello\",\"version\":3}";
         // Before the handshake: nothing for a blank line, `malformed`
         // for a non-UTF-8 or malformed one, and the session reads on.
         assert_eq!(feed(&mut session, b" \t"), (None, Next::Read));
@@ -838,13 +838,9 @@ mod tests {
                 }),
             (0u32..6).prop_map(|user| Request::Decide { user }),
             Just(Request::Stats),
-            // Empty paths fail before touching the file system.
-            Just(Request::Checkpoint {
-                path: String::new()
-            }),
-            Just(Request::Restore {
-                path: String::new()
-            }),
+            // With no ring, both fail before touching the file system.
+            Just(Request::Checkpoint),
+            Just(Request::Restore),
             Just(Request::Shutdown),
         ]
     }
@@ -854,7 +850,13 @@ mod tests {
             arb_request().prop_map(|r| r.encode().into_bytes()),
             arb_request().prop_map(|r| r.encode().into_bytes()),
             arb_request().prop_map(|r| r.encode().into_bytes()),
-            Just(Request::Hello { version: 2 }.encode().into_bytes()),
+            Just(
+                Request::Hello {
+                    version: PROTOCOL_VERSION
+                }
+                .encode()
+                .into_bytes()
+            ),
             proptest::sample::select(vec!["", " \t", "not json", "{\"type\":\"nope\"}", "{"])
                 .prop_map(|s| s.as_bytes().to_vec()),
             Just(vec![0xff, 0xfe, b'{', b'}']),
@@ -884,7 +886,7 @@ mod tests {
                     requests += 1;
                     observes += u64::from(matches!(request, Request::Observe { .. }));
                     decides += u64::from(matches!(request, Request::Decide { .. }));
-                    checkpoints += u64::from(matches!(request, Request::Checkpoint { .. }));
+                    checkpoints += u64::from(matches!(request, Request::Checkpoint));
                 }
                 errors += u64::from(matches!(response, Some(Response::Error { .. })));
                 greeted |= matches!(response, Some(Response::Welcome { .. }));

@@ -44,7 +44,7 @@ use reap_harvest::step::EWMA_ALPHA;
 use reap_harvest::{Battery, DiurnalEwma, EwmaAllocator};
 use reap_units::Energy;
 
-use crate::fault::{CrashPoint, IoLayer, NoFaults};
+use crate::fault::{CrashPoint, IoLayer};
 use crate::protocol::{ErrorCode, ProtocolError};
 use crate::state::{FleetState, Fnv, LiveState, NO_HOUR};
 
@@ -59,6 +59,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"REAPSNAP";
 pub(crate) const RECORD_BYTES: usize = 4 + 4 + 4 + 8 + 5 * 8 + 8 + 8 + 24 * 8;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 4;
+
+/// The size of a snapshot of `users` users: header, records, digest.
+pub(crate) fn snapshot_len(users: u32) -> usize {
+    HEADER_BYTES + users as usize * RECORD_BYTES + 8
+}
 
 /// Hands one user's record to `put`, field by field in layout order. The
 /// snapshot writer appends the fields and the stats digest hashes them,
@@ -86,8 +91,7 @@ pub(crate) fn write_record(live: &LiveState, mut put: impl FnMut(&[u8])) {
 /// fleet.
 #[must_use]
 pub fn snapshot(state: &FleetState) -> Vec<u8> {
-    let users = state.users() as usize;
-    let mut out = Vec::with_capacity(HEADER_BYTES + users * RECORD_BYTES + 8);
+    let mut out = Vec::with_capacity(snapshot_len(state.users()));
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&state.fingerprint().to_le_bytes());
@@ -189,7 +193,7 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
             format!("snapshot holds {users} users, this fleet {}", state.users()),
         ));
     }
-    let expected = HEADER_BYTES + users as usize * RECORD_BYTES + 8;
+    let expected = snapshot_len(users);
     if bytes.len() != expected {
         return Err(ProtocolError::new(
             ErrorCode::Snapshot,
@@ -309,47 +313,29 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// The parent directory of `path`, defaulting to `.` for bare filenames.
-fn parent_dir(path: &Path) -> &Path {
-    match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    }
-}
-
-/// Writes `bytes` to `path` crash-safely: write to `<path>.tmp`, fsync,
-/// atomically rename over `path`, then fsync the parent directory so the
+/// Writes `bytes` to `dir/name` crash-safely: write to `dir/name.tmp`,
+/// fsync, atomically rename over `dir/name`, then fsync `dir` so the
 /// rename itself is durable. A crash at any point leaves either the old
-/// `path` contents (plus possibly a torn `.tmp`, which [`restore`] would
-/// refuse anyway) or the complete new contents — never a torn `path`.
+/// `name` contents (plus possibly a torn `.tmp`, which [`restore`] would
+/// refuse anyway) or the complete new contents — never a torn `name`.
+///
+/// `layer`'s crash hook is consulted at every [`CrashPoint`]. Returns
+/// `Ok(true)` when the write completed, and `Ok(false)` when the layer
+/// "killed" the writer mid-flight — the filesystem is then left exactly
+/// as a real crash at that point would leave it (that's what the
+/// kill-at-every-crash-point test exercises).
 ///
 /// # Errors
 ///
-/// Any I/O failure along the way; on error the final `path` is untouched.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_atomic_with(path, bytes, &NoFaults).map(|_| ())
-}
-
-/// [`write_atomic`] with an [`IoLayer`] crash hook consulted at every
-/// [`CrashPoint`]. Returns `Ok(true)` when the write completed, and
-/// `Ok(false)` when the layer "killed" the writer mid-flight — the
-/// filesystem is then left exactly as a real crash at that point would
-/// leave it (that's what the kill-at-every-crash-point test exercises).
-///
-/// # Errors
-///
-/// Any genuine I/O failure along the way.
-pub fn write_atomic_with<L: IoLayer>(path: &Path, bytes: &[u8], layer: &L) -> io::Result<bool> {
-    let Some(name) = path.file_name() else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("snapshot path {path:?} has no file name"),
-        ));
-    };
-    let mut tmp_name = name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-
+/// Any genuine I/O failure along the way; on error `dir/name` is
+/// untouched.
+fn write_atomic_with<L: IoLayer>(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    layer: &L,
+) -> io::Result<bool> {
+    let tmp = dir.join(format!("{name}.tmp"));
     let mut file = std::fs::File::create(&tmp)?;
     if layer.crash_at(CrashPoint::TempCreated) {
         return Ok(false);
@@ -368,20 +354,21 @@ pub fn write_atomic_with<L: IoLayer>(path: &Path, bytes: &[u8], layer: &L) -> io
         return Ok(false);
     }
     drop(file);
-    std::fs::rename(&tmp, path)?;
+    std::fs::rename(&tmp, dir.join(name))?;
     if layer.crash_at(CrashPoint::Renamed) {
         return Ok(false);
     }
-    fsync_dir(parent_dir(path))?;
+    fsync_dir(dir)?;
     Ok(true)
 }
 
 /// A retained ring of the last `keep` snapshots in one directory.
 ///
 /// Files are named `ckpt-<seq>.reapsnap` with a monotonically increasing
-/// sequence number; every write goes through [`write_atomic`] and then
-/// prunes beyond the retention count. [`SnapshotRing::recover`] scans
-/// newest-first for the first snapshot whose digest (and fingerprint,
+/// sequence number; every write is crash-safe (temp file, fsync, rename,
+/// directory fsync) and then prunes beyond the retention count.
+/// [`SnapshotRing::recover`] scans newest-first for the first snapshot
+/// whose digest (and fingerprint,
 /// version, …) validates, so recovery after any crash lands on the last
 /// durable checkpoint — torn temp files and corrupt rings degrade to the
 /// next-older snapshot instead of failing.
@@ -428,10 +415,6 @@ impl SnapshotRing {
             .ok()
     }
 
-    fn file_for(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("ckpt-{seq:010}.reapsnap"))
-    }
-
     /// Ring entries as `(seq, path)`, oldest first.
     ///
     /// # Errors
@@ -449,28 +432,33 @@ impl SnapshotRing {
         Ok(out)
     }
 
-    /// Snapshots `state` into the next ring slot ([`write_atomic_with`]
-    /// under the hood, through `layer`'s crash hook), then prunes
-    /// snapshots beyond the retention count and any stale temp files.
-    /// Returns the path written; `Ok(None)` means the layer killed the
-    /// writer mid-checkpoint (no pruning happens then — a real crash
-    /// wouldn't prune either).
+    /// Snapshots `state` into the next ring slot crash-safely, through
+    /// `layer`'s crash hook, then prunes snapshots beyond the retention
+    /// count and any stale temp files. Returns the path written;
+    /// `Ok(None)` means the layer killed the writer mid-checkpoint (no
+    /// pruning happens then — a real crash wouldn't prune either).
     ///
     /// # Errors
     ///
-    /// Propagates genuine I/O failures (the ring is unchanged on error).
+    /// Propagates genuine I/O failures, and refuses to write past the
+    /// largest sequence number (the ring is unchanged on error).
     pub fn write_with<L: IoLayer>(
         &self,
         state: &FleetState,
         layer: &L,
     ) -> io::Result<Option<PathBuf>> {
-        let next = self.entries()?.last().map_or(0, |(seq, _)| seq + 1);
-        let path = self.file_for(next);
-        if !write_atomic_with(&path, &snapshot(state), layer)? {
+        let next = match self.entries()?.last() {
+            None => 0,
+            Some((seq, path)) => seq.checked_add(1).ok_or_else(|| {
+                io::Error::other(format!("{} holds the last sequence number", path.display()))
+            })?,
+        };
+        let name = format!("ckpt-{next:010}.reapsnap");
+        if !write_atomic_with(&self.dir, &name, &snapshot(state), layer)? {
             return Ok(None);
         }
         self.prune()?;
-        Ok(Some(path))
+        Ok(Some(self.dir.join(name)))
     }
 
     /// Removes snapshots beyond the retention count, plus stale `.tmp`
@@ -525,6 +513,7 @@ impl SnapshotRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::NoFaults;
     use reap_sim::Fleet;
     use reap_units::Power;
 
@@ -655,13 +644,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.reapsnap");
         let state = warmed(2, 5, 4);
-        write_atomic(&path, &snapshot(&state)).unwrap();
+        let write = |bytes: &[u8]| write_atomic_with(&dir, "snap.reapsnap", bytes, &NoFaults);
+        assert!(write(&snapshot(&state)).unwrap());
         let fresh = FleetState::new(&fleet(2, 5), 1).unwrap();
         restore(&fresh, &std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(fresh.fleet_stats(), state.fleet_stats());
         // Overwriting in place is just as atomic.
         let _ = state.observe(0, 9, 1.0, None);
-        write_atomic(&path, &snapshot(&state)).unwrap();
+        assert!(write(&snapshot(&state)).unwrap());
         let fresh2 = FleetState::new(&fleet(2, 5), 1).unwrap();
         restore(&fresh2, &std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(fresh2.fleet_stats(), state.fleet_stats());
@@ -690,6 +680,23 @@ mod tests {
         assert_eq!(rec.seq, 4);
         assert_eq!(rec.skipped, 0);
         assert_eq!(fresh.fleet_stats(), state.fleet_stats());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_ring_at_the_last_sequence_number_refuses_the_next_write() {
+        let dir = std::env::temp_dir().join(format!("reap-ring-last-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ring = SnapshotRing::create(&dir, 4).unwrap();
+        let state = warmed(2, 4, 3);
+        let last = dir.join(format!("ckpt-{}.reapsnap", u64::MAX));
+        std::fs::write(&last, snapshot(&state)).unwrap();
+        // The next write would wrap to seq 0, which recovery never
+        // prefers over `last`: it fails instead, and writes nothing.
+        assert!(ring.write_with(&state, &NoFaults).is_err());
+        let entries = ring.entries().unwrap();
+        assert_eq!(entries, vec![(u64::MAX, last)]);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -389,6 +389,7 @@ impl FleetState {
     /// observes.
     pub(crate) fn for_each_user_in_order_mut(&self, mut f: impl FnMut(&mut LiveState)) {
         // reap-lint: acquires(shard, ordered)
+        // reap-lint: holds(ring)
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut stripes: Vec<_> = guards.iter_mut().map(|g| g.users.iter_mut()).collect();
         'walk: loop {

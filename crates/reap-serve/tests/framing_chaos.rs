@@ -7,7 +7,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use proptest::prelude::*;
-use reap_serve::{FleetState, Request, Response, Server, ServerConfig, ServerHandle};
+use reap_serve::{
+    FleetState, Request, Response, Server, ServerConfig, ServerHandle, PROTOCOL_VERSION,
+};
 use reap_sim::Fleet;
 
 fn start(
@@ -32,8 +34,11 @@ fn start(
 }
 
 fn handshake(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) {
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
     stream
-        .write_all(b"{\"type\":\"hello\",\"version\":2}\n")
+        .write_all(format!("{}\n", hello.encode()).as_bytes())
         .expect("hello");
     let mut line = String::new();
     reader.read_line(&mut line).expect("welcome line");

@@ -4,11 +4,12 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use reap_serve::json::Value;
 use reap_serve::{
     Client, ErrorCode, FleetState, FleetStats, IoLayer, Request, Response, Server, ServerConfig,
     MAX_LINE_BYTES, PROTOCOL_VERSION,
@@ -46,6 +47,25 @@ fn start(users: u32, seed: u64, config: ServerConfig) -> Running {
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("reap_serve_e2e_{}_{name}", std::process::id()))
+}
+
+/// A fresh, not yet created ring directory, and a config that uses it.
+fn ring_config(name: &str) -> (PathBuf, ServerConfig) {
+    let ring = temp_path(name);
+    let _ = std::fs::remove_dir_all(&ring);
+    let config = ServerConfig {
+        checkpoint_ring: Some(ring.clone()),
+        ..ServerConfig::default()
+    };
+    (ring, config)
+}
+
+/// The `hello` line of this build's protocol.
+fn hello_line() -> String {
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    format!("{}\n", hello.encode())
 }
 
 /// Streams `hours` observations per user (deterministic synthetic
@@ -227,8 +247,7 @@ fn malformed_lines_get_error_frames_and_session_survives() {
 fn oversized_lines_are_rejected_and_connection_closes() {
     let srv = start(2, 1, ServerConfig::default());
     let mut s = TcpStream::connect(srv.addr).expect("connect");
-    s.write_all(b"{\"type\":\"hello\",\"version\":2}\n")
-        .unwrap();
+    s.write_all(hello_line().as_bytes()).unwrap();
     let mut reader = BufReader::new(s.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
@@ -299,34 +318,27 @@ fn concurrent_clients_observe_disjoint_users() {
 fn killed_and_restored_server_reports_bit_identical_stats() {
     let users = 10u32;
     let seed = 21u64;
-    let ckpt = temp_path("kill_restore.snap");
+    let (ring, config) = ring_config("kill_restore_ring");
 
     // Server A lives through the first half of the stream, then is shut
-    // down with --checkpoint-on-exit semantics (exit snapshot).
-    let a = start(
-        users,
-        seed,
-        ServerConfig {
-            checkpoint_on_exit: Some(ckpt.clone()),
-            ..ServerConfig::default()
-        },
-    );
+    // down: the ring's final cut is its exit checkpoint.
+    let a = start(users, seed, config.clone());
     let mut client = Client::connect(a.addr).expect("connect A");
     stream(&mut client, users, 0..13);
     a.handle.shutdown();
     a.thread.join().unwrap().expect("A exits cleanly");
+    let ckpt = ring.join("ckpt-0000000000.reapsnap");
     assert!(ckpt.exists(), "exit checkpoint missing");
 
-    // Server B restores the snapshot and lives through the second half.
-    let b = start(users, seed, ServerConfig::default());
+    // Server B shares the ring, restores the exit checkpoint and lives
+    // through the second half.
+    let b = start(users, seed, config);
     let mut client = Client::connect(b.addr).expect("connect B");
-    match client
-        .request(&Request::Restore {
-            path: ckpt.display().to_string(),
-        })
-        .expect("restore")
-    {
-        Response::RestoreDone { users: n, .. } => assert_eq!(n, users),
+    match client.request(&Request::Restore).expect("restore") {
+        Response::RestoreDone { path, users: n } => {
+            assert_eq!(n, users);
+            assert_eq!(Path::new(&path), ckpt);
+        }
         other => panic!("unexpected reply: {other:?}"),
     }
     stream(&mut client, users, 13..24);
@@ -347,53 +359,40 @@ fn killed_and_restored_server_reports_bit_identical_stats() {
     assert_eq!(interrupted, uninterrupted);
     assert_eq!(interrupted.encode(), uninterrupted.encode());
 
-    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_dir_all(&ring).ok();
 }
 
 #[test]
 fn checkpoint_request_round_trips_through_a_fresh_server() {
     let users = 6u32;
     let seed = 5u64;
-    let ckpt = temp_path("inband.snap");
+    let (ring, config) = ring_config("inband_ring");
 
-    let a = start(users, seed, ServerConfig::default());
+    let a = start(users, seed, config.clone());
     let mut client = Client::connect(a.addr).expect("connect");
     stream(&mut client, users, 0..9);
     let before = fleet_stats(&mut client);
-    match client
-        .request(&Request::Checkpoint {
-            path: ckpt.display().to_string(),
-        })
-        .expect("checkpoint")
-    {
-        Response::CheckpointDone { bytes, .. } => {
-            assert_eq!(bytes, std::fs::metadata(&ckpt).unwrap().len());
+    let ckpt = match client.request(&Request::Checkpoint).expect("checkpoint") {
+        Response::CheckpointDone { path, bytes } => {
+            assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
+            PathBuf::from(path)
         }
         other => panic!("unexpected reply: {other:?}"),
-    }
-    // Restore into a fresh server of the same fleet: stats match bit
-    // for bit. A mismatched fleet refuses the snapshot.
-    let b = start(users, seed, ServerConfig::default());
+    };
+    assert_eq!(ckpt.parent(), Some(ring.as_path()));
+    // Restore into a fresh server of the same fleet sharing the ring:
+    // stats match bit for bit. A mismatched fleet refuses the snapshot.
+    let b = start(users, seed, config.clone());
     let mut client_b = Client::connect(b.addr).expect("connect B");
-    match client_b
-        .request(&Request::Restore {
-            path: ckpt.display().to_string(),
-        })
-        .expect("restore")
-    {
-        Response::RestoreDone { .. } => {}
+    match client_b.request(&Request::Restore).expect("restore") {
+        Response::RestoreDone { path, .. } => assert_eq!(PathBuf::from(path), ckpt),
         other => panic!("unexpected reply: {other:?}"),
     }
     assert_eq!(fleet_stats(&mut client_b), before);
 
-    let other_fleet = start(users, seed + 1, ServerConfig::default());
+    let other_fleet = start(users, seed + 1, config);
     let mut client_o = Client::connect(other_fleet.addr).expect("connect");
-    match client_o
-        .request(&Request::Restore {
-            path: ckpt.display().to_string(),
-        })
-        .expect("reply")
-    {
+    match client_o.request(&Request::Restore).expect("reply") {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Snapshot),
         other => panic!("foreign restore must fail, got {other:?}"),
     }
@@ -402,7 +401,146 @@ fn checkpoint_request_round_trips_through_a_fresh_server() {
         srv.handle.shutdown();
         srv.thread.join().unwrap().unwrap();
     }
-    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_dir_all(&ring).ok();
+}
+
+/// Greets a raw socket at this build's version, sends each frame and
+/// returns the replies.
+fn raw_replies(addr: std::net::SocketAddr, frames: &[String]) -> Vec<Response> {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut replies = Vec::new();
+    for frame in std::iter::once(hello_line()).chain(frames.iter().map(|f| format!("{f}\n"))) {
+        s.write_all(frame.as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        replies.push(Response::decode(line.trim_end()).unwrap());
+    }
+    assert!(matches!(replies.remove(0), Response::Welcome { .. }));
+    replies
+}
+
+#[test]
+fn snapshot_requests_never_touch_a_path_the_client_names() {
+    let outside = temp_path("outside.snap");
+    let outside_tmp = temp_path("outside.snap.tmp");
+    let _ = std::fs::remove_file(&outside);
+    let _ = std::fs::remove_file(&outside_tmp);
+    let named = |kind: &str| {
+        let path = Value::Str(outside.display().to_string()).encode();
+        format!("{{\"type\":\"{kind}\",\"path\":{path}}}")
+    };
+    let frames = [named("checkpoint"), named("restore")];
+    let nothing_outside = || !outside.exists() && !outside_tmp.exists();
+
+    // With a ring, both answers name the ring's newest entry.
+    let (ring, config) = ring_config("confined_ring");
+    let srv = start(3, 2, config);
+    let replies = raw_replies(srv.addr, &frames);
+    let written = match &replies[0] {
+        Response::CheckpointDone { path, .. } => PathBuf::from(path),
+        other => panic!("unexpected reply: {other:?}"),
+    };
+    assert_eq!(written.parent(), Some(ring.as_path()));
+    assert!(written.exists());
+    match &replies[1] {
+        Response::RestoreDone { path, users } => {
+            assert_eq!(PathBuf::from(path), written);
+            assert_eq!(*users, 3);
+        }
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    assert!(nothing_outside(), "a client-named path was written");
+    srv.handle.shutdown();
+    srv.thread.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&ring).ok();
+
+    // Without a ring, both are refused and nothing is created.
+    let srv = start(3, 2, ServerConfig::default());
+    for reply in raw_replies(srv.addr, &frames) {
+        match reply {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Snapshot),
+            other => panic!("a daemon without a ring must refuse, got {other:?}"),
+        }
+    }
+    srv.handle.shutdown();
+    srv.thread.join().unwrap().unwrap();
+    assert!(nothing_outside(), "a client-named path was written");
+    std::fs::remove_file(&outside).ok();
+    std::fs::remove_file(&outside_tmp).ok();
+}
+
+#[test]
+fn in_band_and_periodic_ring_writes_take_turns() {
+    let (users, seed, keep) = (6u32, 4u64, 3usize);
+    let (ring, config) = ring_config("busy_ring");
+    let srv = start(
+        users,
+        seed,
+        ServerConfig {
+            ring_keep: keep,
+            checkpoint_every: Some(std::time::Duration::from_millis(1)),
+            ..config
+        },
+    );
+    // Every client connects, then all start checkpointing at once.
+    let start_line = Arc::new(std::sync::Barrier::new(8));
+    let clients: Vec<_> = (0..8u32)
+        .map(|t| {
+            let addr = srv.addr;
+            let start_line = Arc::clone(&start_line);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                start_line.wait();
+                let mut written = Vec::new();
+                for hour in 0..8u32 {
+                    let observe = Request::Observe {
+                        user: t % users,
+                        hour,
+                        harvest_j: 0.5,
+                        activity: None,
+                        seq: None,
+                    };
+                    client.request(&observe).expect("observe");
+                    match client.request(&Request::Checkpoint).expect("checkpoint") {
+                        Response::CheckpointDone { path, .. } => written.push(path),
+                        other => panic!("client {t}: unexpected reply: {other:?}"),
+                    }
+                }
+                written
+            })
+        })
+        .collect();
+    let mut written: Vec<String> = clients
+        .into_iter()
+        .flat_map(|c| c.join().expect("client thread"))
+        .collect();
+    let answers = written.len();
+    written.sort_unstable();
+    written.dedup();
+    assert_eq!(written.len(), answers, "two checkpoints named one file");
+    assert!(written
+        .iter()
+        .all(|path| Path::new(path).parent() == Some(ring.as_path())));
+    srv.handle.shutdown();
+    srv.thread.join().unwrap().unwrap();
+
+    let names: Vec<String> = std::fs::read_dir(&ring)
+        .expect("ring directory")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(names.iter().all(|n| !n.ends_with(".tmp")), "{names:?}");
+    let snapshots: Vec<&String> = names
+        .iter()
+        .filter(|n| n.starts_with("ckpt-") && n.ends_with(".reapsnap"))
+        .collect();
+    assert!((1..=keep).contains(&snapshots.len()), "{names:?}");
+    for name in snapshots {
+        let fresh = FleetState::new(&fleet(users, seed), 4).expect("state builds");
+        let bytes = std::fs::read(ring.join(name)).expect("read snapshot");
+        reap_serve::snapshot::restore(&fresh, &bytes).expect("a whole snapshot");
+    }
+    std::fs::remove_dir_all(&ring).ok();
 }
 
 #[test]
@@ -449,8 +587,7 @@ fn oversized_complete_line_is_rejected_with_a_typed_frame() {
     // on split-off lines, not the accumulation cap.
     let srv = start(2, 1, ServerConfig::default());
     let mut s = TcpStream::connect(srv.addr).expect("connect");
-    s.write_all(b"{\"type\":\"hello\",\"version\":2}\n")
-        .unwrap();
+    s.write_all(hello_line().as_bytes()).unwrap();
     let mut reader = BufReader::new(s.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
@@ -493,9 +630,7 @@ fn slow_loris_client_is_evicted_mid_frame_but_idle_clients_are_not() {
 
     // The slow-loris client starts a frame and stalls mid-line.
     let mut loris = TcpStream::connect(srv.addr).expect("connect loris");
-    loris
-        .write_all(b"{\"type\":\"hello\",\"version\":2}\n")
-        .unwrap();
+    loris.write_all(hello_line().as_bytes()).unwrap();
     let mut reader = BufReader::new(loris.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
@@ -586,9 +721,7 @@ fn a_stalled_connection_whose_eviction_frame_times_out_is_evicted_once() {
     // The stalled client reads its welcome, then stops reading (every
     // server write to it times out) and stalls mid-frame.
     let mut loris = TcpStream::connect(addr).expect("connect loris");
-    loris
-        .write_all(b"{\"type\":\"hello\",\"version\":2}\n")
-        .unwrap();
+    loris.write_all(hello_line().as_bytes()).unwrap();
     let mut reader = BufReader::new(loris.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();

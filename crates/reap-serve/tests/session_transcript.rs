@@ -3,13 +3,14 @@
 //! the final server counters. The frames cover what a session does
 //! before and after its handshake: blank, non-UTF-8 and malformed lines,
 //! refused handshakes, a second `hello`, every observe outcome, decide,
-//! checkpoint and restore (each succeeding and failing) and shutdown.
-//! Temp paths are replaced by `$TMP` and the stats frame's latency
-//! quantiles by 0 before comparing; nothing else is normalised.
+//! checkpoint and restore (each succeeding, and failing without a ring)
+//! and shutdown. Temp paths are replaced by `$TMP` and the stats frame's
+//! latency quantiles by 0 before comparing; nothing else is normalised.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::thread::JoinHandle;
 
 use reap_serve::{FleetState, Response, Server, ServerConfig};
 use reap_sim::Fleet;
@@ -20,7 +21,7 @@ type Step = (&'static [u8], Option<&'static str>);
 /// Refused before the handshake: the error frame, then EOF.
 const WRONG_VERSION: &[Step] = &[(
     b"{\"type\":\"hello\",\"version\":1}\n",
-    Some(r#"{"type":"error","code":"version","message":"client speaks v1, server v2"}"#),
+    Some(r#"{"type":"error","code":"version","message":"client speaks v1, server v3"}"#),
 )];
 
 const NOT_HELLO_FIRST: &[Step] = &[(
@@ -43,12 +44,12 @@ const SESSION: &[Step] = &[
         )),
     ),
     (
-        b"{\"type\":\"hello\",\"version\":2}\n",
-        Some(r#"{"type":"welcome","version":2,"users":4}"#),
+        b"{\"type\":\"hello\",\"version\":3}\n",
+        Some(r#"{"type":"welcome","version":3,"users":4}"#),
     ),
     (b" \t\r\n", None),
     (
-        b"{\"type\":\"hello\",\"version\":2}\n",
+        b"{\"type\":\"hello\",\"version\":3}\n",
         Some(r#"{"type":"error","code":"handshake","message":"session already greeted"}"#),
     ),
     (
@@ -106,29 +107,26 @@ const SESSION: &[Step] = &[
         b"{\"type\":\"decide\",\"user\":99}\n",
         Some(r#"{"type":"error","code":"unknown_user","message":"user 99 >= fleet size 4"}"#),
     ),
+    // Snapshots go through the daemon's ring, which starts empty.
     (
-        b"{\"type\":\"checkpoint\",\"path\":\"$TMP/ckpt.snap\"}\n",
-        Some(r#"{"type":"checkpoint_done","path":"$TMP/ckpt.snap","bytes":1112}"#),
-    ),
-    (
-        b"{\"type\":\"checkpoint\",\"path\":\"$TMP/missing/ckpt.snap\"}\n",
+        b"{\"type\":\"restore\"}\n",
         Some(concat!(
             r#"{"type":"error","code":"snapshot","#,
-            r#""message":"writing \"$TMP/missing/ckpt.snap\": "#,
-            r#"No such file or directory (os error 2)"}"#
+            r#""message":"the ring holds no snapshot of this fleet"}"#
         )),
+    ),
+    (
+        b"{\"type\":\"checkpoint\"}\n",
+        Some(r#"{"type":"checkpoint_done","path":"$TMP/ring/ckpt-0000000000.reapsnap","bytes":1112}"#),
+    ),
+    // A `path` left in the frame names nothing.
+    (
+        b"{\"type\":\"checkpoint\",\"path\":\"$TMP/ckpt.snap\"}\n",
+        Some(r#"{"type":"checkpoint_done","path":"$TMP/ring/ckpt-0000000001.reapsnap","bytes":1112}"#),
     ),
     (
         b"{\"type\":\"restore\",\"path\":\"$TMP/ckpt.snap\"}\n",
-        Some(r#"{"type":"restore_done","path":"$TMP/ckpt.snap","users":4}"#),
-    ),
-    (
-        b"{\"type\":\"restore\",\"path\":\"$TMP/missing.snap\"}\n",
-        Some(concat!(
-            r#"{"type":"error","code":"snapshot","#,
-            r#""message":"reading \"$TMP/missing.snap\": "#,
-            r#"No such file or directory (os error 2)"}"#
-        )),
+        Some(r#"{"type":"restore_done","path":"$TMP/ring/ckpt-0000000001.reapsnap","users":4}"#),
     ),
     // Requests count every frame decoded after the handshake, errors
     // every error frame, before the handshake included.
@@ -138,12 +136,38 @@ const SESSION: &[Step] = &[
             r#"{"type":"stats","fleet":{"users":4,"cohorts":4,"observations":3,"#,
             r#""harvested_j":4.25,"budget_j":1.162302631578947,"battery_j":122.81402354570636,"#,
             r#""activity":0.5,"state_digest":"e5ec12bc568d2fd1"},"#,
-            r#""server":{"connections":3,"requests":16,"errors":12,"observes":8,"decides":2,"#,
+            r#""server":{"connections":3,"requests":16,"errors":11,"observes":8,"decides":2,"#,
             r#""checkpoints":2,"restores":2,"evicted":0,"shed":0,"#,
             r#""observe_p50_us":0,"observe_p99_us":0,"decide_p50_us":0,"decide_p99_us":0}}"#
         )),
     ),
     (b"{\"type\":\"shutdown\"}\n", Some(r#"{"type":"shutting_down"}"#)),
+];
+
+/// A daemon without a ring refuses both snapshot requests.
+const NO_RING: &[Step] = &[
+    (
+        b"{\"type\":\"hello\",\"version\":3}\n",
+        Some(r#"{"type":"welcome","version":3,"users":4}"#),
+    ),
+    (
+        b"{\"type\":\"checkpoint\"}\n",
+        Some(concat!(
+            r#"{"type":"error","code":"snapshot","#,
+            r#""message":"no snapshot ring configured (--checkpoint-ring)"}"#
+        )),
+    ),
+    (
+        b"{\"type\":\"restore\"}\n",
+        Some(concat!(
+            r#"{"type":"error","code":"snapshot","#,
+            r#""message":"no snapshot ring configured (--checkpoint-ring)"}"#
+        )),
+    ),
+    (
+        b"{\"type\":\"shutdown\"}\n",
+        Some(r#"{"type":"shutting_down"}"#),
+    ),
 ];
 
 /// Replaces `$TMP` in a scripted frame with the run's temp directory.
@@ -187,13 +211,8 @@ fn play(addr: std::net::SocketAddr, steps: &[Step], tmp: &str) {
     assert_eq!(String::from_utf8_lossy(&rest), "", "bytes after the script");
 }
 
-#[test]
-fn scripted_sessions_match_the_transcript_byte_for_byte() {
-    let tmp: PathBuf =
-        std::env::temp_dir().join(format!("reap_serve_transcript_{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).expect("temp dir");
-    let tmp_s = tmp.display().to_string();
-
+/// Serves the scripted 4-user fleet with `config` until a `shutdown`.
+fn serve(config: ServerConfig) -> (std::net::SocketAddr, JoinHandle<std::io::Result<()>>) {
     let fleet = Fleet::builder(reap_device::paper_table2_operating_points())
         .users(4)
         .days(1)
@@ -201,14 +220,31 @@ fn scripted_sessions_match_the_transcript_byte_for_byte() {
         .build()
         .expect("valid fleet");
     let state = FleetState::new(&fleet, 2).expect("state builds");
-    let server = Server::bind("127.0.0.1:0", state, ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let serving = std::thread::spawn(move || server.serve());
+    let server = Server::bind("127.0.0.1:0", state, config).expect("bind");
+    (
+        server.local_addr(),
+        std::thread::spawn(move || server.serve()),
+    )
+}
 
+#[test]
+fn scripted_sessions_match_the_transcript_byte_for_byte() {
+    let tmp: PathBuf =
+        std::env::temp_dir().join(format!("reap_serve_transcript_{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    let tmp_s = tmp.display().to_string();
+
+    let (addr, serving) = serve(ServerConfig {
+        checkpoint_ring: Some(tmp.join("ring")),
+        ..ServerConfig::default()
+    });
     play(addr, WRONG_VERSION, &tmp_s);
     play(addr, NOT_HELLO_FIRST, &tmp_s);
     play(addr, SESSION, &tmp_s);
+    serving.join().expect("server thread").expect("clean exit");
 
+    let (addr, serving) = serve(ServerConfig::default());
+    play(addr, NO_RING, &tmp_s);
     serving.join().expect("server thread").expect("clean exit");
     std::fs::remove_dir_all(&tmp).ok();
 }

@@ -5,10 +5,11 @@
 //! ```
 //!
 //! Stands up a `reap-serve` daemon on `127.0.0.1:0` (the kernel picks
-//! the port — nothing is hardcoded), then drives a client session over
-//! actual loopback TCP: handshake, a simulated day of observations,
-//! an allocation decision, fleet statistics, a checkpoint, and a
-//! graceful in-band shutdown. The CI smoke test runs this example
+//! the port — nothing is hardcoded) with a snapshot ring in a temp
+//! directory, then drives a client session over actual loopback TCP:
+//! handshake, a simulated day of observations, an allocation decision,
+//! fleet statistics, a checkpoint into the ring and a restore from it,
+//! and a graceful in-band shutdown. The CI smoke test runs this example
 //! end-to-end and fails on any nonzero exit.
 
 use reap::serve::{Client, FleetState, Request, Response, Server, ServerConfig};
@@ -24,8 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let trace = fleet.user_scenario(7)?.trace().clone();
 
+    // The ring directory is the daemon's one snapshot location.
+    let ring = std::env::temp_dir().join(format!("serve_client_ring_{}", std::process::id()));
     let state = FleetState::new(&fleet, 8)?;
-    let server = Server::bind("127.0.0.1:0", state, ServerConfig::default())?;
+    let config = ServerConfig {
+        checkpoint_ring: Some(ring.clone()),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", state, config)?;
     let addr = server.local_addr();
     let serving = std::thread::spawn(move || server.serve());
     println!("daemon listening on {addr} (port 0 bind; kernel-assigned)");
@@ -90,15 +97,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unexpected reply: {other:?}").into()),
     }
 
-    // Checkpoint the whole population to a versioned binary snapshot.
-    let dir = std::env::temp_dir().join(format!("serve_client_{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let ckpt = dir.join("fleet.snap");
-    match client.request(&Request::Checkpoint {
-        path: ckpt.display().to_string(),
-    })? {
-        Response::CheckpointDone { bytes, .. } => {
-            println!("\ncheckpoint written: {bytes} bytes at {}", ckpt.display());
+    // Checkpoint the whole population to a versioned binary snapshot in
+    // the ring, then restore the population from the ring's newest one.
+    match client.request(&Request::Checkpoint)? {
+        Response::CheckpointDone { path, bytes } => {
+            println!("\ncheckpoint written: {bytes} bytes at {path}");
+        }
+        other => return Err(format!("unexpected reply: {other:?}").into()),
+    }
+    match client.request(&Request::Restore)? {
+        Response::RestoreDone { path, users } => {
+            println!("restored {users} users from {path}");
         }
         other => return Err(format!("unexpected reply: {other:?}").into()),
     }
@@ -109,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unexpected reply: {other:?}").into()),
     }
     serving.join().expect("server thread")?;
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&ring).ok();
     println!("server drained; session complete");
     Ok(())
 }
