@@ -15,7 +15,8 @@
 //! the phase-1 cleanup pivot, rows holding explicit -0.0 and +0.0
 //! coefficients, Beale's degenerate LP under Dantzig and
 //! Bland, minimization, unboundedness, infeasibility, a Klee-Minty cube
-//! and seeded dense LPs with mixed relations.
+//! and seeded dense LPs with mixed relations. One more digest covers 400
+//! seeded zero-heavy LPs, whose tableaus are mostly `+0.0` and `-0.0`.
 
 use reap_lp::{LpProblem, LpSolution, LpStatus, PivotRule, Relation, SimplexOptions};
 
@@ -56,19 +57,29 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn digest(s: &LpSolution) -> u64 {
-    let status: u8 = match s.status() {
+fn status_code(status: LpStatus) -> u8 {
+    match status {
         LpStatus::Optimal => 0,
         LpStatus::Infeasible => 1,
         LpStatus::Unbounded => 2,
-    };
+    }
+}
+
+/// Appends the solution's status, pivot count, objective bits and value
+/// bits to `bytes`.
+fn push_solution(bytes: &mut Vec<u8>, s: &LpSolution) {
     let iterations = u64::try_from(s.iterations()).expect("pivot count fits in u64");
-    let mut bytes = vec![status];
+    bytes.push(status_code(s.status()));
     bytes.extend(iterations.to_le_bytes());
     bytes.extend(s.objective().to_bits().to_le_bytes());
     for v in s.values() {
         bytes.extend(v.to_bits().to_le_bytes());
     }
+}
+
+fn digest(s: &LpSolution) -> u64 {
+    let mut bytes = Vec::new();
+    push_solution(&mut bytes, s);
     fnv1a(&bytes)
 }
 
@@ -232,6 +243,12 @@ impl Lcg {
         u32::try_from((self.0 >> 33) % u64::from(modulus)).expect("below a u32 modulus")
     }
 
+    /// A uniform index in `0..len`.
+    fn index(&mut self, len: usize) -> usize {
+        let len = u32::try_from(len).expect("a small length");
+        usize::try_from(self.below(len)).expect("a u32 fits in usize")
+    }
+
     /// `k / 100 - offset` for a uniform `k` in `0..modulus`.
     fn grid(&mut self, modulus: u32, offset: f64) -> f64 {
         f64::from(self.below(modulus)) / 100.0 - offset
@@ -369,4 +386,126 @@ fn textbook_paths() {
         cases.push((format!("random-{seed}"), solve(&random_lp(seed, 8, 6))));
     }
     check("textbook", cases);
+}
+
+/// A zero-heavy coefficient: exactly `+0.0` six times in ten, an
+/// explicit `-0.0` once, otherwise a value on the 0.01 grid of
+/// `[-4, 4]` (which may itself be `+0.0`).
+fn sparse_coefficient(rng: &mut Lcg) -> f64 {
+    match rng.below(10) {
+        0..=5 => 0.0,
+        6 => -0.0,
+        _ => rng.grid(801, 4.0),
+    }
+}
+
+/// A right-hand side: negative (the row is negated when the tableau is
+/// built, so its zeros fill as `-0.0`), `+0.0`, `-0.0` or positive.
+fn sparse_rhs(rng: &mut Lcg) -> f64 {
+    match rng.below(8) {
+        0..=2 => -rng.grid(2001, 0.0),
+        3 => 0.0,
+        4 => -0.0,
+        _ => rng.grid(2001, 0.0),
+    }
+}
+
+/// A seeded zero-heavy LP over 1 to 40 variables and 1 to 20 rows,
+/// maximized or minimized, and the widths of its tableau rows (columns
+/// and right-hand side) before and after the artificial columns are
+/// dropped (`None` when it has no artificial column).
+///
+/// A row is a fresh `<=`, `>=` or `==` row, a single-variable bound, or
+/// an earlier equality repeated or scaled by 2, 0.5, -1 or -3: the
+/// repeats leave an artificial basic in a redundant row after phase 1,
+/// and the cleanup pivot can divide by a negative pivot there. Three
+/// LPs in four end with a row capping the sum of the variables, so
+/// they cannot be unbounded.
+fn zero_heavy_lp(rng: &mut Lcg) -> (LpProblem, usize, Option<usize>) {
+    let n = 1 + rng.index(40);
+    let m = 1 + rng.index(20);
+    let capped = rng.below(4) != 0;
+    let objective: Vec<f64> = (0..n).map(|_| sparse_coefficient(rng)).collect();
+    let mut p = if rng.below(2) == 0 {
+        LpProblem::maximize(&objective)
+    } else {
+        LpProblem::minimize(&objective)
+    };
+    let mut equalities: Vec<(Vec<f64>, f64)> = Vec::new();
+    let (mut slacks, mut artificials) = (0, 0);
+    for row in 0..m {
+        let (coeffs, relation, rhs) = match rng.below(8) {
+            _ if capped && row + 1 == m => (vec![1.0; n], Relation::Le, rng.grid(5001, 0.0)),
+            0 | 1 if !equalities.is_empty() => {
+                let (coeffs, rhs) = &equalities[rng.index(equalities.len())];
+                let scale = [1.0, 2.0, 0.5, -1.0, -3.0][rng.index(5)];
+                let coeffs: Vec<f64> = coeffs.iter().map(|&a| scale * a).collect();
+                (coeffs, Relation::Eq, scale * rhs)
+            }
+            2 => {
+                let mut bound = vec![0.0; n];
+                bound[rng.index(n)] = 1.0;
+                (bound, Relation::Le, rng.grid(5001, 0.0))
+            }
+            _ => {
+                let coeffs: Vec<f64> = (0..n).map(|_| sparse_coefficient(rng)).collect();
+                let relation = [Relation::Le, Relation::Ge, Relation::Eq][rng.index(3)];
+                let rhs = sparse_rhs(rng);
+                if relation == Relation::Eq {
+                    equalities.push((coeffs.clone(), rhs));
+                }
+                (coeffs, relation, rhs)
+            }
+        };
+        let normalized = if rhs < 0.0 {
+            relation.flipped()
+        } else {
+            relation
+        };
+        slacks += usize::from(normalized != Relation::Eq);
+        artificials += usize::from(normalized != Relation::Le);
+        p.subject_to(&coeffs, relation, rhs).expect("same dim");
+    }
+    let kept = n + slacks + 1;
+    let dropped = (artificials > 0).then_some(kept);
+    (p, kept + artificials, dropped)
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn zero_heavy_lps_solve_bit_for_bit() {
+    // One FNV-1a over 400 seeded zero-heavy LPs' solutions (status,
+    // pivot count, objective bits and value bits, in order), with the
+    // optimal, infeasible and unbounded counts beside it. Their tableaus
+    // are mostly zeros, many of them -0.0 (negated rows, explicit -0.0
+    // coefficients, a minimization's phase-2 cost row), and the widths
+    // before and after the artificial drop take every residue mod 8,
+    // so the right-hand side sits in every slot of its 8-cell line:
+    // alone in the line at residue 1, in the last slot at residue 0.
+    const GOLDEN: (u64, usize, usize, usize) = (0x96b1_7fbb_149e_7ea0, 163, 165, 72);
+    let mut rng = Lcg(0x2e80_0f5e_ed5a_11ce);
+    let mut bytes = Vec::new();
+    let mut counts = [0usize; 3];
+    let (mut before, mut after) = ([false; 8], [false; 8]);
+    for _ in 0..400 {
+        let (p, width, dropped) = zero_heavy_lp(&mut rng);
+        before[width % 8] = true;
+        if let Some(w) = dropped {
+            after[w % 8] = true;
+        }
+        let s = solve(&p);
+        counts[usize::from(status_code(s.status()))] += 1;
+        push_solution(&mut bytes, &s);
+    }
+    assert_eq!(
+        (before, after),
+        ([true; 8], [true; 8]),
+        "width residues mod 8"
+    );
+    let computed = (fnv1a(&bytes), counts[0], counts[1], counts[2]);
+    assert_eq!(
+        computed, GOLDEN,
+        "digest 0x{:016x} over {} optimal, {} infeasible and {} unbounded LPs",
+        computed.0, computed.1, computed.2, computed.3
+    );
 }
