@@ -1,10 +1,14 @@
-//! Two-phase dense-tableau simplex implementation.
+//! Two-phase tableau simplex implementation.
 //!
 //! The tableau layout mirrors the description in Algorithm 1 of the REAP
 //! paper: constraint rows followed by a cost row; each iteration finds the
 //! pivot column with the largest cost-row entry, finds the pivot row with
 //! the minimum ratio test, pivots, and stops when the cost row has no
-//! positive entry.
+//! positive entry. The tableau is dense and laid out in 64-byte cache
+//! lines: each row starts on a line and is padded to whole lines, and a
+//! pivot divides and eliminates only the lines of its pivot row that
+//! hold a non-zero cell or the right-hand side, with the bits of a full
+//! textbook update.
 
 use crate::error::LpError;
 use crate::problem::{ConstraintRow, Direction, LpProblem, Relation};
@@ -35,7 +39,11 @@ pub struct SimplexOptions {
     /// Initial pivot rule (may degrade to Bland on degeneracy).
     pub pivot_rule: PivotRule,
     /// After this many consecutive degenerate pivots, switch to Bland's
-    /// rule permanently to guarantee termination.
+    /// rule until the next non-degenerate pivot, which restores
+    /// `pivot_rule`; each phase starts from `pivot_rule`. This still
+    /// guarantees termination: a cycle is made of degenerate pivots
+    /// only, and once this many have run in a row Bland's rule, which
+    /// cannot cycle, picks every pivot until one makes progress.
     pub degenerate_switch: usize,
 }
 
@@ -50,7 +58,10 @@ impl Default for SimplexOptions {
     }
 }
 
-/// Dense simplex tableau, stored row-major in one buffer.
+/// Cells per line: one 64-byte cache line of `f64`s.
+const LINE: usize = 8;
+
+/// Simplex tableau, stored row-major in one buffer of 64-byte lines.
 ///
 /// Each row holds `width` entries: the columns `[structural |
 /// slack/surplus | artificial]`, then the right-hand side. The first
@@ -60,17 +71,29 @@ impl Default for SimplexOptions {
 /// the right-hand side may enter the basis: phase 2 runs after the
 /// artificial columns are dropped.
 ///
-/// A pivot updates every entry on its own (`x /= piv`, then
+/// Every row starts on a 64-byte boundary of `cells` (at `origin`, the
+/// buffer's first one) and is padded with zeros to `stride`, a whole
+/// number of `LINE`s, so each line of a row is one cache line. The
+/// readers (`row`, `rows`, `obj`) never see the padding.
+///
+/// A pivot updates every entry it touches on its own (`x /= piv`, then
 /// `x -= f * p`) in the same order as a textbook tableau would, and
 /// rustc never contracts `x - f * p` into a fused multiply-add, so the
-/// vectorized slice loops below produce the same bits as scalar ones.
-/// A column is updated only from its own cells and the pivot column's
-/// non-zero factors, so dropping columns leaves every other cell as it
-/// was.
+/// vectorized line loops below produce the same bits as scalar ones. It
+/// skips the pivot row's dead lines (every cell ±0, right-hand side
+/// elsewhere): there `x - f * (±0)` keeps every non-zero `x` and can
+/// only flip a zero's sign, and no zero's sign reaches a non-zero cell,
+/// a decision or the right-hand side (see `pivot`). A column is updated
+/// only from its own cells and the pivot column's non-zero factors, so
+/// dropping columns leaves every other cell as it was.
 struct Tableau {
     cells: Vec<f64>,
+    origin: usize,
+    stride: usize,
     basis: Vec<usize>,
     width: usize,
+    /// The start columns of the current pivot row's live lines.
+    live: Vec<usize>,
 }
 
 enum PivotOutcome {
@@ -80,6 +103,25 @@ enum PivotOutcome {
 }
 
 impl Tableau {
+    /// A zeroed tableau of `rows` rows of `width` cells, basis empty.
+    fn zeroed(rows: usize, width: usize) -> Tableau {
+        let stride = width.next_multiple_of(LINE);
+        let mut cells = vec![0.0; rows * stride + LINE - 1];
+        // An `f64` is 8-byte aligned, so the buffer's first 64-byte
+        // boundary lies a whole number of cells in.
+        let misaligned = cells.as_ptr().addr() / std::mem::size_of::<f64>() % LINE;
+        let origin = (LINE - misaligned) % LINE;
+        cells.truncate(origin + rows * stride);
+        Tableau {
+            cells,
+            origin,
+            stride,
+            basis: Vec::with_capacity(rows.saturating_sub(1)),
+            width,
+            live: Vec::with_capacity(stride / LINE),
+        }
+    }
+
     /// The initial tableau of `problem` and its first artificial column.
     ///
     /// Rows are normalized to rhs >= 0 (negating a row flips its
@@ -103,12 +145,11 @@ impl Tableau {
         let artificial_start = n + n_slack;
         let n_total = n + n_slack + n_art;
 
-        let width = n_total + 1;
-        let mut cells = vec![0.0; (m + 1) * width];
-        let mut basis = Vec::with_capacity(m);
+        let mut tab = Tableau::zeroed(m + 1, n_total + 1);
         let mut slack_cursor = n;
         let mut art_cursor = artificial_start;
-        for (row, c) in cells.chunks_exact_mut(width).zip(rows) {
+        for (i, c) in rows.iter().enumerate() {
+            let row = tab.row_mut(i);
             if c.rhs < 0.0 {
                 row[..n].fill(-0.0);
                 for &(j, a) in &c.terms {
@@ -121,31 +162,27 @@ impl Tableau {
                 }
                 row[n_total] = c.rhs;
             }
-            match relation(c) {
+            let basic = match relation(c) {
                 Relation::Le => {
                     row[slack_cursor] = 1.0;
-                    basis.push(slack_cursor);
                     slack_cursor += 1;
+                    slack_cursor - 1
                 }
                 Relation::Ge => {
                     row[slack_cursor] = -1.0;
                     slack_cursor += 1;
                     row[art_cursor] = 1.0;
-                    basis.push(art_cursor);
                     art_cursor += 1;
+                    art_cursor - 1
                 }
                 Relation::Eq => {
                     row[art_cursor] = 1.0;
-                    basis.push(art_cursor);
                     art_cursor += 1;
+                    art_cursor - 1
                 }
-            }
+            };
+            tab.basis.push(basic);
         }
-        let tab = Tableau {
-            cells,
-            basis,
-            width,
-        };
         (tab, artificial_start)
     }
 
@@ -153,19 +190,31 @@ impl Tableau {
         self.width - 1
     }
 
-    /// Constraint row `i`.
+    /// The rows, the cost row last, each `stride` cells from a 64-byte
+    /// boundary.
+    fn grid(&self) -> &[f64] {
+        &self.cells[self.origin..]
+    }
+
+    /// Row `i` (the cost row at `i == basis.len()`), without its padding.
     fn row(&self, i: usize) -> &[f64] {
-        &self.cells[i * self.width..(i + 1) * self.width]
+        &self.grid()[i * self.stride..][..self.width]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.cells[self.origin + i * self.stride..][..self.width]
     }
 
     /// The constraint rows, in order.
-    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
-        self.cells[..self.basis.len() * self.width].chunks_exact(self.width)
+    fn rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        self.grid()[..self.basis.len() * self.stride]
+            .chunks_exact(self.stride)
+            .map(|row| &row[..self.width])
     }
 
     /// The cost row.
     fn obj(&self) -> &[f64] {
-        &self.cells[self.basis.len() * self.width..]
+        self.row(self.basis.len())
     }
 
     /// Rebuilds the cost row for the cost `cost(j)` of each column `j`,
@@ -173,13 +222,14 @@ impl Tableau {
     /// reduced cost. `cost` also prices a basic artificial whose column
     /// was dropped (one left in a redundant row after phase 1).
     fn price_out(&mut self, cost: impl Fn(usize) -> f64) {
-        let (rows, obj) = self.cells.split_at_mut(self.basis.len() * self.width);
+        let (rows, obj) = self.cells[self.origin..].split_at_mut(self.basis.len() * self.stride);
+        let obj = &mut obj[..self.width];
         let (reduced, rhs) = obj.split_at_mut(self.width - 1);
         for (j, r) in reduced.iter_mut().enumerate() {
             *r = cost(j);
         }
         rhs[0] = 0.0;
-        for (row, &b) in rows.chunks_exact(self.width).zip(&self.basis) {
+        for (row, &b) in rows.chunks_exact(self.stride).zip(&self.basis) {
             let cb = cost(b);
             if cb != 0.0 {
                 for (o, &a) in obj.iter_mut().zip(row) {
@@ -190,17 +240,23 @@ impl Tableau {
     }
 
     /// Drops the columns from `keep` up to the right-hand side from every
-    /// row, the cost row included, shifting the rows down in place.
+    /// row, the cost row included, re-packing the rows in place at the
+    /// narrower stride with zeroed padding.
     fn drop_columns_from(&mut self, keep: usize) {
         let width = keep + 1;
+        let stride = width.next_multiple_of(LINE);
+        let grid = &mut self.cells[self.origin..];
         for i in 0..=self.basis.len() {
-            let (from, to) = (i * self.width, i * width);
-            let rhs = self.cells[from + self.width - 1];
-            self.cells.copy_within(from..from + keep, to);
-            self.cells[to + keep] = rhs;
+            let (from, to) = (i * self.stride, i * stride);
+            let rhs = grid[from + self.width - 1];
+            grid.copy_within(from..from + keep, to);
+            grid[to + keep] = rhs;
+            grid[to + width..to + stride].fill(0.0);
         }
-        self.cells.truncate((self.basis.len() + 1) * width);
+        self.cells
+            .truncate(self.origin + (self.basis.len() + 1) * stride);
         self.width = width;
+        self.stride = stride;
     }
 
     /// Selects the entering column, or `None` at optimality.
@@ -248,23 +304,53 @@ impl Tableau {
 
     /// Performs the pivot on `(p, q)`: normalizes row `p`, eliminates column
     /// `q` from every other row, the cost row included.
+    ///
+    /// Only the pivot row's live lines are divided and eliminated: each
+    /// line holding a non-zero cell, and the line holding the right-hand
+    /// side. A dead line's pivot cells are ±0, where the full update
+    /// would compute `x - f * (±0)`: that is `x` itself for every
+    /// non-zero `x` and can flip only a zero's sign. A zero's sign never
+    /// reaches a non-zero cell (`±0 - f * p` is `-(f * p)`), a decision
+    /// (the scans, the ratio test and every tolerance test treat +0 and
+    /// -0 alike) or the right-hand side (its line is always live and
+    /// reads only its own cells, the factor and the pivot). So every
+    /// status, pivot count, objective and value bit is the full
+    /// update's while the tableau stays finite.
     fn pivot(&mut self, p: usize, q: usize) {
-        let (before, rest) = self.cells.split_at_mut(p * self.width);
-        let (pivot_row, after) = rest.split_at_mut(self.width);
+        let (stride, rhs_line) = (self.stride, self.rhs_index() / LINE * LINE);
+        let (before, rest) = self.cells[self.origin..].split_at_mut(p * stride);
+        let (pivot_row, after) = rest.split_at_mut(stride);
         let piv = pivot_row[q];
         debug_assert!(piv.abs() > 0.0, "pivot on zero element");
-        for x in pivot_row.iter_mut() {
-            *x /= piv;
+        let live = &mut self.live;
+        live.resize(stride / LINE, 0);
+        let mut count = 0;
+        for (start, line) in (0..stride).step_by(LINE).zip(pivot_row.chunks_exact(LINE)) {
+            live[count] = start;
+            let nonzero = line.iter().fold(false, |any, &x| any | (x != 0.0));
+            count += usize::from(nonzero | (start == rhs_line));
+        }
+        live.truncate(count);
+        for &start in live.iter() {
+            for x in &mut pivot_row[start..start + LINE] {
+                *x /= piv;
+            }
         }
         let pivot_row: &[f64] = pivot_row;
         for row in before
-            .chunks_exact_mut(self.width)
-            .chain(after.chunks_exact_mut(self.width))
+            .chunks_exact_mut(stride)
+            .chain(after.chunks_exact_mut(stride))
         {
             let factor = row[q];
             if factor != 0.0 {
-                for (x, &pv) in row.iter_mut().zip(pivot_row) {
-                    *x -= factor * pv;
+                for &start in live.iter() {
+                    let pv = load(&pivot_row[start..start + LINE]);
+                    let cells = &mut row[start..start + LINE];
+                    let mut line = load(cells);
+                    for (x, p) in line.iter_mut().zip(pv) {
+                        *x -= factor * p;
+                    }
+                    cells.copy_from_slice(&line);
                 }
                 row[q] = 0.0; // kill round-off in the eliminated column
             }
@@ -286,11 +372,20 @@ impl Tableau {
     }
 }
 
+/// One line of cells as an array: loading a row's line and the pivot
+/// row's before storing lets each line update compile to packed
+/// multiply/subtract pairs.
+fn load(cells: &[f64]) -> [f64; LINE] {
+    let mut line = [0.0; LINE];
+    line.copy_from_slice(cells);
+    line
+}
+
 /// The largest of `values` and `floor`, NaNs skipped: `v > max` keeps
 /// each lane's maximum, the select a packed max instruction computes, so
-/// the lanes vectorize.
+/// the 16 independent lanes vectorize.
 fn lane_max(values: &[f64], floor: f64) -> f64 {
-    const LANES: usize = 4;
+    const LANES: usize = 16;
     let mut lanes = [floor; LANES];
     let chunks = values.chunks_exact(LANES);
     let tail = chunks.remainder();
@@ -443,6 +538,142 @@ mod tests {
         }
     }
 
+    /// A tableau holding `rows` (the cost row last) with `basis`.
+    fn tableau(rows: &[&[f64]], basis: Vec<usize>) -> Tableau {
+        let mut tab = Tableau::zeroed(rows.len(), rows[0].len());
+        for (i, cells) in rows.iter().enumerate() {
+            tab.row_mut(i).copy_from_slice(cells);
+        }
+        tab.basis = basis;
+        tab
+    }
+
+    /// Every row starts on a 64-byte boundary, the stride is whole lines
+    /// covering the width, and every padding cell is +0.0.
+    fn assert_line_layout(tab: &Tableau) {
+        assert_eq!(tab.stride % LINE, 0);
+        assert!(tab.width <= tab.stride && tab.stride < tab.width + LINE);
+        let rows = tab.basis.len() + 1;
+        assert_eq!(tab.grid().len(), rows * tab.stride);
+        for (i, row) in tab.grid().chunks_exact(tab.stride).enumerate() {
+            assert_eq!(
+                row.as_ptr().addr() % 64,
+                0,
+                "row {i} is off a 64-byte boundary"
+            );
+            assert_eq!(
+                bits(&row[tab.width..]),
+                vec![0; tab.stride - tab.width],
+                "row {i}'s padding"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_start_on_cache_lines_with_zeroed_padding() {
+        // Widths 5 to 28 before the artificial drop and 4 to 19 after it:
+        // every residue mod 8 on both sides. Phase 1 runs first, and the
+        // padding is dirtied before the drop, which must re-zero it.
+        let (mut before, mut after) = ([false; LINE], [false; LINE]);
+        for n in 1..=16 {
+            let mut p = LpProblem::minimize(&vec![1.0; n]);
+            let ones = vec![1.0; n];
+            p.subject_to(&ones, Relation::Ge, 2.0).unwrap();
+            p.subject_to(&ones, Relation::Le, 9.0).unwrap();
+            for j in 0..n / 2 {
+                let mut unit = vec![0.0; n];
+                unit[j] = 1.0;
+                p.subject_to(&unit, Relation::Eq, 0.5).unwrap();
+            }
+            let (mut tab, artificial_start) = Tableau::new(&p);
+            assert_line_layout(&tab);
+            before[tab.width % LINE] = true;
+            tab.price_out(|j| if j < artificial_start { 0.0 } else { -1.0 });
+            let finished = run_phase(&mut tab, &SimplexOptions::default(), &mut 0).unwrap();
+            assert!(finished);
+            let (width, stride) = (tab.width, tab.stride);
+            for row in tab.cells[tab.origin..].chunks_exact_mut(stride) {
+                row[width..].fill(-0.0);
+            }
+            tab.drop_columns_from(artificial_start);
+            assert_eq!(tab.width, artificial_start + 1);
+            assert_line_layout(&tab);
+            after[tab.width % LINE] = true;
+        }
+        assert_eq!((before, after), ([true; LINE], [true; LINE]));
+    }
+
+    #[test]
+    fn a_pivot_skips_the_pivot_rows_dead_lines_and_matches_the_full_update_elsewhere() {
+        // Width 17: two lines of columns, then the right-hand side alone
+        // in the third line. The pivot row's second line holds only +0.0
+        // and -0.0, so that line of every row is left as it was; every
+        // other cell gets the bits of `x /= piv`, then `x -= f * p`.
+        let pivot_row: [f64; 17] = [
+            1.5, -4.0, 0.0, 2.0, -0.0, 0.0, 0.25, 3.0, //
+            0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, //
+            6.0,
+        ];
+        let row_a: [f64; 17] = [
+            2.0, 1.0, -0.0, 0.5, 0.0, 7.0, -0.0, 1.0, //
+            3.0, -0.0, -0.0, -2.5, -0.0, 1e-300, 0.0, 9.0, //
+            4.0,
+        ];
+        let row_b: [f64; 17] = [
+            0.0, 5.0, 1.0, -1.0, 2.0, 0.0, 0.0, 0.0, //
+            -1.0, 4.0, -0.0, 0.0, 0.0, 0.0, 8.0, -0.0, //
+            3.0,
+        ];
+        let cost: [f64; 17] = [
+            -0.0, 3.0, 0.0, -2.0, 0.0, 1.0, -0.0, 0.5, //
+            -0.0, 0.0, 1.0, -0.0, 2.0, 0.0, -0.0, 0.0, //
+            -5.0,
+        ];
+        let rows: [&[f64]; 4] = [&row_a, &pivot_row, &row_b, &cost];
+        let mut tab = tableau(&rows, vec![17, 18, 19]);
+        let (p, q) = (1, 1);
+        tab.pivot(p, q);
+        assert_eq!(tab.basis, [17, 1, 19]);
+        // The right-hand side's line carries padding through the update:
+        // it stays zero, of either sign.
+        for row in tab.grid().chunks_exact(tab.stride) {
+            assert!(row[17..].iter().all(|&x| x == 0.0));
+        }
+
+        let piv = pivot_row[q];
+        let divided: Vec<f64> = pivot_row.iter().map(|&x| x / piv).collect();
+        for (i, &before) in rows.iter().enumerate() {
+            let mut full: Vec<f64> = before.to_vec();
+            if i == p {
+                full.clone_from(&divided);
+            } else if before[q] != 0.0 {
+                for (x, &pv) in full.iter_mut().zip(&divided) {
+                    *x -= before[q] * pv;
+                }
+                full[q] = 0.0;
+            }
+            let after = tab.row(i);
+            for j in (0..8).chain([16]) {
+                assert_eq!(after[j].to_bits(), full[j].to_bits(), "row {i}, column {j}");
+            }
+            for j in 8..16 {
+                assert_eq!(
+                    after[j].to_bits(),
+                    before[j].to_bits(),
+                    "row {i}, column {j}"
+                );
+                assert_eq!(
+                    after[j], full[j],
+                    "row {i}, column {j} moved off zero's sign"
+                );
+            }
+        }
+        // The full update flips the sign of a zero on the dead line: the
+        // skip is not a no-op there, only a sign-of-zero change.
+        assert_eq!(tab.row(0)[10].to_bits(), (-0.0f64).to_bits());
+        assert_eq!((row_a[10] - row_a[q] * divided[10]).to_bits(), 0);
+    }
+
     #[test]
     fn dropping_the_artificial_columns_keeps_every_other_cell() {
         let mut p = LpProblem::minimize(&[2.0, 3.0, 1.0]);
@@ -451,21 +682,18 @@ mod tests {
         p.subject_to(&[0.0, 1.0, 1.0], Relation::Le, 8.0).unwrap();
         let (mut tab, artificial_start) = Tableau::new(&p);
         tab.price_out(|j| if j < artificial_start { 0.0 } else { -1.0 });
-        let before = tab.cells.clone();
-        let old_width = tab.width;
+        let before: Vec<Vec<f64>> = (0..4).map(|i| tab.row(i).to_vec()).collect();
         tab.drop_columns_from(artificial_start);
         assert_eq!(tab.width, artificial_start + 1);
-        assert_eq!(tab.cells.len(), 4 * tab.width);
-        for (old, new) in before
-            .chunks_exact(old_width)
-            .zip(tab.cells.chunks_exact(tab.width))
-        {
+        assert_line_layout(&tab);
+        for (i, old) in before.iter().enumerate() {
+            let new = tab.row(i);
             assert_eq!(
                 bits(&old[..artificial_start]),
                 bits(&new[..artificial_start])
             );
             assert_eq!(
-                old[old_width - 1].to_bits(),
+                old[old.len() - 1].to_bits(),
                 new[artificial_start].to_bits()
             );
         }
@@ -482,26 +710,14 @@ mod tests {
         reduced[17] = 2.0;
         let mut cells = reduced.clone();
         cells.push(0.0);
-        let tab = Tableau {
-            cells,
-            basis: Vec::new(),
-            width: 20,
-        };
+        let tab = tableau(&[&cells], Vec::new());
         assert_eq!(tab.entering_column(PivotRule::Dantzig, 1e-9), Some(5));
         assert_eq!(tab.entering_column(PivotRule::Bland, 1e-9), Some(0));
         assert_eq!(tab.entering_column(PivotRule::Dantzig, 2.0), None);
         assert_eq!(tab.entering_column(PivotRule::Dantzig, f64::NAN), None);
-        let tail_only = Tableau {
-            cells: vec![0.0, -1.0, 3.0, 0.0],
-            basis: Vec::new(),
-            width: 4,
-        };
+        let tail_only = tableau(&[&[0.0, -1.0, 3.0, 0.0]], Vec::new());
         assert_eq!(tail_only.entering_column(PivotRule::Dantzig, 1e-9), Some(2));
-        let optimal = Tableau {
-            cells: vec![-0.0, 1e-9, -3.0, 0.0],
-            basis: Vec::new(),
-            width: 4,
-        };
+        let optimal = tableau(&[&[-0.0, 1e-9, -3.0, 0.0]], Vec::new());
         assert_eq!(optimal.entering_column(PivotRule::Dantzig, 1e-9), None);
     }
 
