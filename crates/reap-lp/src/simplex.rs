@@ -92,8 +92,12 @@ struct Tableau {
     stride: usize,
     basis: Vec<usize>,
     width: usize,
-    /// The start columns of the current pivot row's live lines.
+    /// The start columns of the current pivot row's live lines, then
+    /// unused slots.
     live: Vec<usize>,
+    /// The rows a pivot eliminates from (non-zero factor), then unused
+    /// slots.
+    eliminated: Vec<usize>,
 }
 
 enum PivotOutcome {
@@ -118,7 +122,8 @@ impl Tableau {
             stride,
             basis: Vec::with_capacity(rows.saturating_sub(1)),
             width,
-            live: Vec::with_capacity(stride / LINE),
+            live: vec![0; stride / LINE],
+            eliminated: vec![0; rows],
         }
     }
 
@@ -268,7 +273,7 @@ impl Tableau {
             PivotRule::Dantzig => {
                 let best = lane_max(candidates, tol);
                 if best > tol {
-                    candidates.iter().position(|&r| r == best)
+                    first_index_of(candidates, best)
                 } else {
                     None
                 }
@@ -318,42 +323,48 @@ impl Tableau {
     /// update's while the tableau stays finite.
     fn pivot(&mut self, p: usize, q: usize) {
         let (stride, rhs_line) = (self.stride, self.rhs_index() / LINE * LINE);
-        let (before, rest) = self.cells[self.origin..].split_at_mut(p * stride);
+        let grid = &mut self.cells[self.origin..];
+        // The lists are built branch-free: each slot is written, and the
+        // count moves past it only when it belongs to the list.
+        let mut rows = 0;
+        for (i, row) in grid.chunks_exact(stride).enumerate() {
+            self.eliminated[rows] = i;
+            rows += usize::from((row[q] != 0.0) & (i != p));
+        }
+        let (before, rest) = grid.split_at_mut(p * stride);
         let (pivot_row, after) = rest.split_at_mut(stride);
         let piv = pivot_row[q];
         debug_assert!(piv.abs() > 0.0, "pivot on zero element");
-        let live = &mut self.live;
-        live.resize(stride / LINE, 0);
-        let mut count = 0;
+        let mut lines = 0;
         for (start, line) in (0..stride).step_by(LINE).zip(pivot_row.chunks_exact(LINE)) {
-            live[count] = start;
+            self.live[lines] = start;
             let nonzero = line.iter().fold(false, |any, &x| any | (x != 0.0));
-            count += usize::from(nonzero | (start == rhs_line));
+            lines += usize::from(nonzero | (start == rhs_line));
         }
-        live.truncate(count);
-        for &start in live.iter() {
+        let live = &self.live[..lines];
+        for &start in live {
             for x in &mut pivot_row[start..start + LINE] {
                 *x /= piv;
             }
         }
         let pivot_row: &[f64] = pivot_row;
-        for row in before
-            .chunks_exact_mut(stride)
-            .chain(after.chunks_exact_mut(stride))
-        {
+        for &i in &self.eliminated[..rows] {
+            let row = if i < p {
+                &mut before[i * stride..][..stride]
+            } else {
+                &mut after[(i - p - 1) * stride..][..stride]
+            };
             let factor = row[q];
-            if factor != 0.0 {
-                for &start in live.iter() {
-                    let pv = load(&pivot_row[start..start + LINE]);
-                    let cells = &mut row[start..start + LINE];
-                    let mut line = load(cells);
-                    for (x, p) in line.iter_mut().zip(pv) {
-                        *x -= factor * p;
-                    }
-                    cells.copy_from_slice(&line);
+            for &start in live {
+                let pv = load(&pivot_row[start..start + LINE]);
+                let cells = &mut row[start..start + LINE];
+                let mut line = load(cells);
+                for (x, p) in line.iter_mut().zip(pv) {
+                    *x -= factor * p;
                 }
-                row[q] = 0.0; // kill round-off in the eliminated column
+                cells.copy_from_slice(&line);
             }
+            row[q] = 0.0; // kill round-off in the eliminated column
         }
         self.basis[p] = q;
     }
@@ -379,6 +390,22 @@ fn load(cells: &[f64]) -> [f64; LINE] {
     let mut line = [0.0; LINE];
     line.copy_from_slice(cells);
     line
+}
+
+/// The first index of `values` holding `target`, found a line at a
+/// time: one packed compare per line until the line that holds it.
+fn first_index_of(values: &[f64], target: f64) -> Option<usize> {
+    let mut start = 0;
+    for line in values.chunks_exact(LINE) {
+        if line.iter().fold(false, |any, &v| any | (v == target)) {
+            break;
+        }
+        start += LINE;
+    }
+    values[start..]
+        .iter()
+        .position(|&v| v == target)
+        .map(|j| start + j)
 }
 
 /// The largest of `values` and `floor`, NaNs skipped: `v > max` keeps
@@ -715,6 +742,18 @@ mod tests {
         assert_eq!(tab.entering_column(PivotRule::Bland, 1e-9), Some(0));
         assert_eq!(tab.entering_column(PivotRule::Dantzig, 2.0), None);
         assert_eq!(tab.entering_column(PivotRule::Dantzig, f64::NAN), None);
+        // The first column of the largest reduced cost in the second
+        // line, then in the tail.
+        cells[5] = 0.5;
+        assert_eq!(
+            tableau(&[&cells], Vec::new()).entering_column(PivotRule::Dantzig, 1e-9),
+            Some(11)
+        );
+        cells[11] = 0.5;
+        assert_eq!(
+            tableau(&[&cells], Vec::new()).entering_column(PivotRule::Dantzig, 1e-9),
+            Some(17)
+        );
         let tail_only = tableau(&[&[0.0, -1.0, 3.0, 0.0]], Vec::new());
         assert_eq!(tail_only.entering_column(PivotRule::Dantzig, 1e-9), Some(2));
         let optimal = tableau(&[&[-0.0, 1e-9, -3.0, 0.0]], Vec::new());
