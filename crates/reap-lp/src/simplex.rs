@@ -310,9 +310,9 @@ impl Tableau {
     /// Performs the pivot on `(p, q)`: normalizes row `p`, eliminates column
     /// `q` from every other row, the cost row included.
     ///
-    /// Only the pivot row's live lines are divided and eliminated: each
-    /// line holding a non-zero cell, and the line holding the right-hand
-    /// side. A dead line's pivot cells are ±0, where the full update
+    /// Only the rows with a non-zero factor are updated, and only on the
+    /// pivot row's live lines, the lines it divides: each line holding a
+    /// non-zero cell, and the line holding the right-hand side. A dead line's pivot cells are ±0, where the full update
     /// would compute `x - f * (±0)`: that is `x` itself for every
     /// non-zero `x` and can flip only a zero's sign. A zero's sign never
     /// reaches a non-zero cell (`±0 - f * p` is `-(f * p)`), a decision
@@ -356,11 +356,11 @@ impl Tableau {
             };
             let factor = row[q];
             for &start in live {
-                let pv = load(&pivot_row[start..start + LINE]);
+                let pivot_line = load(&pivot_row[start..start + LINE]);
                 let cells = &mut row[start..start + LINE];
                 let mut line = load(cells);
-                for (x, p) in line.iter_mut().zip(pv) {
-                    *x -= factor * p;
+                for (x, pv) in line.iter_mut().zip(pivot_line) {
+                    *x -= factor * pv;
                 }
                 cells.copy_from_slice(&line);
             }
